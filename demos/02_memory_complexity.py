@@ -1,7 +1,8 @@
 """Stationary environment states and the memory complexity of a process.
 
-Iterating the transfer map drives the environment to its stationary state;
-the Renyi entropy (base 2) of that state measures how much quantum memory
+Iterating the transfer map drives the environment to its stationary state,
+the projection of the initial state onto the fixed points of that map; the
+Renyi entropy (base 2) of that state measures how much quantum memory
 the process consumes.  For generic evolutions the values are known in
 closed form: log2(D) for product initial states, plus the entropy of the
 reduced initial system state when system and environment start entangled.
@@ -14,7 +15,7 @@ import pptlab as pl
 print("--- separable initial states: complexity = log2 D ---")
 for D in (2, 3, 4):
     model = pl.random_separable_model(2, D, seed=D)
-    rho, steps, degenerate = pl.stationary_state(model)
+    rho, _, _ = pl.stationary_state(model)
     for alpha in (0.5, 1.0, 2.0):
         value = pl.renyi_complexity(rho, alpha)
         print(f"D={D} alpha={alpha}: {value:.9f} (log2 D = {np.log2(D):.9f})")
@@ -28,10 +29,10 @@ for lam2 in ([0.5, 0.5], [0.9, 0.1]):
         f"lambda^2={lam2}: measured {result.measured:.9f}, "
         f"predicted {result.predicted:.9f}, pass={result.passed}"
     )
-    rho, steps, degenerate = pl.stationary_state(model)
+    rho, _, degenerate = pl.stationary_state(model)
     print(
         f"  stationary eigenvalues {np.round(np.linalg.eigvalsh(rho), 6)}"
-        f" (degenerate transfer spectrum: {degenerate}, {steps} iterations)"
+        f" (degenerate transfer spectrum: {degenerate}; projected onto the fixed points)"
     )
 
 print()

@@ -2,8 +2,7 @@
 
 Every stochastic subcommand requires an explicit seed, outputs are written
 with fixed float formatting (17 significant digits, '.' decimal), and
-identical configurations produce byte-identical files.  Seed ensembles may
-fan out to ``PPTLAB_THREADS`` workers; results are merged in seed order.
+identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 validation/usage error, 2 numerical non-convergence.
 """
@@ -12,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,22 +31,6 @@ def _write_out(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PPTLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_lambdas(text: str | None):
@@ -113,41 +94,23 @@ def _cmd_figs2(args) -> int:
     points = None
     if args.sample_every > 1:
         points = sorted(set(list(range(0, args.nmax + 1, args.sample_every)) + [args.nmax]))
-
-    def one(seed):
-        return memory.fig_s2_experiment(
-            args.d,
-            args.D,
-            args.eta,
-            args.nmax,
-            [seed],
-            time_dependent=args.time_dependent,
-            sample_points=points,
-        )
-
-    per_seed = _map_ordered(one, seeds)
-    ns = [row[0] for row in per_seed[0]]
-    curves = np.array([[row[1] for row in rows] for rows in per_seed])
-    merged = []
-    for col, n in enumerate(ns):
-        vals = curves[:, col]
-        merged.append(
-            (
-                n,
-                float(np.mean(vals)),
-                float(np.median(vals)),
-                float(np.quantile(vals, 0.25)),
-                float(np.quantile(vals, 0.75)),
-            )
-        )
+    rows = memory.fig_s2_experiment(
+        args.d,
+        args.D,
+        args.eta,
+        args.nmax,
+        seeds,
+        time_dependent=args.time_dependent,
+        sample_points=points,
+    )
     if args.format == "json":
         doc = [
             {"n": n, "mean_infidelity": m, "median_infidelity": md, "q25": q1, "q75": q3}
-            for n, m, md, q1, q3 in merged
+            for n, m, md, q1, q3 in rows
         ]
         _write_out(_json_dumps(doc), args.out)
     else:
-        _write_out(memory.fig_s2_csv(merged), args.out)
+        _write_out(memory.fig_s2_csv(rows), args.out)
     return 0
 
 

@@ -21,7 +21,6 @@ import scipy.linalg
 from .exceptions import ConvergenceError, DimensionError, ValidationError
 from .models import OqeModel, near_identity_unitary, random_hermitian
 from .ppt import PptMps, enlarged_site_tensor, site_tensor_from_unitary
-from .tensor_ops import dominant_left_eigs
 
 DEGENERACY_GAP = 1e-8
 
@@ -160,20 +159,22 @@ def infidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def stationary_state(
-    mps_or_model,
-    rho0: np.ndarray | None = None,
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
+    mps_or_model, rho0: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, bool]:
-    """Stationary environment state of a time-independent process.
+    """Stationary environment state lim_n Phi^n(rho0) of a time-independent process.
 
-    When the dominant transfer eigenvalue is non-degenerate the dense
-    eigenvector (normalised to unit trace) is returned directly.  In the
-    degenerate case, which arises for entangled initial states, the left
-    action is iterated from ``rho0`` until the successive-step fidelity
-    change drops below ``tol``; the iteration then continues while the
-    update still shrinks, so the result is converged to the floating-point
-    floor.  Returns ``(rho_st, steps, degenerate)``.
+    The limit is the projection of ``rho0`` onto the eigenvalue-1
+    eigenspace of the left transfer matrix: one dense eigendecomposition
+    L = V diag(lam) V^-1, one solve for the eigen-coefficients c = V^-1
+    vec(rho0), and the sum of c_k v_k over lam_k = 1.  When that eigenvalue
+    is non-degenerate this is the unit-trace dominant eigenvector, whatever
+    ``rho0``; for entangled initial states the peripheral spectrum is
+    degenerate and the limit depends on ``rho0``.  A component of ``rho0``
+    on another unit-modulus eigenvalue never decays, so the limit does not
+    exist and ``ConvergenceError`` is raised with that component's norm as
+    the residual.  Returns ``(rho_st, steps, degenerate)``; ``steps`` is
+    always 0 (nothing is iterated) and ``degenerate`` flags a dominant
+    eigenvalue magnitude shared within ``DEGENERACY_GAP``.
     """
     if isinstance(mps_or_model, PptMps):
         sites = mps_or_model.sites
@@ -187,54 +188,33 @@ def stationary_state(
         tm = model_transfer_matrix(model)
         if rho0 is None:
             rho0 = initial_env_density(model)
+    if tm.dense.shape[0] != tm.dense.shape[1]:
+        raise DimensionError("stationary analysis requires equal bond dimensions")
     rho0 = validate_env_density(rho0)
     if rho0.shape[0] != tm.dim:
         raise DimensionError(
             f"rho0 dimension {rho0.shape[0]} does not match the transfer dimension {tm.dim}"
         )
 
-    lam, mat, degenerate = dominant_left_eigs(tm.apply_left, tm.dim)
-    if not degenerate:
-        rho = (mat + mat.conj().T) / 2.0
-        rho = rho / np.trace(rho).real
-        return rho, 0, False
-
-    rho = rho0
-    steps = 0
-    converged = False
-    for _ in range(max_iter):
-        new = tm.apply_left(rho)
-        steps += 1
-        if 1.0 - uhlmann_fidelity(rho, new) < tol:
-            rho = new
-            converged = True
-            break
-        rho = new
-    if not converged:
-        res = float(np.linalg.norm(tm.apply_left(rho) - rho))
+    vals, vecs = np.linalg.eig(tm.left_matrix())
+    coeffs = np.linalg.solve(vecs, rho0.reshape(-1, order="F"))
+    mags = np.abs(vals)
+    degenerate = bool(np.count_nonzero(mags > mags.max() - DEGENERACY_GAP) > 1)
+    fixed = np.abs(vals - 1.0) < DEGENERACY_GAP
+    if not fixed.any():
         raise ConvergenceError(
-            f"stationary iteration did not converge in {max_iter} steps", residual=res
+            "transfer map has no eigenvalue 1", residual=float(np.min(np.abs(vals - 1.0)))
         )
-    # Polish: keep iterating while the update still shrinks, down to the
-    # floating-point floor, so slow near-degenerate modes are fully damped.
-    prev_delta = np.inf
-    stalled = 0
-    for _ in range(max_iter):
-        new = tm.apply_left(rho)
-        steps += 1
-        delta = float(np.linalg.norm(new - rho))
-        rho = new
-        if delta < 1e-15:
-            break
-        if delta >= prev_delta:
-            stalled += 1
-            if stalled >= 20:
-                break
-        else:
-            stalled = 0
-        prev_delta = delta
+    rotating = ~fixed & (np.abs(mags - 1.0) < DEGENERACY_GAP)
+    residual = float(np.linalg.norm(vecs[:, rotating] @ coeffs[rotating]))
+    if residual > 1e-10:
+        raise ConvergenceError(
+            "rho0 has a non-decaying component on a unit-modulus eigenvalue other than 1",
+            residual=residual,
+        )
+    rho = (vecs[:, fixed] @ coeffs[fixed]).reshape(tm.dim, tm.dim, order="F")
     rho = (rho + rho.conj().T) / 2.0
-    return rho / np.trace(rho).real, steps, True
+    return rho / np.trace(rho).real, 0, degenerate
 
 
 def renyi_complexity(rho: np.ndarray, alpha: float) -> float:
@@ -273,8 +253,8 @@ class ComplexityReport:
         return doc
 
 
-def memory_complexity(model: OqeModel, alpha: float, tol: float = 1e-13) -> ComplexityReport:
-    rho, steps, degenerate = stationary_state(model, tol=tol)
+def memory_complexity(model: OqeModel, alpha: float) -> ComplexityReport:
+    rho, steps, degenerate = stationary_state(model)
     return ComplexityReport(
         alpha=float(alpha),
         value_bits=renyi_complexity(rho, alpha),
@@ -368,9 +348,15 @@ def fig_s2_experiment(
     """
     if eta <= 0:
         raise ValidationError(f"eta must be positive, got {eta}")
+    if n_max < 0:
+        raise ValidationError(f"n_max must be non-negative, got {n_max}")
     if isinstance(seeds, int):
         seeds = list(range(seeds))
+    if len(seeds) == 0:
+        raise ValidationError("the seed ensemble is empty")
     points = sorted(set(sample_points)) if sample_points is not None else list(range(n_max + 1))
+    if points and not 0 <= points[0] <= points[-1] <= n_max:
+        raise ValidationError(f"sample points must lie in [0, {n_max}]")
     if rho0 is None:
         rho0 = np.zeros((D, D), dtype=np.complex128)
         rho0[0, 0] = 1.0

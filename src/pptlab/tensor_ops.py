@@ -1,21 +1,16 @@
 """Dense complex tensor algebra underlying every other module.
 
 All routines operate on plain ``numpy.ndarray`` objects in complex double
-precision and are pure functions of their inputs.  Dense linear algebra is
-used up to ``DENSE_EIG_LIMIT`` matrix entries; above that, eigenpairs are
-obtained by power iteration.
+precision and are pure functions of their inputs: input coercion, polar
+and isometric projections by SVD, and deterministic Gram-Schmidt
+completion of orthonormal columns to a unitary.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .exceptions import ConvergenceError, DimensionError, SingularityError
-
-DEFAULT_TOL = 1e-10
-DENSE_EIG_LIMIT = 4096  # largest D**2 handled by full eigendecomposition
+from .exceptions import DimensionError, SingularityError
 
 
 def as_complex_array(data, ndim: int | None = None) -> np.ndarray:
@@ -26,32 +21,6 @@ def as_complex_array(data, ndim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DimensionError("tensor contains non-finite entries")
     return arr
-
-
-def contract(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-    """Contract ``a`` with ``b`` over the given (axis_a, axis_b) pairs.
-
-    Result indices are the unpaired indices of ``a`` followed by those of
-    ``b``, in their original order.
-    """
-    a = as_complex_array(a)
-    b = as_complex_array(b)
-    pairs = list(axes)
-    ax_a = [p[0] for p in pairs]
-    ax_b = [p[1] for p in pairs]
-    for i, j in pairs:
-        if a.shape[i] != b.shape[j]:
-            raise DimensionError(
-                f"contracted extents differ: a.shape[{i}]={a.shape[i]} vs b.shape[{j}]={b.shape[j]}"
-            )
-    return np.tensordot(a, b, axes=(ax_a, ax_b))
-
-
-def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of a rank-2 tensor with singular values sorted descending."""
-    m = as_complex_array(m, ndim=2)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh
 
 
 def polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -129,107 +98,3 @@ def fill_unassigned_columns(full: np.ndarray, assigned: np.ndarray) -> np.ndarra
                 cols.append(full[:, j])
                 break
     return full
-
-
-def dominant_left_eigs(
-    op,
-    dim: int,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> tuple[complex, np.ndarray, bool]:
-    """Dominant-magnitude fixed point of a linear map on ``dim x dim`` matrices.
-
-    ``op`` is either a callable ``rho -> rho'`` implementing the map, or a
-    dense ``dim**2 x dim**2`` matrix ``A`` acting on column-major vectorised
-    matrices, ``A @ vec(rho) = vec(op(rho))``.
-
-    Returns ``(eigenvalue, eigenmatrix, degeneracy_flag)``; the flag is set
-    when the two largest eigenvalue magnitudes differ by less than 1e-8.
-    The eigenmatrix is normalised to unit trace when its trace is away from
-    zero, else to unit Frobenius norm.
-    """
-    d2 = dim * dim
-    dense: np.ndarray | None = None
-    if isinstance(op, np.ndarray):
-        dense = as_complex_array(op, ndim=2)
-        if dense.shape != (d2, d2):
-            raise DimensionError(f"map must be {d2}x{d2}, got {dense.shape}")
-        action: Callable[[np.ndarray], np.ndarray] = lambda rho: (
-            dense @ rho.reshape(d2, order="F")
-        ).reshape(dim, dim, order="F")
-    else:
-        action = op
-
-    if d2 <= DENSE_EIG_LIMIT:
-        if dense is None:
-            dense = np.zeros((d2, d2), dtype=np.complex128)
-            basis = np.zeros((dim, dim), dtype=np.complex128)
-            for j in range(d2):
-                basis.flat = 0.0
-                basis[j % dim, j // dim] = 1.0  # column-major unit matrix
-                dense[:, j] = action(basis.copy()).reshape(d2, order="F")
-        vals, vecs = np.linalg.eig(dense)
-        order = np.argsort(-np.abs(vals))
-        lead = complex(vals[order[0]])
-        mat = vecs[:, order[0]].reshape(dim, dim, order="F")
-        degenerate = bool(
-            len(vals) > 1 and abs(np.abs(vals[order[0]]) - np.abs(vals[order[1]])) < 1e-8
-        )
-        return lead, _normalize_eigenmatrix(mat), degenerate
-
-    # Power iteration on the functional form for large maps.
-    rng = np.random.default_rng(0)
-    rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho /= np.linalg.norm(rho)
-    lam = 0.0 + 0.0j
-    residual = np.inf
-    for _ in range(max_iter):
-        new = action(rho)
-        nrm = np.linalg.norm(new)
-        if nrm == 0.0:
-            return 0.0 + 0.0j, rho, True
-        lam = np.vdot(rho.reshape(-1), new.reshape(-1))
-        new /= nrm
-        residual = float(np.linalg.norm(new - rho * np.exp(1j * np.angle(lam))))
-        rho = new
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} steps", residual=residual
-        )
-    # Deflate once to estimate the subleading magnitude for the degeneracy flag.
-    sub = _second_magnitude(action, rho, lam, dim, tol, max_iter)
-    degenerate = bool(abs(abs(lam) - sub) < 1e-8)
-    return complex(lam), _normalize_eigenmatrix(rho), degenerate
-
-
-def _second_magnitude(action, lead_vec, lead_val, dim, tol, max_iter) -> float:
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    lead = lead_vec.reshape(-1)
-    lead = lead / np.linalg.norm(lead)
-    lam = 0.0
-    for _ in range(min(max_iter, 5000)):
-        w = v.reshape(-1)
-        w = w - lead * np.vdot(lead, w)
-        v = w.reshape(dim, dim)
-        new = action(v)
-        w = new.reshape(-1)
-        w = w - lead * np.vdot(lead, w)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        lam_new = abs(np.vdot(v.reshape(-1), w) / np.vdot(v.reshape(-1), v.reshape(-1)))
-        v = (w / nrm).reshape(dim, dim)
-        if abs(lam_new - lam) < tol:
-            return float(lam_new)
-        lam = lam_new
-    return float(lam)
-
-
-def _normalize_eigenmatrix(mat: np.ndarray) -> np.ndarray:
-    tr = np.trace(mat)
-    if abs(tr) > 1e-8 * np.linalg.norm(mat):
-        return mat / tr
-    return mat / np.linalg.norm(mat)

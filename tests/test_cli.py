@@ -94,6 +94,16 @@ class TestConfigAndErrors:
     def test_missing_seed_exits_one(self):
         assert run(["complexity", "--d", "2", "--D", "2", "--alpha", "2"]) == 1
 
+    def test_figs2_empty_seed_ensemble_exits_one(self, capsys):
+        assert run(["figs2", "--eta", "0.01", "--nmax", "10", "--seeds", "0"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_figs2_negative_nmax_exits_one(self, capsys):
+        assert run(["figs2", "--eta", "0.01", "--nmax", "-5", "--seeds", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_flag": 1}))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pptlab import (
+    ConvergenceError,
     OqeModel,
+    PptMps,
     ValidationError,
     build_ppt,
     evolve_env,
@@ -136,17 +138,41 @@ class TestStationaryState:
         assert np.max(np.abs(rho - np.eye(4) / 4)) < 1e-8
 
     def test_skewed_lambdas_match_dense_power_limit(self, rng):
-        model = random_entangled_model(2, 2, rng, lambdas=np.sqrt([0.9, 0.1]))
-        rho, _, degenerate = stationary_state(model)
-        assert degenerate
-        evals = np.sort(np.linalg.eigvalsh(rho))
-        assert np.allclose(evals, [0.05, 0.05, 0.45, 0.45], atol=1e-8)
-        # dense oracle: matrix-power the left action until stationary
-        tm = model_transfer_matrix(model)
-        lmat = np.linalg.matrix_power(tm.left_matrix(), 4096)
-        rho0 = initial_env_density(model)
-        ref = (lmat @ rho0.reshape(-1, order="F")).reshape(4, 4, order="F")
-        assert np.max(np.abs(rho - ref)) < 1e-8
+        cases = [
+            (random_entangled_model(2, 2, rng, lambdas=np.sqrt([0.9, 0.1])), [0.9, 0.1]),
+            (random_entangled_model(3, 3, rng, lambdas=np.sqrt([0.6, 0.3, 0.1])), [0.6, 0.3, 0.1]),
+            (random_separable_model(2, 3, rng), [1.0]),
+        ]
+        for model, lam2 in cases:
+            rho, _, degenerate = stationary_state(model)
+            assert degenerate == model.entangled
+            # closed form: reduced initial system state (x) I/D
+            evals = np.sort(np.linalg.eigvalsh(rho))
+            assert np.allclose(evals, np.sort(np.kron(lam2, np.ones(model.D) / model.D)), atol=1e-8)
+            # dense oracle: matrix-power the left action until stationary
+            tm = model_transfer_matrix(model)
+            lmat = np.linalg.matrix_power(tm.left_matrix(), 4096)
+            rho0 = initial_env_density(model)
+            ref = (lmat @ rho0.reshape(-1, order="F")).reshape(tm.dim, tm.dim, order="F")
+            assert np.max(np.abs(rho - ref)) < 1e-8
+
+    def test_bare_mps_with_rotating_peripheral_eigenvalue(self):
+        # Kraus operators X/d at every (o, i): the left action is rho -> X rho X,
+        # with eigenvalue +1 on span{I, X} and -1 on span{Y, Z}.
+        d = 2
+        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+        site = np.repeat(np.repeat(x[:, None, None, :] / d, d, axis=1), d, axis=2)
+        mps = PptMps(sites=(site,), d=d)
+        with pytest.raises(ConvergenceError) as err:
+            stationary_state(mps, np.diag([1.0, 0.0]))
+        # |0><0| = (I + Z)/2 keeps its Z/2 part, of Frobenius norm 1/sqrt(2)
+        assert abs(err.value.residual - 1 / np.sqrt(2)) < 1e-12
+        rho, steps, degenerate = stationary_state(mps, np.eye(2) / 2)
+        assert degenerate and steps == 0
+        assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
+        # halving the Kraus operators leaves eigenvalues +-1/4: no fixed point
+        with pytest.raises(ConvergenceError):
+            stationary_state(PptMps(sites=(site / 2,), d=d), np.eye(2) / 2)
 
 
 class TestRenyiComplexity:
@@ -266,6 +292,18 @@ class TestFigS2:
     def test_fresh_h_mode_runs(self):
         rows = fig_s2_experiment(2, 2, 0.05, 50, [0, 1], time_dependent=True, sample_points=[50])
         assert rows[0][1] < 0.5
+
+    def test_rejects_empty_seed_ensemble(self):
+        with pytest.raises(ValidationError):
+            fig_s2_experiment(2, 2, 0.05, 10, [])
+
+    def test_rejects_negative_n_max(self):
+        with pytest.raises(ValidationError):
+            fig_s2_experiment(2, 2, 0.05, -5, [0])
+
+    def test_rejects_sample_points_beyond_n_max(self):
+        with pytest.raises(ValidationError):
+            fig_s2_experiment(2, 2, 0.05, 5, [0], sample_points=[0, 5, 9])
 
     def test_regression_baseline_eta001(self):
         # Achieved value recorded as the regression baseline: the unitarized

@@ -1,73 +1,9 @@
 import numpy as np
 import pytest
 
-from pptlab import ConvergenceError, DimensionError, SingularityError
-from pptlab.tensor_ops import contract, dominant_left_eigs, polar_unitary, svd
+from pptlab import SingularityError
+from pptlab.tensor_ops import polar_unitary
 from pptlab.models import random_haar_unitary
-
-
-def loop_contract_2x3_3x4(a, b):
-    """Naive triple-loop oracle for a (2,3)x(3,4) matrix contraction."""
-    out = np.zeros((2, 4), dtype=np.complex128)
-    for i in range(2):
-        for j in range(4):
-            for k in range(3):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestContract:
-    def test_identity_times_identity(self):
-        eye = np.eye(2)
-        assert np.allclose(contract(eye, eye, [(1, 0)]), eye)
-
-    def test_vector_norm(self, rng):
-        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = contract(v, v.conj(), [(0, 0)])
-        assert got.shape == ()
-        assert abs(got - np.vdot(v, v)) < 1e-12
-
-    def test_matches_triple_loop(self, rng):
-        a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        b = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        assert np.allclose(contract(a, b, [(1, 0)]), loop_contract_2x3_3x4(a, b), atol=1e-12)
-
-    def test_extent_mismatch(self):
-        with pytest.raises(DimensionError):
-            contract(np.eye(2), np.eye(3), [(1, 0)])
-
-    def test_bilinearity(self, rng):
-        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        b = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        c = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        alpha = 0.7 - 0.3j
-        lhs = contract(alpha * a + b, c, [(1, 0)])
-        rhs = alpha * contract(a, c, [(1, 0)]) + contract(b, c, [(1, 0)])
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestSvd:
-    def test_diagonal(self):
-        _, s, _ = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(s, [3.0, 1.0])
-
-    def test_zero_matrix(self):
-        _, s, _ = svd(np.zeros((3, 2)))
-        assert np.allclose(s, 0.0)
-
-    def test_reconstruction(self, rng):
-        m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        u, s, vh = svd(m)
-        assert np.linalg.norm(u @ np.diag(s) @ vh - m) < 1e-12 * np.linalg.norm(m)
-        assert np.all(np.diff(s) <= 0)
-
-    def test_singular_values_unitary_invariant(self, rng):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        _, s0, _ = svd(m)
-        w1 = random_haar_unitary(4, rng)
-        w2 = random_haar_unitary(4, rng)
-        _, s1, _ = svd(w1 @ m @ w2)
-        assert np.max(np.abs(s0 - s1)) < 1e-12
 
 
 class TestPolarUnitary:
@@ -97,65 +33,3 @@ class TestPolarUnitary:
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             u = polar_unitary(m)
             assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
-
-
-class TestDominantLeftEigs:
-    def test_identity_map_degenerate(self):
-        val, mat, degenerate = dominant_left_eigs(lambda rho: rho, 2)
-        assert abs(val - 1.0) < 1e-12
-        assert degenerate
-
-    def test_replacer_map(self):
-        def op(rho):
-            return np.trace(rho) * np.eye(2) / 2.0
-
-        val, mat, degenerate = dominant_left_eigs(op, 2)
-        assert abs(val - 1.0) < 1e-12
-        assert not degenerate
-        assert np.max(np.abs(mat - np.eye(2) / 2.0)) < 1e-10
-
-    def test_matches_dense_solve_for_haar_transfer(self, rng):
-        from pptlab import model_transfer_matrix, random_separable_model
-
-        model = random_separable_model(2, 2, rng)
-        tm = model_transfer_matrix(model)
-        val, mat, _ = dominant_left_eigs(tm.apply_left, 2)
-        assert abs(val - 1.0) < 1e-10
-        # cross-check against the full spectrum of the dense left matrix
-        dense_vals = np.linalg.eigvals(tm.left_matrix())
-        assert abs(np.max(np.abs(dense_vals)) - abs(val)) < 1e-10
-
-    def test_power_iteration_matches_dense(self, rng):
-        # force the iterative path by shrinking the dense threshold
-        import pptlab.tensor_ops as to
-
-        a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        a = a / (np.max(np.abs(np.linalg.eigvals(a))) * 1.25)
-        a += 0.5 * np.eye(9)  # make the dominant eigenvalue comfortably isolated
-
-        def action(rho):
-            return (a @ rho.reshape(9, order="F")).reshape(3, 3, order="F")
-
-        val_dense, _, _ = dominant_left_eigs(a, 3)
-        old = to.DENSE_EIG_LIMIT
-        to.DENSE_EIG_LIMIT = 1
-        try:
-            val_iter, _, _ = dominant_left_eigs(action, 3, tol=1e-13)
-        finally:
-            to.DENSE_EIG_LIMIT = old
-        assert abs(abs(val_iter) - abs(val_dense)) < 1e-8
-
-    def test_nonconvergence_raises(self):
-        def transpose_map(rho):  # eigenvalues +1 and -1: iteration oscillates
-            return rho.T
-
-        import pptlab.tensor_ops as to
-
-        old = to.DENSE_EIG_LIMIT
-        to.DENSE_EIG_LIMIT = 1
-        try:
-            with pytest.raises(ConvergenceError) as err:
-                dominant_left_eigs(transpose_map, 2, tol=1e-15, max_iter=50)
-            assert err.value.residual is not None
-        finally:
-            to.DENSE_EIG_LIMIT = old
