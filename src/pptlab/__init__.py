@@ -74,7 +74,6 @@ from .tomography import (
     disentangle_reconstruct,
     predict_future,
     reconstruct_entangled_initial,
-    reduced_density,
     variational_fit,
 )
 
@@ -117,7 +116,6 @@ __all__ = [
     "dense_expectation",
     "pair_operator",
     "polar_unitary",
-    "reduced_density",
     "disentangle_reconstruct",
     "variational_fit",
     "predict_future",

@@ -19,6 +19,7 @@ import numpy as np
 from .exceptions import CapacityError, DimensionError, ValidationError
 from .models import OqeModel
 from .ppt import DENSE_STATE_GUARD, PptMps
+from .tensor_ops import complex_to_pairs, pairs_to_complex, transfer_left
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,7 @@ class MultiTimeObservable:
     def to_json_dict(self) -> dict:
         return {
             "insertions": [
-                {
-                    "step": step,
-                    "matrix": [[float(z.real), float(z.imag)] for z in op.reshape(-1)],
-                }
+                {"step": step, "matrix": complex_to_pairs(op)}
                 for step, op in self.insertions
             ]
         }
@@ -70,9 +68,7 @@ class MultiTimeObservable:
     def from_json_dict(doc: dict) -> "MultiTimeObservable":
         items = []
         for entry in doc["insertions"]:
-            flat = np.array(
-                [complex(re, im) for re, im in entry["matrix"]], dtype=np.complex128
-            )
+            flat = pairs_to_complex(entry["matrix"])
             dim = int(round(np.sqrt(flat.size)))
             if dim * dim != flat.size:
                 raise ValidationError("operator data is not square")
@@ -97,20 +93,11 @@ def expectation(mps: PptMps, obs: MultiTimeObservable) -> complex:
         raise ValidationError("expectation requires a right-canonical MPS")
     obs.validate(mps.d, mps.n_steps)
     ops = dict(obs.insertions)
-    d = mps.d
     nu = mps.boundary_vector()
     env = np.outer(nu.conj(), nu)
-    if mps.leading_site is not None:
-        t = mps.leading_site
-        env = np.einsum("aoib,ac,coij->bj", t.conj(), env, t)
-    last = obs.last_step
-    for step in range(1, last + 1):
-        t = mps.sites[step - 1]
-        if step in ops:
-            m = ops[step].reshape(d, d, d, d)  # (o', i', o, i)
-            env = np.einsum("apqb,pqoi,ac,coij->bj", t.conj(), m, env, t)
-        else:
-            env = np.einsum("aoib,ac,coij->bj", t.conj(), env, t)
+    lead = int(mps.leading_site is not None)  # an exposed initial leg is step 0
+    for step, t in enumerate(mps.chain()[: lead + obs.last_step], start=1 - lead):
+        env = transfer_left(env, t, t, ops.get(step))
     return complex(np.trace(env))
 
 

@@ -21,6 +21,7 @@ import scipy.linalg
 from .exceptions import ConvergenceError, DimensionError, ValidationError
 from .models import OqeModel, near_identity_unitary, random_hermitian
 from .ppt import PptMps, enlarged_site_tensor, site_tensor_from_unitary
+from .tensor_ops import transfer_left, transfer_right
 
 DEGENERACY_GAP = 1e-8
 
@@ -75,11 +76,11 @@ class TransferMatrix:
 
     def apply_left(self, rho: np.ndarray) -> np.ndarray:
         """sum_{o,i} (B^{o,i})^dag rho B^{o,i} (trace preserving)."""
-        return np.einsum("aoib,ac,coij->bj", self.site.conj(), rho, self.site)
+        return transfer_left(rho, self.site, self.site)
 
     def apply_right(self, rho: np.ndarray) -> np.ndarray:
         """sum_{o,i} B^{o,i} rho (B^{o,i})^dag."""
-        return np.einsum("aoib,bj,coij->ac", self.site, rho, self.site.conj())
+        return transfer_right(rho.T, self.site, self.site).T
 
     def left_matrix(self) -> np.ndarray:
         """Matrix of the left action on column-major vectorised states."""

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import ValidationError
-from .tensor_ops import as_complex_array
+from .tensor_ops import as_complex_array, complex_to_pairs, pairs_to_complex
 
 SCHMIDT_TOL = 1e-8
 
@@ -118,8 +118,8 @@ class OqeModel:
             "d": self.d,
             "D": self.D,
             "time_independent": self.time_independent,
-            "unitaries": [_matrix_to_pairs(u) for u in self.unitaries],
-            "initial_state": _vector_to_pairs(self.initial_state),
+            "unitaries": [complex_to_pairs(u) for u in self.unitaries],
+            "initial_state": complex_to_pairs(self.initial_state),
         }
 
     def to_json(self) -> str:
@@ -130,37 +130,15 @@ class OqeModel:
         d = int(doc["d"])
         D = int(doc["D"])
         dim = d * D
-        us = [_pairs_to_matrix(u, dim) for u in doc["unitaries"]]
+        us = [pairs_to_complex(u, (dim, dim)) for u in doc["unitaries"]]
         if doc.get("time_independent", len(us) == 1) and len(us) != 1:
             raise ValidationError("time_independent document must store exactly one unitary")
-        psi = _pairs_to_vector(doc["initial_state"], dim)
+        psi = pairs_to_complex(doc["initial_state"], (dim,))
         return OqeModel.create(d, D, us, psi)
 
     @staticmethod
     def from_json(text: str) -> "OqeModel":
         return OqeModel.from_json_dict(json.loads(text))
-
-
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-
-
-def _vector_to_pairs(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
-def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    if flat.size != dim * dim:
-        raise ValidationError(f"unitary entry count {flat.size} incompatible with dim {dim}")
-    return flat.reshape(dim, dim)
-
-
-def _pairs_to_vector(pairs, dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    if flat.size != dim:
-        raise ValidationError(f"state entry count {flat.size} incompatible with dim {dim}")
-    return flat
 
 
 # -- random ensembles ----------------------------------------------------

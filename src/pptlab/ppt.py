@@ -28,11 +28,19 @@ from .exceptions import (
     ValidationError,
 )
 from .models import OqeModel
-from .tensor_ops import as_complex_array, closest_isometry, fill_unassigned_columns
+from .tensor_ops import (
+    as_complex_array,
+    closest_isometry,
+    complex_to_pairs,
+    fill_unassigned_columns,
+    pairs_to_complex,
+    transfer_left,
+)
 
 DENSE_STATE_GUARD = 2**20  # max entries for dense statevector constructions
 PROCESS_TENSOR_GUARD = 4096  # max physical dimension of the dense Choi state
 SCHMIDT_RANK_TOL = 1e-8
+CANONICAL_FORMS = ("none", "right", "mixed")
 
 
 @dataclass(frozen=True)
@@ -83,12 +91,15 @@ class PptMps:
         return np.ones(1, dtype=np.complex128)
 
     def validate(self, tol: float = 1e-10) -> None:
-        chain = self.chain()
-        prev = chain[0].shape[0]
-        for k, t in enumerate(chain):
+        if self.canonical not in CANONICAL_FORMS:
+            raise ValidationError(f"unknown canonical form {self.canonical!r}")
+        if not self.sites:
+            raise ValidationError("PPT stores no sites")
+        prev = None
+        for k, t in enumerate(self.chain()):
             if t.ndim != 4:
                 raise ValidationError(f"chain element {k} is rank {t.ndim}, expected 4")
-            if t.shape[0] != prev:
+            if prev is not None and t.shape[0] != prev:
                 raise ValidationError(f"bond mismatch entering chain element {k}")
             prev = t.shape[3]
         for k, t in enumerate(self.sites):
@@ -143,7 +154,7 @@ class PptMps:
         if self.leading_site is not None:
             doc["leading_site"] = _tensor_doc(self.leading_site)
         if self.initial_vector is not None:
-            doc["initial_vector"] = [[float(z.real), float(z.imag)] for z in self.initial_vector]
+            doc["initial_vector"] = complex_to_pairs(self.initial_vector)
         return doc
 
     def to_json(self) -> str:
@@ -151,20 +162,21 @@ class PptMps:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "PptMps":
+        """Decode and ``validate`` a PPT document (bonds, norm, canonical claim)."""
         if doc.get("format_version") != PptMps.FORMAT_VERSION:
             raise ValidationError(f"unsupported format version {doc.get('format_version')}")
         sites = tuple(_tensor_from_doc(s) for s in doc["sites"])
         leading = _tensor_from_doc(doc["leading_site"]) if "leading_site" in doc else None
-        nu = None
-        if "initial_vector" in doc:
-            nu = np.array([complex(re, im) for re, im in doc["initial_vector"]])
-        return PptMps(
+        nu = pairs_to_complex(doc["initial_vector"]) if "initial_vector" in doc else None
+        mps = PptMps(
             sites=sites,
             d=int(doc["d"]),
             canonical=doc.get("canonical", "none"),
             leading_site=leading,
             initial_vector=nu,
         )
+        mps.validate()
+        return mps
 
     @staticmethod
     def from_json(text: str) -> "PptMps":
@@ -172,15 +184,11 @@ class PptMps:
 
 
 def _tensor_doc(t: np.ndarray) -> dict:
-    return {
-        "shape": list(t.shape),
-        "data": [[float(z.real), float(z.imag)] for z in t.reshape(-1)],
-    }
+    return {"shape": list(t.shape), "data": complex_to_pairs(t)}
 
 
 def _tensor_from_doc(doc: dict) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in doc["data"]], dtype=np.complex128)
-    return flat.reshape(doc["shape"])
+    return pairs_to_complex(doc["data"], doc["shape"])
 
 
 # -- construction ---------------------------------------------------------
@@ -394,7 +402,7 @@ def overlap_matrix(a: PptMps, b: PptMps) -> np.ndarray:
         raise DimensionError("overlap requires PPTs of equal length and system dimension")
     env = np.outer(a.boundary_vector().conj(), b.boundary_vector())
     for ta, tb in zip(ca, cb):
-        env = np.einsum("pq,poir,qois->rs", env, ta.conj(), tb)
+        env = transfer_left(env, ta, tb)
     return env
 
 

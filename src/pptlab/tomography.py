@@ -51,9 +51,10 @@ from .ppt import (
 )
 from .tensor_ops import (
     closest_isometry,
-    complete_columns,
     fill_unassigned_columns,
     polar_unitary,
+    transfer_left,
+    transfer_right,
 )
 
 SUPPORT_TOL = 1e-10
@@ -179,10 +180,6 @@ class MeasurementOracle:
             unsealed=self.unsealed,
         )
         return oracle, prob
-
-
-def reduced_density(oracle: MeasurementOracle, sites: tuple[int, int], circuit=None) -> np.ndarray:
-    return oracle.reduced_density(sites, circuit=circuit)
 
 
 def _apply_window(state: np.ndarray, gate: np.ndarray, start_axis: int, local_dim: int) -> np.ndarray:
@@ -354,7 +351,7 @@ def disentangle_reconstruct(
             n_support = limit
         if n_support > 1 and np.any(np.abs(np.diff(evals[:n_support])) < 1e-10):
             notes.append(f"window {j}: near-degenerate support spectrum, canonical ordering used")
-        basis = complete_columns(vecs[:, :n_support])
+        basis = fill_unassigned_columns(vecs, np.arange(vecs.shape[1]) < n_support)
         gates.append((j, basis.conj().T))
 
     if f < N:
@@ -421,18 +418,35 @@ def _ansatz_sites(u_list, d: int, D: int, n_steps: int) -> list[np.ndarray]:
 
 
 def _forward_envs(target_chain, boundary, ansatz_sites):
+    """Left environments: envs[n] contracts the first n sites of target and ansatz."""
     env = np.outer(boundary.conj(), np.ones(1, dtype=np.complex128))
     envs = [env]
     for tn, an in zip(target_chain, ansatz_sites):
-        env = np.einsum("pq,poir,qois->rs", env, tn.conj(), an)
+        env = transfer_left(env, tn, an)
         envs.append(env)
     return envs
 
 
+def _backward_envs(target_chain, ansatz_sites, of):
+    """Right environments: envs[n] contracts sites n.. of target and ansatz with ``of``."""
+    envs = [of]
+    for tn, an in zip(target_chain[::-1], ansatz_sites[::-1]):
+        envs.append(transfer_right(envs[-1], tn, an))
+    return envs[::-1]
+
+
+def _unitary_gradient(left, target_site, right):
+    """Gradient of the (linear) overlap in the matrix M[(o, b), (i, a)] = sqrt(d) B[a, o, i, b]
+    of one ansatz site B, from the environments on either side of it."""
+    l, d, _, r = target_site.shape
+    q, s = left.shape[1], right.shape[1]
+    g = (left.T @ target_site.reshape(l, -1).conj()).reshape(-1, r) @ right  # (a, o, i, b)
+    return g.reshape(q, d, d, s).transpose(1, 3, 2, 0).reshape(d * s, d * q) / np.sqrt(d)
+
+
 def _fit_overlap_and_grads(target: PptMps, u_list, of, d, D, shared: bool):
     chain = target.chain()
-    n_steps = len(chain)
-    sites = _ansatz_sites(u_list, d, D, n_steps)
+    sites = _ansatz_sites(u_list, d, D, len(chain))
     fwd = _forward_envs(chain, target.boundary_vector(), sites)
     overlap = complex(np.einsum("pq,pq", fwd[-1], of))
     grads_u = _backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
@@ -441,19 +455,11 @@ def _fit_overlap_and_grads(target: PptMps, u_list, of, d, D, shared: bool):
 
 def _backward_grads(chain, sites, of, fwd, d, D, shared, u_count):
     grads_u = [np.zeros((d * D, d * D), dtype=np.complex128) for _ in range(u_count)]
-    right = of
-    for n in range(len(chain), 0, -1):
-        tn, an = chain[n - 1], sites[n - 1]
-        g = np.einsum("pq,poir,rs->qois", fwd[n - 1], tn.conj(), right)
-        h = g.transpose(1, 3, 2, 0).reshape(d * an.shape[3], d * an.shape[0]) / np.sqrt(d)
-        target_idx = 0 if shared else n - 1
-        if n > 1:
-            grads_u[target_idx] += h
-        else:  # boundary site, left bond pinned to |0>: columns (i, alpha=0)
-            for i in range(d):
-                grads_u[target_idx][:, i * D] += h[:, i]
-        if n > 1:
-            right = np.einsum("poir,qois,rs->pq", tn.conj(), an, right)
+    bwd = _backward_envs(chain[1:], sites[1:], of)
+    for n, (tn, right) in enumerate(zip(chain, bwd)):
+        h = _unitary_gradient(fwd[n], tn, right)
+        # the boundary site's left bond is pinned to |0>: it feeds columns (i, alpha=0)
+        grads_u[0 if shared else n][:, :: D if n == 0 else 1] += h
     return grads_u
 
 
@@ -636,8 +642,8 @@ def _warm_start(target: PptMps, d: int, D: int, time_independent: bool):
     nrm = np.linalg.norm(psi)
     if nrm < 1e-8:
         return [u_shared], np.eye(D, dtype=np.complex128), residuals
-    psi /= nrm
-    w = complete_columns(psi.reshape(-1, 1))
+    first = np.arange(D) == 0
+    w = fill_unassigned_columns(np.outer(psi / nrm, first), first)
     lifted = np.kron(np.eye(d), w)
     return [lifted.conj().T @ u_shared @ lifted], w, residuals
 
@@ -744,31 +750,19 @@ def _fit_branch_injection(target: PptMps, later_sites, d: int, D: int):
     chain = target.chain()
     nt2 = target.norm() ** 2
     of = np.eye(D, dtype=np.complex128)
-    inj = None
     loss = np.inf
+    boundary = target.boundary_vector()
+    left = np.outer(boundary.conj(), np.ones(1, dtype=np.complex128))
     for _ in range(100):
-        # backward environment through the fixed later sites
-        right = of
-        for n in range(len(chain), 1, -1):
-            right = np.einsum(
-                "poir,qois,rs->pq", chain[n - 1].conj(), later_sites[n - 2], right
-            )
-        g1 = np.einsum("p,poir,rb->oib", target.boundary_vector().conj(), chain[0].conj(), right)
-        grad_inj = g1.transpose(0, 2, 1).reshape(d * D, d) / np.sqrt(d)
+        right = _backward_envs(chain[1:], later_sites, of)[0]
+        grad_inj = _unitary_gradient(left, chain[0], right)
         inj = closest_isometry(grad_inj.conj())
         first = (inj.reshape(d, D, d) / np.sqrt(d)).transpose(0, 2, 1)  # (o, i, b)
-        sites = [first[np.newaxis], *later_sites]
-        env = np.outer(target.boundary_vector().conj(), np.ones(1))
-        for tn, an in zip(chain, sites):
-            env = np.einsum("pq,poir,qois->rs", env, tn.conj(), an)
-        u_, _, vh_ = np.linalg.svd(env.T)
-        of = (u_ @ vh_).conj().T
-        overlap = complex(np.einsum("pq,pq", env, of))
-        new_loss = nt2 + 1.0 - 2.0 * overlap.real
-        if abs(loss - new_loss) < 1e-15:
-            loss = new_loss
+        env = _forward_envs(chain, boundary, [first[np.newaxis], *later_sites])[-1]
+        of, nuclear = _optimal_final_unitary(env)
+        loss, prev = nt2 + 1.0 - 2.0 * nuclear, loss
+        if abs(prev - loss) < 1e-15:
             break
-        loss = new_loss
     return inj, loss
 
 

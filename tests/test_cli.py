@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from pptlab import MultiTimeObservable, OqeModel, PptMps
+from pptlab import MultiTimeObservable, OqeModel, PptMps, random_separable_model
 from pptlab.cli import run
 
 
@@ -128,3 +129,62 @@ class TestPipeline:
         doc = json.loads(read(out))
         assert doc["max_expectation_deviation"] < 1e-6
         assert np.allclose(doc["lambdas"], [1 / np.sqrt(2)] * 2, atol=1e-8)
+
+
+def _set_all_entries(value):
+    def mutate(ppt_doc):
+        for site in ppt_doc["sites"]:
+            site["data"] = [list(value)] * len(site["data"])
+
+    return mutate
+
+
+def _set_entry(index, value):
+    def mutate(ppt_doc):
+        ppt_doc["sites"][1]["data"][index] = value
+
+    return mutate
+
+
+def _set_key(key, value):
+    def mutate(ppt_doc):
+        ppt_doc[key] = value
+
+    return mutate
+
+
+class TestMalformedFiles:
+    """Damaged input files exit 1 with a message, never a traceback or a value."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_set_entry(0, [float("nan"), 0.0]), "non-finite"),
+            (_set_entry(3, [0.5]), "[re, im] pairs"),
+            (_set_entry(3, [0.5, 0.0, 0.0]), "[re, im] pairs"),
+            (_set_key("canonical", "banana"), "canonical form"),
+            (_set_all_entries([3.0, 0.0]), "right-canonicality residual"),
+            (_set_key("sites", []), "no sites"),
+        ],
+        ids=["nan", "short_pair", "long_pair", "garbage_canonical", "false_right_claim", "empty"],
+    )
+    def test_correlate_rejects(self, tmp_path, capsys, mutate, message):
+        build_out = tmp_path / "build.json"
+        assert run(["build", "--D", "2", "--N", "3", "--seed", "1", "--out", str(build_out)]) == 0
+        doc = json.loads(read(build_out))
+        mutate(doc["ppt"])
+        build_out.write_text(json.dumps(doc))
+        out = tmp_path / "value.json"
+        assert run(["correlate", "--ppt", str(build_out), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_predict_rejects_long_pair(self, tmp_path, capsys):
+        doc = {"recovered_model": random_separable_model(2, 2, 3).to_json_dict()}
+        doc["recovered_model"]["unitaries"][0][5] = [0.5, 0.0, 0.0]
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        assert run(["predict", "--report", str(report), "--nfuture", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err

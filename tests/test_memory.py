@@ -69,6 +69,7 @@ class TestTransferMatrix:
         right_vec = tm.dense @ rho.reshape(-1, order="F")
         right = np.einsum("aoib,bj,coij->ac", site, rho, site.conj())
         assert np.max(np.abs(right_vec.reshape(3, 3, order="F") - right)) < 1e-12
+        assert np.max(np.abs(right_vec.reshape(3, 3, order="F") - tm.apply_right(rho))) < 1e-12
 
     def test_left_matrix_matches_loop_oracle(self, rng):
         model = random_separable_model(2, 3, rng)

@@ -1,9 +1,36 @@
+import json
+
 import numpy as np
 import pytest
 
-from pptlab import SingularityError
-from pptlab.tensor_ops import polar_unitary
+from pptlab import SingularityError, ValidationError
+from pptlab.tensor_ops import complex_to_pairs, pairs_to_complex, polar_unitary
 from pptlab.models import random_haar_unitary
+
+
+class TestComplexCodec:
+    def test_signed_zeros_and_extremes_survive(self):
+        arr = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1.7e308)])
+        back = pairs_to_complex(json.loads(json.dumps(complex_to_pairs(arr))), [3])
+        assert back.tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[[1.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0], [2.0]], [["1", "0"]], [[None, 0.0]], "ab", 3, []],
+    )
+    def test_malformed_pairs(self, pairs):
+        with pytest.raises(ValidationError):
+            pairs_to_complex(pairs)
+
+    @pytest.mark.parametrize("shape", [[2, 2], [4], ["3"], 3])
+    def test_count_must_fill_shape(self, shape):
+        with pytest.raises(ValidationError):
+            pairs_to_complex([[1.0, 0.0]] * 3, shape)
+
+    def test_non_finite_entries(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                pairs_to_complex([[1.0, 0.0], [0.0, bad]])
 
 
 class TestPolarUnitary:

@@ -14,12 +14,12 @@ from pptlab import (
     random_entangled_model,
     random_separable_model,
     reconstruct_entangled_initial,
-    reduced_density,
     to_right_canonical,
     variational_fit,
 )
+from pptlab.models import random_haar_unitary
 from pptlab.ppt import perturbed
-from pptlab.tomography import window_size
+from pptlab.tomography import _fit_overlap_and_grads, window_size
 
 from conftest import random_observable
 
@@ -28,21 +28,21 @@ class TestReducedDensity:
     def test_product_model_full_range_is_pure(self, rng):
         model = random_separable_model(2, 1, rng)
         oracle = MeasurementOracle(model, 3)
-        rho = reduced_density(oracle, (1, 3))
+        rho = oracle.reduced_density((1, 3))
         purity = np.trace(rho @ rho).real
         assert abs(purity - 1.0) < 1e-12
 
     def test_trace_one_and_psd(self, rng):
         model = random_separable_model(2, 2, rng)
         oracle = MeasurementOracle(model, 4)
-        rho = reduced_density(oracle, (2, 3))
+        rho = oracle.reduced_density((2, 3))
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
     def test_matches_direct_dense_partial_trace(self, rng):
         model = random_separable_model(2, 2, rng)
         oracle = MeasurementOracle(model, 4)
-        rho = reduced_density(oracle, (2, 3))
+        rho = oracle.reduced_density((2, 3))
         vec = build_ppt(model, 4).to_statevector().reshape(4, 4, 4, 4, 2)
         x = np.moveaxis(vec, [1, 2], [0, 1]).reshape(16, -1)
         ref = x @ x.conj().T
@@ -50,8 +50,8 @@ class TestReducedDensity:
 
     def test_query_log_counts(self, rng):
         oracle = MeasurementOracle(random_separable_model(2, 2, rng), 4)
-        reduced_density(oracle, (1, 2))
-        reduced_density(oracle, (3, 4))
+        oracle.reduced_density((1, 2))
+        oracle.reduced_density((3, 4))
         assert oracle.query_log == 2
 
     def test_sealed_oracle_hides_truth(self, rng):
@@ -126,7 +126,7 @@ class TestSampledMode:
     def test_estimates_are_normalized(self, rng):
         model = random_separable_model(2, 2, rng)
         oracle = MeasurementOracle(model, 3, mode="sampled", shots=2000, seed=5)
-        rho = reduced_density(oracle, (1, 1))
+        rho = oracle.reduced_density((1, 1))
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
@@ -153,16 +153,39 @@ class TestVariationalFit:
         model = random_separable_model(2, 2, rng)
         target = build_ppt(model, 4)
         # exact warm start: the hidden unitary in the gauge where psi_E = |0>
-        from pptlab.tensor_ops import complete_columns
+        from pptlab.tensor_ops import fill_unassigned_columns
 
-        psi_env = model.initial_schmidt().env_basis[:, 0]
-        w = complete_columns(psi_env.reshape(-1, 1))
+        w = np.zeros((2, 2), dtype=np.complex128)
+        w[:, 0] = model.initial_schmidt().env_basis[:, 0]
+        w = fill_unassigned_columns(w, np.array([True, False]))
         lifted = np.kron(np.eye(2), w)
         u0 = lifted.conj().T @ model.unitaries[0] @ lifted
         report = variational_fit(
             target, 4, 2, time_independent=True, warm_start=([u0], w)
         )
         assert report.loss_trace[0] < 1e-12
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "time_dependent"])
+    @pytest.mark.parametrize("entangled", [False, True], ids=["separable", "entangled"])
+    def test_overlap_gradient_matches_finite_difference(self, rng, shared, entangled):
+        """The overlap is holomorphic in the step unitaries, so its central
+        difference along any direction X is sum(grad * X)."""
+        N = 4
+        make = random_entangled_model if entangled else random_separable_model
+        target = build_ppt(make(2, 2, rng, steps=N), N)
+        D = target.env_dim
+        u_list = [random_haar_unitary(2 * D, rng) for _ in range(1 if shared else N)]
+        of = random_haar_unitary(D, rng)
+        xs = [rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape) for u in u_list]
+        _, grads, _ = _fit_overlap_and_grads(target, u_list, of, 2, D, shared)
+
+        def overlap_along(eps):
+            moved = [u + eps * x for u, x in zip(u_list, xs)]
+            return _fit_overlap_and_grads(target, moved, of, 2, D, shared)[0]
+
+        eps = 1e-6
+        fd = (overlap_along(eps) - overlap_along(-eps)) / (2 * eps)
+        assert abs(fd - sum(np.sum(g * x) for g, x in zip(grads, xs))) < 1e-8
 
     def test_time_independent_fit_predicts_next_step(self, rng):
         model = random_separable_model(2, 2, rng)
