@@ -33,11 +33,19 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _parse_floats(text) -> list[float]:
+    """Comma list of numbers; empty entries are skipped."""
+    try:
+        return [float(x) for x in str(text).split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"invalid number list {text!r}") from None
+
+
 def _parse_lambdas(text: str | None):
     if not text:
         return None
-    vals = [float(x) for x in text.split(",") if x.strip()]
-    if not vals or any(v < 0 for v in vals):
+    vals = _parse_floats(text)
+    if not all(0 <= v < np.inf for v in vals) or sum(vals) == 0:
         raise ValidationError(f"invalid Schmidt coefficient list {text!r}")
     return np.sqrt(np.array(vals) / np.sum(vals))
 
@@ -61,13 +69,14 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
+    alphas = _parse_floats(args.alpha)
+    if not alphas:
+        raise ValidationError(f"invalid Renyi order list {args.alpha!r}")
     model = _make_model(args)
-    alphas = [float(a) for a in args.alpha.split(",")]
     reports = []
     for alpha in alphas:
         check = memory.theorem1_check(model, alpha)
-        rep = memory.memory_complexity(model, alpha)
-        doc = rep.to_json_dict(predicted_bits=check.predicted)
+        doc = check.report.to_json_dict(predicted_bits=check.predicted)
         doc["theorem_pass"] = check.passed
         doc["theorem_skipped"] = check.skipped
         reports.append(doc)
@@ -90,6 +99,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_figs2(args) -> int:
+    if args.sample_every < 1:
+        raise ValidationError(f"--sample-every must be at least 1, got {args.sample_every}")
     seeds = [args.seed_base + k for k in range(args.seeds)]
     points = None
     if args.sample_every > 1:
@@ -156,6 +167,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_reconstruct_entangled(args) -> int:
+    if args.checks < 1:
+        raise ValidationError(f"--checks must be at least 1, got {args.checks}")
     lam = _parse_lambdas(args.lambdas)
     model = models.random_entangled_model(args.d, args.D, args.seed, lambdas=lam)
     oracle = tomography.MeasurementOracle(model, args.N)

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConvergenceError, DimensionError, ValidationError
-from .models import OqeModel, near_identity_unitary, random_hermitian
+from .models import OqeModel, near_identity_unitary
 from .ppt import PptMps, enlarged_site_tensor, site_tensor_from_unitary
 from .tensor_ops import transfer_left, transfer_right
 
@@ -68,7 +67,6 @@ class TransferMatrix:
 
     dense: np.ndarray  # E = sum conj(B) (x) B, shape (l*l, r*r)
     site: np.ndarray
-    site_index: int | str = "uniform"
 
     @property
     def dim(self) -> int:
@@ -92,21 +90,24 @@ class TransferMatrix:
         return float(np.max(np.abs(np.linalg.eigvals(self.dense))))
 
 
-def transfer_matrix(site: np.ndarray, site_index: int | str = "uniform") -> TransferMatrix:
+def transfer_matrix(site: np.ndarray) -> TransferMatrix:
     site = np.asarray(site, dtype=np.complex128)
     if site.ndim != 4:
         raise DimensionError(f"site tensor must be rank 4, got rank {site.ndim}")
     l, _, _, r = site.shape
     dense = np.einsum("aoib,coid->acbd", site.conj(), site).reshape(l * l, r * r)
-    return TransferMatrix(dense=dense, site=site, site_index=site_index)
+    return TransferMatrix(dense=dense, site=site)
+
+
+def _model_site(model: OqeModel, step: int) -> np.ndarray:
+    """Site tensor of a model step on the effective environment."""
+    b = site_tensor_from_unitary(model.unitary_at(step), model.d, model.D)
+    return enlarged_site_tensor(b, model.d) if model.entangled else b
 
 
 def model_transfer_matrix(model: OqeModel, step: int = 1) -> TransferMatrix:
     """Transfer matrix of a model step on the effective environment."""
-    b = site_tensor_from_unitary(model.unitary_at(step), model.d, model.D)
-    if model.entangled:
-        b = enlarged_site_tensor(b, model.d)
-    return transfer_matrix(b, site_index=step if not model.time_independent else "uniform")
+    return transfer_matrix(_model_site(model, step))
 
 
 def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
@@ -117,24 +118,22 @@ def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
     """
     rho = validate_env_density(rho0)
     if isinstance(mps_or_model, PptMps):
-        chain = mps_or_model.chain()
-        if not 0 <= n <= len(chain):
-            raise ValidationError(f"step count {n} outside [0, {len(chain)}]")
-        for t in chain[:n]:
-            rho = transfer_matrix(t).apply_left(rho)
-        return rho
-    model: OqeModel = mps_or_model
-    if n < 0:
-        raise ValidationError(f"step count {n} must be non-negative")
-    if model.time_independent:
-        tm = model_transfer_matrix(model)
-        for _ in range(n):
-            rho = tm.apply_left(rho)
-        return rho
-    if n > len(model.unitaries):
-        raise ValidationError(f"time-dependent model stores only {len(model.unitaries)} steps")
-    for k in range(1, n + 1):
-        rho = model_transfer_matrix(model, k).apply_left(rho)
+        sites = mps_or_model.chain()
+        if not 0 <= n <= len(sites):
+            raise ValidationError(f"step count {n} outside [0, {len(sites)}]")
+        sites = sites[:n]
+    else:
+        model: OqeModel = mps_or_model
+        if n < 0:
+            raise ValidationError(f"step count {n} must be non-negative")
+        if model.time_independent:
+            sites = [_model_site(model, 1)] * n
+        elif n > len(model.unitaries):
+            raise ValidationError(f"time-dependent model stores only {len(model.unitaries)} steps")
+        else:
+            sites = [_model_site(model, k) for k in range(1, n + 1)]
+    for site in sites:
+        rho = transfer_left(rho, site, site)
     return rho
 
 
@@ -223,10 +222,16 @@ def renyi_complexity(rho: np.ndarray, alpha: float) -> float:
 
     alpha = 1 is the von Neumann limit; zero eigenvalues contribute zero.
     """
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be positive, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValidationError(f"alpha must be positive and finite, got {alpha}")
     rho = validate_env_density(rho)
-    p = np.clip(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), 0.0, None)
+    return _renyi_bits(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), alpha)
+
+
+def _renyi_bits(p: np.ndarray, alpha: float) -> float:
+    """Renyi-alpha entropy in bits of a spectrum, renormalised over its
+    entries above 1e-15."""
+    p = np.clip(p, 0.0, None)
     p = p[p > 1e-15]
     p = p / p.sum()
     if abs(alpha - 1.0) < 1e-12:
@@ -267,10 +272,14 @@ def memory_complexity(model: OqeModel, alpha: float) -> ComplexityReport:
 
 @dataclass(frozen=True)
 class Theorem1Result:
-    measured: float
+    report: ComplexityReport
     predicted: float
     passed: bool
     skipped: bool = False
+
+    @property
+    def measured(self) -> float:
+        return self.report.value_bits
 
 
 def theorem1_check(model: OqeModel, alpha: float, tol: float = 1e-6) -> Theorem1Result:
@@ -279,29 +288,18 @@ def theorem1_check(model: OqeModel, alpha: float, tol: float = 1e-6) -> Theorem1
     Separable initial states predict log2(D); entangled ones add the Renyi
     entropy of the reduced initial system state.  The separable branch is
     skipped (flagged) when the dominant transfer eigenvalue is degenerate,
-    since the closed form assumes non-degeneracy.
+    since the closed form assumes non-degeneracy.  The result carries the
+    measured ``ComplexityReport``.
     """
     report = memory_complexity(model, alpha)
+    predicted = float(np.log2(model.D))
     if model.entangled:
-        lam2 = np.clip(model.initial_schmidt().lambdas ** 2, 0.0, None)
-        lam2 = lam2[lam2 > 1e-15]
-        if abs(alpha - 1.0) < 1e-12:
-            c0 = float(-np.sum(lam2 * np.log2(lam2)))
-        else:
-            c0 = float(np.log2(np.sum(lam2**alpha)) / (1.0 - alpha))
-        predicted = c0 + np.log2(model.D)
-    else:
-        if report.degenerate:
-            return Theorem1Result(
-                measured=report.value_bits,
-                predicted=float(np.log2(model.D)),
-                passed=False,
-                skipped=True,
-            )
-        predicted = float(np.log2(model.D))
+        predicted += _renyi_bits(model.initial_schmidt().lambdas ** 2, alpha)
+    elif report.degenerate:
+        return Theorem1Result(report=report, predicted=predicted, passed=False, skipped=True)
     return Theorem1Result(
-        measured=report.value_bits,
-        predicted=float(predicted),
+        report=report,
+        predicted=predicted,
         passed=bool(abs(report.value_bits - predicted) < tol),
     )
 
@@ -342,11 +340,15 @@ def fig_s2_experiment(
 
     For every seed a Hermitian H with standard-normal entries drives the
     evolution; ``time_dependent`` redraws H at every step instead of reusing
-    a fixed one.  Records the Uhlmann infidelity between rho_n and the
-    maximally mixed state.  Returns rows
+    a fixed one.  Each seed draws from its own ``default_rng(seed)`` and the
+    ensemble steps together.  Records the Uhlmann infidelity between rho_n
+    and the maximally mixed state, which needs only the spectrum p of rho_n:
+    F(rho, I/D) = (sum_k sqrt(p_k))^2 / D.  Returns rows
     ``(n, mean, median, q25, q75)`` over the seed ensemble, at every step by
     default or at ``sample_points``.
     """
+    if d < 2 or D < 1:
+        raise ValidationError(f"need d >= 2 and D >= 1, got d={d}, D={D}")
     if eta <= 0:
         raise ValidationError(f"eta must be positive, got {eta}")
     if n_max < 0:
@@ -361,43 +363,30 @@ def fig_s2_experiment(
     if rho0 is None:
         rho0 = np.zeros((D, D), dtype=np.complex128)
         rho0[0, 0] = 1.0
-    target = np.eye(D) / D
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # column-major vec(rho) of every seed, one column each for the stacked matmul
+    rho0_vec = np.asarray(rho0, dtype=np.complex128).reshape(-1, 1, order="F")
+    rho_vecs = np.tile(rho0_vec, (len(seeds), 1, 1))
+    lmats = None
     curves = np.empty((len(seeds), len(points)))
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        if not time_dependent:
-            u = near_identity_unitary(d * D, eta, rng)
-            lmat = _uniform_transfer(u, d, D).left_matrix()
-        rho_vec = rho0.reshape(-1, order="F").astype(np.complex128)
-        col = 0
-        for n in range(n_max + 1):
-            if col < len(points) and n == points[col]:
-                rho = rho_vec.reshape(D, D, order="F")
-                curves[row, col] = infidelity(rho, target)
-                col += 1
-            if n == n_max:
-                break
-            if time_dependent:
-                u = scipy.linalg.expm(1j * eta * random_hermitian(d * D, rng))
-                lmat = _uniform_transfer(u, d, D).left_matrix()
-            rho_vec = lmat @ rho_vec
-    rows = []
+    done = 0
     for col, n in enumerate(points):
-        vals = curves[:, col]
-        rows.append(
-            (
-                n,
-                float(np.mean(vals)),
-                float(np.median(vals)),
-                float(np.quantile(vals, 0.25)),
-                float(np.quantile(vals, 0.75)),
-            )
-        )
-    return rows
-
-
-def _uniform_transfer(u: np.ndarray, d: int, D: int) -> TransferMatrix:
-    return transfer_matrix(site_tensor_from_unitary(u, d, D))
+        for _ in range(done, n):
+            if lmats is None or time_dependent:
+                us = [near_identity_unitary(d * D, eta, rng) for rng in rngs]
+                lmats = np.stack(
+                    [transfer_matrix(site_tensor_from_unitary(u, d, D)).left_matrix() for u in us]
+                )
+            rho_vecs = lmats @ rho_vecs
+        done = n
+        rhos = rho_vecs.reshape(-1, D, D).transpose(0, 2, 1)
+        p = np.linalg.eigvalsh((rhos + rhos.conj().transpose(0, 2, 1)) / 2.0)
+        curves[:, col] = 1.0 - np.sum(np.sqrt(np.clip(p, 0.0, None)), axis=1) ** 2 / D
+    return [
+        (n, float(np.mean(vals)), float(np.median(vals)),
+         float(np.quantile(vals, 0.25)), float(np.quantile(vals, 0.75)))
+        for n, vals in zip(points, curves.T)
+    ]
 
 
 def fig_s2_csv(rows) -> str:

@@ -29,7 +29,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     BoundViolationError,
@@ -38,7 +37,7 @@ from .exceptions import (
     DimensionError,
     ValidationError,
 )
-from .models import OqeModel, SchmidtForm, random_haar_unitary, random_hermitian
+from .models import OqeModel, SchmidtForm, near_identity_unitary, random_haar_unitary
 from .ppt import (
     DENSE_STATE_GUARD,
     PROCESS_TENSOR_GUARD,
@@ -198,47 +197,33 @@ _BASIS_ROTATIONS = {
     "Z": np.eye(2, dtype=np.complex128),
 }
 
-_PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-}
-
 
 def _pauli_sampled_estimate(rho: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Linear-inversion estimate of ``rho`` from Pauli-product measurements.
 
     The total shot budget is split evenly over the 3^n basis settings of
-    the n underlying qubits; every Pauli expectation is averaged over all
-    settings compatible with it.
+    the n underlying qubits.  The measured projectors, weighted by their
+    observed frequencies, sum to X = sum_s R_s^dag diag(p_s) R_s; inverting
+    the frame on every qubit q, X -> 3 X - tr_q(X) (x) I_q, averages every
+    Pauli expectation over all settings compatible with it.
     """
     dim = rho.shape[0]
     n = int(round(np.log2(dim)))
     settings = list(itertools.product("XYZ", repeat=n))
     per_setting = max(1, shots // len(settings))
-    parity = _parity_table(n)
-
-    sums: dict[tuple[str, ...], float] = {}
-    counts: dict[tuple[str, ...], int] = {}
+    est = np.zeros((dim, dim), dtype=np.complex128)
     for setting in settings:
         rot = _kron_chain([_BASIS_ROTATIONS[c] for c in setting])
-        p = np.real(np.einsum("ij,jk,ik->i", rot, rho, rot.conj()))
+        p = np.real(np.sum((rot @ rho) * rot.conj(), axis=1))
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
-        counts_vec = rng.multinomial(per_setting, p)
-        phat = counts_vec / per_setting
-        for mask in range(2**n):
-            label = tuple(setting[q] if (mask >> (n - 1 - q)) & 1 else "I" for q in range(n))
-            val = float(np.dot(phat, parity[:, mask]))
-            sums[label] = sums.get(label, 0.0) + val
-            counts[label] = counts.get(label, 0) + 1
-
-    est = np.zeros((dim, dim), dtype=np.complex128)
-    for label, total in sums.items():
-        mean = total / counts[label]
-        est += mean * _kron_chain([_PAULI[c] for c in label])
-    est /= dim
+        phat = rng.multinomial(per_setting, p) / per_setting
+        est += rot.conj().T @ (phat[:, np.newaxis] * rot)
+    eye = np.eye(2).reshape(2, 1, 1, 2, 1)  # I_q on the axes (a, q, b, a', q', b')
+    for q in range(n):
+        x = est.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
+        partial = np.trace(x, axis1=1, axis2=4)[:, np.newaxis, :, :, np.newaxis, :]
+        est = (3.0 * x - partial * eye).reshape(dim, dim)
     est = (est + est.conj().T) / 2.0
     return est / np.trace(est).real
 
@@ -248,16 +233,6 @@ def _kron_chain(mats) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
-
-
-def _parity_table(n: int) -> np.ndarray:
-    """(-1)**popcount(z & mask) for all outcomes z and qubit masks."""
-    size = 2**n
-    table = np.empty((size, size))
-    for z in range(size):
-        for mask in range(size):
-            table[z, mask] = -1.0 if bin(z & mask).count("1") % 2 else 1.0
-    return table
 
 
 # -- reconstruction report ----------------------------------------------------
@@ -528,10 +503,7 @@ def variational_fit(
             u_list = [u.copy() for u in u0]
         elif attempt <= (n_restarts + 1) // 2:  # perturb the warm start
             scale = 0.1 * attempt
-            u_list = [
-                u @ scipy.linalg.expm(1j * scale * random_hermitian(u.shape[0], rng))
-                for u in u0
-            ]
+            u_list = [u @ near_identity_unitary(u.shape[0], scale, rng) for u in u0]
         else:  # fresh random basins
             u_list = [random_haar_unitary(u.shape[0], rng) for u in u0]
         of_box = [of0.copy()]
@@ -630,12 +602,9 @@ def _warm_start(target: PptMps, d: int, D: int, time_independent: bool):
             u_shared = model.unitaries[1]
     else:
         u_shared = model.unitaries[0]
-    # Initial environment vector in the shared gauge, read off the boundary site.
-    t1 = target.sites[0]
-    v = np.sqrt(d) * t1.transpose(1, 3, 2, 0).reshape(d * t1.shape[3], d)
-    if t1.shape[3] < D:
-        v = np.vstack([v, np.zeros((d * (D - t1.shape[3]), d), dtype=np.complex128)])
-    uv = u_shared.conj().T @ v  # (i', beta), i -> delta_{i', i} psi_beta
+    # Initial environment vector in the shared gauge, read off the boundary site:
+    # (i', beta), i -> delta_{i', i} psi_beta.
+    uv = u_shared.conj().T @ _branch_injection(target.sites[0], d, D)
     psi = np.zeros(D, dtype=np.complex128)
     for i in range(d):
         psi += uv[i * D : (i + 1) * D, i]

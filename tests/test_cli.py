@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pptlab import MultiTimeObservable, OqeModel, PptMps, random_separable_model
+from pptlab import MultiTimeObservable, OqeModel, PptMps, memory, random_separable_model
 from pptlab.cli import run
 
 
@@ -28,6 +28,21 @@ class TestComplexity:
         assert len(docs) == 3
         for doc in docs:
             assert abs(doc["value_bits"] - np.log2(3)) < 1e-6
+
+
+    def test_one_stationary_solve_per_alpha(self, tmp_path, monkeypatch):
+        calls = []
+        solve = memory.stationary_state
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(memory, "stationary_state", counting)
+        out = tmp_path / "c.json"
+        assert run(["complexity", "--D", "3", "--alpha", "1,2", "--seed", "1", "--out", str(out)]) == 0
+        assert len(json.loads(read(out))) == 2
+        assert len(calls) == 2
 
 
 class TestBuildAndCorrelate:
@@ -104,6 +119,32 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complexity", "--seed", "1", "--alpha", "abc"],
+            ["complexity", "--seed", "1", "--alpha", ""],
+            ["complexity", "--seed", "1", "--alpha", "nan"],
+            ["complexity", "--seed", "1", "--alpha", "inf"],
+            ["complexity", "--seed", "1", "--entangled", "--lambdas", "1,x"],
+            ["complexity", "--seed", "1", "--entangled", "--lambdas", "nan"],
+            ["complexity", "--seed", "1", "--entangled", "--lambdas", "0,0"],
+            ["figs2", "--D", "0", "--eta", "0.01", "--nmax", "10", "--seeds", "2"],
+            ["figs2", "--eta", "0.01", "--nmax", "10", "--seeds", "2", "--sample-every", "-3"],
+            ["figs2", "--eta", "0.01", "--nmax", "10", "--seeds", "2", "--sample-every", "0"],
+            ["reconstruct-entangled", "--N", "3", "--seed", "1", "--checks", "0"],
+            ["reconstruct-entangled", "--N", "3", "--seed", "1", "--checks", "-1"],
+        ],
+        ids=["alpha_text", "alpha_empty", "alpha_nan", "alpha_inf", "lambdas_text", "lambdas_nan",
+             "lambdas_zero", "figs2_D0",
+             "stride_negative", "stride_zero", "checks_zero", "checks_negative"],
+    )
+    def test_out_of_range_flags_exit_one(self, argv, capsys):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

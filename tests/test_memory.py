@@ -202,6 +202,11 @@ class TestRenyiComplexity:
         with pytest.raises(ValidationError):
             renyi_complexity(np.eye(2) / 2, 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValidationError):
+            renyi_complexity(np.eye(2) / 2, alpha)
+
 
 class TestTheorem1:
     def test_separable_d3(self, rng):
@@ -229,6 +234,13 @@ class TestTheorem1:
         model = OqeModel.create(2, 2, [np.eye(4)], psi)
         result = theorem1_check(model, 2.0)
         assert result.skipped and not result.passed
+
+    def test_carries_the_measured_report(self, rng):
+        model = random_entangled_model(2, 3, rng, lambdas=np.sqrt([0.7, 0.3]))
+        result = theorem1_check(model, 2.0)
+        rep = memory_complexity(model, 2.0)
+        assert result.measured == result.report.value_bits == rep.value_bits
+        assert np.array_equal(result.report.stationary, rep.stationary)
 
     def test_complexity_report_bounds(self, rng):
         model = random_separable_model(2, 4, rng)
@@ -293,6 +305,45 @@ class TestFigS2:
     def test_fresh_h_mode_runs(self):
         rows = fig_s2_experiment(2, 2, 0.05, 50, [0, 1], time_dependent=True, sample_points=[50])
         assert rows[0][1] < 0.5
+
+    @pytest.mark.parametrize(
+        "d, D, time_dependent", [(2, 3, False), (2, 3, True), (3, 2, False), (3, 2, True)]
+    )
+    def test_matches_evolve_env_reference(self, d, D, time_dependent):
+        # Each seed's curve rebuilt independently: a model from that seed's
+        # near_identity_unitary draws (one, or one per step), evolve_env from
+        # the start for every point, and the full Uhlmann fidelity to I/D.
+        seeds, n_max, points, eta = [3, 8, 11, 20], 12, [0, 1, 5, 12], 0.1
+        rho0 = np.zeros((D, D))
+        rho0[0, 0] = 1.0
+        psi = np.zeros(d * D)
+        psi[0] = 1.0
+        curves = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            draws = n_max if time_dependent else 1
+            us = [near_identity_unitary(d * D, eta, rng) for _ in range(draws)]
+            model = OqeModel.create(d, D, us, psi)
+            curves.append([infidelity(evolve_env(rho0, model, n), np.eye(D) / D) for n in points])
+        expected = [
+            [np.mean(c), np.median(c), np.quantile(c, 0.25), np.quantile(c, 0.75)]
+            for c in np.array(curves).T
+        ]
+        rows = fig_s2_experiment(
+            d, D, eta, n_max, seeds, time_dependent=time_dependent, sample_points=points
+        )
+        assert [row[0] for row in rows] == points
+        assert np.max(np.abs(np.array([row[1:] for row in rows]) - expected)) < 1e-12
+        assert rows[-1][1] > 0.05  # still far from I/D, so the rows are not all zero
+
+    def test_empty_sample_points_give_no_rows(self):
+        assert fig_s2_experiment(2, 2, 0.05, 10, [0, 1], sample_points=[]) == []
+        assert fig_s2_experiment(2, 2, 0.05, 10, [0], time_dependent=True, sample_points=[]) == []
+
+    @pytest.mark.parametrize("d, D", [(1, 2), (2, 0)])
+    def test_rejects_small_dimensions(self, d, D):
+        with pytest.raises(ValidationError):
+            fig_s2_experiment(d, D, 0.05, 10, [0])
 
     def test_rejects_empty_seed_ensemble(self):
         with pytest.raises(ValidationError):

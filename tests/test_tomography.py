@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from pptlab import (
 )
 from pptlab.models import random_haar_unitary
 from pptlab.ppt import perturbed
-from pptlab.tomography import _fit_overlap_and_grads, window_size
+from pptlab.tomography import _fit_overlap_and_grads, _pauli_sampled_estimate, window_size
 
 from conftest import random_observable
 
@@ -122,7 +125,56 @@ class TestDisentangle:
                     assert report.state_fidelity > 1 - 1e-8, (D, N, seed)
 
 
+_ROTATIONS = {
+    "X": np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
+    "Y": np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0),
+    "Z": np.eye(2),
+}
+_PAULIS = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": np.diag([1.0, -1.0]),
+}
+
+
+def _label_average_estimate(rho, shots, rng):
+    """Reference estimator: each Pauli-product expectation is the parity of
+    the observed outcomes, averaged over the settings compatible with it."""
+    n = int(round(np.log2(rho.shape[0])))
+    settings = list(itertools.product("XYZ", repeat=n))
+    per_setting = max(1, shots // len(settings))
+    sums, counts = {}, {}
+    for setting in settings:
+        rot = functools.reduce(np.kron, [_ROTATIONS[c] for c in setting])
+        p = np.clip(np.real(np.diag(rot @ rho @ rot.conj().T)), 0.0, None)
+        phat = rng.multinomial(per_setting, p / p.sum()) / per_setting
+        for mask in itertools.product([False, True], repeat=n):
+            label = tuple(c if m else "I" for c, m in zip(setting, mask))
+            bits = [np.binary_repr(z, n) for z in range(2**n)]
+            signs = [(-1) ** sum(b == "1" for b, m in zip(z, mask) if m) for z in bits]
+            sums[label] = sums.get(label, 0.0) + float(np.dot(phat, signs))
+            counts[label] = counts.get(label, 0) + 1
+    est = sum(
+        sums[k] / counts[k] * functools.reduce(np.kron, [_PAULIS[c] for c in k]) for k in sums
+    )
+    est = (est + est.conj().T) / 2.0
+    return est / np.trace(est).real
+
+
 class TestSampledMode:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_label_average_reference(self, n):
+        for k in range(3):
+            g = np.random.default_rng(10 * n + k)
+            a = g.standard_normal((2**n, 2**n)) + 1j * g.standard_normal((2**n, 2**n))
+            rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+            got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            got = _pauli_sampled_estimate(rho, 5000, got_rng)
+            ref = _label_average_estimate(rho, 5000, ref_rng)
+            assert np.max(np.abs(got - ref)) < 1e-12
+            assert got_rng.random() == ref_rng.random()  # same draws consumed
+
     def test_estimates_are_normalized(self, rng):
         model = random_separable_model(2, 2, rng)
         oracle = MeasurementOracle(model, 3, mode="sampled", shots=2000, seed=5)
