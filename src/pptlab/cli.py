@@ -33,6 +33,14 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def non_negative_int(text) -> int:
+    """Argparse type of the seed flags."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _parse_floats(text) -> list[float]:
     """Comma list of numbers; empty entries are skipped."""
     try:
@@ -131,7 +139,9 @@ def _cmd_tomograph(args) -> int:
     oracle = tomography.MeasurementOracle(
         model, args.N, mode=mode, shots=args.shots or None, seed=args.oracle_seed
     )
-    dbound = args.dbound if args.dbound else model.D
+    if args.dbound is not None and args.dbound < 1:
+        raise ValidationError(f"--dbound must be at least 1, got {args.dbound}")
+    dbound = model.D if args.dbound is None else args.dbound
     report = tomography.disentangle_reconstruct(
         oracle, args.N, dbound, entangled_initial=model.entangled
     )
@@ -214,7 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=2, help="system dimension")
         p.add_argument("--D", type=int, default=2, help="environment dimension")
         if seed_required:
-            p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
+            p.add_argument(
+                "--seed", type=non_negative_int, required=True, help="RNG seed (mandatory)"
+            )
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -244,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--seeds", type=int, required=True, help="ensemble size")
-    p.add_argument("--seed-base", dest="seed_base", type=int, default=0)
+    p.add_argument("--seed-base", dest="seed_base", type=non_negative_int, default=0)
     p.add_argument("--time-dependent", dest="time_dependent", action="store_true")
     p.add_argument("--sample-every", dest="sample_every", type=int, default=1)
     p.set_defaults(func=_cmd_figs2, format="csv")
@@ -252,9 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomograph", help="disentangling reconstruction from measurements")
     common(p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--dbound", type=int, default=0, help="environment bound (default: true D)")
+    p.add_argument("--dbound", type=int, help="environment bound (default: true D)")
     p.add_argument("--shots", type=int, default=0, help="sampled mode shot budget (0 = exact)")
-    p.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=0)
+    p.add_argument("--oracle-seed", dest="oracle_seed", type=non_negative_int, default=0)
     p.add_argument("--entangled", action="store_true")
     p.add_argument("--lambdas")
     p.set_defaults(func=_cmd_tomograph)
@@ -282,18 +294,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Override the parsed flags with the entries of the ``--config`` file.
+
+    Each value goes through its flag's argparse ``type`` and ``choices`` as
+    if it had been typed on the command line, so a value that would not
+    parse there (a float for an integer flag, text that is no number, a
+    negative seed) is rejected here too.  On/off flags take JSON booleans.
+    """
     if not args.config:
         return
     with open(args.config, encoding="ascii") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValidationError("config file must hold a JSON object")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        a.dest: a
+        for a in commands.choices[args.command]._actions
+        if a.option_strings and a.dest != "help"
+    }
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValidationError(f"config key {key!r} does not match any flag")
-        setattr(args, attr, value)
+        setattr(args, action.dest, _config_value(key, value, action))
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    if action.nargs == 0:  # on/off flag
+        if not isinstance(value, bool):
+            raise ValidationError(f"config key {key!r} takes true or false, got {value!r}")
+        return value
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise ValidationError(f"config key {key!r} takes a number or a string, got {value!r}")
+    try:
+        converted = (action.type or str)(str(value))
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        raise ValidationError(f"config key {key!r}: invalid value {value!r} ({err})") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValidationError(f"config key {key!r} must be one of {sorted(action.choices)}")
+    return converted
 
 
 def run(argv=None) -> int:
@@ -303,7 +344,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return args.func(args)
     except ConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -443,24 +443,38 @@ def statevector_to_mps(
     vec = as_complex_array(vec).reshape(-1)
     if vec.size != (d * d) ** N * env_dim:
         raise DimensionError(f"vector length {vec.size} incompatible with N={N}, env={env_dim}")
-    sites: list[np.ndarray] = [None] * N
-    work = vec
-    bond = env_dim
-    for n in range(N, 1, -1):
-        mat = work.reshape(-1, d * d * bond)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        keep = max(int(np.count_nonzero(s > tol * s[0])), 1) if s.size else 1
-        if max_bond is not None:
-            keep = min(keep, max_bond)
-        sites[n - 1] = vh[:keep].reshape(keep, d, d, bond)
-        work = (u[:, :keep] * s[:keep]).reshape(-1)
-        bond = keep
-    head = work.reshape(1, d, d, bond)
-    nrm = float(np.linalg.norm(head))
+    sites = split_block(vec.reshape(1, -1, env_dim), d, N, tol, max_bond)
+    nrm = float(np.linalg.norm(sites[0]))
     if nrm < 1e-12:
         raise DegenerateStateError("state has numerically zero norm")
-    sites[0] = head / nrm
+    sites[0] = sites[0] / nrm
     return PptMps(sites=tuple(sites), d=d, canonical="right")
+
+
+def split_block(
+    block: np.ndarray, d: int, n_sites: int, tol: float = 1e-12, max_bond: int | None = None
+) -> list[np.ndarray]:
+    """Split a block (left bond, (d^2)^n_sites, right bond) into ``n_sites``
+    site tensors by SVDs from the right.
+
+    Every site but the first is a row block of an SVD's V^dag and hence
+    right-canonical; the first carries the singular values.  On each bond
+    the singular values above ``tol`` times the largest are kept, at most
+    ``max_bond`` of them and at least one.
+    """
+    left, _, bond = block.shape
+    sites: list[np.ndarray] = [None] * n_sites
+    work = block
+    for n in range(n_sites - 1, 0, -1):
+        u, s, vh = np.linalg.svd(work.reshape(-1, d * d * bond), full_matrices=False)
+        keep = max(int(np.count_nonzero(s > tol * s[0])), 1)
+        if max_bond is not None:
+            keep = min(keep, max_bond)
+        sites[n] = vh[:keep].reshape(keep, d, d, bond)
+        work = u[:, :keep] * s[:keep]
+        bond = keep
+    sites[0] = work.reshape(left, d, d, bond)
+    return sites
 
 
 def perturbed(mps: PptMps, scale: float, seed) -> PptMps:

@@ -4,6 +4,10 @@ The measurement oracle stands in for the laboratory: it answers reduced
 density operators of the (hidden) PPT on contiguous site ranges, optionally
 after a circuit of known window gates has been applied, either exactly or
 from a finite number of projective samples in a fixed Pauli-product scheme.
+It keeps the hidden PPT as a right-canonical MPS: a gate is applied to its
+R sites and re-split by SVDs, and a window density contracts the left
+environment into the window block (the right side is the identity), so a
+query costs time linear in N and nothing of size (d^2)^N is ever formed.
 
 The disentangling algorithm walks a window of R sites across the chain.
 Each window's reduced density operator has support of dimension at most the
@@ -11,7 +15,8 @@ hidden bond, so a window unitary can rotate that support into the subspace
 whose first site is |0>.  After f = N - R + 1 gates the state is a product
 of |0>s with an entangled block on the trailing R - 1 sites; diagonalising
 that block fixes the Schmidt vectors and values, the environment basis is
-pinned to the computational one, and undoing the gates yields the state.
+pinned to the computational one, and undoing the gates on the MPS of that
+product yields the state.
 
 The variational route refits the site unitaries directly: the ansatz is a
 sequentially generated state with parametric step unitaries (one shared
@@ -34,19 +39,19 @@ from .exceptions import (
     BoundViolationError,
     CapacityError,
     ConvergenceError,
+    DegenerateStateError,
     DimensionError,
     ValidationError,
 )
 from .models import OqeModel, SchmidtForm, near_identity_unitary, random_haar_unitary
 from .ppt import (
-    DENSE_STATE_GUARD,
     PROCESS_TENSOR_GUARD,
     PptMps,
     build_ppt,
     gauge_fidelity,
     mps_to_oqe,
     site_tensor_from_unitary,
-    statevector_to_mps,
+    split_block,
 )
 from .tensor_ops import (
     closest_isometry,
@@ -70,6 +75,10 @@ class MeasurementOracle:
     informationally complete Pauli-product basis (d = 2 only), and returns
     the re-Hermitised, trace-normalised linear-inversion estimate.
     ``query_log`` counts reduced-density requests.
+
+    The hidden process is held as its right-canonical ``PptMps`` only;
+    every query applies its circuit to a copy of the site list, so memory
+    and time per query grow linearly with ``n_steps``.
     """
 
     def __init__(
@@ -91,12 +100,7 @@ class MeasurementOracle:
                 raise ValidationError("the Pauli-product sampling scheme requires d = 2")
         self._model = hidden_model
         self._mps = build_ppt(hidden_model, n_steps)
-        if self._mps.dense_size() > DENSE_STATE_GUARD:
-            raise CapacityError("hidden PPT exceeds the dense statevector guard")
-        d = hidden_model.d
-        shape = (d * d,) * n_steps + (self._mps.env_dim,)
-        self._state = self._mps.to_statevector().reshape(shape)
-        self.d = d
+        self.d = hidden_model.d
         self.n_steps = n_steps
         self.mode = mode
         self.shots = shots
@@ -123,7 +127,10 @@ class MeasurementOracle:
 
         ``circuit`` is a list of (start_site, window_unitary) gates applied
         to the state before reduction, simulating the disentangling gates a
-        laboratory would physically apply.  Counts as one request.
+        laboratory would physically apply.  A gate on R sites from
+        ``start_site`` is a unitary on their fused (d^2)^R physical index;
+        a gate that is not, or that runs past the last step, raises
+        ``ValidationError``.  Counts as one request.
         """
         a, b = int(sites[0]), int(sites[1])
         if not (1 <= a <= b <= self.n_steps):
@@ -131,19 +138,43 @@ class MeasurementOracle:
         width = b - a + 1
         if (self.d * self.d) ** width > PROCESS_TENSOR_GUARD:
             raise CapacityError(f"window of width {width} exceeds the dense guard")
+        gates = [self._checked_gate(start, gate) for start, gate in circuit or ()]
         self.query_log += 1
-        state = self._state
-        if circuit:
-            for start, gate in circuit:
-                state = _apply_window(state, gate, start - 1, self.d * self.d)
-        kept = list(range(a - 1, b))
-        x = np.moveaxis(state, kept, range(width))
-        x = x.reshape((self.d * self.d) ** width, -1)
-        rho = x @ x.conj().T
+        chain = list(self._mps.sites)
+        for start, gate in gates:
+            _apply_gate(chain, start - 1, gate)
+        env = np.ones((1, 1), dtype=np.complex128)
+        for t in chain[: a - 1]:
+            env = transfer_left(env, t, t)
+        block = _contract_sites(chain[a - 1 : b])  # (l, window, r)
+        l, n_phys, r = block.shape
+        # env[l', l] = sum over the left physical legs of conj(X[.., l']) X[.., l]
+        x = (env @ block.reshape(l, -1)).reshape(l, n_phys, r).transpose(1, 0, 2)
+        rho = x.reshape(n_phys, -1) @ block.transpose(1, 0, 2).reshape(n_phys, -1).conj().T
         rho = (rho + rho.conj().T) / 2.0
         if self.mode == "exact":
             return rho
         return _pauli_sampled_estimate(rho, self.shots, self._rng)
+
+    def _checked_gate(self, start, gate) -> tuple[int, np.ndarray]:
+        """Validate one circuit entry: start site, fit on the chain, unitarity."""
+        if not isinstance(start, (int, np.integer)) or not 1 <= start <= self.n_steps:
+            raise ValidationError(f"gate start {start!r} is not a site in [1, {self.n_steps}]")
+        gate = np.asarray(gate, dtype=np.complex128)
+        dim = gate.shape[0] if gate.ndim == 2 and gate.shape[0] == gate.shape[1] else 0
+        width = window_size(self.d, dim) - 1  # smallest R with (d^2)^R >= dim
+        if width < 1 or (self.d * self.d) ** width != dim:
+            raise ValidationError(
+                f"gate of shape {gate.shape} is not a square (d^2)^R matrix for d={self.d}"
+            )
+        if start + width - 1 > self.n_steps:
+            raise ValidationError(
+                f"gate on sites {start}..{start + width - 1} runs past step {self.n_steps}"
+            )
+        # written so that a NaN deviation (non-finite entries) fails as well
+        if not np.max(np.abs(gate.conj().T @ gate - np.eye(dim))) <= 1e-10:
+            raise ValidationError(f"gate at site {start} is not unitary")
+        return int(start), gate
 
     def initial_system_state(self) -> np.ndarray:
         """Reduced density operator of the system factor of the initial state."""
@@ -181,12 +212,27 @@ class MeasurementOracle:
         return oracle, prob
 
 
-def _apply_window(state: np.ndarray, gate: np.ndarray, start_axis: int, local_dim: int) -> np.ndarray:
-    width = int(round(np.log(gate.shape[0]) / np.log(local_dim)))
-    g = gate.reshape((local_dim,) * (2 * width))
-    axes = list(range(start_axis, start_axis + width))
-    out = np.tensordot(state, g, axes=[axes, list(range(width, 2 * width))])
-    return np.moveaxis(out, list(range(-width, 0)), axes)
+def _contract_sites(sites) -> np.ndarray:
+    """Block (left bond, fused physical index, right bond) of consecutive sites."""
+    block = sites[0]
+    for t in sites[1:]:
+        block = np.tensordot(block, t, axes=1)
+    return block.reshape(block.shape[0], -1, block.shape[-1])
+
+
+def _apply_gate(chain: list, start: int, gate: np.ndarray, max_bond: int | None = None) -> None:
+    """Apply a window unitary to the sites of ``chain`` from index ``start`` on.
+
+    The sites are contracted into one block, the gate multiplies its fused
+    physical index, and SVDs from the right split it back (``split_block``:
+    singular values above 1e-12 relative, at most ``max_bond``).  A unitary
+    keeps a right-canonical block right-canonical, so a right-canonical
+    chain stays right-canonical.
+    """
+    d = chain[0].shape[1]
+    width = window_size(d, gate.shape[0]) - 1
+    block = gate @ _contract_sites(chain[start : start + width])
+    chain[start : start + width] = split_block(block, d, width, max_bond=max_bond)
 
 
 # -- sampled-mode estimator --------------------------------------------------
@@ -338,22 +384,25 @@ def disentangle_reconstruct(
         lam = lam / np.linalg.norm(lam)
         tail = vecs[:, :keep] * lam  # columns lam_s |a_s>
         env_dim = keep
-        block = tail.reshape((d2,) * (R - 1) + (env_dim,))
+        tail_sites = split_block(tail.reshape(1, -1, env_dim), d, R - 1, max_bond=env_dim)
     else:
         # Single-site windows disentangle everything; the trailing query is a
         # consistency check on the last site.
         oracle.reduced_density((N, N), circuit=gates)
         env_dim = 1
-        block = np.ones((1,), dtype=np.complex128)
-        lam = np.ones(1)
+        tail_sites = []
 
-    shape = (d2,) * N + (env_dim,)
-    psi = np.zeros(shape, dtype=np.complex128)
-    psi[(0,) * f] = block
+    zero = np.zeros((1, d, d, 1), dtype=np.complex128)
+    zero[0, 0, 0, 0] = 1.0
+    chain = [zero] * f + tail_sites
     for j, gate in reversed(gates):
-        psi = _apply_window(psi, gate.conj().T, j - 1, d2)
+        _apply_gate(chain, j - 1, gate.conj().T, max_bond=env_dim)
+    nrm = float(np.linalg.norm(chain[0]))  # below 1 where a sampled state was truncated
+    if nrm < 1e-12:
+        raise DegenerateStateError("reconstructed state has numerically zero norm")
+    chain[0] = chain[0] / nrm
 
-    mps = statevector_to_mps(psi.reshape(-1), d, N, env_dim, max_bond=env_dim)
+    mps = PptMps(sites=tuple(chain), d=d, canonical="right")
     model, residuals = mps_to_oqe(mps)
     fidelity = gauge_fidelity(mps, oracle.true_mps()) if oracle.unsealed else None
     notes.append("environment basis pinned to the computational frame")

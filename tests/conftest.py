@@ -73,6 +73,33 @@ def dense_ppt_vector(model: OqeModel, N: int) -> np.ndarray:
     return state.reshape(-1)
 
 
+def apply_window_dense(state: np.ndarray, gate: np.ndarray, start_axis: int, local_dim: int):
+    """Apply a window gate to a dense state with one axis per fused (o, i) site."""
+    width = int(round(np.log(gate.shape[0]) / np.log(local_dim)))
+    g = gate.reshape((local_dim,) * (2 * width))
+    axes = list(range(start_axis, start_axis + width))
+    out = np.tensordot(state, g, axes=[axes, list(range(width, 2 * width))])
+    return np.moveaxis(out, list(range(-width, 0)), axes)
+
+
+def dense_reduced_density(mps, sites, circuit=()) -> np.ndarray:
+    """Reduced density operator on the 1-based range ``sites`` after ``circuit``.
+
+    Independent of the oracle's MPS route: expands ``mps`` into its dense
+    statevector, applies each (start, gate) by ``tensordot`` and traces out
+    everything but the window (the environment leg included).
+    """
+    d2 = mps.d**2
+    state = mps.to_statevector().reshape((d2,) * mps.n_steps + (mps.env_dim,))
+    for start, gate in circuit:
+        state = apply_window_dense(state, gate, start - 1, d2)
+    a, b = sites
+    x = np.moveaxis(state, list(range(a - 1, b)), list(range(b - a + 1)))
+    x = x.reshape(d2 ** (b - a + 1), -1)
+    rho = x @ x.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
 def schmidt_spectra_dense(vec: np.ndarray, site_dims: list[int]) -> list[np.ndarray]:
     """Singular values across every cut of a dense state, by direct SVD."""
     spectra = []

@@ -146,11 +146,70 @@ class TestConfigAndErrors:
         assert captured.out == ""
         assert "error:" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complexity", "--seed", "-1"],
+            ["figs2", "--seed-base", "-1", "--eta", "0.1", "--nmax", "5", "--seeds", "2"],
+            ["tomograph", "--shots", "100", "--oracle-seed", "-1", "--N", "4", "--seed", "1"],
+            ["tomograph", "--N", "4", "--seed", "1", "--dbound", "0"],
+            ["tomograph", "--N", "4", "--seed", "1", "--dbound", "-2"],
+        ],
+        ids=["seed", "seed_base", "oracle_seed", "dbound_zero", "dbound_negative"],
+    )
+    def test_negative_integer_flags_exit_one(self, argv, capsys):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"nmax": 2.5}, {"seeds": 2.5}, {"nmax": "ten"}, {"seed_base": -1}, {"eta": None},
+         {"time_dependent": 1}, {"format": "xml"}, {"func": 1}],
+        ids=["float_nmax", "float_seeds", "text_nmax", "negative_seed_base", "null_eta",
+             "int_for_switch", "unknown_choice", "not_a_flag"],
+    )
+    def test_config_values_parse_like_flags(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["--config", str(cfg), "figs2", "--eta", "0.1", "--nmax", "5", "--seeds", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
+    def test_config_values_convert_through_flag_types(self, tmp_path):
+        flags = ["figs2", "--eta", "0.1", "--nmax", "5", "--seeds", "2"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nmax": "10", "seeds": "3", "eta": "0.05", "time-dependent": True}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["--config", str(cfg), *flags, "--out", str(a)]) == 0
+        assert run(["figs2", "--eta", "0.05", "--nmax", "10", "--seeds", "3",
+                    "--time-dependent", "--out", str(b)]) == 0
+        assert read(a) == read(b)
+
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_flag": 1}))
         assert run(["--config", str(cfg), "complexity", "--d", "2", "--D", "2",
                     "--alpha", "2", "--seed", "1"]) == 1
+
+
+class TestTomograph:
+    def test_beyond_dense_statevector_size(self, tmp_path):
+        # (d^2)^N * D = 2^21 coefficients: more than a dense oracle may hold
+        out = tmp_path / "t.json"
+        assert run(["tomograph", "--D", "2", "--N", "10", "--seed", "1", "--out", str(out)]) == 0
+        doc = json.loads(read(out))
+        assert doc["state_fidelity"] >= 1 - 1e-8
+        assert doc["queries"] == 10  # f + 1 with R = 2
+
+    def test_dbound_defaults_to_hidden_environment(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["tomograph", "--D", "2", "--N", "5", "--seed", "3"]
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--dbound", "2", "--out", str(b)]) == 0
+        assert read(a) == read(b)
 
 
 class TestPipeline:

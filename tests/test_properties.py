@@ -1,7 +1,8 @@
 """Generated-case invariants: MPS sweeps against dense oracles, exact JSON round trips.
 
-Cases range over d in {2, 3}, D in 1..4, N in 1..5, separable or entangled
-initial states, and time-independent or time-dependent steps.
+Cases range over d in {2, 3}, D in 1..4, N in 1..5 (up to 8 for the
+measurement oracle), separable or entangled initial states, and
+time-independent or time-dependent steps.
 """
 
 import json
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from pptlab import (
+    MeasurementOracle,
     MultiTimeObservable,
     OqeModel,
     PptMps,
@@ -20,12 +22,14 @@ from pptlab import (
     expectation,
     random_entangled_model,
     random_separable_model,
+    statevector_to_mps,
     transfer_matrix,
 )
+from pptlab.models import random_haar_unitary
 from pptlab.ppt import overlap_matrix
 from pptlab.tensor_ops import complex_to_pairs, pairs_to_complex
 
-from conftest import random_observable
+from conftest import dense_reduced_density, random_observable
 
 CASES = settings(max_examples=60, deadline=None)
 
@@ -73,6 +77,16 @@ def test_overlap_matrix_matches_dense_contraction(spec, D_other, expose):
     va = a.to_statevector().reshape(-1, a.env_dim)
     vb = b.to_statevector().reshape(-1, b.env_dim)
     assert np.max(np.abs(overlap_matrix(a, b) - va.conj().T @ vb)) < 1e-12
+
+
+@CASES
+@given(spec=model_specs)
+def test_statevector_to_mps_round_trip(spec):
+    mps = build_ppt(make_model(spec), spec["N"])
+    vec = mps.to_statevector()
+    back = statevector_to_mps(vec, spec["d"], spec["N"], mps.env_dim)
+    back.validate()  # unit norm and the right-canonical claim
+    assert np.max(np.abs(back.to_statevector() - vec)) < 1e-12
 
 
 @CASES
@@ -126,3 +140,30 @@ def test_json_round_trips_are_bit_exact(spec, expose):
 def test_codec_round_trip_is_bit_exact(arr):
     pairs = json.loads(json.dumps(complex_to_pairs(arr)))
     assert same_bits(pairs_to_complex(pairs, list(arr.shape)), arr)
+
+
+@CASES
+@given(spec=model_specs, data=st.data())
+def test_oracle_density_matches_dense_reference(spec, data):
+    """The MPS oracle against the dense statevector route, under random circuits.
+
+    N reaches 8 at d = 2 and 5 at d = 3, where the dense state still fits
+    the dense-state guard.  The window is any legal range whose density has
+    at most 2^20 entries (every legal range but the six-site windows at
+    d = 2, whose 4096 x 4096 densities take 268 MB each).
+    """
+    d = spec["d"]
+    N = data.draw(st.integers(1, 8 if d == 2 else 5), label="N")
+    model = make_model(dict(spec, N=N))
+    oracle = MeasurementOracle(model, N)
+    rng = np.random.default_rng(spec["seed"])
+    circuit = []
+    for _ in range(data.draw(st.integers(0, 3), label="gates")):
+        width = data.draw(st.integers(1, min(N, 3 if d == 2 else 2)), label="width")
+        start = data.draw(st.integers(1, N - width + 1), label="start")
+        circuit.append((start, random_haar_unitary((d * d) ** width, rng)))
+    width = data.draw(st.integers(1, min(N, 5 if d == 2 else 3)), label="window")
+    a = data.draw(st.integers(1, N - width + 1), label="first site")
+    rho = oracle.reduced_density((a, a + width - 1), circuit=circuit)
+    ref = dense_reduced_density(oracle.true_mps(), (a, a + width - 1), circuit)
+    assert np.max(np.abs(rho - ref)) < 1e-12

@@ -62,6 +62,27 @@ class TestReducedDensity:
         with pytest.raises(ValidationError):
             oracle.true_mps()
 
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            [(0, np.eye(4))],
+            [(5, np.eye(4))],
+            [(4, np.eye(16))],
+            [(3, np.eye(64))],
+            [(1, np.eye(8))],
+            [(1, np.eye(4)[:, :2])],
+            [(1, 2.0 * np.eye(4))],
+            [(1, np.full((4, 4), np.nan))],
+        ],
+        ids=["start_zero", "start_past_end", "pair_past_end", "triple_past_end",
+             "not_a_power_of_d2", "not_square", "not_unitary", "nan"],
+    )
+    def test_rejects_malformed_circuit(self, rng, circuit):
+        oracle = MeasurementOracle(random_separable_model(2, 2, rng), 4)
+        with pytest.raises(ValidationError):
+            oracle.reduced_density((1, 2), circuit=circuit)
+        assert oracle.query_log == 0
+
 
 class TestDisentangle:
     def test_window_arithmetic_matches_worked_instance(self):
@@ -113,6 +134,16 @@ class TestDisentangle:
         oracle = MeasurementOracle(model, 5)
         report = disentangle_reconstruct(oracle, 5, 2, entangled_initial=True)
         assert report.state_fidelity > 1 - 1e-8
+
+    @pytest.mark.parametrize("D", [2, 4])
+    @pytest.mark.parametrize("N", [20, 100])
+    def test_long_chain_roundtrip(self, N, D):
+        """Far beyond the reach of a dense (d^2)^N statevector."""
+        model = random_separable_model(2, D, 100 * N + D)
+        oracle = MeasurementOracle(model, N)
+        report = disentangle_reconstruct(oracle, N, D)
+        assert 1 - report.state_fidelity < 1e-8
+        assert report.queries == N - window_size(2, D) + 2  # f + 1
 
     def test_fidelity_over_dimension_grid(self):
         """Exact-oracle reconstruction succeeds whenever the bound holds."""
@@ -194,6 +225,16 @@ class TestSampledMode:
                 deficits[shots].append(1.0 - report.state_fidelity)
         medians = [np.median(deficits[s]) for s in (10**3, 10**4, 10**5)]
         assert medians[0] > medians[1] > medians[2]
+
+    def test_fixed_shot_run_reproduces_recorded_fidelity(self):
+        """Pins the RNG stream and the window densities the estimator sees:
+        0.8971587980126566 is this run's fidelity when the oracle expands
+        the PPT into a dense statevector (``dense_reduced_density``)."""
+        oracle = MeasurementOracle(
+            random_separable_model(2, 2, 1), 6, mode="sampled", shots=10_000, seed=0
+        )
+        report = disentangle_reconstruct(oracle, 6, 2)
+        assert abs(report.state_fidelity - 0.8971587980126566) < 1e-10
 
     def test_requires_shot_count(self, rng):
         with pytest.raises(ValidationError):
