@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DimensionError, ValidationError
-from .models import OqeModel, near_identity_unitary
+from .models import OqeModel, _check_dimensions, _check_eta, near_identity_unitary
 from .ppt import PptMps, enlarged_site_tensor, site_tensor_from_unitary
 from .tensor_ops import transfer_left, transfer_right
 
@@ -341,16 +341,20 @@ def fig_s2_experiment(
     For every seed a Hermitian H with standard-normal entries drives the
     evolution; ``time_dependent`` redraws H at every step instead of reusing
     a fixed one.  Each seed draws from its own ``default_rng(seed)`` and the
-    ensemble steps together.  Records the Uhlmann infidelity between rho_n
-    and the maximally mixed state, which needs only the spectrum p of rho_n:
+    ensemble steps together, one stacked matrix product per step.  Steps run
+    in blocks of ``_block_steps`` (at least one): a block draws its Hermitians
+    with one ``near_identity_unitary(..., size=k)`` call per seed, builds
+    their left transfer matrices at once, and reads the spectra of the states
+    it recorded with one batched ``eigvalsh``, so transient memory is bounded
+    whatever ``n_max``.  Every number equals per-step drawing and stepping bit
+    for bit.  Records the Uhlmann infidelity between rho_n and the maximally
+    mixed state, which needs only the spectrum p of rho_n:
     F(rho, I/D) = (sum_k sqrt(p_k))^2 / D.  Returns rows
     ``(n, mean, median, q25, q75)`` over the seed ensemble, at every step by
     default or at ``sample_points``.
     """
-    if d < 2 or D < 1:
-        raise ValidationError(f"need d >= 2 and D >= 1, got d={d}, D={D}")
-    if eta <= 0:
-        raise ValidationError(f"eta must be positive, got {eta}")
+    _check_dimensions(d, D)
+    _check_eta(eta)
     if n_max < 0:
         raise ValidationError(f"n_max must be non-negative, got {n_max}")
     if isinstance(seeds, int):
@@ -358,7 +362,9 @@ def fig_s2_experiment(
     if len(seeds) == 0:
         raise ValidationError("the seed ensemble is empty")
     points = sorted(set(sample_points)) if sample_points is not None else list(range(n_max + 1))
-    if points and not 0 <= points[0] <= points[-1] <= n_max:
+    if not points:
+        return []
+    if not 0 <= points[0] <= points[-1] <= n_max:
         raise ValidationError(f"sample points must lie in [0, {n_max}]")
     if rho0 is None:
         rho0 = np.zeros((D, D), dtype=np.complex128)
@@ -367,26 +373,70 @@ def fig_s2_experiment(
     # column-major vec(rho) of every seed, one column each for the stacked matmul
     rho0_vec = np.asarray(rho0, dtype=np.complex128).reshape(-1, 1, order="F")
     rho_vecs = np.tile(rho0_vec, (len(seeds), 1, 1))
-    lmats = None
-    curves = np.empty((len(seeds), len(points)))
-    done = 0
-    for col, n in enumerate(points):
-        for _ in range(done, n):
-            if lmats is None or time_dependent:
-                us = [near_identity_unitary(d * D, eta, rng) for rng in rngs]
-                lmats = np.stack(
-                    [transfer_matrix(site_tensor_from_unitary(u, d, D)).left_matrix() for u in us]
-                )
-            rho_vecs = lmats @ rho_vecs
-        done = n
-        rhos = rho_vecs.reshape(-1, D, D).transpose(0, 2, 1)
-        p = np.linalg.eigvalsh((rhos + rhos.conj().transpose(0, 2, 1)) / 2.0)
-        curves[:, col] = 1.0 - np.sum(np.sqrt(np.clip(p, 0.0, None)), axis=1) ** 2 / D
-    return [
-        (n, float(np.mean(vals)), float(np.median(vals)),
-         float(np.quantile(vals, 0.25)), float(np.quantile(vals, 0.75)))
-        for n, vals in zip(points, curves.T)
-    ]
+    curves = np.empty((len(points), len(seeds)))  # (points, seeds): one row per output row
+    filled = 0
+    if points[0] == 0:
+        curves[0] = _infidelities_to_mixed(rho_vecs[np.newaxis], D)[0]
+        filled = 1
+    lmats = None if time_dependent else _left_matrices(rngs, d, D, eta, 1)
+    block = _block_steps(len(seeds), d, D)
+    for start in range(0, points[-1], block):
+        stop = min(start + block, points[-1])
+        if time_dependent:
+            lmats = _left_matrices(rngs, d, D, eta, stop - start)
+        recorded = []
+        for j, n in enumerate(range(start + 1, stop + 1)):
+            rho_vecs = lmats[j if time_dependent else 0] @ rho_vecs
+            if n == points[filled + len(recorded)]:
+                recorded.append(rho_vecs)
+        if recorded:
+            curves[filled : filled + len(recorded)] = _infidelities_to_mixed(np.stack(recorded), D)
+            filled += len(recorded)
+    stats = np.stack(
+        [
+            np.mean(curves, axis=1),
+            np.median(curves, axis=1),
+            np.quantile(curves, 0.25, axis=1),
+            np.quantile(curves, 0.75, axis=1),
+        ],
+        axis=1,
+    )
+    return [(n, *row) for n, row in zip(points, stats.tolist())]
+
+
+# complex entries one block of fig_s2_experiment may hold across its draws,
+# left transfer matrices and recorded states
+_BLOCK_ENTRIES = 2**16
+
+
+def _block_steps(n_seeds: int, d: int, D: int) -> int:
+    """Steps per block: the most that keep a block within ``_BLOCK_ENTRIES``
+    (every step holds, per seed, a (dD)^2 draw, a D^2 x D^2 left matrix and
+    a D^2 state), never fewer than one."""
+    per_step = n_seeds * ((d * D) ** 2 + D**4 + D**2)
+    return max(1, _BLOCK_ENTRIES // per_step)
+
+
+def _left_matrices(rngs, d: int, D: int, eta: float, k: int) -> np.ndarray:
+    """Left transfer matrices of the next ``k`` near-identity steps of every
+    seed, shape (k, seeds, D^2, D^2), C-contiguous.
+
+    Each slice equals ``transfer_matrix(site_tensor_from_unitary(u, d, D))
+    .left_matrix()`` of that seed's next single draw ``u``, bit for bit.
+    """
+    us = np.stack([near_identity_unitary(d * D, eta, rng, size=k) for rng in rngs], axis=1)
+    # site_tensor_from_unitary per slice: (o, b, i, a) -> (a, o, i, b), over sqrt(d)
+    sites = us.reshape(k, len(rngs), d, D, d, D).transpose(0, 1, 5, 2, 4, 3) / np.sqrt(d)
+    dense = np.einsum("xyaoib,xycoid->xyacbd", sites.conj(), sites)
+    dense = dense.reshape(k, len(rngs), D * D, D * D)
+    return np.ascontiguousarray(dense.conj().swapaxes(-1, -2))
+
+
+def _infidelities_to_mixed(rho_vecs: np.ndarray, D: int) -> np.ndarray:
+    """1 - F(rho, I/D) for column-major vec(rho) stacks of shape (..., D^2, 1)."""
+    rhos = np.swapaxes(rho_vecs.reshape(rho_vecs.shape[:-2] + (D, D)), -1, -2)
+    p = np.linalg.eigvalsh((rhos + np.swapaxes(rhos.conj(), -1, -2)) / 2.0)
+    return 1.0 - np.sum(np.sqrt(np.clip(p, 0.0, None)), axis=-1) ** 2 / D
 
 
 def fig_s2_csv(rows) -> str:

@@ -166,22 +166,41 @@ def random_haar_unitary(dim: int, seed) -> np.ndarray:
     return q * phases[np.newaxis, :]
 
 
-def near_identity_unitary(dim: int, eta: float, seed) -> np.ndarray:
+def near_identity_unitary(dim: int, eta: float, seed, size=None) -> np.ndarray:
     """exp(i * eta * H) with H drawn Hermitian from normal entries.
 
     H is (G + G^dag)/2 for G with independent standard-normal real and
     imaginary parts, so small eta gives a unitary close to the identity.
+    ``size`` (an int or a shape, numpy style) draws a stack of that many
+    unitaries, shape ``(*size, dim, dim)``; the draws come from the
+    generator's stream in the same order as that many single calls, and
+    each slice equals the single call's result bit for bit.
     """
-    if eta <= 0:
-        raise ValidationError(f"eta must be positive, got {eta}")
-    h = random_hermitian(dim, seed)
-    return scipy.linalg.expm(1j * eta * h)
+    _check_eta(eta)
+    batch = () if size is None else tuple(np.atleast_1d(size))
+    return scipy.linalg.expm(1j * eta * _hermitians(dim, _as_rng(seed), batch))
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:
-    rng = _as_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0
+    return _hermitians(dim, _as_rng(seed), ())
+
+
+def _hermitians(dim: int, rng: np.random.Generator, batch: tuple) -> np.ndarray:
+    """(G + G^dag)/2 per batch entry; each G takes a real then an imaginary
+    (dim, dim) block of standard normals from ``rng``."""
+    z = rng.standard_normal(batch + (2, dim, dim))
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    return (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+
+
+def _check_eta(eta: float) -> None:
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValidationError(f"eta must be finite and positive, got {eta}")
+
+
+def _check_dimensions(d: int, D: int) -> None:
+    if d < 2 or D < 1:
+        raise ValidationError(f"need d >= 2 and D >= 1, got d={d}, D={D}")
 
 
 def random_haar_state(dim: int, seed) -> np.ndarray:
@@ -192,6 +211,7 @@ def random_haar_state(dim: int, seed) -> np.ndarray:
 
 def random_separable_model(d: int, D: int, seed, steps: int = 1) -> OqeModel:
     """Haar model with a product initial state |psi_S> (x) |psi_E>."""
+    _check_dimensions(d, D)
     rng = _as_rng(seed)
     us = [random_haar_unitary(d * D, rng) for _ in range(steps)]
     psi = np.kron(random_haar_state(d, rng), random_haar_state(D, rng))
@@ -204,6 +224,7 @@ def random_entangled_model(d: int, D: int, seed, lambdas=None, steps: int = 1) -
     ``lambdas`` defaults to the maximally entangled spectrum over
     min(d, D) terms.  Schmidt bases are Haar random.
     """
+    _check_dimensions(d, D)
     rng = _as_rng(seed)
     r = min(d, D)
     if lambdas is None:

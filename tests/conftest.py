@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pptlab import MultiTimeObservable, OqeModel
-from pptlab.models import random_hermitian
+from pptlab.memory import transfer_matrix
+from pptlab.models import near_identity_unitary, random_hermitian
+from pptlab.ppt import site_tensor_from_unitary
 
 
 def random_observable(rng, d, n_steps, n_insertions=2):
@@ -150,6 +152,43 @@ def partial_process_tensor(model: OqeModel, rho_env: np.ndarray, k: int) -> np.n
             x = x.reshape(-1, d * D)
         out += w * (x @ x.conj().T)
     return out
+
+
+def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, rho0=None, sample_points=None):
+    """``fig_s2_experiment`` stepped one step at a time, the reference for its blocks.
+
+    Draws one ``near_identity_unitary`` per seed per step (once for fixed H),
+    builds ``transfer_matrix(...).left_matrix()`` for each, reads the
+    spectra with one ``eigvalsh`` per sample point and summarises each row
+    with its own ``np.mean``/``np.median``/``np.quantile`` calls.
+    """
+    points = sorted(set(sample_points)) if sample_points is not None else list(range(n_max + 1))
+    if rho0 is None:
+        rho0 = np.zeros((D, D), dtype=np.complex128)
+        rho0[0, 0] = 1.0
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rho0_vec = np.asarray(rho0, dtype=np.complex128).reshape(-1, 1, order="F")
+    rho_vecs = np.tile(rho0_vec, (len(seeds), 1, 1))
+    lmats = None
+    curves = np.empty((len(seeds), len(points)))
+    done = 0
+    for col, n in enumerate(points):
+        for _ in range(done, n):
+            if lmats is None or time_dependent:
+                us = [near_identity_unitary(d * D, eta, rng) for rng in rngs]
+                lmats = np.stack(
+                    [transfer_matrix(site_tensor_from_unitary(u, d, D)).left_matrix() for u in us]
+                )
+            rho_vecs = lmats @ rho_vecs
+        done = n
+        rhos = rho_vecs.reshape(-1, D, D).transpose(0, 2, 1)
+        p = np.linalg.eigvalsh((rhos + rhos.conj().transpose(0, 2, 1)) / 2.0)
+        curves[:, col] = 1.0 - np.sum(np.sqrt(np.clip(p, 0.0, None)), axis=1) ** 2 / D
+    return [
+        (n, float(np.mean(vals)), float(np.median(vals)),
+         float(np.quantile(vals, 0.25)), float(np.quantile(vals, 0.75)))
+        for n, vals in zip(points, curves.T)
+    ]
 
 
 @pytest.fixture

@@ -120,6 +120,40 @@ class TestConfigAndErrors:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-0.1", "0"])
+    @pytest.mark.parametrize("fresh", [False, True], ids=["fixed", "fresh"])
+    def test_figs2_non_finite_or_non_positive_eta_exits_one(self, eta, fresh, capsys):
+        argv = ["figs2", "--eta", eta, "--nmax", "10", "--seeds", "2"]
+        assert run(argv + (["--time-dependent"] if fresh else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: eta" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--N", "3"],
+            ["build", "--N", "3", "--entangled"],
+            ["complexity"],
+            ["complexity", "--entangled"],
+            ["tomograph", "--N", "3"],
+            ["tomograph", "--N", "3", "--entangled"],
+            ["fit", "--N", "3"],
+            ["reconstruct-entangled", "--N", "3"],
+        ],
+        ids=["build", "build_entangled", "complexity", "complexity_entangled", "tomograph",
+             "tomograph_entangled", "fit", "reconstruct_entangled"],
+    )
+    @pytest.mark.parametrize(
+        "flag, value", [("d", "1"), ("d", "0"), ("D", "0"), ("D", "-1")],
+        ids=["d1", "d0", "D0", "D_negative"],
+    )
+    def test_small_dimensions_exit_one(self, argv, flag, value, capsys):
+        assert run(argv + ["--seed", "1", f"--{flag}", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}={value}" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

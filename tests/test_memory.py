@@ -12,6 +12,7 @@ from pptlab import (
     fig_s2_experiment,
     infidelity,
     initial_env_density,
+    memory,
     memory_complexity,
     model_transfer_matrix,
     near_identity_unitary,
@@ -336,6 +337,25 @@ class TestFigS2:
         assert np.max(np.abs(np.array([row[1:] for row in rows]) - expected)) < 1e-12
         assert rows[-1][1] > 0.05  # still far from I/D, so the rows are not all zero
 
+    def test_fresh_h_draws_once_per_seed_per_block(self, monkeypatch):
+        calls = []
+        draw = memory.near_identity_unitary
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("size"))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(memory, "near_identity_unitary", counting)
+        seeds, n_max = [0, 1, 2, 3], 2000
+        fig_s2_experiment(2, 2, 0.01, n_max, seeds, time_dependent=True, sample_points=[n_max])
+        block = memory._block_steps(len(seeds), 2, 2)
+        assert 1 < block < n_max
+        assert len(calls) == len(seeds) * -(-n_max // block)
+        assert sum(calls) == len(seeds) * n_max
+
+    def test_block_holds_at_most_one_step_of_large_environments(self):
+        assert memory._block_steps(4, 2, 16) == 1
+
     def test_empty_sample_points_give_no_rows(self):
         assert fig_s2_experiment(2, 2, 0.05, 10, [0, 1], sample_points=[]) == []
         assert fig_s2_experiment(2, 2, 0.05, 10, [0], time_dependent=True, sample_points=[]) == []
@@ -348,6 +368,12 @@ class TestFigS2:
     def test_rejects_empty_seed_ensemble(self):
         with pytest.raises(ValidationError):
             fig_s2_experiment(2, 2, 0.05, 10, [])
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_rejects_non_finite_or_non_positive_eta(self, eta, time_dependent):
+        with pytest.raises(ValidationError, match="eta"):
+            fig_s2_experiment(2, 2, eta, 10, [0], time_dependent=time_dependent)
 
     def test_rejects_negative_n_max(self):
         with pytest.raises(ValidationError):

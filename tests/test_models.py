@@ -47,6 +47,40 @@ class TestNearIdentityUnitary:
         with pytest.raises(ValidationError):
             near_identity_unitary(3, 0.0, 1)
 
+    @pytest.mark.parametrize("eta", [-0.1, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_or_negative_eta(self, eta):
+        with pytest.raises(ValidationError, match="eta"):
+            near_identity_unitary(3, eta, 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 6])
+    @pytest.mark.parametrize("k", [1, 2, 127, 300])
+    def test_batched_draw_preserves_the_stream(self, dim, k):
+        batch_rng, single_rng = np.random.default_rng(dim * k), np.random.default_rng(dim * k)
+        batch = near_identity_unitary(dim, 0.3, batch_rng, size=k)
+        singles = np.stack([near_identity_unitary(dim, 0.3, single_rng) for _ in range(k)])
+        assert batch.shape == (k, dim, dim)
+        assert np.array_equal(batch, singles)
+        # both generators are left in the same state
+        assert np.array_equal(
+            near_identity_unitary(dim, 0.3, batch_rng), near_identity_unitary(dim, 0.3, single_rng)
+        )
+
+    def test_size_takes_a_shape(self):
+        batch = near_identity_unitary(2, 0.1, 4, size=(3, 2))
+        assert batch.shape == (3, 2, 2, 2)
+        assert np.array_equal(batch.reshape(6, 2, 2), near_identity_unitary(2, 0.1, 4, size=6))
+
+
+class TestRandomModelDimensions:
+    @pytest.mark.parametrize("make", [random_separable_model, random_entangled_model])
+    @pytest.mark.parametrize("d, D", [(1, 2), (0, 2), (2, 0), (2, -1), (-3, 2)])
+    def test_rejects_small_dimensions_before_drawing(self, make, d, D):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=f"d={d}, D={D}"):
+            make(d, D, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestSchmidtDecompose:
     def test_product_state(self):

@@ -2,10 +2,12 @@
 
 Cases range over d in {2, 3}, D in 1..4, N in 1..5 (up to 8 for the
 measurement oracle), separable or entangled initial states, and
-time-independent or time-dependent steps.
+time-independent or time-dependent steps.  The near-identity experiment is
+checked bit for bit against its per-step reference over block edges.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from pptlab import (
     MeasurementOracle,
+    memory,
     MultiTimeObservable,
     OqeModel,
     PptMps,
@@ -29,7 +32,7 @@ from pptlab.models import random_haar_unitary
 from pptlab.ppt import overlap_matrix
 from pptlab.tensor_ops import complex_to_pairs, pairs_to_complex
 
-from conftest import dense_reduced_density, random_observable
+from conftest import dense_reduced_density, fig_s2_reference, random_observable
 
 CASES = settings(max_examples=60, deadline=None)
 
@@ -167,3 +170,29 @@ def test_oracle_density_matches_dense_reference(spec, data):
     rho = oracle.reduced_density((a, a + width - 1), circuit=circuit)
     ref = dense_reduced_density(oracle.true_mps(), (a, a + width - 1), circuit)
     assert np.max(np.abs(rho - ref)) < 1e-12
+
+
+@CASES
+@given(
+    d=st.sampled_from([2, 3]),
+    D=st.integers(1, 3),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=10),
+    time_dependent=st.booleans(),
+    n_max=st.integers(0, 300),
+    budget=st.sampled_from([1, 200, 2000, memory._BLOCK_ENTRIES]),
+    mixed_start=st.booleans(),
+    data=st.data(),
+)
+def test_fig_s2_blocks_match_per_step_reference(
+    d, D, seeds, time_dependent, n_max, budget, mixed_start, data
+):
+    # A small entry budget gives short blocks, so block edges fall inside n_max.
+    with mock.patch.object(memory, "_BLOCK_ENTRIES", budget):
+        edge = memory._block_steps(len(seeds), d, D)
+        extra = data.draw(st.lists(st.integers(0, n_max), max_size=20))
+        points = [0, n_max, edge - 1, edge, edge + 1, 2 * edge, *extra]
+        points = [n for n in points if 0 <= n <= n_max]
+        rho0 = np.eye(D) / D if mixed_start else None
+        kwargs = dict(time_dependent=time_dependent, sample_points=points, rho0=rho0)
+        rows = memory.fig_s2_experiment(d, D, 0.1, n_max, seeds, **kwargs)
+    assert rows == fig_s2_reference(d, D, 0.1, n_max, seeds, **kwargs)
