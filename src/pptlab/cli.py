@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -212,6 +213,7 @@ def _random_observable(rng, d, n_steps, n_insertions):
 # -- argument plumbing --------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pptlab",

@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import CapacityError, DimensionError, ValidationError
 from .models import OqeModel
 from .ppt import DENSE_STATE_GUARD, PptMps
-from .tensor_ops import complex_to_pairs, pairs_to_complex, transfer_left
+from .tensor_ops import decode_complex, encode_complex, transfer_left
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class MultiTimeObservable:
     def to_json_dict(self) -> dict:
         return {
             "insertions": [
-                {"step": step, "matrix": complex_to_pairs(op)}
+                {"step": step, "matrix": encode_complex(op)}
                 for step, op in self.insertions
             ]
         }
@@ -68,7 +68,7 @@ class MultiTimeObservable:
     def from_json_dict(doc: dict) -> "MultiTimeObservable":
         items = []
         for entry in doc["insertions"]:
-            flat = pairs_to_complex(entry["matrix"])
+            flat = decode_complex(entry["matrix"])
             dim = int(round(np.sqrt(flat.size)))
             if dim * dim != flat.size:
                 raise ValidationError("operator data is not square")

@@ -144,8 +144,17 @@ def uhlmann_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """F(A, B) = (tr sqrt(sqrt(A) B sqrt(A)))^2 via eigendecomposition."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    wa, va = np.linalg.eigh((a + a.conj().T) / 2.0)
-    sqrt_a = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.conj().T
+    return _fidelity_from_root(_psd_sqrt(a), b)
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Square root of the Hermitian part of ``a``, negative eigenvalues clipped to 0."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def _fidelity_from_root(sqrt_a: np.ndarray, b: np.ndarray) -> float:
+    """(tr sqrt(sqrt_a B sqrt_a))^2: one ``eigvalsh`` once sqrt(A) is known."""
     m = sqrt_a @ b @ sqrt_a
     wm = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     return float(np.sum(np.sqrt(np.clip(wm, 0.0, None))) ** 2)
@@ -307,14 +316,19 @@ def theorem1_check(model: OqeModel, alpha: float, tol: float = 1e-6) -> Theorem1
 def stationarity_onset(
     model: OqeModel, tol: float = 1e-8, max_iter: int = 200_000
 ) -> int:
-    """Smallest n with fidelity(rho_n, rho_st) > 1 - tol."""
+    """Smallest n with fidelity(rho_n, rho_st) > 1 - tol.
+
+    The fidelity is symmetric, so sqrt(rho_st) is taken once and every step
+    costs one ``eigvalsh`` of sqrt(rho_st) rho_n sqrt(rho_st).
+    """
     if not model.time_independent:
         raise ValidationError("stationarity onset requires a time-independent model")
     rho_st, _, _ = stationary_state(model)
+    sqrt_st = _psd_sqrt(np.asarray(rho_st, dtype=np.complex128))
     rho = initial_env_density(model)
     tm = model_transfer_matrix(model)
     for n in range(max_iter + 1):
-        if uhlmann_fidelity(rho, rho_st) > 1.0 - tol:
+        if _fidelity_from_root(sqrt_st, rho) > 1.0 - tol:
             return n
         rho = tm.apply_left(rho)
     raise ConvergenceError(

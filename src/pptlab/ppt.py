@@ -31,9 +31,9 @@ from .models import OqeModel
 from .tensor_ops import (
     as_complex_array,
     closest_isometry,
-    complex_to_pairs,
+    decode_complex,
+    encode_complex,
     fill_unassigned_columns,
-    pairs_to_complex,
     transfer_left,
 )
 
@@ -58,7 +58,9 @@ class PptMps:
     leading_site: np.ndarray | None = None
     initial_vector: np.ndarray | None = None
 
-    FORMAT_VERSION = 1
+    # Version 2 writes complex leaves as base64 complex128 (``encode_complex``);
+    # version 1 wrote [re, im] pairs, which ``decode_complex`` still reads.
+    FORMAT_VERSION = 2
 
     @property
     def n_steps(self) -> int:
@@ -105,21 +107,23 @@ class PptMps:
         for k, t in enumerate(self.sites):
             if t.shape[1] != self.d or t.shape[2] != self.d:
                 raise ValidationError(f"site {k + 1} physical extents {t.shape[1:3]} != d={self.d}")
-        if self.canonical == "right":
-            res = self.right_canonical_residual()
-            if res > tol:
-                raise ValidationError(f"right-canonicality residual {res:.3e} exceeds {tol}")
-        nrm = self.norm()
-        if abs(nrm - 1.0) > tol:
+        # Entries read from a file may be large enough to overflow these sums;
+        # the inf or nan they give fails the comparisons below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = self.right_canonical_residual() if self.canonical == "right" else 0.0
+            nrm = self.norm()
+        if not res <= tol:
+            raise ValidationError(f"right-canonicality residual {res:.3e} exceeds {tol}")
+        if not abs(nrm - 1.0) <= tol:
             raise ValidationError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
 
     def right_canonical_residual(self) -> float:
         """max_n || sum_{o,i} B B^dag - I ||_max over all chain elements but the first."""
-        worst = 0.0
-        for t in self.chain()[1:]:
-            g = np.einsum("aoib,coib->ac", t, t.conj())
-            worst = max(worst, float(np.max(np.abs(g - np.eye(t.shape[0])))))
-        return worst
+        residuals = [
+            np.max(np.abs(np.einsum("aoib,coib->ac", t, t.conj()) - np.eye(t.shape[0])))
+            for t in self.chain()[1:]
+        ]
+        return float(np.max(residuals, initial=0.0))  # np.max keeps a nan
 
     def norm(self) -> float:
         return float(np.sqrt(np.real(overlap(self, self))))
@@ -154,7 +158,7 @@ class PptMps:
         if self.leading_site is not None:
             doc["leading_site"] = _tensor_doc(self.leading_site)
         if self.initial_vector is not None:
-            doc["initial_vector"] = complex_to_pairs(self.initial_vector)
+            doc["initial_vector"] = encode_complex(self.initial_vector)
         return doc
 
     def to_json(self) -> str:
@@ -162,12 +166,15 @@ class PptMps:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "PptMps":
-        """Decode and ``validate`` a PPT document (bonds, norm, canonical claim)."""
-        if doc.get("format_version") != PptMps.FORMAT_VERSION:
+        """Decode and ``validate`` a PPT document (bonds, norm, canonical claim).
+
+        Reads format versions 1 and 2.
+        """
+        if doc.get("format_version") not in (1, PptMps.FORMAT_VERSION):
             raise ValidationError(f"unsupported format version {doc.get('format_version')}")
         sites = tuple(_tensor_from_doc(s) for s in doc["sites"])
         leading = _tensor_from_doc(doc["leading_site"]) if "leading_site" in doc else None
-        nu = pairs_to_complex(doc["initial_vector"]) if "initial_vector" in doc else None
+        nu = decode_complex(doc["initial_vector"]) if "initial_vector" in doc else None
         mps = PptMps(
             sites=sites,
             d=int(doc["d"]),
@@ -184,11 +191,11 @@ class PptMps:
 
 
 def _tensor_doc(t: np.ndarray) -> dict:
-    return {"shape": list(t.shape), "data": complex_to_pairs(t)}
+    return {"shape": list(t.shape), "data": encode_complex(t)}
 
 
 def _tensor_from_doc(doc: dict) -> np.ndarray:
-    return pairs_to_complex(doc["data"], doc["shape"])
+    return decode_complex(doc["data"], doc["shape"])
 
 
 # -- construction ---------------------------------------------------------

@@ -9,6 +9,7 @@ Gram-Schmidt completion of orthonormal columns to a unitary.
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -26,33 +27,58 @@ def as_complex_array(data, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
-def complex_to_pairs(arr) -> list:
-    """JSON form of a complex array: its entries in row-major order as [re, im] pairs."""
-    flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1)
-    return flat.view(np.float64).reshape(-1, 2).tolist()
+def encode_complex(arr) -> str:
+    """JSON form of a complex array: base64 of its row-major entries as
+    little-endian complex128 bytes (``"<c16"``), 16 bytes per entry."""
+    flat = np.ascontiguousarray(arr, dtype="<c16")
+    return base64.b64encode(flat.tobytes()).decode("ascii")
 
 
-def pairs_to_complex(pairs, shape=None) -> np.ndarray:
-    """Inverse of ``complex_to_pairs``: a complex128 array of ``shape`` (1-D if None).
+def decode_complex(data, shape=None) -> np.ndarray:
+    """Inverse of ``encode_complex``: a complex128 array of ``shape`` (1-D if None).
 
-    Each pair is read as the two float64 halves of one complex128, so the
-    round trip is bit exact (signed zeros included).  Anything but a list of
-    numeric [re, im] pairs, an entry count that does not fill ``shape``, or
-    a non-finite entry raises ``ValidationError``.
+    ``data`` is either the base64 string ``encode_complex`` writes or a list
+    of numeric [re, im] pairs, the form hand-written files use; the JSON
+    type of the leaf decides which.  Either way the entries are read as the
+    raw float64 halves of each complex128, so the round trip is bit exact
+    (signed zeros included).  Text that is not strict base64, a byte count
+    that is not a whole number of entries, anything but numeric [re, im]
+    pairs in a list, an entry count that does not fill ``shape``, or a
+    non-finite entry raises ``ValidationError``.
     """
+    flat = _base64_entries(data) if isinstance(data, str) else _pair_entries(data)
+    shape = flat.shape if shape is None else shape
+    # type(n) is int: a JSON true is a bool, which isinstance would take for 1
+    fits = isinstance(shape, (list, tuple)) and all(type(n) is int and n >= 0 for n in shape)
+    if not fits or flat.size != math.prod(shape):
+        raise ValidationError(f"{flat.size} complex entries do not fill shape {shape!r}")
+    return as_complex_array(flat.reshape(shape))
+
+
+def _base64_entries(text: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or non-ASCII text
+        raise ValidationError(f"complex data is not valid base64 ({err})") from None
+    if len(raw) % 16:
+        raise ValidationError(
+            f"complex data holds {len(raw)} bytes, not a multiple of 16 (complex128)"
+        )
+    # astype copies into a native, writable array; frombuffer alone is a read-only view
+    return np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+
+
+def _pair_entries(pairs) -> np.ndarray:
     try:
         arr = np.array(pairs)
         malformed = arr.dtype.kind not in "iuf" or arr.ndim != 2 or arr.shape[1] != 2
     except ValueError:  # ragged nesting
         malformed = True
     if malformed:
-        raise ValidationError("complex data must be a list of numeric [re, im] pairs")
-    flat = arr.astype(np.float64).view(np.complex128).reshape(-1)
-    shape = flat.shape if shape is None else shape
-    fits = isinstance(shape, (list, tuple)) and all(isinstance(n, int) and n >= 0 for n in shape)
-    if not fits or flat.size != math.prod(shape):
-        raise ValidationError(f"{flat.size} complex entries do not fill shape {shape!r}")
-    return as_complex_array(flat.reshape(shape))
+        raise ValidationError(
+            "complex data must be base64 text or a list of numeric [re, im] pairs"
+        )
+    return arr.astype(np.float64).view(np.complex128).reshape(-1)
 
 
 def transfer_left(

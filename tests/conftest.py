@@ -19,6 +19,42 @@ def random_observable(rng, d, n_steps, n_insertions=2):
     )
 
 
+def pair_leaf(arr) -> list:
+    """A complex array as format-1 files stored it: row-major [re, im] pairs."""
+    flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2).tolist()
+
+
+def version_1_ppt_doc(mps) -> dict:
+    """The format-1 document of ``mps``, as the format-1 writer produced it."""
+
+    def tensor(t):
+        return {"shape": list(t.shape), "data": pair_leaf(t)}
+
+    doc = {
+        "format_version": 1,
+        "d": mps.d,
+        "canonical": mps.canonical,
+        "sites": [tensor(t) for t in mps.sites],
+    }
+    if mps.leading_site is not None:
+        doc["leading_site"] = tensor(mps.leading_site)
+    if mps.initial_vector is not None:
+        doc["initial_vector"] = pair_leaf(mps.initial_vector)
+    return doc
+
+
+def version_1_model_doc(model) -> dict:
+    """The model document with [re, im] pair leaves, as format-1 files stored it."""
+    return {
+        "d": model.d,
+        "D": model.D,
+        "time_independent": model.time_independent,
+        "unitaries": [pair_leaf(u) for u in model.unitaries],
+        "initial_state": pair_leaf(model.initial_state),
+    }
+
+
 def embed_environment(model: OqeModel, iso: np.ndarray) -> OqeModel:
     """Lift a model through an environment isometry S (columns orthonormal).
 

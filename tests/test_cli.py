@@ -1,10 +1,21 @@
+import base64
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pptlab import MultiTimeObservable, OqeModel, PptMps, memory, random_separable_model
+from pptlab import MultiTimeObservable, OqeModel, PptMps, cli, memory, random_separable_model
 from pptlab.cli import run
+from pptlab.tensor_ops import decode_complex, encode_complex
+
+from conftest import pair_leaf
 
 
 def read(path):
@@ -229,6 +240,38 @@ class TestConfigAndErrors:
                     "--alpha", "2", "--seed", "1"]) == 1
 
 
+class TestParserCache:
+    """The parser is built once per process and parses as a freshly built one does."""
+
+    def test_cached_parser_matches_fresh_parser(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json", "nmax": 7}))
+        figs2 = ["figs2", "--eta", "0.1", "--nmax", "5", "--seeds", "2"]
+        argvs = [
+            ["build", "--D", "2", "--N", "2", "--seed", "1"],
+            figs2,  # csv by default, a default set on the subparser
+            ["--config", str(cfg), *figs2],  # json from the config file
+            ["build", "--N", "x", "--seed", "1"],  # argparse error
+        ]
+
+        def outcome(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        cli._build_parser.cache_clear()
+        cached = [outcome(argv) for _ in range(2) for argv in argvs]
+        assert cli._build_parser.cache_info().misses == 1
+        assert cached == fresh + fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 1]
+        assert fresh[1][1].startswith("n,mean_infidelity") and fresh[2][1].startswith("[{")
+        assert "invalid int value" in fresh[3][2]
+
+
 class TestTomograph:
     def test_beyond_dense_statevector_size(self, tmp_path):
         # (d^2)^N * D = 2^21 coefficients: more than a dense oracle may hold
@@ -265,17 +308,23 @@ class TestPipeline:
         assert np.allclose(doc["lambdas"], [1 / np.sqrt(2)] * 2, atol=1e-8)
 
 
+def _as_pairs(site):
+    """Rewrite a site's data leaf in [re, im] pair form, so that a test can edit one pair."""
+    site["data"] = pair_leaf(decode_complex(site["data"]))
+    return site["data"]
+
+
 def _set_all_entries(value):
     def mutate(ppt_doc):
         for site in ppt_doc["sites"]:
-            site["data"] = [list(value)] * len(site["data"])
+            site["data"] = [list(value)] * len(_as_pairs(site))
 
     return mutate
 
 
 def _set_entry(index, value):
     def mutate(ppt_doc):
-        ppt_doc["sites"][1]["data"][index] = value
+        _as_pairs(ppt_doc["sites"][1])[index] = value
 
     return mutate
 
@@ -285,6 +334,32 @@ def _set_key(key, value):
         ppt_doc[key] = value
 
     return mutate
+
+
+def _set_bytes(edit):
+    """Replace site 2's data leaf by the base64 text of ``edit(entries)``."""
+
+    def mutate(ppt_doc):
+        site = ppt_doc["sites"][1]
+        raw = edit(decode_complex(site["data"]).astype("<c16").tobytes())
+        site["data"] = base64.b64encode(raw).decode("ascii")
+
+    return mutate
+
+
+def _set_text(edit):
+    """Replace site 2's data leaf by ``edit(text)`` of its base64 text."""
+
+    def mutate(ppt_doc):
+        site = ppt_doc["sites"][1]
+        site["data"] = edit(site["data"])
+
+    return mutate
+
+
+NAN_BYTES = np.array([complex(0.0, np.nan)]).astype("<c16").tobytes()
+INF_BYTES = np.array([complex(np.inf, 1.0)]).astype("<c16").tobytes()
+HUGE_BYTES = np.array([complex(0.0, 2.7e154)]).astype("<c16").tobytes()  # squares overflow
 
 
 class TestMalformedFiles:
@@ -299,8 +374,19 @@ class TestMalformedFiles:
             (_set_key("canonical", "banana"), "canonical form"),
             (_set_all_entries([3.0, 0.0]), "right-canonicality residual"),
             (_set_key("sites", []), "no sites"),
+            (_set_bytes(lambda raw: NAN_BYTES + raw[16:]), "non-finite"),
+            (_set_bytes(lambda raw: raw[:-16] + INF_BYTES), "non-finite"),
+            (_set_text(lambda text: "!" + text[1:]), "not valid base64"),
+            (_set_text(lambda text: text[:-1] + "\u00e9"), "not valid base64"),
+            (_set_text(lambda text: text.rstrip("=")), "not valid base64"),
+            (_set_bytes(lambda raw: raw + bytes(8)), "not a multiple of 16"),
+            (_set_bytes(lambda raw: raw[:-16]), "do not fill shape"),
+            (_set_bytes(lambda raw: raw[:-16] + HUGE_BYTES), "right-canonicality residual"),
         ],
-        ids=["nan", "short_pair", "long_pair", "garbage_canonical", "false_right_claim", "empty"],
+        ids=["nan", "short_pair", "long_pair", "garbage_canonical", "false_right_claim", "empty",
+             "base64_nan", "base64_inf", "base64_bad_char", "base64_non_ascii",
+             "base64_bad_padding", "base64_16k_plus_8_bytes", "base64_short_count",
+             "base64_overflowing_entry"],
     )
     def test_correlate_rejects(self, tmp_path, capsys, mutate, message):
         build_out = tmp_path / "build.json"
@@ -314,11 +400,107 @@ class TestMalformedFiles:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_predict_rejects_long_pair(self, tmp_path, capsys):
-        doc = {"recovered_model": random_separable_model(2, 2, 3).to_json_dict()}
-        doc["recovered_model"]["unitaries"][0][5] = [0.5, 0.0, 0.0]
+    @pytest.mark.parametrize(
+        "leaf, message", [("unitaries", "unitarity"), ("initial_state", "norm")]
+    )
+    def test_predict_rejects_overflowing_entries(self, tmp_path, capsys, leaf, message):
+        model = random_separable_model(2, 2, 3)
+        doc = {"recovered_model": model.to_json_dict()}
+        if leaf == "unitaries":
+            doc["recovered_model"]["unitaries"] = [encode_complex(1e200 * model.unitaries[0])]
+        else:
+            doc["recovered_model"]["initial_state"] = encode_complex(1e200 * model.initial_state)
         report = tmp_path / "report.json"
         report.write_text(json.dumps(doc))
         assert run(["predict", "--report", str(report), "--nfuture", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
+        assert message in captured.err
+
+    def test_predict_rejects_long_pair(self, tmp_path, capsys):
+        doc = {"recovered_model": random_separable_model(2, 2, 3).to_json_dict()}
+        unitaries = doc["recovered_model"]["unitaries"]
+        unitaries[0] = pair_leaf(decode_complex(unitaries[0]))
+        unitaries[0][5] = [0.5, 0.0, 0.0]
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        assert run(["predict", "--report", str(report), "--nfuture", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "[re, im] pairs" in captured.err
+
+
+# -- fuzzing the complex-array leaves of written files ---------------------------
+
+B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _leaf_paths(doc, key):
+    """Paths to the complex-array leaves under ``doc[key]``."""
+    top = doc[key]
+    paths = [(key, "sites", k, "data") for k in range(len(top.get("sites", [])))]
+    paths += [(key, "unitaries", k) for k in range(len(top.get("unitaries", [])))]
+    paths += [(key, leaf) for leaf in ("initial_vector", "initial_state") if leaf in top]
+    return paths
+
+
+@pytest.fixture(scope="module")
+def written_files(tmp_path_factory):
+    """A separable and an entangled ``build`` output and a ``fit`` report, with the
+    subcommand that reads each and the leaves that subcommand decodes."""
+    tmp = tmp_path_factory.mktemp("written")
+    cases = []
+    for name, argv, key, reader in [
+        ("build", ["build", "--D", "2", "--N", "3", "--seed", "1"], "ppt", "correlate"),
+        ("entangled", ["build", "--D", "2", "--N", "3", "--seed", "2", "--entangled"],
+         "ppt", "correlate"),
+        ("fit", ["fit", "--D", "2", "--N", "3", "--seed", "3"], "recovered_model", "predict"),
+    ]:
+        path = tmp / f"{name}.json"
+        assert run(argv + ["--out", str(path)]) == 0
+        doc = json.loads(read(path))
+        cases.append((doc, _leaf_paths(doc, key), reader))
+    return tmp, cases
+
+
+class TestCodecLeafFuzz:
+    """Any value in place of one complex-array leaf exits 0 or 1, never with a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_replaced_leaf_never_escapes(self, written_files, data):
+        tmp, cases = written_files
+        doc, paths, reader = cases[data.draw(st.integers(0, len(cases) - 1), label="file")]
+        path = data.draw(st.sampled_from(paths), label="leaf")
+        *parents, last = path
+        size = len(base64.b64decode(functools.reduce(operator.getitem, path, doc)))
+        value = data.draw(
+            st.one_of(
+                json_values,
+                st.text(alphabet=B64_ALPHABET, max_size=2 * size),
+                st.binary(max_size=2 * size).map(lambda b: base64.b64encode(b).decode()),
+                st.binary(min_size=size, max_size=size).map(lambda b: base64.b64encode(b).decode()),
+                st.lists(st.lists(st.floats(), min_size=1, max_size=3), max_size=size // 16 + 2),
+            ),
+            label="value",
+        )
+        damaged = copy.deepcopy(doc)
+        functools.reduce(operator.getitem, parents, damaged)[last] = value
+        src = tmp / "damaged.json"
+        src.write_text(json.dumps(damaged), encoding="ascii")
+        flag = "--ppt" if reader == "correlate" else "--report"
+        argv = [reader, flag, str(src)] + (["--nfuture", "4"] if reader == "predict" else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (out.getvalue() != "")
+        if code == 0 and reader == "predict":  # what is written must read back
+            PptMps.from_json_dict(json.loads(out.getvalue())["ppt"])

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -150,11 +152,15 @@ class TestOqeModel:
         assert back.entangled
 
     def test_json_schema_fields(self, rng):
-        doc = random_separable_model(2, 2, rng).to_json_dict()
+        model = random_separable_model(2, 2, rng)
+        doc = model.to_json_dict()
         assert set(doc) == {"d", "D", "time_independent", "unitaries", "initial_state"}
         assert doc["time_independent"] is True
-        assert len(doc["unitaries"][0]) == 16
-        assert all(len(pair) == 2 for pair in doc["initial_state"])
+        # complex leaves are base64 text of the row-major little-endian complex128 entries
+        unitary = base64.b64decode(doc["unitaries"][0], validate=True)
+        state = base64.b64decode(doc["initial_state"], validate=True)
+        assert len(unitary) == 16 * 16 and unitary == model.unitaries[0].astype("<c16").tobytes()
+        assert len(state) == 4 * 16 and state == model.initial_state.astype("<c16").tobytes()
 
     def test_time_dependent_unitary_lookup(self, rng):
         model = random_separable_model(2, 2, rng, steps=3)

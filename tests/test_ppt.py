@@ -312,6 +312,8 @@ class TestSerialization:
 
     def test_version_check(self, rng):
         doc = build_ppt(random_separable_model(2, 2, rng), 2).to_json_dict()
-        doc["format_version"] = 99
-        with pytest.raises(ValidationError):
-            PptMps.from_json_dict(doc)
+        assert doc["format_version"] == 2
+        for version in (99, 3, 0, None, "2"):
+            doc["format_version"] = version
+            with pytest.raises(ValidationError, match="unsupported format version"):
+                PptMps.from_json_dict(doc)

@@ -6,7 +6,12 @@ time-independent or time-dependent steps.  The near-identity experiment is
 checked bit for bit against its per-step reference over block edges.
 """
 
+import contextlib
+import io
+import itertools
 import json
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -16,6 +21,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from pptlab import (
     MeasurementOracle,
+    cli,
     memory,
     MultiTimeObservable,
     OqeModel,
@@ -30,9 +36,16 @@ from pptlab import (
 )
 from pptlab.models import random_haar_unitary
 from pptlab.ppt import overlap_matrix
-from pptlab.tensor_ops import complex_to_pairs, pairs_to_complex
+from pptlab.tensor_ops import decode_complex, encode_complex
 
-from conftest import dense_reduced_density, fig_s2_reference, random_observable
+from conftest import (
+    dense_reduced_density,
+    fig_s2_reference,
+    pair_leaf,
+    random_observable,
+    version_1_model_doc,
+    version_1_ppt_doc,
+)
 
 CASES = settings(max_examples=60, deadline=None)
 
@@ -132,17 +145,81 @@ def test_json_round_trips_are_bit_exact(spec, expose):
     assert same_bits(obs.insertions[0][1], obs_back.insertions[0][1])
 
 
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308]
+codec_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
 @CASES
 @given(
     arrays(
         np.complex128,
-        array_shapes(min_dims=1, max_dims=3, max_side=4),
-        elements=st.complex_numbers(allow_nan=False, allow_infinity=False),
+        array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+        elements=st.builds(complex, codec_floats, codec_floats),
     )
 )
 def test_codec_round_trip_is_bit_exact(arr):
-    pairs = json.loads(json.dumps(complex_to_pairs(arr)))
-    assert same_bits(pairs_to_complex(pairs, list(arr.shape)), arr)
+    """Base64 and pair leaves both survive JSON text and decode to the same bits.
+
+    An empty pair list is rejected as malformed (``test_malformed_pairs``),
+    so the pair form is compared on non-empty arrays only.
+    """
+    text = json.loads(json.dumps(encode_complex(arr)))
+    assert same_bits(decode_complex(text, list(arr.shape)), arr)
+    if arr.size:
+        pairs = json.loads(json.dumps(pair_leaf(arr)))
+        assert same_bits(decode_complex(pairs, list(arr.shape)), arr)
+
+
+@CASES
+@given(spec=model_specs, expose=st.booleans())
+def test_version_1_documents_load_bit_identically(spec, expose):
+    model = make_model(spec)
+    back = OqeModel.from_json(json.dumps(version_1_model_doc(model), sort_keys=True))
+    assert all(same_bits(u, v) for u, v in zip(model.unitaries, back.unitaries))
+    assert same_bits(model.initial_state, back.initial_state)
+
+    mps = build_ppt(model, spec["N"], expose_initial_leg=expose)
+    text = json.dumps(version_1_ppt_doc(mps), sort_keys=True, separators=(",", ":"))
+    again = PptMps.from_json(text)
+    assert all(same_bits(s, t) for s, t in zip(mps.chain(), again.chain()))
+    assert (mps.initial_vector is None) == (again.initial_vector is None)
+    if mps.initial_vector is not None:
+        assert same_bits(mps.initial_vector, again.initial_vector)
+    assert again.to_json() == mps.to_json()
+    assert again.to_json_dict()["format_version"] == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=model_specs, expose=st.booleans(), n_insertions=st.integers(0, 3))
+def test_correlate_reads_version_1_and_2_files_alike(spec, expose, n_insertions):
+    """``correlate`` prints the same bytes from a format-1 file with pair
+    leaves and from the format-2 file of the same PPT."""
+    model = make_model(spec)
+    mps = build_ppt(model, spec["N"], expose_initial_leg=expose)
+    rng = np.random.default_rng(spec["seed"])
+    obs = random_observable(rng, spec["d"], spec["N"], min(n_insertions, spec["N"]))
+    obs_pairs = {"insertions": [{"step": s, "matrix": pair_leaf(m)} for s, m in obs.insertions]}
+    docs = {
+        "v1.json": {"model": version_1_model_doc(model), "ppt": version_1_ppt_doc(mps)},
+        "v2.json": {"model": model.to_json_dict(), "ppt": mps.to_json_dict()},
+        "obs1.json": obs_pairs,
+        "obs2.json": obs.to_json_dict(),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            with open(os.path.join(tmp, name), "w", encoding="ascii") as fh:
+                json.dump(doc, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        printed = set()
+        files = itertools.product(["v1.json", "v2.json"], ["obs1.json", "obs2.json"])
+        for ppt_file, obs_file in files:
+            out = io.StringIO()
+            argv = ["correlate", "--ppt", os.path.join(tmp, ppt_file),
+                    "--observable", os.path.join(tmp, obs_file)]
+            with contextlib.redirect_stdout(out):
+                assert cli.run(argv) == 0
+            printed.add(out.getvalue())
+    assert len(printed) == 1
 
 
 @CASES

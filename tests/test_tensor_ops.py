@@ -1,18 +1,38 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
 from pptlab import SingularityError, ValidationError
-from pptlab.tensor_ops import complex_to_pairs, pairs_to_complex, polar_unitary
+from pptlab.tensor_ops import decode_complex, encode_complex, polar_unitary
 from pptlab.models import random_haar_unitary
+
+from conftest import pair_leaf
+
+
+def b64(arr) -> str:
+    return base64.b64encode(np.asarray(arr, dtype="<c16").tobytes()).decode("ascii")
 
 
 class TestComplexCodec:
     def test_signed_zeros_and_extremes_survive(self):
         arr = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1.7e308)])
-        back = pairs_to_complex(json.loads(json.dumps(complex_to_pairs(arr))), [3])
+        back = decode_complex(json.loads(json.dumps(encode_complex(arr))), [3])
         assert back.tobytes() == arr.tobytes()
+        assert back.tobytes() == decode_complex(pair_leaf(arr), [3]).tobytes()
+
+    def test_writes_base64_little_endian_complex128(self):
+        arr = np.array([[1.5 - 2j, -0.0], [3e-310, 1j]])
+        text = encode_complex(arr)
+        assert isinstance(text, str)
+        assert base64.b64decode(text, validate=True) == arr.astype("<c16").tobytes()
+
+    def test_decoded_array_is_native_and_writable(self):
+        back = decode_complex(encode_complex(np.arange(6) * (1 - 1j)), [2, 3])
+        assert back.dtype == np.complex128 and back.dtype.isnative
+        assert back.flags.writeable and back.flags.c_contiguous
+        back[0, 0] = 7.0
 
     @pytest.mark.parametrize(
         "pairs",
@@ -20,17 +40,41 @@ class TestComplexCodec:
     )
     def test_malformed_pairs(self, pairs):
         with pytest.raises(ValidationError):
-            pairs_to_complex(pairs)
+            decode_complex(pairs)
 
-    @pytest.mark.parametrize("shape", [[2, 2], [4], ["3"], 3])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b64([1, 2])[:-1] + "\u00e9", "not valid base64"),
+            (b64([1, 2]).replace("A", "!", 1), "not valid base64"),
+            (b64([1, 2]).replace("A", "-", 1), "not valid base64"),
+            (b64([1, 2]) + "\n", "not valid base64"),
+            (b64([1, 2, 3])[:-1], "not valid base64"),
+            (b64([1, 2]) + "AA==", "not valid base64"),
+            (base64.b64encode(bytes(16 * 2 + 8)).decode(), "not a multiple of 16"),
+            (base64.b64encode(bytes(8)).decode(), "not a multiple of 16"),
+            (None, "base64 text or a list"),
+            ({"re": 1.0, "im": 0.0}, "base64 text or a list"),
+            (True, "base64 text or a list"),
+        ],
+        ids=["non_ascii", "bang", "urlsafe_char", "newline", "bad_padding", "excess_after_padding",
+             "16k_plus_8_bytes", "8_bytes", "null", "dict", "bool"],
+    )
+    def test_malformed_base64(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            decode_complex(text)
+
+    @pytest.mark.parametrize("shape", [[2, 2], [4], ["3"], 3, [True, 3]])
     def test_count_must_fill_shape(self, shape):
-        with pytest.raises(ValidationError):
-            pairs_to_complex([[1.0, 0.0]] * 3, shape)
+        for leaf in (pair_leaf(np.ones(3)), encode_complex(np.ones(3))):
+            with pytest.raises(ValidationError):
+                decode_complex(leaf, shape)
 
     def test_non_finite_entries(self):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValidationError):
-                pairs_to_complex([[1.0, 0.0], [0.0, bad]])
+        for bad in (complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.0, -np.inf)):
+            for form in (pair_leaf, encode_complex):
+                with pytest.raises(ValidationError, match="non-finite"):
+                    decode_complex(form(np.array([1.0, bad])))
 
 
 class TestPolarUnitary:
