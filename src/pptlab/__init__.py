@@ -40,7 +40,6 @@ from .ppt import (
     overlap,
     ppt_to_process_tensor,
     site_tensor_from_unitary,
-    statevector_to_mps,
     to_right_canonical,
 )
 from .memory import (
@@ -96,7 +95,6 @@ __all__ = [
     "mps_to_oqe",
     "ppt_to_process_tensor",
     "site_tensor_from_unitary",
-    "statevector_to_mps",
     "overlap",
     "gauge_fidelity",
     "transfer_matrix",

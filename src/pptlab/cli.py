@@ -102,7 +102,10 @@ def _cmd_correlate(args) -> int:
             obs = correlations.MultiTimeObservable.from_json_dict(json.load(fh))
     else:
         obs = correlations.MultiTimeObservable.create([])
-    value = correlations.expectation(mps, obs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        value = correlations.expectation(mps, obs)
+    if not np.isfinite(value):
+        raise ValidationError(f"expectation value is not finite ({value}): the observable overflows")
     _write_out(_json_dumps({"value": [value.real, value.imag]}), args.out)
     return 0
 
@@ -230,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--seed", type=non_negative_int, required=True, help="RNG seed (mandatory)"
             )
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("build", help="build a random model and its PPT")
     common(p)
@@ -250,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppt", required=True, help="PPT JSON file (or build output)")
     p.add_argument("--observable", help="observable JSON file; omitted = empty insertion list")
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("figs2", help="near-identity convergence experiment")
@@ -261,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-base", dest="seed_base", type=non_negative_int, default=0)
     p.add_argument("--time-dependent", dest="time_dependent", action="store_true")
     p.add_argument("--sample-every", dest="sample_every", type=int, default=1)
-    p.set_defaults(func=_cmd_figs2, format="csv")
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
+    p.set_defaults(func=_cmd_figs2)
 
     p = sub.add_parser("tomograph", help="disentangling reconstruction from measurements")
     common(p)
@@ -283,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="fit/tomograph report JSON")
     p.add_argument("--nfuture", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("reconstruct-entangled", help="recover an entangled initial state")

@@ -93,8 +93,7 @@ def expectation(mps: PptMps, obs: MultiTimeObservable) -> complex:
         raise ValidationError("expectation requires a right-canonical MPS")
     obs.validate(mps.d, mps.n_steps)
     ops = dict(obs.insertions)
-    nu = mps.boundary_vector()
-    env = np.outer(nu.conj(), nu)
+    env = np.ones((1, 1), dtype=np.complex128)
     lead = int(mps.leading_site is not None)  # an exposed initial leg is step 0
     for step, t in enumerate(mps.chain()[: lead + obs.last_step], start=1 - lead):
         env = transfer_left(env, t, t, ops.get(step))

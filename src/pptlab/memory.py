@@ -23,22 +23,25 @@ from .ppt import PptMps, enlarged_site_tensor, site_tensor_from_unitary
 from .tensor_ops import transfer_left, transfer_right
 
 DEGENERACY_GAP = 1e-8
+DENSITY_TOL = 1e-10  # Hermiticity, positivity and trace error allowed in an environment state
+THEOREM1_TOL = 1e-6  # bits by which theorem1_check lets the measured complexity miss
+ONSET_MAX_ITER = 200_000  # steps stationarity_onset takes before giving up
 
 
 # -- environment density operators -----------------------------------------
 
 
-def validate_env_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def validate_env_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, positivity and unit trace of an environment state."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError(f"environment state must be square, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
         raise ValidationError("environment state is not Hermitian")
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if evals.min() < -tol:
+    if evals.min() < -DENSITY_TOL:
         raise ValidationError(f"environment state has negative eigenvalue {evals.min():.3e}")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > DENSITY_TOL:
         raise ValidationError(f"environment state trace deviates from 1 by {abs(np.trace(rho) - 1.0):.3e}")
     return rho
 
@@ -291,7 +294,7 @@ class Theorem1Result:
         return self.report.value_bits
 
 
-def theorem1_check(model: OqeModel, alpha: float, tol: float = 1e-6) -> Theorem1Result:
+def theorem1_check(model: OqeModel, alpha: float) -> Theorem1Result:
     """Compare the measured complexity against its closed-form value.
 
     Separable initial states predict log2(D); entangled ones add the Renyi
@@ -309,13 +312,11 @@ def theorem1_check(model: OqeModel, alpha: float, tol: float = 1e-6) -> Theorem1
     return Theorem1Result(
         report=report,
         predicted=predicted,
-        passed=bool(abs(report.value_bits - predicted) < tol),
+        passed=bool(abs(report.value_bits - predicted) < THEOREM1_TOL),
     )
 
 
-def stationarity_onset(
-    model: OqeModel, tol: float = 1e-8, max_iter: int = 200_000
-) -> int:
+def stationarity_onset(model: OqeModel, tol: float = 1e-8) -> int:
     """Smallest n with fidelity(rho_n, rho_st) > 1 - tol.
 
     The fidelity is symmetric, so sqrt(rho_st) is taken once and every step
@@ -326,13 +327,13 @@ def stationarity_onset(
     rho_st, _, _ = stationary_state(model)
     sqrt_st = _psd_sqrt(np.asarray(rho_st, dtype=np.complex128))
     rho = initial_env_density(model)
-    tm = model_transfer_matrix(model)
-    for n in range(max_iter + 1):
+    site = _model_site(model, 1)
+    for n in range(ONSET_MAX_ITER + 1):
         if _fidelity_from_root(sqrt_st, rho) > 1.0 - tol:
             return n
-        rho = tm.apply_left(rho)
+        rho = transfer_left(rho, site, site)
     raise ConvergenceError(
-        f"environment state did not reach the stationary state in {max_iter} steps",
+        f"environment state did not reach the stationary state in {ONSET_MAX_ITER} steps",
         residual=infidelity(rho, rho_st),
     )
 

@@ -16,9 +16,10 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import ValidationError
-from .tensor_ops import as_complex_array, decode_complex, encode_complex
+from .tensor_ops import as_complex_array, decode_complex, encode_complex, json_int
 
-SCHMIDT_TOL = 1e-8
+SCHMIDT_TOL = 1e-8  # Schmidt coefficients counted by SchmidtForm.rank
+UNITARITY_TOL = 1e-10  # max |U^dag U - I| entry allowed by OqeModel.validate
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class SchmidtForm:
     sys_basis: np.ndarray  # columns are |x_s>
     env_basis: np.ndarray  # columns are |y_s>
 
-    def rank(self, tol: float = SCHMIDT_TOL) -> int:
-        return int(np.count_nonzero(self.lambdas > tol))
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.lambdas > SCHMIDT_TOL))
 
     def assemble(self) -> np.ndarray:
         d = self.sys_basis.shape[0]
@@ -89,7 +90,7 @@ class OqeModel:
     def initial_schmidt(self) -> SchmidtForm:
         return schmidt_decompose(self.initial_state, self.d, self.D)
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         if self.d < 2:
             raise ValidationError(f"system dimension must be >= 2, got {self.d}")
         if self.D < 1:
@@ -102,7 +103,7 @@ class OqeModel:
                 raise ValidationError(f"unitary {n} has shape {u.shape}, expected {(dim, dim)}")
             with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf/nan
                 dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-            if not dev <= tol:
+            if not dev <= UNITARITY_TOL:
                 raise ValidationError(f"unitary {n} deviates from unitarity by {dev:.3e}")
         if self.initial_state.shape != (dim,):
             raise ValidationError(
@@ -129,11 +130,20 @@ class OqeModel:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "OqeModel":
-        d = int(doc["d"])
-        D = int(doc["D"])
+        d = json_int(doc, "d")
+        D = json_int(doc, "D")
+        _check_dimensions(d, D)
         dim = d * D
+        if not isinstance(doc["unitaries"], list):
+            kind = type(doc["unitaries"]).__name__
+            raise ValidationError(f"'unitaries' must be a list, got {kind}")
         us = [decode_complex(u, (dim, dim)) for u in doc["unitaries"]]
-        if doc.get("time_independent", len(us) == 1) and len(us) != 1:
+        time_independent = doc.get("time_independent", len(us) == 1)
+        if not isinstance(time_independent, bool):
+            raise ValidationError(
+                f"'time_independent' must be true or false, got {time_independent!r}"
+            )
+        if time_independent and len(us) != 1:
             raise ValidationError("time_independent document must store exactly one unitary")
         psi = decode_complex(doc["initial_state"], (dim,))
         return OqeModel.create(d, D, us, psi)

@@ -34,12 +34,16 @@ from .tensor_ops import (
     decode_complex,
     encode_complex,
     fill_unassigned_columns,
+    json_int,
     transfer_left,
 )
 
 DENSE_STATE_GUARD = 2**20  # max entries for dense statevector constructions
 PROCESS_TENSOR_GUARD = 4096  # max physical dimension of the dense Choi state
-SCHMIDT_RANK_TOL = 1e-8
+SCHMIDT_RANK_TOL = 1e-8  # Schmidt values counted by memory_size
+CANONICAL_TOL = 1e-10  # right-canonicality residual and norm deviation allowed by validate
+TRUNCATION_TOL = 1e-13  # relative singular value dropped by to_right_canonical
+SPLIT_TOL = 1e-12  # relative singular value dropped by split_block
 CANONICAL_FORMS = ("none", "right", "mixed")
 
 
@@ -49,14 +53,15 @@ class PptMps:
 
     ``sites[n]`` is the rank-4 tensor of step n+1.  ``leading_site``, when
     present, exposes the initial system state as an extra physical leg in
-    front of step 1 (out dimension d, dummy in dimension 1).
+    front of step 1 (out dimension d, dummy in dimension 1).  The initial
+    state sits inside the first chain element, whose left bond is 1, so
+    every sweep starts from the 1 x 1 environment [[1]].
     """
 
     sites: tuple[np.ndarray, ...]
     d: int
     canonical: str = "none"  # none | right | mixed
     leading_site: np.ndarray | None = None
-    initial_vector: np.ndarray | None = None
 
     # Version 2 writes complex leaves as base64 complex128 (``encode_complex``);
     # version 1 wrote [re, im] pairs, which ``decode_complex`` still reads.
@@ -80,29 +85,19 @@ class PptMps:
             return [self.leading_site, *self.sites]
         return list(self.sites)
 
-    def boundary_vector(self) -> np.ndarray:
-        """Coefficient vector contracted into the first left bond."""
-        left = self.chain()[0].shape[0]
-        if self.initial_vector is not None:
-            nu = as_complex_array(self.initial_vector).reshape(-1)
-            if nu.size != left:
-                raise DimensionError(f"initial vector length {nu.size} != left bond {left}")
-            return nu
-        if left != 1:
-            raise DimensionError("first left bond exceeds 1 but no initial vector is stored")
-        return np.ones(1, dtype=np.complex128)
-
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         if self.canonical not in CANONICAL_FORMS:
             raise ValidationError(f"unknown canonical form {self.canonical!r}")
         if not self.sites:
             raise ValidationError("PPT stores no sites")
-        prev = None
+        prev = 1  # the first chain element opens on a left bond of 1
         for k, t in enumerate(self.chain()):
             if t.ndim != 4:
                 raise ValidationError(f"chain element {k} is rank {t.ndim}, expected 4")
-            if prev is not None and t.shape[0] != prev:
-                raise ValidationError(f"bond mismatch entering chain element {k}")
+            if t.shape[0] != prev:
+                raise ValidationError(
+                    f"chain element {k} has left bond {t.shape[0]}, expected {prev}"
+                )
             prev = t.shape[3]
         for k, t in enumerate(self.sites):
             if t.shape[1] != self.d or t.shape[2] != self.d:
@@ -112,9 +107,9 @@ class PptMps:
         with np.errstate(over="ignore", invalid="ignore"):
             res = self.right_canonical_residual() if self.canonical == "right" else 0.0
             nrm = self.norm()
-        if not res <= tol:
-            raise ValidationError(f"right-canonicality residual {res:.3e} exceeds {tol}")
-        if not abs(nrm - 1.0) <= tol:
+        if not res <= CANONICAL_TOL:
+            raise ValidationError(f"right-canonicality residual {res:.3e} exceeds {CANONICAL_TOL}")
+        if not abs(nrm - 1.0) <= CANONICAL_TOL:
             raise ValidationError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
 
     def right_canonical_residual(self) -> float:
@@ -132,15 +127,15 @@ class PptMps:
         n_phys = self.n_steps * 2 + (1 if self.leading_site is not None else 0)
         return self.d**n_phys * self.env_dim
 
-    def to_statevector(self, guard: int = DENSE_STATE_GUARD) -> np.ndarray:
+    def to_statevector(self) -> np.ndarray:
         """Dense coefficient vector over (o_1, i_1, ..., o_N, i_N, env).
 
         With an exposed initial leg the o_0 index comes first.  Index fusion
         is row major throughout.
         """
-        if self.dense_size() > guard:
+        if self.dense_size() > DENSE_STATE_GUARD:
             raise CapacityError(f"dense statevector would hold {self.dense_size()} entries")
-        vec = self.boundary_vector().reshape(1, -1)
+        vec = np.ones((1, 1), dtype=np.complex128)
         for t in self.chain():
             vec = np.einsum("pa,aoib->poib", vec, t)
             vec = vec.reshape(-1, t.shape[3])
@@ -157,8 +152,6 @@ class PptMps:
         }
         if self.leading_site is not None:
             doc["leading_site"] = _tensor_doc(self.leading_site)
-        if self.initial_vector is not None:
-            doc["initial_vector"] = encode_complex(self.initial_vector)
         return doc
 
     def to_json(self) -> str:
@@ -168,19 +161,24 @@ class PptMps:
     def from_json_dict(doc: dict) -> "PptMps":
         """Decode and ``validate`` a PPT document (bonds, norm, canonical claim).
 
-        Reads format versions 1 and 2.
+        Reads format versions 1 and 2.  No version stores an initial vector,
+        so a document with that key is rejected rather than read differently.
         """
         if doc.get("format_version") not in (1, PptMps.FORMAT_VERSION):
             raise ValidationError(f"unsupported format version {doc.get('format_version')}")
+        if "initial_vector" in doc:
+            raise ValidationError(
+                "unsupported key 'initial_vector': a PPT opens on a left bond of 1"
+            )
+        if not isinstance(doc["sites"], list):
+            raise ValidationError(f"'sites' must be a list, got {type(doc['sites']).__name__}")
         sites = tuple(_tensor_from_doc(s) for s in doc["sites"])
         leading = _tensor_from_doc(doc["leading_site"]) if "leading_site" in doc else None
-        nu = decode_complex(doc["initial_vector"]) if "initial_vector" in doc else None
         mps = PptMps(
             sites=sites,
-            d=int(doc["d"]),
+            d=json_int(doc, "d"),
             canonical=doc.get("canonical", "none"),
             leading_site=leading,
-            initial_vector=nu,
         )
         mps.validate()
         return mps
@@ -195,6 +193,8 @@ def _tensor_doc(t: np.ndarray) -> dict:
 
 
 def _tensor_from_doc(doc: dict) -> np.ndarray:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a site must be an object, got {type(doc).__name__}")
     return decode_complex(doc["data"], doc["shape"])
 
 
@@ -277,26 +277,25 @@ def check_isometry(model: OqeModel) -> float:
 # -- canonical forms ------------------------------------------------------
 
 
-def to_right_canonical(mps: PptMps, truncation_tol: float = 1e-13) -> PptMps:
+def to_right_canonical(mps: PptMps) -> PptMps:
     """Right-canonicalise by an SVD sweep from the last chain element.
 
-    Singular values below ``truncation_tol`` (relative to the largest on
+    Singular values below ``TRUNCATION_TOL`` (relative to the largest on
     each bond) are dropped, so exactly-degenerate bonds shrink.  The state
     is renormalised; a numerically zero norm raises.
     """
     chain = [t.astype(np.complex128, copy=True) for t in mps.chain()]
-    boundary = mps.boundary_vector()
     for k in range(len(chain) - 1, 0, -1):
         t = chain[k]
         l, do, di, r = t.shape
         mat = t.reshape(l, do * di * r)
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        keep = int(np.count_nonzero(s > truncation_tol * (s[0] if s.size else 0.0)))
+        keep = int(np.count_nonzero(s > TRUNCATION_TOL * (s[0] if s.size else 0.0)))
         keep = max(keep, 1)
         chain[k] = vh[:keep].reshape(keep, do, di, r)
         carry = u[:, :keep] * s[:keep]
         chain[k - 1] = np.einsum("aoib,bk->aoik", chain[k - 1], carry)
-    head = np.einsum("a,aoib->oib", boundary, chain[0])[np.newaxis]
+    head = np.einsum("pa,aoib->poib", np.ones((1, 1), dtype=np.complex128), chain[0])
     nrm = float(np.linalg.norm(head))
     if nrm < 1e-12:
         raise DegenerateStateError("state has numerically zero norm")
@@ -308,20 +307,21 @@ def to_right_canonical(mps: PptMps, truncation_tol: float = 1e-13) -> PptMps:
     return PptMps(sites=tuple(chain), d=mps.d, canonical="right")
 
 
-def memory_size(mps: PptMps, tol: float = SCHMIDT_RANK_TOL) -> int:
+def memory_size(mps: PptMps) -> int:
     """Maximal Schmidt rank over all bipartition cuts of the PPT.
 
     This equals the environment size of the minimal evolution model that
-    reproduces the same process.  Schmidt values are counted above ``tol``.
+    reproduces the same process.  Schmidt values are counted above
+    ``SCHMIDT_RANK_TOL``.
     """
     work = mps if mps.canonical == "right" else to_right_canonical(mps)
-    carry = work.boundary_vector().reshape(1, -1)
+    carry = np.ones((1, 1), dtype=np.complex128)
     best = 1
     for t in work.chain():
         block = np.einsum("pa,aoib->poib", carry, t)
         mat = block.reshape(-1, t.shape[3])
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        best = max(best, int(np.count_nonzero(s > tol)))
+        best = max(best, int(np.count_nonzero(s > SCHMIDT_RANK_TOL)))
         carry = s[:, np.newaxis] * vh  # mixed-canonical carry onto the next bond
     return best
 
@@ -407,7 +407,7 @@ def overlap_matrix(a: PptMps, b: PptMps) -> np.ndarray:
     ca, cb = a.chain(), b.chain()
     if len(ca) != len(cb) or a.d != b.d:
         raise DimensionError("overlap requires PPTs of equal length and system dimension")
-    env = np.outer(a.boundary_vector().conj(), b.boundary_vector())
+    env = np.ones((1, 1), dtype=np.complex128)
     for ta, tb in zip(ca, cb):
         env = transfer_left(env, ta, tb)
     return env
@@ -434,39 +434,15 @@ def gauge_fidelity(a: PptMps, b: PptMps) -> float:
     return float((np.sum(s) / (na * nb)) ** 2)
 
 
-def statevector_to_mps(
-    vec: np.ndarray,
-    d: int,
-    N: int,
-    env_dim: int,
-    tol: float = 1e-12,
-    max_bond: int | None = None,
-) -> PptMps:
-    """Right-canonical MPS from a dense vector over (o_1, i_1, ..., o_N, i_N, env).
-
-    ``max_bond`` caps every internal bond, compressing noisy states back
-    onto the manifold of the given environment dimension.
-    """
-    vec = as_complex_array(vec).reshape(-1)
-    if vec.size != (d * d) ** N * env_dim:
-        raise DimensionError(f"vector length {vec.size} incompatible with N={N}, env={env_dim}")
-    sites = split_block(vec.reshape(1, -1, env_dim), d, N, tol, max_bond)
-    nrm = float(np.linalg.norm(sites[0]))
-    if nrm < 1e-12:
-        raise DegenerateStateError("state has numerically zero norm")
-    sites[0] = sites[0] / nrm
-    return PptMps(sites=tuple(sites), d=d, canonical="right")
-
-
 def split_block(
-    block: np.ndarray, d: int, n_sites: int, tol: float = 1e-12, max_bond: int | None = None
+    block: np.ndarray, d: int, n_sites: int, max_bond: int | None = None
 ) -> list[np.ndarray]:
     """Split a block (left bond, (d^2)^n_sites, right bond) into ``n_sites``
     site tensors by SVDs from the right.
 
     Every site but the first is a row block of an SVD's V^dag and hence
     right-canonical; the first carries the singular values.  On each bond
-    the singular values above ``tol`` times the largest are kept, at most
+    the singular values above ``SPLIT_TOL`` times the largest are kept, at most
     ``max_bond`` of them and at least one.
     """
     left, _, bond = block.shape
@@ -474,7 +450,7 @@ def split_block(
     work = block
     for n in range(n_sites - 1, 0, -1):
         u, s, vh = np.linalg.svd(work.reshape(-1, d * d * bond), full_matrices=False)
-        keep = max(int(np.count_nonzero(s > tol * s[0])), 1)
+        keep = max(int(np.count_nonzero(s > SPLIT_TOL * s[0])), 1)
         if max_bond is not None:
             keep = min(keep, max_bond)
         sites[n] = vh[:keep].reshape(keep, d, d, bond)

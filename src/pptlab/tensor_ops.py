@@ -2,9 +2,9 @@
 
 All routines operate on plain ``numpy.ndarray`` objects in complex double
 precision and are pure functions of their inputs: input coercion, the JSON
-codec for complex arrays, the two transfer contractions every MPS sweep is
-built from, polar and isometric projections by SVD, and deterministic
-Gram-Schmidt completion of orthonormal columns to a unitary.
+codec for complex arrays and integer keys, the two transfer contractions
+every MPS sweep is built from, polar and isometric projections by SVD, and
+deterministic Gram-Schmidt completion of orthonormal columns to a unitary.
 """
 
 from __future__ import annotations
@@ -79,6 +79,15 @@ def _pair_entries(pairs) -> np.ndarray:
             "complex data must be base64 text or a list of numeric [re, im] pairs"
         )
     return arr.astype(np.float64).view(np.complex128).reshape(-1)
+
+
+def json_int(doc: dict, key: str) -> int:
+    """``doc[key]`` when it is a JSON integer; anything else (a JSON ``true``
+    included, which Python reads as a bool) raises ``ValidationError``."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ValidationError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def transfer_left(

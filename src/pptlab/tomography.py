@@ -61,7 +61,11 @@ from .tensor_ops import (
     transfer_right,
 )
 
-SUPPORT_TOL = 1e-10
+SUPPORT_TOL = 1e-10  # window eigenvalues counted as support by disentangle_reconstruct
+FIT_MAX_ITER = 400  # gradient steps tried per variational_fit restart
+FIT_SUCCESS_TOL = 1e-10  # variational_fit loss below which a fit has converged
+OUTCOME_TOL = 1e-6  # initial Schmidt coefficients kept as measurement outcomes
+BRANCH_FIT_TOL = 1e-9  # exact-mode loss allowed for a conditional branch fit
 
 
 # -- measurement oracle ------------------------------------------------------
@@ -330,7 +334,6 @@ def disentangle_reconstruct(
     N: int,
     D_bound: int,
     entangled_initial: bool = False,
-    support_tol: float = SUPPORT_TOL,
 ) -> ReconstructionReport:
     """Reconstruct the PPT through the sliding-window disentangling circuit.
 
@@ -358,7 +361,7 @@ def disentangle_reconstruct(
     for j in range(1, f + 1):
         rho_w = oracle.reduced_density((j, j + R - 1), circuit=gates)
         evals, vecs = _eigh_descending(rho_w)
-        n_support = int(np.count_nonzero(evals > support_tol))
+        n_support = int(np.count_nonzero(evals > SUPPORT_TOL))
         n_support = max(n_support, 1)
         if n_support > limit:
             if oracle.mode == "exact":
@@ -378,7 +381,7 @@ def disentangle_reconstruct(
     if f < N:
         rho_tail = oracle.reduced_density((f + 1, N), circuit=gates)
         evals, vecs = _eigh_descending(rho_tail)
-        keep = int(np.count_nonzero(evals > max(support_tol, 0.0)))
+        keep = int(np.count_nonzero(evals > SUPPORT_TOL))
         keep = min(max(keep, 1), limit)
         lam = np.sqrt(np.clip(evals[:keep], 0.0, None))
         lam = lam / np.linalg.norm(lam)
@@ -441,9 +444,9 @@ def _ansatz_sites(u_list, d: int, D: int, n_steps: int) -> list[np.ndarray]:
     return sites
 
 
-def _forward_envs(target_chain, boundary, ansatz_sites):
+def _forward_envs(target_chain, ansatz_sites):
     """Left environments: envs[n] contracts the first n sites of target and ansatz."""
-    env = np.outer(boundary.conj(), np.ones(1, dtype=np.complex128))
+    env = np.ones((1, 1), dtype=np.complex128)
     envs = [env]
     for tn, an in zip(target_chain, ansatz_sites):
         env = transfer_left(env, tn, an)
@@ -471,7 +474,7 @@ def _unitary_gradient(left, target_site, right):
 def _fit_overlap_and_grads(target: PptMps, u_list, of, d, D, shared: bool):
     chain = target.chain()
     sites = _ansatz_sites(u_list, d, D, len(chain))
-    fwd = _forward_envs(chain, target.boundary_vector(), sites)
+    fwd = _forward_envs(chain, sites)
     overlap = complex(np.einsum("pq,pq", fwd[-1], of))
     grads_u = _backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
     return overlap, grads_u, fwd[-1]
@@ -511,8 +514,6 @@ def variational_fit(
     time_independent: bool,
     seed=0,
     warm_start: tuple[list[np.ndarray], np.ndarray] | None = None,
-    max_iter: int = 400,
-    success_tol: float = 1e-10,
     n_restarts: int = 5,
 ) -> ReconstructionReport:
     """Fit parametric step unitaries (plus a final environment unitary) to a
@@ -556,10 +557,10 @@ def variational_fit(
         else:  # fresh random basins
             u_list = [random_haar_unitary(u.shape[0], rng) for u in u0]
         of_box = [of0.copy()]
-        trace = _descend(target, u_list, of_box, d, D, time_independent, nt2, max_iter)
+        trace = _descend(target, u_list, of_box, d, D, time_independent, nt2)
         if best is None or trace[-1] < best[0]:
             best = (trace[-1], [u.copy() for u in u_list], of_box[0].copy(), trace)
-        if best[0] < success_tol:
+        if best[0] < FIT_SUCCESS_TOL:
             break
 
     loss, u_list, of, trace = best
@@ -568,7 +569,7 @@ def variational_fit(
     psi0[0] = 1.0
     model = OqeModel.create(d, D, u_list, psi0)
     note = "ansatz initial state fixed to |0>; recovered unitaries carry an environment gauge"
-    converged = loss < success_tol
+    converged = loss < FIT_SUCCESS_TOL
     if not converged:
         note += f"; stalled at loss {loss:.3e} after {n_restarts} restarts"
     return ReconstructionReport(
@@ -582,7 +583,7 @@ def variational_fit(
     )
 
 
-def _descend(target, u_list, of_box, d, D, shared, nt2, max_iter) -> list[float]:
+def _descend(target, u_list, of_box, d, D, shared, nt2) -> list[float]:
     """Gradient descent on the step unitaries with polar retraction.
 
     The final environment unitary enters the overlap linearly, so it is set
@@ -590,11 +591,10 @@ def _descend(target, u_list, of_box, d, D, shared, nt2, max_iter) -> list[float]
     taken at that point is the gradient of the envelope.
     """
     chain = target.chain()
-    boundary = target.boundary_vector()
 
     def evaluate(ul):
         sites = _ansatz_sites(ul, d, D, len(chain))
-        fwd = _forward_envs(chain, boundary, sites)
+        fwd = _forward_envs(chain, sites)
         of, nuclear = _optimal_final_unitary(fwd[-1])
         return nt2 + 1.0 - 2.0 * nuclear, of, sites, fwd
 
@@ -602,7 +602,7 @@ def _descend(target, u_list, of_box, d, D, shared, nt2, max_iter) -> list[float]
     grads = _backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
     step = 0.2
     trace = [loss]
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         if loss < 1e-14 or step < 1e-12:
             break
         cand_u = [_retract(u, g.conj(), step) for u, g in zip(u_list, grads)]
@@ -683,8 +683,6 @@ def predict_future(report: ReconstructionReport, n_future: int) -> PptMps:
 def reconstruct_entangled_initial(
     oracle: MeasurementOracle,
     D_bound: int | None = None,
-    outcome_tol: float = 1e-6,
-    fit_tol: float = 1e-9,
 ) -> tuple[SchmidtForm, OqeModel]:
     """Recover an entangled initial state together with the step unitaries.
 
@@ -703,7 +701,7 @@ def reconstruct_entangled_initial(
     rho_s = oracle.initial_system_state()
     evals, xs = _eigh_descending(rho_s)
     lam = np.sqrt(np.clip(evals, 0.0, None))
-    n_out = max(int(np.count_nonzero(lam > outcome_tol)), 1)
+    n_out = max(int(np.count_nonzero(lam > OUTCOME_TOL)), 1)
     lam = lam[:n_out] / np.linalg.norm(lam[:n_out])
     xs = xs[:, :n_out]
     if D_bound is None:
@@ -726,7 +724,7 @@ def reconstruct_entangled_initial(
         cond, _ = oracle.conditional(xs[:, s])
         rep = disentangle_reconstruct(cond, oracle.n_steps, D_bound)
         inj, loss = _fit_branch_injection(rep.recovered_mps, later_sites, d, D0)
-        if loss > fit_tol and oracle.mode == "exact":
+        if loss > BRANCH_FIT_TOL and oracle.mode == "exact":
             raise ConvergenceError(
                 f"recovered {s}/{n_out} outcomes; the conditional fit for outcome {s} "
                 f"stalled at loss {loss:.3e}",
@@ -769,14 +767,13 @@ def _fit_branch_injection(target: PptMps, later_sites, d: int, D: int):
     nt2 = target.norm() ** 2
     of = np.eye(D, dtype=np.complex128)
     loss = np.inf
-    boundary = target.boundary_vector()
-    left = np.outer(boundary.conj(), np.ones(1, dtype=np.complex128))
+    left = np.ones((1, 1), dtype=np.complex128)
     for _ in range(100):
         right = _backward_envs(chain[1:], later_sites, of)[0]
         grad_inj = _unitary_gradient(left, chain[0], right)
         inj = closest_isometry(grad_inj.conj())
         first = (inj.reshape(d, D, d) / np.sqrt(d)).transpose(0, 2, 1)  # (o, i, b)
-        env = _forward_envs(chain, boundary, [first[np.newaxis], *later_sites])[-1]
+        env = _forward_envs(chain, [first[np.newaxis], *later_sites])[-1]
         of, nuclear = _optimal_final_unitary(env)
         loss, prev = nt2 + 1.0 - 2.0 * nuclear, loss
         if abs(prev - loss) < 1e-15:

@@ -39,8 +39,6 @@ def version_1_ppt_doc(mps) -> dict:
     }
     if mps.leading_site is not None:
         doc["leading_site"] = tensor(mps.leading_site)
-    if mps.initial_vector is not None:
-        doc["initial_vector"] = pair_leaf(mps.initial_vector)
     return doc
 
 

@@ -233,6 +233,26 @@ class TestConfigAndErrors:
                     "--time-dependent", "--out", str(b)]) == 0
         assert read(a) == read(b)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--N", "3", "--seed", "1"],
+            ["complexity", "--seed", "1"],
+            ["correlate", "--ppt", "build.json"],
+            ["predict", "--report", "report.json", "--nfuture", "3"],
+        ],
+        ids=["build", "complexity", "correlate", "predict"],
+    )
+    def test_format_is_a_figs2_flag_only(self, tmp_path, capsys, argv):
+        assert run(argv + ["--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --format csv" in captured.err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        assert run(["--config", str(cfg), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "does not match any flag" in captured.err
+
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_flag": 1}))
@@ -249,7 +269,7 @@ class TestParserCache:
         figs2 = ["figs2", "--eta", "0.1", "--nmax", "5", "--seeds", "2"]
         argvs = [
             ["build", "--D", "2", "--N", "2", "--seed", "1"],
-            figs2,  # csv by default, a default set on the subparser
+            figs2,  # csv by default
             ["--config", str(cfg), *figs2],  # json from the config file
             ["build", "--N", "x", "--seed", "1"],  # argparse error
         ]
@@ -336,6 +356,13 @@ def _set_key(key, value):
     return mutate
 
 
+def _copy_site(src, dst):
+    def mutate(ppt_doc):
+        ppt_doc["sites"][dst] = ppt_doc["sites"][src]
+
+    return mutate
+
+
 def _set_bytes(edit):
     """Replace site 2's data leaf by the base64 text of ``edit(entries)``."""
 
@@ -382,11 +409,18 @@ class TestMalformedFiles:
             (_set_bytes(lambda raw: raw + bytes(8)), "not a multiple of 16"),
             (_set_bytes(lambda raw: raw[:-16]), "do not fill shape"),
             (_set_bytes(lambda raw: raw[:-16] + HUGE_BYTES), "right-canonicality residual"),
+            (_set_key("d", "x"), "'d' must be an integer"),
+            (_set_key("d", True), "'d' must be an integer"),
+            (_set_key("sites", 5), "'sites' must be a list"),
+            (_set_key("sites", [5]), "a site must be an object"),
+            (_copy_site(1, 0), "chain element 0 has left bond 2, expected 1"),
+            (_set_key("initial_vector", encode_complex(np.ones(1))), "'initial_vector'"),
         ],
         ids=["nan", "short_pair", "long_pair", "garbage_canonical", "false_right_claim", "empty",
              "base64_nan", "base64_inf", "base64_bad_char", "base64_non_ascii",
              "base64_bad_padding", "base64_16k_plus_8_bytes", "base64_short_count",
-             "base64_overflowing_entry"],
+             "base64_overflowing_entry", "text_d", "true_d", "int_sites", "int_site",
+             "first_left_bond_2", "initial_vector"],
     )
     def test_correlate_rejects(self, tmp_path, capsys, mutate, message):
         build_out = tmp_path / "build.json"
@@ -417,6 +451,40 @@ class TestMalformedFiles:
         assert captured.out == "" and "Traceback" not in captured.err
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("d", "x", "'d' must be an integer"),
+            ("D", True, "'D' must be an integer"),
+            ("d", -2, "need d >= 2"),
+            ("unitaries", 5, "'unitaries' must be a list"),
+            ("time_independent", "yes", "'time_independent' must be true or false"),
+        ],
+        ids=["text_d", "true_D", "negative_d", "int_unitaries", "text_time_independent"],
+    )
+    def test_predict_rejects_malformed_keys(self, tmp_path, capsys, key, value, message):
+        doc = {"recovered_model": random_separable_model(2, 2, 3).to_json_dict()}
+        doc["recovered_model"][key] = value
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        assert run(["predict", "--report", str(report), "--nfuture", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert message in captured.err
+
+    def test_correlate_rejects_overflowing_value(self, tmp_path, capsys):
+        build_out = tmp_path / "build.json"
+        assert run(["build", "--D", "2", "--N", "3", "--seed", "1", "--out", str(build_out)]) == 0
+        huge = 1e300 * np.eye(4)
+        obs = tmp_path / "obs.json"
+        obs.write_text(MultiTimeObservable.create([(1, huge), (2, huge)]).to_json())
+        out = tmp_path / "value.json"
+        argv = ["correlate", "--ppt", str(build_out), "--observable", str(obs), "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_predict_rejects_long_pair(self, tmp_path, capsys):
         doc = {"recovered_model": random_separable_model(2, 2, 3).to_json_dict()}
         unitaries = doc["recovered_model"]["unitaries"]
@@ -446,7 +514,7 @@ def _leaf_paths(doc, key):
     top = doc[key]
     paths = [(key, "sites", k, "data") for k in range(len(top.get("sites", [])))]
     paths += [(key, "unitaries", k) for k in range(len(top.get("unitaries", [])))]
-    paths += [(key, leaf) for leaf in ("initial_vector", "initial_state") if leaf in top]
+    paths += [(key, "initial_state")] if "initial_state" in top else []
     return paths
 
 

@@ -31,7 +31,6 @@ from pptlab import (
     expectation,
     random_entangled_model,
     random_separable_model,
-    statevector_to_mps,
     transfer_matrix,
 )
 from pptlab.models import random_haar_unitary
@@ -93,16 +92,6 @@ def test_overlap_matrix_matches_dense_contraction(spec, D_other, expose):
     va = a.to_statevector().reshape(-1, a.env_dim)
     vb = b.to_statevector().reshape(-1, b.env_dim)
     assert np.max(np.abs(overlap_matrix(a, b) - va.conj().T @ vb)) < 1e-12
-
-
-@CASES
-@given(spec=model_specs)
-def test_statevector_to_mps_round_trip(spec):
-    mps = build_ppt(make_model(spec), spec["N"])
-    vec = mps.to_statevector()
-    back = statevector_to_mps(vec, spec["d"], spec["N"], mps.env_dim)
-    back.validate()  # unit norm and the right-canonical claim
-    assert np.max(np.abs(back.to_statevector() - vec)) < 1e-12
 
 
 @CASES
@@ -183,9 +172,6 @@ def test_version_1_documents_load_bit_identically(spec, expose):
     text = json.dumps(version_1_ppt_doc(mps), sort_keys=True, separators=(",", ":"))
     again = PptMps.from_json(text)
     assert all(same_bits(s, t) for s, t in zip(mps.chain(), again.chain()))
-    assert (mps.initial_vector is None) == (again.initial_vector is None)
-    if mps.initial_vector is not None:
-        assert same_bits(mps.initial_vector, again.initial_vector)
     assert again.to_json() == mps.to_json()
     assert again.to_json_dict()["format_version"] == 2
 
