@@ -18,6 +18,7 @@ import numpy as np
 
 from . import correlations, memory, models, ppt, tomography
 from .exceptions import ConvergenceError, PptlabError, ValidationError
+from .tensor_ops import json_object
 
 
 def _json_dumps(doc) -> str:
@@ -34,12 +35,22 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def non_negative_int(text) -> int:
-    """Argparse type of the seed flags."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def int_at_least(low: int):
+    """Argparse type: an integer of at least ``low``.  Argparse names the
+    flag in the message of a value it rejects ("argument --N: ...")."""
+
+    def parse(text) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports text that is no integer as "invalid int value"
+    return parse
+
+
+non_negative_int = int_at_least(0)  # the seed flags and --shots
+positive_int = int_at_least(1)  # --N, --nfuture, --dbound, --checks, --sample-every
 
 
 def _parse_floats(text) -> list[float]:
@@ -95,7 +106,7 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_correlate(args) -> int:
     with open(args.ppt, encoding="ascii") as fh:
-        doc = json.load(fh)
+        doc = json_object(json.load(fh), "a PPT file")
     mps = ppt.PptMps.from_json_dict(doc["ppt"] if "ppt" in doc else doc)
     if args.observable:
         with open(args.observable, encoding="ascii") as fh:
@@ -111,8 +122,6 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_figs2(args) -> int:
-    if args.sample_every < 1:
-        raise ValidationError(f"--sample-every must be at least 1, got {args.sample_every}")
     seeds = [args.seed_base + k for k in range(args.seeds)]
     points = None
     if args.sample_every > 1:
@@ -143,8 +152,6 @@ def _cmd_tomograph(args) -> int:
     oracle = tomography.MeasurementOracle(
         model, args.N, mode=mode, shots=args.shots or None, seed=args.oracle_seed
     )
-    if args.dbound is not None and args.dbound < 1:
-        raise ValidationError(f"--dbound must be at least 1, got {args.dbound}")
     dbound = model.D if args.dbound is None else args.dbound
     report = tomography.disentangle_reconstruct(
         oracle, args.N, dbound, entangled_initial=model.entangled
@@ -169,7 +176,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     with open(args.report, encoding="ascii") as fh:
-        doc = json.load(fh)
+        doc = json_object(json.load(fh), "a report file")
     if "recovered_model" not in doc:
         raise ValidationError("report file carries no recovered model")
     model = models.OqeModel.from_json_dict(doc["recovered_model"])
@@ -181,8 +188,6 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_reconstruct_entangled(args) -> int:
-    if args.checks < 1:
-        raise ValidationError(f"--checks must be at least 1, got {args.checks}")
     lam = _parse_lambdas(args.lambdas)
     model = models.random_entangled_model(args.d, args.D, args.seed, lambdas=lam)
     oracle = tomography.MeasurementOracle(model, args.N)
@@ -236,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a random model and its PPT")
     common(p)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=positive_int, required=True)
     p.add_argument("--entangled", action="store_true")
     p.add_argument("--lambdas", help="comma list of Schmidt weights (squared), e.g. 0.9,0.1")
     p.set_defaults(func=_cmd_build)
@@ -261,15 +266,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, required=True, help="ensemble size")
     p.add_argument("--seed-base", dest="seed_base", type=non_negative_int, default=0)
     p.add_argument("--time-dependent", dest="time_dependent", action="store_true")
-    p.add_argument("--sample-every", dest="sample_every", type=int, default=1)
+    p.add_argument("--sample-every", dest="sample_every", type=positive_int, default=1)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(func=_cmd_figs2)
 
     p = sub.add_parser("tomograph", help="disentangling reconstruction from measurements")
     common(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--dbound", type=int, help="environment bound (default: true D)")
-    p.add_argument("--shots", type=int, default=0, help="sampled mode shot budget (0 = exact)")
+    p.add_argument("--N", type=positive_int, required=True)
+    p.add_argument("--dbound", type=positive_int, help="environment bound (default: true D)")
+    p.add_argument(
+        "--shots", type=non_negative_int, default=0, help="sampled mode shot budget (0 = exact)"
+    )
     p.add_argument("--oracle-seed", dest="oracle_seed", type=non_negative_int, default=0)
     p.add_argument("--entangled", action="store_true")
     p.add_argument("--lambdas")
@@ -277,21 +284,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="variationally fit step unitaries to a built PPT")
     common(p)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=positive_int, required=True)
     p.add_argument("--time-dependent", dest="time_dependent", action="store_true")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="extend a fitted time-independent model")
     p.add_argument("--report", required=True, help="fit/tomograph report JSON")
-    p.add_argument("--nfuture", type=int, required=True)
+    p.add_argument("--nfuture", type=positive_int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("reconstruct-entangled", help="recover an entangled initial state")
     common(p)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=positive_int, required=True)
     p.add_argument("--lambdas")
-    p.add_argument("--checks", type=int, default=20, help="validation expectations")
+    p.add_argument("--checks", type=positive_int, default=20, help="validation expectations")
     p.set_defaults(func=_cmd_reconstruct_entangled)
 
     return parser

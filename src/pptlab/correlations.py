@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import CapacityError, DimensionError, ValidationError
 from .models import OqeModel
 from .ppt import DENSE_STATE_GUARD, PptMps
-from .tensor_ops import decode_complex, encode_complex, transfer_left
+from .tensor_ops import decode_complex, encode_complex, json_int, json_object, transfer_left
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,19 @@ class MultiTimeObservable:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "MultiTimeObservable":
+        """Decode an observable document: an object whose ``insertions`` is a
+        list of objects, each with an integer ``step`` and a square ``matrix``."""
+        insertions = json_object(doc, "an observable document")["insertions"]
+        if not isinstance(insertions, list):
+            raise ValidationError(f"'insertions' must be a list, got {type(insertions).__name__}")
         items = []
-        for entry in doc["insertions"]:
+        for entry in insertions:
+            json_object(entry, "an insertion")
             flat = decode_complex(entry["matrix"])
             dim = int(round(np.sqrt(flat.size)))
             if dim * dim != flat.size:
                 raise ValidationError("operator data is not square")
-            items.append((int(entry["step"]), flat.reshape(dim, dim)))
+            items.append((json_int(entry, "step"), flat.reshape(dim, dim)))
         return MultiTimeObservable.create(items)
 
     @staticmethod

@@ -175,41 +175,81 @@ def stationary_state(
 ) -> tuple[np.ndarray, int, bool]:
     """Stationary environment state lim_n Phi^n(rho0) of a time-independent process.
 
-    The limit is the projection of ``rho0`` onto the eigenvalue-1
-    eigenspace of the left transfer matrix: one dense eigendecomposition
-    L = V diag(lam) V^-1, one solve for the eigen-coefficients c = V^-1
-    vec(rho0), and the sum of c_k v_k over lam_k = 1.  When that eigenvalue
-    is non-degenerate this is the unit-trace dominant eigenvector, whatever
-    ``rho0``; for entangled initial states the peripheral spectrum is
-    degenerate and the limit depends on ``rho0``.  A component of ``rho0``
-    on another unit-modulus eigenvalue never decays, so the limit does not
-    exist and ``ConvergenceError`` is raised with that component's norm as
-    the residual.  Returns ``(rho_st, steps, degenerate)``; ``steps`` is
-    always 0 (nothing is iterated) and ``degenerate`` flags a dominant
-    eigenvalue magnitude shared within ``DEGENERACY_GAP``.
+    Everything is solved on the base site B with bond D: the last MPS site,
+    or the model's step site.  An entangled model's enlarged site is
+    I_d (x) B, so each D x D block (s, t) of ``rho0`` evolves under the base
+    channel on its own, and the limit is the eigenvalue-1 projection P_1 of
+    the base left action applied to every block.
+
+    When D^2 exceeds ``_DENSE_MAX_ENTRIES`` the base fixed point sigma and
+    the gap |lambda_2| come from Arnoldi iterations on ``transfer_left``
+    (``_krylov_fixed_point``); if eigenvalue 1 is simple and alone on the
+    unit circle, P_1(X) = sigma tr X and the limit is tr_E rho0 (x) sigma.
+    Otherwise (small D, a degenerate peripheral spectrum, a dominant
+    eigenvalue other than 1, or no Arnoldi convergence) the dense projection
+    runs: one eigendecomposition L = V diag(lam) V^-1 of the base left
+    matrix, one solve for the eigen-coefficients of every block, and the sum
+    of c_k v_k over lam_k = 1.
+    A component of ``rho0`` on another unit-modulus eigenvalue never decays,
+    so the limit does not exist and ``ConvergenceError`` is raised with that
+    component's norm as the residual; so is a map with no eigenvalue 1.
+    Returns ``(rho_st, steps, degenerate)``; ``steps`` is always 0 (nothing
+    is iterated) and ``degenerate`` flags a dominant eigenvalue magnitude
+    shared within ``DEGENERACY_GAP``, which an entangled model's enlarged
+    spectrum always has (it repeats every base eigenvalue d^2 times).
     """
     if isinstance(mps_or_model, PptMps):
-        sites = mps_or_model.sites
-        tm = transfer_matrix(sites[-1])
+        site = np.asarray(mps_or_model.sites[-1], dtype=np.complex128)
+        blocks = 1
         if rho0 is None:
             raise ValidationError("rho0 is required when passing a bare MPS")
     else:
         model: OqeModel = mps_or_model
         if not model.time_independent:
             raise ValidationError("stationary analysis requires a time-independent model")
-        tm = model_transfer_matrix(model)
+        site = site_tensor_from_unitary(model.unitary_at(1), model.d, model.D)
+        blocks = model.d if model.entangled else 1
         if rho0 is None:
             rho0 = initial_env_density(model)
-    if tm.dense.shape[0] != tm.dense.shape[1]:
+    if site.ndim != 4:
+        raise DimensionError(f"site tensor must be rank 4, got rank {site.ndim}")
+    D = site.shape[0]
+    if site.shape[3] != D:
         raise DimensionError("stationary analysis requires equal bond dimensions")
     rho0 = validate_env_density(rho0)
-    if rho0.shape[0] != tm.dim:
+    if rho0.shape[0] != blocks * D:
         raise DimensionError(
-            f"rho0 dimension {rho0.shape[0]} does not match the transfer dimension {tm.dim}"
+            f"rho0 dimension {rho0.shape[0]} does not match the transfer dimension {blocks * D}"
         )
 
-    vals, vecs = np.linalg.eig(tm.left_matrix())
-    coeffs = np.linalg.solve(vecs, rho0.reshape(-1, order="F"))
+    sigma = _krylov_fixed_point(site) if D * D > _DENSE_MAX_ENTRIES else None
+    if sigma is not None:
+        rho = np.kron(np.trace(rho0.reshape(blocks, D, blocks, D), axis1=1, axis2=3), sigma)
+        degenerate = False
+    else:
+        # column s*blocks + t: the column-major vec of block (s, t), rows (c, a)
+        cols = rho0.reshape(blocks, D, blocks, D).transpose(3, 1, 0, 2).reshape(D * D, -1)
+        limit, degenerate = _dense_projection(site, cols)
+        rho = limit.reshape(D, D, blocks, blocks).transpose(2, 1, 3, 0).reshape(blocks * D, -1)
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real, 0, degenerate or blocks > 1
+
+
+# D^2 above which stationary_state tries the Krylov solve before the dense one
+_DENSE_MAX_ENTRIES = 64
+_GAP_ESTIMATE_TOL = 1e-2  # ARPACK relative tolerance of the first |lambda_2| estimate
+_GAP_RESOLVE_MARGIN = 1e-3  # an estimate this close to 1 is re-solved to machine precision
+
+
+def _dense_projection(site: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Project the columns ``cols`` (column-major vectorised operators) onto
+    the eigenvalue-1 eigenspace of the left transfer matrix of ``site``.
+
+    Returns the projected columns and whether the dominant eigenvalue
+    magnitude is shared within ``DEGENERACY_GAP``.
+    """
+    vals, vecs = np.linalg.eig(transfer_matrix(site).left_matrix())
+    coeffs = np.linalg.solve(vecs, cols)
     mags = np.abs(vals)
     degenerate = bool(np.count_nonzero(mags > mags.max() - DEGENERACY_GAP) > 1)
     fixed = np.abs(vals - 1.0) < DEGENERACY_GAP
@@ -224,9 +264,64 @@ def stationary_state(
             "rho0 has a non-decaying component on a unit-modulus eigenvalue other than 1",
             residual=residual,
         )
-    rho = (vecs[:, fixed] @ coeffs[fixed]).reshape(tm.dim, tm.dim, order="F")
-    rho = (rho + rho.conj().T) / 2.0
-    return rho / np.trace(rho).real, 0, degenerate
+    return vecs[:, fixed] @ coeffs[fixed], degenerate
+
+
+def _krylov_fixed_point(site: np.ndarray) -> np.ndarray | None:
+    """Unit-trace fixed point sigma of the left action of ``site``, or None
+    when eigenvalue 1 is not simple and alone on the unit circle.
+
+    Arnoldi (ARPACK ``eigs``, k=1) on a ``transfer_left`` matvec gives the
+    dominant eigenpair to machine precision.  The largest remaining
+    magnitude |lambda_2| is the dominant eigenvalue of the deflated map
+    X -> Phi(X) - sigma tr X, which has Phi's spectrum with lambda_1 = 1
+    replaced by 0 (Brauer); a loose estimate is re-solved to machine
+    precision only when it lies within ``_GAP_RESOLVE_MARGIN`` of 1.  The
+    loose tolerance costs accuracy only on a crowded bulk (|lambda| near 0.5
+    for Haar channels, where a tight solve takes thousands of matvecs at
+    D = 64): an eigenvalue near the unit circle and apart from the bulk is
+    the Ritz value Arnoldi converges first.
+
+    Every solve starts from one fixed generic vector, never I/D: that is an
+    exact eigenvector of every unital channel and breaks the Arnoldi process
+    down.  Each may restart at most D^2 times; a spectrum it cannot resolve
+    in that (every eigenvalue on the unit circle, say) also gives None.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs  # ~30 ms import
+
+    D = site.shape[0]
+    n = D * D
+    diag = np.arange(D) * (D + 1)  # positions of the diagonal in a column-major vec
+    v0 = np.random.default_rng(0).standard_normal((2, n)).T @ np.array([1.0, 1.0j])
+
+    def phi(v):
+        x = transfer_left(v.reshape(D, D, order="F"), site, site)
+        return x.reshape(-1, order="F")
+
+    def dominant(matvec, tol, vectors=False):
+        op = LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
+        return eigs(op, k=1, v0=v0, tol=tol, maxiter=n, return_eigenvectors=vectors)
+
+    try:
+        (lam,), vecs = dominant(phi, 0, vectors=True)
+        trace = vecs[diag, 0].sum()
+        # a state sigma has tr sigma >= ||sigma||_F, so a unit-norm fixed
+        # vector with |trace| < 1/2 is no multiple of one: the fixed space is larger
+        if abs(lam - 1.0) >= DEGENERACY_GAP or abs(trace) < 0.5:
+            return None
+        sigma = vecs[:, 0] / trace
+
+        def deflated(v):
+            return phi(v) - sigma * v[diag].sum()
+
+        lam2 = abs(dominant(deflated, _GAP_ESTIMATE_TOL)[0])
+        if lam2 > 1.0 - _GAP_RESOLVE_MARGIN:
+            lam2 = abs(dominant(deflated, 0)[0])
+    except ArpackNoConvergence:
+        return None
+    if lam2 > 1.0 - DEGENERACY_GAP:
+        return None
+    return sigma.reshape(D, D, order="F")
 
 
 def renyi_complexity(rho: np.ndarray, alpha: float) -> float:

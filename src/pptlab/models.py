@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import ValidationError
-from .tensor_ops import as_complex_array, decode_complex, encode_complex, json_int
+from .tensor_ops import as_complex_array, decode_complex, encode_complex, json_int, json_object
 
 SCHMIDT_TOL = 1e-8  # Schmidt coefficients counted by SchmidtForm.rank
 UNITARITY_TOL = 1e-10  # max |U^dag U - I| entry allowed by OqeModel.validate
@@ -130,6 +130,7 @@ class OqeModel:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "OqeModel":
+        json_object(doc, "a model document")
         d = json_int(doc, "d")
         D = json_int(doc, "D")
         _check_dimensions(d, D)

@@ -35,6 +35,7 @@ from .tensor_ops import (
     encode_complex,
     fill_unassigned_columns,
     json_int,
+    json_object,
     transfer_left,
 )
 
@@ -164,6 +165,7 @@ class PptMps:
         Reads format versions 1 and 2.  No version stores an initial vector,
         so a document with that key is rejected rather than read differently.
         """
+        json_object(doc, "a PPT document")
         if doc.get("format_version") not in (1, PptMps.FORMAT_VERSION):
             raise ValidationError(f"unsupported format version {doc.get('format_version')}")
         if "initial_vector" in doc:
@@ -193,8 +195,7 @@ def _tensor_doc(t: np.ndarray) -> dict:
 
 
 def _tensor_from_doc(doc: dict) -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"a site must be an object, got {type(doc).__name__}")
+    json_object(doc, "a site")
     return decode_complex(doc["data"], doc["shape"])
 
 

@@ -2,9 +2,10 @@
 
 All routines operate on plain ``numpy.ndarray`` objects in complex double
 precision and are pure functions of their inputs: input coercion, the JSON
-codec for complex arrays and integer keys, the two transfer contractions
-every MPS sweep is built from, polar and isometric projections by SVD, and
-deterministic Gram-Schmidt completion of orthonormal columns to a unitary.
+codec for complex arrays, objects and integer keys, the two transfer
+contractions every MPS sweep is built from, polar and isometric projections
+by SVD, and deterministic Gram-Schmidt completion of orthonormal columns to a
+unitary.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ def _pair_entries(pairs) -> np.ndarray:
             "complex data must be base64 text or a list of numeric [re, im] pairs"
         )
     return arr.astype(np.float64).view(np.complex128).reshape(-1)
+
+
+def json_object(value, what: str) -> dict:
+    """``value`` when it is a JSON object; anything else (a number, a list,
+    text) raises ``ValidationError`` naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object, got {type(value).__name__}")
+    return value
 
 
 def json_int(doc: dict, key: str) -> int:

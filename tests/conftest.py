@@ -5,8 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pptlab import MultiTimeObservable, OqeModel
-from pptlab.memory import transfer_matrix
+from pptlab import MultiTimeObservable, OqeModel, PptMps
+from pptlab.exceptions import ConvergenceError, DimensionError, ValidationError
+from pptlab.memory import (
+    DEGENERACY_GAP,
+    initial_env_density,
+    model_transfer_matrix,
+    transfer_matrix,
+    validate_env_density,
+)
 from pptlab.models import near_identity_unitary, random_hermitian
 from pptlab.ppt import site_tensor_from_unitary
 
@@ -223,6 +230,57 @@ def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, rho0=None, s
          float(np.quantile(vals, 0.25)), float(np.quantile(vals, 0.75)))
         for n, vals in zip(points, curves.T)
     ]
+
+
+def dense_stationary_state(mps_or_model, rho0=None):
+    """``stationary_state`` as one dense projection on the whole effective
+    environment: the enlarged (dD)^2 x (dD)^2 left matrix for entangled
+    models, never the base-site blocks or the Krylov solve.
+
+    Eigendecomposes the left transfer matrix, solves for the eigen-coefficients
+    of vec(rho0) and keeps those on eigenvalue 1; raises ``ConvergenceError``
+    when no eigenvalue is 1 or when rho0 has a component on another
+    unit-modulus eigenvalue.  Returns ``(rho_st, 0, degenerate)``.
+    """
+    if isinstance(mps_or_model, PptMps):
+        sites = mps_or_model.sites
+        tm = transfer_matrix(sites[-1])
+        if rho0 is None:
+            raise ValidationError("rho0 is required when passing a bare MPS")
+    else:
+        model: OqeModel = mps_or_model
+        if not model.time_independent:
+            raise ValidationError("stationary analysis requires a time-independent model")
+        tm = model_transfer_matrix(model)
+        if rho0 is None:
+            rho0 = initial_env_density(model)
+    if tm.dense.shape[0] != tm.dense.shape[1]:
+        raise DimensionError("stationary analysis requires equal bond dimensions")
+    rho0 = validate_env_density(rho0)
+    if rho0.shape[0] != tm.dim:
+        raise DimensionError(
+            f"rho0 dimension {rho0.shape[0]} does not match the transfer dimension {tm.dim}"
+        )
+
+    vals, vecs = np.linalg.eig(tm.left_matrix())
+    coeffs = np.linalg.solve(vecs, rho0.reshape(-1, order="F"))
+    mags = np.abs(vals)
+    degenerate = bool(np.count_nonzero(mags > mags.max() - DEGENERACY_GAP) > 1)
+    fixed = np.abs(vals - 1.0) < DEGENERACY_GAP
+    if not fixed.any():
+        raise ConvergenceError(
+            "transfer map has no eigenvalue 1", residual=float(np.min(np.abs(vals - 1.0)))
+        )
+    rotating = ~fixed & (np.abs(mags - 1.0) < DEGENERACY_GAP)
+    residual = float(np.linalg.norm(vecs[:, rotating] @ coeffs[rotating]))
+    if residual > 1e-10:
+        raise ConvergenceError(
+            "rho0 has a non-decaying component on a unit-modulus eigenvalue other than 1",
+            residual=residual,
+        )
+    rho = (vecs[:, fixed] @ coeffs[fixed]).reshape(tm.dim, tm.dim, order="F")
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real, 0, degenerate
 
 
 @pytest.fixture

@@ -5,12 +5,17 @@ import functools
 import io
 import json
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pptlab
 from pptlab import MultiTimeObservable, OqeModel, PptMps, cli, memory, random_separable_model
 from pptlab.cli import run
 from pptlab.tensor_ops import decode_complex, encode_complex
@@ -54,6 +59,29 @@ class TestComplexity:
         assert run(["complexity", "--D", "3", "--alpha", "1,2", "--seed", "1", "--out", str(out)]) == 0
         assert len(json.loads(read(out))) == 2
         assert len(calls) == 2
+
+    def test_large_D_builds_no_dense_transfer_matrix(self, monkeypatch, capsys):
+        # D = 16 goes through the Krylov solve; ARPACK keeps state between
+        # calls, so the output is compared across runs and a fresh process.
+        argv = ["complexity", "--D", "16", "--alpha", "1,2", "--seed", "3"]
+        src = str(Path(pptlab.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pptlab", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+        def forbidden(site):
+            raise AssertionError(f"dense transfer matrix built for a {site.shape} site")
+
+        monkeypatch.setattr(memory, "transfer_matrix", forbidden)
+        outputs = []
+        for _ in range(2):
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == [fresh, fresh]
+        assert all(doc["theorem_pass"] for doc in json.loads(fresh))
 
 
 class TestBuildAndCorrelate:
@@ -207,6 +235,33 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["build", "--seed", "1"], "N", "0"),
+            (["build", "--seed", "1"], "N", "2.5"),
+            (["tomograph", "--seed", "1"], "N", "-1"),
+            (["fit", "--seed", "1"], "N", "0"),
+            (["reconstruct-entangled", "--seed", "1"], "N", "0"),
+            (["predict", "--report", "report.json"], "nfuture", "-2"),
+            (["predict", "--report", "report.json"], "nfuture", "0"),
+            (["tomograph", "--seed", "1", "--N", "3"], "shots", "-1"),
+        ],
+        ids=["N_zero", "N_float", "tomograph_N", "fit_N", "reconstruct_N", "nfuture_negative",
+             "nfuture_zero", "shots_negative"],
+    )
+    def test_integer_flags_checked_at_parse_time(self, tmp_path, capsys, argv, flag, value):
+        assert run(argv + [f"--{flag}", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"error: argument --{flag}: " in captured.err
+        # the same value from a --config file is rejected through the same type
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value}))
+        assert run(["--config", str(cfg), *argv, f"--{flag}", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config key {flag!r}: invalid value" in captured.err
 
     @pytest.mark.parametrize(
         "config",
@@ -387,6 +442,7 @@ def _set_text(edit):
 NAN_BYTES = np.array([complex(0.0, np.nan)]).astype("<c16").tobytes()
 INF_BYTES = np.array([complex(np.inf, 1.0)]).astype("<c16").tobytes()
 HUGE_BYTES = np.array([complex(0.0, 2.7e154)]).astype("<c16").tobytes()  # squares overflow
+EYE4 = encode_complex(np.eye(4))
 
 
 class TestMalformedFiles:
@@ -484,6 +540,57 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert "not finite" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("correlate", "5", "a PPT file must be an object, got int"),
+            ("correlate", "[1]", "a PPT file must be an object, got list"),
+            ("correlate", '{"ppt": 5}', "a PPT document must be an object, got int"),
+            ("correlate", '{"ppt": [1]}', "a PPT document must be an object, got list"),
+            ("predict", "5", "a report file must be an object, got int"),
+            ("predict", '"text"', "a report file must be an object, got str"),
+            ("predict", '{"recovered_model": [1]}', "a model document must be an object, got list"),
+        ],
+        ids=["ppt_int", "ppt_list", "nested_ppt_int", "nested_ppt_list", "report_int",
+             "report_text", "nested_model_list"],
+    )
+    def test_non_object_documents_exit_one(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        if command == "correlate":
+            argv = ["correlate", "--ppt", str(path)]
+        else:
+            argv = ["predict", "--report", str(path), "--nfuture", "3"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "observable, message",
+        [
+            ([], "an observable document must be an object, got list"),
+            ({"insertions": 5}, "'insertions' must be a list, got int"),
+            ({"insertions": [5]}, "an insertion must be an object, got int"),
+            ({"insertions": [{"step": "x", "matrix": EYE4}]}, "'step' must be an integer, got 'x'"),
+            ({"insertions": [{"step": 1.5, "matrix": EYE4}]}, "'step' must be an integer, got 1.5"),
+            (
+                {"insertions": [{"step": True, "matrix": EYE4}]},
+                "'step' must be an integer, got True",
+            ),
+        ],
+        ids=["list", "int_insertions", "int_insertion", "text_step", "float_step", "true_step"],
+    )
+    def test_malformed_observable_exits_one(self, tmp_path, capsys, observable, message):
+        build_out = tmp_path / "build.json"
+        assert run(["build", "--D", "2", "--N", "3", "--seed", "1", "--out", str(build_out)]) == 0
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps(observable))
+        assert run(["correlate", "--ppt", str(build_out), "--observable", str(obs)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert message in captured.err
 
     def test_predict_rejects_long_pair(self, tmp_path, capsys):
         doc = {"recovered_model": random_separable_model(2, 2, 3).to_json_dict()}

@@ -25,9 +25,42 @@ from pptlab import (
     transfer_matrix,
     uhlmann_fidelity,
 )
+from pptlab.memory import DEGENERACY_GAP
+from pptlab.models import random_haar_unitary
 from pptlab.ppt import site_tensor_from_unitary
 
-from conftest import partial_process_tensor
+from conftest import dense_stationary_state, partial_process_tensor
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+# step unitaries on (system qubit) (x) (environment), system factor first
+STRUCTURED = {
+    "I": np.eye(4),
+    "CNOT": np.eye(4)[[0, 1, 3, 2]],
+    "SWAP": _SWAP,
+    "CZ": np.diag([1.0, 1.0, 1.0, -1.0]),
+    "HxI": np.kron(_H, np.eye(2)),
+    "IxX": np.kron(np.eye(2), _X),
+    "SWAPxI": np.kron(_SWAP, np.eye(2)),  # D = 4: the second environment qubit idles
+}
+
+
+def assert_matches_dense_oracle(mps_or_model, rho0=None, raises=False):
+    """``stationary_state`` gives the oracle's state and degeneracy flag, or,
+    with ``raises``, both raise the same ``ConvergenceError``."""
+    if raises:
+        with pytest.raises(ConvergenceError) as ref:
+            dense_stationary_state(mps_or_model, rho0)
+        with pytest.raises(ConvergenceError) as got:
+            stationary_state(mps_or_model, rho0)
+        assert str(got.value) == str(ref.value)
+        assert abs(got.value.residual - ref.value.residual) < 1e-12
+        return
+    rho, _, degenerate = stationary_state(mps_or_model, rho0)
+    ref, _, ref_degenerate = dense_stationary_state(mps_or_model, rho0)
+    assert degenerate == ref_degenerate
+    assert np.max(np.abs(rho - ref)) < 1e-10
 
 
 def dense_left_matrix(site):
@@ -157,6 +190,58 @@ class TestStationaryState:
             rho0 = initial_env_density(model)
             ref = (lmat @ rho0.reshape(-1, order="F")).reshape(tm.dim, tm.dim, order="F")
             assert np.max(np.abs(rho - ref)) < 1e-8
+
+    # A crossover of 1 sends every D >= 2 through the Krylov branch first; the
+    # spectra below are degenerate, rotating or nearly so, which it must hand
+    # over to the dense projection with the same result or the same error.
+
+    @pytest.mark.parametrize("crossover", [64, 1], ids=["dense", "krylov"])
+    @pytest.mark.parametrize("entangled", [False, True], ids=["separable", "entangled"])
+    @pytest.mark.parametrize("gate", list(STRUCTURED))
+    def test_structured_unitaries_match_dense_oracle(self, gate, entangled, crossover, monkeypatch):
+        u = STRUCTURED[gate]
+        D = u.shape[0] // 2
+        env = np.eye(D)
+        if entangled:
+            psi = (np.kron([1.0, 0.0], env[0]) + np.kron([0.0, 1.0], env[1])) / np.sqrt(2)
+        else:
+            psi = np.kron([0.6, 0.8], env[0])
+        monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
+        # I (x) X flips the environment every step: eigenvalue -1 never decays
+        assert_matches_dense_oracle(OqeModel.create(2, D, [u], psi), raises=gate == "IxX")
+
+    @pytest.mark.parametrize("crossover", [64, 1], ids=["dense", "krylov"])
+    def test_unitary_environment_matches_dense_oracle(self, crossover, monkeypatch):
+        # U = I (x) V: the environment turns by V on its own, so every eigenvalue
+        # of the left action lies on the unit circle and Arnoldi cannot converge
+        u = np.kron(np.eye(2), random_haar_unitary(8, 1))
+        psi = random_separable_model(2, 8, 2).initial_state
+        monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
+        assert_matches_dense_oracle(OqeModel.create(2, 8, [u], psi), raises=True)
+
+    @pytest.mark.parametrize("crossover", [64, 1], ids=["dense", "krylov"])
+    def test_bare_mps_errors_match_dense_oracle(self, crossover, monkeypatch):
+        d = 2
+        site = np.repeat(np.repeat(_X[:, None, None, :] / d, d, axis=1), d, axis=2)
+        monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
+        # rho -> X rho X: a rotating component, then a map with no eigenvalue 1
+        assert_matches_dense_oracle(PptMps(sites=(site,), d=d), np.diag([1.0, 0.0]), raises=True)
+        assert_matches_dense_oracle(PptMps(sites=(site / 2,), d=d), np.eye(2) / 2, raises=True)
+
+    @pytest.mark.parametrize("crossover", [64, 1], ids=["dense", "krylov"])
+    @pytest.mark.parametrize("p", [1e-10, 1e-5], ids=["inside_gap", "outside_gap"])
+    def test_slow_cycle_matches_dense_oracle(self, p, crossover, monkeypatch):
+        # A classical 3-cycle that stays put with probability p: eigenvalue 1
+        # is simple and |lambda_2| = 1 - 1.5p + O(p^2), inside DEGENERACY_GAP
+        # of 1 for p = 1e-10 (the gap test must see it) and outside for 1e-5.
+        site = np.zeros((3, 3, 3, 3), dtype=np.complex128)
+        for k in range(3):
+            site[k, 0, k, (k + 1) % 3] = np.sqrt(1 - p)
+            site[k, 1, k, k] = np.sqrt(p)
+        mps = PptMps(sites=(site,), d=3)
+        monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
+        assert_matches_dense_oracle(mps, np.eye(3) / 3)
+        assert_matches_dense_oracle(mps, np.diag([1.0, 0.0, 0.0]), raises=p < DEGENERACY_GAP)
 
     def test_bare_mps_with_rotating_peripheral_eigenvalue(self):
         # Kraus operators X/d at every (o, i): the left action is rho -> X rho X,

@@ -3,7 +3,9 @@
 Cases range over d in {2, 3}, D in 1..4, N in 1..5 (up to 8 for the
 measurement oracle), separable or entangled initial states, and
 time-independent or time-dependent steps.  The near-identity experiment is
-checked bit for bit against its per-step reference over block edges.
+checked bit for bit against its per-step reference over block edges, and
+the stationary solve (base-site blocks, Krylov or dense) against the dense
+projection on the whole effective environment.
 """
 
 import contextlib
@@ -39,6 +41,7 @@ from pptlab.tensor_ops import decode_complex, encode_complex
 
 from conftest import (
     dense_reduced_density,
+    dense_stationary_state,
     fig_s2_reference,
     pair_leaf,
     random_observable,
@@ -259,3 +262,25 @@ def test_fig_s2_blocks_match_per_step_reference(
         kwargs = dict(time_dependent=time_dependent, sample_points=points, rho0=rho0)
         rows = memory.fig_s2_experiment(d, D, 0.1, n_max, seeds, **kwargs)
     assert rows == fig_s2_reference(d, D, 0.1, n_max, seeds, **kwargs)
+
+
+@CASES
+@given(
+    d=st.sampled_from([2, 3]),
+    D=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.none() | st.lists(st.floats(0.01, 1.0), min_size=2, max_size=3),
+    krylov=st.booleans(),
+)
+def test_stationary_state_matches_dense_oracle(d, D, seed, weights, krylov):
+    # A crossover of 1 sends every D >= 2 through the Krylov branch.
+    if weights is None or D == 1:
+        model = random_separable_model(d, D, seed)
+    else:
+        lambdas = np.sqrt(weights[: min(d, D)])
+        model = random_entangled_model(d, D, seed, lambdas=lambdas)
+    with mock.patch.object(memory, "_DENSE_MAX_ENTRIES", 1 if krylov else 64):
+        rho, steps, degenerate = memory.stationary_state(model)
+    ref, _, ref_degenerate = dense_stationary_state(model)
+    assert steps == 0 and degenerate == ref_degenerate
+    assert np.max(np.abs(rho - ref)) < 1e-10
