@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ValidationError
 from .tensor_ops import as_complex_array, decode_complex, encode_complex, json_int, json_object
@@ -189,6 +188,8 @@ def near_identity_unitary(dim: int, eta: float, seed, size=None) -> np.ndarray:
     generator's stream in the same order as that many single calls, and
     each slice equals the single call's result bit for bit.
     """
+    import scipy.linalg  # ~0.35 s import, paid only by callers of this function
+
     _check_eta(eta)
     batch = () if size is None else tuple(np.atleast_1d(size))
     return scipy.linalg.expm(1j * eta * _hermitians(dim, _as_rng(seed), batch))

@@ -371,15 +371,11 @@ def _embed_and_complete(iso: np.ndarray, d: int, l: int, r: int, D: int) -> np.n
     Column (i, a) of the result reproduces the isometry column for a < l;
     the remaining columns are a deterministic Gram-Schmidt completion.
     """
-    dim = d * D
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    assigned = np.zeros(dim, dtype=bool)
-    for i in range(d):
-        for a in range(l):
-            col = iso[:, i * l + a].reshape(d, r)
-            full[:, i * D + a] = np.pad(col, ((0, 0), (0, D - r))).reshape(-1)
-            assigned[i * D + a] = True
-    return fill_unassigned_columns(full, assigned)
+    full = np.zeros((d * D, d * D), dtype=np.complex128)
+    full.reshape(d, D, d, D)[:, :r, :, :l] = iso.reshape(d, r, d, l)
+    assigned = np.zeros((d, D), dtype=bool)
+    assigned[:, :l] = True
+    return fill_unassigned_columns(full, assigned.reshape(-1))
 
 
 def ppt_to_process_tensor(mps: PptMps) -> np.ndarray:

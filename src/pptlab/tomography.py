@@ -8,6 +8,12 @@ It keeps the hidden PPT as a right-canonical MPS: a gate is applied to its
 R sites and re-split by SVDs, and a window density contracts the left
 environment into the window block (the right side is the identity), so a
 query costs time linear in N and nothing of size (d^2)^N is ever formed.
+Between queries the oracle caches the chain after its last circuit and the
+left environments of the sites no gate has touched since; a circuit that
+extends the cached one pays only for its new gates and for the environment
+up to its window (the sliding-window scheme of Cramer et al., Nat. Commun.
+1, 149 (2010), with environments kept between steps as in Schollwoeck,
+Ann. Phys. 326, 96 (2011)), so a whole reconstruction is linear in N too.
 
 The disentangling algorithm walks a window of R sites across the chain.
 Each window's reduced density operator has support of dimension at most the
@@ -29,6 +35,7 @@ every evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -80,9 +87,17 @@ class MeasurementOracle:
     the re-Hermitised, trace-normalised linear-inversion estimate.
     ``query_log`` counts reduced-density requests.
 
-    The hidden process is held as its right-canonical ``PptMps`` only;
-    every query applies its circuit to a copy of the site list, so memory
-    and time per query grow linearly with ``n_steps``.
+    The hidden process is held as its right-canonical ``PptMps`` only.
+    The oracle caches the chain after the last circuit it applied, with
+    copies of that circuit's validated gates, the sites each gate replaced
+    and the left environments of the sites no gate has touched since they
+    were contracted.  A query whose circuit extends the cached one (gate
+    for gate, compared bit for bit) validates and applies only the new
+    gates and extends the environment only up to its window; any other
+    circuit rolls the cache back to the longest common prefix first.  The
+    answer is bit-identical to replaying the whole circuit on the hidden
+    chain, and a sliding-window reconstruction costs time linear in
+    ``n_steps``.
     """
 
     def __init__(
@@ -111,6 +126,12 @@ class MeasurementOracle:
         self.query_log = 0
         self.unsealed = unsealed
         self._rng = np.random.default_rng(seed)
+        # prefix cache: _chain is the hidden chain after the gates recorded in
+        # _applied as (start, shape, C-order bytes, the sites the gate replaced);
+        # _envs[k] is the left environment of _chain[:k]
+        self._chain = list(self._mps.sites)
+        self._applied: list[tuple[int, tuple, bytes, list]] = []
+        self._envs = [np.ones((1, 1), dtype=np.complex128)]
 
     # -- unsealed access (testing/diagnostics only) --
 
@@ -134,23 +155,25 @@ class MeasurementOracle:
         laboratory would physically apply.  A gate on R sites from
         ``start_site`` is a unitary on their fused (d^2)^R physical index;
         a gate that is not, or that runs past the last step, raises
-        ``ValidationError``.  Counts as one request.
+        ``ValidationError``, as do site bounds or starts that are not
+        integers (bools included).  Counts as one request.
         """
-        a, b = int(sites[0]), int(sites[1])
-        if not (1 <= a <= b <= self.n_steps):
+        a, b = sites
+        if not (_is_site(a) and _is_site(b) and 1 <= a <= b <= self.n_steps):
             raise ValidationError(f"site range {sites} outside [1, {self.n_steps}]")
+        a, b = int(a), int(b)
         width = b - a + 1
         if (self.d * self.d) ** width > PROCESS_TENSOR_GUARD:
             raise CapacityError(f"window of width {width} exceeds the dense guard")
-        gates = [self._checked_gate(start, gate) for start, gate in circuit or ()]
+        circuit = list(circuit or ())
+        kept = self._cached_prefix(circuit)
+        gates = [self._checked_gate(start, gate) for start, gate in circuit[kept:]]
         self.query_log += 1
-        chain = list(self._mps.sites)
+        self._rewind(kept)
         for start, gate in gates:
-            _apply_gate(chain, start - 1, gate)
-        env = np.ones((1, 1), dtype=np.complex128)
-        for t in chain[: a - 1]:
-            env = transfer_left(env, t, t)
-        block = _contract_sites(chain[a - 1 : b])  # (l, window, r)
+            self._push(start, gate)
+        env = self._left_env(a - 1)
+        block = _contract_sites(self._chain[a - 1 : b])  # (l, window, r)
         l, n_phys, r = block.shape
         # env[l', l] = sum over the left physical legs of conj(X[.., l']) X[.., l]
         x = (env @ block.reshape(l, -1)).reshape(l, n_phys, r).transpose(1, 0, 2)
@@ -160,11 +183,48 @@ class MeasurementOracle:
             return rho
         return _pauli_sampled_estimate(rho, self.shots, self._rng)
 
+    def _cached_prefix(self, circuit) -> int:
+        """Number of leading gates of ``circuit`` equal, bit for bit, to the cached ones."""
+        for k, ((start, gate), (kept_start, shape, data, _)) in enumerate(
+            zip(circuit, self._applied)
+        ):
+            gate = np.asarray(gate, dtype=np.complex128)
+            if not (_is_site(start) and start == kept_start and gate.shape == shape
+                    and gate.tobytes() == data):
+                return k
+        return min(len(circuit), len(self._applied))
+
+    def _rewind(self, n_gates: int) -> None:
+        """Undo cached gates, last first, until ``n_gates`` remain."""
+        while len(self._applied) > n_gates:
+            start, _, _, replaced = self._applied.pop()
+            self._chain[start - 1 : start - 1 + len(replaced)] = replaced
+            del self._envs[start:]
+
+    def _push(self, start: int, gate: np.ndarray) -> None:
+        width = window_size(self.d, gate.shape[0]) - 1
+        replaced = self._chain[start - 1 : start - 1 + width]
+        _apply_gate(self._chain, start - 1, gate)
+        self._applied.append((start, gate.shape, gate.tobytes(), replaced))
+        del self._envs[start:]
+
+    def _left_env(self, n: int) -> np.ndarray:
+        """Left environment of the first ``n`` sites of the cached chain."""
+        while len(self._envs) <= n:
+            t = self._chain[len(self._envs) - 1]
+            self._envs.append(transfer_left(self._envs[-1], t, t))
+        return self._envs[n]
+
     def _checked_gate(self, start, gate) -> tuple[int, np.ndarray]:
-        """Validate one circuit entry: start site, fit on the chain, unitarity."""
-        if not isinstance(start, (int, np.integer)) or not 1 <= start <= self.n_steps:
+        """Validate one circuit entry: start site, fit on the chain, unitarity.
+
+        Returns a C-ordered copy of the gate: the layout a gate is applied
+        in does not depend on the caller's array, so a cached application
+        equals a fresh one bit for bit.
+        """
+        if not _is_site(start) or not 1 <= start <= self.n_steps:
             raise ValidationError(f"gate start {start!r} is not a site in [1, {self.n_steps}]")
-        gate = np.asarray(gate, dtype=np.complex128)
+        gate = np.array(gate, dtype=np.complex128, order="C")
         dim = gate.shape[0] if gate.ndim == 2 and gate.shape[0] == gate.shape[1] else 0
         width = window_size(self.d, dim) - 1  # smallest R with (d^2)^R >= dim
         if width < 1 or (self.d * self.d) ** width != dim:
@@ -216,6 +276,11 @@ class MeasurementOracle:
         return oracle, prob
 
 
+def _is_site(x) -> bool:
+    """Whether ``x`` can name a site: an integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _contract_sites(sites) -> np.ndarray:
     """Block (left bond, fused physical index, right bond) of consecutive sites."""
     block = sites[0]
@@ -255,20 +320,19 @@ def _pauli_sampled_estimate(rho: np.ndarray, shots: int, rng: np.random.Generato
     the n underlying qubits.  The measured projectors, weighted by their
     observed frequencies, sum to X = sum_s R_s^dag diag(p_s) R_s; inverting
     the frame on every qubit q, X -> 3 X - tr_q(X) (x) I_q, averages every
-    Pauli expectation over all settings compatible with it.
+    Pauli expectation over all settings compatible with it.  All settings
+    are handled by batched products over the stack of their rotations, and
+    one multinomial call draws their counts in setting order.
     """
     dim = rho.shape[0]
     n = int(round(np.log2(dim)))
-    settings = list(itertools.product("XYZ", repeat=n))
-    per_setting = max(1, shots // len(settings))
-    est = np.zeros((dim, dim), dtype=np.complex128)
-    for setting in settings:
-        rot = _kron_chain([_BASIS_ROTATIONS[c] for c in setting])
-        p = np.real(np.sum((rot @ rho) * rot.conj(), axis=1))
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
-        phat = rng.multinomial(per_setting, p) / per_setting
-        est += rot.conj().T @ (phat[:, np.newaxis] * rot)
+    rots = _setting_rotations(n)
+    per_setting = max(1, shots // len(rots))
+    p = np.real(np.sum((rots @ rho) * rots.conj(), axis=2))
+    p = np.clip(p, 0.0, None)
+    p = p / p.sum(axis=1, keepdims=True)
+    phat = rng.multinomial(per_setting, p) / per_setting
+    est = np.sum(rots.conj().transpose(0, 2, 1) @ (phat[:, :, np.newaxis] * rots), axis=0)
     eye = np.eye(2).reshape(2, 1, 1, 2, 1)  # I_q on the axes (a, q, b, a', q', b')
     for q in range(n):
         x = est.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
@@ -278,11 +342,18 @@ def _pauli_sampled_estimate(rho: np.ndarray, shots: int, rng: np.random.Generato
     return est / np.trace(est).real
 
 
-def _kron_chain(mats) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+@functools.cache
+def _setting_rotations(n: int) -> np.ndarray:
+    """Read-only stack (3^n, 2^n, 2^n) of the Pauli-product basis rotations,
+    one per setting in ``itertools.product("XYZ", repeat=n)`` order."""
+    rots = np.stack(
+        [
+            functools.reduce(np.kron, [_BASIS_ROTATIONS[c] for c in setting])
+            for setting in itertools.product("XYZ", repeat=n)
+        ]
+    )
+    rots.flags.writeable = False
+    return rots
 
 
 # -- reconstruction report ----------------------------------------------------

@@ -1,8 +1,13 @@
 import base64
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pptlab
 from pptlab import (
     OqeModel,
     ValidationError,
@@ -66,6 +71,22 @@ class TestNearIdentityUnitary:
         assert np.array_equal(
             near_identity_unitary(dim, 0.3, batch_rng), near_identity_unitary(dim, 0.3, single_rng)
         )
+
+    def test_scipy_loaded_on_first_use_only(self):
+        # scipy.linalg costs about 0.35 s to import; only this function needs it
+        src = str(Path(pptlab.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        probe = (
+            "import sys, pptlab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "pptlab.near_identity_unitary(2, 0.1, 0)\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split("\n")[:2] == ["[]", "True"]
 
     def test_size_takes_a_shape(self):
         batch = near_identity_unitary(2, 0.1, 4, size=(3, 2))

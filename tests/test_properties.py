@@ -17,14 +17,17 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from pptlab import (
     MeasurementOracle,
+    ValidationError,
     cli,
     memory,
+    tomography,
     MultiTimeObservable,
     OqeModel,
     PptMps,
@@ -236,6 +239,83 @@ def test_oracle_density_matches_dense_reference(spec, data):
     rho = oracle.reduced_density((a, a + width - 1), circuit=circuit)
     ref = dense_reduced_density(oracle.true_mps(), (a, a + width - 1), circuit)
     assert np.max(np.abs(rho - ref)) < 1e-12
+
+
+CACHE_STEPS = ["extend", "repeat", "shorten", "edit", "mutate", "invalid"]
+
+
+@CASES
+@given(spec=model_specs, sampled=st.booleans(), data=st.data())
+def test_oracle_prefix_cache_matches_fresh_replay(spec, sampled, data):
+    """One oracle answers a query sequence that extends, repeats, shortens
+    and edits its circuit, mutates a used gate array in place and meets an
+    invalid gate.  Every answer equals a fresh oracle's bit for bit and the
+    dense reference to 1e-12; sampled answers equal the estimator applied to
+    the fresh exact density on a generator with the same seed.  A repeated
+    circuit applies no gate and an extension exactly one, and a failed
+    query leaves the log and the cached chain as they were."""
+    d = 2 if sampled else spec["d"]
+    N = data.draw(st.integers(2, 6 if d == 2 else 4), label="N")
+    model = make_model(dict(spec, d=d, N=N))
+    shots = 5000
+    oracle = (MeasurementOracle(model, N, mode="sampled", shots=shots, seed=spec["seed"])
+              if sampled else MeasurementOracle(model, N))
+    stream = np.random.default_rng(spec["seed"])
+    rng = np.random.default_rng(spec["seed"])
+    steps = data.draw(st.permutations(CACHE_STEPS), label="steps")
+    steps += data.draw(st.lists(st.sampled_from(CACHE_STEPS), max_size=4), label="more")
+
+    def new_gate():
+        width = data.draw(st.integers(1, min(N, 2)), label="width")
+        start = data.draw(st.integers(1, N - width + 1), label="start")
+        return start, random_haar_unitary((d * d) ** width, rng)
+
+    def query(circuit):
+        width = data.draw(st.integers(1, min(N, 2 if sampled else 3)), label="window")
+        a = data.draw(st.integers(1, N - width + 1), label="first site")
+        sites = (a, a + width - 1)
+        before = oracle.query_log
+        with mock.patch.object(tomography, "_apply_gate", wraps=tomography._apply_gate) as spy:
+            got = oracle.reduced_density(sites, circuit=circuit)
+        assert oracle.query_log == before + 1
+        exact = MeasurementOracle(model, N).reduced_density(sites, circuit=list(circuit))
+        if sampled:
+            assert np.array_equal(got, tomography._pauli_sampled_estimate(exact, shots, stream))
+        else:
+            assert np.array_equal(got, exact)
+            ref = dense_reduced_density(oracle.true_mps(), sites, circuit)
+            assert np.max(np.abs(got - ref)) < 1e-12
+        return spy.call_count
+
+    circuit = [new_gate()]
+    query(circuit)
+    for step in steps:
+        if step in ("edit", "mutate", "shorten") and not circuit:
+            step = "extend"
+        if step == "extend":
+            circuit.append(new_gate())
+            assert query(circuit) == 1
+        elif step == "repeat":
+            assert query(circuit) == 0
+        elif step == "shorten":
+            del circuit[data.draw(st.integers(0, len(circuit) - 1), label="keep"):]
+            assert query(circuit) == 0
+        elif step == "edit":
+            circuit[data.draw(st.integers(0, len(circuit) - 1), label="edit")] = new_gate()
+            query(circuit)
+        elif step == "mutate":  # overwrite a gate the oracle has already applied
+            start, gate = circuit[data.draw(st.integers(0, len(circuit) - 1), label="mutate")]
+            gate[...] = random_haar_unitary(gate.shape[0], rng)
+            query(circuit)
+        else:
+            where = data.draw(st.integers(0, len(circuit)), label="invalid at")
+            bad = [*circuit[:where], (1, 2.0 * np.eye(d * d)), *circuit[where:]]
+            before = oracle.query_log
+            with mock.patch.object(tomography, "_apply_gate") as spy:
+                with pytest.raises(ValidationError):
+                    oracle.reduced_density((1, 1), circuit=bad)
+            assert oracle.query_log == before and spy.call_count == 0
+            assert query(circuit) == 0
 
 
 @CASES

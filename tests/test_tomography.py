@@ -1,5 +1,6 @@
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +21,15 @@ from pptlab import (
     to_right_canonical,
     variational_fit,
 )
+from pptlab import tomography
 from pptlab.models import random_haar_unitary
 from pptlab.ppt import perturbed
-from pptlab.tomography import _fit_overlap_and_grads, _pauli_sampled_estimate, window_size
+from pptlab.tomography import (
+    _fit_overlap_and_grads,
+    _pauli_sampled_estimate,
+    _setting_rotations,
+    window_size,
+)
 
 from conftest import random_observable
 
@@ -73,15 +80,40 @@ class TestReducedDensity:
             [(1, np.eye(4)[:, :2])],
             [(1, 2.0 * np.eye(4))],
             [(1, np.full((4, 4), np.nan))],
+            [(True, np.eye(4))],
+            [(np.bool_(True), np.eye(4))],
+            [(1.0, np.eye(4))],
+            [(1, np.eye(4)), (2, 2.0 * np.eye(4))],
         ],
         ids=["start_zero", "start_past_end", "pair_past_end", "triple_past_end",
-             "not_a_power_of_d2", "not_square", "not_unitary", "nan"],
+             "not_a_power_of_d2", "not_square", "not_unitary", "nan", "start_bool",
+             "start_numpy_bool", "start_float", "bad_second_gate"],
     )
     def test_rejects_malformed_circuit(self, rng, circuit):
         oracle = MeasurementOracle(random_separable_model(2, 2, rng), 4)
         with pytest.raises(ValidationError):
             oracle.reduced_density((1, 2), circuit=circuit)
         assert oracle.query_log == 0
+
+    @pytest.mark.parametrize(
+        "sites",
+        [(0, 2), (3, 2), (1, 5), (1.9, 2.2), (1.0, 2), (True, 2), (1, True), (1, np.bool_(True))],
+        ids=["zero", "reversed", "past_end", "floats", "float_start", "bool_start", "bool_end",
+             "numpy_bool_end"],
+    )
+    def test_rejects_malformed_sites(self, rng, sites):
+        oracle = MeasurementOracle(random_separable_model(2, 2, rng), 4)
+        with pytest.raises(ValidationError):
+            oracle.reduced_density(sites)
+        assert oracle.query_log == 0
+
+    def test_numpy_integer_sites_accepted(self, rng):
+        model = random_separable_model(2, 2, rng)
+        got = MeasurementOracle(model, 4).reduced_density(
+            (np.int64(2), np.int32(3)), circuit=[(np.int64(1), np.eye(16))]
+        )
+        ref = MeasurementOracle(model, 4).reduced_density((2, 3), circuit=[(1, np.eye(16))])
+        assert np.array_equal(got, ref)
 
 
 class TestDisentangle:
@@ -97,6 +129,18 @@ class TestDisentangle:
         report = disentangle_reconstruct(oracle, 5, 2)
         assert report.state_fidelity > 1 - 1e-8
         assert report.queries == 5  # f = 4 windows + 1 trailing block
+
+    def test_oracle_applies_each_gate_once(self, rng):
+        # The oracle extends its cached chain by one gate per query, so the
+        # f window gates are applied once each, plus f undos in the rebuild.
+        N = 50
+        oracle = MeasurementOracle(random_separable_model(2, 2, rng), N)
+        f = N - window_size(2, 2) + 1
+        with mock.patch.object(tomography, "_apply_gate", wraps=tomography._apply_gate) as spy:
+            report = disentangle_reconstruct(oracle, N, 2)
+        assert report.queries == f + 1
+        assert spy.call_count == 2 * f
+        assert report.state_fidelity > 1 - 1e-10
 
     def test_loose_bound_still_works(self, rng):
         model = random_separable_model(2, 2, rng)
@@ -205,6 +249,18 @@ class TestSampledMode:
             ref = _label_average_estimate(rho, 5000, ref_rng)
             assert np.max(np.abs(got - ref)) < 1e-12
             assert got_rng.random() == ref_rng.random()  # same draws consumed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_setting_rotations_match_kron_products(self, n):
+        rots = _setting_rotations(n)
+        settings = list(itertools.product("XYZ", repeat=n))
+        assert rots.shape == (3**n, 2**n, 2**n)
+        for rot, setting in zip(rots, settings):
+            ref = functools.reduce(np.kron, [tomography._BASIS_ROTATIONS[c] for c in setting])
+            assert np.array_equal(rot, ref)
+        assert not rots.flags.writeable
+        with pytest.raises(ValueError):
+            rots[0, 0, 0] = 0.0
 
     def test_estimates_are_normalized(self, rng):
         model = random_separable_model(2, 2, rng)
