@@ -158,7 +158,10 @@ class MeasurementOracle:
         ``ValidationError``, as do site bounds or starts that are not
         integers (bools included).  Counts as one request.
         """
-        a, b = sites
+        try:
+            a, b = sites
+        except (TypeError, ValueError):
+            raise ValidationError(f"site range {sites!r} is not a pair of sites") from None
         if not (_is_site(a) and _is_site(b) and 1 <= a <= b <= self.n_steps):
             raise ValidationError(f"site range {sites} outside [1, {self.n_steps}]")
         a, b = int(a), int(b)
@@ -311,6 +314,8 @@ _BASIS_ROTATIONS = {
     "Y": np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=np.complex128) / np.sqrt(2.0),
     "Z": np.eye(2, dtype=np.complex128),
 }
+_BASIS_STACK = np.stack([_BASIS_ROTATIONS[c] for c in "XYZ"])
+_BATCH_ENTRIES = 2**18  # matrix entries in one batch of setting rotations
 
 
 def _pauli_sampled_estimate(rho: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -320,19 +325,23 @@ def _pauli_sampled_estimate(rho: np.ndarray, shots: int, rng: np.random.Generato
     the n underlying qubits.  The measured projectors, weighted by their
     observed frequencies, sum to X = sum_s R_s^dag diag(p_s) R_s; inverting
     the frame on every qubit q, X -> 3 X - tr_q(X) (x) I_q, averages every
-    Pauli expectation over all settings compatible with it.  All settings
-    are handled by batched products over the stack of their rotations, and
-    one multinomial call draws their counts in setting order.
+    Pauli expectation over all settings compatible with it.  The settings
+    are handled in batches of their rotations (``_rotation_batches``) by
+    batched products, one multinomial call per batch drawing its counts in
+    setting order, and X is accumulated setting by setting in that order.
     """
     dim = rho.shape[0]
     n = int(round(np.log2(dim)))
-    rots = _setting_rotations(n)
-    per_setting = max(1, shots // len(rots))
-    p = np.real(np.sum((rots @ rho) * rots.conj(), axis=2))
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum(axis=1, keepdims=True)
-    phat = rng.multinomial(per_setting, p) / per_setting
-    est = np.sum(rots.conj().transpose(0, 2, 1) @ (phat[:, :, np.newaxis] * rots), axis=0)
+    per_setting = max(1, shots // 3**n)
+    est = np.zeros((dim, dim), dtype=np.complex128)
+    for rots in _rotation_batches(n):
+        p = np.real(np.sum((rots @ rho) * rots.conj(), axis=2))
+        p = np.clip(p, 0.0, None)
+        p = p / p.sum(axis=1, keepdims=True)
+        phat = rng.multinomial(per_setting, p) / per_setting
+        terms = rots.conj().transpose(0, 2, 1) @ (phat[:, :, np.newaxis] * rots)
+        terms[0] += est  # the axis-0 sum then adds the terms to est in order
+        est = np.sum(terms, axis=0)
     eye = np.eye(2).reshape(2, 1, 1, 2, 1)  # I_q on the axes (a, q, b, a', q', b')
     for q in range(n):
         x = est.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
@@ -342,18 +351,47 @@ def _pauli_sampled_estimate(rho: np.ndarray, shots: int, rng: np.random.Generato
     return est / np.trace(est).real
 
 
+def _rotation_batches(n: int):
+    """Stacks of the Pauli-product rotations of n qubits that together run
+    through all 3^n settings in ``itertools.product("XYZ", repeat=n)``
+    order.  The whole stack (``_setting_rotations``) is one batch if it
+    has at most ``_BATCH_ENTRIES`` entries; otherwise each batch fixes the
+    leading qubits' setting and runs through the fewest trailing qubits'
+    settings that keep it within the budget (one setting at the least)."""
+    m = n
+    while m > 0 and 3**m * 4**n > _BATCH_ENTRIES:
+        m -= 1
+    if m == n:
+        yield _setting_rotations(n)
+        return
+    for prefix in itertools.product("XYZ", repeat=n - m):
+        stack = functools.reduce(np.kron, [_BASIS_ROTATIONS[c] for c in prefix])[np.newaxis]
+        for _ in range(m):
+            stack = _kron_stack(stack, _BASIS_STACK)
+        yield stack
+
+
 @functools.cache
 def _setting_rotations(n: int) -> np.ndarray:
     """Read-only stack (3^n, 2^n, 2^n) of the Pauli-product basis rotations,
-    one per setting in ``itertools.product("XYZ", repeat=n)`` order."""
-    rots = np.stack(
-        [
-            functools.reduce(np.kron, [_BASIS_ROTATIONS[c] for c in setting])
-            for setting in itertools.product("XYZ", repeat=n)
-        ]
-    )
+    one per setting in ``itertools.product("XYZ", repeat=n)`` order; kept
+    for the life of the process, so only asked for within the batch budget."""
+    rots = _BASIS_STACK.copy()
+    for _ in range(n - 1):
+        rots = _kron_stack(rots, _BASIS_STACK)
     rots.flags.writeable = False
     return rots
+
+
+def _kron_stack(stack: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Entry k * len(factors) + j is ``np.kron(stack[k], factors[j])``, by
+    the same single product per entry."""
+    k, a, _ = stack.shape
+    f, b, _ = factors.shape
+    out = stack[:, np.newaxis, :, np.newaxis, :, np.newaxis] * factors[
+        np.newaxis, :, np.newaxis, :, np.newaxis, :
+    ]
+    return out.reshape(k * f, a * b, a * b)
 
 
 # -- reconstruction report ----------------------------------------------------

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
-from pptlab import MultiTimeObservable, OqeModel, PptMps
+from pptlab import MultiTimeObservable, OqeModel, PptMps, tomography
 from pptlab.exceptions import ConvergenceError, DimensionError, ValidationError
 from pptlab.memory import (
     DEGENERACY_GAP,
@@ -141,6 +144,31 @@ def dense_reduced_density(mps, sites, circuit=()) -> np.ndarray:
     x = x.reshape(d2 ** (b - a + 1), -1)
     rho = x @ x.conj().T
     return (rho + rho.conj().T) / 2.0
+
+
+def pauli_sampled_estimate_loop(rho: np.ndarray, shots: int, rng) -> np.ndarray:
+    """The sampled-mode estimator one setting at a time: each Pauli-product
+    rotation built by a chain of ``np.kron``, its counts drawn by its own
+    multinomial call and its term added to the running sum in setting order."""
+    dim = rho.shape[0]
+    n = int(round(np.log2(dim)))
+    settings = list(itertools.product("XYZ", repeat=n))
+    per_setting = max(1, shots // len(settings))
+    est = np.zeros((dim, dim), dtype=np.complex128)
+    for setting in settings:
+        rot = functools.reduce(np.kron, [tomography._BASIS_ROTATIONS[c] for c in setting])
+        p = np.real(np.sum((rot @ rho) * rot.conj(), axis=1))
+        p = np.clip(p, 0.0, None)
+        p = p / p.sum()
+        phat = rng.multinomial(per_setting, p) / per_setting
+        est += rot.conj().T @ (phat[:, np.newaxis] * rot)
+    eye = np.eye(2).reshape(2, 1, 1, 2, 1)
+    for q in range(n):
+        x = est.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
+        partial = np.trace(x, axis1=1, axis2=4)[:, np.newaxis, :, :, np.newaxis, :]
+        est = (3.0 * x - partial * eye).reshape(dim, dim)
+    est = (est + est.conj().T) / 2.0
+    return est / np.trace(est).real
 
 
 def schmidt_spectra_dense(vec: np.ndarray, site_dims: list[int]) -> list[np.ndarray]:

@@ -47,6 +47,7 @@ from conftest import (
     dense_stationary_state,
     fig_s2_reference,
     pair_leaf,
+    pauli_sampled_estimate_loop,
     random_observable,
     version_1_model_doc,
     version_1_ppt_doc,
@@ -241,6 +242,29 @@ def test_oracle_density_matches_dense_reference(spec, data):
     assert np.max(np.abs(rho - ref)) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    shots=st.integers(1, 20000),
+    trailing=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_pauli_estimate_matches_per_setting_loop(n, shots, trailing, seed):
+    """The batched sampled-mode estimator, with batches of 3^m settings for
+    any m (the whole stack when m = n; never at n = 6, where it would stay
+    cached), returns the per-setting loop's estimate bit for bit and leaves
+    the generator in the same state."""
+    budget = 3 ** min(trailing, n if n < 6 else 5) * 4**n
+    g = np.random.default_rng(seed)
+    a = g.standard_normal((2**n, 2**n)) + 1j * g.standard_normal((2**n, 2**n))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(tomography, "_BATCH_ENTRIES", budget):
+        got = tomography._pauli_sampled_estimate(rho, shots, got_rng)
+    assert np.array_equal(got, pauli_sampled_estimate_loop(rho, shots, ref_rng))
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 CACHE_STEPS = ["extend", "repeat", "shorten", "edit", "mutate", "invalid"]
 
 
@@ -250,8 +274,9 @@ def test_oracle_prefix_cache_matches_fresh_replay(spec, sampled, data):
     """One oracle answers a query sequence that extends, repeats, shortens
     and edits its circuit, mutates a used gate array in place and meets an
     invalid gate.  Every answer equals a fresh oracle's bit for bit and the
-    dense reference to 1e-12; sampled answers equal the estimator applied to
-    the fresh exact density on a generator with the same seed.  A repeated
+    dense reference to 1e-12; sampled answers equal the per-setting
+    estimator (``pauli_sampled_estimate_loop``) applied to the fresh exact
+    density on a generator with the same seed.  A repeated
     circuit applies no gate and an extension exactly one, and a failed
     query leaves the log and the cached chain as they were."""
     d = 2 if sampled else spec["d"]
@@ -280,7 +305,7 @@ def test_oracle_prefix_cache_matches_fresh_replay(spec, sampled, data):
         assert oracle.query_log == before + 1
         exact = MeasurementOracle(model, N).reduced_density(sites, circuit=list(circuit))
         if sampled:
-            assert np.array_equal(got, tomography._pauli_sampled_estimate(exact, shots, stream))
+            assert np.array_equal(got, pauli_sampled_estimate_loop(exact, shots, stream))
         else:
             assert np.array_equal(got, exact)
             ref = dense_reduced_density(oracle.true_mps(), sites, circuit)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from pptlab.tomography import (
     window_size,
 )
 
-from conftest import random_observable
+from conftest import pauli_sampled_estimate_loop, random_observable
 
 
 class TestReducedDensity:
@@ -97,9 +98,10 @@ class TestReducedDensity:
 
     @pytest.mark.parametrize(
         "sites",
-        [(0, 2), (3, 2), (1, 5), (1.9, 2.2), (1.0, 2), (True, 2), (1, True), (1, np.bool_(True))],
+        [(0, 2), (3, 2), (1, 5), (1.9, 2.2), (1.0, 2), (True, 2), (1, True), (1, np.bool_(True)),
+         (1,), (1, 2, 3), 2, None],
         ids=["zero", "reversed", "past_end", "floats", "float_start", "bool_start", "bool_end",
-             "numpy_bool_end"],
+             "numpy_bool_end", "one_entry", "three_entries", "not_a_pair", "none"],
     )
     def test_rejects_malformed_sites(self, rng, sites):
         oracle = MeasurementOracle(random_separable_model(2, 2, rng), 4)
@@ -261,6 +263,25 @@ class TestSampledMode:
         assert not rots.flags.writeable
         with pytest.raises(ValueError):
             rots[0, 0, 0] = 0.0
+
+    def test_width_three_window_streams_its_rotations(self):
+        # n = 6 qubits: the whole stack would hold 729 rotations of 64 x 64
+        # (48 MB); the estimator runs through it in batches and keeps none
+        g = np.random.default_rng(6)
+        a = g.standard_normal((64, 64)) + 1j * g.standard_normal((64, 64))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        got_rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        cached = _setting_rotations.cache_info().currsize
+        tracemalloc.start()
+        try:
+            got = _pauli_sampled_estimate(rho, 10000, got_rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == pauli_sampled_estimate_loop(rho, 10000, ref_rng).tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert peak < 3**6 * 64 * 64 * 16 / 4
+        assert _setting_rotations.cache_info().currsize == cached
 
     def test_estimates_are_normalized(self, rng):
         model = random_separable_model(2, 2, rng)
