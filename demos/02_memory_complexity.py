@@ -11,6 +11,7 @@ reduced initial system state when system and environment start entangled.
 import numpy as np
 
 import pptlab as pl
+from pptlab.tensor_ops import transfer_left, transfer_right
 
 print("--- separable initial states: complexity = log2 D ---")
 for D in (2, 3, 4):
@@ -36,13 +37,12 @@ for lam2 in ([0.5, 0.5], [0.9, 0.1]):
     )
 
 print()
-print("--- the transfer matrix behind it ---")
+print("--- the transfer map behind it ---")
 model = pl.random_separable_model(2, 2, seed=1)
-tm = pl.model_transfer_matrix(model)
+site = pl.site_tensor_from_unitary(model.unitaries[0], 2, 2)
 iD = np.eye(2) / 2
-print("spectral radius:     ", tm.spectral_radius())
-print("I/D left fixed point:", np.max(np.abs(tm.apply_left(iD) - iD)))
-print("I/D right fixed point:", np.max(np.abs(tm.apply_right(iD) - iD)))
+print("I/D left fixed point: ", np.max(np.abs(transfer_left(iD, site, site) - iD)))
+print("I/D right fixed point:", np.max(np.abs(transfer_right(iD, site, site) - iD)))
 
 # How long until the process forgets its initial state?
 print("stationarity onset (fidelity 1-1e-8):", pl.stationarity_onset(model, tol=1e-8))

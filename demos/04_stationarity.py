@@ -10,6 +10,7 @@ fixed H.  The ensemble summary is written as CSV.
 import numpy as np
 
 import pptlab as pl
+from pptlab.tensor_ops import transfer_left
 
 seeds = list(range(10))
 points = [0, 10, 30, 100, 300, 1000, 3000]
@@ -32,16 +33,16 @@ with open("stationarity_fresh_h.csv", "w", encoding="ascii") as fh:
     fh.write(csv_text)
 print("wrote stationarity_fresh_h.csv")
 
-# The spectral gap explains the time scale: it grows like 2.2 * eta^2.
-from pptlab.memory import transfer_matrix
-from pptlab.ppt import site_tensor_from_unitary
-
+# The spectral gap explains the time scale: it grows like 2.2 * eta^2.  The
+# columns of the 4 x 4 matrix of the transfer map are its images of the four
+# matrix units.
+units = np.eye(4).reshape(4, 2, 2)
 for eta in (0.005, 0.01, 0.02):
     gaps = []
     for seed in seeds:
-        u = pl.near_identity_unitary(4, eta, seed)
-        tm = transfer_matrix(site_tensor_from_unitary(u, 2, 2))
-        ev = np.sort(np.abs(np.linalg.eigvals(tm.dense)))[::-1]
+        site = pl.site_tensor_from_unitary(pl.near_identity_unitary(4, eta, seed), 2, 2)
+        lmat = np.stack([transfer_left(e, site, site).reshape(-1) for e in units], axis=1)
+        ev = np.sort(np.abs(np.linalg.eigvals(lmat)))[::-1]
         gaps.append(1 - ev[1])
     print(f"eta={eta}: median transfer gap {np.median(gaps):.3e} "
           f"({np.median(gaps) / eta**2:.2f} * eta^2)")

@@ -2,7 +2,7 @@
 
 The library builds the purified process tensor (PPT) of a hidden
 system-environment evolution as a matrix product state, analyses its
-stationary behaviour and memory complexity through transfer matrices,
+stationary behaviour and memory complexity through its transfer map,
 evaluates multi-time correlations, and reconstructs the hidden evolution
 from simulated measurements by disentangling tomography and variational
 refitting.
@@ -45,19 +45,16 @@ from .ppt import (
 from .memory import (
     ComplexityReport,
     Theorem1Result,
-    TransferMatrix,
     evolve_env,
     fig_s2_csv,
     fig_s2_experiment,
     infidelity,
     initial_env_density,
     memory_complexity,
-    model_transfer_matrix,
     renyi_complexity,
     stationarity_onset,
     stationary_state,
     theorem1_check,
-    transfer_matrix,
     uhlmann_fidelity,
 )
 from .correlations import (
@@ -82,7 +79,6 @@ __all__ = [
     "OqeModel",
     "SchmidtForm",
     "PptMps",
-    "TransferMatrix",
     "MultiTimeObservable",
     "MeasurementOracle",
     "ReconstructionReport",
@@ -97,8 +93,6 @@ __all__ = [
     "site_tensor_from_unitary",
     "overlap",
     "gauge_fidelity",
-    "transfer_matrix",
-    "model_transfer_matrix",
     "evolve_env",
     "stationary_state",
     "stationarity_onset",

@@ -19,7 +19,14 @@ import numpy as np
 from .exceptions import CapacityError, DimensionError, ValidationError
 from .models import OqeModel
 from .ppt import DENSE_STATE_GUARD, PptMps
-from .tensor_ops import decode_complex, encode_complex, json_int, json_object, transfer_left
+from .tensor_ops import (
+    _is_integer,
+    decode_complex,
+    encode_complex,
+    json_int,
+    json_object,
+    transfer_left,
+)
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,8 @@ class MultiTimeObservable:
         items = []
         prev = 0
         for step, op in insertions:
+            if not _is_integer(step):
+                raise ValidationError(f"insertion step must be an integer, got {step!r}")
             step = int(step)
             if step <= prev:
                 raise ValidationError("insertion steps must be strictly increasing and >= 1")

@@ -1,14 +1,14 @@
-"""Transfer-matrix analysis of purified process tensors.
+"""Transfer-map analysis of purified process tensors.
 
-The transfer matrix of a site, E = sum_{o,i} conj(B^{o,i}) (x) B^{o,i},
-propagates the environment density operator one step.  Its left action
+The left action of a site B,
 
-    rho -> sum_{o,i} (B^{o,i})^dag rho B^{o,i}
+    rho -> sum_{o,i} (B^{o,i})^dag rho B^{o,i},
 
-is trace preserving and completely positive; with column-major
-vectorisation the left action matrix is E^dag and the right action matrix
-is E itself.  The stationary environment state determines the memory
-complexity of the process (the Renyi entropy, base 2, of that state).
+propagates the environment density operator one step.  It is trace
+preserving and completely positive, and ``tensor_ops.transfer_left`` applies
+it without forming its matrix.  The stationary environment state determines
+the memory complexity of the process (the Renyi entropy, base 2, of that
+state).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DimensionError, ValidationError
 from .models import OqeModel, _check_dimensions, _check_eta, near_identity_unitary
 from .ppt import PptMps, enlarged_site_tensor, site_tensor_from_unitary
-from .tensor_ops import transfer_left, transfer_right
+from .tensor_ops import transfer_left
 
 DEGENERACY_GAP = 1e-8
 DENSITY_TOL = 1e-10  # Hermiticity, positivity and trace error allowed in an environment state
@@ -61,45 +61,7 @@ def initial_env_density(model: OqeModel) -> np.ndarray:
     return pure_env_density(form.env_basis[:, 0])
 
 
-# -- transfer matrices ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Dense transfer matrix of one site together with its Kraus tensors."""
-
-    dense: np.ndarray  # E = sum conj(B) (x) B, shape (l*l, r*r)
-    site: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.site.shape[0]
-
-    def apply_left(self, rho: np.ndarray) -> np.ndarray:
-        """sum_{o,i} (B^{o,i})^dag rho B^{o,i} (trace preserving)."""
-        return transfer_left(rho, self.site, self.site)
-
-    def apply_right(self, rho: np.ndarray) -> np.ndarray:
-        """sum_{o,i} B^{o,i} rho (B^{o,i})^dag."""
-        return transfer_right(rho.T, self.site, self.site).T
-
-    def left_matrix(self) -> np.ndarray:
-        """Matrix of the left action on column-major vectorised states."""
-        return self.dense.conj().T
-
-    def spectral_radius(self) -> float:
-        if self.dense.shape[0] != self.dense.shape[1]:
-            raise DimensionError("spectral radius requires equal bond dimensions")
-        return float(np.max(np.abs(np.linalg.eigvals(self.dense))))
-
-
-def transfer_matrix(site: np.ndarray) -> TransferMatrix:
-    site = np.asarray(site, dtype=np.complex128)
-    if site.ndim != 4:
-        raise DimensionError(f"site tensor must be rank 4, got rank {site.ndim}")
-    l, _, _, r = site.shape
-    dense = np.einsum("aoib,coid->acbd", site.conj(), site).reshape(l * l, r * r)
-    return TransferMatrix(dense=dense, site=site)
+# -- transfer maps -----------------------------------------------------------
 
 
 def _model_site(model: OqeModel, step: int) -> np.ndarray:
@@ -108,9 +70,17 @@ def _model_site(model: OqeModel, step: int) -> np.ndarray:
     return enlarged_site_tensor(b, model.d) if model.entangled else b
 
 
-def model_transfer_matrix(model: OqeModel, step: int = 1) -> TransferMatrix:
-    """Transfer matrix of a model step on the effective environment."""
-    return transfer_matrix(_model_site(model, step))
+def _left_matrix(sites: np.ndarray) -> np.ndarray:
+    """Matrices of the left actions of ``sites`` (shape (..., l, d, d, r)) on
+    column-major vectorised operators: shape (..., r^2, l^2), C-contiguous.
+
+    Builds E = sum conj(B) (x) B of every site and returns E^dag; only the
+    small dense projection and the near-identity experiment need it.
+    """
+    *lead, l, _, _, r = sites.shape
+    dense = np.einsum("...aoib,...coid->...acbd", sites.conj(), sites)
+    dense = dense.reshape(*lead, l * l, r * r)
+    return np.ascontiguousarray(dense.conj().swapaxes(-1, -2))
 
 
 def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
@@ -248,7 +218,7 @@ def _dense_projection(site: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, b
     Returns the projected columns and whether the dominant eigenvalue
     magnitude is shared within ``DEGENERACY_GAP``.
     """
-    vals, vecs = np.linalg.eig(transfer_matrix(site).left_matrix())
+    vals, vecs = np.linalg.eig(_left_matrix(site))
     coeffs = np.linalg.solve(vecs, cols)
     mags = np.abs(vals)
     degenerate = bool(np.count_nonzero(mags > mags.max() - DEGENERACY_GAP) > 1)
@@ -412,13 +382,16 @@ def theorem1_check(model: OqeModel, alpha: float) -> Theorem1Result:
 
 
 def stationarity_onset(model: OqeModel, tol: float = 1e-8) -> int:
-    """Smallest n with fidelity(rho_n, rho_st) > 1 - tol.
+    """Smallest n with fidelity(rho_n, rho_st) > 1 - tol, for a finite
+    ``tol`` in (0, 1).
 
     The fidelity is symmetric, so sqrt(rho_st) is taken once and every step
     costs one ``eigvalsh`` of sqrt(rho_st) rho_n sqrt(rho_st).
     """
     if not model.time_independent:
         raise ValidationError("stationarity onset requires a time-independent model")
+    if not (np.isfinite(tol) and 0.0 < tol < 1.0):
+        raise ValidationError(f"tol must be finite and in (0, 1), got {tol}")
     rho_st, _, _ = stationary_state(model)
     sqrt_st = _psd_sqrt(np.asarray(rho_st, dtype=np.complex128))
     rho = initial_env_density(model)
@@ -461,7 +434,8 @@ def fig_s2_experiment(
     mixed state, which needs only the spectrum p of rho_n:
     F(rho, I/D) = (sum_k sqrt(p_k))^2 / D.  Returns rows
     ``(n, mean, median, q25, q75)`` over the seed ensemble, at every step by
-    default or at ``sample_points``.
+    default or at ``sample_points``.  ``rho0`` (|0><0| by default) must be a
+    D x D density operator.
     """
     _check_dimensions(d, D)
     _check_eta(eta)
@@ -479,9 +453,12 @@ def fig_s2_experiment(
     if rho0 is None:
         rho0 = np.zeros((D, D), dtype=np.complex128)
         rho0[0, 0] = 1.0
+    rho0 = validate_env_density(rho0)
+    if rho0.shape != (D, D):
+        raise DimensionError(f"rho0 has shape {rho0.shape}, expected {(D, D)}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # column-major vec(rho) of every seed, one column each for the stacked matmul
-    rho0_vec = np.asarray(rho0, dtype=np.complex128).reshape(-1, 1, order="F")
+    rho0_vec = rho0.reshape(-1, 1, order="F")
     rho_vecs = np.tile(rho0_vec, (len(seeds), 1, 1))
     curves = np.empty((len(points), len(seeds)))  # (points, seeds): one row per output row
     filled = 0
@@ -531,15 +508,13 @@ def _left_matrices(rngs, d: int, D: int, eta: float, k: int) -> np.ndarray:
     """Left transfer matrices of the next ``k`` near-identity steps of every
     seed, shape (k, seeds, D^2, D^2), C-contiguous.
 
-    Each slice equals ``transfer_matrix(site_tensor_from_unitary(u, d, D))
-    .left_matrix()`` of that seed's next single draw ``u``, bit for bit.
+    Each slice equals ``_left_matrix(site_tensor_from_unitary(u, d, D))`` of
+    that seed's next single draw ``u``, bit for bit.
     """
     us = np.stack([near_identity_unitary(d * D, eta, rng, size=k) for rng in rngs], axis=1)
     # site_tensor_from_unitary per slice: (o, b, i, a) -> (a, o, i, b), over sqrt(d)
     sites = us.reshape(k, len(rngs), d, D, d, D).transpose(0, 1, 5, 2, 4, 3) / np.sqrt(d)
-    dense = np.einsum("xyaoib,xycoid->xyacbd", sites.conj(), sites)
-    dense = dense.reshape(k, len(rngs), D * D, D * D)
-    return np.ascontiguousarray(dense.conj().swapaxes(-1, -2))
+    return _left_matrix(sites)
 
 
 def _infidelities_to_mixed(rho_vecs: np.ndarray, D: int) -> np.ndarray:

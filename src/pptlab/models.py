@@ -73,11 +73,6 @@ class OqeModel:
     def time_independent(self) -> bool:
         return len(self.unitaries) == 1
 
-    @property
-    def effective_env_dim(self) -> int:
-        """Environment size felt by the process: d*D for entangled initial states."""
-        return self.d * self.D if self.entangled else self.D
-
     def unitary_at(self, n: int) -> np.ndarray:
         """Step unitary for 1-based step ``n``."""
         if self.time_independent:

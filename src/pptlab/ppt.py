@@ -16,7 +16,7 @@ the identity on the absorbed system factor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -455,13 +455,3 @@ def split_block(
         bond = keep
     sites[0] = work.reshape(left, d, d, bond)
     return sites
-
-
-def perturbed(mps: PptMps, scale: float, seed) -> PptMps:
-    """Add Gaussian noise of the given scale to every site tensor (testing aid)."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    noisy = []
-    for t in mps.sites:
-        noise = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-        noisy.append(t + scale * noise)
-    return replace(mps, sites=tuple(noisy), canonical="none")

@@ -99,6 +99,12 @@ def json_int(doc: dict, key: str) -> int:
     return value
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` can name a step or site: a Python or numpy integer, but
+    not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def transfer_left(
     env: np.ndarray, bra: np.ndarray, ket: np.ndarray, op: np.ndarray | None = None
 ) -> np.ndarray:

@@ -48,6 +48,8 @@ from .exceptions import (
     ConvergenceError,
     DegenerateStateError,
     DimensionError,
+    SingularityError,
+    UnsupportedPredictionError,
     ValidationError,
 )
 from .models import OqeModel, SchmidtForm, near_identity_unitary, random_haar_unitary
@@ -59,8 +61,10 @@ from .ppt import (
     mps_to_oqe,
     site_tensor_from_unitary,
     split_block,
+    to_right_canonical,
 )
 from .tensor_ops import (
+    _is_integer,
     closest_isometry,
     fill_unassigned_columns,
     polar_unitary,
@@ -162,7 +166,7 @@ class MeasurementOracle:
             a, b = sites
         except (TypeError, ValueError):
             raise ValidationError(f"site range {sites!r} is not a pair of sites") from None
-        if not (_is_site(a) and _is_site(b) and 1 <= a <= b <= self.n_steps):
+        if not (_is_integer(a) and _is_integer(b) and 1 <= a <= b <= self.n_steps):
             raise ValidationError(f"site range {sites} outside [1, {self.n_steps}]")
         a, b = int(a), int(b)
         width = b - a + 1
@@ -192,7 +196,7 @@ class MeasurementOracle:
             zip(circuit, self._applied)
         ):
             gate = np.asarray(gate, dtype=np.complex128)
-            if not (_is_site(start) and start == kept_start and gate.shape == shape
+            if not (_is_integer(start) and start == kept_start and gate.shape == shape
                     and gate.tobytes() == data):
                 return k
         return min(len(circuit), len(self._applied))
@@ -225,7 +229,7 @@ class MeasurementOracle:
         in does not depend on the caller's array, so a cached application
         equals a fresh one bit for bit.
         """
-        if not _is_site(start) or not 1 <= start <= self.n_steps:
+        if not _is_integer(start) or not 1 <= start <= self.n_steps:
             raise ValidationError(f"gate start {start!r} is not a site in [1, {self.n_steps}]")
         gate = np.array(gate, dtype=np.complex128, order="C")
         dim = gate.shape[0] if gate.ndim == 2 and gate.shape[0] == gate.shape[1] else 0
@@ -277,11 +281,6 @@ class MeasurementOracle:
             unsealed=self.unsealed,
         )
         return oracle, prob
-
-
-def _is_site(x) -> bool:
-    """Whether ``x`` can name a site: an integer, but not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _contract_sites(sites) -> np.ndarray:
@@ -580,15 +579,6 @@ def _unitary_gradient(left, target_site, right):
     return g.reshape(q, d, d, s).transpose(1, 3, 2, 0).reshape(d * s, d * q) / np.sqrt(d)
 
 
-def _fit_overlap_and_grads(target: PptMps, u_list, of, d, D, shared: bool):
-    chain = target.chain()
-    sites = _ansatz_sites(u_list, d, D, len(chain))
-    fwd = _forward_envs(chain, sites)
-    overlap = complex(np.einsum("pq,pq", fwd[-1], of))
-    grads_u = _backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
-    return overlap, grads_u, fwd[-1]
-
-
 def _backward_grads(chain, sites, of, fwd, d, D, shared, u_count):
     grads_u = [np.zeros((d * D, d * D), dtype=np.complex128) for _ in range(u_count)]
     bwd = _backward_envs(chain[1:], sites[1:], of)
@@ -639,8 +629,6 @@ def variational_fit(
     if target.env_dim != D:
         raise DimensionError(f"target environment dimension {target.env_dim} != D={D}")
     if target.canonical != "right":
-        from .ppt import to_right_canonical
-
         target = to_right_canonical(target)
     d = target.d
     rng = np.random.default_rng(seed)
@@ -752,8 +740,6 @@ def _warm_start(target: PptMps, d: int, D: int, time_independent: bool):
         return list(model.unitaries), np.eye(D, dtype=np.complex128), residuals
 
     if len(model.unitaries) >= 2:
-        from .exceptions import SingularityError
-
         try:
             u_shared = polar_unitary(np.mean(np.stack(model.unitaries[1:]), axis=0))
         except SingularityError:  # wildly inconsistent site gauges average to ~0
@@ -777,8 +763,6 @@ def _warm_start(target: PptMps, d: int, D: int, time_independent: bool):
 
 def predict_future(report: ReconstructionReport, n_future: int) -> PptMps:
     """Extend a time-independent recovered model to ``n_future`` steps."""
-    from .exceptions import UnsupportedPredictionError
-
     if report.recovered_model is None:
         raise UnsupportedPredictionError("report carries no recovered model")
     if not report.recovered_model.time_independent:

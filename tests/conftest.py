@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pptlab import MultiTimeObservable, OqeModel, PptMps, tomography
+from pptlab import MultiTimeObservable, OqeModel, PptMps, memory, tomography
 from pptlab.exceptions import ConvergenceError, DimensionError, ValidationError
-from pptlab.memory import (
-    DEGENERACY_GAP,
-    initial_env_density,
-    model_transfer_matrix,
-    transfer_matrix,
-    validate_env_density,
-)
+from pptlab.memory import DEGENERACY_GAP, initial_env_density, validate_env_density
 from pptlab.models import near_identity_unitary, random_hermitian
 from pptlab.ppt import site_tensor_from_unitary
 
@@ -61,6 +56,52 @@ def version_1_model_doc(model) -> dict:
         "unitaries": [pair_leaf(u) for u in model.unitaries],
         "initial_state": pair_leaf(model.initial_state),
     }
+
+
+def perturbed(mps: PptMps, scale: float, rng) -> PptMps:
+    """Add Gaussian noise of the given scale to every site tensor."""
+    noisy = []
+    for t in mps.sites:
+        noise = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
+        noisy.append(t + scale * noise)
+    return replace(mps, sites=tuple(noisy), canonical="none")
+
+
+def dense_transfer_matrix(site) -> np.ndarray:
+    """E = sum conj(B) (x) B of one site, shape (l*l, r*r), by one einsum.
+
+    With column-major vectorisation E is the matrix of the right action
+    rho -> sum B rho B^dag and E^dag that of the left action.
+    """
+    site = np.asarray(site, dtype=np.complex128)
+    l, _, _, r = site.shape
+    return np.einsum("aoib,coid->acbd", site.conj(), site).reshape(l * l, r * r)
+
+
+def dense_left_matrix(site):
+    """Left-action matrix built by explicit loops."""
+    l, d, _, r = site.shape
+    out = np.zeros((r * r, l * l), dtype=np.complex128)
+    for b in range(r):
+        for bp in range(r):
+            for a in range(l):
+                for ap in range(l):
+                    val = 0.0
+                    for o in range(d):
+                        for i in range(d):
+                            val += np.conj(site[a, o, i, b]) * site[ap, o, i, bp]
+                    out[b + bp * r, a + ap * l] = val
+    return out
+
+
+def fit_overlap_and_grads(target: PptMps, u_list, of, d, D, shared: bool):
+    """Overlap <target|ansatz> of ``variational_fit``'s ansatz and its gradients
+    in the step unitaries, from the fit's own environment sweeps."""
+    chain = target.chain()
+    sites = tomography._ansatz_sites(u_list, d, D, len(chain))
+    fwd = tomography._forward_envs(chain, sites)
+    overlap = complex(np.einsum("pq,pq", fwd[-1], of))
+    return overlap, tomography._backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
 
 
 def embed_environment(model: OqeModel, iso: np.ndarray) -> OqeModel:
@@ -227,7 +268,7 @@ def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, rho0=None, s
     """``fig_s2_experiment`` stepped one step at a time, the reference for its blocks.
 
     Draws one ``near_identity_unitary`` per seed per step (once for fixed H),
-    builds ``transfer_matrix(...).left_matrix()`` for each, reads the
+    builds the left matrix of each by ``dense_transfer_matrix``, reads the
     spectra with one ``eigvalsh`` per sample point and summarises each row
     with its own ``np.mean``/``np.median``/``np.quantile`` calls.
     """
@@ -246,7 +287,7 @@ def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, rho0=None, s
             if lmats is None or time_dependent:
                 us = [near_identity_unitary(d * D, eta, rng) for rng in rngs]
                 lmats = np.stack(
-                    [transfer_matrix(site_tensor_from_unitary(u, d, D)).left_matrix() for u in us]
+                    [dense_transfer_matrix(site_tensor_from_unitary(u, d, D)).conj().T for u in us]
                 )
             rho_vecs = lmats @ rho_vecs
         done = n
@@ -271,26 +312,27 @@ def dense_stationary_state(mps_or_model, rho0=None):
     unit-modulus eigenvalue.  Returns ``(rho_st, 0, degenerate)``.
     """
     if isinstance(mps_or_model, PptMps):
-        sites = mps_or_model.sites
-        tm = transfer_matrix(sites[-1])
+        site = mps_or_model.sites[-1]
         if rho0 is None:
             raise ValidationError("rho0 is required when passing a bare MPS")
     else:
         model: OqeModel = mps_or_model
         if not model.time_independent:
             raise ValidationError("stationary analysis requires a time-independent model")
-        tm = model_transfer_matrix(model)
+        site = memory._model_site(model, 1)
         if rho0 is None:
             rho0 = initial_env_density(model)
-    if tm.dense.shape[0] != tm.dense.shape[1]:
+    dense = dense_transfer_matrix(site)
+    if dense.shape[0] != dense.shape[1]:
         raise DimensionError("stationary analysis requires equal bond dimensions")
+    dim = site.shape[0]
     rho0 = validate_env_density(rho0)
-    if rho0.shape[0] != tm.dim:
+    if rho0.shape[0] != dim:
         raise DimensionError(
-            f"rho0 dimension {rho0.shape[0]} does not match the transfer dimension {tm.dim}"
+            f"rho0 dimension {rho0.shape[0]} does not match the transfer dimension {dim}"
         )
 
-    vals, vecs = np.linalg.eig(tm.left_matrix())
+    vals, vecs = np.linalg.eig(dense.conj().T)
     coeffs = np.linalg.solve(vecs, rho0.reshape(-1, order="F"))
     mags = np.abs(vals)
     degenerate = bool(np.count_nonzero(mags > mags.max() - DEGENERACY_GAP) > 1)
@@ -306,7 +348,7 @@ def dense_stationary_state(mps_or_model, rho0=None):
             "rho0 has a non-decaying component on a unit-modulus eigenvalue other than 1",
             residual=residual,
         )
-    rho = (vecs[:, fixed] @ coeffs[fixed]).reshape(tm.dim, tm.dim, order="F")
+    rho = (vecs[:, fixed] @ coeffs[fixed]).reshape(dim, dim, order="F")
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real, 0, degenerate
 

@@ -11,8 +11,9 @@ import time
 import numpy as np
 
 import pptlab as pl
+from pptlab.tensor_ops import transfer_left, transfer_right
 
-from conftest import random_observable
+from conftest import dense_transfer_matrix, random_observable
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -210,19 +211,20 @@ def test_criterion_7_invariant_suite():
         worst["isometry"] = max(worst["isometry"], pl.check_isometry(model))
         mps = pl.build_ppt(model, 3)
         worst["canonical"] = max(worst["canonical"], mps.right_canonical_residual())
-        tm = pl.model_transfer_matrix(model)
-        worst["radius"] = max(worst["radius"], tm.spectral_radius() - 1.0)
+        site = pl.site_tensor_from_unitary(model.unitaries[0], d, D)
+        radius = np.max(np.abs(np.linalg.eigvals(dense_transfer_matrix(site))))
+        worst["radius"] = max(worst["radius"], radius - 1.0)
         iD = np.eye(D) / D
         worst["fixed"] = max(
             worst["fixed"],
-            float(np.max(np.abs(tm.apply_left(iD) - iD))),
-            float(np.max(np.abs(tm.apply_right(iD) - iD))),
+            float(np.max(np.abs(transfer_left(iD, site, site) - iD))),
+            float(np.max(np.abs(transfer_right(iD.T, site, site).T - iD))),
         )
         g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         worst["trace"] = max(
-            worst["trace"], abs(np.trace(tm.apply_left(rho)).real - 1.0)
+            worst["trace"], abs(np.trace(transfer_left(rho, site, site)).real - 1.0)
         )
     elapsed = time.time() - t0
     bad = {k: v for k, v in worst.items() if v >= 1e-10}

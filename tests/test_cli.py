@@ -72,10 +72,10 @@ class TestComplexity:
             env=env, capture_output=True, text=True, check=True,
         ).stdout
 
-        def forbidden(site):
-            raise AssertionError(f"dense transfer matrix built for a {site.shape} site")
+        def forbidden(sites):
+            raise AssertionError(f"dense transfer matrix built for a {sites.shape} site")
 
-        monkeypatch.setattr(memory, "transfer_matrix", forbidden)
+        monkeypatch.setattr(memory, "_left_matrix", forbidden)
         outputs = []
         for _ in range(2):
             assert run(argv) == 0

@@ -124,6 +124,18 @@ class TestObservableType:
         with pytest.raises(ValidationError):
             MultiTimeObservable.create([(2, np.eye(4)), (2, np.eye(4))])
 
+    @pytest.mark.parametrize(
+        "step", [1.5, 2.0, True, "2", None, np.float64(2.0)], ids=repr
+    )
+    def test_rejects_steps_that_are_not_integers(self, step):
+        with pytest.raises(ValidationError, match="integer"):
+            MultiTimeObservable.create([(step, np.eye(4))])
+
+    @pytest.mark.parametrize("step", [2, np.int64(2), np.uint8(2)], ids=repr)
+    def test_accepts_python_and_numpy_integer_steps(self, step):
+        obs = MultiTimeObservable.create([(step, np.eye(4))])
+        assert obs.insertions[0][0] == 2 and type(obs.insertions[0][0]) is int
+
     def test_pair_operator(self, rng):
         a = random_hermitian(2, rng)
         b = random_hermitian(2, rng)

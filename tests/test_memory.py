@@ -14,7 +14,6 @@ from pptlab import (
     initial_env_density,
     memory,
     memory_complexity,
-    model_transfer_matrix,
     near_identity_unitary,
     random_entangled_model,
     random_separable_model,
@@ -22,14 +21,20 @@ from pptlab import (
     stationarity_onset,
     stationary_state,
     theorem1_check,
-    transfer_matrix,
     uhlmann_fidelity,
 )
+from pptlab.exceptions import DimensionError
 from pptlab.memory import DEGENERACY_GAP
 from pptlab.models import random_haar_unitary
 from pptlab.ppt import site_tensor_from_unitary
+from pptlab.tensor_ops import transfer_left, transfer_right
 
-from conftest import dense_stationary_state, partial_process_tensor
+from conftest import (
+    dense_left_matrix,
+    dense_stationary_state,
+    dense_transfer_matrix,
+    partial_process_tensor,
+)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -63,67 +68,60 @@ def assert_matches_dense_oracle(mps_or_model, rho0=None, raises=False):
     assert np.max(np.abs(rho - ref)) < 1e-10
 
 
-def dense_left_matrix(site):
-    """Left-action matrix built by explicit loops (oracle for TransferMatrix)."""
-    l, d, _, r = site.shape
-    out = np.zeros((r * r, l * l), dtype=np.complex128)
-    for b in range(r):
-        for bp in range(r):
-            for a in range(l):
-                for ap in range(l):
-                    val = 0.0
-                    for o in range(d):
-                        for i in range(d):
-                            val += np.conj(site[a, o, i, b]) * site[ap, o, i, bp]
-                    out[b + bp * r, a + ap * l] = val
-    return out
-
-
 class TestTransferMatrix:
+    """The transfer map through ``transfer_left``/``transfer_right`` and the
+    library's one left-matrix kernel, ``memory._left_matrix``."""
+
     def test_trivial_environment(self, rng):
-        model = random_separable_model(2, 1, rng)
-        tm = model_transfer_matrix(model)
-        assert tm.dense.shape == (1, 1)
-        assert abs(tm.dense[0, 0] - 1.0) < 1e-12
+        site = memory._model_site(random_separable_model(2, 1, rng), 1)
+        lmat = memory._left_matrix(site)
+        assert lmat.shape == (1, 1) and abs(lmat[0, 0] - 1.0) < 1e-12
+        assert abs(transfer_left(np.ones((1, 1)), site, site)[0, 0] - 1.0) < 1e-12
 
     def test_maximally_mixed_fixed_point_both_sides(self, rng):
-        model = random_separable_model(2, 2, rng)
-        tm = model_transfer_matrix(model)
+        site = memory._model_site(random_separable_model(2, 2, rng), 1)
         iD = np.eye(2) / 2
-        assert np.max(np.abs(tm.apply_left(iD) - iD)) < 1e-12
-        assert np.max(np.abs(tm.apply_right(iD) - iD)) < 1e-12
+        assert np.max(np.abs(transfer_left(iD, site, site) - iD)) < 1e-12
+        assert np.max(np.abs(transfer_right(iD, site, site) - iD)) < 1e-12
 
     def test_dense_matches_functional(self, rng):
         site = rng.standard_normal((3, 2, 2, 3)) + 1j * rng.standard_normal((3, 2, 2, 3))
-        tm = transfer_matrix(site)
+        dense = dense_transfer_matrix(site)
+        assert np.array_equal(memory._left_matrix(site), dense.conj().T)
         rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         rho = rho + rho.conj().T
-        left_vec = tm.left_matrix() @ rho.reshape(-1, order="F")
-        assert np.max(np.abs(left_vec.reshape(3, 3, order="F") - tm.apply_left(rho))) < 1e-12
-        right_vec = tm.dense @ rho.reshape(-1, order="F")
+        left_vec = memory._left_matrix(site) @ rho.reshape(-1, order="F")
+        left = transfer_left(rho, site, site)
+        assert np.max(np.abs(left_vec.reshape(3, 3, order="F") - left)) < 1e-12
+        right_vec = dense @ rho.reshape(-1, order="F")
         right = np.einsum("aoib,bj,coij->ac", site, rho, site.conj())
         assert np.max(np.abs(right_vec.reshape(3, 3, order="F") - right)) < 1e-12
-        assert np.max(np.abs(right_vec.reshape(3, 3, order="F") - tm.apply_right(rho))) < 1e-12
+        right_action = transfer_right(rho.T, site, site).T
+        assert np.max(np.abs(right_vec.reshape(3, 3, order="F") - right_action)) < 1e-12
 
     def test_left_matrix_matches_loop_oracle(self, rng):
-        model = random_separable_model(2, 3, rng)
-        site = site_tensor_from_unitary(model.unitaries[0], 2, 3)
-        tm = transfer_matrix(site)
-        assert np.max(np.abs(tm.left_matrix() - dense_left_matrix(site))) < 1e-12
+        sites = [
+            site_tensor_from_unitary(random_separable_model(2, 3, rng).unitaries[0], 2, 3)
+            for _ in range(2)
+        ]
+        stacked = memory._left_matrix(np.stack(sites))
+        assert stacked.shape == (2, 9, 9) and stacked.flags.c_contiguous
+        for site, lmat in zip(sites, stacked):
+            assert np.max(np.abs(memory._left_matrix(site) - dense_left_matrix(site))) < 1e-12
+            assert np.array_equal(lmat, memory._left_matrix(site))
 
     def test_spectral_radius_bound(self, rng):
         for _ in range(10):
-            model = random_separable_model(2, 3, rng)
-            assert model_transfer_matrix(model).spectral_radius() <= 1 + 1e-10
+            site = memory._model_site(random_separable_model(2, 3, rng), 1)
+            assert np.max(np.abs(np.linalg.eigvals(memory._left_matrix(site)))) <= 1 + 1e-10
 
     def test_trace_preservation_and_positivity(self, rng):
-        model = random_separable_model(2, 3, rng)
-        tm = model_transfer_matrix(model)
+        site = memory._model_site(random_separable_model(2, 3, rng), 1)
         for _ in range(100):
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            out = tm.apply_left(rho)
+            out = transfer_left(rho, site, site)
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() > -1e-10
 
@@ -185,10 +183,11 @@ class TestStationaryState:
             evals = np.sort(np.linalg.eigvalsh(rho))
             assert np.allclose(evals, np.sort(np.kron(lam2, np.ones(model.D) / model.D)), atol=1e-8)
             # dense oracle: matrix-power the left action until stationary
-            tm = model_transfer_matrix(model)
-            lmat = np.linalg.matrix_power(tm.left_matrix(), 4096)
+            dense = dense_transfer_matrix(memory._model_site(model, 1))
+            lmat = np.linalg.matrix_power(dense.conj().T, 4096)
             rho0 = initial_env_density(model)
-            ref = (lmat @ rho0.reshape(-1, order="F")).reshape(tm.dim, tm.dim, order="F")
+            dim = rho0.shape[0]
+            ref = (lmat @ rho0.reshape(-1, order="F")).reshape(dim, dim, order="F")
             assert np.max(np.abs(rho - ref)) < 1e-8
 
     # A crossover of 1 sends every D >= 2 through the Krylov branch first; the
@@ -356,6 +355,11 @@ class TestStationarityOnset:
         upsilon_b = partial_process_tensor(model, rho_b, 3)
         assert np.max(np.abs(upsilon_a - upsilon_b)) < 1e-7
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, 2.0, float("nan"), float("inf")])
+    def test_rejects_tol_outside_unit_interval(self, rng, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            stationarity_onset(random_separable_model(2, 2, rng), tol=tol)
+
     def test_smaller_eta_converges_slower(self):
         onsets = {0.01: [], 0.005: []}
         psi = np.kron([1.0, 0.0], [1.0, 0.0])
@@ -467,6 +471,19 @@ class TestFigS2:
     def test_rejects_sample_points_beyond_n_max(self):
         with pytest.raises(ValidationError):
             fig_s2_experiment(2, 2, 0.05, 5, [0], sample_points=[0, 5, 9])
+
+    def test_rejects_rho0_of_another_dimension(self):
+        with pytest.raises(DimensionError, match="rho0"):
+            fig_s2_experiment(2, 2, 0.05, 5, [0], rho0=np.eye(3) / 3)
+
+    @pytest.mark.parametrize(
+        "rho0",
+        [np.diag([2.0, -1.0]), np.eye(2), np.array([[0.5, 1.0], [0.0, 0.5]]), np.ones((2, 3)) / 2],
+        ids=["negative", "trace_2", "non_hermitian", "non_square"],
+    )
+    def test_rejects_rho0_that_is_not_a_state(self, rho0):
+        with pytest.raises(ValidationError):
+            fig_s2_experiment(2, 2, 0.05, 5, [0], rho0=rho0)
 
     def test_regression_baseline_eta001(self):
         # Achieved value recorded as the regression baseline: the unitarized

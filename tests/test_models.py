@@ -159,10 +159,6 @@ class TestOqeModel:
         assert not random_separable_model(2, 2, rng).entangled
         assert random_entangled_model(2, 2, rng).entangled
 
-    def test_effective_env_dim(self, rng):
-        assert random_separable_model(2, 3, rng).effective_env_dim == 3
-        assert random_entangled_model(2, 3, rng).effective_env_dim == 6
-
     def test_json_roundtrip(self, rng):
         model = random_entangled_model(2, 2, rng, lambdas=np.sqrt([0.8, 0.2]))
         back = OqeModel.from_json(model.to_json())

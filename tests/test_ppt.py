@@ -20,11 +20,11 @@ from pptlab import (
     random_separable_model,
     to_right_canonical,
 )
-from pptlab.ppt import perturbed
 
 from conftest import (
     dense_ppt_vector,
     embed_environment,
+    perturbed,
     random_env_isometry,
     random_observable,
     schmidt_spectra_dense,

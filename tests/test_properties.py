@@ -1,4 +1,5 @@
-"""Generated-case invariants: MPS sweeps against dense oracles, exact JSON round trips.
+"""Generated-case invariants: MPS sweeps against dense oracles, CPTP transfer
+maps, exact JSON round trips.
 
 Cases range over d in {2, 3}, D in 1..4, N in 1..5 (up to 8 for the
 measurement oracle), separable or entangled initial states, and
@@ -36,15 +37,16 @@ from pptlab import (
     expectation,
     random_entangled_model,
     random_separable_model,
-    transfer_matrix,
 )
 from pptlab.models import random_haar_unitary
 from pptlab.ppt import overlap_matrix
-from pptlab.tensor_ops import decode_complex, encode_complex
+from pptlab.tensor_ops import decode_complex, encode_complex, transfer_left, transfer_right
 
 from conftest import (
+    dense_left_matrix,
     dense_reduced_density,
     dense_stationary_state,
+    dense_transfer_matrix,
     fig_s2_reference,
     pair_leaf,
     pauli_sampled_estimate_loop,
@@ -114,12 +116,47 @@ def test_transfer_actions_match_dense_matrices(d, left, right, seed):
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    tm = transfer_matrix(gaussian(left, d, d, right))
+    site = gaussian(left, d, d, right)
+    dense = dense_transfer_matrix(site)
+    # the library's one left-matrix kernel is the oracle's einsum, bit for bit
+    assert np.array_equal(memory._left_matrix(site), dense.conj().T)
     rho_l, rho_r = gaussian(left, left), gaussian(right, right)
-    vec_l = tm.left_matrix() @ rho_l.reshape(-1, order="F")
-    vec_r = tm.dense @ rho_r.reshape(-1, order="F")
-    assert np.max(np.abs(tm.apply_left(rho_l) - vec_l.reshape(right, right, order="F"))) < 1e-12
-    assert np.max(np.abs(tm.apply_right(rho_r) - vec_r.reshape(left, left, order="F"))) < 1e-12
+    vec_l = dense.conj().T @ rho_l.reshape(-1, order="F")
+    vec_r = dense @ rho_r.reshape(-1, order="F")
+    got_l = transfer_left(rho_l, site, site)
+    got_r = transfer_right(rho_r.T, site, site).T
+    assert np.max(np.abs(got_l - vec_l.reshape(right, right, order="F"))) < 1e-12
+    assert np.max(np.abs(got_r - vec_r.reshape(left, left, order="F"))) < 1e-12
+
+
+def unit_images(action, n):
+    """Images of the row-major matrix units |a><c| (index a * n + c) of n x n operators."""
+    return np.stack([action(e) for e in np.eye(n * n).reshape(n * n, n, n)])
+
+
+def column_major_matrix(images, n):
+    """Matrix on column-major vectorised operators of the map with ``unit_images``."""
+    m = images.shape[-1]
+    return images.reshape(n, n, m, m).transpose(3, 2, 1, 0).reshape(m * m, n * n)
+
+
+@CASES
+@given(spec=model_specs)
+def test_chain_transfer_maps_are_cptp_and_unital(spec):
+    # Every chain site B of a PPT is right-canonical, so its left action
+    # X -> sum B^dag X B is CPTP and its right action X -> sum B X B^dag is unital.
+    for site in build_ppt(make_model(spec), spec["N"]).chain():
+        l, r = site.shape[0], site.shape[3]
+        left = unit_images(lambda x: transfer_left(x, site, site), l)
+        right = unit_images(lambda x: transfer_right(x.T, site, site).T, r)
+        choi = left.reshape(l, l, r, r).transpose(0, 2, 1, 3).reshape(l * r, l * r)
+        assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).min() > -1e-10
+        assert np.max(np.abs(np.trace(left, axis1=1, axis2=2) - np.eye(l).reshape(-1))) < 1e-12
+        assert np.max(np.abs(transfer_right(np.eye(r), site, site) - np.eye(l))) < 1e-12
+        lmat = dense_left_matrix(site)
+        assert np.max(np.abs(column_major_matrix(left, l) - lmat)) < 1e-12
+        assert np.max(np.abs(column_major_matrix(right, r) - lmat.conj().T)) < 1e-12
 
 
 @CASES

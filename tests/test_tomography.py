@@ -24,15 +24,18 @@ from pptlab import (
 )
 from pptlab import tomography
 from pptlab.models import random_haar_unitary
-from pptlab.ppt import perturbed
 from pptlab.tomography import (
-    _fit_overlap_and_grads,
     _pauli_sampled_estimate,
     _setting_rotations,
     window_size,
 )
 
-from conftest import pauli_sampled_estimate_loop, random_observable
+from conftest import (
+    fit_overlap_and_grads,
+    pauli_sampled_estimate_loop,
+    perturbed,
+    random_observable,
+)
 
 
 class TestReducedDensity:
@@ -347,11 +350,11 @@ class TestVariationalFit:
         u_list = [random_haar_unitary(2 * D, rng) for _ in range(1 if shared else N)]
         of = random_haar_unitary(D, rng)
         xs = [rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape) for u in u_list]
-        _, grads, _ = _fit_overlap_and_grads(target, u_list, of, 2, D, shared)
+        _, grads = fit_overlap_and_grads(target, u_list, of, 2, D, shared)
 
         def overlap_along(eps):
             moved = [u + eps * x for u, x in zip(u_list, xs)]
-            return _fit_overlap_and_grads(target, moved, of, 2, D, shared)[0]
+            return fit_overlap_and_grads(target, moved, of, 2, D, shared)[0]
 
         eps = 1e-6
         fd = (overlap_along(eps) - overlap_along(-eps)) / (2 * eps)
