@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DimensionError, ValidationError
 from .models import OqeModel, _check_dimensions, _check_eta, near_identity_unitary
 from .ppt import PptMps, enlarged_site_tensor, site_tensor_from_unitary
-from .tensor_ops import transfer_left
+from .tensor_ops import _is_integer, transfer_left
 
 DEGENERACY_GAP = 1e-8
 DENSITY_TOL = 1e-10  # Hermiticity, positivity and trace error allowed in an environment state
@@ -89,6 +89,8 @@ def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
     For an MPS the step count is bounded by its length; a time-independent
     model supports any ``n >= 0``.
     """
+    if not _is_integer(n):
+        raise ValidationError(f"step count {n!r} is not an integer")
     rho = validate_env_density(rho0)
     if isinstance(mps_or_model, PptMps):
         sites = mps_or_model.chain()
@@ -299,10 +301,15 @@ def renyi_complexity(rho: np.ndarray, alpha: float) -> float:
 
     alpha = 1 is the von Neumann limit; zero eigenvalues contribute zero.
     """
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValidationError(f"alpha must be positive and finite, got {alpha}")
+    if not (_is_real(alpha) and np.isfinite(alpha) and alpha > 0):
+        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
     rho = validate_env_density(rho)
     return _renyi_bits(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), alpha)
+
+
+def _is_real(x) -> bool:
+    """Whether ``x`` is a Python or numpy real number, but not a bool."""
+    return _is_integer(x) or isinstance(x, (float, np.floating))
 
 
 def _renyi_bits(p: np.ndarray, alpha: float) -> float:
@@ -390,8 +397,8 @@ def stationarity_onset(model: OqeModel, tol: float = 1e-8) -> int:
     """
     if not model.time_independent:
         raise ValidationError("stationarity onset requires a time-independent model")
-    if not (np.isfinite(tol) and 0.0 < tol < 1.0):
-        raise ValidationError(f"tol must be finite and in (0, 1), got {tol}")
+    if not (_is_real(tol) and np.isfinite(tol) and 0.0 < tol < 1.0):
+        raise ValidationError(f"tol must be finite and in (0, 1), got {tol!r}")
     rho_st, _, _ = stationary_state(model)
     sqrt_st = _psd_sqrt(np.asarray(rho_st, dtype=np.complex128))
     rho = initial_env_density(model)
@@ -434,17 +441,23 @@ def fig_s2_experiment(
     mixed state, which needs only the spectrum p of rho_n:
     F(rho, I/D) = (sum_k sqrt(p_k))^2 / D.  Returns rows
     ``(n, mean, median, q25, q75)`` over the seed ensemble, at every step by
-    default or at ``sample_points``.  ``rho0`` (|0><0| by default) must be a
-    D x D density operator.
+    default or at the integer ``sample_points``.  ``seeds`` is a count (seeds
+    0 .. seeds - 1) or a list of non-negative integer seeds.  ``rho0``
+    (|0><0| by default) must be a D x D density operator.
     """
     _check_dimensions(d, D)
     _check_eta(eta)
-    if n_max < 0:
-        raise ValidationError(f"n_max must be non-negative, got {n_max}")
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
+    if not (_is_integer(n_max) and n_max >= 0):
+        raise ValidationError(f"n_max must be a non-negative integer, got {n_max!r}")
+    if _is_integer(seeds):
+        seeds = range(seeds)
+    seeds = list(seeds) if hasattr(seeds, "__iter__") else [seeds]
+    if not all(_is_integer(s) and s >= 0 for s in seeds):
+        raise ValidationError(f"seeds must be a count or non-negative integers, got {seeds}")
     if len(seeds) == 0:
         raise ValidationError("the seed ensemble is empty")
+    if sample_points is not None and not all(_is_integer(n) for n in sample_points):
+        raise ValidationError(f"sample points must be integers, got {sample_points}")
     points = sorted(set(sample_points)) if sample_points is not None else list(range(n_max + 1))
     if not points:
         return []

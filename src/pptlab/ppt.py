@@ -45,7 +45,7 @@ SCHMIDT_RANK_TOL = 1e-8  # Schmidt values counted by memory_size
 CANONICAL_TOL = 1e-10  # right-canonicality residual and norm deviation allowed by validate
 TRUNCATION_TOL = 1e-13  # relative singular value dropped by to_right_canonical
 SPLIT_TOL = 1e-12  # relative singular value dropped by split_block
-CANONICAL_FORMS = ("none", "right", "mixed")
+CANONICAL_FORMS = ("none", "right")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class PptMps:
 
     sites: tuple[np.ndarray, ...]
     d: int
-    canonical: str = "none"  # none | right | mixed
+    canonical: str = "none"  # none | right
     leading_site: np.ndarray | None = None
 
     # Version 2 writes complex leaves as base64 complex128 (``encode_complex``);

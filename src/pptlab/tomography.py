@@ -1,19 +1,18 @@
 """Reconstruction of purified process tensors from measured reduced densities.
 
-The measurement oracle stands in for the laboratory: it answers reduced
-density operators of the (hidden) PPT on contiguous site ranges, optionally
-after a circuit of known window gates has been applied, either exactly or
-from a finite number of projective samples in a fixed Pauli-product scheme.
-It keeps the hidden PPT as a right-canonical MPS: a gate is applied to its
-R sites and re-split by SVDs, and a window density contracts the left
-environment into the window block (the right side is the identity), so a
-query costs time linear in N and nothing of size (d^2)^N is ever formed.
-Between queries the oracle caches the chain after its last circuit and the
-left environments of the sites no gate has touched since; a circuit that
-extends the cached one pays only for its new gates and for the environment
-up to its window (the sliding-window scheme of Cramer et al., Nat. Commun.
-1, 149 (2010), with environments kept between steps as in Schollwoeck,
-Ann. Phys. 326, 96 (2011)), so a whole reconstruction is linear in N too.
+The measurement oracle stands in for the laboratory: it holds the (hidden)
+PPT, applies the known window gates it is given one at a time and answers
+reduced density operators of the current state on contiguous site ranges,
+either exactly or from a finite number of projective samples in a fixed
+Pauli-product scheme.  It keeps the state as a right-canonical MPS: a gate
+is applied to its R sites and re-split by SVDs, and a window density
+contracts the left environment into the window block (the right side is
+the identity), so nothing of size (d^2)^N is ever formed.  The left
+environments of the sites no gate has touched since they were contracted
+are kept between queries, so each gate is applied once and a whole
+reconstruction costs time linear in N (the sliding-window scheme of Cramer
+et al., Nat. Commun. 1, 149 (2010), with environments kept between steps as
+in Schollwoeck, Ann. Phys. 326, 96 (2011)).
 
 The disentangling algorithm walks a window of R sites across the chain.
 Each window's reduced density operator has support of dimension at most the
@@ -92,15 +91,12 @@ class MeasurementOracle:
     ``query_log`` counts reduced-density requests.
 
     The hidden process is held as its right-canonical ``PptMps`` only.
-    The oracle caches the chain after the last circuit it applied, with
-    copies of that circuit's validated gates, the sites each gate replaced
-    and the left environments of the sites no gate has touched since they
-    were contracted.  A query whose circuit extends the cached one (gate
-    for gate, compared bit for bit) validates and applies only the new
-    gates and extends the environment only up to its window; any other
-    circuit rolls the cache back to the longest common prefix first.  The
-    answer is bit-identical to replaying the whole circuit on the hidden
-    chain, and a sliding-window reconstruction costs time linear in
+    The oracle is stateful, like a laboratory: ``apply_gate`` applies one
+    window gate to the current chain, ``reset`` returns to the hidden chain
+    and ``reduced_density`` measures the current chain.  The left
+    environments of the sites no gate has touched since they were
+    contracted are kept, so a query extends the environment only up to its
+    window and a sliding-window reconstruction costs time linear in
     ``n_steps``.
     """
 
@@ -130,12 +126,7 @@ class MeasurementOracle:
         self.query_log = 0
         self.unsealed = unsealed
         self._rng = np.random.default_rng(seed)
-        # prefix cache: _chain is the hidden chain after the gates recorded in
-        # _applied as (start, shape, C-order bytes, the sites the gate replaced);
-        # _envs[k] is the left environment of _chain[:k]
-        self._chain = list(self._mps.sites)
-        self._applied: list[tuple[int, tuple, bytes, list]] = []
-        self._envs = [np.ones((1, 1), dtype=np.complex128)]
+        self.reset()
 
     # -- unsealed access (testing/diagnostics only) --
 
@@ -151,16 +142,34 @@ class MeasurementOracle:
 
     # -- measurement surface --
 
-    def reduced_density(self, sites: tuple[int, int], circuit=None) -> np.ndarray:
-        """Reduced density operator on the contiguous 1-based range ``sites``.
+    def reset(self) -> None:
+        """Return to the hidden chain, undoing every applied gate."""
+        # _chain is the state after the gates applied since the last reset;
+        # _envs[k] is the left environment of _chain[:k]
+        self._chain = list(self._mps.sites)
+        self._envs = [np.ones((1, 1), dtype=np.complex128)]
 
-        ``circuit`` is a list of (start_site, window_unitary) gates applied
-        to the state before reduction, simulating the disentangling gates a
-        laboratory would physically apply.  A gate on R sites from
-        ``start_site`` is a unitary on their fused (d^2)^R physical index;
-        a gate that is not, or that runs past the last step, raises
-        ``ValidationError``, as do site bounds or starts that are not
-        integers (bools included).  Counts as one request.
+    def apply_gate(self, start, gate) -> None:
+        """Apply one window gate to the current state.
+
+        Simulates a disentangling gate a laboratory would physically apply.
+        A gate on R sites from ``start`` is a unitary on their fused
+        (d^2)^R physical index; a gate that is not, that runs past the last
+        step or whose start is not an integer (bools included) raises
+        ``ValidationError`` and leaves the state as it was.  Not a request:
+        ``query_log`` is unchanged.
+        """
+        start, gate = self._checked_gate(start, gate)
+        _apply_gate(self._chain, start - 1, gate)
+        del self._envs[start:]
+
+    def reduced_density(self, sites: tuple[int, int]) -> np.ndarray:
+        """Reduced density operator of the current state on the contiguous
+        1-based range ``sites``.
+
+        Site bounds that are not integers (bools included) or not an
+        ordered range of steps raise ``ValidationError``.  Counts as one
+        request.
         """
         try:
             a, b = sites
@@ -172,13 +181,7 @@ class MeasurementOracle:
         width = b - a + 1
         if (self.d * self.d) ** width > PROCESS_TENSOR_GUARD:
             raise CapacityError(f"window of width {width} exceeds the dense guard")
-        circuit = list(circuit or ())
-        kept = self._cached_prefix(circuit)
-        gates = [self._checked_gate(start, gate) for start, gate in circuit[kept:]]
         self.query_log += 1
-        self._rewind(kept)
-        for start, gate in gates:
-            self._push(start, gate)
         env = self._left_env(a - 1)
         block = _contract_sites(self._chain[a - 1 : b])  # (l, window, r)
         l, n_phys, r = block.shape
@@ -190,44 +193,18 @@ class MeasurementOracle:
             return rho
         return _pauli_sampled_estimate(rho, self.shots, self._rng)
 
-    def _cached_prefix(self, circuit) -> int:
-        """Number of leading gates of ``circuit`` equal, bit for bit, to the cached ones."""
-        for k, ((start, gate), (kept_start, shape, data, _)) in enumerate(
-            zip(circuit, self._applied)
-        ):
-            gate = np.asarray(gate, dtype=np.complex128)
-            if not (_is_integer(start) and start == kept_start and gate.shape == shape
-                    and gate.tobytes() == data):
-                return k
-        return min(len(circuit), len(self._applied))
-
-    def _rewind(self, n_gates: int) -> None:
-        """Undo cached gates, last first, until ``n_gates`` remain."""
-        while len(self._applied) > n_gates:
-            start, _, _, replaced = self._applied.pop()
-            self._chain[start - 1 : start - 1 + len(replaced)] = replaced
-            del self._envs[start:]
-
-    def _push(self, start: int, gate: np.ndarray) -> None:
-        width = window_size(self.d, gate.shape[0]) - 1
-        replaced = self._chain[start - 1 : start - 1 + width]
-        _apply_gate(self._chain, start - 1, gate)
-        self._applied.append((start, gate.shape, gate.tobytes(), replaced))
-        del self._envs[start:]
-
     def _left_env(self, n: int) -> np.ndarray:
-        """Left environment of the first ``n`` sites of the cached chain."""
+        """Left environment of the first ``n`` sites of the current chain."""
         while len(self._envs) <= n:
             t = self._chain[len(self._envs) - 1]
             self._envs.append(transfer_left(self._envs[-1], t, t))
         return self._envs[n]
 
     def _checked_gate(self, start, gate) -> tuple[int, np.ndarray]:
-        """Validate one circuit entry: start site, fit on the chain, unitarity.
+        """Validate one gate: start site, fit on the chain, unitarity.
 
-        Returns a C-ordered copy of the gate: the layout a gate is applied
-        in does not depend on the caller's array, so a cached application
-        equals a fresh one bit for bit.
+        Returns a C-ordered copy of the gate, so the result of applying it
+        does not depend on the layout of the caller's array.
         """
         if not _is_integer(start) or not 1 <= start <= self.n_steps:
             raise ValidationError(f"gate start {start!r} is not a site in [1, {self.n_steps}]")
@@ -449,6 +426,7 @@ def disentangle_reconstruct(
     ``entangled_initial`` the effective bound is ``d * D_bound`` to account
     for the absorbed initial system leg.  Exactly f + 1 reduced-density
     requests are issued: one per window plus one for the trailing block.
+    The oracle is reset first and holds the f window gates afterwards.
     """
     if N != oracle.n_steps:
         raise ValidationError(f"oracle answers {oracle.n_steps} steps, not {N}")
@@ -466,8 +444,9 @@ def disentangle_reconstruct(
 
     gates: list[tuple[int, np.ndarray]] = []
     queries_before = oracle.query_log
+    oracle.reset()
     for j in range(1, f + 1):
-        rho_w = oracle.reduced_density((j, j + R - 1), circuit=gates)
+        rho_w = oracle.reduced_density((j, j + R - 1))
         evals, vecs = _eigh_descending(rho_w)
         n_support = int(np.count_nonzero(evals > SUPPORT_TOL))
         n_support = max(n_support, 1)
@@ -484,10 +463,12 @@ def disentangle_reconstruct(
         if n_support > 1 and np.any(np.abs(np.diff(evals[:n_support])) < 1e-10):
             notes.append(f"window {j}: near-degenerate support spectrum, canonical ordering used")
         basis = fill_unassigned_columns(vecs, np.arange(vecs.shape[1]) < n_support)
-        gates.append((j, basis.conj().T))
+        gate = basis.conj().T
+        gates.append((j, gate))
+        oracle.apply_gate(j, gate)
 
     if f < N:
-        rho_tail = oracle.reduced_density((f + 1, N), circuit=gates)
+        rho_tail = oracle.reduced_density((f + 1, N))
         evals, vecs = _eigh_descending(rho_tail)
         keep = int(np.count_nonzero(evals > SUPPORT_TOL))
         keep = min(max(keep, 1), limit)
@@ -499,7 +480,7 @@ def disentangle_reconstruct(
     else:
         # Single-site windows disentangle everything; the trailing query is a
         # consistency check on the last site.
-        oracle.reduced_density((N, N), circuit=gates)
+        oracle.reduced_density((N, N))
         env_dim = 1
         tail_sites = []
 
@@ -653,10 +634,9 @@ def variational_fit(
             u_list = [u @ near_identity_unitary(u.shape[0], scale, rng) for u in u0]
         else:  # fresh random basins
             u_list = [random_haar_unitary(u.shape[0], rng) for u in u0]
-        of_box = [of0.copy()]
-        trace = _descend(target, u_list, of_box, d, D, time_independent, nt2)
+        trace, of = _descend(target, u_list, d, D, time_independent, nt2)
         if best is None or trace[-1] < best[0]:
-            best = (trace[-1], [u.copy() for u in u_list], of_box[0].copy(), trace)
+            best = (trace[-1], [u.copy() for u in u_list], of, trace)
         if best[0] < FIT_SUCCESS_TOL:
             break
 
@@ -680,12 +660,13 @@ def variational_fit(
     )
 
 
-def _descend(target, u_list, of_box, d, D, shared, nt2) -> list[float]:
+def _descend(target, u_list, d, D, shared, nt2) -> tuple[list[float], np.ndarray]:
     """Gradient descent on the step unitaries with polar retraction.
 
     The final environment unitary enters the overlap linearly, so it is set
     to its exact maximiser at every evaluation; the step-unitary gradient
-    taken at that point is the gradient of the envelope.
+    taken at that point is the gradient of the envelope.  ``u_list`` is
+    updated in place; returns the loss trace and the final unitary.
     """
     chain = target.chain()
 
@@ -714,8 +695,7 @@ def _descend(target, u_list, of_box, d, D, shared, nt2) -> list[float]:
             step *= 0.5
     if trace[-1] != loss:
         trace.append(loss)
-    of_box[0] = of
-    return trace
+    return trace, of
 
 
 def _ansatz_mps(u_list, of, d, D, n_steps) -> PptMps:

@@ -455,6 +455,7 @@ class TestMalformedFiles:
             (_set_entry(3, [0.5]), "[re, im] pairs"),
             (_set_entry(3, [0.5, 0.0, 0.0]), "[re, im] pairs"),
             (_set_key("canonical", "banana"), "canonical form"),
+            (_set_key("canonical", "mixed"), "canonical form"),
             (_set_all_entries([3.0, 0.0]), "right-canonicality residual"),
             (_set_key("sites", []), "no sites"),
             (_set_bytes(lambda raw: NAN_BYTES + raw[16:]), "non-finite"),
@@ -472,7 +473,8 @@ class TestMalformedFiles:
             (_copy_site(1, 0), "chain element 0 has left bond 2, expected 1"),
             (_set_key("initial_vector", encode_complex(np.ones(1))), "'initial_vector'"),
         ],
-        ids=["nan", "short_pair", "long_pair", "garbage_canonical", "false_right_claim", "empty",
+        ids=["nan", "short_pair", "long_pair", "garbage_canonical", "mixed_canonical",
+             "false_right_claim", "empty",
              "base64_nan", "base64_inf", "base64_bad_char", "base64_non_ascii",
              "base64_bad_padding", "base64_16k_plus_8_bytes", "base64_short_count",
              "base64_overflowing_entry", "text_d", "true_d", "int_sites", "int_site",

@@ -156,6 +156,19 @@ class TestEvolveEnv:
         with pytest.raises(ValidationError):
             evolve_env(rho0, mps, 4)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "2", None])
+    def test_rejects_non_integer_step_count(self, rng, n):
+        model = random_separable_model(2, 2, rng)
+        for target in (model, build_ppt(model, 3)):
+            rho0 = initial_env_density(model) if target is model else np.ones((1, 1))
+            with pytest.raises(ValidationError, match="step count"):
+                evolve_env(rho0, target, n)
+
+    def test_numpy_integer_step_count_accepted(self, rng):
+        model = random_separable_model(2, 2, rng)
+        rho0 = initial_env_density(model)
+        assert np.array_equal(evolve_env(rho0, model, np.int64(3)), evolve_env(rho0, model, 3))
+
 
 class TestStationaryState:
     def test_separable_haar_gives_maximally_mixed(self, rng):
@@ -287,7 +300,7 @@ class TestRenyiComplexity:
         with pytest.raises(ValidationError):
             renyi_complexity(np.eye(2) / 2, 0.0)
 
-    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, "2", None, True, [2.0]])
     def test_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ValidationError):
             renyi_complexity(np.eye(2) / 2, alpha)
@@ -355,7 +368,9 @@ class TestStationarityOnset:
         upsilon_b = partial_process_tensor(model, rho_b, 3)
         assert np.max(np.abs(upsilon_a - upsilon_b)) < 1e-7
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, 2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "tol", [0.0, -1e-8, 1.0, 2.0, float("nan"), float("inf"), "1e-8", None, True]
+    )
     def test_rejects_tol_outside_unit_interval(self, rng, tol):
         with pytest.raises(ValidationError, match="tol"):
             stationarity_onset(random_separable_model(2, 2, rng), tol=tol)
@@ -467,6 +482,37 @@ class TestFigS2:
     def test_rejects_negative_n_max(self):
         with pytest.raises(ValidationError):
             fig_s2_experiment(2, 2, 0.05, -5, [0])
+
+    @pytest.mark.parametrize(
+        "n_max, seeds, sample_points, message",
+        [
+            (3.0, [0], None, "n_max"),
+            (True, [0], None, "n_max"),
+            ("3", [0], None, "n_max"),
+            (3, True, None, "seeds"),
+            (3, 2.0, None, "seeds"),
+            (3, None, None, "seeds"),
+            (3, [0, 1.5], None, "seeds"),
+            (3, [0, -1], None, "seeds"),
+            (3, [0], [0, 2.5], "sample points"),
+            (3, [0], [True], "sample points"),
+        ],
+        ids=["float_n_max", "bool_n_max", "text_n_max", "bool_seeds", "float_seeds", "no_seeds",
+             "float_seed", "negative_seed", "float_sample_point", "bool_sample_point"],
+    )
+    def test_rejects_non_integer_arguments(self, n_max, seeds, sample_points, message):
+        with pytest.raises(ValidationError, match=message):
+            fig_s2_experiment(2, 2, 0.05, n_max, seeds, sample_points=sample_points)
+
+    def test_numpy_integers_accepted(self):
+        ref = fig_s2_experiment(2, 2, 0.05, 3, 2, sample_points=[1, 3])
+        got = fig_s2_experiment(
+            2, 2, 0.05, np.int64(3), np.int64(2), sample_points=[np.int32(1), np.int64(3)]
+        )
+        assert got == ref
+        assert fig_s2_experiment(2, 2, 0.05, 3, [np.int64(0), np.int64(1)]) == (
+            fig_s2_experiment(2, 2, 0.05, 3, 2)
+        )
 
     def test_rejects_sample_points_beyond_n_max(self):
         with pytest.raises(ValidationError):

@@ -255,7 +255,7 @@ def test_correlate_reads_version_1_and_2_files_alike(spec, expose, n_insertions)
 @CASES
 @given(spec=model_specs, data=st.data())
 def test_oracle_density_matches_dense_reference(spec, data):
-    """The MPS oracle against the dense statevector route, under random circuits.
+    """The MPS oracle against the dense statevector route, after random gates.
 
     N reaches 8 at d = 2 and 5 at d = 3, where the dense state still fits
     the dense-state guard.  The window is any legal range whose density has
@@ -274,7 +274,9 @@ def test_oracle_density_matches_dense_reference(spec, data):
         circuit.append((start, random_haar_unitary((d * d) ** width, rng)))
     width = data.draw(st.integers(1, min(N, 5 if d == 2 else 3)), label="window")
     a = data.draw(st.integers(1, N - width + 1), label="first site")
-    rho = oracle.reduced_density((a, a + width - 1), circuit=circuit)
+    for start, gate in circuit:
+        oracle.apply_gate(start, gate)
+    rho = oracle.reduced_density((a, a + width - 1))
     ref = dense_reduced_density(oracle.true_mps(), (a, a + width - 1), circuit)
     assert np.max(np.abs(rho - ref)) < 1e-12
 
@@ -302,20 +304,21 @@ def test_batched_pauli_estimate_matches_per_setting_loop(n, shots, trailing, see
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-CACHE_STEPS = ["extend", "repeat", "shorten", "edit", "mutate", "invalid"]
+ORACLE_STEPS = ["apply", "measure", "repeat", "reset", "invalid", "mutate"]
 
 
 @CASES
 @given(spec=model_specs, sampled=st.booleans(), data=st.data())
-def test_oracle_prefix_cache_matches_fresh_replay(spec, sampled, data):
-    """One oracle answers a query sequence that extends, repeats, shortens
-    and edits its circuit, mutates a used gate array in place and meets an
-    invalid gate.  Every answer equals a fresh oracle's bit for bit and the
-    dense reference to 1e-12; sampled answers equal the per-setting
-    estimator (``pauli_sampled_estimate_loop``) applied to the fresh exact
-    density on a generator with the same seed.  A repeated
-    circuit applies no gate and an extension exactly one, and a failed
-    query leaves the log and the cached chain as they were."""
+def test_stateful_oracle_matches_fresh_replay(spec, sampled, data):
+    """One oracle meets a sequence of gate applications, measurements, a
+    repeated measurement, resets, invalid gates and in-place edits of gate
+    arrays it has applied.  Every answer equals, bit for bit, a fresh
+    oracle's given the gates applied since the last reset, and that answer
+    is within 1e-12 of the dense reference; sampled answers equal the
+    per-setting estimator (``pauli_sampled_estimate_loop``) applied to the
+    fresh exact density on a generator with the same seed.  ``apply_gate``
+    calls ``_apply_gate`` once and ``reduced_density`` never does; an
+    invalid gate or an edit of an applied array changes no later answer."""
     d = 2 if sampled else spec["d"]
     N = data.draw(st.integers(2, 6 if d == 2 else 4), label="N")
     model = make_model(dict(spec, d=d, N=N))
@@ -324,60 +327,70 @@ def test_oracle_prefix_cache_matches_fresh_replay(spec, sampled, data):
               if sampled else MeasurementOracle(model, N))
     stream = np.random.default_rng(spec["seed"])
     rng = np.random.default_rng(spec["seed"])
-    steps = data.draw(st.permutations(CACHE_STEPS), label="steps")
-    steps += data.draw(st.lists(st.sampled_from(CACHE_STEPS), max_size=4), label="more")
+    steps = data.draw(st.permutations(ORACLE_STEPS), label="steps")
+    steps += data.draw(st.lists(st.sampled_from(ORACLE_STEPS), max_size=4), label="more")
+    applied = []  # (start, copy of the gate as applied, the caller's array)
+    sites = (1, 1)
 
-    def new_gate():
+    def apply():
         width = data.draw(st.integers(1, min(N, 2)), label="width")
         start = data.draw(st.integers(1, N - width + 1), label="start")
-        return start, random_haar_unitary((d * d) ** width, rng)
-
-    def query(circuit):
-        width = data.draw(st.integers(1, min(N, 2 if sampled else 3)), label="window")
-        a = data.draw(st.integers(1, N - width + 1), label="first site")
-        sites = (a, a + width - 1)
+        gate = random_haar_unitary((d * d) ** width, rng)
         before = oracle.query_log
         with mock.patch.object(tomography, "_apply_gate", wraps=tomography._apply_gate) as spy:
-            got = oracle.reduced_density(sites, circuit=circuit)
-        assert oracle.query_log == before + 1
-        exact = MeasurementOracle(model, N).reduced_density(sites, circuit=list(circuit))
+            oracle.apply_gate(start, gate)
+        assert spy.call_count == 1 and oracle.query_log == before
+        applied.append((start, gate.copy(), gate))
+
+    def measure(window):
+        before = oracle.query_log
+        with mock.patch.object(tomography, "_apply_gate", wraps=tomography._apply_gate) as spy:
+            got = oracle.reduced_density(window)
+        assert spy.call_count == 0 and oracle.query_log == before + 1
+        fresh = MeasurementOracle(model, N)
+        for start, gate, _ in applied:
+            fresh.apply_gate(start, gate)
+        exact = fresh.reduced_density(window)
+        ref = dense_reduced_density(oracle.true_mps(), window, [g[:2] for g in applied])
+        assert np.max(np.abs(exact - ref)) < 1e-12
         if sampled:
             assert np.array_equal(got, pauli_sampled_estimate_loop(exact, shots, stream))
         else:
             assert np.array_equal(got, exact)
-            ref = dense_reduced_density(oracle.true_mps(), sites, circuit)
-            assert np.max(np.abs(got - ref)) < 1e-12
-        return spy.call_count
 
-    circuit = [new_gate()]
-    query(circuit)
+    def new_window():
+        width = data.draw(st.integers(1, min(N, 2 if sampled else 3)), label="window")
+        a = data.draw(st.integers(1, N - width + 1), label="first site")
+        return a, a + width - 1
+
+    apply()
     for step in steps:
-        if step in ("edit", "mutate", "shorten") and not circuit:
-            step = "extend"
-        if step == "extend":
-            circuit.append(new_gate())
-            assert query(circuit) == 1
+        if step == "mutate" and not applied:
+            step = "apply"
+        if step == "apply":
+            apply()
         elif step == "repeat":
-            assert query(circuit) == 0
-        elif step == "shorten":
-            del circuit[data.draw(st.integers(0, len(circuit) - 1), label="keep"):]
-            assert query(circuit) == 0
-        elif step == "edit":
-            circuit[data.draw(st.integers(0, len(circuit) - 1), label="edit")] = new_gate()
-            query(circuit)
-        elif step == "mutate":  # overwrite a gate the oracle has already applied
-            start, gate = circuit[data.draw(st.integers(0, len(circuit) - 1), label="mutate")]
-            gate[...] = random_haar_unitary(gate.shape[0], rng)
-            query(circuit)
-        else:
-            where = data.draw(st.integers(0, len(circuit)), label="invalid at")
-            bad = [*circuit[:where], (1, 2.0 * np.eye(d * d)), *circuit[where:]]
+            measure(sites)
+            continue
+        elif step == "reset":
+            oracle.reset()
+            applied.clear()
+        elif step == "invalid":
+            start, gate = data.draw(
+                st.sampled_from([(1, 2.0 * np.eye(d * d)), (N + 1, np.eye(d * d)),
+                                 (N, np.eye(d**4)), (1, np.eye(d * d)[:, :2])]),
+                label="invalid gate",
+            )
             before = oracle.query_log
             with mock.patch.object(tomography, "_apply_gate") as spy:
                 with pytest.raises(ValidationError):
-                    oracle.reduced_density((1, 1), circuit=bad)
+                    oracle.apply_gate(start, gate)
             assert oracle.query_log == before and spy.call_count == 0
-            assert query(circuit) == 0
+        elif step == "mutate":  # overwrite a gate array the oracle has already applied
+            _, _, gate = applied[data.draw(st.integers(0, len(applied) - 1), label="mutate")]
+            gate[...] = random_haar_unitary(gate.shape[0], rng)
+        sites = new_window()
+        measure(sites)
 
 
 @CASES

@@ -94,10 +94,17 @@ class TestReducedDensity:
              "start_numpy_bool", "start_float", "bad_second_gate"],
     )
     def test_rejects_malformed_circuit(self, rng, circuit):
-        oracle = MeasurementOracle(random_separable_model(2, 2, rng), 4)
+        # the last gate of each circuit is malformed; it must leave the state
+        # as the gates before it made it
+        model = random_separable_model(2, 2, rng)
+        oracle, fresh = MeasurementOracle(model, 4), MeasurementOracle(model, 4)
         with pytest.raises(ValidationError):
-            oracle.reduced_density((1, 2), circuit=circuit)
+            for start, gate in circuit:
+                oracle.apply_gate(start, gate)
         assert oracle.query_log == 0
+        for start, gate in circuit[:-1]:
+            fresh.apply_gate(start, gate)
+        assert np.array_equal(oracle.reduced_density((1, 4)), fresh.reduced_density((1, 4)))
 
     @pytest.mark.parametrize(
         "sites",
@@ -114,11 +121,12 @@ class TestReducedDensity:
 
     def test_numpy_integer_sites_accepted(self, rng):
         model = random_separable_model(2, 2, rng)
-        got = MeasurementOracle(model, 4).reduced_density(
-            (np.int64(2), np.int32(3)), circuit=[(np.int64(1), np.eye(16))]
-        )
-        ref = MeasurementOracle(model, 4).reduced_density((2, 3), circuit=[(1, np.eye(16))])
-        assert np.array_equal(got, ref)
+        gate = random_haar_unitary(16, rng)
+        oracle, ref = MeasurementOracle(model, 4), MeasurementOracle(model, 4)
+        oracle.apply_gate(np.int64(1), gate)
+        ref.apply_gate(1, gate)
+        got = oracle.reduced_density((np.int64(2), np.int32(3)))
+        assert np.array_equal(got, ref.reduced_density((2, 3)))
 
 
 class TestDisentangle:
@@ -146,6 +154,21 @@ class TestDisentangle:
         assert report.queries == f + 1
         assert spy.call_count == 2 * f
         assert report.state_fidelity > 1 - 1e-10
+
+    def test_reused_oracle_matches_fresh(self, rng):
+        # the reconstruction resets the oracle first: neither an earlier
+        # reconstruction nor a gate the caller applied changes its answer
+        model = random_separable_model(2, 2, rng)
+        fresh = disentangle_reconstruct(MeasurementOracle(model, 6), 6, 2)
+        reused = MeasurementOracle(model, 6)
+        disentangle_reconstruct(reused, 6, 2)
+        holding = MeasurementOracle(model, 6)
+        holding.apply_gate(2, random_haar_unitary(16, rng))
+        for oracle in (reused, holding):
+            report = disentangle_reconstruct(oracle, 6, 2)
+            assert report.queries == fresh.queries
+            for got, ref in zip(report.recovered_mps.sites, fresh.recovered_mps.sites, strict=True):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_loose_bound_still_works(self, rng):
         model = random_separable_model(2, 2, rng)
