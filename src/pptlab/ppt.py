@@ -369,7 +369,8 @@ def _embed_and_complete(iso: np.ndarray, d: int, l: int, r: int, D: int) -> np.n
     """Embed an isometry (d*r, d*l) into a (d*D, d*D) unitary.
 
     Column (i, a) of the result reproduces the isometry column for a < l;
-    the remaining columns are a deterministic Gram-Schmidt completion.
+    the remaining columns are the deterministic QR completion
+    (``fill_unassigned_columns``).
     """
     full = np.zeros((d * D, d * D), dtype=np.complex128)
     full.reshape(d, D, d, D)[:, :r, :, :l] = iso.reshape(d, r, d, l)

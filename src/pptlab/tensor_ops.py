@@ -4,8 +4,7 @@ All routines operate on plain ``numpy.ndarray`` objects in complex double
 precision and are pure functions of their inputs: input coercion, the JSON
 codec for complex arrays, objects and integer keys, the two transfer
 contractions every MPS sweep is built from, polar and isometric projections
-by SVD, and deterministic Gram-Schmidt completion of orthonormal columns to a
-unitary.
+by SVD, and deterministic QR completion of orthonormal columns to a unitary.
 """
 
 from __future__ import annotations
@@ -157,24 +156,17 @@ def closest_isometry(m: np.ndarray) -> np.ndarray:
 
 
 def fill_unassigned_columns(full: np.ndarray, assigned: np.ndarray) -> np.ndarray:
-    """Fill the unassigned columns of ``full`` with a Gram-Schmidt completion.
+    """Complete the assigned columns of ``full`` to a unitary by one QR.
 
-    ``assigned`` is a boolean mask over columns; assigned columns must
-    already be orthonormal.  Completion candidates are canonical basis
-    vectors in index order, so the result is deterministic.
+    ``assigned`` is a boolean mask over the columns of the square ``full``;
+    assigned columns must already be orthonormal and are never written.
+    With k of them, columns k.. of the Q factor of [assigned columns | I]
+    span their orthogonal complement and fill the unassigned columns in
+    index order, so the result is deterministic.
     """
     full = np.array(full, dtype=np.complex128)
-    cols = [full[:, j] for j in np.nonzero(assigned)[0]]
-    candidates = iter(np.eye(full.shape[0], dtype=np.complex128))
-    for j in np.nonzero(~assigned)[0]:
-        for cand in candidates:
-            for c in cols:
-                cand = cand - c * np.vdot(c, cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-7:
-                full[:, j] = cand / nrm
-                cols.append(full[:, j])
-                break
-        else:
-            raise SingularityError("could not complete columns to a unitary basis")
+    k = int(np.count_nonzero(assigned))
+    if k < full.shape[1]:
+        q = np.linalg.qr(np.hstack([full[:, assigned], np.eye(full.shape[0])]))[0]
+        full[:, ~assigned] = q[:, k:]
     return full

@@ -859,7 +859,8 @@ def _assemble_first_unitary(injections, d: int, D: int) -> np.ndarray:
 
     The collected injection columns are jointly re-orthonormalised (they
     are orthogonal across branches up to reconstruction error) and the
-    remaining columns completed deterministically.
+    remaining columns filled by the deterministic QR completion
+    (``fill_unassigned_columns``).
     """
     n_out = len(injections)
     block = np.column_stack([inj[:, i] for i in range(d) for inj in injections])

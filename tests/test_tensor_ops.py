@@ -3,9 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptlab import SingularityError, ValidationError
-from pptlab.tensor_ops import decode_complex, encode_complex, polar_unitary
+from pptlab.ppt import _embed_and_complete
+from pptlab.tensor_ops import (
+    decode_complex,
+    encode_complex,
+    fill_unassigned_columns,
+    polar_unitary,
+)
 from pptlab.models import random_haar_unitary
 
 from conftest import pair_leaf
@@ -104,3 +112,51 @@ class TestPolarUnitary:
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             u = polar_unitary(m)
             assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
+
+
+def check_completion(full, assigned):
+    """The completion is unitary, writes no assigned column and is
+    deterministic to the byte."""
+    u = fill_unassigned_columns(full, assigned)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
+    assert u[:, assigned].tobytes() == np.asarray(full, dtype=np.complex128)[:, assigned].tobytes()
+    assert u.tobytes() == fill_unassigned_columns(full, assigned).tobytes()
+    return u
+
+
+class TestFillUnassignedColumns:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        masks=st.sampled_from(["none", "all", "random"]),
+        coordinate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_completion_of_orthonormal_columns(self, n, masks, coordinate, seed):
+        """Assigned columns are Haar columns or coordinate vectors (which put
+        identity candidates inside their span); the unassigned ones hold
+        noise that the completion overwrites."""
+        rng = np.random.default_rng(seed)
+        assigned = {"none": np.zeros(n, bool), "all": np.ones(n, bool)}.get(masks)
+        if assigned is None:
+            assigned = rng.random(n) < 0.5
+        k = int(np.count_nonzero(assigned))
+        full = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if coordinate:
+            full[:, assigned] = np.eye(n)[:, rng.permutation(n)[:k]]
+        else:
+            full[:, assigned] = random_haar_unitary(n, rng)[:, :k]
+        check_completion(full, assigned)
+
+    @pytest.mark.parametrize(
+        "d, D, l", [(2, 2, 1), (2, 4, 1), (2, 4, 3), (2, 8, 5), (3, 3, 2), (3, 5, 4)]
+    )
+    def test_embedded_isometry_pattern(self, rng, d, D, l):
+        """Columns (i, a < l) of a zero-padded isometry with l = r < D, as
+        ``mps_to_oqe`` embeds a site."""
+        iso = random_haar_unitary(d * l, rng)
+        full = np.zeros((d * D, d * D), dtype=np.complex128)
+        full.reshape(d, D, d, D)[:, :l, :, :l] = iso.reshape(d, l, d, l)
+        assigned = (np.arange(D) < l)[np.newaxis].repeat(d, axis=0).reshape(-1)
+        u = check_completion(full, assigned)
+        assert u.tobytes() == _embed_and_complete(iso, d, l, l, D).tobytes()

@@ -31,6 +31,7 @@ from pptlab.tomography import (
 )
 
 from conftest import (
+    dense_reduced_density,
     fit_overlap_and_grads,
     pauli_sampled_estimate_loop,
     perturbed,
@@ -330,18 +331,51 @@ class TestSampledMode:
         assert medians[0] > medians[1] > medians[2]
 
     def test_fixed_shot_run_reproduces_recorded_fidelity(self):
-        """Pins the RNG stream and the window densities the estimator sees:
-        0.8971587980126566 is this run's fidelity when the oracle expands
-        the PPT into a dense statevector (``dense_reduced_density``)."""
+        """Pins the RNG stream, the window densities the estimator sees and
+        the gauge of the window gates' unassigned columns (they decide where
+        a truncated sampled window's weight goes).  0.9232282539930443 is
+        reached both by the oracle and by a stand-in that expands the PPT
+        into a dense statevector (``dense_reduced_density``)."""
         oracle = MeasurementOracle(
             random_separable_model(2, 2, 1), 6, mode="sampled", shots=10_000, seed=0
         )
-        report = disentangle_reconstruct(oracle, 6, 2)
-        assert abs(report.state_fidelity - 0.8971587980126566) < 1e-10
+        for source in (oracle, _DenseSampledOracle(oracle.true_mps(), 10_000, seed=0)):
+            report = disentangle_reconstruct(source, 6, 2)
+            assert abs(report.state_fidelity - 0.9232282539930443) < 1e-10
 
     def test_requires_shot_count(self, rng):
         with pytest.raises(ValidationError):
             MeasurementOracle(random_separable_model(2, 2, rng), 3, mode="sampled")
+
+
+class _DenseSampledOracle:
+    """Sampled-mode stand-in for ``MeasurementOracle``: each window density
+    comes from the dense statevector after the recorded gates and goes
+    through the same estimator and RNG stream."""
+
+    mode = "sampled"
+    unsealed = True
+
+    def __init__(self, mps, shots, seed):
+        self._mps, self._shots = mps, shots
+        self.d, self.n_steps = mps.d, mps.n_steps
+        self._rng = np.random.default_rng(seed)
+        self.query_log = 0
+        self._gates = []
+
+    def true_mps(self):
+        return self._mps
+
+    def reset(self):
+        self._gates = []
+
+    def apply_gate(self, start, gate):
+        self._gates.append((start, gate))
+
+    def reduced_density(self, sites):
+        self.query_log += 1
+        rho = dense_reduced_density(self._mps, sites, self._gates)
+        return _pauli_sampled_estimate(rho, self._shots, self._rng)
 
 
 class TestVariationalFit:
