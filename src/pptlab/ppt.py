@@ -30,7 +30,6 @@ from .exceptions import (
 from .models import OqeModel
 from .tensor_ops import (
     as_complex_array,
-    closest_isometry,
     decode_complex,
     encode_complex,
     fill_unassigned_columns,
@@ -348,15 +347,15 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
     residuals: list[float] = []
     for n, t in enumerate(mps.sites, start=1):
         l, _, _, r = t.shape
-        if n > 1 and l > r:
+        if l > r:
             raise ConversionError(f"site {n}: left bond {l} exceeds right bond {r}", site=n)
         w = np.sqrt(d) * t.transpose(1, 3, 2, 0).reshape(d * r, d * l)
-        smin = np.linalg.svd(w, compute_uv=False)[-1]
-        if smin < 1e-8:
+        u, s, vh = np.linalg.svd(w, full_matrices=False)
+        if s[-1] < 1e-8:
             raise ConversionError(
-                f"site {n}: reshaped site matrix is rank deficient (s_min={smin:.2e})", site=n
+                f"site {n}: reshaped site matrix is rank deficient (s_min={s[-1]:.2e})", site=n
             )
-        iso = closest_isometry(w)
+        iso = u @ vh  # the closest isometry
         residuals.append(float(np.linalg.norm(w - iso)))
         unitaries.append(_embed_and_complete(iso, d, l, r, D_model))
     psi = np.zeros(d * D_model, dtype=np.complex128)

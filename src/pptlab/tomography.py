@@ -581,12 +581,6 @@ def _optimal_final_unitary(lmat: np.ndarray) -> tuple[np.ndarray, float]:
     return (u_ @ vh_).conj().T, float(s_.sum())
 
 
-def _retract(u: np.ndarray, direction: np.ndarray, step: float) -> np.ndarray:
-    m = u + step * direction
-    u_, s, vh = np.linalg.svd(m)
-    return u_ @ vh
-
-
 def variational_fit(
     target: PptMps,
     N: int,
@@ -683,7 +677,7 @@ def _descend(target, u_list, d, D, shared, nt2) -> tuple[list[float], np.ndarray
     for _ in range(FIT_MAX_ITER):
         if loss < 1e-14 or step < 1e-12:
             break
-        cand_u = [_retract(u, g.conj(), step) for u, g in zip(u_list, grads)]
+        cand_u = [closest_isometry(u + step * g.conj()) for u, g in zip(u_list, grads)]
         cand_loss, cand_of, cand_sites, cand_fwd = evaluate(cand_u)
         if cand_loss < loss - 1e-16:
             u_list[:] = cand_u
@@ -866,11 +860,7 @@ def _assemble_first_unitary(injections, d: int, D: int) -> np.ndarray:
     block = np.column_stack([inj[:, i] for i in range(d) for inj in injections])
     block = closest_isometry(block)
     full = np.zeros((d * D, d * D), dtype=np.complex128)
-    assigned = np.zeros(d * D, dtype=bool)
-    col = 0
-    for i in range(d):
-        for s in range(n_out):
-            full[:, i * D + s] = block[:, col]
-            assigned[i * D + s] = True
-            col += 1
-    return fill_unassigned_columns(full, assigned)
+    full.reshape(d * D, d, D)[:, :, :n_out] = block.reshape(d * D, d, n_out)
+    assigned = np.zeros((d, D), dtype=bool)
+    assigned[:, :n_out] = True
+    return fill_unassigned_columns(full, assigned.reshape(-1))
