@@ -301,10 +301,14 @@ def renyi_complexity(rho: np.ndarray, alpha: float) -> float:
 
     alpha = 1 is the von Neumann limit; zero eigenvalues contribute zero.
     """
-    if not (_is_real(alpha) and np.isfinite(alpha) and alpha > 0):
-        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
+    _check_alpha(alpha)
     rho = validate_env_density(rho)
     return _renyi_bits(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), alpha)
+
+
+def _check_alpha(alpha) -> None:
+    if not (_is_real(alpha) and np.isfinite(alpha) and alpha > 0):
+        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 def _is_real(x) -> bool:
@@ -344,6 +348,7 @@ class ComplexityReport:
 
 
 def memory_complexity(model: OqeModel, alpha: float) -> ComplexityReport:
+    _check_alpha(alpha)
     rho, steps, degenerate = stationary_state(model)
     return ComplexityReport(
         alpha=float(alpha),

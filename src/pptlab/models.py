@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
-from .tensor_ops import as_complex_array, decode_complex, encode_complex, json_int, json_object
+from .tensor_ops import (
+    _is_integer,
+    as_complex_array,
+    decode_complex,
+    encode_complex,
+    json_int,
+    json_object,
+)
 
 SCHMIDT_TOL = 1e-8  # Schmidt coefficients counted by SchmidtForm.rank
 UNITARITY_TOL = 1e-10  # max |U^dag U - I| entry allowed by OqeModel.validate
@@ -208,8 +215,8 @@ def _check_eta(eta: float) -> None:
 
 
 def _check_dimensions(d: int, D: int) -> None:
-    if d < 2 or D < 1:
-        raise ValidationError(f"need d >= 2 and D >= 1, got d={d}, D={D}")
+    if not (_is_integer(d) and _is_integer(D) and d >= 2 and D >= 1):
+        raise ValidationError(f"need d >= 2 and D >= 1, both integers, got d={d}, D={D}")
 
 
 def random_haar_state(dim: int, seed) -> np.ndarray:

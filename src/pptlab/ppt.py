@@ -29,6 +29,7 @@ from .exceptions import (
 )
 from .models import OqeModel
 from .tensor_ops import (
+    _is_integer,
     as_complex_array,
     decode_complex,
     encode_complex,
@@ -230,8 +231,8 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
     instead of being summed into the boundary.
     """
     model.validate()
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
+    if not (_is_integer(N) and N >= 1):
+        raise ValidationError(f"N must be an integer >= 1, got {N!r}")
     if not model.time_independent and len(model.unitaries) < N:
         raise ValidationError(
             f"time-dependent model stores {len(model.unitaries)} unitaries but N={N}"

@@ -113,8 +113,10 @@ class MeasurementOracle:
         if mode not in ("exact", "sampled"):
             raise ValidationError(f"unknown oracle mode {mode!r}")
         if mode == "sampled":
-            if shots is None or shots < 1:
-                raise ValidationError("sampled mode requires a positive shot count")
+            if not (_is_integer(shots) and shots >= 1):
+                raise ValidationError(
+                    f"sampled mode requires a positive integer shot count, got {shots!r}"
+                )
             if hidden_model.d != 2:
                 raise ValidationError("the Pauli-product sampling scheme requires d = 2")
         self._model = hidden_model
@@ -428,13 +430,13 @@ def disentangle_reconstruct(
     requests are issued: one per window plus one for the trailing block.
     The oracle is reset first and holds the f window gates afterwards.
     """
-    if N != oracle.n_steps:
-        raise ValidationError(f"oracle answers {oracle.n_steps} steps, not {N}")
+    if not (_is_integer(N) and N == oracle.n_steps):
+        raise ValidationError(f"oracle answers {oracle.n_steps} steps, not {N!r}")
+    if not (_is_integer(D_bound) and D_bound >= 1):
+        raise ValidationError(f"environment bound must be a positive integer, got {D_bound!r}")
     d = oracle.d
     d2 = d * d
     bound = int(D_bound) * (d if entangled_initial else 1)
-    if bound < 1:
-        raise ValidationError("environment bound must be positive")
     R = window_size(d, bound)
     if N < R:
         raise ValidationError(f"need at least R={R} steps for environment bound {bound}")
@@ -599,10 +601,10 @@ def variational_fit(
     wins.  The fit is not deterministic in general and may stall in a local
     minimum, in which case the report flags ``converged = False``.
     """
-    if N != target.n_steps:
-        raise ValidationError(f"target has {target.n_steps} steps, not {N}")
-    if target.env_dim != D:
-        raise DimensionError(f"target environment dimension {target.env_dim} != D={D}")
+    if not (_is_integer(N) and N == target.n_steps):
+        raise ValidationError(f"target has {target.n_steps} steps, not {N!r}")
+    if not (_is_integer(D) and D == target.env_dim):
+        raise DimensionError(f"target environment dimension {target.env_dim} != D={D!r}")
     if target.canonical != "right":
         target = to_right_canonical(target)
     d = target.d

@@ -296,6 +296,15 @@ class TestRenyiComplexity:
         values = [renyi_complexity(rho, a) for a in np.linspace(0.3, 4.0, 12)]
         assert all(x >= y - 1e-9 for x, y in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("alpha", ["x", 0.0, np.nan, True])
+    def test_memory_complexity_checks_alpha_before_solving(self, rng, alpha, monkeypatch):
+        def unreachable(model):
+            raise AssertionError("the stationary solve ran before alpha was checked")
+
+        monkeypatch.setattr(memory, "stationary_state", unreachable)
+        with pytest.raises(ValidationError, match="alpha"):
+            memory_complexity(random_separable_model(2, 2, rng), alpha)
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValidationError):
             renyi_complexity(np.eye(2) / 2, 0.0)
@@ -464,7 +473,7 @@ class TestFigS2:
         assert fig_s2_experiment(2, 2, 0.05, 10, [0, 1], sample_points=[]) == []
         assert fig_s2_experiment(2, 2, 0.05, 10, [0], time_dependent=True, sample_points=[]) == []
 
-    @pytest.mark.parametrize("d, D", [(1, 2), (2, 0)])
+    @pytest.mark.parametrize("d, D", [(1, 2), (2, 0), (2.5, 2), (2, 2.0), (True, 2), (2, True)])
     def test_rejects_small_dimensions(self, d, D):
         with pytest.raises(ValidationError):
             fig_s2_experiment(d, D, 0.05, 10, [0])

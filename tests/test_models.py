@@ -96,13 +96,19 @@ class TestNearIdentityUnitary:
 
 class TestRandomModelDimensions:
     @pytest.mark.parametrize("make", [random_separable_model, random_entangled_model])
-    @pytest.mark.parametrize("d, D", [(1, 2), (0, 2), (2, 0), (2, -1), (-3, 2)])
+    @pytest.mark.parametrize(
+        "d, D", [(1, 2), (0, 2), (2, 0), (2, -1), (-3, 2), (2.5, 2), (2, 2.0), (True, 2), (2, True)]
+    )
     def test_rejects_small_dimensions_before_drawing(self, make, d, D):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ValidationError, match=f"d={d}, D={D}"):
             make(d, D, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("make", [random_separable_model, random_entangled_model])
+    def test_numpy_integer_dimensions_accepted(self, make):
+        assert make(np.int64(2), np.int32(3), 0).to_json() == make(2, 3, 0).to_json()
 
 
 class TestSchmidtDecompose:

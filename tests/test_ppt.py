@@ -77,6 +77,15 @@ class TestBuildPpt:
         with pytest.raises(ValidationError):
             build_ppt(random_separable_model(2, 2, rng), 0)
 
+    @pytest.mark.parametrize("N", [2.0, 2.5, True, np.bool_(True), "2"])
+    def test_rejects_non_integer_n(self, rng, N):
+        with pytest.raises(ValidationError, match="N must be an integer"):
+            build_ppt(random_separable_model(2, 2, rng), N)
+
+    def test_numpy_integer_n_accepted(self, rng):
+        model = random_separable_model(2, 2, rng)
+        assert build_ppt(model, np.int64(3)).to_json() == build_ppt(model, 3).to_json()
+
     def test_time_dependent_needs_enough_unitaries(self, rng):
         model = random_separable_model(2, 2, rng, steps=2)
         with pytest.raises(ValidationError):

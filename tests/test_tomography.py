@@ -69,6 +69,24 @@ class TestReducedDensity:
         oracle.reduced_density((3, 4))
         assert oracle.query_log == 2
 
+    @pytest.mark.parametrize(
+        "n_steps, mode, shots",
+        [(2.5, "exact", None), (3.0, "exact", None), (True, "exact", None),
+         (3, "sampled", 1.5), (3, "sampled", True), (3, "sampled", np.bool_(True)),
+         (3, "sampled", "100"), (3, "sampled", 0)],
+        ids=["float_steps", "integral_float_steps", "bool_steps", "float_shots", "bool_shots",
+             "numpy_bool_shots", "text_shots", "zero_shots"],
+    )
+    def test_rejects_non_integer_steps_or_shots(self, rng, n_steps, mode, shots):
+        with pytest.raises(ValidationError):
+            MeasurementOracle(random_separable_model(2, 2, rng), n_steps, mode=mode, shots=shots)
+
+    def test_numpy_integer_steps_and_shots_accepted(self):
+        model = random_separable_model(2, 2, 3)
+        ref = MeasurementOracle(model, 3, mode="sampled", shots=100, seed=0)
+        got = MeasurementOracle(model, np.int64(3), mode="sampled", shots=np.int32(100), seed=0)
+        assert got.reduced_density((2, 3)).tobytes() == ref.reduced_density((2, 3)).tobytes()
+
     def test_sealed_oracle_hides_truth(self, rng):
         oracle = MeasurementOracle(random_separable_model(2, 2, rng), 3, unsealed=False)
         with pytest.raises(ValidationError):
@@ -177,6 +195,24 @@ class TestDisentangle:
         report = disentangle_reconstruct(oracle, 5, 16)
         assert report.state_fidelity > 1 - 1e-8
         assert report.queries == 3 + 1
+
+    @pytest.mark.parametrize(
+        "N, D_bound",
+        [(4.0, 2), (True, 2), (4, 1.7), (4, 2.0), (4, True), (4, 0), (4, "2")],
+        ids=["float_N", "bool_N", "float_bound", "integral_float_bound", "bool_bound",
+             "zero_bound", "text_bound"],
+    )
+    def test_rejects_non_integer_length_or_bound(self, rng, N, D_bound):
+        oracle = MeasurementOracle(random_separable_model(2, 2, rng), 4)
+        with pytest.raises(ValidationError):
+            disentangle_reconstruct(oracle, N, D_bound)
+        assert oracle.query_log == 0
+
+    def test_numpy_integer_length_and_bound_accepted(self, rng):
+        oracle = MeasurementOracle(random_separable_model(2, 2, rng), 4)
+        ref = disentangle_reconstruct(oracle, 4, 2)
+        got = disentangle_reconstruct(oracle, np.int64(4), np.int32(2))
+        assert got.to_json() == ref.to_json()
 
     def test_product_case_single_site_windows(self, rng):
         model = random_separable_model(2, 1, rng)
@@ -417,6 +453,21 @@ class TestVariationalFit:
         fd = (overlap_along(eps) - overlap_along(-eps)) / (2 * eps)
         assert abs(fd - sum(np.sum(g * x) for g, x in zip(grads, xs))) < 1e-8
 
+    @pytest.mark.parametrize(
+        "N, D", [(3.0, 2), (True, 2), (3, 2.0), (3, True)],
+        ids=["float_N", "bool_N", "float_D", "bool_D"],
+    )
+    def test_rejects_non_integer_length_or_dimension(self, N, D):
+        target = build_ppt(random_separable_model(2, 2, 5), 3)
+        with pytest.raises(ValidationError):
+            variational_fit(target, N, D, time_independent=True)
+
+    def test_numpy_integer_length_and_dimension_accepted(self):
+        target = build_ppt(random_separable_model(2, 2, 5), 3)
+        ref = variational_fit(target, 3, 2, time_independent=True, n_restarts=0)
+        got = variational_fit(target, np.int64(3), np.int64(2), time_independent=True, n_restarts=0)
+        assert got.to_json() == ref.to_json()
+
     def test_time_independent_fit_predicts_next_step(self, rng):
         model = random_separable_model(2, 2, rng)
         target = build_ppt(model, 6)
@@ -475,6 +526,13 @@ class TestPredictFuture:
         for _ in range(5):
             obs = random_observable(rng, 2, 8)
             assert abs(expectation(truth, obs) - expectation(predicted, obs)) < 1e-12
+
+    @pytest.mark.parametrize("n_future", [2.5, 8.0, True, 0])
+    def test_rejects_non_integer_length(self, rng, n_future):
+        target = build_ppt(random_separable_model(2, 1, rng), 3)
+        report = variational_fit(target, 3, 1, time_independent=True, seed=0)
+        with pytest.raises(ValidationError):
+            predict_future(report, n_future)
 
     def test_rejects_time_dependent(self, rng):
         model = random_separable_model(2, 2, rng, steps=3)
