@@ -25,7 +25,7 @@ print("site residuals:      ", [f"{r:.1e}" for r in report.per_site_unitarity_re
 # -- sampled oracle: finite measurement statistics -------------------------
 
 for shots in (10**3, 10**5):
-    noisy = pl.MeasurementOracle(hidden, 5, mode="sampled", shots=shots, seed=1)
+    noisy = pl.MeasurementOracle(hidden, 5, shots=shots, seed=1)
     rep = pl.disentangle_reconstruct(noisy, 5, 2)
     print(f"shots={shots:>6d}: fidelity deficit {1 - rep.state_fidelity:.3e}")
 

@@ -112,7 +112,7 @@ def _cmd_correlate(args) -> int:
         with open(args.observable, encoding="ascii") as fh:
             obs = correlations.MultiTimeObservable.from_json_dict(json.load(fh))
     else:
-        obs = correlations.MultiTimeObservable.create([])
+        obs = correlations.MultiTimeObservable(())
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         value = correlations.expectation(mps, obs)
     if not np.isfinite(value):
@@ -148,9 +148,8 @@ def _cmd_figs2(args) -> int:
 
 def _cmd_tomograph(args) -> int:
     model = _make_model(args)
-    mode = "sampled" if args.shots else "exact"
     oracle = tomography.MeasurementOracle(
-        model, args.N, mode=mode, shots=args.shots or None, seed=args.oracle_seed
+        model, args.N, shots=args.shots or None, seed=args.oracle_seed
     )
     dbound = model.D if args.dbound is None else args.dbound
     report = tomography.disentangle_reconstruct(
@@ -215,7 +214,7 @@ def _random_observable(rng, d, n_steps, n_insertions):
     ops = []
     for step in steps:
         ops.append((int(step), models.random_hermitian(d * d, rng)))
-    return correlations.MultiTimeObservable.create(ops)
+    return correlations.MultiTimeObservable(ops)
 
 
 # -- argument plumbing --------------------------------------------------------

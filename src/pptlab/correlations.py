@@ -31,15 +31,19 @@ from .tensor_ops import (
 
 @dataclass(frozen=True)
 class MultiTimeObservable:
-    """Ordered insertions (step, matrix) with strictly increasing steps."""
+    """Ordered insertions (step, matrix) with strictly increasing steps.
+
+    Construction checks that every step is an integer (bools rejected) and
+    that the steps strictly increase from 1, and stores the steps as Python
+    ints and the operators as complex128 arrays.
+    """
 
     insertions: tuple[tuple[int, np.ndarray], ...]
 
-    @staticmethod
-    def create(insertions) -> "MultiTimeObservable":
+    def __post_init__(self):
         items = []
         prev = 0
-        for step, op in insertions:
+        for step, op in self.insertions:
             if not _is_integer(step):
                 raise ValidationError(f"insertion step must be an integer, got {step!r}")
             step = int(step)
@@ -47,7 +51,11 @@ class MultiTimeObservable:
                 raise ValidationError("insertion steps must be strictly increasing and >= 1")
             items.append((step, np.asarray(op, dtype=np.complex128)))
             prev = step
-        return MultiTimeObservable(insertions=tuple(items))
+        object.__setattr__(self, "insertions", tuple(items))
+
+    @staticmethod
+    def create(insertions) -> "MultiTimeObservable":
+        return MultiTimeObservable(insertions)
 
     def validate(self, d: int, n_steps: int) -> None:
         for step, op in self.insertions:
@@ -88,7 +96,7 @@ class MultiTimeObservable:
             if dim * dim != flat.size:
                 raise ValidationError("operator data is not square")
             items.append((json_int(entry, "step"), flat.reshape(dim, dim)))
-        return MultiTimeObservable.create(items)
+        return MultiTimeObservable(items)
 
     @staticmethod
     def from_json(text: str) -> "MultiTimeObservable":
@@ -123,7 +131,6 @@ def dense_expectation(model: OqeModel, N: int, obs: MultiTimeObservable) -> comp
     unitary to the fresh half and the environment.  Operators are then
     applied directly to the statevector.
     """
-    model.validate()
     obs.validate(model.d, N)
     d, D = model.d, model.D
     if (d * d) ** N * d * D > DENSE_STATE_GUARD:
@@ -133,7 +140,7 @@ def dense_expectation(model: OqeModel, N: int, obs: MultiTimeObservable) -> comp
     # state axes: (o_0, o_1, i_1, ..., o_n, i_n, env)
     state = model.initial_state.reshape(d, D)
     for n in range(1, N + 1):
-        u = np.asarray(model.unitary_at(n), dtype=np.complex128).reshape(d, D, d, D)
+        u = model.unitary_at(n).reshape(d, D, d, D)
         state = np.tensordot(state, pair.reshape(d, d), axes=0)  # (..., env, o_n, i_n)
         # apply U to (o_n, env): contract input legs (i=o_n slot, a=env)
         state = np.tensordot(state, u, axes=[[-3, -2], [3, 2]])  # -> (..., i_n, o_n, env)

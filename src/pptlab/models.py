@@ -9,6 +9,7 @@ ordered system (x) environment, so the basis index of ``|j, alpha>`` is
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from .tensor_ops import (
 )
 
 SCHMIDT_TOL = 1e-8  # Schmidt coefficients counted by SchmidtForm.rank
-UNITARITY_TOL = 1e-10  # max |U^dag U - I| entry allowed by OqeModel.validate
+UNITARITY_TOL = 1e-10  # max |U^dag U - I| entry allowed by OqeModel
 
 
 @dataclass(frozen=True)
@@ -58,23 +59,30 @@ class OqeModel:
 
     ``unitaries`` holds (d*D, d*D) matrices; a length-1 list marks the
     time-independent case and is reused for every step.  ``initial_state``
-    is a unit vector of length d*D.
+    is a unit vector of length d*D.  Construction checks all of this, stores
+    read-only complex128 copies of the arrays and derives ``entangled``
+    (Schmidt rank > 1), so every instance is valid and self-consistent.
     """
 
     d: int
     D: int
     unitaries: tuple[np.ndarray, ...]
     initial_state: np.ndarray
-    entangled: bool = field(default=False)
+    entangled: bool = field(init=False)
+
+    def __post_init__(self):
+        _check_dimensions(self.d, self.D)
+        store = functools.partial(object.__setattr__, self)
+        store("d", int(self.d))
+        store("D", int(self.D))
+        store("unitaries", tuple(_read_only(u, ndim=2) for u in self.unitaries))
+        store("initial_state", _read_only(self.initial_state).reshape(-1))
+        self._validate()
+        store("entangled", self.initial_schmidt().rank() > 1)
 
     @staticmethod
     def create(d, D, unitaries, initial_state) -> "OqeModel":
-        us = tuple(as_complex_array(u, ndim=2) for u in unitaries)
-        psi = as_complex_array(initial_state).reshape(-1)
-        form = schmidt_decompose(psi, d, D)
-        model = OqeModel(int(d), int(D), us, psi, entangled=form.rank() > 1)
-        model.validate()
-        return model
+        return OqeModel(d, D, unitaries, initial_state)
 
     @property
     def time_independent(self) -> bool:
@@ -91,11 +99,7 @@ class OqeModel:
     def initial_schmidt(self) -> SchmidtForm:
         return schmidt_decompose(self.initial_state, self.d, self.D)
 
-    def validate(self) -> None:
-        if self.d < 2:
-            raise ValidationError(f"system dimension must be >= 2, got {self.d}")
-        if self.D < 1:
-            raise ValidationError(f"environment dimension must be >= 1, got {self.D}")
+    def _validate(self) -> None:
         dim = self.d * self.D
         if not self.unitaries:
             raise ValidationError("model stores no unitaries")
@@ -148,7 +152,7 @@ class OqeModel:
         if time_independent and len(us) != 1:
             raise ValidationError("time_independent document must store exactly one unitary")
         psi = decode_complex(doc["initial_state"], (dim,))
-        return OqeModel.create(d, D, us, psi)
+        return OqeModel(d, D, us, psi)
 
     @staticmethod
     def from_json(text: str) -> "OqeModel":
@@ -158,9 +162,20 @@ class OqeModel:
 # -- random ensembles ----------------------------------------------------
 
 
+def _read_only(data, ndim: int | None = None) -> np.ndarray:
+    """Read-only complex128 copy of ``data`` (finite, of rank ``ndim`` if given)."""
+    arr = as_complex_array(data, ndim).copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_rng(seed) -> np.random.Generator:
+    """The generator itself, or a new one seeded by None or a non-negative
+    integer; anything else (bools included) raises ``ValidationError``."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if not (seed is None or (_is_integer(seed) and seed >= 0)):
+        raise ValidationError(f"seed must be a Generator, None or an integer >= 0, got {seed!r}")
     return np.random.default_rng(seed)
 
 
@@ -231,7 +246,7 @@ def random_separable_model(d: int, D: int, seed, steps: int = 1) -> OqeModel:
     rng = _as_rng(seed)
     us = [random_haar_unitary(d * D, rng) for _ in range(steps)]
     psi = np.kron(random_haar_state(d, rng), random_haar_state(D, rng))
-    return OqeModel.create(d, D, us, psi)
+    return OqeModel(d, D, us, psi)
 
 
 def random_entangled_model(d: int, D: int, seed, lambdas=None, steps: int = 1) -> OqeModel:
@@ -253,10 +268,7 @@ def random_entangled_model(d: int, D: int, seed, lambdas=None, steps: int = 1) -
     us = [random_haar_unitary(d * D, rng) for _ in range(steps)]
     xs = random_haar_unitary(d, rng)[:, : lam.size]
     ys = random_haar_unitary(D, rng)[:, : lam.size]
-    psi = np.zeros(d * D, dtype=np.complex128)
-    for s in range(lam.size):
-        psi += lam[s] * np.kron(xs[:, s], ys[:, s])
-    return OqeModel.create(d, D, us, psi)
+    return OqeModel(d, D, us, SchmidtForm(lam, xs, ys).assemble())
 
 
 def schmidt_decompose(state, d: int, D: int) -> SchmidtForm:

@@ -230,7 +230,6 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
     ``expose_initial_leg`` that leg is kept as an extra physical index
     instead of being summed into the boundary.
     """
-    model.validate()
     if not (_is_integer(N) and N >= 1):
         raise ValidationError(f"N must be an integer >= 1, got {N!r}")
     if not model.time_independent and len(model.unitaries) < N:
@@ -252,8 +251,7 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
         sites[0] = first
         return PptMps(sites=tuple(sites), d=d, canonical="right")
 
-    form = model.initial_schmidt()
-    psi_env = form.env_basis[:, 0] * np.sign(form.lambdas[0] or 1.0)
+    psi_env = model.initial_schmidt().env_basis[:, 0]
     sites = list(plain)
     sites[0] = np.einsum("a,aoib->oib", psi_env, sites[0])[np.newaxis]
     return PptMps(sites=tuple(sites), d=d, canonical="right")
@@ -269,7 +267,7 @@ def check_isometry(model: OqeModel) -> float:
     d, D = model.d, model.D
     worst = 0.0
     for u in model.unitaries:
-        u4 = np.asarray(u, dtype=np.complex128).reshape(d, D, d, D)  # (o, b, i, a)
+        u4 = u.reshape(d, D, d, D)  # (o, b, i, a)
         t = u4.transpose(1, 0, 2, 3).reshape(D * d * d, D) / np.sqrt(d)
         worst = max(worst, float(np.max(np.abs(t.conj().T @ t - np.eye(D)))))
     return worst
@@ -361,8 +359,7 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
         unitaries.append(_embed_and_complete(iso, d, l, r, D_model))
     psi = np.zeros(d * D_model, dtype=np.complex128)
     psi[0] = 1.0
-    model = OqeModel.create(d, D_model, unitaries, psi)
-    return model, residuals
+    return OqeModel(d, D_model, unitaries, psi), residuals
 
 
 def _embed_and_complete(iso: np.ndarray, d: int, l: int, r: int, D: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,10 +51,11 @@ from .exceptions import (
     UnsupportedPredictionError,
     ValidationError,
 )
-from .models import OqeModel, SchmidtForm, near_identity_unitary, random_haar_unitary
+from .models import OqeModel, SchmidtForm, _as_rng, near_identity_unitary, random_haar_unitary
 from .ppt import (
     PROCESS_TENSOR_GUARD,
     PptMps,
+    _embed_and_complete,
     build_ppt,
     gauge_fidelity,
     mps_to_oqe,
@@ -73,6 +74,7 @@ from .tensor_ops import (
 
 SUPPORT_TOL = 1e-10  # window eigenvalues counted as support by disentangle_reconstruct
 FIT_MAX_ITER = 400  # gradient steps tried per variational_fit restart
+FIT_RESTARTS = 5  # variational_fit attempts after the warm start
 FIT_SUCCESS_TOL = 1e-10  # variational_fit loss below which a fit has converged
 OUTCOME_TOL = 1e-6  # initial Schmidt coefficients kept as measurement outcomes
 BRANCH_FIT_TOL = 1e-9  # exact-mode loss allowed for a conditional branch fit
@@ -84,8 +86,8 @@ BRANCH_FIT_TOL = 1e-9  # exact-mode loss allowed for a conditional branch fit
 class MeasurementOracle:
     """Simulated tomography primitive over a sealed hidden model.
 
-    ``mode`` is "exact" or "sampled"; sampled mode draws ``shots``
-    projective samples per reduced-density request, split over a fixed
+    ``shots=None`` answers exactly; a positive integer ``shots`` draws that
+    many projective samples per reduced-density request, split over a fixed
     informationally complete Pauli-product basis (d = 2 only), and returns
     the re-Hermitised, trace-normalised linear-inversion estimate.
     ``query_log`` counts reduced-density requests.
@@ -104,18 +106,14 @@ class MeasurementOracle:
         self,
         hidden_model: OqeModel,
         n_steps: int,
-        mode: str = "exact",
         shots: int | None = None,
         seed: int | None = None,
         unsealed: bool = True,
     ):
-        hidden_model.validate()
-        if mode not in ("exact", "sampled"):
-            raise ValidationError(f"unknown oracle mode {mode!r}")
-        if mode == "sampled":
+        if shots is not None:
             if not (_is_integer(shots) and shots >= 1):
                 raise ValidationError(
-                    f"sampled mode requires a positive integer shot count, got {shots!r}"
+                    f"shots must be None (exact) or a positive integer, got {shots!r}"
                 )
             if hidden_model.d != 2:
                 raise ValidationError("the Pauli-product sampling scheme requires d = 2")
@@ -123,11 +121,10 @@ class MeasurementOracle:
         self._mps = build_ppt(hidden_model, n_steps)
         self.d = hidden_model.d
         self.n_steps = n_steps
-        self.mode = mode
         self.shots = shots
         self.query_log = 0
         self.unsealed = unsealed
-        self._rng = np.random.default_rng(seed)
+        self._rng = _as_rng(seed)
         self.reset()
 
     # -- unsealed access (testing/diagnostics only) --
@@ -191,7 +188,7 @@ class MeasurementOracle:
         x = (env @ block.reshape(l, -1)).reshape(l, n_phys, r).transpose(1, 0, 2)
         rho = x.reshape(n_phys, -1) @ block.transpose(1, 0, 2).reshape(n_phys, -1).conj().T
         rho = (rho + rho.conj().T) / 2.0
-        if self.mode == "exact":
+        if self.shots is None:
             return rho
         return _pauli_sampled_estimate(rho, self.shots, self._rng)
 
@@ -245,18 +242,11 @@ class MeasurementOracle:
         y = y / np.linalg.norm(y)
         sys0 = np.zeros(self._model.d, dtype=np.complex128)
         sys0[0] = 1.0
-        cond_model = OqeModel.create(
-            self._model.d,
-            self._model.D,
-            list(self._model.unitaries),
-            np.kron(sys0, y),
-        )
         oracle = MeasurementOracle(
-            cond_model,
+            replace(self._model, initial_state=np.kron(sys0, y)),
             self.n_steps,
-            mode=self.mode,
             shots=self.shots,
-            seed=int(self._rng.integers(2**63)) if self.mode == "sampled" else None,
+            seed=None if self.shots is None else int(self._rng.integers(2**63)),
             unsealed=self.unsealed,
         )
         return oracle, prob
@@ -378,7 +368,7 @@ def _kron_stack(stack: np.ndarray, factors: np.ndarray) -> np.ndarray:
 @dataclass
 class ReconstructionReport:
     recovered_mps: PptMps
-    recovered_model: OqeModel | None
+    recovered_model: OqeModel
     state_fidelity: float | None
     per_site_unitarity_residual: list[float]
     loss_trace: list[float] = field(default_factory=list)
@@ -387,7 +377,7 @@ class ReconstructionReport:
     queries: int = 0
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "state_fidelity": self.state_fidelity,
             "per_site_unitarity_residual": self.per_site_unitarity_residual,
             "loss_trace": self.loss_trace,
@@ -395,10 +385,8 @@ class ReconstructionReport:
             "converged": self.converged,
             "queries": self.queries,
             "recovered_mps": self.recovered_mps.to_json_dict(),
+            "recovered_model": self.recovered_model.to_json_dict(),
         }
-        if self.recovered_model is not None:
-            doc["recovered_model"] = self.recovered_model.to_json_dict()
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -453,7 +441,7 @@ def disentangle_reconstruct(
         n_support = int(np.count_nonzero(evals > SUPPORT_TOL))
         n_support = max(n_support, 1)
         if n_support > limit:
-            if oracle.mode == "exact":
+            if oracle.shots is None:
                 raise BoundViolationError(
                     f"window {j}: support dimension {n_support} exceeds {limit}; "
                     "the environment bound is too small"
@@ -589,17 +577,16 @@ def variational_fit(
     D: int,
     time_independent: bool,
     seed=0,
-    warm_start: tuple[list[np.ndarray], np.ndarray] | None = None,
-    n_restarts: int = 5,
 ) -> ReconstructionReport:
     """Fit parametric step unitaries (plus a final environment unitary) to a
     target PPT by gradient ascent on the overlap with polar retraction.
 
     The warm start defaults to the polar projections of the reshaped target
     site matrices, with the environment gauge aligned so the ansatz initial
-    state |0> is consistent.  Restarts perturb the warm start; the best loss
-    wins.  The fit is not deterministic in general and may stall in a local
-    minimum, in which case the report flags ``converged = False``.
+    state |0> is consistent.  ``FIT_RESTARTS`` restarts perturb the warm
+    start or draw fresh unitaries; the best loss wins.  The fit is not
+    deterministic in general and may stall in a local minimum, in which
+    case the report flags ``converged = False``.
     """
     if not (_is_integer(N) and N == target.n_steps):
         raise ValidationError(f"target has {target.n_steps} steps, not {N!r}")
@@ -608,24 +595,15 @@ def variational_fit(
     if target.canonical != "right":
         target = to_right_canonical(target)
     d = target.d
-    rng = np.random.default_rng(seed)
-
-    if warm_start is not None:
-        u0, of0 = [u.copy() for u in warm_start[0]], warm_start[1].copy()
-        residuals: list[float] = []
-    else:
-        u0, of0, residuals = _warm_start(target, d, D, time_independent)
-    if time_independent and len(u0) != 1:
-        raise ValidationError("time-independent fit takes a single warm-start unitary")
-    if not time_independent and len(u0) != N:
-        raise ValidationError(f"time-dependent fit takes {N} warm-start unitaries")
+    rng = _as_rng(seed)
+    u0, residuals = _warm_start(target, d, D, time_independent)
 
     nt2 = target.norm() ** 2
     best = None
-    for attempt in range(n_restarts + 1):
+    for attempt in range(FIT_RESTARTS + 1):
         if attempt == 0:
             u_list = [u.copy() for u in u0]
-        elif attempt <= (n_restarts + 1) // 2:  # perturb the warm start
+        elif attempt <= (FIT_RESTARTS + 1) // 2:  # perturb the warm start
             scale = 0.1 * attempt
             u_list = [u @ near_identity_unitary(u.shape[0], scale, rng) for u in u0]
         else:  # fresh random basins
@@ -640,11 +618,11 @@ def variational_fit(
     mps = _ansatz_mps(u_list, of, d, D, N)
     psi0 = np.zeros(d * D, dtype=np.complex128)
     psi0[0] = 1.0
-    model = OqeModel.create(d, D, u_list, psi0)
+    model = OqeModel(d, D, u_list, psi0)
     note = "ansatz initial state fixed to |0>; recovered unitaries carry an environment gauge"
     converged = loss < FIT_SUCCESS_TOL
     if not converged:
-        note += f"; stalled at loss {loss:.3e} after {n_restarts} restarts"
+        note += f"; stalled at loss {loss:.3e} after {FIT_RESTARTS} restarts"
     return ReconstructionReport(
         recovered_mps=mps,
         recovered_model=model,
@@ -706,14 +684,14 @@ def _warm_start(target: PptMps, d: int, D: int, time_independent: bool):
 
     For the time-independent ansatz the shared unitary is the polar mean of
     the bulk site matrices; the initial environment vector implied by the
-    boundary site is rotated onto |0>, which also fixes the final gauge
-    unitary.
+    boundary site is rotated onto |0>.  Returns the warm-start unitaries and
+    the per-site projection residuals of ``mps_to_oqe``.
     """
     model, residuals = mps_to_oqe(target)
     if model.D != D:
         raise DimensionError(f"target bond dimension {model.D} incompatible with D={D}")
     if not time_independent:
-        return list(model.unitaries), np.eye(D, dtype=np.complex128), residuals
+        return list(model.unitaries), residuals
 
     if len(model.unitaries) >= 2:
         try:
@@ -730,17 +708,15 @@ def _warm_start(target: PptMps, d: int, D: int, time_independent: bool):
         psi += uv[i * D : (i + 1) * D, i]
     nrm = np.linalg.norm(psi)
     if nrm < 1e-8:
-        return [u_shared], np.eye(D, dtype=np.complex128), residuals
+        return [u_shared], residuals
     first = np.arange(D) == 0
     w = fill_unassigned_columns(np.outer(psi / nrm, first), first)
     lifted = np.kron(np.eye(d), w)
-    return [lifted.conj().T @ u_shared @ lifted], w, residuals
+    return [lifted.conj().T @ u_shared @ lifted], residuals
 
 
 def predict_future(report: ReconstructionReport, n_future: int) -> PptMps:
     """Extend a time-independent recovered model to ``n_future`` steps."""
-    if report.recovered_model is None:
-        raise UnsupportedPredictionError("report carries no recovered model")
     if not report.recovered_model.time_independent:
         raise UnsupportedPredictionError("prediction requires a time-independent model")
     return build_ppt(report.recovered_model, n_future)
@@ -793,7 +769,7 @@ def reconstruct_entangled_initial(
         cond, _ = oracle.conditional(xs[:, s])
         rep = disentangle_reconstruct(cond, oracle.n_steps, D_bound)
         inj, loss = _fit_branch_injection(rep.recovered_mps, later_sites, d, D0)
-        if loss > BRANCH_FIT_TOL and oracle.mode == "exact":
+        if loss > BRANCH_FIT_TOL and oracle.shots is None:
             raise ConvergenceError(
                 f"recovered {s}/{n_out} outcomes; the conditional fit for outcome {s} "
                 f"stalled at loss {loss:.3e}",
@@ -801,14 +777,14 @@ def reconstruct_entangled_initial(
             )
         injections.append(inj)
 
-    u1 = _assemble_first_unitary(injections, d, D0)
-    u_list = [u1, *rep0.recovered_model.unitaries[1:]]
+    # Branch s sits on the first-step columns (i, e_s), jointly
+    # re-orthonormalised (orthogonal across branches up to reconstruction
+    # error); the remaining columns are the deterministic QR completion.
+    block = np.column_stack([inj[:, i] for i in range(d) for inj in injections])
+    u1 = _embed_and_complete(closest_isometry(block), d, n_out, D0, D0)
     env_basis = np.eye(D0, dtype=np.complex128)[:, :n_out]
-    psi = np.zeros(d * D0, dtype=np.complex128)
-    for s in range(n_out):
-        psi += lam[s] * np.kron(xs[:, s], env_basis[:, s])
-    model = OqeModel.create(d, D0, u_list, psi)
     form = SchmidtForm(lambdas=lam, sys_basis=xs, env_basis=env_basis)
+    model = OqeModel(d, D0, [u1, *rep0.recovered_model.unitaries[1:]], form.assemble())
     return form, model
 
 
@@ -848,21 +824,3 @@ def _fit_branch_injection(target: PptMps, later_sites, d: int, D: int):
         if abs(prev - loss) < 1e-15:
             break
     return inj, loss
-
-
-def _assemble_first_unitary(injections, d: int, D: int) -> np.ndarray:
-    """First step unitary with branch s installed on columns (i, e_s).
-
-    The collected injection columns are jointly re-orthonormalised (they
-    are orthogonal across branches up to reconstruction error) and the
-    remaining columns filled by the deterministic QR completion
-    (``fill_unassigned_columns``).
-    """
-    n_out = len(injections)
-    block = np.column_stack([inj[:, i] for i in range(d) for inj in injections])
-    block = closest_isometry(block)
-    full = np.zeros((d * D, d * D), dtype=np.complex128)
-    full.reshape(d * D, d, D)[:, :, :n_out] = block.reshape(d * D, d, n_out)
-    assigned = np.zeros((d, D), dtype=bool)
-    assigned[:, :n_out] = True
-    return fill_unassigned_columns(full, assigned.reshape(-1))

@@ -121,15 +121,30 @@ class TestDenseExpectation:
 
 class TestObservableType:
     def test_steps_strictly_increasing(self):
-        with pytest.raises(ValidationError):
-            MultiTimeObservable.create([(2, np.eye(4)), (2, np.eye(4))])
+        for steps in ((2, 2), (3, 1), (0,)):
+            with pytest.raises(ValidationError):
+                MultiTimeObservable(tuple((step, np.eye(4)) for step in steps))
+
+    def test_direct_unordered_insertions_cannot_skip_a_step(self, rng):
+        """Built directly, insertions at steps (3, 1) once made ``expectation``
+        stop after step 1 and silently drop the step-3 operator, and duplicate
+        steps gave a value far from ``dense_expectation``'s; both are now
+        refused where the observable is made."""
+        a, b = random_hermitian(4, rng), random_hermitian(4, rng)
+        for insertions in (((3, b), (1, a)), ((2, a), (2, b))):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                MultiTimeObservable(insertions=insertions)
+        direct = MultiTimeObservable(insertions=((1, a), (3, b)))
+        model = random_separable_model(2, 2, rng)
+        got = expectation(build_ppt(model, 3), direct)
+        assert abs(got - dense_expectation(model, 3, direct)) < 1e-12
 
     @pytest.mark.parametrize(
         "step", [1.5, 2.0, True, "2", None, np.float64(2.0)], ids=repr
     )
     def test_rejects_steps_that_are_not_integers(self, step):
         with pytest.raises(ValidationError, match="integer"):
-            MultiTimeObservable.create([(step, np.eye(4))])
+            MultiTimeObservable(((step, np.eye(4)),))
 
     @pytest.mark.parametrize("step", [2, np.int64(2), np.uint8(2)], ids=repr)
     def test_accepts_python_and_numpy_integer_steps(self, step):

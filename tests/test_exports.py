@@ -1,5 +1,8 @@
 """The public surface: what ``pptlab`` exports, and what it no longer does."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 import pptlab
@@ -16,3 +19,19 @@ def test_dense_transfer_layer_is_gone(name):
     assert name not in pptlab.__all__
     assert not hasattr(pptlab, name)
     assert not hasattr(memory, name)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [(pptlab.MeasurementOracle, "mode"), (pptlab.variational_fit, "warm_start"),
+     (pptlab.variational_fit, "n_restarts")],
+    ids=["oracle_mode", "fit_warm_start", "fit_n_restarts"],
+)
+def test_removed_parameters_stay_gone(owner, name):
+    # shots=None already means exact; the restart count is FIT_RESTARTS
+    assert name not in inspect.signature(owner).parameters
+
+
+def test_entangled_is_derived_not_set():
+    fields = {f.name: f for f in dataclasses.fields(pptlab.OqeModel)}
+    assert "entangled" in fields and not fields["entangled"].init

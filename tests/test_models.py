@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,13 +12,15 @@ import pptlab
 from pptlab import (
     OqeModel,
     ValidationError,
+    build_ppt,
+    memory_complexity,
     near_identity_unitary,
     random_entangled_model,
     random_haar_unitary,
     random_separable_model,
     schmidt_decompose,
 )
-from pptlab.models import random_hermitian
+from pptlab.models import random_haar_state, random_hermitian
 
 
 class TestRandomHaarUnitary:
@@ -111,6 +114,36 @@ class TestRandomModelDimensions:
         assert make(np.int64(2), np.int32(3), 0).to_json() == make(2, 3, 0).to_json()
 
 
+ENSEMBLES = {
+    "separable_model": lambda seed: random_separable_model(2, 2, seed),
+    "entangled_model": lambda seed: random_entangled_model(2, 2, seed),
+    "haar_unitary": lambda seed: random_haar_unitary(3, seed),
+    "haar_state": lambda seed: random_haar_state(3, seed),
+    "hermitian": lambda seed: random_hermitian(3, seed),
+    "near_identity": lambda seed: near_identity_unitary(3, 0.1, seed),
+}
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("make", ENSEMBLES.values(), ids=ENSEMBLES.keys())
+    @pytest.mark.parametrize(
+        "seed", [1.5, -1, True, np.bool_(False), "1", [1, 2]],
+        ids=["float", "negative", "bool", "numpy_bool", "text", "list"],
+    )
+    def test_rejects_seeds_that_are_not_non_negative_integers(self, make, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            make(seed)
+
+    @pytest.mark.parametrize("make", ENSEMBLES.values(), ids=ENSEMBLES.keys())
+    def test_accepts_integers_generators_and_none(self, make):
+        ref = make(7)
+        same = [make(np.int64(7)), make(np.uint8(7)), make(np.random.default_rng(7))]
+        for got in same:
+            got_bytes = got.to_json() if isinstance(got, OqeModel) else got.tobytes()
+            assert got_bytes == (ref.to_json() if isinstance(ref, OqeModel) else ref.tobytes())
+        make(None)
+
+
 class TestSchmidtDecompose:
     def test_product_state(self):
         state = np.kron([1.0, 0.0], [0.0, 1.0, 0.0])
@@ -146,16 +179,44 @@ class TestSchmidtDecompose:
 
 class TestOqeModel:
     def test_generated_models_validate(self, rng):
+        # construction validates, so rebuilding a model from its fields re-checks it
         for _ in range(10):
-            random_separable_model(2, 2, rng).validate()
-            random_entangled_model(2, 2, rng).validate()
+            for model in (random_separable_model(2, 2, rng), random_entangled_model(2, 2, rng)):
+                again = dataclasses.replace(model)
+                assert again.to_json() == model.to_json() and again.entangled == model.entangled
+
+    @pytest.mark.parametrize(
+        "d, D", [(2.0, 2), (2, 2.0), (True, 2), (2, True), (np.float64(2.0), 1)],
+        ids=["float_d", "float_D", "bool_d", "bool_D", "numpy_float_d"],
+    )
+    def test_constructor_rejects_non_integer_dimensions(self, d, D):
+        dim = int(d) * int(D)
+        with pytest.raises(ValidationError, match="integers"):
+            OqeModel(d, D, [np.eye(dim)], np.eye(dim)[0])
+
+    @pytest.mark.parametrize(
+        "psi", [np.ones(3) / np.sqrt(3), np.ones(5) / np.sqrt(5), np.ones(4), np.zeros(4)],
+        ids=["short", "long", "unnormalised", "zero"],
+    )
+    def test_constructor_rejects_bad_states(self, psi):
+        with pytest.raises(ValidationError):
+            OqeModel(2, 2, [random_haar_unitary(4, 0)], psi)
+
+    def test_direct_entangled_model_keeps_its_schmidt_branches(self):
+        """Built directly, an entangled model once kept ``entangled=False``:
+        ``build_ppt`` dropped the Schmidt branches (bonds [2, 2, 2]) and the
+        memory complexity read 1.0 bit instead of 2.0."""
+        ref = random_entangled_model(2, 2, 0)
+        direct = OqeModel(ref.d, ref.D, ref.unitaries, ref.initial_state)
+        assert direct.entangled
+        assert build_ppt(direct, 3).bond_dims == build_ppt(ref, 3).bond_dims == [4, 4, 4]
+        assert abs(memory_complexity(direct, 2).value_bits - 2.0) < 1e-9
+        assert memory_complexity(direct, 2).value_bits == memory_complexity(ref, 2).value_bits
 
     def test_rejects_nonunitary(self):
-        u = 1.1 * random_haar_unitary(4, 0)
-        psi = np.zeros(4)
-        psi[0] = 1.0
-        with pytest.raises(ValidationError):
-            OqeModel.create(2, 2, [u], psi)
+        us = [random_haar_unitary(4, 0), 1.1 * random_haar_unitary(4, 1)]
+        with pytest.raises(ValidationError, match="unitary 1"):
+            OqeModel(2, 2, us, np.eye(4)[0])
 
     def test_rejects_small_system(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ projection on the whole effective environment.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -89,6 +90,33 @@ def test_expectation_matches_dense_oracle(spec, expose):
     obs = random_observable(rng, spec["d"], spec["N"], n_insertions)
     mps = build_ppt(model, spec["N"], expose_initial_leg=expose)
     assert abs(expectation(mps, obs) - dense_expectation(model, spec["N"], obs)) < 1e-10
+
+
+@CASES
+@given(spec=model_specs)
+def test_models_are_valid_and_consistent_by_construction(spec):
+    """A model built by its constructor equals ``create``'s, derives
+    ``entangled`` from the Schmidt rank, holds read-only arrays, and gets
+    bond d*D from ``build_ppt`` exactly when it is entangled; replacing the
+    initial state re-derives the flag."""
+    model = make_model(spec)
+    d, D, N = model.d, model.D, spec["N"]
+    psi = np.array(model.initial_state)
+    direct = OqeModel(d, D, [np.array(u) for u in model.unitaries], psi)
+    created = OqeModel.create(d, D, model.unitaries, model.initial_state)
+    assert direct.to_json() == created.to_json() and direct.entangled == created.entangled
+    schmidt = np.linalg.svd(psi.reshape(d, D), compute_uv=False)
+    assert direct.entangled == (np.count_nonzero(schmidt > 1e-8) > 1)
+    assert direct.entangled == (spec["entangled"] and D > 1)
+    assert set(build_ppt(direct, N).bond_dims) == {d * D if direct.entangled else D}
+    stored = [*direct.unitaries, direct.initial_state]
+    assert not any(a.flags.writeable for a in stored) and psi.flags.writeable
+    if D > 1:
+        bell = np.zeros(d * D)
+        bell[0] = bell[D + 1] = np.sqrt(0.5)  # (|0, 0> + |1, 1>) / sqrt(2)
+        swapped = dataclasses.replace(direct, initial_state=bell)
+        assert swapped.entangled and set(build_ppt(swapped, N).bond_dims) == {d * D}
+        assert not dataclasses.replace(swapped, initial_state=np.eye(d * D)[0]).entangled
 
 
 @CASES
@@ -323,7 +351,7 @@ def test_stateful_oracle_matches_fresh_replay(spec, sampled, data):
     N = data.draw(st.integers(2, 6 if d == 2 else 4), label="N")
     model = make_model(dict(spec, d=d, N=N))
     shots = 5000
-    oracle = (MeasurementOracle(model, N, mode="sampled", shots=shots, seed=spec["seed"])
+    oracle = (MeasurementOracle(model, N, shots=shots, seed=spec["seed"])
               if sampled else MeasurementOracle(model, N))
     stream = np.random.default_rng(spec["seed"])
     rng = np.random.default_rng(spec["seed"])

@@ -70,21 +70,23 @@ class TestReducedDensity:
         assert oracle.query_log == 2
 
     @pytest.mark.parametrize(
-        "n_steps, mode, shots",
-        [(2.5, "exact", None), (3.0, "exact", None), (True, "exact", None),
-         (3, "sampled", 1.5), (3, "sampled", True), (3, "sampled", np.bool_(True)),
-         (3, "sampled", "100"), (3, "sampled", 0)],
+        "n_steps, kwargs",
+        [(2.5, {}), (3.0, {}), (True, {}),
+         (3, {"shots": 1.5}), (3, {"shots": True}), (3, {"shots": np.bool_(True)}),
+         (3, {"shots": "100"}), (3, {"shots": 0}),
+         (3, {"seed": 1.5}), (3, {"seed": -1}), (3, {"seed": True})],
         ids=["float_steps", "integral_float_steps", "bool_steps", "float_shots", "bool_shots",
-             "numpy_bool_shots", "text_shots", "zero_shots"],
+             "numpy_bool_shots", "text_shots", "zero_shots",
+             "float_seed", "negative_seed", "bool_seed"],
     )
-    def test_rejects_non_integer_steps_or_shots(self, rng, n_steps, mode, shots):
+    def test_rejects_non_integer_steps_or_shots(self, rng, n_steps, kwargs):
         with pytest.raises(ValidationError):
-            MeasurementOracle(random_separable_model(2, 2, rng), n_steps, mode=mode, shots=shots)
+            MeasurementOracle(random_separable_model(2, 2, rng), n_steps, **kwargs)
 
     def test_numpy_integer_steps_and_shots_accepted(self):
         model = random_separable_model(2, 2, 3)
-        ref = MeasurementOracle(model, 3, mode="sampled", shots=100, seed=0)
-        got = MeasurementOracle(model, np.int64(3), mode="sampled", shots=np.int32(100), seed=0)
+        ref = MeasurementOracle(model, 3, shots=100, seed=0)
+        got = MeasurementOracle(model, np.int64(3), shots=np.int32(100), seed=np.int64(0))
         assert got.reduced_density((2, 3)).tobytes() == ref.reduced_density((2, 3)).tobytes()
 
     def test_sealed_oracle_hides_truth(self, rng):
@@ -348,7 +350,7 @@ class TestSampledMode:
 
     def test_estimates_are_normalized(self, rng):
         model = random_separable_model(2, 2, rng)
-        oracle = MeasurementOracle(model, 3, mode="sampled", shots=2000, seed=5)
+        oracle = MeasurementOracle(model, 3, shots=2000, seed=5)
         rho = oracle.reduced_density((1, 1))
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -358,9 +360,7 @@ class TestSampledMode:
         for seed in range(3):
             model = random_separable_model(2, 2, seed)
             for shots in deficits:
-                oracle = MeasurementOracle(
-                    model, 4, mode="sampled", shots=shots, seed=100 + seed
-                )
+                oracle = MeasurementOracle(model, 4, shots=shots, seed=100 + seed)
                 report = disentangle_reconstruct(oracle, 4, 2)
                 deficits[shots].append(1.0 - report.state_fidelity)
         medians = [np.median(deficits[s]) for s in (10**3, 10**4, 10**5)]
@@ -372,16 +372,10 @@ class TestSampledMode:
         a truncated sampled window's weight goes).  0.9232282539930443 is
         reached both by the oracle and by a stand-in that expands the PPT
         into a dense statevector (``dense_reduced_density``)."""
-        oracle = MeasurementOracle(
-            random_separable_model(2, 2, 1), 6, mode="sampled", shots=10_000, seed=0
-        )
+        oracle = MeasurementOracle(random_separable_model(2, 2, 1), 6, shots=10_000, seed=0)
         for source in (oracle, _DenseSampledOracle(oracle.true_mps(), 10_000, seed=0)):
             report = disentangle_reconstruct(source, 6, 2)
             assert abs(report.state_fidelity - 0.9232282539930443) < 1e-10
-
-    def test_requires_shot_count(self, rng):
-        with pytest.raises(ValidationError):
-            MeasurementOracle(random_separable_model(2, 2, rng), 3, mode="sampled")
 
 
 class _DenseSampledOracle:
@@ -389,11 +383,10 @@ class _DenseSampledOracle:
     comes from the dense statevector after the recorded gates and goes
     through the same estimator and RNG stream."""
 
-    mode = "sampled"
     unsealed = True
 
     def __init__(self, mps, shots, seed):
-        self._mps, self._shots = mps, shots
+        self._mps, self.shots = mps, shots
         self.d, self.n_steps = mps.d, mps.n_steps
         self._rng = np.random.default_rng(seed)
         self.query_log = 0
@@ -411,7 +404,7 @@ class _DenseSampledOracle:
     def reduced_density(self, sites):
         self.query_log += 1
         rho = dense_reduced_density(self._mps, sites, self._gates)
-        return _pauli_sampled_estimate(rho, self._shots, self._rng)
+        return _pauli_sampled_estimate(rho, self.shots, self._rng)
 
 
 class TestVariationalFit:
@@ -426,10 +419,8 @@ class TestVariationalFit:
         w = fill_unassigned_columns(w, np.array([True, False]))
         lifted = np.kron(np.eye(2), w)
         u0 = lifted.conj().T @ model.unitaries[0] @ lifted
-        report = variational_fit(
-            target, 4, 2, time_independent=True, warm_start=([u0], w)
-        )
-        assert report.loss_trace[0] < 1e-12
+        trace, _ = tomography._descend(target, [u0], 2, 2, True, target.norm() ** 2)
+        assert trace[0] < 1e-12
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "time_dependent"])
     @pytest.mark.parametrize("entangled", [False, True], ids=["separable", "entangled"])
@@ -454,18 +445,21 @@ class TestVariationalFit:
         assert abs(fd - sum(np.sum(g * x) for g, x in zip(grads, xs))) < 1e-8
 
     @pytest.mark.parametrize(
-        "N, D", [(3.0, 2), (True, 2), (3, 2.0), (3, True)],
-        ids=["float_N", "bool_N", "float_D", "bool_D"],
+        "N, D, seed",
+        [(3.0, 2, 0), (True, 2, 0), (3, 2.0, 0), (3, True, 0), (3, 2, 1.5), (3, 2, -1),
+         (3, 2, True)],
+        ids=["float_N", "bool_N", "float_D", "bool_D", "float_seed", "negative_seed",
+             "bool_seed"],
     )
-    def test_rejects_non_integer_length_or_dimension(self, N, D):
+    def test_rejects_non_integer_length_or_dimension(self, N, D, seed):
         target = build_ppt(random_separable_model(2, 2, 5), 3)
         with pytest.raises(ValidationError):
-            variational_fit(target, N, D, time_independent=True)
+            variational_fit(target, N, D, time_independent=True, seed=seed)
 
     def test_numpy_integer_length_and_dimension_accepted(self):
         target = build_ppt(random_separable_model(2, 2, 5), 3)
-        ref = variational_fit(target, 3, 2, time_independent=True, n_restarts=0)
-        got = variational_fit(target, np.int64(3), np.int64(2), time_independent=True, n_restarts=0)
+        ref = variational_fit(target, 3, 2, time_independent=True)
+        got = variational_fit(target, np.int64(3), np.int64(2), time_independent=True)
         assert got.to_json() == ref.to_json()
 
     def test_time_independent_fit_predicts_next_step(self, rng):
@@ -489,7 +483,7 @@ class TestVariationalFit:
     def test_noisy_target_reports_floor(self, rng):
         model = random_separable_model(2, 2, rng)
         target = to_right_canonical(perturbed(build_ppt(model, 4), 1e-4, rng))
-        report = variational_fit(target, 4, 2, time_independent=True, seed=3, n_restarts=1)
+        report = variational_fit(target, 4, 2, time_independent=True, seed=3)
         assert not report.converged
         assert "stalled" in report.gauge_note
         assert 1e-10 < report.loss_trace[-1] < 1e-4
