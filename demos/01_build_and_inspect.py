@@ -33,7 +33,7 @@ rng = np.random.default_rng(0)
 z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
 iso = np.linalg.qr(z)[0]
 lift = np.kron(np.eye(2), iso)
-bigger = pl.OqeModel.create(
+bigger = pl.OqeModel(
     2,
     6,
     [lift @ model.unitaries[0] @ lift.conj().T + np.eye(12) - lift @ lift.conj().T],

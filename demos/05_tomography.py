@@ -42,7 +42,7 @@ rng = np.random.default_rng(2)
 worst = 0.0
 for _ in range(20):
     steps = sorted(rng.choice(np.arange(6, 9), size=2, replace=False))
-    obs = pl.MultiTimeObservable.create(
+    obs = pl.MultiTimeObservable(
         [(int(s), pl.models.random_hermitian(4, rng)) for s in steps]
     )
     worst = max(worst, abs(pl.expectation(truth, obs) - pl.expectation(predicted, obs)))

@@ -204,6 +204,7 @@ def _cmd_reconstruct_entangled(args) -> int:
         "lambdas": [float(x) for x in form.lambdas],
         "max_expectation_deviation": worst,
         "model": recovered.to_json_dict(),
+        "queries": oracle.query_log,
     }
     _write_out(_json_dumps(doc), args.out)
     return 0

@@ -21,6 +21,7 @@ from .models import OqeModel
 from .ppt import DENSE_STATE_GUARD, PptMps
 from .tensor_ops import (
     _is_integer,
+    as_complex_array,
     decode_complex,
     encode_complex,
     json_int,
@@ -29,12 +30,13 @@ from .tensor_ops import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiTimeObservable:
     """Ordered insertions (step, matrix) with strictly increasing steps.
 
-    Construction checks that every step is an integer (bools rejected) and
-    that the steps strictly increase from 1, and stores the steps as Python
+    Construction checks that every step is an integer (bools rejected),
+    that the steps strictly increase from 1 and that the operators are
+    finite square matrices of one shape, and stores the steps as Python
     ints and the operators as complex128 arrays.
     """
 
@@ -49,13 +51,16 @@ class MultiTimeObservable:
             step = int(step)
             if step <= prev:
                 raise ValidationError("insertion steps must be strictly increasing and >= 1")
-            items.append((step, np.asarray(op, dtype=np.complex128)))
+            op = as_complex_array(op, ndim=2)  # finite, rank 2
+            shape = items[0][1].shape if items else (op.shape[0],) * 2
+            if op.shape != shape:
+                raise DimensionError(
+                    f"operator at step {step} has shape {op.shape}; operators must be "
+                    "square and of one shape"
+                )
+            items.append((step, op))
             prev = step
         object.__setattr__(self, "insertions", tuple(items))
-
-    @staticmethod
-    def create(insertions) -> "MultiTimeObservable":
-        return MultiTimeObservable(insertions)
 
     def validate(self, d: int, n_steps: int) -> None:
         for step, op in self.insertions:

@@ -327,7 +327,7 @@ def _renyi_bits(p: np.ndarray, alpha: float) -> float:
     return float(np.log2(np.sum(p**alpha)) / (1.0 - alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexityReport:
     alpha: float
     value_bits: float

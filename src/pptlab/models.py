@@ -29,7 +29,7 @@ SCHMIDT_TOL = 1e-8  # Schmidt coefficients counted by SchmidtForm.rank
 UNITARITY_TOL = 1e-10  # max |U^dag U - I| entry allowed by OqeModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """Schmidt decomposition of a joint system-environment vector.
 
@@ -53,7 +53,7 @@ class SchmidtForm:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OqeModel:
     """Dimensions, step unitaries and initial joint state of a hidden evolution.
 
@@ -80,19 +80,19 @@ class OqeModel:
         self._validate()
         store("entangled", self.initial_schmidt().rank() > 1)
 
-    @staticmethod
-    def create(d, D, unitaries, initial_state) -> "OqeModel":
-        return OqeModel(d, D, unitaries, initial_state)
-
     @property
     def time_independent(self) -> bool:
         return len(self.unitaries) == 1
 
     def unitary_at(self, n: int) -> np.ndarray:
-        """Step unitary for 1-based step ``n``."""
+        """Step unitary for 1-based step ``n``; a step that is not an integer
+        (bools included), below 1 or, for a time-dependent model, past the
+        stored unitaries raises ``ValidationError``."""
+        if not (_is_integer(n) and n >= 1):
+            raise ValidationError(f"step must be an integer >= 1, got {n!r}")
         if self.time_independent:
             return self.unitaries[0]
-        if not 1 <= n <= len(self.unitaries):
+        if n > len(self.unitaries):
             raise ValidationError(f"step {n} outside the stored {len(self.unitaries)} unitaries")
         return self.unitaries[n - 1]
 

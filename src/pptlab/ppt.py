@@ -48,7 +48,7 @@ SPLIT_TOL = 1e-12  # relative singular value dropped by split_block
 CANONICAL_FORMS = ("none", "right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PptMps:
     """MPS form of a purified process tensor.
 
@@ -224,11 +224,11 @@ def enlarged_site_tensor(b: np.ndarray, d: int) -> np.ndarray:
 def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptMps:
     """Construct the PPT of ``model`` over N steps as a right-canonical MPS.
 
-    Separable initial states split off the system factor and give bond
-    dimension D.  Entangled initial states absorb the initial system leg
-    into the environment, giving bond dimension d*D; with
-    ``expose_initial_leg`` that leg is kept as an extra physical index
-    instead of being summed into the boundary.
+    With ``expose_initial_leg`` the initial system leg is an extra physical
+    index in front of step 1, bonds stay D-dimensional and measuring it
+    collapses the environment branch.  Otherwise entangled initial states
+    absorb that leg into the environment (bond dimension d*D) and separable
+    ones split off the system factor (bond dimension D).
     """
     if not (_is_integer(N) and N >= 1):
         raise ValidationError(f"N must be an integer >= 1, got {N!r}")
@@ -239,22 +239,23 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
     d, D = model.d, model.D
     plain = [site_tensor_from_unitary(model.unitary_at(n), d, D) for n in range(1, N + 1)]
 
-    if expose_initial_leg:
-        # o_0 split off as a physical leg: the chain bonds stay D-dimensional
-        # and measuring o_0 collapses the environment branch.
+    if expose_initial_leg or model.entangled:
         lead = model.initial_state.reshape(d, D)[np.newaxis, :, np.newaxis, :]
-        return PptMps(sites=tuple(plain), d=d, canonical="right", leading_site=lead)
-
-    if model.entangled:
-        sites = [enlarged_site_tensor(b, d) for b in plain]
-        first = np.einsum("a,aoib->oib", model.initial_state, sites[0])[np.newaxis]
-        sites[0] = first
-        return PptMps(sites=tuple(sites), d=d, canonical="right")
+        exposed = PptMps(sites=tuple(plain), d=d, canonical="right", leading_site=lead)
+        return exposed if expose_initial_leg else absorb_initial_leg(exposed)
 
     psi_env = model.initial_schmidt().env_basis[:, 0]
     sites = list(plain)
     sites[0] = np.einsum("a,aoib->oib", psi_env, sites[0])[np.newaxis]
     return PptMps(sites=tuple(sites), d=d, canonical="right")
+
+
+def absorb_initial_leg(mps: PptMps) -> PptMps:
+    """Move an exposed initial system leg into the environment: the leading
+    site becomes the initial vector of the enlarged d*D environment."""
+    sites = [enlarged_site_tensor(b, mps.d) for b in mps.sites]
+    sites[0] = np.einsum("a,aoib->oib", mps.leading_site.reshape(-1), sites[0])[np.newaxis]
+    return PptMps(sites=tuple(sites), d=mps.d, canonical="right")
 
 
 def check_isometry(model: OqeModel) -> float:

@@ -54,8 +54,10 @@ from .exceptions import (
 from .models import OqeModel, SchmidtForm, _as_rng, near_identity_unitary, random_haar_unitary
 from .ppt import (
     PROCESS_TENSOR_GUARD,
+    SPLIT_TOL,
     PptMps,
     _embed_and_complete,
+    absorb_initial_leg,
     build_ppt,
     gauge_fidelity,
     mps_to_oqe,
@@ -65,6 +67,7 @@ from .ppt import (
 )
 from .tensor_ops import (
     _is_integer,
+    as_complex_array,
     closest_isometry,
     fill_unassigned_columns,
     polar_unitary,
@@ -92,11 +95,12 @@ class MeasurementOracle:
     the re-Hermitised, trace-normalised linear-inversion estimate.
     ``query_log`` counts reduced-density requests.
 
-    The hidden process is held as its right-canonical ``PptMps`` only.
-    The oracle is stateful, like a laboratory: ``apply_gate`` applies one
-    window gate to the current chain, ``reset`` returns to the hidden chain
+    The hidden process is held only as its right-canonical ``PptMps``, with
+    the initial system leg exposed as step 0 (chain index n is step n).  The
+    oracle is stateful, like a laboratory: ``condition`` post-selects step
+    0, ``apply_gate`` applies one window gate, ``reset`` undoes the gates
     and ``reduced_density`` measures the current chain.  The left
-    environments of the sites no gate has touched since they were
+    environments of the sites nothing has touched since they were
     contracted are kept, so a query extends the environment only up to its
     window and a sliding-window reconstruction costs time linear in
     ``n_steps``.
@@ -118,21 +122,22 @@ class MeasurementOracle:
             if hidden_model.d != 2:
                 raise ValidationError("the Pauli-product sampling scheme requires d = 2")
         self._model = hidden_model
-        self._mps = build_ppt(hidden_model, n_steps)
+        self._mps = build_ppt(hidden_model, n_steps, expose_initial_leg=True)
         self.d = hidden_model.d
         self.n_steps = n_steps
         self.shots = shots
         self.query_log = 0
         self.unsealed = unsealed
         self._rng = _as_rng(seed)
-        self.reset()
+        self._select(self._mps.leading_site)
 
     # -- unsealed access (testing/diagnostics only) --
 
     def true_mps(self) -> PptMps:
+        """The hidden chain as last post-selected, initial leg absorbed."""
         if not self.unsealed:
             raise ValidationError("oracle is sealed; the true PPT is not accessible")
-        return self._mps
+        return absorb_initial_leg(self._selected)
 
     def true_model(self) -> OqeModel:
         if not self.unsealed:
@@ -142,29 +147,55 @@ class MeasurementOracle:
     # -- measurement surface --
 
     def reset(self) -> None:
-        """Return to the hidden chain, undoing every applied gate."""
+        """Undo every applied gate; a post-selection made by ``condition`` stays."""
         # _chain is the state after the gates applied since the last reset;
         # _envs[k] is the left environment of _chain[:k]
-        self._chain = list(self._mps.sites)
+        self._chain = self._selected.chain()
         self._envs = [np.ones((1, 1), dtype=np.complex128)]
+
+    def condition(self, sys_vector) -> float:
+        """Start over post-selected on the outcome ``sys_vector`` at step 0, in
+        place of any earlier post-selection, with no gates applied.  Returns
+        the outcome probability; not a request."""
+        x = as_complex_array(sys_vector).reshape(-1)
+        nrm = np.linalg.norm(x)
+        if x.size != self.d or not nrm > 0:
+            raise DimensionError("conditioning vector must be a nonzero vector on the system")
+        x = x / nrm
+        y = x.conj() @ self._mps.leading_site.reshape(self.d, -1)
+        prob = float(np.linalg.norm(y) ** 2)
+        if prob < 1e-12:
+            raise ValidationError("conditioning outcome has vanishing probability")
+        self._select(np.outer(x, y / np.sqrt(prob)))
+        return prob
+
+    def _select(self, lead: np.ndarray) -> None:
+        """Hold ``lead`` as step 0, its bond to step 1 cut to its rank by one
+        SVD (the right factor moves into step 1), and reset."""
+        u, s, vh = np.linalg.svd(lead.reshape(self.d, -1), full_matrices=False)
+        r = int(np.count_nonzero(s > SPLIT_TOL * s[0]))  # s[0] > 0: the state is normalised
+        first = np.einsum("ka,aoib->koib", vh[:r], self._mps.sites[0])
+        head = (u[:, :r] * s[:r])[np.newaxis, :, np.newaxis, :]
+        self._selected = replace(self._mps, sites=(first, *self._mps.sites[1:]), leading_site=head)
+        self.reset()
 
     def apply_gate(self, start, gate) -> None:
         """Apply one window gate to the current state.
 
         Simulates a disentangling gate a laboratory would physically apply.
-        A gate on R sites from ``start`` is a unitary on their fused
+        A gate on R steps from ``start`` >= 1 is a unitary on their fused
         (d^2)^R physical index; a gate that is not, that runs past the last
         step or whose start is not an integer (bools included) raises
         ``ValidationError`` and leaves the state as it was.  Not a request:
         ``query_log`` is unchanged.
         """
         start, gate = self._checked_gate(start, gate)
-        _apply_gate(self._chain, start - 1, gate)
-        del self._envs[start:]
+        _apply_gate(self._chain, start, gate)
+        del self._envs[start + 1 :]
 
     def reduced_density(self, sites: tuple[int, int]) -> np.ndarray:
         """Reduced density operator of the current state on the contiguous
-        1-based range ``sites``.
+        range of steps ``sites``; step 0 is the initial system leg.
 
         Site bounds that are not integers (bools included) or not an
         ordered range of steps raise ``ValidationError``.  Counts as one
@@ -174,15 +205,14 @@ class MeasurementOracle:
             a, b = sites
         except (TypeError, ValueError):
             raise ValidationError(f"site range {sites!r} is not a pair of sites") from None
-        if not (_is_integer(a) and _is_integer(b) and 1 <= a <= b <= self.n_steps):
-            raise ValidationError(f"site range {sites} outside [1, {self.n_steps}]")
+        if not (_is_integer(a) and _is_integer(b) and 0 <= a <= b <= self.n_steps):
+            raise ValidationError(f"site range {sites} outside [0, {self.n_steps}]")
         a, b = int(a), int(b)
-        width = b - a + 1
-        if (self.d * self.d) ** width > PROCESS_TENSOR_GUARD:
-            raise CapacityError(f"window of width {width} exceeds the dense guard")
+        if self.d ** (2 * (b - a + 1) - (a == 0)) > PROCESS_TENSOR_GUARD:
+            raise CapacityError(f"window {sites} exceeds the dense guard")
         self.query_log += 1
-        env = self._left_env(a - 1)
-        block = _contract_sites(self._chain[a - 1 : b])  # (l, window, r)
+        env = self._left_env(a)
+        block = _contract_sites(self._chain[a : b + 1])  # (l, window, r)
         l, n_phys, r = block.shape
         # env[l', l] = sum over the left physical legs of conj(X[.., l']) X[.., l]
         x = (env @ block.reshape(l, -1)).reshape(l, n_phys, r).transpose(1, 0, 2)
@@ -223,34 +253,6 @@ class MeasurementOracle:
             raise ValidationError(f"gate at site {start} is not unitary")
         return int(start), gate
 
-    def initial_system_state(self) -> np.ndarray:
-        """Reduced density operator of the system factor of the initial state."""
-        psi = self._model.initial_state.reshape(self._model.d, self._model.D)
-        return psi @ psi.conj().T
-
-    def conditional(self, sys_vector: np.ndarray) -> tuple["MeasurementOracle", float]:
-        """Oracle for the process conditioned on measuring the initial system
-        state along ``sys_vector``; also returns the outcome probability."""
-        x = np.asarray(sys_vector, dtype=np.complex128).reshape(-1)
-        if x.size != self._model.d:
-            raise DimensionError("conditioning vector must live on the system space")
-        x = x / np.linalg.norm(x)
-        y = x.conj() @ self._model.initial_state.reshape(self._model.d, self._model.D)
-        prob = float(np.linalg.norm(y) ** 2)
-        if prob < 1e-12:
-            raise ValidationError("conditioning outcome has vanishing probability")
-        y = y / np.linalg.norm(y)
-        sys0 = np.zeros(self._model.d, dtype=np.complex128)
-        sys0[0] = 1.0
-        oracle = MeasurementOracle(
-            replace(self._model, initial_state=np.kron(sys0, y)),
-            self.n_steps,
-            shots=self.shots,
-            seed=None if self.shots is None else int(self._rng.integers(2**63)),
-            unsealed=self.unsealed,
-        )
-        return oracle, prob
-
 
 def _contract_sites(sites) -> np.ndarray:
     """Block (left bond, fused physical index, right bond) of consecutive sites."""
@@ -269,7 +271,7 @@ def _apply_gate(chain: list, start: int, gate: np.ndarray, max_bond: int | None 
     keeps a right-canonical block right-canonical, so a right-canonical
     chain stays right-canonical.
     """
-    d = chain[0].shape[1]
+    d = chain[start].shape[1]
     width = window_size(d, gate.shape[0]) - 1
     block = gate @ _contract_sites(chain[start : start + width])
     chain[start : start + width] = split_block(block, d, width, max_bond=max_bond)
@@ -565,9 +567,9 @@ def _optimal_final_unitary(lmat: np.ndarray) -> tuple[np.ndarray, float]:
 
     The overlap is linear in the final unitary, Re sum Of[p,q] L[p,q], so
     the maximiser follows from the SVD and the attained value is the
-    nuclear norm of L.
+    nuclear norm of L (an isometry where the two environments differ in size).
     """
-    u_, s_, vh_ = np.linalg.svd(lmat.T)
+    u_, s_, vh_ = np.linalg.svd(lmat.T, full_matrices=False)
     return (u_ @ vh_).conj().T, float(s_.sum())
 
 
@@ -731,20 +733,20 @@ def reconstruct_entangled_initial(
 ) -> tuple[SchmidtForm, OqeModel]:
     """Recover an entangled initial state together with the step unitaries.
 
-    Measuring the initial system state in its eigenbasis collapses the
-    environment to one pure branch per outcome.  The first branch is
-    tomographed and fixes the step unitaries, with the recovered
-    environment basis pinned so that branch starts in |0>.  Every further
-    branch is tomographed and fitted while the later step unitaries are
-    held fixed; the free parameters are the first-step injection of the new
-    branch (the step unitary applied to the unknown initial environment
-    vector, which is the identifiable combination) together with a final
-    environment unitary.  Recovered branches are installed on successive
-    computational basis vectors, orthogonal to all previous ones, so the
+    ``reduced_density((0, 0))`` measures the initial system state, and
+    post-selecting (``condition``) each of its eigenvectors collapses the
+    environment to one pure branch for ``disentangle_reconstruct``: 1 +
+    n_out (f + 1) requests in all, after which the oracle stays
+    post-selected on the last outcome.  The first branch fixes the step
+    unitaries, with the recovered environment basis pinned so that it
+    starts in |0>.  Each further branch is fitted with the later step
+    unitaries held fixed; the free parameters are its first-step injection
+    (the step unitary applied to the unknown initial environment vector,
+    the identifiable combination) and a final environment unitary.
+    Branches sit on successive computational basis vectors, so the
     assembled initial state is sum_s lambda_s |x_s> |s>.
     """
-    rho_s = oracle.initial_system_state()
-    evals, xs = _eigh_descending(rho_s)
+    evals, xs = _eigh_descending(oracle.reduced_density((0, 0)))
     lam = np.sqrt(np.clip(evals, 0.0, None))
     n_out = max(int(np.count_nonzero(lam > OUTCOME_TOL)), 1)
     lam = lam[:n_out] / np.linalg.norm(lam[:n_out])
@@ -752,8 +754,8 @@ def reconstruct_entangled_initial(
     if D_bound is None:
         D_bound = oracle.true_model().D
 
-    cond0, _ = oracle.conditional(xs[:, 0])
-    rep0 = disentangle_reconstruct(cond0, oracle.n_steps, D_bound)
+    oracle.condition(xs[:, 0])
+    rep0 = disentangle_reconstruct(oracle, oracle.n_steps, D_bound)
     d = oracle.d
     D0 = rep0.recovered_model.D
     if D0 < n_out:
@@ -766,8 +768,8 @@ def reconstruct_entangled_initial(
     injections = [_branch_injection(rep0.recovered_mps.sites[0], d, D0)]
 
     for s in range(1, n_out):
-        cond, _ = oracle.conditional(xs[:, s])
-        rep = disentangle_reconstruct(cond, oracle.n_steps, D_bound)
+        oracle.condition(xs[:, s])
+        rep = disentangle_reconstruct(oracle, oracle.n_steps, D_bound)
         inj, loss = _fit_branch_injection(rep.recovered_mps, later_sites, d, D0)
         if loss > BRANCH_FIT_TOL and oracle.shots is None:
             raise ConvergenceError(
@@ -789,31 +791,28 @@ def reconstruct_entangled_initial(
 
 
 def _branch_injection(site1: np.ndarray, d: int, D: int) -> np.ndarray:
-    """First-step injection isometry L[(o, b), i] = sqrt(d) B_1[0, o, i, b]."""
-    inj = np.sqrt(d) * site1.transpose(1, 3, 2, 0).reshape(d * site1.shape[3], d)
-    if site1.shape[3] < D:
-        pad = np.zeros((d * D, d), dtype=np.complex128)
-        pad_view = pad.reshape(d, D, d)
-        pad_view[:, : site1.shape[3], :] = inj.reshape(d, site1.shape[3], d)
-        inj = pad
-    return inj
+    """First-step injection isometry L[(o, b), i] = sqrt(d) B_1[0, o, i, b],
+    zero on the rows b >= the site's right bond."""
+    inj = np.zeros((d, D, d), dtype=np.complex128)
+    inj[:, : site1.shape[3], :] = np.sqrt(d) * site1[0].transpose(0, 2, 1)
+    return inj.reshape(d * D, d)
 
 
 def _fit_branch_injection(target: PptMps, later_sites, d: int, D: int):
     """Best first-step injection isometry and final environment unitary
     matching ``target``, with the later step tensors held fixed.
 
-    The overlap is linear in both unknowns, so alternating closed-form
-    updates (closest isometry and polar factor) converge in a few rounds.
+    The overlap is linear in both unknowns, so alternating closed-form updates
+    (closest isometry and polar factor) converge, at times after ~100 rounds.
     """
     if len(later_sites) != target.n_steps - 1:
         raise DimensionError("later-site count does not match the target length")
     chain = target.chain()
     nt2 = target.norm() ** 2
-    of = np.eye(D, dtype=np.complex128)
+    of = np.eye(target.env_dim, D, dtype=np.complex128)
     loss = np.inf
     left = np.ones((1, 1), dtype=np.complex128)
-    for _ in range(100):
+    for _ in range(1000):  # from some gauges the loss dwells on a plateau for ~100
         right = _backward_envs(chain[1:], later_sites, of)[0]
         grad_inj = _unitary_gradient(left, chain[0], right)
         inj = closest_isometry(grad_inj.conj())

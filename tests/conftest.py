@@ -19,7 +19,7 @@ from pptlab.ppt import site_tensor_from_unitary
 def random_observable(rng, d, n_steps, n_insertions=2):
     """Random Hermitian insertions at strictly increasing steps."""
     steps = sorted(rng.choice(np.arange(1, n_steps + 1), size=n_insertions, replace=False))
-    return MultiTimeObservable.create(
+    return MultiTimeObservable(
         [(int(s), random_hermitian(d * d, rng)) for s in steps]
     )
 
@@ -118,7 +118,7 @@ def embed_environment(model: OqeModel, iso: np.ndarray) -> OqeModel:
         lift @ u @ lift.conj().T + np.eye(model.d * D_new) - proj for u in model.unitaries
     ]
     psi = lift @ model.initial_state
-    return OqeModel.create(model.d, D_new, us, psi)
+    return OqeModel(model.d, D_new, us, psi)
 
 
 def random_env_isometry(rng, D_from: int, D_to: int) -> np.ndarray:
@@ -170,19 +170,23 @@ def apply_window_dense(state: np.ndarray, gate: np.ndarray, start_axis: int, loc
 
 
 def dense_reduced_density(mps, sites, circuit=()) -> np.ndarray:
-    """Reduced density operator on the 1-based range ``sites`` after ``circuit``.
+    """Reduced density operator on the range of steps ``sites`` after ``circuit``.
 
     Independent of the oracle's MPS route: expands ``mps`` into its dense
     statevector, applies each (start, gate) by ``tensordot`` and traces out
-    everything but the window (the environment leg included).
+    everything but the window (the environment leg included).  Step 0 is
+    the exposed initial leg (dimension d) of an ``mps`` that has one.
     """
     d2 = mps.d**2
-    state = mps.to_statevector().reshape((d2,) * mps.n_steps + (mps.env_dim,))
+    lead = int(mps.leading_site is not None)  # axis of step k is k - 1 + lead
+    dims = (mps.d,) * lead + (d2,) * mps.n_steps
+    state = mps.to_statevector().reshape(dims + (mps.env_dim,))
     for start, gate in circuit:
-        state = apply_window_dense(state, gate, start - 1, d2)
+        state = apply_window_dense(state, gate, start - 1 + lead, d2)
     a, b = sites
-    x = np.moveaxis(state, list(range(a - 1, b)), list(range(b - a + 1)))
-    x = x.reshape(d2 ** (b - a + 1), -1)
+    axes = list(range(a - 1 + lead, b + lead))
+    x = np.moveaxis(state, axes, list(range(len(axes))))
+    x = x.reshape(int(np.prod([dims[k] for k in axes])), -1)
     rho = x @ x.conj().T
     return (rho + rho.conj().T) / 2.0
 

@@ -142,7 +142,7 @@ def test_criterion_5_prediction_from_time_independent_fit():
         worst = 0.0
         for _ in range(10):
             steps = sorted(rng.choice(np.arange(6, 9), size=2, replace=False))
-            obs = pl.MultiTimeObservable.create(
+            obs = pl.MultiTimeObservable(
                 [(int(s), pl.models.random_hermitian(4, rng)) for s in steps]
             )
             worst = max(worst, abs(pl.expectation(truth, obs) - pl.expectation(predicted, obs)))
@@ -205,7 +205,7 @@ def test_criterion_7_invariant_suite():
         if rng.random() < 0.3:
             u = pl.near_identity_unitary(d * D, 0.05, rng)
             psi = np.kron(pl.random_haar_state(d, rng), pl.random_haar_state(D, rng))
-            model = pl.OqeModel.create(d, D, [u], psi)
+            model = pl.OqeModel(d, D, [u], psi)
         else:
             model = pl.random_separable_model(d, D, rng)
         worst["isometry"] = max(worst["isometry"], pl.check_isometry(model))

@@ -88,7 +88,7 @@ class TestBuildAndCorrelate:
     def test_identity_observable_gives_one(self, tmp_path):
         build_out = tmp_path / "build.json"
         assert run(["build", "--d", "2", "--D", "1", "--N", "3", "--seed", "1", "--out", str(build_out)]) == 0
-        obs = MultiTimeObservable.create([(2, np.eye(4))])
+        obs = MultiTimeObservable([(2, np.eye(4))])
         obs_path = tmp_path / "obs.json"
         obs_path.write_text(obs.to_json())
         out = tmp_path / "value.json"
@@ -381,6 +381,8 @@ class TestPipeline:
         doc = json.loads(read(out))
         assert doc["max_expectation_deviation"] < 1e-6
         assert np.allclose(doc["lambdas"], [1 / np.sqrt(2)] * 2, atol=1e-8)
+        # rho_S, then f + 1 = 4 requests for each of the two outcomes (R = 2)
+        assert doc["queries"] == 1 + 2 * 4
 
 
 def _as_pairs(site):
@@ -535,7 +537,7 @@ class TestMalformedFiles:
         assert run(["build", "--D", "2", "--N", "3", "--seed", "1", "--out", str(build_out)]) == 0
         huge = 1e300 * np.eye(4)
         obs = tmp_path / "obs.json"
-        obs.write_text(MultiTimeObservable.create([(1, huge), (2, huge)]).to_json())
+        obs.write_text(MultiTimeObservable([(1, huge), (2, huge)]).to_json())
         out = tmp_path / "value.json"
         argv = ["correlate", "--ppt", str(build_out), "--observable", str(obs), "--out", str(out)]
         assert run(argv) == 1

@@ -20,7 +20,7 @@ from conftest import random_observable
 class TestExpectation:
     def test_identity_insertions_give_norm(self, rng):
         mps = build_ppt(random_separable_model(2, 2, rng), 4)
-        obs = MultiTimeObservable.create([(2, np.eye(4)), (4, np.eye(4))])
+        obs = MultiTimeObservable([(2, np.eye(4)), (4, np.eye(4))])
         assert abs(expectation(mps, obs) - 1.0) < 1e-12
 
     def test_projector_completeness(self, rng):
@@ -29,13 +29,13 @@ class TestExpectation:
         total = 0.0
         for k in range(4):
             proj = np.outer(u[:, k], u[:, k].conj())
-            total += expectation(mps, MultiTimeObservable.create([(3, proj)]))
+            total += expectation(mps, MultiTimeObservable([(3, proj)]))
         assert abs(total - 1.0) < 1e-10
 
     def test_matches_dense_oracle(self, rng):
         model = random_separable_model(2, 2, rng)
         mps = build_ppt(model, 5)
-        obs = MultiTimeObservable.create(
+        obs = MultiTimeObservable(
             [(2, random_hermitian(4, rng)), (4, random_hermitian(4, rng))]
         )
         assert abs(expectation(mps, obs) - dense_expectation(model, 5, obs)) < 1e-10
@@ -43,24 +43,24 @@ class TestExpectation:
     def test_step_out_of_range(self, rng):
         mps = build_ppt(random_separable_model(2, 2, rng), 3)
         with pytest.raises(ValidationError):
-            expectation(mps, MultiTimeObservable.create([(4, np.eye(4))]))
+            expectation(mps, MultiTimeObservable([(4, np.eye(4))]))
 
     def test_linearity_in_insertion(self, rng):
         mps = build_ppt(random_separable_model(2, 2, rng), 4)
         a = random_hermitian(4, rng)
         b = random_hermitian(4, rng)
         alpha = 0.6 - 0.2j
-        combo = MultiTimeObservable.create([(2, alpha * a + b)])
+        combo = MultiTimeObservable([(2, alpha * a + b)])
         parts = alpha * expectation(
-            mps, MultiTimeObservable.create([(2, a)])
-        ) + expectation(mps, MultiTimeObservable.create([(2, b)]))
+            mps, MultiTimeObservable([(2, a)])
+        ) + expectation(mps, MultiTimeObservable([(2, b)]))
         assert abs(expectation(mps, combo) - parts) < 1e-12
 
     def test_identity_insertion_removable(self, rng):
         mps = build_ppt(random_separable_model(2, 2, rng), 5)
         m = random_hermitian(4, rng)
-        with_id = MultiTimeObservable.create([(2, m), (4, np.eye(4))])
-        without = MultiTimeObservable.create([(2, m)])
+        with_id = MultiTimeObservable([(2, m), (4, np.eye(4))])
+        without = MultiTimeObservable([(2, m)])
         assert abs(expectation(mps, with_id) - expectation(mps, without)) < 1e-12
 
     def test_causality(self, rng):
@@ -70,8 +70,8 @@ class TestExpectation:
             np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
             for _ in range(2)
         ]
-        altered = OqeModel.create(2, 2, altered_us, base.initial_state)
-        obs = MultiTimeObservable.create(
+        altered = OqeModel(2, 2, altered_us, base.initial_state)
+        obs = MultiTimeObservable(
             [(1, random_hermitian(4, rng)), (3, random_hermitian(4, rng))]
         )
         v1 = expectation(build_ppt(base, 5), obs)
@@ -82,18 +82,18 @@ class TestExpectation:
 class TestDenseExpectation:
     def test_identity(self, rng):
         model = random_separable_model(2, 2, rng)
-        obs = MultiTimeObservable.create([(1, np.eye(4))])
+        obs = MultiTimeObservable([(1, np.eye(4))])
         assert abs(dense_expectation(model, 3, obs) - 1.0) < 1e-12
 
     def test_single_step_trivial_unitary(self, rng):
         """With U = I and no environment, the PPT is the maximally entangled pair."""
         psi = np.zeros(2)
         psi[0] = 1.0
-        model = OqeModel.create(2, 1, [np.eye(2)], psi)
+        model = OqeModel(2, 1, [np.eye(2)], psi)
         m = random_hermitian(4, rng)
         pair = np.eye(2).reshape(-1) / np.sqrt(2)
         ref = pair.conj() @ m @ pair
-        got = dense_expectation(model, 1, MultiTimeObservable.create([(1, m)]))
+        got = dense_expectation(model, 1, MultiTimeObservable([(1, m)]))
         assert abs(got - ref) < 1e-12
 
     def test_matches_mps_on_random_cases(self, rng):
@@ -148,8 +148,21 @@ class TestObservableType:
 
     @pytest.mark.parametrize("step", [2, np.int64(2), np.uint8(2)], ids=repr)
     def test_accepts_python_and_numpy_integer_steps(self, step):
-        obs = MultiTimeObservable.create([(step, np.eye(4))])
+        obs = MultiTimeObservable([(step, np.eye(4))])
         assert obs.insertions[0][0] == 2 and type(obs.insertions[0][0]) is int
+
+    @pytest.mark.parametrize(
+        "insertions",
+        [((1, np.full((4, 4), np.nan)),), ((1, np.ones(3)),), ((1, np.ones((4, 2))),),
+         ((1, np.eye(4)), (2, np.eye(16)))],
+        ids=["nan", "rank_one", "not_square", "two_shapes"],
+    )
+    def test_rejects_malformed_operators(self, rng, insertions):
+        """A NaN operator used to give ``expectation`` a value of nan+nanj and
+        a rank-1 one to fail only when evaluated; both are refused where the
+        observable is made."""
+        with pytest.raises(ValidationError):
+            MultiTimeObservable(insertions)
 
     def test_pair_operator(self, rng):
         a = random_hermitian(2, rng)
@@ -157,7 +170,7 @@ class TestObservableType:
         assert np.array_equal(pair_operator(a, b), np.kron(a, b))
 
     def test_json_roundtrip(self, rng):
-        obs = MultiTimeObservable.create(
+        obs = MultiTimeObservable(
             [(1, random_hermitian(4, rng)), (3, random_hermitian(4, rng))]
         )
         back = MultiTimeObservable.from_json(obs.to_json())

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 import pptlab
@@ -35,3 +36,36 @@ def test_removed_parameters_stay_gone(owner, name):
 def test_entangled_is_derived_not_set():
     fields = {f.name: f for f in dataclasses.fields(pptlab.OqeModel)}
     assert "entangled" in fields and not fields["entangled"].init
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [(pptlab.OqeModel, "create"), (pptlab.MultiTimeObservable, "create"),
+     (pptlab.MeasurementOracle, "initial_system_state"),
+     (pptlab.MeasurementOracle, "conditional")],
+    ids=["model_create", "observable_create", "oracle_initial_system_state",
+         "oracle_conditional"],
+)
+def test_removed_methods_stay_gone(owner, name):
+    # the constructors are the one way in; the oracle answers only by measuring
+    assert not hasattr(owner, name)
+
+
+_MODEL = pptlab.random_entangled_model(2, 2, 0)
+_MAKERS = {
+    "OqeModel": lambda: pptlab.OqeModel(2, 2, _MODEL.unitaries, _MODEL.initial_state),
+    "SchmidtForm": _MODEL.initial_schmidt,
+    "PptMps": lambda: pptlab.build_ppt(_MODEL, 2),
+    "MultiTimeObservable": lambda: pptlab.MultiTimeObservable([(1, np.eye(4))]),
+    "ComplexityReport": lambda: memory.memory_complexity(_MODEL, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_MAKERS))
+def test_array_holding_dataclasses_compare_by_identity(name):
+    """The generated ``__eq__`` compared arrays and raised; these compare by
+    identity, so ``==`` gives a bool and ``hash`` works."""
+    a, b = _MAKERS[name](), _MAKERS[name]()
+    assert type(a).__name__ == name
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -220,7 +220,7 @@ class TestStationaryState:
             psi = np.kron([0.6, 0.8], env[0])
         monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
         # I (x) X flips the environment every step: eigenvalue -1 never decays
-        assert_matches_dense_oracle(OqeModel.create(2, D, [u], psi), raises=gate == "IxX")
+        assert_matches_dense_oracle(OqeModel(2, D, [u], psi), raises=gate == "IxX")
 
     @pytest.mark.parametrize("crossover", [64, 1], ids=["dense", "krylov"])
     def test_unitary_environment_matches_dense_oracle(self, crossover, monkeypatch):
@@ -229,7 +229,7 @@ class TestStationaryState:
         u = np.kron(np.eye(2), random_haar_unitary(8, 1))
         psi = random_separable_model(2, 8, 2).initial_state
         monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
-        assert_matches_dense_oracle(OqeModel.create(2, 8, [u], psi), raises=True)
+        assert_matches_dense_oracle(OqeModel(2, 8, [u], psi), raises=True)
 
     @pytest.mark.parametrize("crossover", [64, 1], ids=["dense", "krylov"])
     def test_bare_mps_errors_match_dense_oracle(self, crossover, monkeypatch):
@@ -338,7 +338,7 @@ class TestTheorem1:
 
     def test_degenerate_separable_is_skipped(self):
         psi = np.kron([1.0, 0.0], [1.0, 0.0])
-        model = OqeModel.create(2, 2, [np.eye(4)], psi)
+        model = OqeModel(2, 2, [np.eye(4)], psi)
         result = theorem1_check(model, 2.0)
         assert result.skipped and not result.passed
 
@@ -390,7 +390,7 @@ class TestStationarityOnset:
         for eta in onsets:
             for seed in range(3):
                 u = near_identity_unitary(4, eta, seed)
-                model = OqeModel.create(2, 2, [u], psi)
+                model = OqeModel(2, 2, [u], psi)
                 onsets[eta].append(stationarity_onset(model, tol=0.05))
         assert np.median(onsets[0.005]) > np.median(onsets[0.01])
 
@@ -437,7 +437,7 @@ class TestFigS2:
             rng = np.random.default_rng(seed)
             draws = n_max if time_dependent else 1
             us = [near_identity_unitary(d * D, eta, rng) for _ in range(draws)]
-            model = OqeModel.create(d, D, us, psi)
+            model = OqeModel(d, D, us, psi)
             curves.append([infidelity(evolve_env(rho0, model, n), np.eye(D) / D) for n in points])
         expected = [
             [np.mean(c), np.median(c), np.quantile(c, 0.25), np.quantile(c, 0.75)]

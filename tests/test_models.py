@@ -220,7 +220,7 @@ class TestOqeModel:
 
     def test_rejects_small_system(self):
         with pytest.raises(ValidationError):
-            OqeModel.create(1, 2, [random_haar_unitary(2, 0)], np.array([1.0, 0.0]))
+            OqeModel(1, 2, [random_haar_unitary(2, 0)], np.array([1.0, 0.0]))
 
     def test_entangled_flag(self, rng):
         assert not random_separable_model(2, 2, rng).entangled
@@ -252,3 +252,12 @@ class TestOqeModel:
         assert model.unitary_at(2) is model.unitaries[1]
         with pytest.raises(ValidationError):
             model.unitary_at(4)
+
+    @pytest.mark.parametrize("steps", [1, 3], ids=["time_independent", "time_dependent"])
+    @pytest.mark.parametrize("n", [0, -5, True, np.bool_(True), 1.5, 2.0, "1", None], ids=repr)
+    def test_unitary_at_rejects_what_is_no_step(self, rng, steps, n):
+        # 0, -5 and True used to return a unitary and 1.5 a bare TypeError
+        model = random_separable_model(2, 2, rng, steps=steps)
+        with pytest.raises(ValidationError, match="step"):
+            model.unitary_at(n)
+        assert model.unitary_at(np.int64(1)) is model.unitaries[0]

@@ -96,7 +96,7 @@ class TestCheckIsometry:
     def test_identity(self):
         psi = np.zeros(6)
         psi[0] = 1.0
-        model = OqeModel.create(2, 3, [np.eye(6)], psi)
+        model = OqeModel(2, 3, [np.eye(6)], psi)
         assert check_isometry(model) < 1e-14
 
     def test_haar(self, rng):
@@ -206,7 +206,7 @@ class TestMpsToOqe:
         u = random_haar_unitary(2, rng)
         psi = np.zeros(2)
         psi[0] = 1.0
-        model = OqeModel.create(2, 1, [np.kron(u, np.eye(1))], psi)
+        model = OqeModel(2, 1, [np.kron(u, np.eye(1))], psi)
         mps = build_ppt(model, 3)
         recovered, _ = mps_to_oqe(mps)
         got = recovered.unitaries[1]
@@ -234,7 +234,7 @@ class TestProcessTensor:
     def test_identity_single_step(self):
         psi = np.zeros(2)
         psi[0] = 1.0
-        model = OqeModel.create(2, 1, [np.eye(2)], psi)
+        model = OqeModel(2, 1, [np.eye(2)], psi)
         upsilon = ppt_to_process_tensor(build_ppt(model, 1))
         evals = np.sort(np.linalg.eigvalsh(upsilon))[::-1]
         assert np.allclose(evals, [1.0, 0.0, 0.0, 0.0], atol=1e-12)

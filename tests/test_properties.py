@@ -95,16 +95,16 @@ def test_expectation_matches_dense_oracle(spec, expose):
 @CASES
 @given(spec=model_specs)
 def test_models_are_valid_and_consistent_by_construction(spec):
-    """A model built by its constructor equals ``create``'s, derives
-    ``entangled`` from the Schmidt rank, holds read-only arrays, and gets
-    bond d*D from ``build_ppt`` exactly when it is entangled; replacing the
-    initial state re-derives the flag."""
+    """A model built from fresh arrays equals one built from a model's
+    read-only arrays, derives ``entangled`` from the Schmidt rank, holds
+    read-only arrays, and gets bond d*D from ``build_ppt`` exactly when it
+    is entangled; replacing the initial state re-derives the flag."""
     model = make_model(spec)
     d, D, N = model.d, model.D, spec["N"]
     psi = np.array(model.initial_state)
     direct = OqeModel(d, D, [np.array(u) for u in model.unitaries], psi)
-    created = OqeModel.create(d, D, model.unitaries, model.initial_state)
-    assert direct.to_json() == created.to_json() and direct.entangled == created.entangled
+    reused = OqeModel(d, D, model.unitaries, model.initial_state)
+    assert direct.to_json() == reused.to_json() and direct.entangled == reused.entangled
     schmidt = np.linalg.svd(psi.reshape(d, D), compute_uv=False)
     assert direct.entangled == (np.count_nonzero(schmidt > 1e-8) > 1)
     assert direct.entangled == (spec["entangled"] and D > 1)
@@ -283,12 +283,16 @@ def test_correlate_reads_version_1_and_2_files_alike(spec, expose, n_insertions)
 @CASES
 @given(spec=model_specs, data=st.data())
 def test_oracle_density_matches_dense_reference(spec, data):
-    """The MPS oracle against the dense statevector route, after random gates.
+    """The MPS oracle against the dense statevector route, after random gates
+    and, drawn at random, a post-selection of step 0 before them.
 
-    N reaches 8 at d = 2 and 5 at d = 3, where the dense state still fits
-    the dense-state guard.  The window is any legal range whose density has
-    at most 2^20 entries (every legal range but the six-site windows at
-    d = 2, whose 4096 x 4096 densities take 268 MB each).
+    The reference expands ``build_ppt(model, N, expose_initial_leg=True)``
+    of the hidden model, or of the model whose initial state is the
+    post-selected one.  N reaches 8 at d = 2 and 5 at d = 3, where the
+    dense state still fits the dense-state guard.  The window is any legal
+    range of steps, step 0 included, of at most five steps at d = 2 and
+    three at d = 3, so its density has at most 2^20 entries (a six-step
+    window from step 1 at d = 2 would take 268 MB).
     """
     d = spec["d"]
     N = data.draw(st.integers(1, 8 if d == 2 else 5), label="N")
@@ -301,11 +305,19 @@ def test_oracle_density_matches_dense_reference(spec, data):
         start = data.draw(st.integers(1, N - width + 1), label="start")
         circuit.append((start, random_haar_unitary((d * d) ** width, rng)))
     width = data.draw(st.integers(1, min(N, 5 if d == 2 else 3)), label="window")
-    a = data.draw(st.integers(1, N - width + 1), label="first site")
+    a = data.draw(st.integers(0, N - width + 1), label="first step")
+    hidden = model
+    if data.draw(st.booleans(), label="post-select"):
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        y = x.conj() @ model.initial_state.reshape(d, model.D) / np.linalg.norm(x)
+        initial = np.kron(x / np.linalg.norm(x), y / np.linalg.norm(y))
+        hidden = OqeModel(d, model.D, model.unitaries, initial)
+        oracle.condition(x)
     for start, gate in circuit:
         oracle.apply_gate(start, gate)
     rho = oracle.reduced_density((a, a + width - 1))
-    ref = dense_reduced_density(oracle.true_mps(), (a, a + width - 1), circuit)
+    exposed = build_ppt(hidden, N, expose_initial_leg=True)
+    ref = dense_reduced_density(exposed, (a, a + width - 1), circuit)
     assert np.max(np.abs(rho - ref)) < 1e-12
 
 
