@@ -359,7 +359,7 @@ def run(argv=None) -> int:
     except ConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (PptlabError, OSError, json.JSONDecodeError, KeyError) as err:
+    except (PptlabError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DimensionError, ValidationError
 from .models import OqeModel, _check_dimensions, _check_eta, near_identity_unitary
 from .ppt import PptMps, enlarged_site_tensor, site_tensor_from_unitary
-from .tensor_ops import _is_integer, transfer_left
+from .tensor_ops import _is_integer, _is_real, transfer_left
 
 DEGENERACY_GAP = 1e-8
 DENSITY_TOL = 1e-10  # Hermiticity, positivity and trace error allowed in an environment state
@@ -309,11 +309,6 @@ def renyi_complexity(rho: np.ndarray, alpha: float) -> float:
 def _check_alpha(alpha) -> None:
     if not (_is_real(alpha) and np.isfinite(alpha) and alpha > 0):
         raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
-
-
-def _is_real(x) -> bool:
-    """Whether ``x`` is a Python or numpy real number, but not a bool."""
-    return _is_integer(x) or isinstance(x, (float, np.floating))
 
 
 def _renyi_bits(p: np.ndarray, alpha: float) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .tensor_ops import (
     _is_integer,
+    _is_real,
     as_complex_array,
     decode_complex,
     encode_complex,
@@ -149,8 +150,11 @@ class OqeModel:
             raise ValidationError(
                 f"'time_independent' must be true or false, got {time_independent!r}"
             )
-        if time_independent and len(us) != 1:
-            raise ValidationError("time_independent document must store exactly one unitary")
+        if time_independent != (len(us) == 1):
+            raise ValidationError(
+                f"'time_independent' is {json.dumps(time_independent)}, but the document "
+                f"stores {len(us)} unitaries (a time-independent model stores exactly one)"
+            )
         psi = decode_complex(doc["initial_state"], (dim,))
         return OqeModel(d, D, us, psi)
 
@@ -185,8 +189,7 @@ def random_haar_unitary(dim: int, seed) -> np.ndarray:
     The diagonal of R is phase-fixed so the distribution is exactly Haar and
     the output is deterministic for a given seed.
     """
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
+    _check_dim(dim)
     rng = _as_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -207,6 +210,7 @@ def near_identity_unitary(dim: int, eta: float, seed, size=None) -> np.ndarray:
     """
     import scipy.linalg  # ~0.35 s import, paid only by callers of this function
 
+    _check_dim(dim)
     _check_eta(eta)
     batch = () if size is None else tuple(np.atleast_1d(size))
     return scipy.linalg.expm(1j * eta * _hermitians(dim, _as_rng(seed), batch))
@@ -225,8 +229,18 @@ def _hermitians(dim: int, rng: np.random.Generator, batch: tuple) -> np.ndarray:
 
 
 def _check_eta(eta: float) -> None:
-    if not (np.isfinite(eta) and eta > 0):
-        raise ValidationError(f"eta must be finite and positive, got {eta}")
+    if not (_is_real(eta) and np.isfinite(eta) and eta > 0):
+        raise ValidationError(f"eta must be a finite positive number, got {eta!r}")
+
+
+def _check_dim(dim: int) -> None:
+    if not (_is_integer(dim) and dim >= 1):
+        raise ValidationError(f"dimension must be an integer >= 1, got {dim!r}")
+
+
+def _check_steps(steps: int) -> None:
+    if not (_is_integer(steps) and steps >= 1):
+        raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
 
 
 def _check_dimensions(d: int, D: int) -> None:
@@ -235,6 +249,7 @@ def _check_dimensions(d: int, D: int) -> None:
 
 
 def random_haar_state(dim: int, seed) -> np.ndarray:
+    _check_dim(dim)
     rng = _as_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -243,6 +258,7 @@ def random_haar_state(dim: int, seed) -> np.ndarray:
 def random_separable_model(d: int, D: int, seed, steps: int = 1) -> OqeModel:
     """Haar model with a product initial state |psi_S> (x) |psi_E>."""
     _check_dimensions(d, D)
+    _check_steps(steps)
     rng = _as_rng(seed)
     us = [random_haar_unitary(d * D, rng) for _ in range(steps)]
     psi = np.kron(random_haar_state(d, rng), random_haar_state(D, rng))
@@ -253,15 +269,18 @@ def random_entangled_model(d: int, D: int, seed, lambdas=None, steps: int = 1) -
     """Haar model with an entangled initial state of given Schmidt spectrum.
 
     ``lambdas`` defaults to the maximally entangled spectrum over
-    min(d, D) terms.  Schmidt bases are Haar random.
+    min(d, D) terms; given, it is renormalised and must be a list of
+    finite, non-negative numbers, not all zero.  Schmidt bases are Haar
+    random.
     """
     _check_dimensions(d, D)
+    _check_steps(steps)
     rng = _as_rng(seed)
     r = min(d, D)
     if lambdas is None:
         lam = np.full(r, 1.0 / np.sqrt(r))
     else:
-        lam = np.asarray(lambdas, dtype=float)
+        lam = _schmidt_weights(lambdas)
         if lam.size > r:
             raise ValidationError(f"at most {r} Schmidt coefficients fit d={d}, D={D}")
         lam = lam / np.linalg.norm(lam)
@@ -269,6 +288,19 @@ def random_entangled_model(d: int, D: int, seed, lambdas=None, steps: int = 1) -
     xs = random_haar_unitary(d, rng)[:, : lam.size]
     ys = random_haar_unitary(D, rng)[:, : lam.size]
     return OqeModel(d, D, us, SchmidtForm(lam, xs, ys).assemble())
+
+
+def _schmidt_weights(lambdas) -> np.ndarray:
+    """``lambdas`` as a float array, if it is a list of finite, non-negative
+    numbers, not all zero; anything else raises ``ValidationError``."""
+    message = f"Schmidt coefficients must be finite, non-negative and not all zero: {lambdas!r}"
+    try:
+        lam = np.asarray(lambdas, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(message) from None
+    if not (lam.ndim == 1 and np.all(np.isfinite(lam)) and np.all(lam >= 0) and np.any(lam > 0)):
+        raise ValidationError(message)
+    return lam
 
 
 def schmidt_decompose(state, d: int, D: int) -> SchmidtForm:

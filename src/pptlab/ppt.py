@@ -331,16 +331,16 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
 
     Each site is reshaped into M[(o, b), (i, a)]; sqrt(d) * M is projected
     onto the closest isometry and completed to a unitary on a common
-    environment of size max(bond dims).  The boundary site fixes the
-    recovered initial environment state to |0>.  Returns the model together
-    with the per-site projection residuals ||sqrt(d) M - isometry||_F.
-    The recovered model matches the hidden one only up to an environment
-    basis change.
+    environment of size max(bond dims).  Without an exposed initial leg the
+    boundary site fixes the recovered initial state to |0>|0>; an exposed
+    leg (bond r_0) is read into the initial joint state, whose environment
+    components r_0 and up are zero.  Returns the model together with the
+    per-site projection residuals ||sqrt(d) M - isometry||_F.  The
+    recovered model matches the hidden one only up to an environment basis
+    change.
     """
     if mps.canonical != "right":
         raise ValidationError("mps_to_oqe requires a right-canonical MPS")
-    if mps.leading_site is not None:
-        raise ValidationError("convert the absorbed form (no exposed initial leg)")
     d = mps.d
     D_model = max(t.shape[3] for t in mps.sites)
     unitaries: list[np.ndarray] = []
@@ -358,9 +358,13 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
         iso = u @ vh  # the closest isometry
         residuals.append(float(np.linalg.norm(w - iso)))
         unitaries.append(_embed_and_complete(iso, d, l, r, D_model))
-    psi = np.zeros(d * D_model, dtype=np.complex128)
-    psi[0] = 1.0
-    return OqeModel(d, D_model, unitaries, psi), residuals
+    psi = np.zeros((d, D_model), dtype=np.complex128)
+    if mps.leading_site is None:
+        psi[0, 0] = 1.0
+    else:
+        lead = mps.leading_site.reshape(d, -1)
+        psi[:, : lead.shape[1]] = lead
+    return OqeModel(d, D_model, unitaries, psi.reshape(-1)), residuals
 
 
 def _embed_and_complete(iso: np.ndarray, d: int, l: int, r: int, D: int) -> np.ndarray:
@@ -430,11 +434,10 @@ def gauge_fidelity(a: PptMps, b: PptMps) -> float:
     return float((np.sum(s) / (na * nb)) ** 2)
 
 
-def split_block(
-    block: np.ndarray, d: int, n_sites: int, max_bond: int | None = None
-) -> list[np.ndarray]:
-    """Split a block (left bond, (d^2)^n_sites, right bond) into ``n_sites``
-    site tensors by SVDs from the right.
+def split_block(block: np.ndarray, shapes, max_bond: int | None = None) -> list[np.ndarray]:
+    """Split a block (left bond, fused physical index, right bond) into one
+    site tensor per physical shape (out, in) of ``shapes`` by SVDs from the
+    right.
 
     Every site but the first is a row block of an SVD's V^dag and hence
     right-canonical; the first carries the singular values.  On each bond
@@ -442,15 +445,15 @@ def split_block(
     ``max_bond`` of them and at least one.
     """
     left, _, bond = block.shape
-    sites: list[np.ndarray] = [None] * n_sites
+    sites: list[np.ndarray] = [None] * len(shapes)
     work = block
-    for n in range(n_sites - 1, 0, -1):
-        u, s, vh = np.linalg.svd(work.reshape(-1, d * d * bond), full_matrices=False)
+    for n in range(len(shapes) - 1, 0, -1):
+        u, s, vh = np.linalg.svd(work.reshape(-1, np.prod(shapes[n]) * bond), full_matrices=False)
         keep = max(int(np.count_nonzero(s > SPLIT_TOL * s[0])), 1)
         if max_bond is not None:
             keep = min(keep, max_bond)
-        sites[n] = vh[:keep].reshape(keep, d, d, bond)
+        sites[n] = vh[:keep].reshape(keep, *shapes[n], bond)
         work = u[:, :keep] * s[:keep]
         bond = keep
-    sites[0] = work.reshape(left, d, d, bond)
+    sites[0] = work.reshape(left, *shapes[0], bond)
     return sites

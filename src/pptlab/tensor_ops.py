@@ -104,6 +104,11 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a Python or numpy real number, but not a bool."""
+    return _is_integer(x) or isinstance(x, (float, np.floating))
+
+
 def transfer_left(
     env: np.ndarray, bra: np.ndarray, ket: np.ndarray, op: np.ndarray | None = None
 ) -> np.ndarray:

@@ -14,14 +14,15 @@ reconstruction costs time linear in N (the sliding-window scheme of Cramer
 et al., Nat. Commun. 1, 149 (2010), with environments kept between steps as
 in Schollwoeck, Ann. Phys. 326, 96 (2011)).
 
-The disentangling algorithm walks a window of R sites across the chain.
-Each window's reduced density operator has support of dimension at most the
+The disentangling algorithm walks a window of R sites across the chain,
+from step 1 or, to recover an entangled initial state, from step 0.  Each
+window's reduced density operator has support of dimension at most the
 hidden bond, so a window unitary can rotate that support into the subspace
-whose first site is |0>.  After f = N - R + 1 gates the state is a product
-of |0>s with an entangled block on the trailing R - 1 sites; diagonalising
-that block fixes the Schmidt vectors and values, the environment basis is
-pinned to the computational one, and undoing the gates on the MPS of that
-product yields the state.
+whose first site is |0>.  After f gates (one per window) the state is a
+product of |0>s with an entangled block on the trailing R - 1 sites;
+diagonalising that block fixes the Schmidt vectors and values, the
+environment basis is pinned to the computational one, and undoing the gates
+on the MPS of that product yields the state.
 
 The variational route refits the site unitaries directly: the ansatz is a
 sequentially generated state with parametric step unitaries (one shared
@@ -37,14 +38,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import (
     BoundViolationError,
     CapacityError,
-    ConvergenceError,
     DegenerateStateError,
     DimensionError,
     SingularityError,
@@ -56,7 +56,6 @@ from .ppt import (
     PROCESS_TENSOR_GUARD,
     SPLIT_TOL,
     PptMps,
-    _embed_and_complete,
     absorb_initial_leg,
     build_ppt,
     gauge_fidelity,
@@ -67,7 +66,6 @@ from .ppt import (
 )
 from .tensor_ops import (
     _is_integer,
-    as_complex_array,
     closest_isometry,
     fill_unassigned_columns,
     polar_unitary,
@@ -79,8 +77,6 @@ SUPPORT_TOL = 1e-10  # window eigenvalues counted as support by disentangle_reco
 FIT_MAX_ITER = 400  # gradient steps tried per variational_fit restart
 FIT_RESTARTS = 5  # variational_fit attempts after the warm start
 FIT_SUCCESS_TOL = 1e-10  # variational_fit loss below which a fit has converged
-OUTCOME_TOL = 1e-6  # initial Schmidt coefficients kept as measurement outcomes
-BRANCH_FIT_TOL = 1e-9  # exact-mode loss allowed for a conditional branch fit
 
 
 # -- measurement oracle ------------------------------------------------------
@@ -96,14 +92,14 @@ class MeasurementOracle:
     ``query_log`` counts reduced-density requests.
 
     The hidden process is held only as its right-canonical ``PptMps``, with
-    the initial system leg exposed as step 0 (chain index n is step n).  The
-    oracle is stateful, like a laboratory: ``condition`` post-selects step
-    0, ``apply_gate`` applies one window gate, ``reset`` undoes the gates
-    and ``reduced_density`` measures the current chain.  The left
-    environments of the sites nothing has touched since they were
-    contracted are kept, so a query extends the environment only up to its
-    window and a sliding-window reconstruction costs time linear in
-    ``n_steps``.
+    the initial system leg exposed as step 0 (chain index n is step n) and
+    the bond from step 0 to step 1 cut to its rank.  The oracle is
+    stateful, like a laboratory: ``apply_gate`` applies one window gate,
+    ``reset`` undoes the gates and ``reduced_density`` measures the current
+    chain.  The left environments of the sites nothing has touched since
+    they were contracted are kept, so a query extends the environment only
+    up to its window and a sliding-window reconstruction costs time linear
+    in ``n_steps``.
     """
 
     def __init__(
@@ -122,22 +118,30 @@ class MeasurementOracle:
             if hidden_model.d != 2:
                 raise ValidationError("the Pauli-product sampling scheme requires d = 2")
         self._model = hidden_model
-        self._mps = build_ppt(hidden_model, n_steps, expose_initial_leg=True)
         self.d = hidden_model.d
         self.n_steps = n_steps
         self.shots = shots
         self.query_log = 0
         self.unsealed = unsealed
         self._rng = _as_rng(seed)
-        self._select(self._mps.leading_site)
+        # one SVD cuts the step-0 bond to its rank; its right factor moves into step 1
+        mps = build_ppt(hidden_model, n_steps, expose_initial_leg=True)
+        u, s, vh = np.linalg.svd(mps.leading_site.reshape(self.d, -1), full_matrices=False)
+        r = int(np.count_nonzero(s > SPLIT_TOL * s[0]))  # s[0] > 0: the state is normalised
+        first = np.einsum("ka,aoib->koib", vh[:r], mps.sites[0])
+        head = (u[:, :r] * s[:r])[np.newaxis, :, np.newaxis, :]
+        self._truth = PptMps(
+            sites=(first, *mps.sites[1:]), d=self.d, canonical="right", leading_site=head
+        )
+        self.reset()
 
     # -- unsealed access (testing/diagnostics only) --
 
     def true_mps(self) -> PptMps:
-        """The hidden chain as last post-selected, initial leg absorbed."""
+        """The hidden chain with step 0 exposed, its bond cut to its rank."""
         if not self.unsealed:
             raise ValidationError("oracle is sealed; the true PPT is not accessible")
-        return absorb_initial_leg(self._selected)
+        return self._truth
 
     def true_model(self) -> OqeModel:
         if not self.unsealed:
@@ -147,47 +151,22 @@ class MeasurementOracle:
     # -- measurement surface --
 
     def reset(self) -> None:
-        """Undo every applied gate; a post-selection made by ``condition`` stays."""
+        """Undo every applied gate."""
         # _chain is the state after the gates applied since the last reset;
         # _envs[k] is the left environment of _chain[:k]
-        self._chain = self._selected.chain()
+        self._chain = self._truth.chain()
         self._envs = [np.ones((1, 1), dtype=np.complex128)]
-
-    def condition(self, sys_vector) -> float:
-        """Start over post-selected on the outcome ``sys_vector`` at step 0, in
-        place of any earlier post-selection, with no gates applied.  Returns
-        the outcome probability; not a request."""
-        x = as_complex_array(sys_vector).reshape(-1)
-        nrm = np.linalg.norm(x)
-        if x.size != self.d or not nrm > 0:
-            raise DimensionError("conditioning vector must be a nonzero vector on the system")
-        x = x / nrm
-        y = x.conj() @ self._mps.leading_site.reshape(self.d, -1)
-        prob = float(np.linalg.norm(y) ** 2)
-        if prob < 1e-12:
-            raise ValidationError("conditioning outcome has vanishing probability")
-        self._select(np.outer(x, y / np.sqrt(prob)))
-        return prob
-
-    def _select(self, lead: np.ndarray) -> None:
-        """Hold ``lead`` as step 0, its bond to step 1 cut to its rank by one
-        SVD (the right factor moves into step 1), and reset."""
-        u, s, vh = np.linalg.svd(lead.reshape(self.d, -1), full_matrices=False)
-        r = int(np.count_nonzero(s > SPLIT_TOL * s[0]))  # s[0] > 0: the state is normalised
-        first = np.einsum("ka,aoib->koib", vh[:r], self._mps.sites[0])
-        head = (u[:, :r] * s[:r])[np.newaxis, :, np.newaxis, :]
-        self._selected = replace(self._mps, sites=(first, *self._mps.sites[1:]), leading_site=head)
-        self.reset()
 
     def apply_gate(self, start, gate) -> None:
         """Apply one window gate to the current state.
 
         Simulates a disentangling gate a laboratory would physically apply.
-        A gate on R steps from ``start`` >= 1 is a unitary on their fused
-        (d^2)^R physical index; a gate that is not, that runs past the last
-        step or whose start is not an integer (bools included) raises
-        ``ValidationError`` and leaves the state as it was.  Not a request:
-        ``query_log`` is unchanged.
+        A gate on R steps from ``start`` >= 0 is a unitary on their fused
+        physical index, of dimension (d^2)^R from step 1 on and d (d^2)^(R-1)
+        from step 0 (the initial system leg); a gate that is not, that runs
+        past the last step or whose start is not an integer (bools included)
+        raises ``ValidationError`` and leaves the state as it was.  Not a
+        request: ``query_log`` is unchanged.
         """
         start, gate = self._checked_gate(start, gate)
         _apply_gate(self._chain, start, gate)
@@ -235,18 +214,14 @@ class MeasurementOracle:
         Returns a C-ordered copy of the gate, so the result of applying it
         does not depend on the layout of the caller's array.
         """
-        if not _is_integer(start) or not 1 <= start <= self.n_steps:
-            raise ValidationError(f"gate start {start!r} is not a site in [1, {self.n_steps}]")
+        if not _is_integer(start) or not 0 <= start <= self.n_steps:
+            raise ValidationError(f"gate start {start!r} is not a site in [0, {self.n_steps}]")
         gate = np.array(gate, dtype=np.complex128, order="C")
         dim = gate.shape[0] if gate.ndim == 2 and gate.shape[0] == gate.shape[1] else 0
-        width = window_size(self.d, dim) - 1  # smallest R with (d^2)^R >= dim
-        if width < 1 or (self.d * self.d) ** width != dim:
+        if not _gate_width(self._chain, start, dim):
             raise ValidationError(
-                f"gate of shape {gate.shape} is not a square (d^2)^R matrix for d={self.d}"
-            )
-        if start + width - 1 > self.n_steps:
-            raise ValidationError(
-                f"gate on sites {start}..{start + width - 1} runs past step {self.n_steps}"
+                f"gate of shape {gate.shape} spans no whole run of steps from step {start} "
+                f"to step {self.n_steps} at most (d={self.d})"
             )
         # written so that a NaN deviation (non-finite entries) fails as well
         if not np.max(np.abs(gate.conj().T @ gate - np.eye(dim))) <= 1e-10:
@@ -262,19 +237,31 @@ def _contract_sites(sites) -> np.ndarray:
     return block.reshape(block.shape[0], -1, block.shape[-1])
 
 
+def _gate_width(chain, start: int, dim: int) -> int:
+    """Number of sites of ``chain`` from index ``start`` on whose fused
+    physical indices a gate of dimension ``dim`` spans; 0 where it spans no
+    whole number of them before the chain ends."""
+    size = 1
+    for width, t in enumerate(chain[start:], start=1):
+        size *= t.shape[1] * t.shape[2]
+        if size >= dim:
+            return width if size == dim else 0
+    return 0
+
+
 def _apply_gate(chain: list, start: int, gate: np.ndarray, max_bond: int | None = None) -> None:
     """Apply a window unitary to the sites of ``chain`` from index ``start`` on.
 
     The sites are contracted into one block, the gate multiplies its fused
-    physical index, and SVDs from the right split it back (``split_block``:
-    singular values above 1e-12 relative, at most ``max_bond``).  A unitary
-    keeps a right-canonical block right-canonical, so a right-canonical
-    chain stays right-canonical.
+    physical index, and SVDs from the right split it back into sites of the
+    same physical shapes (``split_block``: singular values above 1e-12
+    relative, at most ``max_bond``).  A unitary keeps a right-canonical
+    block right-canonical, so a right-canonical chain stays right-canonical.
     """
-    d = chain[start].shape[1]
-    width = window_size(d, gate.shape[0]) - 1
-    block = gate @ _contract_sites(chain[start : start + width])
-    chain[start : start + width] = split_block(block, d, width, max_bond=max_bond)
+    sites = chain[start : start + _gate_width(chain, start, gate.shape[0])]
+    block = gate @ _contract_sites(sites)
+    shapes = [t.shape[1:3] for t in sites]
+    chain[start : start + len(sites)] = split_block(block, shapes, max_bond=max_bond)
 
 
 # -- sampled-mode estimator --------------------------------------------------
@@ -414,30 +401,32 @@ def disentangle_reconstruct(
 ) -> ReconstructionReport:
     """Reconstruct the PPT through the sliding-window disentangling circuit.
 
-    ``D_bound`` bounds the hidden environment size; with
-    ``entangled_initial`` the effective bound is ``d * D_bound`` to account
-    for the absorbed initial system leg.  Exactly f + 1 reduced-density
-    requests are issued: one per window plus one for the trailing block.
-    The oracle is reset first and holds the f window gates afterwards.
+    ``D_bound`` bounds the hidden environment size.  The windows of R
+    steps walk the chain from step 1, or with ``entangled_initial`` from
+    step 0 (the initial system leg), and the recovered ``PptMps`` then
+    carries that leg as its ``leading_site``.  Exactly f + 1
+    reduced-density requests are issued, one per window plus one for the
+    trailing block, with f = N - R + 1 windows from step 1 and N - R + 2
+    from step 0.  The oracle is reset first and holds the f window gates
+    afterwards.
     """
     if not (_is_integer(N) and N == oracle.n_steps):
         raise ValidationError(f"oracle answers {oracle.n_steps} steps, not {N!r}")
     if not (_is_integer(D_bound) and D_bound >= 1):
         raise ValidationError(f"environment bound must be a positive integer, got {D_bound!r}")
     d = oracle.d
-    d2 = d * d
-    bound = int(D_bound) * (d if entangled_initial else 1)
-    R = window_size(d, bound)
-    if N < R:
-        raise ValidationError(f"need at least R={R} steps for environment bound {bound}")
-    f = N - R + 1
-    limit = d2 ** (R - 1)
+    first = 0 if entangled_initial else 1  # the step the windows start from
+    R = window_size(d, int(D_bound))
+    f = N - first - R + 2
+    if f < 1:
+        raise ValidationError(f"need at least R={R} steps for environment bound {D_bound}")
+    limit = (d * d) ** (R - 1)
     notes: list[str] = []
 
     gates: list[tuple[int, np.ndarray]] = []
     queries_before = oracle.query_log
     oracle.reset()
-    for j in range(1, f + 1):
+    for j in range(first, first + f):
         rho_w = oracle.reduced_density((j, j + R - 1))
         evals, vecs = _eigh_descending(rho_w)
         n_support = int(np.count_nonzero(evals > SUPPORT_TOL))
@@ -459,8 +448,8 @@ def disentangle_reconstruct(
         gates.append((j, gate))
         oracle.apply_gate(j, gate)
 
-    if f < N:
-        rho_tail = oracle.reduced_density((f + 1, N))
+    if R > 1:
+        rho_tail = oracle.reduced_density((first + f, N))
         evals, vecs = _eigh_descending(rho_tail)
         keep = int(np.count_nonzero(evals > SUPPORT_TOL))
         keep = min(max(keep, 1), limit)
@@ -468,7 +457,9 @@ def disentangle_reconstruct(
         lam = lam / np.linalg.norm(lam)
         tail = vecs[:, :keep] * lam  # columns lam_s |a_s>
         env_dim = keep
-        tail_sites = split_block(tail.reshape(1, -1, env_dim), d, R - 1, max_bond=env_dim)
+        tail_sites = split_block(
+            tail.reshape(1, -1, env_dim), [(d, d)] * (R - 1), max_bond=env_dim
+        )
     else:
         # Single-site windows disentangle everything; the trailing query is a
         # consistency check on the last site.
@@ -479,16 +470,24 @@ def disentangle_reconstruct(
     zero = np.zeros((1, d, d, 1), dtype=np.complex128)
     zero[0, 0, 0, 0] = 1.0
     chain = [zero] * f + tail_sites
+    if entangled_initial:
+        chain[0] = zero[:, :, :1]  # step 0 has no input leg
     for j, gate in reversed(gates):
-        _apply_gate(chain, j - 1, gate.conj().T, max_bond=env_dim)
+        _apply_gate(chain, j - first, gate.conj().T, max_bond=env_dim)
     nrm = float(np.linalg.norm(chain[0]))  # below 1 where a sampled state was truncated
     if nrm < 1e-12:
         raise DegenerateStateError("reconstructed state has numerically zero norm")
     chain[0] = chain[0] / nrm
 
-    mps = PptMps(sites=tuple(chain), d=d, canonical="right")
+    if entangled_initial:
+        mps = PptMps(sites=tuple(chain[1:]), d=d, canonical="right", leading_site=chain[0])
+    else:
+        mps = PptMps(sites=tuple(chain), d=d, canonical="right")
     model, residuals = mps_to_oqe(mps)
-    fidelity = gauge_fidelity(mps, oracle.true_mps()) if oracle.unsealed else None
+    fidelity = None
+    if oracle.unsealed:
+        truth = oracle.true_mps()
+        fidelity = gauge_fidelity(mps, truth if entangled_initial else absorb_initial_leg(truth))
     notes.append("environment basis pinned to the computational frame")
     return ReconstructionReport(
         recovered_mps=mps,
@@ -592,6 +591,8 @@ def variational_fit(
     """
     if not (_is_integer(N) and N == target.n_steps):
         raise ValidationError(f"target has {target.n_steps} steps, not {N!r}")
+    if target.leading_site is not None:
+        raise ValidationError("fit the absorbed form (absorb_initial_leg) of an exposed leg")
     if not (_is_integer(D) and D == target.env_dim):
         raise DimensionError(f"target environment dimension {target.env_dim} != D={D!r}")
     if target.canonical != "right":
@@ -702,9 +703,13 @@ def _warm_start(target: PptMps, d: int, D: int, time_independent: bool):
             u_shared = model.unitaries[1]
     else:
         u_shared = model.unitaries[0]
-    # Initial environment vector in the shared gauge, read off the boundary site:
-    # (i', beta), i -> delta_{i', i} psi_beta.
-    uv = u_shared.conj().T @ _branch_injection(target.sites[0], d, D)
+    # Initial environment vector in the shared gauge, read off the boundary
+    # site's injection L[(o, b), i] = sqrt(d) B_1[0, o, i, b] (zero on the rows
+    # b >= its right bond): U^dag L maps i to (i', beta) as delta_{i', i} psi_beta.
+    site1 = target.sites[0]
+    inj = np.zeros((d, D, d), dtype=np.complex128)
+    inj[:, : site1.shape[3], :] = np.sqrt(d) * site1[0].transpose(0, 2, 1)
+    uv = u_shared.conj().T @ inj.reshape(d * D, d)
     psi = np.zeros(D, dtype=np.complex128)
     for i in range(d):
         psi += uv[i * D : (i + 1) * D, i]
@@ -733,93 +738,18 @@ def reconstruct_entangled_initial(
 ) -> tuple[SchmidtForm, OqeModel]:
     """Recover an entangled initial state together with the step unitaries.
 
-    ``reduced_density((0, 0))`` measures the initial system state, and
-    post-selecting (``condition``) each of its eigenvectors collapses the
-    environment to one pure branch for ``disentangle_reconstruct``: 1 +
-    n_out (f + 1) requests in all, after which the oracle stays
-    post-selected on the last outcome.  The first branch fixes the step
-    unitaries, with the recovered environment basis pinned so that it
-    starts in |0>.  Each further branch is fitted with the later step
-    unitaries held fixed; the free parameters are its first-step injection
-    (the step unitary applied to the unknown initial environment vector,
-    the identifiable combination) and a final environment unitary.
-    Branches sit on successive computational basis vectors, so the
-    assembled initial state is sum_s lambda_s |x_s> |s>.
+    One ``disentangle_reconstruct`` sweep from step 0, the initial system
+    leg, recovers the chain with that leg exposed, N - R + 3 requests in
+    all; its model carries the initial joint state, and the returned form
+    is that state's Schmidt decomposition cut to its rank.  ``D_bound``
+    defaults to the hidden environment size, which an unsealed oracle
+    reveals.
     """
-    evals, xs = _eigh_descending(oracle.reduced_density((0, 0)))
-    lam = np.sqrt(np.clip(evals, 0.0, None))
-    n_out = max(int(np.count_nonzero(lam > OUTCOME_TOL)), 1)
-    lam = lam[:n_out] / np.linalg.norm(lam[:n_out])
-    xs = xs[:, :n_out]
     if D_bound is None:
         D_bound = oracle.true_model().D
-
-    oracle.condition(xs[:, 0])
-    rep0 = disentangle_reconstruct(oracle, oracle.n_steps, D_bound)
-    d = oracle.d
-    D0 = rep0.recovered_model.D
-    if D0 < n_out:
-        raise ConvergenceError(
-            f"recovered environment dimension {D0} cannot hold {n_out} branches"
-        )
-    later_sites = [
-        site_tensor_from_unitary(u, d, D0) for u in rep0.recovered_model.unitaries[1:]
-    ]
-    injections = [_branch_injection(rep0.recovered_mps.sites[0], d, D0)]
-
-    for s in range(1, n_out):
-        oracle.condition(xs[:, s])
-        rep = disentangle_reconstruct(oracle, oracle.n_steps, D_bound)
-        inj, loss = _fit_branch_injection(rep.recovered_mps, later_sites, d, D0)
-        if loss > BRANCH_FIT_TOL and oracle.shots is None:
-            raise ConvergenceError(
-                f"recovered {s}/{n_out} outcomes; the conditional fit for outcome {s} "
-                f"stalled at loss {loss:.3e}",
-                residual=loss,
-            )
-        injections.append(inj)
-
-    # Branch s sits on the first-step columns (i, e_s), jointly
-    # re-orthonormalised (orthogonal across branches up to reconstruction
-    # error); the remaining columns are the deterministic QR completion.
-    block = np.column_stack([inj[:, i] for i in range(d) for inj in injections])
-    u1 = _embed_and_complete(closest_isometry(block), d, n_out, D0, D0)
-    env_basis = np.eye(D0, dtype=np.complex128)[:, :n_out]
-    form = SchmidtForm(lambdas=lam, sys_basis=xs, env_basis=env_basis)
-    model = OqeModel(d, D0, [u1, *rep0.recovered_model.unitaries[1:]], form.assemble())
-    return form, model
-
-
-def _branch_injection(site1: np.ndarray, d: int, D: int) -> np.ndarray:
-    """First-step injection isometry L[(o, b), i] = sqrt(d) B_1[0, o, i, b],
-    zero on the rows b >= the site's right bond."""
-    inj = np.zeros((d, D, d), dtype=np.complex128)
-    inj[:, : site1.shape[3], :] = np.sqrt(d) * site1[0].transpose(0, 2, 1)
-    return inj.reshape(d * D, d)
-
-
-def _fit_branch_injection(target: PptMps, later_sites, d: int, D: int):
-    """Best first-step injection isometry and final environment unitary
-    matching ``target``, with the later step tensors held fixed.
-
-    The overlap is linear in both unknowns, so alternating closed-form updates
-    (closest isometry and polar factor) converge, at times after ~100 rounds.
-    """
-    if len(later_sites) != target.n_steps - 1:
-        raise DimensionError("later-site count does not match the target length")
-    chain = target.chain()
-    nt2 = target.norm() ** 2
-    of = np.eye(target.env_dim, D, dtype=np.complex128)
-    loss = np.inf
-    left = np.ones((1, 1), dtype=np.complex128)
-    for _ in range(1000):  # from some gauges the loss dwells on a plateau for ~100
-        right = _backward_envs(chain[1:], later_sites, of)[0]
-        grad_inj = _unitary_gradient(left, chain[0], right)
-        inj = closest_isometry(grad_inj.conj())
-        first = (inj.reshape(d, D, d) / np.sqrt(d)).transpose(0, 2, 1)  # (o, i, b)
-        env = _forward_envs(chain, [first[np.newaxis], *later_sites])[-1]
-        of, nuclear = _optimal_final_unitary(env)
-        loss, prev = nt2 + 1.0 - 2.0 * nuclear, loss
-        if abs(prev - loss) < 1e-15:
-            break
-    return inj, loss
+    model = disentangle_reconstruct(
+        oracle, oracle.n_steps, D_bound, entangled_initial=True
+    ).recovered_model
+    form = model.initial_schmidt()
+    r = form.rank()
+    return SchmidtForm(form.lambdas[:r], form.sys_basis[:, :r], form.env_basis[:, :r]), model

@@ -160,10 +160,17 @@ def dense_ppt_vector(model: OqeModel, N: int) -> np.ndarray:
     return state.reshape(-1)
 
 
-def apply_window_dense(state: np.ndarray, gate: np.ndarray, start_axis: int, local_dim: int):
-    """Apply a window gate to a dense state with one axis per fused (o, i) site."""
-    width = int(round(np.log(gate.shape[0]) / np.log(local_dim)))
-    g = gate.reshape((local_dim,) * (2 * width))
+def apply_window_dense(state: np.ndarray, gate: np.ndarray, start_axis: int):
+    """Apply a window gate to a dense state with one axis per site, the
+    (o, i) legs of a step fused.  The gate spans the fewest axes from
+    ``start_axis`` on whose extents multiply to its dimension, so a gate from
+    step 0 covers the d-dimensional initial leg and (d^2)-dimensional steps."""
+    dims = [state.shape[start_axis]]
+    while int(np.prod(dims)) < gate.shape[0]:
+        dims.append(state.shape[start_axis + len(dims)])
+    assert int(np.prod(dims)) == gate.shape[0]
+    width = len(dims)
+    g = gate.reshape(dims + dims)
     axes = list(range(start_axis, start_axis + width))
     out = np.tensordot(state, g, axes=[axes, list(range(width, 2 * width))])
     return np.moveaxis(out, list(range(-width, 0)), axes)
@@ -182,7 +189,7 @@ def dense_reduced_density(mps, sites, circuit=()) -> np.ndarray:
     dims = (mps.d,) * lead + (d2,) * mps.n_steps
     state = mps.to_statevector().reshape(dims + (mps.env_dim,))
     for start, gate in circuit:
-        state = apply_window_dense(state, gate, start - 1 + lead, d2)
+        state = apply_window_dense(state, gate, start - 1 + lead)
     a, b = sites
     axes = list(range(a - 1 + lead, b + lead))
     x = np.moveaxis(state, axes, list(range(len(axes))))

@@ -381,8 +381,8 @@ class TestPipeline:
         doc = json.loads(read(out))
         assert doc["max_expectation_deviation"] < 1e-6
         assert np.allclose(doc["lambdas"], [1 / np.sqrt(2)] * 2, atol=1e-8)
-        # rho_S, then f + 1 = 4 requests for each of the two outcomes (R = 2)
-        assert doc["queries"] == 1 + 2 * 4
+        # one sweep from step 0: N - R + 3 = 5 requests (R = 2)
+        assert doc["queries"] == 5
 
 
 def _as_pairs(site):
@@ -595,6 +595,25 @@ class TestMalformedFiles:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert message in captured.err
+
+    @pytest.mark.parametrize("raw", [b'{"x": "\xc3\xa9"}', b"\xff\xfe{}"],
+                             ids=["utf8_e_acute", "utf16_bom"])
+    @pytest.mark.parametrize("flag", ["--config", "--ppt", "--observable", "--report"])
+    def test_non_ascii_files_exit_one(self, tmp_path, capsys, flag, raw):
+        build_out = tmp_path / "build.json"
+        assert run(["build", "--D", "2", "--N", "3", "--seed", "1", "--out", str(build_out)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        argv = {
+            "--config": ["--config", str(bad), "build", "--N", "3", "--seed", "1"],
+            "--ppt": ["correlate", "--ppt", str(bad)],
+            "--observable": ["correlate", "--ppt", str(build_out), "--observable", str(bad)],
+            "--report": ["predict", "--report", str(bad), "--nfuture", "3"],
+        }[flag]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_predict_rejects_long_pair(self, tmp_path, capsys):
         doc = {"recovered_model": random_separable_model(2, 2, 3).to_json_dict()}

@@ -42,12 +42,13 @@ def test_entangled_is_derived_not_set():
     "owner, name",
     [(pptlab.OqeModel, "create"), (pptlab.MultiTimeObservable, "create"),
      (pptlab.MeasurementOracle, "initial_system_state"),
-     (pptlab.MeasurementOracle, "conditional")],
+     (pptlab.MeasurementOracle, "conditional"), (pptlab.MeasurementOracle, "condition")],
     ids=["model_create", "observable_create", "oracle_initial_system_state",
-         "oracle_conditional"],
+         "oracle_conditional", "oracle_condition"],
 )
 def test_removed_methods_stay_gone(owner, name):
-    # the constructors are the one way in; the oracle answers only by measuring
+    # the constructors are the one way in; the oracle answers only by
+    # measuring, and nothing post-selects its step 0
     assert not hasattr(owner, name)
 
 

@@ -113,6 +113,40 @@ class TestRandomModelDimensions:
     def test_numpy_integer_dimensions_accepted(self, make):
         assert make(np.int64(2), np.int32(3), 0).to_json() == make(2, 3, 0).to_json()
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: random_haar_unitary(2.5, rng),
+            lambda rng: random_haar_unitary(True, rng),
+            lambda rng: random_haar_state(2.5, rng),
+            lambda rng: random_haar_state(0, rng),
+            lambda rng: near_identity_unitary(4, "x", rng),
+            lambda rng: near_identity_unitary(4, True, rng),
+            lambda rng: near_identity_unitary(2.5, 0.1, rng),
+            lambda rng: random_separable_model(2, 2, rng, steps=1.5),
+            lambda rng: random_separable_model(2, 2, rng, steps=True),
+            lambda rng: random_entangled_model(2, 2, rng, steps=0),
+            lambda rng: random_entangled_model(2, 2, rng, lambdas=[-1, 0.5]),
+            lambda rng: random_entangled_model(2, 2, rng, lambdas=[0, 0]),
+            lambda rng: random_entangled_model(2, 2, rng, lambdas=[np.nan, 0.5]),
+            lambda rng: random_entangled_model(2, 2, rng, lambdas=["x"]),
+            lambda rng: random_entangled_model(2, 2, rng, lambdas=0.7),
+            lambda rng: random_entangled_model(2, 2, rng, lambdas=[[0.5, 0.5]]),
+        ],
+        ids=["unitary_float_dim", "unitary_bool_dim", "state_float_dim", "state_zero_dim",
+             "text_eta", "bool_eta", "near_identity_float_dim", "float_steps", "bool_steps",
+             "zero_steps", "negative_lambda", "zero_lambdas", "nan_lambda", "text_lambda",
+             "scalar_lambdas", "nested_lambdas"],
+    )
+    def test_ensembles_reject_malformed_arguments(self, draw):
+        # each once ended in a bare TypeError, a warning, an empty array or
+        # a silently converted value; none may draw from the generator
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError):
+            draw(rng)
+        assert rng.bit_generator.state == state
+
 
 ENSEMBLES = {
     "separable_model": lambda seed: random_separable_model(2, 2, seed),
@@ -245,6 +279,16 @@ class TestOqeModel:
         state = base64.b64decode(doc["initial_state"], validate=True)
         assert len(unitary) == 16 * 16 and unitary == model.unitaries[0].astype("<c16").tobytes()
         assert len(state) == 4 * 16 and state == model.initial_state.astype("<c16").tobytes()
+
+    @pytest.mark.parametrize("steps, claim", [(1, False), (3, True)],
+                             ids=["one_unitary_claimed_dependent", "three_claimed_independent"])
+    def test_json_rejects_a_wrong_time_independent_claim(self, steps, claim):
+        # a false claim on one unitary was once ignored: the model came back
+        # time-independent and built any number of steps
+        doc = random_separable_model(2, 2, 0, steps=steps).to_json_dict()
+        doc["time_independent"] = claim
+        with pytest.raises(ValidationError, match="time_independent"):
+            OqeModel.from_json_dict(doc)
 
     def test_time_dependent_unitary_lookup(self, rng):
         model = random_separable_model(2, 2, rng, steps=3)

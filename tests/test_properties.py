@@ -35,6 +35,7 @@ from pptlab import (
     PptMps,
     build_ppt,
     dense_expectation,
+    disentangle_reconstruct,
     expectation,
     random_entangled_model,
     random_separable_model,
@@ -284,15 +285,15 @@ def test_correlate_reads_version_1_and_2_files_alike(spec, expose, n_insertions)
 @given(spec=model_specs, data=st.data())
 def test_oracle_density_matches_dense_reference(spec, data):
     """The MPS oracle against the dense statevector route, after random gates
-    and, drawn at random, a post-selection of step 0 before them.
+    that may start at step 0, the initial system leg.
 
     The reference expands ``build_ppt(model, N, expose_initial_leg=True)``
-    of the hidden model, or of the model whose initial state is the
-    post-selected one.  N reaches 8 at d = 2 and 5 at d = 3, where the
-    dense state still fits the dense-state guard.  The window is any legal
-    range of steps, step 0 included, of at most five steps at d = 2 and
-    three at d = 3, so its density has at most 2^20 entries (a six-step
-    window from step 1 at d = 2 would take 268 MB).
+    and applies the gates by ``tensordot``; a gate on R steps from step 0
+    has dimension d (d^2)^(R-1).  N reaches 8 at d = 2 and 5 at d = 3,
+    where the dense state still fits the dense-state guard.  The window is
+    any legal range of steps, step 0 included, of at most five steps at
+    d = 2 and three at d = 3, so its density has at most 2^20 entries (a
+    six-step window from step 1 at d = 2 would take 268 MB).
     """
     d = spec["d"]
     N = data.draw(st.integers(1, 8 if d == 2 else 5), label="N")
@@ -302,23 +303,36 @@ def test_oracle_density_matches_dense_reference(spec, data):
     circuit = []
     for _ in range(data.draw(st.integers(0, 3), label="gates")):
         width = data.draw(st.integers(1, min(N, 3 if d == 2 else 2)), label="width")
-        start = data.draw(st.integers(1, N - width + 1), label="start")
-        circuit.append((start, random_haar_unitary((d * d) ** width, rng)))
+        start = data.draw(st.integers(0, N - width + 1), label="start")
+        dim = (d * d) ** width // (d if start == 0 else 1)
+        circuit.append((start, random_haar_unitary(dim, rng)))
     width = data.draw(st.integers(1, min(N, 5 if d == 2 else 3)), label="window")
     a = data.draw(st.integers(0, N - width + 1), label="first step")
-    hidden = model
-    if data.draw(st.booleans(), label="post-select"):
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        y = x.conj() @ model.initial_state.reshape(d, model.D) / np.linalg.norm(x)
-        initial = np.kron(x / np.linalg.norm(x), y / np.linalg.norm(y))
-        hidden = OqeModel(d, model.D, model.unitaries, initial)
-        oracle.condition(x)
     for start, gate in circuit:
         oracle.apply_gate(start, gate)
     rho = oracle.reduced_density((a, a + width - 1))
-    exposed = build_ppt(hidden, N, expose_initial_leg=True)
+    exposed = build_ppt(model, N, expose_initial_leg=True)
     ref = dense_reduced_density(exposed, (a, a + width - 1), circuit)
     assert np.max(np.abs(rho - ref)) < 1e-12
+
+
+@CASES
+@given(spec=model_specs)
+def test_sweep_from_step_zero_recovers_the_process(spec):
+    """``disentangle_reconstruct(..., entangled_initial=True)`` walks its
+    windows from step 0 with the bound D as given: N - R + 3 requests, and
+    the recovered model (initial joint state included) reproduces the
+    hidden process's expectations."""
+    d, D, N = spec["d"], spec["D"], spec["N"]
+    model = make_model(spec)
+    report = disentangle_reconstruct(MeasurementOracle(model, N), N, D, entangled_initial=True)
+    assert report.queries == N - tomography.window_size(d, D) + 3
+    assert report.state_fidelity > 1 - 1e-8
+    truth, rebuilt = build_ppt(model, N), build_ppt(report.recovered_model, N)
+    rng = np.random.default_rng(spec["seed"])
+    for _ in range(5):
+        obs = random_observable(rng, d, N, min(N, 2))
+        assert abs(expectation(truth, obs) - expectation(rebuilt, obs)) < 1e-8
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,9 +8,7 @@ import pytest
 
 from pptlab import (
     BoundViolationError,
-    DimensionError,
     MeasurementOracle,
-    OqeModel,
     UnsupportedPredictionError,
     ValidationError,
     build_ppt,
@@ -100,6 +98,8 @@ class TestReducedDensity:
         "circuit",
         [
             [(0, np.eye(4))],
+            [(-1, np.eye(4))],
+            [(0, np.eye(16))],
             [(5, np.eye(4))],
             [(4, np.eye(16))],
             [(3, np.eye(64))],
@@ -112,13 +112,15 @@ class TestReducedDensity:
             [(1.0, np.eye(4))],
             [(1, np.eye(4)), (2, 2.0 * np.eye(4))],
         ],
-        ids=["start_zero", "start_past_end", "pair_past_end", "triple_past_end",
-             "not_a_power_of_d2", "not_square", "not_unitary", "nan", "start_bool",
-             "start_numpy_bool", "start_float", "bad_second_gate"],
+        ids=["start_zero", "start_negative", "sixteen_at_step_zero", "start_past_end",
+             "pair_past_end", "triple_past_end", "not_a_power_of_d2", "not_square",
+             "not_unitary", "nan", "start_bool", "start_numpy_bool", "start_float",
+             "bad_second_gate"],
     )
     def test_rejects_malformed_circuit(self, rng, circuit):
         # the last gate of each circuit is malformed; it must leave the state
-        # as the gates before it made it
+        # as the gates before it made it.  At step 0 (dimension d = 2) a gate
+        # spans whole steps only with dimension 2, 8 or 32.
         model = random_separable_model(2, 2, rng)
         oracle, fresh = MeasurementOracle(model, 4), MeasurementOracle(model, 4)
         with pytest.raises(ValidationError):
@@ -153,8 +155,8 @@ class TestReducedDensity:
 
 
 class TestInitialLeg:
-    """Step 0 is the initial system leg: measured like any other window and
-    post-selected by ``condition``."""
+    """Step 0 is the initial system leg, measured and gated like any other
+    site."""
 
     def test_step_zero_is_the_initial_system_state(self, rng):
         model = random_entangled_model(2, 3, rng, lambdas=np.sqrt([0.7, 0.3]))
@@ -164,47 +166,13 @@ class TestInitialLeg:
         assert oracle.reduced_density((0, 2)).shape == (32, 32)
         assert oracle.query_log == 2
 
-    def test_condition_post_selects_and_starts_over(self, rng):
-        """``condition`` returns the outcome probability and leaves
-        ``query_log`` alone; it replaces an earlier post-selection and undoes
-        the gates, and ``reset`` undoes later gates but keeps the
-        post-selection.  Each answer matches an oracle of the model whose
-        initial state is the post-selected one."""
-        model = random_entangled_model(2, 2, rng, lambdas=np.sqrt([0.6, 0.4]))
-        x = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-        y = x.conj() @ model.initial_state.reshape(2, 2)
-        selected = OqeModel(2, 2, model.unitaries, np.kron(x, y / np.linalg.norm(y)))
-        gate = random_haar_unitary(16, rng)
-        oracle, ref = MeasurementOracle(model, 4), MeasurementOracle(selected, 4)
-        oracle.condition([1.0, 0.0])
-        oracle.apply_gate(1, random_haar_unitary(16, rng))
-        assert abs(oracle.condition(3.0 * x) - np.linalg.norm(y) ** 2) < 1e-14
-        oracle.apply_gate(2, gate)
-        ref.apply_gate(2, gate)
-        for reset in (False, True):
-            if reset:
-                oracle.reset()
-                ref.reset()
-            for window in [(0, 0), (0, 2), (1, 3), (2, 4)]:
-                got, want = oracle.reduced_density(window), ref.reduced_density(window)
-                assert np.max(np.abs(got - want)) < 1e-13
-        assert oracle.query_log == 8
-        assert gauge_fidelity(oracle.true_mps(), ref.true_mps()) > 1 - 1e-13
-
-    @pytest.mark.parametrize(
-        "vector, error",
-        [([1.0, 0.0, 0.0], DimensionError), ([0.0, 0.0], DimensionError),
-         ([np.nan, 1.0], DimensionError), ([0.0, 1.0], ValidationError)],
-        ids=["wrong_size", "zero", "nan", "vanishing_probability"],
-    )
-    def test_condition_rejects_impossible_outcomes(self, rng, vector, error):
-        # the separable initial system state is |0>, so outcome |1> never occurs
-        model = OqeModel(2, 2, [random_haar_unitary(4, rng)], np.eye(4)[1])
-        oracle, fresh = MeasurementOracle(model, 3), MeasurementOracle(model, 3)
-        with pytest.raises(error):
-            oracle.condition(vector)
-        for window in [(0, 0), (0, 3)]:
-            assert np.array_equal(oracle.reduced_density(window), fresh.reduced_density(window))
+    def test_true_mps_exposes_step_zero(self, rng):
+        """``true_mps`` is the hidden chain with step 0 exposed, its bond
+        cut to the Schmidt rank of the initial state."""
+        model = random_entangled_model(3, 4, rng, lambdas=np.sqrt([0.5, 0.3, 0.2]))
+        truth = MeasurementOracle(model, 3).true_mps()
+        assert truth.leading_site.shape == (1, 3, 1, 3)
+        assert gauge_fidelity(truth, build_ppt(model, 3, expose_initial_leg=True)) > 1 - 1e-13
 
 
 class _NoAccess:
@@ -305,10 +273,15 @@ class TestDisentangle:
             assert abs(expectation(truth, obs) - expectation(rebuilt, obs)) < 1e-8
 
     def test_entangled_initial_convention(self, rng):
+        # the windows start at step 0 under the bound D itself: R = 2, so
+        # N - R + 2 = 5 windows and one trailing request
         model = random_entangled_model(2, 2, rng)
         oracle = MeasurementOracle(model, 5)
         report = disentangle_reconstruct(oracle, 5, 2, entangled_initial=True)
         assert report.state_fidelity > 1 - 1e-8
+        assert report.queries == 6
+        assert report.recovered_mps.leading_site is not None
+        assert report.recovered_model.D == 2 and report.recovered_model.entangled
 
     @pytest.mark.parametrize("D", [2, 4])
     @pytest.mark.parametrize("N", [20, 100])
@@ -520,6 +493,13 @@ class TestVariationalFit:
         with pytest.raises(ValidationError):
             variational_fit(target, N, D, time_independent=True, seed=seed)
 
+    def test_rejects_an_exposed_initial_leg(self):
+        # the ansatz opens on step 1, and mps_to_oqe reads an exposed leg,
+        # so the fit itself refuses one
+        target = build_ppt(random_entangled_model(2, 2, 5), 3, expose_initial_leg=True)
+        with pytest.raises(ValidationError, match="absorb_initial_leg"):
+            variational_fit(target, 3, 2, time_independent=True)
+
     def test_numpy_integer_length_and_dimension_accepted(self):
         target = build_ppt(random_separable_model(2, 2, 5), 3)
         ref = variational_fit(target, 3, 2, time_independent=True)
@@ -621,14 +601,13 @@ class TestEntangledRecovery:
 
     @pytest.mark.parametrize("unsealed", [False, True], ids=["sealed", "unsealed"])
     def test_runs_on_measurements_alone(self, rng, unsealed):
-        """One oracle whose hidden model cannot be read answers everything:
-        rho_S at step 0, then f + 1 requests per post-selected outcome."""
+        """One oracle whose hidden model cannot be read answers everything
+        in one sweep from step 0: N - R + 3 requests."""
         model = random_entangled_model(2, 2, rng)
         oracle = MeasurementOracle(model, 5, unsealed=unsealed)
         oracle._model = _NoAccess()
         form, recovered = reconstruct_entangled_initial(oracle, 2)
-        f = 5 - window_size(2, 2) + 1
-        assert form.lambdas.size == 2 and oracle.query_log == 1 + 2 * (f + 1)
+        assert form.lambdas.size == 2 and oracle.query_log == 5 - window_size(2, 2) + 3
         truth, rebuilt = build_ppt(model, 5), build_ppt(recovered, 5)
         for _ in range(50):
             obs = random_observable(rng, 2, 5)
@@ -636,8 +615,8 @@ class TestEntangledRecovery:
 
     @pytest.mark.parametrize("N", [3, 4])
     def test_branch_fit_outlasts_its_plateau(self, N):
-        # from the gauge these reconstructions return, the branch fit's loss
-        # dwells near 0.09 for ~50 rounds; a 100-round cap stopped it at 1.4e-6
+        # short chains, where a per-outcome branch fit once stalled on a
+        # plateau; the sweep from step 0 has no fit to stall
         model = random_entangled_model(2, 2, 2)
         form, recovered = reconstruct_entangled_initial(MeasurementOracle(model, N), 2)
         truth, rebuilt = build_ppt(model, N), build_ppt(recovered, N)
@@ -649,14 +628,12 @@ class TestEntangledRecovery:
     def test_sampled_pipeline(self):
         """At 10^5 shots per request the pipeline runs end to end on the same
         request count and recovers the Schmidt weights to within the
-        sampling error.  The sampled branches' environments exceed the bound
-        (noise support), so the branch fits meet environments of unequal
-        size, which could end in a ValueError."""
+        sampling error, though the sampled windows' support exceeds the
+        bound (noise support) and is truncated to it."""
         model = random_entangled_model(2, 2, 0, lambdas=np.sqrt([0.7, 0.3]))
         oracle = MeasurementOracle(model, 4, shots=10**5, seed=0)
         form, _ = reconstruct_entangled_initial(oracle, 2)
-        f = 4 - window_size(2, 2) + 1
-        assert form.lambdas.size == 2 and oracle.query_log == 1 + 2 * (f + 1)
+        assert form.lambdas.size == 2 and oracle.query_log == 4 - window_size(2, 2) + 3
         assert np.max(np.abs(form.lambdas**2 - [0.7, 0.3])) < 0.01
 
     def test_separable_reduces_to_plain_reconstruction(self, rng):
