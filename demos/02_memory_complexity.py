@@ -16,24 +16,22 @@ from pptlab.tensor_ops import transfer_left, transfer_right
 print("--- separable initial states: complexity = log2 D ---")
 for D in (2, 3, 4):
     model = pl.random_separable_model(2, D, seed=D)
-    rho, _, _ = pl.stationary_state(model)
-    for alpha in (0.5, 1.0, 2.0):
-        value = pl.renyi_complexity(rho, alpha)
-        print(f"D={D} alpha={alpha}: {value:.9f} (log2 D = {np.log2(D):.9f})")
+    # every order from one stationary solve
+    for report in pl.memory_complexity(model, [0.5, 1.0, 2.0]):
+        print(f"D={D} alpha={report.alpha}: {report.value_bits:.9f} (log2 D = {np.log2(D):.9f})")
 
 print()
 print("--- entangled initial states add the initial system entropy ---")
 for lam2 in ([0.5, 0.5], [0.9, 0.1]):
     model = pl.random_entangled_model(2, 2, seed=3, lambdas=np.sqrt(lam2))
-    result = pl.theorem1_check(model, alpha=2.0)
+    (report,) = pl.memory_complexity(model, [2.0])
     print(
-        f"lambda^2={lam2}: measured {result.measured:.9f}, "
-        f"predicted {result.predicted:.9f}, pass={result.passed}"
+        f"lambda^2={lam2}: measured {report.value_bits:.9f}, "
+        f"predicted {report.predicted_bits:.9f}, pass={report.theorem_pass}"
     )
-    rho, _, degenerate = pl.stationary_state(model)
     print(
-        f"  stationary eigenvalues {np.round(np.linalg.eigvalsh(rho), 6)}"
-        f" (degenerate transfer spectrum: {degenerate}; projected onto the fixed points)"
+        f"  stationary eigenvalues {np.round(np.linalg.eigvalsh(report.stationary), 6)}"
+        f" (degenerate transfer spectrum: {report.degenerate}; projected onto the fixed points)"
     )
 
 print()

@@ -44,7 +44,6 @@ from .ppt import (
 )
 from .memory import (
     ComplexityReport,
-    Theorem1Result,
     evolve_env,
     fig_s2_csv,
     fig_s2_experiment,
@@ -54,7 +53,6 @@ from .memory import (
     renyi_complexity,
     stationarity_onset,
     stationary_state,
-    theorem1_check,
     uhlmann_fidelity,
 )
 from .correlations import (
@@ -83,7 +81,6 @@ __all__ = [
     "MeasurementOracle",
     "ReconstructionReport",
     "ComplexityReport",
-    "Theorem1Result",
     "build_ppt",
     "check_isometry",
     "to_right_canonical",
@@ -98,7 +95,6 @@ __all__ = [
     "stationarity_onset",
     "renyi_complexity",
     "memory_complexity",
-    "theorem1_check",
     "uhlmann_fidelity",
     "infidelity",
     "initial_env_density",

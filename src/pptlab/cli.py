@@ -71,9 +71,11 @@ def _parse_lambdas(text: str | None):
 
 
 def _make_model(args) -> models.OqeModel:
+    lam = _parse_lambdas(getattr(args, "lambdas", None))
     if getattr(args, "entangled", False):
-        lam = _parse_lambdas(getattr(args, "lambdas", None))
         return models.random_entangled_model(args.d, args.D, args.seed, lambdas=lam)
+    if lam is not None:
+        raise ValidationError("--lambdas sets the Schmidt weights of --entangled models only")
     return models.random_separable_model(args.d, args.D, args.seed)
 
 
@@ -89,18 +91,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    alphas = _parse_floats(args.alpha)
-    if not alphas:
-        raise ValidationError(f"invalid Renyi order list {args.alpha!r}")
-    model = _make_model(args)
-    reports = []
-    for alpha in alphas:
-        check = memory.theorem1_check(model, alpha)
-        doc = check.report.to_json_dict(predicted_bits=check.predicted)
-        doc["theorem_pass"] = check.passed
-        doc["theorem_skipped"] = check.skipped
-        reports.append(doc)
-    _write_out(_json_dumps(reports if len(reports) > 1 else reports[0]), args.out)
+    reports = memory.memory_complexity(_make_model(args), _parse_floats(args.alpha))
+    docs = [report.to_json_dict() for report in reports]
+    _write_out(_json_dumps(docs if len(docs) > 1 else docs[0]), args.out)
     return 0
 
 
@@ -187,8 +180,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_reconstruct_entangled(args) -> int:
-    lam = _parse_lambdas(args.lambdas)
-    model = models.random_entangled_model(args.d, args.D, args.seed, lambdas=lam)
+    model = _make_model(args)
     oracle = tomography.MeasurementOracle(model, args.N)
     form, recovered = tomography.reconstruct_entangled_initial(oracle, D_bound=args.D)
     rng = np.random.default_rng(args.seed + 1)
@@ -196,7 +188,7 @@ def _cmd_reconstruct_entangled(args) -> int:
     truth = ppt.build_ppt(model, args.N)
     rebuilt = ppt.build_ppt(recovered, args.N)
     for _ in range(args.checks):
-        obs = _random_observable(rng, args.d, args.N, 2)
+        obs = _random_observable(rng, args.d, args.N)
         ref = correlations.expectation(truth, obs)
         got = correlations.expectation(rebuilt, obs)
         worst = max(worst, abs(ref - got))
@@ -210,11 +202,10 @@ def _cmd_reconstruct_entangled(args) -> int:
     return 0
 
 
-def _random_observable(rng, d, n_steps, n_insertions):
-    steps = sorted(rng.choice(np.arange(1, n_steps + 1), size=n_insertions, replace=False))
-    ops = []
-    for step in steps:
-        ops.append((int(step), models.random_hermitian(d * d, rng)))
+def _random_observable(rng, d, n_steps):
+    """Random Hermitian insertions at min(2, n_steps) distinct steps."""
+    steps = sorted(rng.choice(np.arange(1, n_steps + 1), size=min(2, n_steps), replace=False))
+    ops = [(int(step), models.random_hermitian(d * d, rng)) for step in steps]
     return correlations.MultiTimeObservable(ops)
 
 
@@ -299,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=positive_int, required=True)
     p.add_argument("--lambdas")
     p.add_argument("--checks", type=positive_int, default=20, help="validation expectations")
-    p.set_defaults(func=_cmd_reconstruct_entangled)
+    p.set_defaults(func=_cmd_reconstruct_entangled, entangled=True)
 
     return parser
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import CapacityError, DimensionError, ValidationError
 from .models import OqeModel
-from .ppt import DENSE_STATE_GUARD, PptMps
+from .ppt import DENSE_STATE_GUARD, PptMps, to_right_canonical
 from .tensor_ops import (
     _is_integer,
     as_complex_array,
@@ -116,9 +116,10 @@ def pair_operator(out_op: np.ndarray, in_op: np.ndarray) -> np.ndarray:
 
 
 def expectation(mps: PptMps, obs: MultiTimeObservable) -> complex:
-    """<PPT| (insertions) |PPT> by left-to-right transfer contraction."""
+    """<PPT| (insertions) |PPT> by left-to-right transfer contraction; an MPS
+    that does not claim right-canonical form is right-canonicalised first."""
     if mps.canonical != "right":
-        raise ValidationError("expectation requires a right-canonical MPS")
+        mps = to_right_canonical(mps)
     obs.validate(mps.d, mps.n_steps)
     ops = dict(obs.insertions)
     env = np.ones((1, 1), dtype=np.complex128)

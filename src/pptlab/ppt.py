@@ -103,6 +103,10 @@ class PptMps:
         for k, t in enumerate(self.sites):
             if t.shape[1] != self.d or t.shape[2] != self.d:
                 raise ValidationError(f"site {k + 1} physical extents {t.shape[1:3]} != d={self.d}")
+        if self.leading_site is not None and self.leading_site.shape[1:3] != (self.d, 1):
+            raise ValidationError(
+                f"leading site physical extents {self.leading_site.shape[1:3]} != (d={self.d}, 1)"
+            )
         # Entries read from a file may be large enough to overflow these sums;
         # the inf or nan they give fails the comparisons below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -327,7 +331,8 @@ def memory_size(mps: PptMps) -> int:
 
 
 def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
-    """Read a (time-dependent) evolution model back off a right-canonical MPS.
+    """Read a (time-dependent) evolution model back off an MPS, which is
+    right-canonicalised first unless it claims that form.
 
     Each site is reshaped into M[(o, b), (i, a)]; sqrt(d) * M is projected
     onto the closest isometry and completed to a unitary on a common
@@ -340,7 +345,7 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
     change.
     """
     if mps.canonical != "right":
-        raise ValidationError("mps_to_oqe requires a right-canonical MPS")
+        mps = to_right_canonical(mps)
     d = mps.d
     D_model = max(t.shape[3] for t in mps.sites)
     unitaries: list[np.ndarray] = []

@@ -275,7 +275,7 @@ def partial_process_tensor(model: OqeModel, rho_env: np.ndarray, k: int) -> np.n
     return out
 
 
-def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, rho0=None, sample_points=None):
+def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, sample_points=None):
     """``fig_s2_experiment`` stepped one step at a time, the reference for its blocks.
 
     Draws one ``near_identity_unitary`` per seed per step (once for fixed H),
@@ -284,12 +284,10 @@ def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, rho0=None, s
     with its own ``np.mean``/``np.median``/``np.quantile`` calls.
     """
     points = sorted(set(sample_points)) if sample_points is not None else list(range(n_max + 1))
-    if rho0 is None:
-        rho0 = np.zeros((D, D), dtype=np.complex128)
-        rho0[0, 0] = 1.0
+    rho0 = np.zeros((D, D), dtype=np.complex128)
+    rho0[0, 0] = 1.0
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    rho0_vec = np.asarray(rho0, dtype=np.complex128).reshape(-1, 1, order="F")
-    rho_vecs = np.tile(rho0_vec, (len(seeds), 1, 1))
+    rho_vecs = np.tile(rho0.reshape(-1, 1, order="F"), (len(seeds), 1, 1))
     lmats = None
     curves = np.empty((len(seeds), len(points)))
     done = 0

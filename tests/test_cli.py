@@ -16,7 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pptlab
-from pptlab import MultiTimeObservable, OqeModel, PptMps, cli, memory, random_separable_model
+from pptlab import (
+    MultiTimeObservable,
+    OqeModel,
+    PptMps,
+    build_ppt,
+    cli,
+    memory,
+    random_separable_model,
+)
+from pptlab.models import random_hermitian
 from pptlab.cli import run
 from pptlab.tensor_ops import decode_complex, encode_complex
 
@@ -46,7 +55,7 @@ class TestComplexity:
             assert abs(doc["value_bits"] - np.log2(3)) < 1e-6
 
 
-    def test_one_stationary_solve_per_alpha(self, tmp_path, monkeypatch):
+    def test_one_stationary_solve_for_every_order(self, tmp_path, monkeypatch):
         calls = []
         solve = memory.stationary_state
 
@@ -56,9 +65,12 @@ class TestComplexity:
 
         monkeypatch.setattr(memory, "stationary_state", counting)
         out = tmp_path / "c.json"
-        assert run(["complexity", "--D", "3", "--alpha", "1,2", "--seed", "1", "--out", str(out)]) == 0
-        assert len(json.loads(read(out))) == 2
-        assert len(calls) == 2
+        argv = ["complexity", "--D", "3", "--alpha", "0.5,1,2,3", "--seed", "1", "--out", str(out)]
+        assert run(argv) == 0
+        docs = json.loads(read(out))
+        assert [doc["alpha"] for doc in docs] == [0.5, 1.0, 2.0, 3.0]
+        assert len(calls) == 1
+        assert all(doc["theorem_pass"] and doc["steps"] == 0 for doc in docs)
 
     def test_large_D_builds_no_dense_transfer_matrix(self, monkeypatch, capsys):
         # D = 16 goes through the Krylov solve; ARPACK keeps state between
@@ -102,6 +114,26 @@ class TestBuildAndCorrelate:
         doc = json.loads(read(build_out))
         OqeModel.from_json_dict(doc["model"])
         PptMps.from_json_dict(doc["ppt"])
+
+    def test_none_claim_correlates_to_the_same_value(self, tmp_path):
+        # a document that does not claim right-canonical form is
+        # right-canonicalised, not rejected
+        rng = np.random.default_rng(0)
+        obs = MultiTimeObservable([(1, random_hermitian(4, rng)), (3, random_hermitian(4, rng))])
+        obs_path = tmp_path / "obs.json"
+        obs_path.write_text(obs.to_json())
+        values = []
+        for canonical in ("right", "none"):
+            build_out, out = tmp_path / f"{canonical}.json", tmp_path / f"{canonical}_value.json"
+            assert run(["build", "--D", "3", "--N", "4", "--seed", "2", "--out", str(build_out)]) == 0
+            doc = json.loads(read(build_out))
+            doc["ppt"]["canonical"] = canonical
+            build_out.write_text(json.dumps(doc))
+            argv = ["correlate", "--ppt", str(build_out), "--observable", str(obs_path)]
+            assert run(argv + ["--out", str(out)]) == 0
+            values.append(complex(*json.loads(read(out))["value"]))
+        assert abs(values[0] - values[1]) < 1e-12
+        assert abs(values[0]) > 1e-3  # a non-trivial value
 
 
 class TestDeterminism:
@@ -308,6 +340,25 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and "does not match any flag" in captured.err
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv", [["build", "--N", "3"], ["complexity"], ["tomograph", "--N", "3"]],
+        ids=["build", "complexity", "tomograph"],
+    )
+    def test_lambdas_need_entangled(self, tmp_path, capsys, argv, via_config):
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"lambdas": "0.9,0.1"}))
+            argv = ["--config", str(cfg), *argv, "--seed", "1"]
+        else:
+            argv = [*argv, "--seed", "1", "--lambdas", "0.9,0.1"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--entangled" in captured.err
+        assert run(argv + ["--entangled"]) == 0
+
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_flag": 1}))
@@ -384,6 +435,14 @@ class TestPipeline:
         # one sweep from step 0: N - R + 3 = 5 requests (R = 2)
         assert doc["queries"] == 5
 
+    def test_reconstruct_entangled_single_step(self, tmp_path, capsys):
+        # one step holds one insertion, not two
+        out = tmp_path / "ent.json"
+        argv = ["reconstruct-entangled", "--N", "1", "--seed", "5", "--checks", "5"]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(read(out))["max_expectation_deviation"] < 1e-12
+
 
 def _as_pairs(site):
     """Rewrite a site's data leaf in [re, im] pair form, so that a test can edit one pair."""
@@ -416,6 +475,18 @@ def _set_key(key, value):
 def _copy_site(src, dst):
     def mutate(ppt_doc):
         ppt_doc["sites"][dst] = ppt_doc["sites"][src]
+
+    return mutate
+
+
+def _expose_leading_site(shape):
+    """Replace the document by the ``build --D 2 --N 3 --seed 1`` process
+    with its initial system leg exposed, the leading site read as ``shape``."""
+
+    def mutate(ppt_doc):
+        exposed = build_ppt(random_separable_model(2, 2, 1), 3, expose_initial_leg=True)
+        ppt_doc.update(exposed.to_json_dict())
+        ppt_doc["leading_site"]["shape"] = shape
 
     return mutate
 
@@ -474,13 +545,14 @@ class TestMalformedFiles:
             (_set_key("sites", [5]), "a site must be an object"),
             (_copy_site(1, 0), "chain element 0 has left bond 2, expected 1"),
             (_set_key("initial_vector", encode_complex(np.ones(1))), "'initial_vector'"),
+            (_expose_leading_site([1, 1, 2, 2]), "leading site physical extents"),
         ],
         ids=["nan", "short_pair", "long_pair", "garbage_canonical", "mixed_canonical",
              "false_right_claim", "empty",
              "base64_nan", "base64_inf", "base64_bad_char", "base64_non_ascii",
              "base64_bad_padding", "base64_16k_plus_8_bytes", "base64_short_count",
              "base64_overflowing_entry", "text_d", "true_d", "int_sites", "int_site",
-             "first_left_bond_2", "initial_vector"],
+             "first_left_bond_2", "initial_vector", "leading_site_on_input_leg"],
     )
     def test_correlate_rejects(self, tmp_path, capsys, mutate, message):
         build_out = tmp_path / "build.json"

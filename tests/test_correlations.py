@@ -4,6 +4,7 @@ import pytest
 from pptlab import (
     MultiTimeObservable,
     OqeModel,
+    PptMps,
     ValidationError,
     build_ppt,
     dense_expectation,
@@ -62,6 +63,19 @@ class TestExpectation:
         with_id = MultiTimeObservable([(2, m), (4, np.eye(4))])
         without = MultiTimeObservable([(2, m)])
         assert abs(expectation(mps, with_id) - expectation(mps, without)) < 1e-12
+
+    def test_right_canonicalises_other_input(self, rng):
+        # a gauge G on the bond after step 2 leaves the state unchanged, but
+        # the contraction must not stop at step 2 on sites that are not
+        # right-canonical
+        mps = build_ppt(random_separable_model(2, 3, rng), 4)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sites = list(mps.sites)
+        sites[1] = np.einsum("aoib,bc->aoic", sites[1], g)
+        sites[2] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[2])
+        twin = PptMps(sites=tuple(sites), d=2, canonical="none")
+        obs = MultiTimeObservable([(2, random_hermitian(4, rng))])
+        assert abs(expectation(twin, obs) - expectation(mps, obs)) < 1e-12
 
     def test_causality(self, rng):
         """Operators at steps <= m are blind to later unitaries."""

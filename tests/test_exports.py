@@ -25,12 +25,23 @@ def test_dense_transfer_layer_is_gone(name):
 @pytest.mark.parametrize(
     "owner, name",
     [(pptlab.MeasurementOracle, "mode"), (pptlab.variational_fit, "warm_start"),
-     (pptlab.variational_fit, "n_restarts")],
-    ids=["oracle_mode", "fit_warm_start", "fit_n_restarts"],
+     (pptlab.variational_fit, "n_restarts"),
+     (pptlab.ComplexityReport.to_json_dict, "predicted_bits"),
+     (pptlab.fig_s2_experiment, "rho0")],
+    ids=["oracle_mode", "fit_warm_start", "fit_n_restarts", "report_predicted_bits", "figs2_rho0"],
 )
 def test_removed_parameters_stay_gone(owner, name):
-    # shots=None already means exact; the restart count is FIT_RESTARTS
+    # shots=None already means exact; the restart count is FIT_RESTARTS; a
+    # report carries its own prediction; every figs2 run starts from |0><0|
     assert name not in inspect.signature(owner).parameters
+
+
+@pytest.mark.parametrize("name", ["theorem1_check", "Theorem1Result"])
+def test_theorem1_wrappers_are_gone(name):
+    # memory_complexity reports Theorem 1 for every order from one solve
+    assert name not in pptlab.__all__
+    assert not hasattr(pptlab, name)
+    assert not hasattr(memory, name)
 
 
 def test_entangled_is_derived_not_set():
@@ -58,7 +69,7 @@ _MAKERS = {
     "SchmidtForm": _MODEL.initial_schmidt,
     "PptMps": lambda: pptlab.build_ppt(_MODEL, 2),
     "MultiTimeObservable": lambda: pptlab.MultiTimeObservable([(1, np.eye(4))]),
-    "ComplexityReport": lambda: memory.memory_complexity(_MODEL, 2),
+    "ComplexityReport": lambda: memory.memory_complexity(_MODEL, [2])[0],
 }
 
 

@@ -20,10 +20,8 @@ from pptlab import (
     renyi_complexity,
     stationarity_onset,
     stationary_state,
-    theorem1_check,
     uhlmann_fidelity,
 )
-from pptlab.exceptions import DimensionError
 from pptlab.memory import DEGENERACY_GAP
 from pptlab.models import random_haar_unitary
 from pptlab.ppt import site_tensor_from_unitary
@@ -303,7 +301,14 @@ class TestRenyiComplexity:
 
         monkeypatch.setattr(memory, "stationary_state", unreachable)
         with pytest.raises(ValidationError, match="alpha"):
-            memory_complexity(random_separable_model(2, 2, rng), alpha)
+            memory_complexity(random_separable_model(2, 2, rng), [2.0, alpha])
+
+    @pytest.mark.parametrize("alphas", [[], (), 2.0, "2", None, {2.0}, np.array([2.0])],
+                             ids=["empty_list", "empty_tuple", "scalar", "text", "none", "set",
+                                  "array"])
+    def test_memory_complexity_takes_a_non_empty_sequence(self, rng, alphas):
+        with pytest.raises(ValidationError, match="alpha"):
+            memory_complexity(random_separable_model(2, 2, rng), alphas)
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValidationError):
@@ -318,40 +323,50 @@ class TestRenyiComplexity:
 class TestTheorem1:
     def test_separable_d3(self, rng):
         model = random_separable_model(2, 3, rng)
-        result = theorem1_check(model, 2.0)
-        assert abs(result.predicted - np.log2(3)) < 1e-12
-        assert result.passed and not result.skipped
+        (report,) = memory_complexity(model, [2.0])
+        assert abs(report.predicted_bits - np.log2(3)) < 1e-12
+        assert report.theorem_pass and not report.theorem_skipped
 
     def test_entangled_maximal_alpha2(self, rng):
         model = random_entangled_model(2, 2, rng)
-        result = theorem1_check(model, 2.0)
-        assert abs(result.predicted - 2.0) < 1e-9
-        assert result.passed
+        (report,) = memory_complexity(model, [2.0])
+        assert abs(report.predicted_bits - 2.0) < 1e-9
+        assert report.theorem_pass
 
     def test_entangled_skewed_alpha1(self, rng):
         model = random_entangled_model(2, 2, rng, lambdas=np.sqrt([0.9, 0.1]))
-        result = theorem1_check(model, 1.0)
+        (report,) = memory_complexity(model, [1.0])
         c0 = -0.9 * np.log2(0.9) - 0.1 * np.log2(0.1)
-        assert abs(result.predicted - (c0 + 1.0)) < 1e-9
-        assert abs(result.measured - result.predicted) < 1e-6
-        assert result.passed
+        assert abs(report.predicted_bits - (c0 + 1.0)) < 1e-9
+        assert abs(report.value_bits - report.predicted_bits) < 1e-6
+        assert report.theorem_pass
 
     def test_degenerate_separable_is_skipped(self):
         psi = np.kron([1.0, 0.0], [1.0, 0.0])
         model = OqeModel(2, 2, [np.eye(4)], psi)
-        result = theorem1_check(model, 2.0)
-        assert result.skipped and not result.passed
+        (report,) = memory_complexity(model, [2.0])
+        assert report.theorem_skipped and not report.theorem_pass
 
     def test_carries_the_measured_report(self, rng):
+        # every order reads the one stationary state, and its value and
+        # prediction are those of that order alone
         model = random_entangled_model(2, 3, rng, lambdas=np.sqrt([0.7, 0.3]))
-        result = theorem1_check(model, 2.0)
-        rep = memory_complexity(model, 2.0)
-        assert result.measured == result.report.value_bits == rep.value_bits
-        assert np.array_equal(result.report.stationary, rep.stationary)
+        alphas = [0.5, 1.0, 2.0, 3.0]
+        reports = memory_complexity(model, alphas)
+        rho, _, _ = stationary_state(model)
+        c0 = {a: memory._renyi_bits(np.array([0.7, 0.3]), a) for a in alphas}
+        for alpha, report in zip(alphas, reports, strict=True):
+            assert report.alpha == alpha and report.stationary is reports[0].stationary
+            assert not report.stationary.flags.writeable
+            assert np.array_equal(report.stationary, rho)
+            assert report.value_bits == renyi_complexity(rho, alpha)
+            assert report.value_bits == memory_complexity(model, [alpha])[0].value_bits
+            assert abs(report.predicted_bits - (np.log2(3) + c0[alpha])) < 1e-12
+            assert report.theorem_pass and not report.theorem_skipped
 
     def test_complexity_report_bounds(self, rng):
         model = random_separable_model(2, 4, rng)
-        rep = memory_complexity(model, 0.7)
+        (rep,) = memory_complexity(model, [0.7])
         assert 0.0 <= rep.value_bits <= np.log2(4) + 1e-9
 
 
@@ -396,10 +411,6 @@ class TestStationarityOnset:
 
 
 class TestFigS2:
-    def test_maximally_mixed_start_is_stationary(self):
-        rows = fig_s2_experiment(2, 2, 0.05, 10, [0, 1], rho0=np.eye(2) / 2)
-        assert all(row[1] < 1e-12 for row in rows)
-
     def test_smaller_eta_larger_transient_infidelity(self):
         seeds = list(range(8))
         pts = [200, 400, 600]
@@ -499,46 +510,34 @@ class TestFigS2:
             (True, [0], None, "n_max"),
             ("3", [0], None, "n_max"),
             (3, True, None, "seeds"),
+            (3, 2, None, "seeds"),
             (3, 2.0, None, "seeds"),
             (3, None, None, "seeds"),
+            (3, np.arange(2), None, "seeds"),
             (3, [0, 1.5], None, "seeds"),
             (3, [0, -1], None, "seeds"),
             (3, [0], [0, 2.5], "sample points"),
             (3, [0], [True], "sample points"),
         ],
-        ids=["float_n_max", "bool_n_max", "text_n_max", "bool_seeds", "float_seeds", "no_seeds",
-             "float_seed", "negative_seed", "float_sample_point", "bool_sample_point"],
+        ids=["float_n_max", "bool_n_max", "text_n_max", "bool_seeds", "count_seeds", "float_seeds",
+             "no_seeds", "array_seeds", "float_seed", "negative_seed", "float_sample_point",
+             "bool_sample_point"],
     )
     def test_rejects_non_integer_arguments(self, n_max, seeds, sample_points, message):
         with pytest.raises(ValidationError, match=message):
             fig_s2_experiment(2, 2, 0.05, n_max, seeds, sample_points=sample_points)
 
     def test_numpy_integers_accepted(self):
-        ref = fig_s2_experiment(2, 2, 0.05, 3, 2, sample_points=[1, 3])
+        ref = fig_s2_experiment(2, 2, 0.05, 3, [0, 1], sample_points=[1, 3])
         got = fig_s2_experiment(
-            2, 2, 0.05, np.int64(3), np.int64(2), sample_points=[np.int32(1), np.int64(3)]
+            2, 2, 0.05, np.int64(3), (np.int64(0), np.int32(1)),
+            sample_points=[np.int32(1), np.int64(3)],
         )
         assert got == ref
-        assert fig_s2_experiment(2, 2, 0.05, 3, [np.int64(0), np.int64(1)]) == (
-            fig_s2_experiment(2, 2, 0.05, 3, 2)
-        )
 
     def test_rejects_sample_points_beyond_n_max(self):
         with pytest.raises(ValidationError):
             fig_s2_experiment(2, 2, 0.05, 5, [0], sample_points=[0, 5, 9])
-
-    def test_rejects_rho0_of_another_dimension(self):
-        with pytest.raises(DimensionError, match="rho0"):
-            fig_s2_experiment(2, 2, 0.05, 5, [0], rho0=np.eye(3) / 3)
-
-    @pytest.mark.parametrize(
-        "rho0",
-        [np.diag([2.0, -1.0]), np.eye(2), np.array([[0.5, 1.0], [0.0, 0.5]]), np.ones((2, 3)) / 2],
-        ids=["negative", "trace_2", "non_hermitian", "non_square"],
-    )
-    def test_rejects_rho0_that_is_not_a_state(self, rho0):
-        with pytest.raises(ValidationError):
-            fig_s2_experiment(2, 2, 0.05, 5, [0], rho0=rho0)
 
     def test_regression_baseline_eta001(self):
         # Achieved value recorded as the regression baseline: the unitarized

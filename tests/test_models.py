@@ -244,8 +244,9 @@ class TestOqeModel:
         direct = OqeModel(ref.d, ref.D, ref.unitaries, ref.initial_state)
         assert direct.entangled
         assert build_ppt(direct, 3).bond_dims == build_ppt(ref, 3).bond_dims == [4, 4, 4]
-        assert abs(memory_complexity(direct, 2).value_bits - 2.0) < 1e-9
-        assert memory_complexity(direct, 2).value_bits == memory_complexity(ref, 2).value_bits
+        (got,), (want,) = memory_complexity(direct, [2]), memory_complexity(ref, [2])
+        assert abs(got.value_bits - 2.0) < 1e-9
+        assert got.value_bits == want.value_bits
 
     def test_rejects_nonunitary(self):
         us = [random_haar_unitary(4, 0), 1.1 * random_haar_unitary(4, 1)]

@@ -214,11 +214,18 @@ class TestMpsToOqe:
         phase /= abs(phase)
         assert np.max(np.abs(got * phase - u)) < 1e-10
 
-    def test_requires_right_canonical(self, rng):
-        mps = build_ppt(random_separable_model(2, 2, rng), 3)
-        broken = PptMps(sites=mps.sites, d=2, canonical="none")
-        with pytest.raises(ValidationError):
-            mps_to_oqe(broken)
+    def test_right_canonicalises_other_input(self, rng):
+        # the process in a gauge that is not right-canonical, claimed as "none"
+        mps = build_ppt(random_separable_model(2, 3, rng), 3)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sites = list(mps.sites)
+        sites[0] = np.einsum("aoib,bc->aoic", sites[0], g)
+        sites[1] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[1])
+        twin = PptMps(sites=tuple(sites), d=2, canonical="none")
+        assert twin.right_canonical_residual() > 1e-3
+        recovered, residuals = mps_to_oqe(twin)
+        assert max(residuals) < 1e-10
+        assert gauge_fidelity(build_ppt(recovered, 3), mps) > 1 - 1e-10
 
     def test_rank_deficient_site_aborts(self):
         sites = [np.zeros((1, 2, 2, 1), dtype=np.complex128) for _ in range(2)]
@@ -317,6 +324,19 @@ class TestSerialization:
         back = PptMps.from_json(mps.to_json())
         assert back.d == mps.d and back.canonical == mps.canonical
         assert abs(abs(overlap(back, mps)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("shape, valid", [([1, 2, 1, 3], True), ([1, 1, 2, 3], False)],
+                             ids=["output_leg", "input_leg"])
+    def test_leading_site_extents_checked(self, rng, shape, valid):
+        # a leading site carries the initial system state on its output leg
+        exposed = build_ppt(random_separable_model(2, 3, rng), 2, expose_initial_leg=True)
+        doc = exposed.to_json_dict()
+        doc["leading_site"]["shape"] = shape
+        if valid:
+            assert PptMps.from_json_dict(doc).leading_site.shape == (1, 2, 1, 3)
+        else:
+            with pytest.raises(ValidationError, match="leading site physical extents"):
+                PptMps.from_json_dict(doc)
 
     def test_version_check(self, rng):
         doc = build_ppt(random_separable_model(2, 2, rng), 2).to_json_dict()

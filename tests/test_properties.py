@@ -455,20 +455,16 @@ def test_stateful_oracle_matches_fresh_replay(spec, sampled, data):
     time_dependent=st.booleans(),
     n_max=st.integers(0, 300),
     budget=st.sampled_from([1, 200, 2000, memory._BLOCK_ENTRIES]),
-    mixed_start=st.booleans(),
     data=st.data(),
 )
-def test_fig_s2_blocks_match_per_step_reference(
-    d, D, seeds, time_dependent, n_max, budget, mixed_start, data
-):
+def test_fig_s2_blocks_match_per_step_reference(d, D, seeds, time_dependent, n_max, budget, data):
     # A small entry budget gives short blocks, so block edges fall inside n_max.
     with mock.patch.object(memory, "_BLOCK_ENTRIES", budget):
         edge = memory._block_steps(len(seeds), d, D)
         extra = data.draw(st.lists(st.integers(0, n_max), max_size=20))
         points = [0, n_max, edge - 1, edge, edge + 1, 2 * edge, *extra]
         points = [n for n in points if 0 <= n <= n_max]
-        rho0 = np.eye(D) / D if mixed_start else None
-        kwargs = dict(time_dependent=time_dependent, sample_points=points, rho0=rho0)
+        kwargs = dict(time_dependent=time_dependent, sample_points=points)
         rows = memory.fig_s2_experiment(d, D, 0.1, n_max, seeds, **kwargs)
     assert rows == fig_s2_reference(d, D, 0.1, n_max, seeds, **kwargs)
 
