@@ -439,17 +439,18 @@ def fig_s2_experiment(
     evolution; ``time_dependent`` redraws H at every step instead of reusing
     a fixed one.  Each seed draws from its own ``default_rng(seed)`` and the
     ensemble steps together, one stacked matrix product per step.  Steps run
-    in blocks of ``_block_steps`` (at least one): a block draws its Hermitians
-    with one ``near_identity_unitary(..., size=k)`` call per seed, builds
-    their left transfer matrices at once, and reads the spectra of the states
-    it recorded with one batched ``eigvalsh``, so transient memory is bounded
-    whatever ``n_max``.  Every number equals per-step drawing and stepping bit
-    for bit.  Records the Uhlmann infidelity between rho_n and the maximally
-    mixed state, which needs only the spectrum p of rho_n:
+    in blocks of ``_block_steps`` (at least one): a block draws its unitaries
+    with one ``near_identity_unitary(..., size=k)`` call per seed (one batched
+    ``eigh`` of the drawn Hermitians), builds their left transfer matrices at
+    once, and reads the spectra of the states it recorded with one batched
+    ``eigvalsh``, so transient memory is bounded whatever ``n_max``.  Every
+    number equals per-step drawing and stepping bit for bit.  Records the
+    Uhlmann infidelity between rho_n and the maximally mixed state, which
+    needs only the spectrum p of rho_n:
     F(rho, I/D) = (sum_k sqrt(p_k))^2 / D.  Returns rows
     ``(n, mean, median, q25, q75)`` over the seed ensemble, at every step by
-    default or at the integer ``sample_points``.  ``seeds`` is a sequence of
-    non-negative integers.
+    default or at ``sample_points``, a sequence of integers.  ``seeds`` is a
+    sequence of non-negative integers.
     """
     _check_dimensions(d, D)
     _check_eta(eta)
@@ -459,8 +460,12 @@ def fig_s2_experiment(
         raise ValidationError(f"seeds must be a sequence of non-negative integers, got {seeds!r}")
     if len(seeds) == 0:
         raise ValidationError("the seed ensemble is empty")
-    if sample_points is not None and not all(_is_integer(n) for n in sample_points):
-        raise ValidationError(f"sample points must be integers, got {sample_points}")
+    if sample_points is not None and not (
+        isinstance(sample_points, Sequence) and all(_is_integer(n) for n in sample_points)
+    ):
+        raise ValidationError(
+            f"sample points must be a sequence of integers, got {sample_points!r}"
+        )
     points = sorted(set(sample_points)) if sample_points is not None else list(range(n_max + 1))
     if not points:
         return []

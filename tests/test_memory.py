@@ -518,10 +518,14 @@ class TestFigS2:
             (3, [0, -1], None, "seeds"),
             (3, [0], [0, 2.5], "sample points"),
             (3, [0], [True], "sample points"),
+            (3, [0], 3, "sample points"),
+            (3, [0], 3.0, "sample points"),
+            (3, [0], {3}, "sample points"),
         ],
         ids=["float_n_max", "bool_n_max", "text_n_max", "bool_seeds", "count_seeds", "float_seeds",
              "no_seeds", "array_seeds", "float_seed", "negative_seed", "float_sample_point",
-             "bool_sample_point"],
+             "bool_sample_point", "count_sample_points", "float_sample_points",
+             "set_sample_points"],
     )
     def test_rejects_non_integer_arguments(self, n_max, seeds, sample_points, message):
         with pytest.raises(ValidationError, match=message):

@@ -75,26 +75,33 @@ class TestNearIdentityUnitary:
             near_identity_unitary(dim, 0.3, batch_rng), near_identity_unitary(dim, 0.3, single_rng)
         )
 
-    def test_scipy_loaded_on_first_use_only(self):
-        # scipy.linalg costs about 0.35 s to import; only this function needs it
+    def test_figs2_runs_without_scipy(self):
+        # the exponential is a numpy eigh, so neither the draws nor either
+        # figs2 mode may load any part of scipy (scipy.linalg costs ~0.35 s)
         src = str(Path(pptlab.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
         probe = (
-            "import sys, pptlab.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "pptlab.near_identity_unitary(2, 0.1, 0)\n"
-            "print('scipy.linalg' in sys.modules)\n"
+            "import contextlib, io, sys, pptlab.cli\n"
+            "pptlab.near_identity_unitary(4, 0.1, 0, size=3)\n"
+            "argv = ['figs2', '--D', '2', '--eta', '0.05', '--nmax', '20', '--seeds', '2']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [pptlab.cli.run(argv), pptlab.cli.run(argv + ['--time-dependent'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out.split("\n")[:2] == ["[]", "True"]
+        assert out == "[0, 0] []\n"
 
     def test_size_takes_a_shape(self):
         batch = near_identity_unitary(2, 0.1, 4, size=(3, 2))
         assert batch.shape == (3, 2, 2, 2)
         assert np.array_equal(batch.reshape(6, 2, 2), near_identity_unitary(2, 0.1, 4, size=6))
+        single = near_identity_unitary(2, 0.1, 4)
+        assert np.array_equal(near_identity_unitary(2, 0.1, 4, size=()), single)
+        assert near_identity_unitary(2, 0.1, 4, size=0).shape == (0, 2, 2)
+        assert near_identity_unitary(2, 0.1, 4, size=(np.int64(2), 0)).shape == (2, 0, 2, 2)
 
 
 class TestRandomModelDimensions:
@@ -132,15 +139,28 @@ class TestRandomModelDimensions:
             lambda rng: random_entangled_model(2, 2, rng, lambdas=["x"]),
             lambda rng: random_entangled_model(2, 2, rng, lambdas=0.7),
             lambda rng: random_entangled_model(2, 2, rng, lambdas=[[0.5, 0.5]]),
+            lambda rng: near_identity_unitary(2, 0.1, rng, size=2.5),
+            lambda rng: near_identity_unitary(2, 0.1, rng, size=True),
+            lambda rng: near_identity_unitary(2, 0.1, rng, size="3"),
+            lambda rng: near_identity_unitary(2, 0.1, rng, size=-1),
+            lambda rng: near_identity_unitary(2, 0.1, rng, size=(2, -1)),
+            lambda rng: near_identity_unitary(2, 0.1, rng, size=(2, 1.0)),
+            lambda rng: near_identity_unitary(2, 0.1, rng, size=[2, 3]),
+            lambda rng: random_hermitian(2.5, rng),
+            lambda rng: random_hermitian(0, rng),
+            lambda rng: random_hermitian(True, rng),
         ],
         ids=["unitary_float_dim", "unitary_bool_dim", "state_float_dim", "state_zero_dim",
              "text_eta", "bool_eta", "near_identity_float_dim", "float_steps", "bool_steps",
              "zero_steps", "negative_lambda", "zero_lambdas", "nan_lambda", "text_lambda",
-             "scalar_lambdas", "nested_lambdas"],
+             "scalar_lambdas", "nested_lambdas", "float_size", "bool_size", "text_size",
+             "negative_size", "negative_in_shape", "float_in_shape", "list_shape",
+             "hermitian_float_dim", "hermitian_zero_dim", "hermitian_bool_dim"],
     )
     def test_ensembles_reject_malformed_arguments(self, draw):
-        # each once ended in a bare TypeError, a warning, an empty array or
-        # a silently converted value; none may draw from the generator
+        # each once ended in a bare TypeError or ValueError, a warning, an
+        # empty array or a silently converted value; none may draw from the
+        # generator
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ValidationError):

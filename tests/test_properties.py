@@ -4,9 +4,10 @@ maps, exact JSON round trips.
 Cases range over d in {2, 3}, D in 1..4, N in 1..5 (up to 8 for the
 measurement oracle), separable or entangled initial states, and
 time-independent or time-dependent steps.  The near-identity experiment is
-checked bit for bit against its per-step reference over block edges, and
-the stationary solve (base-site blocks, Krylov or dense) against the dense
-projection on the whole effective environment.
+checked bit for bit against its per-step reference over block edges, its
+closed-form unitaries against scipy's ``expm``, and the stationary solve
+(base-site blocks, Krylov or dense) against the dense projection on the
+whole effective environment.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -37,10 +39,11 @@ from pptlab import (
     dense_expectation,
     disentangle_reconstruct,
     expectation,
+    near_identity_unitary,
     random_entangled_model,
     random_separable_model,
 )
-from pptlab.models import random_haar_unitary
+from pptlab.models import random_haar_unitary, random_hermitian
 from pptlab.ppt import overlap_matrix
 from pptlab.tensor_ops import decode_complex, encode_complex, transfer_left, transfer_right
 
@@ -467,6 +470,27 @@ def test_fig_s2_blocks_match_per_step_reference(d, D, seeds, time_dependent, n_m
         kwargs = dict(time_dependent=time_dependent, sample_points=points)
         rows = memory.fig_s2_experiment(d, D, 0.1, n_max, seeds, **kwargs)
     assert rows == fig_s2_reference(d, D, 0.1, n_max, seeds, **kwargs)
+
+
+@CASES
+@given(
+    dim=st.integers(1, 9),
+    eta=st.floats(1e-6, 3.0),
+    size=st.none() | st.integers(0, 4) | st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_identity_unitary_matches_expm(dim, eta, size, seed):
+    # scipy's Pade expm of the same draws is the oracle for the eigh closed form
+    u = near_identity_unitary(dim, eta, seed, size=size)
+    shape = () if size is None else np.atleast_1d(size)
+    rng = np.random.default_rng(seed)
+    draws = [random_hermitian(dim, rng) for _ in range(int(np.prod(shape)))]
+    h = np.reshape(draws, (*shape, dim, dim))
+    assert u.shape == h.shape
+    if u.size:
+        assert np.max(np.abs(u - scipy.linalg.expm(1j * eta * h))) < 1e-13
+        eye = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(dim)
+        assert np.max(np.abs(eye)) < 1e-13
 
 
 @CASES
