@@ -45,6 +45,7 @@ SCHMIDT_RANK_TOL = 1e-8  # Schmidt values counted by memory_size
 CANONICAL_TOL = 1e-10  # right-canonicality residual and norm deviation allowed by validate
 TRUNCATION_TOL = 1e-13  # relative singular value dropped by to_right_canonical
 SPLIT_TOL = 1e-12  # relative singular value dropped by split_block
+MAX_STEPS = 10**6  # max steps build_ppt makes and a PPT document may expand to
 CANONICAL_FORMS = ("none", "right")
 
 
@@ -56,7 +57,9 @@ class PptMps:
     present, exposes the initial system state as an extra physical leg in
     front of step 1 (out dimension d, dummy in dimension 1).  The initial
     state sits inside the first chain element, whose left bond is 1, so
-    every sweep starts from the 1 x 1 environment [[1]].
+    every sweep starts from the 1 x 1 environment [[1]].  Steps that repeat
+    one site may share one read-only array, as ``build_ppt`` and
+    ``from_json_dict`` make them.
     """
 
     sites: tuple[np.ndarray, ...]
@@ -64,9 +67,11 @@ class PptMps:
     canonical: str = "none"  # none | right
     leading_site: np.ndarray | None = None
 
-    # Version 2 writes complex leaves as base64 complex128 (``encode_complex``);
-    # version 1 wrote [re, im] pairs, which ``decode_complex`` still reads.
-    FORMAT_VERSION = 2
+    # Version 3 writes each maximal run of identical consecutive sites once,
+    # with its length as "repeat".  Version 2 wrote one site per step;
+    # version 1 did too, with [re, im] pairs, which ``decode_complex`` still
+    # reads, in place of base64 complex128 (``encode_complex``).
+    FORMAT_VERSION = 3
 
     @property
     def n_steps(self) -> int:
@@ -118,10 +123,12 @@ class PptMps:
             raise ValidationError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
 
     def right_canonical_residual(self) -> float:
-        """max_n || sum_{o,i} B B^dag - I ||_max over all chain elements but the first."""
+        """max_n || sum_{o,i} B B^dag - I ||_max over all chain elements but
+        the first, evaluated once for each distinct array."""
+        distinct = {id(t): t for t in self.chain()[1:]}
         residuals = [
             np.max(np.abs(np.einsum("aoib,coib->ac", t, t.conj()) - np.eye(t.shape[0])))
-            for t in self.chain()[1:]
+            for t in distinct.values()
         ]
         return float(np.max(residuals, initial=0.0))  # np.max keeps a nan
 
@@ -153,7 +160,7 @@ class PptMps:
             "format_version": self.FORMAT_VERSION,
             "d": self.d,
             "canonical": self.canonical,
-            "sites": [_tensor_doc(t) for t in self.sites],
+            "sites": _site_run_docs(self.sites),
         }
         if self.leading_site is not None:
             doc["leading_site"] = _tensor_doc(self.leading_site)
@@ -166,22 +173,32 @@ class PptMps:
     def from_json_dict(doc: dict) -> "PptMps":
         """Decode and ``validate`` a PPT document (bonds, norm, canonical claim).
 
-        Reads format versions 1 and 2.  No version stores an initial vector,
-        so a document with that key is rejected rather than read differently.
+        Reads format versions 1, 2 and 3.  Each site document becomes one
+        read-only array, which a version-3 ``repeat`` of k places at k
+        consecutive steps; ``repeat`` must be a JSON integer >= 1 and the
+        steps may total at most ``MAX_STEPS``.  No version stores an initial
+        vector or repeats a site before version 3, so a document with that
+        key is rejected rather than read differently.
         """
         json_object(doc, "a PPT document")
-        if doc.get("format_version") not in (1, PptMps.FORMAT_VERSION):
-            raise ValidationError(f"unsupported format version {doc.get('format_version')}")
+        version = doc.get("format_version")
+        if type(version) is not int or version not in (1, 2, PptMps.FORMAT_VERSION):
+            raise ValidationError(f"unsupported format version {version}")
         if "initial_vector" in doc:
             raise ValidationError(
                 "unsupported key 'initial_vector': a PPT opens on a left bond of 1"
             )
         if not isinstance(doc["sites"], list):
             raise ValidationError(f"'sites' must be a list, got {type(doc['sites']).__name__}")
-        sites = tuple(_tensor_from_doc(s) for s in doc["sites"])
+        sites: list[np.ndarray] = []
+        for site_doc in doc["sites"]:
+            repeat = _site_repeat(site_doc, version)
+            if repeat > MAX_STEPS - len(sites):
+                raise ValidationError(f"PPT document holds more than MAX_STEPS={MAX_STEPS} steps")
+            sites += [_freeze(_tensor_from_doc(site_doc))] * repeat
         leading = _tensor_from_doc(doc["leading_site"]) if "leading_site" in doc else None
         mps = PptMps(
-            sites=sites,
+            sites=tuple(sites),
             d=json_int(doc, "d"),
             canonical=doc.get("canonical", "none"),
             leading_site=leading,
@@ -201,6 +218,44 @@ def _tensor_doc(t: np.ndarray) -> dict:
 def _tensor_from_doc(doc: dict) -> np.ndarray:
     json_object(doc, "a site")
     return decode_complex(doc["data"], doc["shape"])
+
+
+def _site_run_docs(sites) -> list[dict]:
+    """One site document per maximal run of consecutive sites that encode
+    alike (equal shape and complex128 bytes, so signed zeros differ), with
+    the run's length as "repeat" where it exceeds 1.  A site that is the
+    previous site's array is counted without encoding it again."""
+    runs: list[list] = []  # [site document, run length]
+    for k, t in enumerate(sites):
+        if k and t is sites[k - 1]:
+            runs[-1][1] += 1
+            continue
+        doc = _tensor_doc(t)
+        if runs and doc == runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([doc, 1])
+    return [doc if n == 1 else {**doc, "repeat": n} for doc, n in runs]
+
+
+def _site_repeat(doc, version: int) -> int:
+    """The ``repeat`` of a site document: 1 when absent, else a JSON
+    integer >= 1, which only format 3 writes."""
+    json_object(doc, "a site")
+    if "repeat" not in doc:
+        return 1
+    repeat = doc["repeat"]
+    if version < 3:
+        raise ValidationError(f"format version {version} sites cannot repeat")
+    if type(repeat) is not int or repeat < 1:
+        raise ValidationError(f"'repeat' must be an integer >= 1, got {repeat!r}")
+    return repeat
+
+
+def _freeze(t: np.ndarray) -> np.ndarray:
+    """``t`` marked read-only, so one array can stand for every step it repeats."""
+    t.flags.writeable = False
+    return t
 
 
 # -- construction ---------------------------------------------------------
@@ -232,16 +287,19 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
     index in front of step 1, bonds stay D-dimensional and measuring it
     collapses the environment branch.  Otherwise entangled initial states
     absorb that leg into the environment (bond dimension d*D) and separable
-    ones split off the system factor (bond dimension D).
+    ones split off the system factor (bond dimension D).  Each stored
+    unitary gives one read-only site array, which a time-independent model's
+    steps 2..N share.
     """
-    if not (_is_integer(N) and N >= 1):
-        raise ValidationError(f"N must be an integer >= 1, got {N!r}")
+    if not (_is_integer(N) and 1 <= N <= MAX_STEPS):
+        raise ValidationError(f"N must be an integer in 1..MAX_STEPS={MAX_STEPS}, got {N!r}")
     if not model.time_independent and len(model.unitaries) < N:
         raise ValidationError(
             f"time-dependent model stores {len(model.unitaries)} unitaries but N={N}"
         )
     d, D = model.d, model.D
-    plain = [site_tensor_from_unitary(model.unitary_at(n), d, D) for n in range(1, N + 1)]
+    stored = [_freeze(site_tensor_from_unitary(u, d, D)) for u in model.unitaries[:N]]
+    plain = stored * N if model.time_independent else stored
 
     if expose_initial_leg or model.entangled:
         lead = model.initial_state.reshape(d, D)[np.newaxis, :, np.newaxis, :]
@@ -256,8 +314,13 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
 
 def absorb_initial_leg(mps: PptMps) -> PptMps:
     """Move an exposed initial system leg into the environment: the leading
-    site becomes the initial vector of the enlarged d*D environment."""
-    sites = [enlarged_site_tensor(b, mps.d) for b in mps.sites]
+    site becomes the initial vector of the enlarged d*D environment.  Each
+    distinct site array is enlarged once, so shared sites stay shared."""
+    lifted: dict[int, np.ndarray] = {}
+    for b in mps.sites:
+        if id(b) not in lifted:
+            lifted[id(b)] = _freeze(enlarged_site_tensor(b, mps.d))
+    sites = [lifted[id(b)] for b in mps.sites]
     sites[0] = np.einsum("a,aoib->oib", mps.leading_site.reshape(-1), sites[0])[np.newaxis]
     return PptMps(sites=tuple(sites), d=mps.d, canonical="right")
 
@@ -447,7 +510,10 @@ def split_block(block: np.ndarray, shapes, max_bond: int | None = None) -> list[
     Every site but the first is a row block of an SVD's V^dag and hence
     right-canonical; the first carries the singular values.  On each bond
     the singular values above ``SPLIT_TOL`` times the largest are kept, at most
-    ``max_bond`` of them and at least one.
+    ``max_bond`` of them and at least one.  The gauge is pinned: the
+    largest-magnitude entry of each kept V^dag row is made real and
+    positive and the conjugate phase moved into U, so the sites do not
+    depend on the phases LAPACK picks.
     """
     left, _, bond = block.shape
     sites: list[np.ndarray] = [None] * len(shapes)
@@ -457,8 +523,11 @@ def split_block(block: np.ndarray, shapes, max_bond: int | None = None) -> list[
         keep = max(int(np.count_nonzero(s > SPLIT_TOL * s[0])), 1)
         if max_bond is not None:
             keep = min(keep, max_bond)
-        sites[n] = vh[:keep].reshape(keep, *shapes[n], bond)
-        work = u[:, :keep] * s[:keep]
+        vh = vh[:keep]
+        peak = vh[np.arange(keep), np.argmax(np.abs(vh), axis=1)]  # nonzero: rows have unit norm
+        phase = peak / np.abs(peak)
+        sites[n] = (vh * phase.conj()[:, np.newaxis]).reshape(keep, *shapes[n], bond)
+        work = u[:, :keep] * (phase * s[:keep])
         bond = keep
     sites[0] = work.reshape(left, *shapes[0], bond)
     return sites

@@ -516,10 +516,9 @@ def _eigh_descending(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ansatz_sites(u_list, d: int, D: int, n_steps: int) -> list[np.ndarray]:
-    sites = []
-    for n in range(n_steps):
-        u = u_list[0] if len(u_list) == 1 else u_list[n]
-        sites.append(site_tensor_from_unitary(u, d, D))
+    sites = [site_tensor_from_unitary(u, d, D) for u in u_list[:n_steps]]
+    if len(u_list) == 1:
+        sites *= n_steps  # a shared unitary gives one site array for every step
     sites[0] = sites[0][0:1]  # initial environment pinned to |0>
     return sites
 
@@ -654,19 +653,21 @@ def _descend(target, u_list, d, D, shared, nt2) -> tuple[list[float], np.ndarray
         return nt2 + 1.0 - 2.0 * nuclear, of, sites, fwd
 
     loss, of, sites, fwd = evaluate(u_list)
-    grads = _backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
+    grads = None  # taken at the current point once a step from it is tried
     step = 0.2
     trace = [loss]
     for _ in range(FIT_MAX_ITER):
         if loss < 1e-14 or step < 1e-12:
             break
+        if grads is None:
+            grads = _backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
         cand_u = [closest_isometry(u + step * g.conj()) for u, g in zip(u_list, grads)]
         cand_loss, cand_of, cand_sites, cand_fwd = evaluate(cand_u)
         if cand_loss < loss - 1e-16:
             u_list[:] = cand_u
             loss, of, sites, fwd = cand_loss, cand_of, cand_sites, cand_fwd
             trace.append(loss)
-            grads = _backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
+            grads = None
             step = min(step * 1.5, 2.0)
         else:
             step *= 0.5

@@ -14,6 +14,7 @@ from pptlab.exceptions import ConvergenceError, DimensionError, ValidationError
 from pptlab.memory import DEGENERACY_GAP, initial_env_density, validate_env_density
 from pptlab.models import near_identity_unitary, random_hermitian
 from pptlab.ppt import site_tensor_from_unitary
+from pptlab.tensor_ops import encode_complex
 
 
 def random_observable(rng, d, n_steps, n_insertions=2):
@@ -32,12 +33,21 @@ def pair_leaf(arr) -> list:
 
 def version_1_ppt_doc(mps) -> dict:
     """The format-1 document of ``mps``, as the format-1 writer produced it."""
+    return _per_step_ppt_doc(mps, 1, pair_leaf)
 
+
+def version_2_ppt_doc(mps) -> dict:
+    """The format-2 document of ``mps``, as the format-2 writer produced it:
+    base64 leaves like format 3, but one site document per step."""
+    return _per_step_ppt_doc(mps, 2, encode_complex)
+
+
+def _per_step_ppt_doc(mps, version: int, leaf) -> dict:
     def tensor(t):
-        return {"shape": list(t.shape), "data": pair_leaf(t)}
+        return {"shape": list(t.shape), "data": leaf(t)}
 
     doc = {
-        "format_version": 1,
+        "format_version": version,
         "d": mps.d,
         "canonical": mps.canonical,
         "sites": [tensor(t) for t in mps.sites],
@@ -45,6 +55,13 @@ def version_1_ppt_doc(mps) -> dict:
     if mps.leading_site is not None:
         doc["leading_site"] = tensor(mps.leading_site)
     return doc
+
+
+def negated_zeros(t) -> np.ndarray:
+    """A copy of ``t`` equal in value, with every zero real or imaginary part -0.0."""
+    parts = np.array(t, dtype=np.complex128, order="C").view(np.float64)
+    parts[parts == 0.0] = -0.0
+    return parts.view(np.complex128)
 
 
 def version_1_model_doc(model) -> dict:

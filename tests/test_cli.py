@@ -135,6 +135,15 @@ class TestBuildAndCorrelate:
         assert abs(values[0] - values[1]) < 1e-12
         assert abs(values[0]) > 1e-3  # a non-trivial value
 
+    def test_build_file_size_does_not_grow_with_n(self, tmp_path):
+        # steps 2..N repeat one 16 KB site, written once with its run length
+        sizes = []
+        for N in (50, 500):
+            out = tmp_path / f"build_{N}.json"
+            assert run(["build", "--D", "16", "--N", str(N), "--seed", "1", "--out", str(out)]) == 0
+            sizes.append(out.stat().st_size)
+        assert abs(sizes[1] - sizes[0]) < 1024
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
@@ -472,6 +481,15 @@ def _set_key(key, value):
     return mutate
 
 
+def _set_repeat(value):
+    """Set the ``repeat`` of site document 2, the run of steps 2 and 3."""
+
+    def mutate(ppt_doc):
+        ppt_doc["sites"][1]["repeat"] = value
+
+    return mutate
+
+
 def _copy_site(src, dst):
     def mutate(ppt_doc):
         ppt_doc["sites"][dst] = ppt_doc["sites"][src]
@@ -546,13 +564,22 @@ class TestMalformedFiles:
             (_copy_site(1, 0), "chain element 0 has left bond 2, expected 1"),
             (_set_key("initial_vector", encode_complex(np.ones(1))), "'initial_vector'"),
             (_expose_leading_site([1, 1, 2, 2]), "leading site physical extents"),
+            (_set_repeat(True), "'repeat' must be an integer >= 1"),
+            (_set_repeat(1.5), "'repeat' must be an integer >= 1"),
+            (_set_repeat("2"), "'repeat' must be an integer >= 1"),
+            (_set_repeat(0), "'repeat' must be an integer >= 1"),
+            (_set_repeat(-1), "'repeat' must be an integer >= 1"),
+            (_set_repeat(10**10), "more than MAX_STEPS"),
+            (_set_key("format_version", 2), "format version 2 sites cannot repeat"),
         ],
         ids=["nan", "short_pair", "long_pair", "garbage_canonical", "mixed_canonical",
              "false_right_claim", "empty",
              "base64_nan", "base64_inf", "base64_bad_char", "base64_non_ascii",
              "base64_bad_padding", "base64_16k_plus_8_bytes", "base64_short_count",
              "base64_overflowing_entry", "text_d", "true_d", "int_sites", "int_site",
-             "first_left_bond_2", "initial_vector", "leading_site_on_input_leg"],
+             "first_left_bond_2", "initial_vector", "leading_site_on_input_leg",
+             "true_repeat", "float_repeat", "text_repeat", "zero_repeat", "negative_repeat",
+             "huge_repeat", "repeat_in_format_2"],
     )
     def test_correlate_rejects(self, tmp_path, capsys, mutate, message):
         build_out = tmp_path / "build.json"
@@ -564,6 +591,7 @@ class TestMalformedFiles:
         assert run(["correlate", "--ppt", str(build_out), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

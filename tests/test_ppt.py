@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,13 @@ from pptlab import (
     random_separable_model,
     to_right_canonical,
 )
+from pptlab import ppt as ppt_module
+from pptlab.ppt import split_block
 
 from conftest import (
     dense_ppt_vector,
     embed_environment,
+    negated_zeros,
     perturbed,
     random_env_isometry,
     random_observable,
@@ -86,10 +91,42 @@ class TestBuildPpt:
         model = random_separable_model(2, 2, rng)
         assert build_ppt(model, np.int64(3)).to_json() == build_ppt(model, 3).to_json()
 
+    def test_n_capped_at_max_steps(self, rng):
+        model = random_separable_model(2, 2, rng)
+        mps = build_ppt(model, ppt_module.MAX_STEPS)
+        assert mps.n_steps == ppt_module.MAX_STEPS
+        assert len({id(t) for t in mps.sites}) == 2  # the boundary site and the shared one
+        with pytest.raises(ValidationError, match="MAX_STEPS"):
+            build_ppt(model, ppt_module.MAX_STEPS + 1)
+
     def test_time_dependent_needs_enough_unitaries(self, rng):
         model = random_separable_model(2, 2, rng, steps=2)
         with pytest.raises(ValidationError):
             build_ppt(model, 3)
+
+
+class TestSplitBlock:
+    @pytest.mark.parametrize(
+        "left, shapes, right",
+        [(1, [(2, 2), (2, 2), (2, 2)], 3), (3, [(2, 1), (2, 2), (2, 2)], 2), (2, [(3, 3), (3, 3)], 1)],
+    )
+    def test_reassembles_the_block_in_a_pinned_gauge(self, rng, left, shapes, right):
+        fused = int(np.prod([o * i for o, i in shapes]))
+        block = rng.standard_normal((left, fused, right)) + 1j * rng.standard_normal((left, fused, right))
+        sites = split_block(block, shapes)
+        assert [t.shape[1:3] for t in sites] == shapes
+        out = sites[0].reshape(left, -1, sites[0].shape[3])
+        for t in sites[1:]:
+            out = np.einsum("apb,bqc->apqc", out, t.reshape(t.shape[0], -1, t.shape[3]))
+            out = out.reshape(left, -1, t.shape[3])
+        assert np.max(np.abs(out - block)) < 1e-12
+        for t in sites[1:]:
+            rows = t.reshape(t.shape[0], -1)
+            peak = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+            assert np.all(peak.real > 0) and np.all(np.abs(peak.imag) <= 1e-15 * peak.real)
+        # a global phase of the block moves into the first site only
+        rotated = split_block(np.exp(0.7j) * block, shapes)
+        assert all(np.max(np.abs(a - b)) < 1e-12 for a, b in zip(sites[1:], rotated[1:]))
 
 
 class TestCheckIsometry:
@@ -338,10 +375,29 @@ class TestSerialization:
             with pytest.raises(ValidationError, match="leading site physical extents"):
                 PptMps.from_json_dict(doc)
 
+    def test_sites_differing_in_a_signed_zero_stay_apart(self, rng):
+        # enlarged sites hold exact zeros; negating them keeps every value
+        mps = build_ppt(random_entangled_model(2, 2, rng), 4)
+        sites = (*mps.sites[:2], negated_zeros(mps.sites[2]), mps.sites[3])
+        assert np.array_equal(sites[1], sites[2]) and sites[1].tobytes() != sites[2].tobytes()
+        doc = replace(mps, sites=sites).to_json_dict()
+        assert [site.get("repeat", 1) for site in doc["sites"]] == [1, 1, 1, 1]
+        back = PptMps.from_json_dict(doc)
+        assert [t.tobytes() for t in back.sites] == [t.tobytes() for t in sites]
+
+    def test_documents_expand_to_at_most_max_steps(self, rng, monkeypatch):
+        doc = build_ppt(random_separable_model(2, 2, rng), 4).to_json_dict()
+        assert [site.get("repeat", 1) for site in doc["sites"]] == [1, 3]
+        monkeypatch.setattr(ppt_module, "MAX_STEPS", 4)
+        assert PptMps.from_json_dict(doc).n_steps == 4
+        doc["sites"][1]["repeat"] = 4
+        with pytest.raises(ValidationError, match="more than MAX_STEPS=4 steps"):
+            PptMps.from_json_dict(doc)
+
     def test_version_check(self, rng):
         doc = build_ppt(random_separable_model(2, 2, rng), 2).to_json_dict()
-        assert doc["format_version"] == 2
-        for version in (99, 3, 0, None, "2"):
+        assert doc["format_version"] == 3
+        for version in (99, 4, 0, None, "2", True, 2.0):
             doc["format_version"] = version
             with pytest.raises(ValidationError, match="unsupported format version"):
                 PptMps.from_json_dict(doc)

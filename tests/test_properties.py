@@ -1,9 +1,9 @@
 """Generated-case invariants: MPS sweeps against dense oracles, CPTP transfer
 maps, exact JSON round trips.
 
-Cases range over d in {2, 3}, D in 1..4, N in 1..5 (up to 8 for the
-measurement oracle), separable or entangled initial states, and
-time-independent or time-dependent steps.  The near-identity experiment is
+Cases range over d in {2, 3}, D in 1..4, N in 1..5 (up to 6 for the
+run-length site codec and 8 for the measurement oracle), separable or
+entangled initial states, and time-independent or time-dependent steps.  The near-identity experiment is
 checked bit for bit against its per-step reference over block edges, its
 closed-form unitaries against scipy's ``expm``, and the stationary solve
 (base-site blocks, Krylov or dense) against the dense projection on the
@@ -53,11 +53,13 @@ from conftest import (
     dense_stationary_state,
     dense_transfer_matrix,
     fig_s2_reference,
+    negated_zeros,
     pair_leaf,
     pauli_sampled_estimate_loop,
     random_observable,
     version_1_model_doc,
     version_1_ppt_doc,
+    version_2_ppt_doc,
 )
 
 CASES = settings(max_examples=60, deadline=None)
@@ -245,18 +247,69 @@ def test_version_1_documents_load_bit_identically(spec, expose):
     assert same_bits(model.initial_state, back.initial_state)
 
     mps = build_ppt(model, spec["N"], expose_initial_leg=expose)
-    text = json.dumps(version_1_ppt_doc(mps), sort_keys=True, separators=(",", ":"))
-    again = PptMps.from_json(text)
-    assert all(same_bits(s, t) for s, t in zip(mps.chain(), again.chain()))
-    assert again.to_json() == mps.to_json()
-    assert again.to_json_dict()["format_version"] == 2
+    for old_doc in (version_1_ppt_doc(mps), version_2_ppt_doc(mps)):
+        text = json.dumps(old_doc, sort_keys=True, separators=(",", ":"))
+        again = PptMps.from_json(text)
+        assert all(same_bits(s, t) for s, t in zip(mps.chain(), again.chain()))
+        assert again.to_json() == mps.to_json()
+        assert again.to_json_dict()["format_version"] == 3
+
+
+def byte_runs(sites) -> list[int]:
+    """Lengths of the maximal runs of consecutive sites with equal shape and bytes."""
+    runs = []
+    for k, t in enumerate(sites):
+        if k and same_bits(t, sites[k - 1]):
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return runs
+
+
+def assert_read_only(t):
+    with pytest.raises(ValueError, match="read-only"):
+        t[(0,) * t.ndim] = 1.0
+
+
+@CASES
+@given(spec=model_specs, expose=st.booleans(), n_steps=st.integers(1, 6), data=st.data())
+def test_repeated_sites_are_stored_once(spec, expose, n_steps, data):
+    """A format-3 document holds one site document per maximal run of
+    byte-identical consecutive sites, and reads back bit for bit, each run as
+    one read-only array.
+
+    Some steps swap their site for a copy whose zero parts are -0.0: equal in
+    value, but a run of its own wherever the site has a zero part (enlarged
+    sites of absorbed entangled states do; ``test_ppt.py`` pins that case).
+    """
+    model = make_model(dict(spec, N=n_steps))
+    built = build_ppt(model, n_steps, expose_initial_leg=expose)
+    for t in built.sites:
+        if sum(s is t for s in built.sites) > 1:
+            assert_read_only(t)
+    flips = data.draw(st.lists(st.booleans(), min_size=n_steps, max_size=n_steps))
+    mps = dataclasses.replace(
+        built, sites=tuple(negated_zeros(t) if f else t for t, f in zip(built.sites, flips))
+    )
+    doc = json.loads(mps.to_json())
+    assert doc["format_version"] == 3
+    runs = byte_runs(mps.sites)
+    assert [s.get("repeat", 1) for s in doc["sites"]] == runs
+    assert all(s.get("repeat", 2) > 1 for s in doc["sites"])  # a run of 1 omits the key
+
+    back = PptMps.from_json(mps.to_json())
+    assert all(same_bits(s, t) for s, t in zip(mps.chain(), back.chain()))
+    assert back.n_steps == n_steps and back.to_json() == mps.to_json()
+    assert len({id(t) for t in back.sites}) == len(runs)
+    for t in back.sites:
+        assert_read_only(t)
 
 
 @settings(max_examples=25, deadline=None)
 @given(spec=model_specs, expose=st.booleans(), n_insertions=st.integers(0, 3))
 def test_correlate_reads_version_1_and_2_files_alike(spec, expose, n_insertions):
     """``correlate`` prints the same bytes from a format-1 file with pair
-    leaves and from the format-2 file of the same PPT."""
+    leaves, a format-2 file and the format-3 file of the same PPT."""
     model = make_model(spec)
     mps = build_ppt(model, spec["N"], expose_initial_leg=expose)
     rng = np.random.default_rng(spec["seed"])
@@ -264,7 +317,8 @@ def test_correlate_reads_version_1_and_2_files_alike(spec, expose, n_insertions)
     obs_pairs = {"insertions": [{"step": s, "matrix": pair_leaf(m)} for s, m in obs.insertions]}
     docs = {
         "v1.json": {"model": version_1_model_doc(model), "ppt": version_1_ppt_doc(mps)},
-        "v2.json": {"model": model.to_json_dict(), "ppt": mps.to_json_dict()},
+        "v2.json": {"model": model.to_json_dict(), "ppt": version_2_ppt_doc(mps)},
+        "v3.json": {"model": model.to_json_dict(), "ppt": mps.to_json_dict()},
         "obs1.json": obs_pairs,
         "obs2.json": obs.to_json_dict(),
     }
@@ -273,7 +327,7 @@ def test_correlate_reads_version_1_and_2_files_alike(spec, expose, n_insertions)
             with open(os.path.join(tmp, name), "w", encoding="ascii") as fh:
                 json.dump(doc, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
         printed = set()
-        files = itertools.product(["v1.json", "v2.json"], ["obs1.json", "obs2.json"])
+        files = itertools.product(["v1.json", "v2.json", "v3.json"], ["obs1.json", "obs2.json"])
         for ppt_file, obs_file in files:
             out = io.StringIO()
             argv = ["correlate", "--ppt", os.path.join(tmp, ppt_file),
