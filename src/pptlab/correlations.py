@@ -20,9 +20,9 @@ from .exceptions import CapacityError, DimensionError, ValidationError
 from .models import OqeModel
 from .ppt import DENSE_STATE_GUARD, PptMps, to_right_canonical
 from .tensor_ops import (
+    _decode_entries,
     _is_integer,
     as_complex_array,
-    decode_complex,
     encode_complex,
     json_int,
     json_object,
@@ -89,14 +89,17 @@ class MultiTimeObservable:
     @staticmethod
     def from_json_dict(doc: dict) -> "MultiTimeObservable":
         """Decode an observable document: an object whose ``insertions`` is a
-        list of objects, each with an integer ``step`` and a square ``matrix``."""
+        list of objects, each with an integer ``step`` and a square ``matrix``.
+
+        Each matrix is decoded to its raw entries and checked once, by
+        construction."""
         insertions = json_object(doc, "an observable document")["insertions"]
         if not isinstance(insertions, list):
             raise ValidationError(f"'insertions' must be a list, got {type(insertions).__name__}")
         items = []
         for entry in insertions:
             json_object(entry, "an insertion")
-            flat = decode_complex(entry["matrix"])
+            flat = _decode_entries(entry["matrix"])
             dim = int(round(np.sqrt(flat.size)))
             if dim * dim != flat.size:
                 raise ValidationError("operator data is not square")

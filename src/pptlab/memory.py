@@ -92,14 +92,17 @@ def _left_matrix(sites: np.ndarray) -> np.ndarray:
 
 
 def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
-    """Apply the first ``n`` left transfer actions to ``rho0``.
+    """The environment density matrix after the first ``n`` steps from the
+    density matrix ``rho0``.
 
-    For an MPS the step count is bounded by its length; a time-independent
-    model supports any ``n >= 0``.
+    ``transfer_left`` carries operators in (bra, ket) order, the transpose
+    of a density matrix, so ``rho0`` is transposed once on the way in and
+    the result once on the way out.  For an MPS the step count is bounded
+    by its length; a time-independent model supports any ``n >= 0``.
     """
     if not _is_integer(n):
         raise ValidationError(f"step count {n!r} is not an integer")
-    rho = validate_env_density(rho0)
+    rho = validate_env_density(rho0).T
     if isinstance(mps_or_model, PptMps):
         sites = mps_or_model.chain()
         if not 0 <= n <= len(sites):
@@ -117,7 +120,7 @@ def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
             sites = [_model_site(model, k) for k in range(1, n + 1)]
     for site in sites:
         rho = transfer_left(rho, site, site)
-    return rho
+    return rho.T
 
 
 # -- fidelity ---------------------------------------------------------------
@@ -400,7 +403,10 @@ def stationarity_onset(model: OqeModel, tol: float = 1e-8) -> int:
     ``tol`` in (0, 1).
 
     The fidelity is symmetric, so sqrt(rho_st) is taken once and every step
-    costs one ``eigvalsh`` of sqrt(rho_st) rho_n sqrt(rho_st).
+    costs one ``eigvalsh`` of sqrt(rho_st) rho_n sqrt(rho_st).  The loop
+    runs in ``transfer_left``'s (bra, ket) order from rho_0^T; ``rho_st``
+    is already in that order, and the fidelity is unchanged by transposing
+    both of its arguments.
     """
     if not model.time_independent:
         raise ValidationError("stationarity onset requires a time-independent model")
@@ -408,7 +414,7 @@ def stationarity_onset(model: OqeModel, tol: float = 1e-8) -> int:
         raise ValidationError(f"tol must be finite and in (0, 1), got {tol!r}")
     rho_st, _, _ = stationary_state(model)
     sqrt_st = _psd_sqrt(np.asarray(rho_st, dtype=np.complex128))
-    rho = initial_env_density(model)
+    rho = initial_env_density(model).T
     site = _model_site(model, 1)
     for n in range(ONSET_MAX_ITER + 1):
         if _fidelity_from_root(sqrt_st, rho) > 1.0 - tol:

@@ -61,7 +61,8 @@ class OqeModel:
     ``unitaries`` holds (d*D, d*D) matrices; a length-1 list marks the
     time-independent case and is reused for every step.  ``initial_state``
     is a unit vector of length d*D.  Construction checks all of this, stores
-    read-only complex128 copies of the arrays and derives ``entangled``
+    read-only complex128 copies of the arrays, decomposes the initial state
+    once (its Schmidt arrays are kept read-only) and derives ``entangled``
     (Schmidt rank > 1), so every instance is valid and self-consistent.
     """
 
@@ -70,6 +71,7 @@ class OqeModel:
     unitaries: tuple[np.ndarray, ...]
     initial_state: np.ndarray
     entangled: bool = field(init=False)
+    _schmidt: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_dimensions(self.d, self.D)
@@ -79,7 +81,12 @@ class OqeModel:
         store("unitaries", tuple(_read_only(u, ndim=2) for u in self.unitaries))
         store("initial_state", _read_only(self.initial_state).reshape(-1))
         self._validate()
-        store("entangled", self.initial_schmidt().rank() > 1)
+        form = schmidt_decompose(self.initial_state, self.d, self.D)
+        parts = (form.lambdas, form.sys_basis, form.env_basis)
+        for arr in parts:
+            arr.flags.writeable = False
+        store("_schmidt", parts)
+        store("entangled", form.rank() > 1)
 
     @property
     def time_independent(self) -> bool:
@@ -98,7 +105,9 @@ class OqeModel:
         return self.unitaries[n - 1]
 
     def initial_schmidt(self) -> SchmidtForm:
-        return schmidt_decompose(self.initial_state, self.d, self.D)
+        """Schmidt form of the initial state, a new form over the read-only
+        arrays of the one decomposition made at construction."""
+        return SchmidtForm(*self._schmidt)
 
     def _validate(self) -> None:
         dim = self.d * self.D

@@ -16,6 +16,8 @@ the identity on the absorbed system factor.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,22 +117,50 @@ class PptMps:
         # Entries read from a file may be large enough to overflow these sums;
         # the inf or nan they give fails the comparisons below.
         with np.errstate(over="ignore", invalid="ignore"):
-            res = self.right_canonical_residual() if self.canonical == "right" else 0.0
+            if self.canonical == "right":
+                residuals = self._gram_residuals()
+                res = _max_residual(residuals)
+                if not res <= CANONICAL_TOL:
+                    raise ValidationError(
+                        f"right-canonicality residual {res:.3e} exceeds {CANONICAL_TOL}"
+                    )
+                if self._norm_certified(residuals):
+                    return
             nrm = self.norm()
-        if not res <= CANONICAL_TOL:
-            raise ValidationError(f"right-canonicality residual {res:.3e} exceeds {CANONICAL_TOL}")
         if not abs(nrm - 1.0) <= CANONICAL_TOL:
             raise ValidationError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
 
     def right_canonical_residual(self) -> float:
         """max_n || sum_{o,i} B B^dag - I ||_max over all chain elements but
         the first, evaluated once for each distinct array."""
-        distinct = {id(t): t for t in self.chain()[1:]}
-        residuals = [
-            np.max(np.abs(np.einsum("aoib,coib->ac", t, t.conj()) - np.eye(t.shape[0])))
-            for t in distinct.values()
+        return _max_residual(self._gram_residuals())
+
+    def _gram_residuals(self) -> list[tuple[float, int, int]]:
+        """(||sum_{o,i} B B^dag - I||_max, left bond, count) of each distinct
+        array B among the chain elements but the first."""
+        tail = self.chain()[1:]
+        distinct = {id(t): t for t in tail}
+        counts = Counter(map(id, tail))
+        return [
+            (_gram_residual(t), t.shape[0], counts[key]) for key, t in distinct.items()
         ]
-        return float(np.max(residuals, initial=0.0))  # np.max keeps a nan
+
+    def _norm_certified(self, residuals) -> bool:
+        """Whether the first chain element and the ``_gram_residuals`` of a
+        right-canonical chain prove |norm - 1| <= ``CANONICAL_TOL``.
+
+        The right environments obey R_{k-1} = Psi_k(R_k) from R_N = I, where
+        Psi_k(X) = sum_{o,i} B X B^dag is completely positive, so its norm is
+        ||Psi_k(I)|| <= 1 + delta_k with delta_k the left bond times the
+        max-entry residual (Russo-Dye).  Hence ||R_0 - I|| <= prod_k
+        (1 + delta_k) - 1 =: g, and the squared norm lies within h * g of
+        h = ||chain[0]||_F^2.  False means only that this bound is too loose
+        to decide; the ``norm`` sweep then does.
+        """
+        head = self.leading_site if self.leading_site is not None else self.sites[0]
+        h = float(np.vdot(head, head).real)
+        bound = h * math.expm1(sum(n * math.log1p(l * r) for r, l, n in residuals))
+        return (1.0 - CANONICAL_TOL) ** 2 <= h - bound and h + bound <= (1.0 + CANONICAL_TOL) ** 2
 
     def norm(self) -> float:
         return float(np.sqrt(np.real(overlap(self, self))))
@@ -250,6 +280,15 @@ def _site_repeat(doc, version: int) -> int:
     if type(repeat) is not int or repeat < 1:
         raise ValidationError(f"'repeat' must be an integer >= 1, got {repeat!r}")
     return repeat
+
+
+def _gram_residual(t: np.ndarray) -> float:
+    """||sum_{o,i} B B^dag - I||_max of one site B."""
+    return float(np.max(np.abs(np.einsum("aoib,coib->ac", t, t.conj()) - np.eye(t.shape[0]))))
+
+
+def _max_residual(residuals) -> float:
+    return float(np.max([r for r, _, _ in residuals], initial=0.0))  # np.max keeps a nan
 
 
 def _freeze(t: np.ndarray) -> np.ndarray:

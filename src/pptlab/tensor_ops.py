@@ -46,13 +46,20 @@ def decode_complex(data, shape=None) -> np.ndarray:
     pairs in a list, an entry count that does not fill ``shape``, or a
     non-finite entry raises ``ValidationError``.
     """
+    return as_complex_array(_decode_entries(data, shape))
+
+
+def _decode_entries(data, shape=None) -> np.ndarray:
+    """``decode_complex`` without its final ``as_complex_array`` check: a
+    native complex128 array of ``shape`` whose entries may be non-finite,
+    for a caller that checks them itself."""
     flat = _base64_entries(data) if isinstance(data, str) else _pair_entries(data)
     shape = flat.shape if shape is None else shape
     # type(n) is int: a JSON true is a bool, which isinstance would take for 1
     fits = isinstance(shape, (list, tuple)) and all(type(n) is int and n >= 0 for n in shape)
     if not fits or flat.size != math.prod(shape):
         raise ValidationError(f"{flat.size} complex entries do not fill shape {shape!r}")
-    return as_complex_array(flat.reshape(shape))
+    return flat.reshape(shape)
 
 
 def _base64_entries(text: str) -> np.ndarray:

@@ -25,6 +25,13 @@ def random_observable(rng, d, n_steps, n_insertions=2):
     )
 
 
+def dense_norm(mps: PptMps) -> float:
+    """Norm of ``mps`` from its dense statevector, independent of every
+    sweep; ``to_statevector`` raises ``CapacityError`` above
+    ``DENSE_STATE_GUARD`` entries."""
+    return float(np.linalg.norm(mps.to_statevector()))
+
+
 def pair_leaf(arr) -> list:
     """A complex array as format-1 files stored it: row-major [re, im] pairs."""
     flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1)

@@ -534,6 +534,8 @@ NAN_BYTES = np.array([complex(0.0, np.nan)]).astype("<c16").tobytes()
 INF_BYTES = np.array([complex(np.inf, 1.0)]).astype("<c16").tobytes()
 HUGE_BYTES = np.array([complex(0.0, 2.7e154)]).astype("<c16").tobytes()  # squares overflow
 EYE4 = encode_complex(np.eye(4))
+EYE4_INF = encode_complex(np.eye(4) + np.diag([0.0, np.inf, 0.0, 0.0]))
+NAN_PAIRS = [[float("nan"), 0.0]] + [[0.0, 0.0]] * 15  # a 4 x 4 matrix in [re, im] pairs
 
 
 class TestMalformedFiles:
@@ -593,6 +595,21 @@ class TestMalformedFiles:
         assert message in err and "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("canonical", ["right", "none"])
+    def test_correlate_rejects_a_scaled_first_site(self, tmp_path, capsys, canonical):
+        # a right claim's norm is certified from its first site, a none claim's swept
+        build_out = tmp_path / "build.json"
+        assert run(["build", "--D", "2", "--N", "3", "--seed", "1", "--out", str(build_out)]) == 0
+        doc = json.loads(read(build_out))
+        site = doc["ppt"]["sites"][0]
+        site["data"] = encode_complex(1.001 * decode_complex(site["data"], site["shape"]))
+        doc["ppt"]["canonical"] = canonical
+        build_out.write_text(json.dumps(doc))
+        assert run(["correlate", "--ppt", str(build_out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: state norm deviates from 1 by 1.000e-03")
 
     @pytest.mark.parametrize(
         "leaf, message", [("unitaries", "unitarity"), ("initial_state", "norm")]
@@ -683,8 +700,21 @@ class TestMalformedFiles:
                 {"insertions": [{"step": True, "matrix": EYE4}]},
                 "'step' must be an integer, got True",
             ),
+            ({"insertions": [{"step": 1, "matrix": NAN_PAIRS}]}, "non-finite"),
+            ({"insertions": [{"step": 1, "matrix": EYE4_INF}]}, "non-finite"),
+            ({"insertions": [{"step": 1, "matrix": encode_complex(np.ones(15))}]}, "not square"),
+            (
+                {"insertions": [{"step": 1, "matrix": EYE4},
+                                {"step": 2, "matrix": encode_complex(np.eye(9))}]},
+                "operators must be square and of one shape",
+            ),
+            (
+                {"insertions": [{"step": 1, "matrix": encode_complex(np.eye(9))}]},
+                "has shape (9, 9), expected (4, 4)",
+            ),
         ],
-        ids=["list", "int_insertions", "int_insertion", "text_step", "float_step", "true_step"],
+        ids=["list", "int_insertions", "int_insertion", "text_step", "float_step", "true_step",
+             "nan_pair", "base64_inf", "fifteen_entries", "two_shapes", "nine_by_nine_at_d2"],
     )
     def test_malformed_observable_exits_one(self, tmp_path, capsys, observable, message):
         build_out = tmp_path / "build.json"

@@ -29,6 +29,7 @@ from pptlab.tensor_ops import transfer_left, transfer_right
 
 from conftest import (
     dense_left_matrix,
+    dense_ppt_vector,
     dense_stationary_state,
     dense_transfer_matrix,
     partial_process_tensor,
@@ -137,8 +138,22 @@ class TestEvolveEnv:
         n = 7
         got = evolve_env(rho0, model, n)
         lmat = np.linalg.matrix_power(dense_left_matrix(site), n)
-        ref = (lmat @ rho0.reshape(-1, order="F")).reshape(2, 2, order="F")
+        # the left matrix acts on (bra, ket)-ordered operators, rho^T
+        ref = (lmat @ rho0.T.reshape(-1, order="F")).reshape(2, 2, order="F").T
         assert np.max(np.abs(got - ref)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "make", [random_separable_model, random_entangled_model], ids=["separable", "entangled"]
+    )
+    def test_matches_dense_replay_of_the_circuit(self, make):
+        # the environment's reduced state in a dense replay of the generating
+        # circuit, from a complex psi_E, whose conjugate evolves differently
+        model = make(2, 3, 3)
+        rho0 = initial_env_density(model)
+        assert np.max(np.abs(rho0.imag)) > 0.1
+        for n in range(1, 5):
+            x = dense_ppt_vector(model, n).reshape(-1, rho0.shape[0])  # (physical, env)
+            assert np.max(np.abs(evolve_env(rho0, model, n) - x.T @ x.conj())) < 1e-12
 
     def test_converges_to_maximally_mixed(self, rng):
         model = random_separable_model(2, 2, rng)
@@ -373,6 +388,19 @@ class TestTheorem1:
 class TestStationarityOnset:
     def test_trivial_environment(self, rng):
         assert stationarity_onset(random_separable_model(2, 1, rng)) == 0
+
+    @pytest.mark.parametrize(
+        "make", [random_separable_model, random_entangled_model], ids=["separable", "entangled"]
+    )
+    def test_onset_of_the_physical_environment_state(self, make):
+        # evolve_env matches the dense replay (TestEvolveEnv), so the onset is
+        # the first step whose physical state is within tol of rho_st
+        model = make(2, 3, 3)
+        n0 = stationarity_onset(model, tol=1e-8)
+        rho0, rho_st = initial_env_density(model), stationary_state(model)[0]
+        assert n0 == 30
+        assert infidelity(evolve_env(rho0, model, n0), rho_st) < 1e-8
+        assert infidelity(evolve_env(rho0, model, n0 - 1), rho_st) > 1e-8
 
     def test_partial_process_tensors_shift_invariant(self, rng):
         # Uhlmann fidelity is quadratic in state distance, so an onset at

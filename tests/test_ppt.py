@@ -401,3 +401,55 @@ class TestSerialization:
             doc["format_version"] = version
             with pytest.raises(ValidationError, match="unsupported format version"):
                 PptMps.from_json_dict(doc)
+
+
+class TestNormCertificate:
+    """``validate`` certifies a right-canonical claim's unit norm from the
+    first chain element and the residual bound, and sweeps otherwise."""
+
+    @staticmethod
+    def _count_sweeps(monkeypatch) -> list:
+        calls = []
+        sweep = ppt_module.overlap_matrix
+
+        def counting(a, b):
+            calls.append(a.n_steps)
+            return sweep(a, b)
+
+        monkeypatch.setattr(ppt_module, "overlap_matrix", counting)
+        return calls
+
+    def test_right_claim_needs_no_sweep(self, rng, monkeypatch):
+        doc = build_ppt(random_separable_model(2, 16, rng), 50).to_json_dict()
+        calls = self._count_sweeps(monkeypatch)
+        mps = PptMps.from_json_dict(doc)
+        mps.validate()
+        assert calls == [] and mps.canonical == "right"
+
+    def test_none_claim_is_swept(self, rng, monkeypatch):
+        doc = build_ppt(random_separable_model(2, 3, rng), 6).to_json_dict()
+        doc["canonical"] = "none"
+        calls = self._count_sweeps(monkeypatch)
+        PptMps.from_json_dict(doc)
+        assert calls == [6]
+
+    def test_loose_bound_falls_back_to_the_sweep(self, rng, monkeypatch):
+        # four steps share a site scaled by 1 + eta (residual ~2 eta) and the
+        # head undoes their growth: the norm is 1, but the bound is ~8 l eta
+        eta = 2e-11
+        mps = build_ppt(random_separable_model(2, 2, rng), 5)
+        shared = mps.sites[1] * (1.0 + eta)
+        head = mps.sites[0] * (1.0 + eta) ** -4
+        mps = replace(mps, sites=(head, *[shared] * 4))
+        assert 3e-11 < mps.right_canonical_residual() < 1e-10
+        assert not mps._norm_certified(mps._gram_residuals())
+        calls = self._count_sweeps(monkeypatch)
+        mps.validate()
+        assert calls == [5]
+
+    @pytest.mark.parametrize("canonical", ["right", "none"])
+    def test_scaled_head_is_rejected_with_the_swept_deviation(self, rng, canonical):
+        mps = build_ppt(random_separable_model(2, 3, rng), 4)
+        mps = replace(mps, sites=(mps.sites[0] * 1.001, *mps.sites[1:]), canonical=canonical)
+        with pytest.raises(ValidationError, match=r"state norm deviates from 1 by 1\.000e-03"):
+            mps.validate()

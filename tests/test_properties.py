@@ -7,7 +7,9 @@ entangled initial states, and time-independent or time-dependent steps.  The nea
 checked bit for bit against its per-step reference over block edges, its
 closed-form unitaries against scipy's ``expm``, and the stationary solve
 (base-site blocks, Krylov or dense) against the dense projection on the
-whole effective environment.
+whole effective environment.  ``PptMps.validate``'s certified norm check
+decides like the dense norm on short chains and like the sweep on repeated
+runs of up to 10^4 steps.
 """
 
 import contextlib
@@ -44,11 +46,12 @@ from pptlab import (
     random_separable_model,
 )
 from pptlab.models import random_haar_unitary, random_hermitian
-from pptlab.ppt import overlap_matrix
+from pptlab.ppt import CANONICAL_TOL, DENSE_STATE_GUARD, overlap_matrix
 from pptlab.tensor_ops import decode_complex, encode_complex, transfer_left, transfer_right
 
 from conftest import (
     dense_left_matrix,
+    dense_norm,
     dense_reduced_density,
     dense_stationary_state,
     dense_transfer_matrix,
@@ -567,3 +570,83 @@ def test_stationary_state_matches_dense_oracle(d, D, seed, weights, krylov):
     ref, _, ref_degenerate = dense_stationary_state(model)
     assert steps == 0 and degenerate == ref_degenerate
     assert np.max(np.abs(rho - ref)) < 1e-10
+
+
+def _replace_array(mps, old, new):
+    """``mps`` with every chain element that is the array ``old`` replaced by
+    ``new``, so a run of shared sites stays one shared array."""
+    sites = tuple(new if t is old else t for t in mps.sites)
+    lead = new if mps.leading_site is old else mps.leading_site
+    return dataclasses.replace(mps, sites=sites, leading_site=lead)
+
+
+def _perturbed(mps, change, rng):
+    """``mps`` with its first chain element scaled by 1 + eps ("head"), or
+    with one distinct later array moved by noise that leaves its
+    right-canonicality residual at 0.9 ``CANONICAL_TOL`` ("site")."""
+    kind, eps = change
+    chain = mps.chain()
+    if kind == "head":
+        return _replace_array(mps, chain[0], chain[0] * (1.0 + eps))
+    if kind == "site" and len(chain) > 1:
+        distinct = list({id(t): t for t in chain[1:]}.values())
+        t = distinct[int(rng.integers(len(distinct)))]
+        z = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
+        # the residual is linear in the noise scale to first order
+        cross = np.einsum("aoib,coib->ac", t, z.conj())
+        slope = np.max(np.abs(cross + cross.conj().T))
+        moved = _replace_array(mps, t, t + 0.9 * CANONICAL_TOL / slope * z)
+        assert 0.5 * CANONICAL_TOL < moved.right_canonical_residual() <= CANONICAL_TOL
+        return moved
+    return mps
+
+
+def assert_validate_decides_like(mps, reference: float):
+    """``validate`` accepts exactly when the reference norm lies within
+    ``CANONICAL_TOL`` of 1, outside a rounding band of 1e-13 about that
+    threshold."""
+    try:
+        mps.validate()
+        accepted = True
+    except ValidationError as err:
+        assert "state norm deviates" in str(err)
+        accepted = False
+    if abs(abs(reference - 1.0) - CANONICAL_TOL) > 1e-13:
+        assert accepted == (abs(reference - 1.0) <= CANONICAL_TOL), (reference, accepted)
+
+
+norm_changes = st.one_of(
+    st.just(("none", 0.0)),
+    st.tuples(st.just("head"), st.sampled_from([-1e-3, -1e-9, -1e-11, 1e-11, 1e-9, 1e-3])),
+    st.just(("site", 0.0)),
+)
+
+
+@CASES
+@given(spec=model_specs, expose=st.booleans(), n_steps=st.integers(1, 6), change=norm_changes)
+def test_norm_certificate_decides_like_the_dense_norm(spec, expose, n_steps, change):
+    """A right-canonical claim's norm check, certified from the first chain
+    element where the residual bound is tight enough and swept otherwise,
+    accepts exactly the chains whose dense norm is within ``CANONICAL_TOL``
+    (separable, entangled, exposed-leg and time-dependent chains)."""
+    n_steps = min(n_steps, 4 if spec["d"] == 3 else 6)  # the dense vector fits the guard
+    mps = build_ppt(make_model(dict(spec, N=n_steps)), n_steps, expose_initial_leg=expose)
+    mps = _perturbed(mps, change, np.random.default_rng(spec["seed"]))
+    assert mps.dense_size() <= DENSE_STATE_GUARD
+    assert_validate_decides_like(mps, dense_norm(mps))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    spec=model_specs,
+    expose=st.booleans(),
+    repeat=st.sampled_from([10, 100, 1000, 10**4]),
+    change=norm_changes,
+)
+def test_norm_certificate_decides_like_the_sweep_on_long_runs(spec, expose, repeat, change):
+    """The same over one repeated site run of up to 10^4 steps, against the
+    ``norm`` sweep, the only reference at that length."""
+    model = make_model(dict(spec, time_dependent=False))
+    mps = build_ppt(model, repeat, expose_initial_leg=expose)
+    mps = _perturbed(mps, change, np.random.default_rng(spec["seed"]))
+    assert_validate_decides_like(mps, mps.norm())
