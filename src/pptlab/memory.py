@@ -158,6 +158,16 @@ def stationary_state(
 ) -> tuple[np.ndarray, int, bool]:
     """Stationary environment state lim_n Phi^n(rho0) of a time-independent process.
 
+    Unlike ``evolve_env``, this works in ``transfer_left``'s (bra, ket)
+    order: a bare MPS's ``rho0`` and the returned state are transposed
+    density matrices, so the limit of ``evolve_env(rho, mps, n)`` is
+    ``stationary_state(mps, rho.T)[0].T``.  A model's ``rho0`` defaults to
+    its density matrix ``initial_env_density(model)``; a model's base
+    channel is unital, so when its fixed point I/D is unique (any Haar
+    model) the limit is the same in either order and the result is the
+    physical stationary state.  A model with a larger fixed space and a
+    complex psi_E needs ``stationary_state(model, rho.T)[0].T`` instead.
+
     Everything is solved on the base site B with bond D: the last MPS site,
     or the model's step site.  An entangled model's enlarged site is
     I_d (x) B, so each D x D block (s, t) of ``rho0`` evolves under the base
@@ -404,17 +414,18 @@ def stationarity_onset(model: OqeModel, tol: float = 1e-8) -> int:
 
     The fidelity is symmetric, so sqrt(rho_st) is taken once and every step
     costs one ``eigvalsh`` of sqrt(rho_st) rho_n sqrt(rho_st).  The loop
-    runs in ``transfer_left``'s (bra, ket) order from rho_0^T; ``rho_st``
-    is already in that order, and the fidelity is unchanged by transposing
-    both of its arguments.
+    runs in ``transfer_left``'s (bra, ket) order from rho_0^T, and its
+    target is the limit from that same start, ``stationary_state(model,
+    rho_0^T)``; the fidelity is unchanged by transposing both of its
+    arguments.
     """
     if not model.time_independent:
         raise ValidationError("stationarity onset requires a time-independent model")
     if not (_is_real(tol) and np.isfinite(tol) and 0.0 < tol < 1.0):
         raise ValidationError(f"tol must be finite and in (0, 1), got {tol!r}")
-    rho_st, _, _ = stationary_state(model)
-    sqrt_st = _psd_sqrt(np.asarray(rho_st, dtype=np.complex128))
     rho = initial_env_density(model).T
+    rho_st, _, _ = stationary_state(model, rho)
+    sqrt_st = _psd_sqrt(rho_st)
     site = _model_site(model, 1)
     for n in range(ONSET_MAX_ITER + 1):
         if _fidelity_from_root(sqrt_st, rho) > 1.0 - tol:

@@ -22,7 +22,7 @@ from pptlab import (
     stationary_state,
     uhlmann_fidelity,
 )
-from pptlab.memory import DEGENERACY_GAP
+from pptlab.memory import DEGENERACY_GAP, pure_env_density
 from pptlab.models import random_haar_unitary
 from pptlab.ppt import site_tensor_from_unitary
 from pptlab.tensor_ops import transfer_left, transfer_right
@@ -268,6 +268,24 @@ class TestStationaryState:
         assert_matches_dense_oracle(mps, np.eye(3) / 3)
         assert_matches_dense_oracle(mps, np.diag([1.0, 0.0, 0.0]), raises=p < DEGENERACY_GAP)
 
+    def test_transfer_order_beside_evolve_env(self, rng):
+        # A right-canonical site whose left action has a complex fixed point:
+        # evolve_env's limit is stationary_state's, transposed in and out.
+        g = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        site = np.linalg.qr(g)[0].T.reshape(3, 2, 2, 3)  # sum_{o,i} B B^dag = I
+        mps = PptMps(sites=(site,) * 400, d=2)
+        rho0 = pure_env_density(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        limit = evolve_env(rho0, mps, 400)
+        assert np.max(np.abs(limit.imag)) > 0.01
+        assert np.max(np.abs(stationary_state(mps, rho0.T)[0].T - limit)) < 1e-10
+        assert np.max(np.abs(stationary_state(mps, rho0)[0] - limit)) > 0.01
+        # a Haar model's unital channel has the fixed point I/D: either order
+        model = random_entangled_model(2, 3, rng, lambdas=np.sqrt([0.9, 0.1]))
+        rho_st = stationary_state(model)[0]
+        assert np.max(np.abs(rho_st.imag)) > 0.01
+        transposed = stationary_state(model, initial_env_density(model).T)[0].T
+        assert np.max(np.abs(rho_st - transposed)) < 1e-12
+
     def test_bare_mps_with_rotating_peripheral_eigenvalue(self):
         # Kraus operators X/d at every (o, i): the left action is rho -> X rho X,
         # with eigenvalue +1 on span{I, X} and -1 on span{Y, Z}.
@@ -390,15 +408,23 @@ class TestStationarityOnset:
         assert stationarity_onset(random_separable_model(2, 1, rng)) == 0
 
     @pytest.mark.parametrize(
-        "make", [random_separable_model, random_entangled_model], ids=["separable", "entangled"]
+        "make, onset",
+        [
+            (random_separable_model, 30),
+            (random_entangled_model, 30),
+            # unequal Schmidt weights: the stationary state A (x) I/D carries
+            # the complex reduced system state A, which differs from A^T
+            (lambda d, D, seed: random_entangled_model(d, D, seed, np.sqrt([0.9, 0.1])), 29),
+        ],
+        ids=["separable", "entangled", "entangled_skewed"],
     )
-    def test_onset_of_the_physical_environment_state(self, make):
+    def test_onset_of_the_physical_environment_state(self, make, onset):
         # evolve_env matches the dense replay (TestEvolveEnv), so the onset is
         # the first step whose physical state is within tol of rho_st
         model = make(2, 3, 3)
         n0 = stationarity_onset(model, tol=1e-8)
         rho0, rho_st = initial_env_density(model), stationary_state(model)[0]
-        assert n0 == 30
+        assert n0 == onset
         assert infidelity(evolve_env(rho0, model, n0), rho_st) < 1e-8
         assert infidelity(evolve_env(rho0, model, n0 - 1), rho_st) > 1e-8
 
