@@ -158,15 +158,10 @@ def stationary_state(
 ) -> tuple[np.ndarray, int, bool]:
     """Stationary environment state lim_n Phi^n(rho0) of a time-independent process.
 
-    Unlike ``evolve_env``, this works in ``transfer_left``'s (bra, ket)
-    order: a bare MPS's ``rho0`` and the returned state are transposed
-    density matrices, so the limit of ``evolve_env(rho, mps, n)`` is
-    ``stationary_state(mps, rho.T)[0].T``.  A model's ``rho0`` defaults to
-    its density matrix ``initial_env_density(model)``; a model's base
-    channel is unital, so when its fixed point I/D is unique (any Haar
-    model) the limit is the same in either order and the result is the
-    physical stationary state.  A model with a larger fixed space and a
-    complex psi_E needs ``stationary_state(model, rho.T)[0].T`` instead.
+    Like ``evolve_env``, this takes and returns density matrices and
+    transposes once into ``transfer_left``'s (bra, ket) order and once out,
+    so the result is the limit of ``evolve_env(rho0, mps_or_model, n)``.
+    A model's ``rho0`` defaults to ``initial_env_density(model)``.
 
     Everything is solved on the base site B with bond D: the last MPS site,
     or the model's step site.  An entangled model's enlarged site is
@@ -209,7 +204,7 @@ def stationary_state(
     D = site.shape[0]
     if site.shape[3] != D:
         raise DimensionError("stationary analysis requires equal bond dimensions")
-    rho0 = validate_env_density(rho0)
+    rho0 = validate_env_density(rho0).T
     if rho0.shape[0] != blocks * D:
         raise DimensionError(
             f"rho0 dimension {rho0.shape[0]} does not match the transfer dimension {blocks * D}"
@@ -224,6 +219,7 @@ def stationary_state(
         cols = rho0.reshape(blocks, D, blocks, D).transpose(3, 1, 0, 2).reshape(D * D, -1)
         limit, degenerate = _dense_projection(site, cols)
         rho = limit.reshape(D, D, blocks, blocks).transpose(2, 1, 3, 0).reshape(blocks * D, -1)
+    rho = rho.T  # back from (bra, ket) order
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real, 0, degenerate or blocks > 1
 
@@ -414,17 +410,16 @@ def stationarity_onset(model: OqeModel, tol: float = 1e-8) -> int:
 
     The fidelity is symmetric, so sqrt(rho_st) is taken once and every step
     costs one ``eigvalsh`` of sqrt(rho_st) rho_n sqrt(rho_st).  The loop
-    runs in ``transfer_left``'s (bra, ket) order from rho_0^T, and its
-    target is the limit from that same start, ``stationary_state(model,
-    rho_0^T)``; the fidelity is unchanged by transposing both of its
-    arguments.
+    runs in ``transfer_left``'s (bra, ket) order from rho_0^T toward
+    rho_st^T, for ``rho_st = stationary_state(model)``; the fidelity is
+    unchanged by transposing both of its arguments.
     """
     if not model.time_independent:
         raise ValidationError("stationarity onset requires a time-independent model")
     if not (_is_real(tol) and np.isfinite(tol) and 0.0 < tol < 1.0):
         raise ValidationError(f"tol must be finite and in (0, 1), got {tol!r}")
     rho = initial_env_density(model).T
-    rho_st, _, _ = stationary_state(model, rho)
+    rho_st = stationary_state(model)[0].T
     sqrt_st = _psd_sqrt(rho_st)
     site = _model_site(model, 1)
     for n in range(ONSET_MAX_ITER + 1):

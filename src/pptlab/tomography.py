@@ -12,7 +12,10 @@ environments of the sites no gate has touched since they were contracted
 are kept between queries, so each gate is applied once and a whole
 reconstruction costs time linear in N (the sliding-window scheme of Cramer
 et al., Nat. Commun. 1, 149 (2010), with environments kept between steps as
-in Schollwoeck, Ann. Phys. 326, 96 (2011)).
+in Schollwoeck, Ann. Phys. 326, 96 (2011)).  A sampled estimate never
+forms a setting's rotation: its outcome probabilities and inverted frame
+are products of per-qubit maps (the structure of projected least squares,
+Guta, Kahn, Kueng & Tropp, J. Phys. A 53, 204001 (2020)).
 
 The disentangling algorithm walks a window of R sites across the chain,
 from step 1 or, to recover an entangled initial state, from step 0.  Each
@@ -35,8 +38,6 @@ every evaluation.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -74,6 +75,7 @@ from .tensor_ops import (
 )
 
 SUPPORT_TOL = 1e-10  # window eigenvalues counted as support by disentangle_reconstruct
+SAMPLED_QUBIT_GUARD = 9  # widest sampled window: its estimate holds ~3.3 x 6^n complex entries
 FIT_MAX_ITER = 400  # gradient steps tried per variational_fit restart
 FIT_RESTARTS = 5  # variational_fit attempts after the warm start
 FIT_SUCCESS_TOL = 1e-10  # variational_fit loss below which a fit has converged
@@ -177,8 +179,10 @@ class MeasurementOracle:
         range of steps ``sites``; step 0 is the initial system leg.
 
         Site bounds that are not integers (bools included) or not an
-        ordered range of steps raise ``ValidationError``.  Counts as one
-        request.
+        ordered range of steps raise ``ValidationError``; a window over the
+        dense guard, or a sampled one of more than ``SAMPLED_QUBIT_GUARD``
+        qubits, raises ``CapacityError``.  Counts as one request, unless it
+        raises.
         """
         try:
             a, b = sites
@@ -187,8 +191,11 @@ class MeasurementOracle:
         if not (_is_integer(a) and _is_integer(b) and 0 <= a <= b <= self.n_steps):
             raise ValidationError(f"site range {sites} outside [0, {self.n_steps}]")
         a, b = int(a), int(b)
-        if self.d ** (2 * (b - a + 1) - (a == 0)) > PROCESS_TENSOR_GUARD:
+        legs = 2 * (b - a + 1) - (a == 0)  # physical legs in the window
+        if self.d**legs > PROCESS_TENSOR_GUARD:
             raise CapacityError(f"window {sites} exceeds the dense guard")
+        if self.shots is not None and legs > SAMPLED_QUBIT_GUARD:
+            raise CapacityError(f"sampled window {sites} exceeds {SAMPLED_QUBIT_GUARD} qubits")
         self.query_log += 1
         env = self._left_env(a)
         block = _contract_sites(self._chain[a : b + 1])  # (l, window, r)
@@ -266,89 +273,44 @@ def _apply_gate(chain: list, start: int, gate: np.ndarray, max_bond: int | None 
 
 # -- sampled-mode estimator --------------------------------------------------
 
-_BASIS_ROTATIONS = {
-    "X": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0),
-    "Y": np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=np.complex128) / np.sqrt(2.0),
-    "Z": np.eye(2, dtype=np.complex128),
-}
-_BASIS_STACK = np.stack([_BASIS_ROTATIONS[c] for c in "XYZ"])
-_BATCH_ENTRIES = 2**18  # matrix entries in one batch of setting rotations
+# R[s, k, a]: outcome k of setting s in X, Y, Z order
+_R = np.stack([[[1, 1], [1, -1]], [[1, -1j], [1, 1j]], np.sqrt(2) * np.eye(2)]) / np.sqrt(2)
+# per qubit, over (setting, outcome) and operator entries (a, b): the outcome
+# probabilities P[s, k, a, b] = R_s[k, a] conj(R_s[k, b]) and the inverted frame
+# Q[a, b, s, k] = 3 conj(R_s[k, a]) R_s[k, b] - delta_ab (X -> 3 X - tr(X) I folded in)
+_OUTCOME_MAP = np.einsum("ska,skb->skab", _R, _R.conj())
+_INVERSE_FRAME = 3.0 * np.einsum("ska,skb->absk", _R.conj(), _R) - np.eye(2)[..., None, None]
 
 
 def _pauli_sampled_estimate(rho: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Linear-inversion estimate of ``rho`` from Pauli-product measurements.
 
-    The total shot budget is split evenly over the 3^n basis settings of
-    the n underlying qubits.  The measured projectors, weighted by their
-    observed frequencies, sum to X = sum_s R_s^dag diag(p_s) R_s; inverting
-    the frame on every qubit q, X -> 3 X - tr_q(X) (x) I_q, averages every
-    Pauli expectation over all settings compatible with it.  The settings
-    are handled in batches of their rotations (``_rotation_batches``) by
-    batched products, one multinomial call per batch drawing its counts in
-    setting order, and X is accumulated setting by setting in that order.
+    The shot budget is split evenly over the 3^n settings of the n qubits
+    (``itertools.product("XYZ", repeat=n)`` order), whose counts one
+    multinomial call draws.  The estimate sum_s R_s^dag diag(phat_s) R_s,
+    with the frame inverted on every qubit, X -> 3 X - tr_q(X) (x) I_q,
+    averages every Pauli expectation over its compatible settings.  Both
+    maps are products of per-qubit tables: about 3.3 x 6^n complex entries.
     """
-    dim = rho.shape[0]
-    n = int(round(np.log2(dim)))
+    n = int(round(np.log2(rho.shape[0])))
     per_setting = max(1, shots // 3**n)
-    est = np.zeros((dim, dim), dtype=np.complex128)
-    for rots in _rotation_batches(n):
-        p = np.real(np.sum((rots @ rho) * rots.conj(), axis=2))
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum(axis=1, keepdims=True)
-        phat = rng.multinomial(per_setting, p) / per_setting
-        terms = rots.conj().transpose(0, 2, 1) @ (phat[:, :, np.newaxis] * rots)
-        terms[0] += est  # the axis-0 sum then adds the terms to est in order
-        est = np.sum(terms, axis=0)
-    eye = np.eye(2).reshape(2, 1, 1, 2, 1)  # I_q on the axes (a, q, b, a', q', b')
-    for q in range(n):
-        x = est.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
-        partial = np.trace(x, axis1=1, axis2=4)[:, np.newaxis, :, :, np.newaxis, :]
-        est = (3.0 * x - partial * eye).reshape(dim, dim)
+    p = np.clip(_per_qubit(_OUTCOME_MAP, rho, n).real, 0.0, None)
+    phat = rng.multinomial(per_setting, p / p.sum(axis=1, keepdims=True)) / per_setting
+    est = _per_qubit(_INVERSE_FRAME, phat, n)
     est = (est + est.conj().T) / 2.0
     return est / np.trace(est).real
 
 
-def _rotation_batches(n: int):
-    """Stacks of the Pauli-product rotations of n qubits that together run
-    through all 3^n settings in ``itertools.product("XYZ", repeat=n)``
-    order.  The whole stack (``_setting_rotations``) is one batch if it
-    has at most ``_BATCH_ENTRIES`` entries; otherwise each batch fixes the
-    leading qubits' setting and runs through the fewest trailing qubits'
-    settings that keep it within the budget (one setting at the least)."""
-    m = n
-    while m > 0 and 3**m * 4**n > _BATCH_ENTRIES:
-        m -= 1
-    if m == n:
-        yield _setting_rotations(n)
-        return
-    for prefix in itertools.product("XYZ", repeat=n - m):
-        stack = functools.reduce(np.kron, [_BASIS_ROTATIONS[c] for c in prefix])[np.newaxis]
-        for _ in range(m):
-            stack = _kron_stack(stack, _BASIS_STACK)
-        yield stack
-
-
-@functools.cache
-def _setting_rotations(n: int) -> np.ndarray:
-    """Read-only stack (3^n, 2^n, 2^n) of the Pauli-product basis rotations,
-    one per setting in ``itertools.product("XYZ", repeat=n)`` order; kept
-    for the life of the process, so only asked for within the batch budget."""
-    rots = _BASIS_STACK.copy()
-    for _ in range(n - 1):
-        rots = _kron_stack(rots, _BASIS_STACK)
-    rots.flags.writeable = False
-    return rots
-
-
-def _kron_stack(stack: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Entry k * len(factors) + j is ``np.kron(stack[k], factors[j])``, by
-    the same single product per entry."""
-    k, a, _ = stack.shape
-    f, b, _ = factors.shape
-    out = stack[:, np.newaxis, :, np.newaxis, :, np.newaxis] * factors[
-        np.newaxis, :, np.newaxis, :, np.newaxis, :
-    ]
-    return out.reshape(k * f, a * b, a * b)
+def _per_qubit(table: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """y[(u_1..u_n), (v_1..v_n)] = sum prod_q table[u_q, v_q, i_q, j_q]
+    x[(i_1..i_n), (j_1..j_n)], for row and column indices that are products
+    over n qubits, the first qubit most significant."""
+    u, v, i, j = table.shape
+    x = x.reshape((i,) * n + (j,) * n).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    for _ in range(n):  # maps the last unmapped qubit and moves it to the front
+        x = (x.reshape(-1, i * j) @ table.reshape(u * v, i * j).T).T
+    x = x.reshape((u, v) * n).transpose(np.arange(2 * n).reshape(n, 2).T.ravel())
+    return x.reshape(u**n, v**n)
 
 
 # -- reconstruction report ----------------------------------------------------
@@ -500,16 +462,13 @@ def disentangle_reconstruct(
 
 
 def _eigh_descending(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigendecomposition with a deterministic phase convention."""
+    """Descending eigendecomposition; each eigenvector's largest entry is made
+    real and positive (by ``np.hypot``: ``np.abs`` rounds differently)."""
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")
-    w = w[order]
     v = v[:, order]
-    for k in range(v.shape[1]):
-        idx = int(np.argmax(np.abs(v[:, k])))
-        if abs(v[idx, k]) > 0:
-            v[:, k] = v[:, k] * (v[idx, k].conjugate() / abs(v[idx, k]))
-    return w, v
+    peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return w[order], v * (peak.conj() / np.hypot(peak.real, peak.imag))
 
 
 # -- variational fitting -------------------------------------------------------

@@ -228,23 +228,30 @@ def pauli_sampled_estimate_loop(rho: np.ndarray, shots: int, rng) -> np.ndarray:
     multinomial call and its term added to the running sum in setting order."""
     dim = rho.shape[0]
     n = int(round(np.log2(dim)))
-    settings = list(itertools.product("XYZ", repeat=n))
+    settings = list(itertools.product(tomography._R, repeat=n))  # X, Y, Z per qubit
     per_setting = max(1, shots // len(settings))
     est = np.zeros((dim, dim), dtype=np.complex128)
     for setting in settings:
-        rot = functools.reduce(np.kron, [tomography._BASIS_ROTATIONS[c] for c in setting])
+        rot = functools.reduce(np.kron, setting)
         p = np.real(np.sum((rot @ rho) * rot.conj(), axis=1))
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
         phat = rng.multinomial(per_setting, p) / per_setting
         est += rot.conj().T @ (phat[:, np.newaxis] * rot)
+    est = invert_pauli_frame(est, n)
+    est = (est + est.conj().T) / 2.0
+    return est / np.trace(est).real
+
+
+def invert_pauli_frame(est: np.ndarray, n: int) -> np.ndarray:
+    """X -> 3 X - tr_q(X) (x) I_q on every qubit q of an n-qubit operator."""
+    dim = est.shape[0]
     eye = np.eye(2).reshape(2, 1, 1, 2, 1)
     for q in range(n):
         x = est.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
         partial = np.trace(x, axis1=1, axis2=4)[:, np.newaxis, :, :, np.newaxis, :]
         est = (3.0 * x - partial * eye).reshape(dim, dim)
-    est = (est + est.conj().T) / 2.0
-    return est / np.trace(est).real
+    return est
 
 
 def schmidt_spectra_dense(vec: np.ndarray, site_dims: list[int]) -> list[np.ndarray]:
@@ -340,9 +347,11 @@ def dense_stationary_state(mps_or_model, rho0=None):
     models, never the base-site blocks or the Krylov solve.
 
     Eigendecomposes the left transfer matrix, solves for the eigen-coefficients
-    of vec(rho0) and keeps those on eigenvalue 1; raises ``ConvergenceError``
-    when no eigenvalue is 1 or when rho0 has a component on another
-    unit-modulus eigenvalue.  Returns ``(rho_st, 0, degenerate)``.
+    of vec(rho0^T) (the (bra, ket) order of ``transfer_left``) and keeps
+    those on eigenvalue 1, transposed back to a density matrix; raises
+    ``ConvergenceError`` when no eigenvalue is 1 or when rho0 has a
+    component on another unit-modulus eigenvalue.  Returns
+    ``(rho_st, 0, degenerate)``.
     """
     if isinstance(mps_or_model, PptMps):
         site = mps_or_model.sites[-1]
@@ -366,7 +375,7 @@ def dense_stationary_state(mps_or_model, rho0=None):
         )
 
     vals, vecs = np.linalg.eig(dense.conj().T)
-    coeffs = np.linalg.solve(vecs, rho0.reshape(-1, order="F"))
+    coeffs = np.linalg.solve(vecs, rho0.T.reshape(-1, order="F"))
     mags = np.abs(vals)
     degenerate = bool(np.count_nonzero(mags > mags.max() - DEGENERACY_GAP) > 1)
     fixed = np.abs(vals - 1.0) < DEGENERACY_GAP
@@ -381,7 +390,7 @@ def dense_stationary_state(mps_or_model, rho0=None):
             "rho0 has a non-decaying component on a unit-modulus eigenvalue other than 1",
             residual=residual,
         )
-    rho = (vecs[:, fixed] @ coeffs[fixed]).reshape(dim, dim, order="F")
+    rho = (vecs[:, fixed] @ coeffs[fixed]).reshape(dim, dim, order="F").T
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real, 0, degenerate
 

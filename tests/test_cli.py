@@ -416,6 +416,18 @@ class TestTomograph:
         assert doc["state_fidelity"] >= 1 - 1e-8
         assert doc["queries"] == 10  # f + 1 with R = 2
 
+    def test_sampled_window_over_the_qubit_guard_exits_1(self, tmp_path, capsys):
+        # D = 65 needs windows of R = 5 steps, 10 qubits: the first query is refused
+        out = tmp_path / "t.json"
+        argv = ["tomograph", "--D", "65", "--N", "6", "--shots", "1000", "--seed", "0"]
+        for extra in ([], ["--out", str(out)]):
+            assert run(argv + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "exceeds 9 qubits" in captured.err
+        assert not out.exists()
+
     def test_dbound_defaults_to_hidden_environment(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["tomograph", "--D", "2", "--N", "5", "--seed", "3"]

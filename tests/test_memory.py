@@ -270,21 +270,36 @@ class TestStationaryState:
 
     def test_transfer_order_beside_evolve_env(self, rng):
         # A right-canonical site whose left action has a complex fixed point:
-        # evolve_env's limit is stationary_state's, transposed in and out.
+        # stationary_state takes and returns density matrices, so it is
+        # evolve_env's limit with no transposes.
         g = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
         site = np.linalg.qr(g)[0].T.reshape(3, 2, 2, 3)  # sum_{o,i} B B^dag = I
         mps = PptMps(sites=(site,) * 400, d=2)
         rho0 = pure_env_density(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         limit = evolve_env(rho0, mps, 400)
         assert np.max(np.abs(limit.imag)) > 0.01
-        assert np.max(np.abs(stationary_state(mps, rho0.T)[0].T - limit)) < 1e-10
-        assert np.max(np.abs(stationary_state(mps, rho0)[0] - limit)) > 0.01
-        # a Haar model's unital channel has the fixed point I/D: either order
+        assert np.max(np.abs(stationary_state(mps, rho0)[0] - limit)) < 1e-10
         model = random_entangled_model(2, 3, rng, lambdas=np.sqrt([0.9, 0.1]))
         rho_st = stationary_state(model)[0]
         assert np.max(np.abs(rho_st.imag)) > 0.01
-        transposed = stationary_state(model, initial_env_density(model).T)[0].T
-        assert np.max(np.abs(rho_st - transposed)) < 1e-12
+        limit = evolve_env(initial_env_density(model), model, 200)
+        assert np.max(np.abs(rho_st - limit)) < 1e-10
+
+    def test_controlled_z_keeps_the_complex_environment_basis(self):
+        # U = |0><0| (x) I + |1><1| (x) V Z V^dag dephases the environment in
+        # the eigenbasis of V Z V^dag: its fixed space has dimension 2, and
+        # one step reaches the stationary state.  Projecting in (bra, ket)
+        # order instead misses it by 0.41 entrywise for psi_E = (0.6, 0.8i).
+        v = random_haar_unitary(2, 5)
+        w = v @ np.diag([1.0, -1.0]) @ v.conj().T
+        u = np.kron(np.diag([1.0, 0.0]), np.eye(2)) + np.kron(np.diag([0.0, 1.0]), w)
+        psi_e = np.array([0.6, 0.8j])
+        model = OqeModel(2, 2, [u], np.kron([1.0, 0.0], psi_e))
+        rho_e = np.outer(psi_e, psi_e.conj())
+        dephased = sum(np.outer(c, c.conj()) @ rho_e @ np.outer(c, c.conj()) for c in v.T)
+        rho_st = stationary_state(model)[0]
+        assert np.max(np.abs(rho_st - dephased)) < 1e-12
+        assert np.max(np.abs(rho_st - evolve_env(initial_env_density(model), model, 1))) < 1e-12
 
     def test_bare_mps_with_rotating_peripheral_eigenvalue(self):
         # Kraus operators X/d at every (o, i): the left action is rho -> X rho X,

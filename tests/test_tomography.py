@@ -8,6 +8,7 @@ import pytest
 
 from pptlab import (
     BoundViolationError,
+    CapacityError,
     MeasurementOracle,
     UnsupportedPredictionError,
     ValidationError,
@@ -24,15 +25,12 @@ from pptlab import (
 )
 from pptlab import tomography
 from pptlab.models import random_haar_unitary
-from pptlab.tomography import (
-    _pauli_sampled_estimate,
-    _setting_rotations,
-    window_size,
-)
+from pptlab.tomography import _pauli_sampled_estimate, window_size
 
 from conftest import (
     dense_reduced_density,
     fit_overlap_and_grads,
+    invert_pauli_frame,
     pauli_sampled_estimate_loop,
     perturbed,
     random_observable,
@@ -354,36 +352,64 @@ class TestSampledMode:
             assert np.max(np.abs(got - ref)) < 1e-12
             assert got_rng.random() == ref_rng.random()  # same draws consumed
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_setting_rotations_match_kron_products(self, n):
-        rots = _setting_rotations(n)
-        settings = list(itertools.product("XYZ", repeat=n))
-        assert rots.shape == (3**n, 2**n, 2**n)
-        for rot, setting in zip(rots, settings):
-            ref = functools.reduce(np.kron, [tomography._BASIS_ROTATIONS[c] for c in setting])
-            assert np.array_equal(rot, ref)
-        assert not rots.flags.writeable
-        with pytest.raises(ValueError):
-            rots[0, 0, 0] = 0.0
-
     def test_width_three_window_streams_its_rotations(self):
-        # n = 6 qubits: the whole stack would hold 729 rotations of 64 x 64
-        # (48 MB); the estimator runs through it in batches and keeps none
+        # n = 6 qubits: a stack of all 729 setting rotations of 64 x 64 would
+        # hold 48 MB; the per-qubit estimator never forms one
         g = np.random.default_rng(6)
         a = g.standard_normal((64, 64)) + 1j * g.standard_normal((64, 64))
         rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
         got_rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
-        cached = _setting_rotations.cache_info().currsize
         tracemalloc.start()
         try:
             got = _pauli_sampled_estimate(rho, 10000, got_rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.tobytes() == pauli_sampled_estimate_loop(rho, 10000, ref_rng).tobytes()
+        assert np.max(np.abs(got - pauli_sampled_estimate_loop(rho, 10000, ref_rng))) < 1e-12
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert peak < 3**6 * 64 * 64 * 16 / 4
-        assert _setting_rotations.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_wide_windows_match_per_setting_rotations(self, n):
+        """The per-setting loop takes seconds at n = 7 and about half a
+        minute at n = 8, so each per-qubit stage is checked on a sample of
+        settings: setting s has the probabilities diag(R_s rho R_s^dag), and
+        frequencies on those settings alone invert to the frame-inverted sum
+        of R_s^dag diag(phat_s) R_s."""
+        g = np.random.default_rng(n)
+        dim = 2**n
+        a = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        p = tomography._per_qubit(tomography._OUTCOME_MAP, rho, n)
+        phat = np.zeros((3**n, dim))
+        x = np.zeros((dim, dim), dtype=np.complex128)
+        for s in g.choice(3**n, size=4, replace=False):
+            digits = np.unravel_index(s, (3,) * n)  # the first qubit most significant
+            rot = functools.reduce(np.kron, tomography._R[list(digits)])
+            assert np.max(np.abs(p[s] - np.diag(rot @ rho @ rot.conj().T))) < 1e-12
+            phat[s] = g.dirichlet(np.ones(dim))
+            x += rot.conj().T @ (phat[s][:, np.newaxis] * rot)
+        got = tomography._per_qubit(tomography._INVERSE_FRAME, phat, n)
+        assert np.max(np.abs(got - invert_pauli_frame(x, n))) < 1e-12
+
+    def test_sampled_window_over_the_qubit_guard_is_refused_unmeasured(self):
+        # five steps from step 1 (the windows of D = 65) are 10 qubits: inside
+        # the dense guard, so the exact oracle answers them, but not sampled
+        model = random_separable_model(2, 3, 0)
+        oracle = MeasurementOracle(model, 6, shots=1000, seed=0)
+        state = oracle._rng.bit_generator.state
+        assert tomography.SAMPLED_QUBIT_GUARD == 9
+        with pytest.raises(CapacityError, match="exceeds 9 qubits"):
+            oracle.reduced_density((1, 5))
+        with pytest.raises(CapacityError):
+            oracle.reduced_density((0, 5))  # 11 legs: step 0 has one
+        assert oracle.query_log == 0 and oracle._rng.bit_generator.state == state
+        with mock.patch.object(tomography, "SAMPLED_QUBIT_GUARD", 3):
+            assert oracle.reduced_density((0, 1)).shape == (8, 8)  # 3 qubits pass
+            with pytest.raises(CapacityError):
+                oracle.reduced_density((1, 2))
+        assert oracle.query_log == 1
+        assert MeasurementOracle(model, 6).reduced_density((1, 5)).shape == (2**10, 2**10)
 
     def test_estimates_are_normalized(self, rng):
         model = random_separable_model(2, 2, rng)
