@@ -21,7 +21,13 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DimensionError, ValidationError
 from .models import OqeModel, _check_dimensions, _check_eta, near_identity_unitary
-from .ppt import PptMps, enlarged_site_tensor, site_tensor_from_unitary
+from .ppt import (
+    CANONICAL_TOL,
+    PptMps,
+    _gram_residual,
+    enlarged_site_tensor,
+    site_tensor_from_unitary,
+)
 from .tensor_ops import _is_integer, _is_real, transfer_left
 
 DEGENERACY_GAP = 1e-8
@@ -169,15 +175,19 @@ def stationary_state(
     channel on its own, and the limit is the eigenvalue-1 projection P_1 of
     the base left action applied to every block.
 
-    When D^2 exceeds ``_DENSE_MAX_ENTRIES`` the base fixed point sigma and
-    the gap |lambda_2| come from Arnoldi iterations on ``transfer_left``
-    (``_krylov_fixed_point``); if eigenvalue 1 is simple and alone on the
-    unit circle, P_1(X) = sigma tr X and the limit is tr_E rho0 (x) sigma.
-    Otherwise (small D, a degenerate peripheral spectrum, a dominant
-    eigenvalue other than 1, or no Arnoldi convergence) the dense projection
-    runs: one eigendecomposition L = V diag(lam) V^-1 of the base left
-    matrix, one solve for the eigen-coefficients of every block, and the sum
-    of c_k v_k over lam_k = 1.
+    When D^2 exceeds ``_DENSE_MAX_ENTRIES``, ``_krylov_fixed_point`` works
+    matrix-free on ``transfer_left``: deflating the base action Phi by its
+    left eigenvector, the trace (X -> Phi(X) - (I/D) tr X, Brauer), leaves
+    |lambda_2| as the dominant eigenvalue, which one loose Arnoldi solve
+    estimates.  If it lies at least ``_GAP_HANDOVER_MARGIN`` below 1,
+    eigenvalue 1 is simple and alone on the unit circle, the fixed point
+    sigma is the GMRES solution of (1 - Phi + (I/D) tr) sigma = I/D, and
+    P_1(X) = sigma tr X, so the limit is tr_E rho0 (x) sigma.
+    Otherwise (small D, a site that is not trace preserving, an estimate
+    within the margin of 1, or no ARPACK or GMRES convergence) the dense
+    projection runs: one eigendecomposition L = V diag(lam) V^-1 of the base
+    left matrix, one solve for the eigen-coefficients of every block, and
+    the sum of c_k v_k over lam_k = 1.
     A component of ``rho0`` on another unit-modulus eigenvalue never decays,
     so the limit does not exist and ``ConvergenceError`` is raised with that
     component's norm as the residual; so is a map with no eigenvalue 1.
@@ -226,8 +236,8 @@ def stationary_state(
 
 # D^2 above which stationary_state tries the Krylov solve before the dense one
 _DENSE_MAX_ENTRIES = 64
-_GAP_ESTIMATE_TOL = 1e-2  # ARPACK relative tolerance of the first |lambda_2| estimate
-_GAP_RESOLVE_MARGIN = 1e-3  # an estimate this close to 1 is re-solved to machine precision
+_GAP_ESTIMATE_TOL = 1e-2  # ARPACK relative tolerance of the |lambda_2| estimate
+_GAP_HANDOVER_MARGIN = 0.1  # an estimate this close to 1 hands over to the dense projection
 
 
 def _dense_projection(site: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -257,58 +267,61 @@ def _dense_projection(site: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, b
 
 
 def _krylov_fixed_point(site: np.ndarray) -> np.ndarray | None:
-    """Unit-trace fixed point sigma of the left action of ``site``, or None
-    when eigenvalue 1 is not simple and alone on the unit circle.
+    """Unit-trace fixed point sigma of the left action Phi of ``site``, or
+    None when the dense projection must decide.
 
-    Arnoldi (ARPACK ``eigs``, k=1) on a ``transfer_left`` matvec gives the
-    dominant eigenpair to machine precision.  The largest remaining
-    magnitude |lambda_2| is the dominant eigenvalue of the deflated map
-    X -> Phi(X) - sigma tr X, which has Phi's spectrum with lambda_1 = 1
-    replaced by 0 (Brauer); a loose estimate is re-solved to machine
-    precision only when it lies within ``_GAP_RESOLVE_MARGIN`` of 1.  The
-    loose tolerance costs accuracy only on a crowded bulk (|lambda| near 0.5
-    for Haar channels, where a tight solve takes thousands of matvecs at
-    D = 64): an eigenvalue near the unit circle and apart from the bulk is
-    the Ritz value Arnoldi converges first.
+    A right-canonical site's Phi preserves the trace, so the trace is a left
+    eigenvector of Phi with eigenvalue 1, and by Brauer's theorem the map
+    Phi'(X) = Phi(X) - (I/D) tr X has Phi's spectrum with that eigenvalue 1
+    replaced by 0.  Its dominant eigenvalue is therefore |lambda_2|, with no
+    need for sigma: one Arnoldi solve (ARPACK ``eigs``, k=1) on a
+    ``transfer_left`` matvec estimates it at relative tolerance
+    ``_GAP_ESTIMATE_TOL``.  A loose estimate costs accuracy only on a crowded
+    bulk (|lambda| near 0.5 for Haar channels, where a tight solve takes
+    thousands of matvecs at D = 64).  When the estimate is at most
+    1 - ``_GAP_HANDOVER_MARGIN``, eigenvalue 1 of Phi is simple and alone on
+    the unit circle, 1 - Phi' is invertible, and sigma is the unique solution
+    of (1 - Phi') sigma = I/D, found by GMRES from I/D.  A unital site (every
+    model step site) has sigma = I/D, so GMRES returns its start after one
+    residual matvec.
 
-    Every solve starts from one fixed generic vector, never I/D: that is an
-    exact eigenvector of every unital channel and breaks the Arnoldi process
-    down.  Each may restart at most D^2 times; a spectrum it cannot resolve
-    in that (every eigenvalue on the unit circle, say) also gives None.
+    None hands over to the dense projection when the site is not trace
+    preserving (right-canonicality residual above ``CANONICAL_TOL``), when
+    the estimate lies within the margin of 1 (a fixed space of dimension
+    above 1, a rotating peripheral eigenvalue, or a cluster near 1 that a
+    loose Ritz value may land inside), or when ARPACK (at most D^2 restarts)
+    or GMRES does not converge.  The Arnoldi solve starts from one fixed
+    generic vector, never I/D: that is an exact eigenvector of every unital
+    channel (with eigenvalue 0 under Phi') and breaks the Arnoldi process
+    down.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs  # ~30 ms import
+    # ~30 ms import, paid only here
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, gmres
 
+    if _gram_residual(site) > CANONICAL_TOL:
+        return None
     D = site.shape[0]
     n = D * D
     diag = np.arange(D) * (D + 1)  # positions of the diagonal in a column-major vec
     v0 = np.random.default_rng(0).standard_normal((2, n)).T @ np.array([1.0, 1.0j])
+    mixed = np.zeros(n, dtype=np.complex128)
+    mixed[diag] = 1.0 / D
 
-    def phi(v):
-        x = transfer_left(v.reshape(D, D, order="F"), site, site)
-        return x.reshape(-1, order="F")
+    def deflated(v):
+        x = transfer_left(v.reshape(D, D, order="F"), site, site).reshape(-1, order="F")
+        x[diag] -= v[diag].sum() / D
+        return x
 
-    def dominant(matvec, tol, vectors=False):
-        op = LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
-        return eigs(op, k=1, v0=v0, tol=tol, maxiter=n, return_eigenvectors=vectors)
-
+    op = LinearOperator((n, n), matvec=deflated, dtype=np.complex128)
     try:
-        (lam,), vecs = dominant(phi, 0, vectors=True)
-        trace = vecs[diag, 0].sum()
-        # a state sigma has tr sigma >= ||sigma||_F, so a unit-norm fixed
-        # vector with |trace| < 1/2 is no multiple of one: the fixed space is larger
-        if abs(lam - 1.0) >= DEGENERACY_GAP or abs(trace) < 0.5:
-            return None
-        sigma = vecs[:, 0] / trace
-
-        def deflated(v):
-            return phi(v) - sigma * v[diag].sum()
-
-        lam2 = abs(dominant(deflated, _GAP_ESTIMATE_TOL)[0])
-        if lam2 > 1.0 - _GAP_RESOLVE_MARGIN:
-            lam2 = abs(dominant(deflated, 0)[0])
+        (lam2,) = eigs(op, k=1, v0=v0, tol=_GAP_ESTIMATE_TOL, maxiter=n, return_eigenvectors=False)
     except ArpackNoConvergence:
         return None
-    if lam2 > 1.0 - DEGENERACY_GAP:
+    if abs(lam2) > 1.0 - _GAP_HANDOVER_MARGIN:
+        return None
+    resolvent = LinearOperator((n, n), matvec=lambda v: v - deflated(v), dtype=np.complex128)
+    sigma, info = gmres(resolvent, mixed, x0=mixed, rtol=1e-14, atol=1e-15)
+    if info != 0:
         return None
     return sigma.reshape(D, D, order="F")
 

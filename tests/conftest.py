@@ -145,6 +145,13 @@ def embed_environment(model: OqeModel, iso: np.ndarray) -> OqeModel:
     return OqeModel(model.d, D_new, us, psi)
 
 
+def random_right_canonical_site(rng, d: int, D: int) -> np.ndarray:
+    """A generic site with sum_{o,i} B B^dag = I: its left action preserves
+    the trace but is not unital, so its fixed point is not I/D."""
+    g = rng.standard_normal((d * d * D, D)) + 1j * rng.standard_normal((d * d * D, D))
+    return np.linalg.qr(g)[0].T.reshape(D, d, d, D)
+
+
 def random_env_isometry(rng, D_from: int, D_to: int) -> np.ndarray:
     """Haar-random isometry with D_from orthonormal columns in C^{D_to}."""
     z = rng.standard_normal((D_to, D_from)) + 1j * rng.standard_normal((D_to, D_from))

@@ -33,6 +33,7 @@ from conftest import (
     dense_stationary_state,
     dense_transfer_matrix,
     partial_process_tensor,
+    random_right_canonical_site,
 )
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -268,12 +269,67 @@ class TestStationaryState:
         assert_matches_dense_oracle(mps, np.eye(3) / 3)
         assert_matches_dense_oracle(mps, np.diag([1.0, 0.0, 0.0]), raises=p < DEGENERACY_GAP)
 
+    @pytest.mark.parametrize("eta", [0.02, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("D", [9, 12, 16])
+    def test_reducible_channel_matches_dense_oracle(self, D, eta):
+        # U is block-diagonal over two halves of the environment, so each half
+        # keeps its weight: eigenvalue 1 is at least double, and near-identity
+        # blocks crowd more eigenvalues near 1.  A loose Ritz value can land
+        # inside that cluster, so the Krylov branch must hand it over.
+        d = 2
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            u = np.zeros((d * D, d * D), dtype=np.complex128)
+            for half in (range(D // 2), range(D // 2, D)):
+                idx = [s * D + e for s in range(d) for e in half]
+                u[np.ix_(idx, idx)] = near_identity_unitary(d * len(half), eta, rng)
+            psi_e = rng.standard_normal(D) + 1j * rng.standard_normal(D)  # weight in both halves
+            psi = np.kron([1.0, 0.0], psi_e / np.linalg.norm(psi_e))
+            assert_matches_dense_oracle(OqeModel(d, D, [u], psi))
+
+    @pytest.mark.parametrize("D", [9, 12, 16])
+    def test_non_unital_site_takes_the_gmres_fixed_point(self, D, rng, monkeypatch):
+        # a trace-preserving, non-unital site: sigma is not I/D, so GMRES
+        # iterates, and the dense projection must not be needed
+        site = random_right_canonical_site(rng, 2, D)
+        rho0 = pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
+
+        def no_dense_projection(*args):
+            raise AssertionError("handed over to the dense projection")
+
+        monkeypatch.setattr(memory, "_dense_projection", no_dense_projection)
+        assert_matches_dense_oracle(PptMps(sites=(site,), d=2), rho0)
+
+    def test_one_arnoldi_solve_and_no_gmres_iteration_on_a_unital_site(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls = {"eigs": 0, "matvecs": 0, "transfer_left": 0}
+        step, solve = memory.transfer_left, scipy.sparse.linalg.eigs
+
+        def counting_step(*args):
+            calls["transfer_left"] += 1
+            return step(*args)
+
+        def counting_eigs(*args, **kwargs):
+            before = calls["transfer_left"]
+            result = solve(*args, **kwargs)
+            calls["eigs"] += 1
+            calls["matvecs"] += calls["transfer_left"] - before
+            return result
+
+        monkeypatch.setattr(memory, "transfer_left", counting_step)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting_eigs)
+        rho, _, _ = stationary_state(random_separable_model(2, 16, 0))
+        assert np.max(np.abs(rho - np.eye(16) / 16)) < 1e-12
+        # GMRES starts at I/D, the fixed point of a unital site: one residual matvec
+        assert calls["eigs"] == 1
+        assert calls["transfer_left"] <= calls["matvecs"] + 1
+
     def test_transfer_order_beside_evolve_env(self, rng):
         # A right-canonical site whose left action has a complex fixed point:
         # stationary_state takes and returns density matrices, so it is
         # evolve_env's limit with no transposes.
-        g = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-        site = np.linalg.qr(g)[0].T.reshape(3, 2, 2, 3)  # sum_{o,i} B B^dag = I
+        site = random_right_canonical_site(rng, 2, 3)
         mps = PptMps(sites=(site,) * 400, d=2)
         rho0 = pure_env_density(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         limit = evolve_env(rho0, mps, 400)

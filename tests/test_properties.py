@@ -63,6 +63,7 @@ from conftest import (
     pair_leaf,
     pauli_sampled_estimate_loop,
     random_observable,
+    random_right_canonical_site,
     version_1_model_doc,
     version_1_ppt_doc,
     version_2_ppt_doc,
@@ -565,17 +566,24 @@ def test_near_identity_unitary_matches_expm(dim, eta, size, seed):
     seed=st.integers(0, 2**32 - 1),
     weights=st.none() | st.lists(st.floats(0.01, 1.0), min_size=2, max_size=3),
     krylov=st.booleans(),
+    bare=st.booleans(),
 )
-def test_stationary_state_matches_dense_oracle(d, D, seed, weights, krylov):
-    # A crossover of 1 sends every D >= 2 through the Krylov branch.
-    if weights is None or D == 1:
-        model = random_separable_model(d, D, seed)
+def test_stationary_state_matches_dense_oracle(d, D, seed, weights, krylov, bare):
+    # A crossover of 1 sends every D >= 2 through the Krylov branch.  A bare
+    # right-canonical site is not unital, so its fixed point needs GMRES.
+    rho0 = None
+    if bare:
+        rng = np.random.default_rng(seed)
+        subject = PptMps(sites=(random_right_canonical_site(rng, d, D),), d=d)
+        rho0 = memory.pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
+    elif weights is None or D == 1:
+        subject = random_separable_model(d, D, seed)
     else:
         lambdas = np.sqrt(weights[: min(d, D)])
-        model = random_entangled_model(d, D, seed, lambdas=lambdas)
+        subject = random_entangled_model(d, D, seed, lambdas=lambdas)
     with mock.patch.object(memory, "_DENSE_MAX_ENTRIES", 1 if krylov else 64):
-        rho, steps, degenerate = memory.stationary_state(model)
-    ref, _, ref_degenerate = dense_stationary_state(model)
+        rho, steps, degenerate = memory.stationary_state(subject, rho0)
+    ref, _, ref_degenerate = dense_stationary_state(subject, rho0)
     assert steps == 0 and degenerate == ref_degenerate
     assert np.max(np.abs(rho - ref)) < 1e-10
 
