@@ -32,7 +32,7 @@ for shots in (10**3, 10**5):
 # -- variational refit and prediction ---------------------------------------
 
 target = pl.build_ppt(hidden, 5)
-fit = pl.variational_fit(target, N=5, D=2, time_independent=True, seed=0)
+fit = pl.variational_fit(target, seed=0)
 print("fit loss trace:      ", [f"{x:.1e}" for x in fit.loss_trace[:3]], "->",
       f"{fit.loss_trace[-1]:.1e}")
 

@@ -153,15 +153,7 @@ def _cmd_tomograph(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    model = _make_model(args)
-    target = ppt.build_ppt(model, args.N)
-    report = tomography.variational_fit(
-        target,
-        args.N,
-        target.env_dim,
-        time_independent=not args.time_dependent,
-        seed=args.seed,
-    )
+    report = tomography.variational_fit(ppt.build_ppt(_make_model(args), args.N), seed=args.seed)
     _write_out(report.to_json(), args.out)
     return 0 if report.converged else 2
 
@@ -273,10 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas")
     p.set_defaults(func=_cmd_tomograph)
 
-    p = sub.add_parser("fit", help="variationally fit step unitaries to a built PPT")
+    p = sub.add_parser("fit", help="variationally fit a shared step unitary to a built PPT")
     common(p)
     p.add_argument("--N", type=positive_int, required=True)
-    p.add_argument("--time-dependent", dest="time_dependent", action="store_true")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="extend a fitted time-independent model")

@@ -31,6 +31,7 @@ from .exceptions import (
 )
 from .models import OqeModel
 from .tensor_ops import (
+    _cluster_rotation,
     _is_integer,
     as_complex_array,
     decode_complex,
@@ -47,6 +48,7 @@ SCHMIDT_RANK_TOL = 1e-8  # Schmidt values counted by memory_size
 CANONICAL_TOL = 1e-10  # right-canonicality residual and norm deviation allowed by validate
 TRUNCATION_TOL = 1e-13  # relative singular value dropped by to_right_canonical
 SPLIT_TOL = 1e-12  # relative singular value dropped by split_block
+CLUSTER_TOL = 1e-10  # gap below which kept values share a pinned basis (relative in split_block)
 MAX_STEPS = 10**6  # max steps build_ppt makes and a PPT document may expand to
 CANONICAL_FORMS = ("none", "right")
 
@@ -369,15 +371,11 @@ def check_isometry(model: OqeModel) -> float:
 
     T maps the environment into (environment, out, in) by feeding one half
     of a fresh maximally entangled pair through the step unitary; it is an
-    exact isometry precisely when the stored matrix is unitary.
+    exact isometry precisely when the stored matrix is unitary, and T^dag T
+    is the (conjugated) Gram matrix of the step's site tensor.
     """
     d, D = model.d, model.D
-    worst = 0.0
-    for u in model.unitaries:
-        u4 = u.reshape(d, D, d, D)  # (o, b, i, a)
-        t = u4.transpose(1, 0, 2, 3).reshape(D * d * d, D) / np.sqrt(d)
-        worst = max(worst, float(np.max(np.abs(t.conj().T @ t - np.eye(D)))))
-    return worst
+    return max(_gram_residual(site_tensor_from_unitary(u, d, D)) for u in model.unitaries)
 
 
 # -- canonical forms ------------------------------------------------------
@@ -549,10 +547,11 @@ def split_block(block: np.ndarray, shapes, max_bond: int | None = None) -> list[
     Every site but the first is a row block of an SVD's V^dag and hence
     right-canonical; the first carries the singular values.  On each bond
     the singular values above ``SPLIT_TOL`` times the largest are kept, at most
-    ``max_bond`` of them and at least one.  The gauge is pinned: the
-    largest-magnitude entry of each kept V^dag row is made real and
-    positive and the conjugate phase moved into U, so the sites do not
-    depend on the phases LAPACK picks.
+    ``max_bond`` of them and at least one.  The gauge is pinned, so the
+    sites do not depend on the bases and phases LAPACK picks: where kept
+    values agree within ``CLUSTER_TOL`` of the largest, ``_cluster_rotation``
+    fixes the V^dag rows, and the largest-magnitude entry of each kept row
+    is made real and positive, the conjugate phase moved into U.
     """
     left, _, bond = block.shape
     sites: list[np.ndarray] = [None] * len(shapes)
@@ -562,11 +561,14 @@ def split_block(block: np.ndarray, shapes, max_bond: int | None = None) -> list[
         keep = max(int(np.count_nonzero(s > SPLIT_TOL * s[0])), 1)
         if max_bond is not None:
             keep = min(keep, max_bond)
-        vh = vh[:keep]
+        carry, scale, vh = u[:, :keep], s[:keep], vh[:keep]
+        rot = _cluster_rotation(scale, vh.conj().T, CLUSTER_TOL * s[0])
+        if rot is not None:  # rotating U S, not U, keeps U S V^dag exact
+            carry, scale, vh = (carry * scale) @ rot, 1.0, rot.conj().T @ vh
         peak = vh[np.arange(keep), np.argmax(np.abs(vh), axis=1)]  # nonzero: rows have unit norm
         phase = peak / np.abs(peak)
         sites[n] = (vh * phase.conj()[:, np.newaxis]).reshape(keep, *shapes[n], bond)
-        work = u[:, :keep] * (phase * s[:keep])
+        work = carry * (phase * scale)
         bond = keep
     sites[0] = work.reshape(left, *shapes[0], bond)
     return sites

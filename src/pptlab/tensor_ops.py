@@ -4,12 +4,14 @@ All routines operate on plain ``numpy.ndarray`` objects in complex double
 precision and are pure functions of their inputs: input coercion, the JSON
 codec for complex arrays, objects and integer keys, the two transfer
 contractions every MPS sweep is built from, polar and isometric projections
-by SVD, and deterministic QR completion of orthonormal columns to a unitary.
+by SVD, deterministic QR completion of orthonormal columns to a unitary, and
+a fixed basis inside near-degenerate eigenspaces.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import math
 
 import numpy as np
@@ -182,3 +184,28 @@ def fill_unassigned_columns(full: np.ndarray, assigned: np.ndarray) -> np.ndarra
         q = np.linalg.qr(np.hstack([full[:, assigned], np.eye(full.shape[0])]))[0]
         full[:, ~assigned] = q[:, k:]
     return full
+
+
+def _cluster_rotation(values: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray | None:
+    """Block-diagonal unitary W that fixes the basis ``vecs @ W``, up to column
+    phases, inside each run of consecutive sorted ``values`` closer than
+    ``tol``: it diagonalises one fixed generic Hermitian compressed to the
+    run's columns.  None when no two values are that close."""
+    close = np.abs(np.diff(values)) < tol
+    if not close.any():
+        return None
+    h = _generic_hermitian(vecs.shape[0])
+    w = np.eye(len(values), dtype=np.complex128)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], close, [0]))))
+    for a, b in zip(edges[::2], edges[1::2] + 1):  # values a..b-1 form one run
+        w[a:b, a:b] = np.linalg.eigh(vecs[:, a:b].conj().T @ h @ vecs[:, a:b])[1]
+    return w
+
+
+@functools.cache
+def _generic_hermitian(n: int) -> np.ndarray:
+    """A fixed n x n Hermitian with Gaussian entries, drawn from seed 0."""
+    re, im = np.random.default_rng(0).standard_normal((2, n, n))
+    h = (re + re.T) + 1j * (im - im.T)
+    h.flags.writeable = False
+    return h

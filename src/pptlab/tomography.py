@@ -27,13 +27,12 @@ diagonalising that block fixes the Schmidt vectors and values, the
 environment basis is pinned to the computational one, and undoing the gates
 on the MPS of that product yields the state.
 
-The variational route refits the site unitaries directly: the ansatz is a
-sequentially generated state with parametric step unitaries (one shared
-matrix in the time-independent case) and a final unitary on the
-environment.  The step unitaries follow gradient ascent on the overlap
-with a polar retraction back onto the unitary manifold; the final unitary
-enters the overlap linearly and is therefore set to its exact maximiser at
-every evaluation.
+The variational route refits a time-independent model directly: the ansatz
+is a sequentially generated state with one parametric step unitary shared
+by every step and a final unitary on the environment.  The step unitary
+follows gradient ascent on the overlap with a polar retraction back onto
+the unitary manifold; the final unitary enters the overlap linearly and is
+therefore set to its exact maximiser at every evaluation.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from .exceptions import (
 )
 from .models import OqeModel, SchmidtForm, _as_rng, near_identity_unitary, random_haar_unitary
 from .ppt import (
+    CLUSTER_TOL,
     PROCESS_TENSOR_GUARD,
     SPLIT_TOL,
     PptMps,
@@ -66,6 +66,7 @@ from .ppt import (
     to_right_canonical,
 )
 from .tensor_ops import (
+    _cluster_rotation,
     _is_integer,
     closest_isometry,
     fill_unassigned_columns,
@@ -403,8 +404,8 @@ def disentangle_reconstruct(
                 f"window {j}: sampled support {n_support} truncated to the bound {limit}"
             )
             n_support = limit
-        if n_support > 1 and np.any(np.abs(np.diff(evals[:n_support])) < 1e-10):
-            notes.append(f"window {j}: near-degenerate support spectrum, canonical ordering used")
+        if n_support > 1 and np.any(np.abs(np.diff(evals[:n_support])) < CLUSTER_TOL):
+            notes.append(f"window {j}: near-degenerate support spectrum, basis pinned")
         basis = fill_unassigned_columns(vecs, np.arange(vecs.shape[1]) < n_support)
         gate = basis.conj().T
         gates.append((j, gate))
@@ -462,33 +463,34 @@ def disentangle_reconstruct(
 
 
 def _eigh_descending(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigendecomposition; each eigenvector's largest entry is made
-    real and positive (by ``np.hypot``: ``np.abs`` rounds differently)."""
+    """Descending eigendecomposition in a pinned gauge: ``_cluster_rotation``
+    fixes the basis where support eigenvalues agree within ``CLUSTER_TOL``,
+    and each eigenvector's largest entry is made real and positive (by
+    ``np.hypot``: ``np.abs`` rounds differently)."""
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")
-    v = v[:, order]
+    w, v = w[order], v[:, order]
+    k = int(np.count_nonzero(w > SUPPORT_TOL))
+    rot = _cluster_rotation(w[:k], v[:, :k], CLUSTER_TOL)
+    if rot is not None:
+        v[:, :k] = v[:, :k] @ rot
     peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return w[order], v * (peak.conj() / np.hypot(peak.real, peak.imag))
+    return w, v * (peak.conj() / np.hypot(peak.real, peak.imag))
 
 
 # -- variational fitting -------------------------------------------------------
 
 
-def _ansatz_sites(u_list, d: int, D: int, n_steps: int) -> list[np.ndarray]:
-    sites = [site_tensor_from_unitary(u, d, D) for u in u_list[:n_steps]]
-    if len(u_list) == 1:
-        sites *= n_steps  # a shared unitary gives one site array for every step
-    sites[0] = sites[0][0:1]  # initial environment pinned to |0>
-    return sites
+def _ansatz_sites(u, d: int, D: int, n_steps: int) -> list[np.ndarray]:
+    site = site_tensor_from_unitary(u, d, D)  # one site array for every step
+    return [site[0:1]] + [site] * (n_steps - 1)  # initial environment pinned to |0>
 
 
 def _forward_envs(target_chain, ansatz_sites):
     """Left environments: envs[n] contracts the first n sites of target and ansatz."""
-    env = np.ones((1, 1), dtype=np.complex128)
-    envs = [env]
+    envs = [np.ones((1, 1), dtype=np.complex128)]
     for tn, an in zip(target_chain, ansatz_sites):
-        env = transfer_left(env, tn, an)
-        envs.append(env)
+        envs.append(transfer_left(envs[-1], tn, an))
     return envs
 
 
@@ -509,14 +511,14 @@ def _unitary_gradient(left, target_site, right):
     return g.reshape(q, d, d, s).transpose(1, 3, 2, 0).reshape(d * s, d * q) / np.sqrt(d)
 
 
-def _backward_grads(chain, sites, of, fwd, d, D, shared, u_count):
-    grads_u = [np.zeros((d * D, d * D), dtype=np.complex128) for _ in range(u_count)]
+def _backward_grad(chain, sites, of, fwd, d, D):
+    """Gradient of the overlap in the shared step unitary: the sum over steps."""
+    grad = np.zeros((d * D, d * D), dtype=np.complex128)
     bwd = _backward_envs(chain[1:], sites[1:], of)
     for n, (tn, right) in enumerate(zip(chain, bwd)):
-        h = _unitary_gradient(fwd[n], tn, right)
         # the boundary site's left bond is pinned to |0>: it feeds columns (i, alpha=0)
-        grads_u[0 if shared else n][:, :: D if n == 0 else 1] += h
-    return grads_u
+        grad[:, :: D if n == 0 else 1] += _unitary_gradient(fwd[n], tn, right)
+    return grad
 
 
 def _optimal_final_unitary(lmat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -530,56 +532,46 @@ def _optimal_final_unitary(lmat: np.ndarray) -> tuple[np.ndarray, float]:
     return (u_ @ vh_).conj().T, float(s_.sum())
 
 
-def variational_fit(
-    target: PptMps,
-    N: int,
-    D: int,
-    time_independent: bool,
-    seed=0,
-) -> ReconstructionReport:
-    """Fit parametric step unitaries (plus a final environment unitary) to a
-    target PPT by gradient ascent on the overlap with polar retraction.
+def variational_fit(target: PptMps, seed=0) -> ReconstructionReport:
+    """Fit one step unitary shared by every step (plus a final environment
+    unitary) to a target PPT by gradient ascent on the overlap with polar
+    retraction; the environment size is the target's ``env_dim``.
 
-    The warm start defaults to the polar projections of the reshaped target
-    site matrices, with the environment gauge aligned so the ansatz initial
-    state |0> is consistent.  ``FIT_RESTARTS`` restarts perturb the warm
-    start or draw fresh unitaries; the best loss wins.  The fit is not
-    deterministic in general and may stall in a local minimum, in which
-    case the report flags ``converged = False``.
+    The warm start is the polar mean of the reshaped target site matrices,
+    with the environment gauge aligned so the ansatz initial state |0> is
+    consistent.  ``FIT_RESTARTS`` restarts perturb the warm start or draw
+    fresh unitaries from ``seed``; the best loss wins.  For a given seed the
+    fit is deterministic; it may stall in a local minimum, in which case the
+    report flags ``converged = False``.
     """
-    if not (_is_integer(N) and N == target.n_steps):
-        raise ValidationError(f"target has {target.n_steps} steps, not {N!r}")
     if target.leading_site is not None:
         raise ValidationError("fit the absorbed form (absorb_initial_leg) of an exposed leg")
-    if not (_is_integer(D) and D == target.env_dim):
-        raise DimensionError(f"target environment dimension {target.env_dim} != D={D!r}")
     if target.canonical != "right":
         target = to_right_canonical(target)
-    d = target.d
+    d, D, n_steps = target.d, target.env_dim, target.n_steps
     rng = _as_rng(seed)
-    u0, residuals = _warm_start(target, d, D, time_independent)
+    u0, residuals = _warm_start(target, d, D)
 
     nt2 = target.norm() ** 2
     best = None
     for attempt in range(FIT_RESTARTS + 1):
         if attempt == 0:
-            u_list = [u.copy() for u in u0]
+            u = u0
         elif attempt <= (FIT_RESTARTS + 1) // 2:  # perturb the warm start
-            scale = 0.1 * attempt
-            u_list = [u @ near_identity_unitary(u.shape[0], scale, rng) for u in u0]
+            u = u0 @ near_identity_unitary(d * D, 0.1 * attempt, rng)
         else:  # fresh random basins
-            u_list = [random_haar_unitary(u.shape[0], rng) for u in u0]
-        trace, of = _descend(target, u_list, d, D, time_independent, nt2)
+            u = random_haar_unitary(d * D, rng)
+        trace, u, of = _descend(target, u, d, D, nt2)
         if best is None or trace[-1] < best[0]:
-            best = (trace[-1], [u.copy() for u in u_list], of, trace)
+            best = (trace[-1], u, of, trace)
         if best[0] < FIT_SUCCESS_TOL:
             break
 
-    loss, u_list, of, trace = best
-    mps = _ansatz_mps(u_list, of, d, D, N)
-    psi0 = np.zeros(d * D, dtype=np.complex128)
-    psi0[0] = 1.0
-    model = OqeModel(d, D, u_list, psi0)
+    loss, u, of, trace = best
+    sites = _ansatz_sites(u, d, D, n_steps)
+    sites[-1] = np.einsum("aoib,cb->aoic", sites[-1], of)  # the final unitary on the environment
+    mps = PptMps(sites=tuple(sites), d=d, canonical="right")
+    model = OqeModel(d, D, [u], np.eye(d * D, dtype=np.complex128)[0])
     note = "ansatz initial state fixed to |0>; recovered unitaries carry an environment gauge"
     converged = loss < FIT_SUCCESS_TOL
     if not converged:
@@ -595,67 +587,56 @@ def variational_fit(
     )
 
 
-def _descend(target, u_list, d, D, shared, nt2) -> tuple[list[float], np.ndarray]:
-    """Gradient descent on the step unitaries with polar retraction.
+def _descend(target, u, d, D, nt2) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Gradient descent on the shared step unitary with polar retraction.
 
     The final environment unitary enters the overlap linearly, so it is set
     to its exact maximiser at every evaluation; the step-unitary gradient
-    taken at that point is the gradient of the envelope.  ``u_list`` is
-    updated in place; returns the loss trace and the final unitary.
+    taken at that point is the gradient of the envelope.  Returns the loss
+    trace, the step unitary and the final unitary.
     """
     chain = target.chain()
 
-    def evaluate(ul):
-        sites = _ansatz_sites(ul, d, D, len(chain))
+    def evaluate(u):
+        sites = _ansatz_sites(u, d, D, len(chain))
         fwd = _forward_envs(chain, sites)
         of, nuclear = _optimal_final_unitary(fwd[-1])
         return nt2 + 1.0 - 2.0 * nuclear, of, sites, fwd
 
-    loss, of, sites, fwd = evaluate(u_list)
-    grads = None  # taken at the current point once a step from it is tried
+    loss, of, sites, fwd = evaluate(u)
+    grad = None  # taken at the current point once a step from it is tried
     step = 0.2
     trace = [loss]
     for _ in range(FIT_MAX_ITER):
         if loss < 1e-14 or step < 1e-12:
             break
-        if grads is None:
-            grads = _backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
-        cand_u = [closest_isometry(u + step * g.conj()) for u, g in zip(u_list, grads)]
-        cand_loss, cand_of, cand_sites, cand_fwd = evaluate(cand_u)
+        if grad is None:
+            grad = _backward_grad(chain, sites, of, fwd, d, D)
+        cand = closest_isometry(u + step * grad.conj())
+        cand_loss, cand_of, cand_sites, cand_fwd = evaluate(cand)
         if cand_loss < loss - 1e-16:
-            u_list[:] = cand_u
-            loss, of, sites, fwd = cand_loss, cand_of, cand_sites, cand_fwd
+            u, loss, of, sites, fwd = cand, cand_loss, cand_of, cand_sites, cand_fwd
             trace.append(loss)
-            grads = None
+            grad = None
             step = min(step * 1.5, 2.0)
         else:
             step *= 0.5
     if trace[-1] != loss:
         trace.append(loss)
-    return trace, of
+    return trace, u, of
 
 
-def _ansatz_mps(u_list, of, d, D, n_steps) -> PptMps:
-    sites = _ansatz_sites(u_list, d, D, n_steps)
-    last = np.einsum("aoib,cb->aoic", sites[-1], of)
-    sites[-1] = last
-    return PptMps(sites=tuple(sites), d=d, canonical="right")
-
-
-def _warm_start(target: PptMps, d: int, D: int, time_independent: bool):
+def _warm_start(target: PptMps, d: int, D: int):
     """Polar warm start from the reshaped target sites, gauge aligned.
 
-    For the time-independent ansatz the shared unitary is the polar mean of
-    the bulk site matrices; the initial environment vector implied by the
-    boundary site is rotated onto |0>.  Returns the warm-start unitaries and
-    the per-site projection residuals of ``mps_to_oqe``.
+    The shared unitary is the polar mean of the bulk site matrices; the
+    initial environment vector implied by the boundary site is rotated onto
+    |0>.  Returns the warm-start unitary and the per-site projection
+    residuals of ``mps_to_oqe``.
     """
     model, residuals = mps_to_oqe(target)
     if model.D != D:
-        raise DimensionError(f"target bond dimension {model.D} incompatible with D={D}")
-    if not time_independent:
-        return list(model.unitaries), residuals
-
+        raise DimensionError(f"target bond dimension {model.D} exceeds its environment leg {D}")
     if len(model.unitaries) >= 2:
         try:
             u_shared = polar_unitary(np.mean(np.stack(model.unitaries[1:]), axis=0))
@@ -670,16 +651,14 @@ def _warm_start(target: PptMps, d: int, D: int, time_independent: bool):
     inj = np.zeros((d, D, d), dtype=np.complex128)
     inj[:, : site1.shape[3], :] = np.sqrt(d) * site1[0].transpose(0, 2, 1)
     uv = u_shared.conj().T @ inj.reshape(d * D, d)
-    psi = np.zeros(D, dtype=np.complex128)
-    for i in range(d):
-        psi += uv[i * D : (i + 1) * D, i]
+    psi = np.trace(uv.reshape(d, D, d), axis1=0, axis2=2)
     nrm = np.linalg.norm(psi)
     if nrm < 1e-8:
-        return [u_shared], residuals
+        return u_shared, residuals
     first = np.arange(D) == 0
     w = fill_unassigned_columns(np.outer(psi / nrm, first), first)
     lifted = np.kron(np.eye(d), w)
-    return [lifted.conj().T @ u_shared @ lifted], residuals
+    return lifted.conj().T @ u_shared @ lifted, residuals
 
 
 def predict_future(report: ReconstructionReport, n_future: int) -> PptMps:

@@ -118,14 +118,14 @@ def dense_left_matrix(site):
     return out
 
 
-def fit_overlap_and_grads(target: PptMps, u_list, of, d, D, shared: bool):
-    """Overlap <target|ansatz> of ``variational_fit``'s ansatz and its gradients
-    in the step unitaries, from the fit's own environment sweeps."""
+def fit_overlap_and_grad(target: PptMps, u, of, d, D):
+    """Overlap <target|ansatz> of ``variational_fit``'s ansatz and its gradient
+    in the shared step unitary, from the fit's own environment sweeps."""
     chain = target.chain()
-    sites = tomography._ansatz_sites(u_list, d, D, len(chain))
+    sites = tomography._ansatz_sites(u, d, D, len(chain))
     fwd = tomography._forward_envs(chain, sites)
     overlap = complex(np.einsum("pq,pq", fwd[-1], of))
-    return overlap, tomography._backward_grads(chain, sites, of, fwd, d, D, shared, len(u_list))
+    return overlap, tomography._backward_grad(chain, sites, of, fwd, d, D)
 
 
 def embed_environment(model: OqeModel, iso: np.ndarray) -> OqeModel:

@@ -136,7 +136,7 @@ def test_criterion_5_prediction_from_time_independent_fit():
     for seed in range(10):
         model = pl.random_separable_model(2, 2, 7000 + seed)
         target = pl.build_ppt(model, 5)
-        rep = pl.variational_fit(target, 5, 2, time_independent=True, seed=seed)
+        rep = pl.variational_fit(target, seed=seed)
         predicted = pl.predict_future(rep, 8)
         truth = pl.build_ppt(model, 8)
         worst = 0.0

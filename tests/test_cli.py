@@ -349,6 +349,18 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and "does not match any flag" in captured.err
 
+    def test_time_dependent_is_a_figs2_flag_only(self, tmp_path, capsys):
+        # fit fits one shared step unitary; a per-step model is mps_to_oqe's read-back
+        argv = ["fit", "--N", "3", "--seed", "1"]
+        assert run(argv + ["--time-dependent"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --time-dependent" in captured.err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"time-dependent": True}))
+        assert run(["--config", str(cfg), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "does not match any flag" in captured.err
+
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     @pytest.mark.parametrize(
         "argv", [["build", "--N", "3"], ["complexity"], ["tomograph", "--N", "3"]],

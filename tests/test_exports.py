@@ -25,14 +25,17 @@ def test_dense_transfer_layer_is_gone(name):
 @pytest.mark.parametrize(
     "owner, name",
     [(pptlab.MeasurementOracle, "mode"), (pptlab.variational_fit, "warm_start"),
-     (pptlab.variational_fit, "n_restarts"),
+     (pptlab.variational_fit, "n_restarts"), (pptlab.variational_fit, "time_independent"),
+     (pptlab.variational_fit, "N"), (pptlab.variational_fit, "D"),
      (pptlab.ComplexityReport.to_json_dict, "predicted_bits"),
      (pptlab.fig_s2_experiment, "rho0")],
-    ids=["oracle_mode", "fit_warm_start", "fit_n_restarts", "report_predicted_bits", "figs2_rho0"],
+    ids=["oracle_mode", "fit_warm_start", "fit_n_restarts", "fit_time_independent", "fit_N",
+         "fit_D", "report_predicted_bits", "figs2_rho0"],
 )
 def test_removed_parameters_stay_gone(owner, name):
-    # shots=None already means exact; the restart count is FIT_RESTARTS; a
-    # report carries its own prediction; every figs2 run starts from |0><0|
+    # shots=None already means exact; the restart count is FIT_RESTARTS; the
+    # fit shares one step unitary and reads N and D off its target; a report
+    # carries its own prediction; every figs2 run starts from |0><0|
     assert name not in inspect.signature(owner).parameters
 
 
