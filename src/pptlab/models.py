@@ -61,7 +61,8 @@ class OqeModel:
     ``unitaries`` holds (d*D, d*D) matrices; a length-1 list marks the
     time-independent case and is reused for every step.  ``initial_state``
     is a unit vector of length d*D.  Construction checks all of this, stores
-    read-only complex128 copies of the arrays, decomposes the initial state
+    read-only complex128 copies of the arrays (one per distinct unitary
+    object, shared where the input repeats it), decomposes the initial state
     once (its Schmidt arrays are kept read-only) and derives ``entangled``
     (Schmidt rank > 1), so every instance is valid and self-consistent.
     """
@@ -78,7 +79,12 @@ class OqeModel:
         store = functools.partial(object.__setattr__, self)
         store("d", int(self.d))
         store("D", int(self.D))
-        store("unitaries", tuple(_read_only(u, ndim=2) for u in self.unitaries))
+        given = tuple(self.unitaries)  # holds every object, so no id is reused
+        copies: dict[int, np.ndarray] = {}  # one read-only copy per distinct object
+        for u in given:
+            if id(u) not in copies:
+                copies[id(u)] = _read_only(u, ndim=2)
+        store("unitaries", tuple(copies[id(u)] for u in given))
         store("initial_state", _read_only(self.initial_state).reshape(-1))
         self._validate()
         form = schmidt_decompose(self.initial_state, self.d, self.D)
@@ -113,7 +119,11 @@ class OqeModel:
         dim = self.d * self.D
         if not self.unitaries:
             raise ValidationError("model stores no unitaries")
+        checked: set[int] = set()
         for n, u in enumerate(self.unitaries):
+            if id(u) in checked:
+                continue
+            checked.add(id(u))
             if u.shape != (dim, dim):
                 raise ValidationError(f"unitary {n} has shape {u.shape}, expected {(dim, dim)}")
             with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf/nan
@@ -249,8 +259,11 @@ def _hermitians(dim: int, rng: np.random.Generator, batch: tuple) -> np.ndarray:
     """(G + G^dag)/2 per batch entry; each G takes a real then an imaginary
     (dim, dim) block of standard normals from ``rng``."""
     z = rng.standard_normal(batch + (2, dim, dim))
-    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
-    return (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+    x, y = z[..., 0, :, :], z[..., 1, :, :]
+    h = np.empty(batch + (dim, dim), dtype=np.complex128)
+    h.real = (x + np.swapaxes(x, -1, -2)) / 2.0
+    h.imag = (y - np.swapaxes(y, -1, -2)) / 2.0
+    return h
 
 
 def _check_eta(eta: float) -> None:

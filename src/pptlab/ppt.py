@@ -440,17 +440,19 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
     boundary site fixes the recovered initial state to |0>|0>; an exposed
     leg (bond r_0) is read into the initial joint state, whose environment
     components r_0 and up are zero.  Returns the model together with the
-    per-site projection residuals ||sqrt(d) M - isometry||_F.  The
-    recovered model matches the hidden one only up to an environment basis
-    change.
+    per-site projection residuals ||sqrt(d) M - isometry||_F.  Each distinct
+    site array is read once, so steps that share an array share one unitary.
+    The recovered model matches the hidden one only up to an environment
+    basis change.
     """
     if mps.canonical != "right":
         mps = to_right_canonical(mps)
     d = mps.d
     D_model = max(t.shape[3] for t in mps.sites)
-    unitaries: list[np.ndarray] = []
-    residuals: list[float] = []
+    read: dict[int, tuple[np.ndarray, float]] = {}  # id -> (unitary, residual)
     for n, t in enumerate(mps.sites, start=1):
+        if id(t) in read:
+            continue
         l, _, _, r = t.shape
         if l > r:
             raise ConversionError(f"site {n}: left bond {l} exceeds right bond {r}", site=n)
@@ -461,8 +463,9 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
                 f"site {n}: reshaped site matrix is rank deficient (s_min={s[-1]:.2e})", site=n
             )
         iso = u @ vh  # the closest isometry
-        residuals.append(float(np.linalg.norm(w - iso)))
-        unitaries.append(_embed_and_complete(iso, d, l, r, D_model))
+        read[id(t)] = (_embed_and_complete(iso, d, l, r, D_model), float(np.linalg.norm(w - iso)))
+    unitaries = [read[id(t)][0] for t in mps.sites]
+    residuals = [read[id(t)][1] for t in mps.sites]
     psi = np.zeros((d, D_model), dtype=np.complex128)
     if mps.leading_site is None:
         psi[0, 0] = 1.0

@@ -68,6 +68,25 @@ def assert_matches_dense_oracle(mps_or_model, rho0=None, raises=False):
     assert np.max(np.abs(rho - ref)) < 1e-10
 
 
+def no_dense_projection(*args):
+    """Stands in for ``memory._dense_projection`` where the Krylov branch must decide."""
+    raise AssertionError("handed over to the dense projection")
+
+
+@pytest.fixture
+def transfer_calls(monkeypatch):
+    """A one-element list counting the ``transfer_left`` calls made in ``memory``."""
+    calls = [0]
+    step = memory.transfer_left
+
+    def counting_step(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(memory, "transfer_left", counting_step)
+    return calls
+
+
 class TestTransferMatrix:
     """The transfer map through ``transfer_left``/``transfer_right`` and the
     library's one left-matrix kernel, ``memory._left_matrix``."""
@@ -269,23 +288,34 @@ class TestStationaryState:
         assert_matches_dense_oracle(mps, np.eye(3) / 3)
         assert_matches_dense_oracle(mps, np.diag([1.0, 0.0, 0.0]), raises=p < DEGENERACY_GAP)
 
-    @pytest.mark.parametrize("eta", [0.02, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("eta", [0.02, 0.05, 0.3, 1.0, pytest.param(None, id="haar")])
     @pytest.mark.parametrize("D", [9, 12, 16])
-    def test_reducible_channel_matches_dense_oracle(self, D, eta):
+    def test_reducible_channel_matches_dense_oracle(self, D, eta, monkeypatch):
         # U is block-diagonal over two halves of the environment, so each half
         # keeps its weight: eigenvalue 1 is at least double, and near-identity
         # blocks crowd more eigenvalues near 1.  A loose Ritz value can land
-        # inside that cluster, so the Krylov branch must hand it over.
+        # inside that cluster, so the Krylov branch must hand it over.  Haar
+        # blocks (eta None) are also coupled weakly, a coupling strength per
+        # seed, which makes eigenvalue 1 simple and leaves |lambda_2| within
+        # 0.1 of 1.
         d = 2
+        monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", 1)
         for seed in range(3):
             rng = np.random.default_rng(seed)
             u = np.zeros((d * D, d * D), dtype=np.complex128)
             for half in (range(D // 2), range(D // 2, D)):
                 idx = [s * D + e for s in range(d) for e in half]
-                u[np.ix_(idx, idx)] = near_identity_unitary(d * len(half), eta, rng)
+                dim = d * len(half)
+                if eta is None:
+                    u[np.ix_(idx, idx)] = random_haar_unitary(dim, rng)
+                else:
+                    u[np.ix_(idx, idx)] = near_identity_unitary(dim, eta, rng)
             psi_e = rng.standard_normal(D) + 1j * rng.standard_normal(D)  # weight in both halves
             psi = np.kron([1.0, 0.0], psi_e / np.linalg.norm(psi_e))
             assert_matches_dense_oracle(OqeModel(d, D, [u], psi))
+            if eta is None:
+                coupled = near_identity_unitary(d * D, (0.001, 0.005, 0.05)[seed], rng) @ u
+                assert_matches_dense_oracle(OqeModel(d, D, [coupled], psi))
 
     @pytest.mark.parametrize("D", [9, 12, 16])
     def test_non_unital_site_takes_the_gmres_fixed_point(self, D, rng, monkeypatch):
@@ -294,36 +324,52 @@ class TestStationaryState:
         site = random_right_canonical_site(rng, 2, D)
         rho0 = pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
 
-        def no_dense_projection(*args):
-            raise AssertionError("handed over to the dense projection")
-
         monkeypatch.setattr(memory, "_dense_projection", no_dense_projection)
         assert_matches_dense_oracle(PptMps(sites=(site,), d=2), rho0)
 
-    def test_one_arnoldi_solve_and_no_gmres_iteration_on_a_unital_site(self, monkeypatch):
+    def test_one_arnoldi_solve_and_no_gmres_iteration_on_a_unital_site(
+        self, transfer_calls, monkeypatch
+    ):
         import scipy.sparse.linalg
 
-        calls = {"eigs": 0, "matvecs": 0, "transfer_left": 0}
-        step, solve = memory.transfer_left, scipy.sparse.linalg.eigs
-
-        def counting_step(*args):
-            calls["transfer_left"] += 1
-            return step(*args)
+        solves = []  # matvecs of each eigs call
+        solve = scipy.sparse.linalg.eigs
 
         def counting_eigs(*args, **kwargs):
-            before = calls["transfer_left"]
+            before = transfer_calls[0]
             result = solve(*args, **kwargs)
-            calls["eigs"] += 1
-            calls["matvecs"] += calls["transfer_left"] - before
+            solves.append(transfer_calls[0] - before)
             return result
 
-        monkeypatch.setattr(memory, "transfer_left", counting_step)
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting_eigs)
         rho, _, _ = stationary_state(random_separable_model(2, 16, 0))
         assert np.max(np.abs(rho - np.eye(16) / 16)) < 1e-12
-        # GMRES starts at I/D, the fixed point of a unital site: one residual matvec
-        assert calls["eigs"] == 1
-        assert calls["transfer_left"] <= calls["matvecs"] + 1
+        # the loose pass decides a Haar channel; GMRES starts at I/D, the fixed
+        # point of a unital site: one residual matvec
+        assert len(solves) == 1
+        assert transfer_calls[0] <= solves[0] + 1
+
+    @pytest.mark.parametrize(
+        ("D", "seeds", "budget"), [(16, range(4), 40), (32, range(2), 50)], ids=["D16", "D32"]
+    )
+    def test_haar_channel_solve_within_a_matvec_budget(self, D, seeds, budget, transfer_calls):
+        # a Haar channel's bulk sits near |lambda| = 0.5, so the loose pass
+        # bounds |lambda_2| below 0.9 without resolving it
+        for seed in seeds:
+            transfer_calls[0] = 0
+            rho, _, degenerate = stationary_state(random_separable_model(2, D, seed))
+            assert not degenerate and np.max(np.abs(rho - np.eye(D) / D)) < 1e-12
+            assert transfer_calls[0] <= budget
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_band_channel_stays_matrix_free(self, seed, monkeypatch):
+        # |lambda_2| is about 0.87: the loose pass cannot bound it below 0.9,
+        # the 1e-2 pass can, so the dense projection must not be needed
+        u = near_identity_unitary(2 * 16, 0.1, seed)
+        model = OqeModel(2, 16, [u], random_separable_model(2, 16, seed).initial_state)
+
+        monkeypatch.setattr(memory, "_dense_projection", no_dense_projection)
+        assert_matches_dense_oracle(model)
 
     def test_transfer_order_beside_evolve_env(self, rng):
         # A right-canonical site whose left action has a complex fixed point:

@@ -273,6 +273,17 @@ class TestOqeModel:
         with pytest.raises(ValidationError, match="unitary 1"):
             OqeModel(2, 2, us, np.eye(4)[0])
 
+    def test_shared_unitary_copied_once(self):
+        u = random_haar_unitary(4, 0)
+        model = OqeModel(2, 2, [u, u.copy(), u], np.eye(4)[0])
+        first, second, third = model.unitaries
+        assert first is third and first is not second and first is not u
+        assert not first.flags.writeable and np.array_equal(first, second)
+        # a generator's fresh objects are freed as it goes, so their ids recur
+        us = [random_haar_unitary(4, k) for k in range(3)]
+        fresh = OqeModel(2, 2, (v.copy() for v in us), np.eye(4)[0])
+        assert all(np.array_equal(a, b) for a, b in zip(fresh.unitaries, us, strict=True))
+
     def test_rejects_small_system(self):
         with pytest.raises(ValidationError):
             OqeModel(1, 2, [random_haar_unitary(2, 0)], np.array([1.0, 0.0]))

@@ -228,6 +228,9 @@ class TestMpsToOqe:
         mps = build_ppt(model, 5)
         recovered, residuals = mps_to_oqe(mps)
         assert max(residuals) < 1e-10
+        # steps 2..5 share one site array, read once into one unitary
+        assert all(u is recovered.unitaries[1] for u in recovered.unitaries[2:])
+        assert len(set(residuals[1:])) == 1
         rebuilt = build_ppt(recovered, 5)
         assert gauge_fidelity(rebuilt, mps) > 1 - 1e-10
 
