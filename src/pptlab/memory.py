@@ -168,8 +168,8 @@ def stationary_state(
     so the result is the limit of ``evolve_env(rho0, mps_or_model, n)``.
     A model's ``rho0`` defaults to ``initial_env_density(model)``.
 
-    Everything is solved on the base site B with bond D: the last MPS site,
-    or the model's step site.  An entangled model's enlarged site is
+    Everything is solved on the base site B with bond D: the array of a
+    bare MPS's last run, or the model's step site.  An entangled model's enlarged site is
     I_d (x) B, so each D x D block (s, t) of ``rho0`` evolves under the base
     channel on its own, and the limit is the eigenvalue-1 projection P_1 of
     the base left action applied to every block.
@@ -198,7 +198,7 @@ def stationary_state(
     spectrum always has (it repeats every base eigenvalue d^2 times).
     """
     if isinstance(mps_or_model, PptMps):
-        site = np.asarray(mps_or_model.sites[-1], dtype=np.complex128)
+        site = np.asarray(mps_or_model.runs[-1][0], dtype=np.complex128)
         blocks = 1
         if rho0 is None:
             raise ValidationError("rho0 is required when passing a bare MPS")

@@ -79,14 +79,31 @@ class OqeModel:
         store = functools.partial(object.__setattr__, self)
         store("d", int(self.d))
         store("D", int(self.D))
+        dim = self.d * self.D
         given = tuple(self.unitaries)  # holds every object, so no id is reused
-        copies: dict[int, np.ndarray] = {}  # one read-only copy per distinct object
-        for u in given:
-            if id(u) not in copies:
-                copies[id(u)] = _read_only(u, ndim=2)
+        if not given:
+            raise ValidationError("model stores no unitaries")
+        copies: dict[int, np.ndarray] = {}  # one checked read-only copy per distinct object
+        for n, u in enumerate(given):
+            if id(u) in copies:
+                continue
+            copies[id(u)] = u = _read_only(u, ndim=2)
+            if u.shape != (dim, dim):
+                raise ValidationError(f"unitary {n} has shape {u.shape}, expected {(dim, dim)}")
+            with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf/nan
+                dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
+            if not dev <= UNITARITY_TOL:
+                raise ValidationError(f"unitary {n} deviates from unitarity by {dev:.3e}")
         store("unitaries", tuple(copies[id(u)] for u in given))
         store("initial_state", _read_only(self.initial_state).reshape(-1))
-        self._validate()
+        if self.initial_state.shape != (dim,):
+            raise ValidationError(
+                f"initial state has length {self.initial_state.shape}, expected {dim}"
+            )
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(self.initial_state)
+        if not abs(nrm - 1.0) <= 1e-12:
+            raise ValidationError(f"initial state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
         form = schmidt_decompose(self.initial_state, self.d, self.D)
         parts = (form.lambdas, form.sys_basis, form.env_basis)
         for arr in parts:
@@ -114,30 +131,6 @@ class OqeModel:
         """Schmidt form of the initial state, a new form over the read-only
         arrays of the one decomposition made at construction."""
         return SchmidtForm(*self._schmidt)
-
-    def _validate(self) -> None:
-        dim = self.d * self.D
-        if not self.unitaries:
-            raise ValidationError("model stores no unitaries")
-        checked: set[int] = set()
-        for n, u in enumerate(self.unitaries):
-            if id(u) in checked:
-                continue
-            checked.add(id(u))
-            if u.shape != (dim, dim):
-                raise ValidationError(f"unitary {n} has shape {u.shape}, expected {(dim, dim)}")
-            with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf/nan
-                dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-            if not dev <= UNITARITY_TOL:
-                raise ValidationError(f"unitary {n} deviates from unitarity by {dev:.3e}")
-        if self.initial_state.shape != (dim,):
-            raise ValidationError(
-                f"initial state has length {self.initial_state.shape}, expected {dim}"
-            )
-        with np.errstate(over="ignore"):
-            nrm = np.linalg.norm(self.initial_state)
-        if not abs(nrm - 1.0) <= 1e-12:
-            raise ValidationError(f"initial state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
 
     # -- serialization --------------------------------------------------
 

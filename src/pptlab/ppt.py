@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,19 +56,25 @@ CANONICAL_FORMS = ("none", "right")
 class PptMps:
     """MPS form of a purified process tensor.
 
-    ``sites[n]`` is the rank-4 tensor of step n+1.  ``leading_site``, when
-    present, exposes the initial system state as an extra physical leg in
-    front of step 1 (out dimension d, dummy in dimension 1).  The initial
-    state sits inside the first chain element, whose left bond is 1, so
-    every sweep starts from the 1 x 1 environment [[1]].  Steps that repeat
-    one site may share one read-only array, as ``build_ppt`` and
-    ``from_json_dict`` make them.
+    ``runs`` holds (site, repeat) pairs in step order: one read-only rank-4
+    array for ``repeat`` >= 1 consecutive steps; ``chain()`` expands them
+    to one element per step.  ``leading_site``, when present, exposes the
+    initial system state as an extra physical leg in front of step 1 (out
+    dimension d, dummy in dimension 1).  The initial state sits inside the
+    first chain element, whose left bond is 1, so every sweep starts from
+    the 1 x 1 environment [[1]].
     """
 
-    sites: tuple[np.ndarray, ...]
+    runs: tuple[tuple[np.ndarray, int], ...]
     d: int
     canonical: str = "none"  # none | right
     leading_site: np.ndarray | None = None
+
+    def __post_init__(self):
+        runs = tuple((np.asarray(t).view(), n) for t, n in self.runs)
+        for t, _ in runs:  # read-only views: one array stands for every step of its run
+            t.flags.writeable = False
+        object.__setattr__(self, "runs", runs)
 
     # Version 3 writes each maximal run of identical consecutive sites once,
     # with its length as "repeat".  Version 2 wrote one site per step;
@@ -79,7 +84,7 @@ class PptMps:
 
     @property
     def n_steps(self) -> int:
-        return len(self.sites)
+        return sum(n for _, n in self.runs)
 
     @property
     def bond_dims(self) -> list[int]:
@@ -88,30 +93,39 @@ class PptMps:
 
     @property
     def env_dim(self) -> int:
-        return self.sites[-1].shape[3]
+        return self.runs[-1][0].shape[3]
 
     def chain(self) -> list[np.ndarray]:
-        if self.leading_site is not None:
-            return [self.leading_site, *self.sites]
-        return list(self.sites)
+        """One element per step, after the leading site when there is one."""
+        chain = [] if self.leading_site is None else [self.leading_site]
+        for t, n in self.runs:
+            chain += [t] * n
+        return chain
 
     def validate(self) -> None:
         if self.canonical not in CANONICAL_FORMS:
             raise ValidationError(f"unknown canonical form {self.canonical!r}")
-        if not self.sites:
+        if not self.runs:
             raise ValidationError("PPT stores no sites")
-        prev = 1  # the first chain element opens on a left bond of 1
-        for k, t in enumerate(self.chain()):
+        lead = [] if self.leading_site is None else [(self.leading_site, 1)]
+        prev, k = 1, 0  # the first chain element opens on a left bond of 1
+        for t, n in (*lead, *self.runs):  # k: chain index of the run's first element
             if t.ndim != 4:
                 raise ValidationError(f"chain element {k} is rank {t.ndim}, expected 4")
             if t.shape[0] != prev:
                 raise ValidationError(
                     f"chain element {k} has left bond {t.shape[0]}, expected {prev}"
                 )
-            prev = t.shape[3]
-        for k, t in enumerate(self.sites):
+            if n > 1 and t.shape[0] != t.shape[3]:  # the run's next element opens on t's right bond
+                raise ValidationError(
+                    f"chain element {k + 1} has left bond {t.shape[0]}, expected {t.shape[3]}"
+                )
+            prev, k = t.shape[3], k + n
+        step = 1
+        for t, n in self.runs:
             if t.shape[1] != self.d or t.shape[2] != self.d:
-                raise ValidationError(f"site {k + 1} physical extents {t.shape[1:3]} != d={self.d}")
+                raise ValidationError(f"site {step} physical extents {t.shape[1:3]} != d={self.d}")
+            step += n
         if self.leading_site is not None and self.leading_site.shape[1:3] != (self.d, 1):
             raise ValidationError(
                 f"leading site physical extents {self.leading_site.shape[1:3]} != (d={self.d}, 1)"
@@ -134,18 +148,14 @@ class PptMps:
 
     def right_canonical_residual(self) -> float:
         """max_n || sum_{o,i} B B^dag - I ||_max over all chain elements but
-        the first, evaluated once for each distinct array."""
+        the first, evaluated once per run."""
         return _max_residual(self._gram_residuals())
 
     def _gram_residuals(self) -> list[tuple[float, int, int]]:
-        """(||sum_{o,i} B B^dag - I||_max, left bond, count) of each distinct
-        array B among the chain elements but the first."""
-        tail = self.chain()[1:]
-        distinct = {id(t): t for t in tail}
-        counts = Counter(map(id, tail))
-        return [
-            (_gram_residual(t), t.shape[0], counts[key]) for key, t in distinct.items()
-        ]
+        """(||sum_{o,i} B B^dag - I||_max, left bond, repeat) of each run B of
+        the chain elements but the first."""
+        tail = self.runs if self.leading_site is not None else _after_first_step(self.runs)
+        return [(_gram_residual(t), t.shape[0], n) for t, n in tail]
 
     def _norm_certified(self, residuals) -> bool:
         """Whether the first chain element and the ``_gram_residuals`` of a
@@ -159,7 +169,7 @@ class PptMps:
         h = ||chain[0]||_F^2.  False means only that this bound is too loose
         to decide; the ``norm`` sweep then does.
         """
-        head = self.leading_site if self.leading_site is not None else self.sites[0]
+        head = self.leading_site if self.leading_site is not None else self.runs[0][0]
         h = float(np.vdot(head, head).real)
         bound = h * math.expm1(sum(n * math.log1p(l * r) for r, l, n in residuals))
         return (1.0 - CANONICAL_TOL) ** 2 <= h - bound and h + bound <= (1.0 + CANONICAL_TOL) ** 2
@@ -192,7 +202,7 @@ class PptMps:
             "format_version": self.FORMAT_VERSION,
             "d": self.d,
             "canonical": self.canonical,
-            "sites": _site_run_docs(self.sites),
+            "sites": _site_run_docs(self.runs),
         }
         if self.leading_site is not None:
             doc["leading_site"] = _tensor_doc(self.leading_site)
@@ -206,11 +216,10 @@ class PptMps:
         """Decode and ``validate`` a PPT document (bonds, norm, canonical claim).
 
         Reads format versions 1, 2 and 3.  Each site document becomes one
-        read-only array, which a version-3 ``repeat`` of k places at k
-        consecutive steps; ``repeat`` must be a JSON integer >= 1 and the
-        steps may total at most ``MAX_STEPS``.  No version stores an initial
-        vector or repeats a site before version 3, so a document with that
-        key is rejected rather than read differently.
+        run of its version-3 ``repeat`` (a JSON integer >= 1) steps, which
+        total at most ``MAX_STEPS``.  No version stores an initial vector,
+        repeats a site before version 3 or repeats the leading site (step
+        0), so a document with such a key is rejected, not read differently.
         """
         json_object(doc, "a PPT document")
         version = doc.get("format_version")
@@ -222,15 +231,21 @@ class PptMps:
             )
         if not isinstance(doc["sites"], list):
             raise ValidationError(f"'sites' must be a list, got {type(doc['sites']).__name__}")
-        sites: list[np.ndarray] = []
+        runs: list[tuple[np.ndarray, int]] = []
+        steps = 0
         for site_doc in doc["sites"]:
             repeat = _site_repeat(site_doc, version)
-            if repeat > MAX_STEPS - len(sites):
+            if repeat > MAX_STEPS - steps:
                 raise ValidationError(f"PPT document holds more than MAX_STEPS={MAX_STEPS} steps")
-            sites += [_freeze(_tensor_from_doc(site_doc))] * repeat
-        leading = _tensor_from_doc(doc["leading_site"]) if "leading_site" in doc else None
+            runs.append((_tensor_from_doc(site_doc), repeat))
+            steps += repeat
+        leading = None
+        if "leading_site" in doc:
+            if "repeat" in json_object(doc["leading_site"], "a site"):
+                raise ValidationError("the leading site is step 0 and cannot repeat")
+            leading = _tensor_from_doc(doc["leading_site"])
         mps = PptMps(
-            sites=tuple(sites),
+            runs=tuple(runs),
             d=json_int(doc, "d"),
             canonical=doc.get("canonical", "none"),
             leading_site=leading,
@@ -252,22 +267,19 @@ def _tensor_from_doc(doc: dict) -> np.ndarray:
     return decode_complex(doc["data"], doc["shape"])
 
 
-def _site_run_docs(sites) -> list[dict]:
+def _site_run_docs(runs) -> list[dict]:
     """One site document per maximal run of consecutive sites that encode
     alike (equal shape and complex128 bytes, so signed zeros differ), with
-    the run's length as "repeat" where it exceeds 1.  A site that is the
-    previous site's array is counted without encoding it again."""
-    runs: list[list] = []  # [site document, run length]
-    for k, t in enumerate(sites):
-        if k and t is sites[k - 1]:
-            runs[-1][1] += 1
-            continue
+    the run's length as "repeat" where it exceeds 1.  Each of ``runs`` is
+    encoded once, and neighbouring runs that encode alike are merged."""
+    merged: list[list] = []  # [site document, run length]
+    for t, n in runs:
         doc = _tensor_doc(t)
-        if runs and doc == runs[-1][0]:
-            runs[-1][1] += 1
+        if merged and doc == merged[-1][0]:
+            merged[-1][1] += n
         else:
-            runs.append([doc, 1])
-    return [doc if n == 1 else {**doc, "repeat": n} for doc, n in runs]
+            merged.append([doc, n])
+    return [doc if n == 1 else {**doc, "repeat": n} for doc, n in merged]
 
 
 def _site_repeat(doc, version: int) -> int:
@@ -293,10 +305,10 @@ def _max_residual(residuals) -> float:
     return float(np.max([r for r, _, _ in residuals], initial=0.0))  # np.max keeps a nan
 
 
-def _freeze(t: np.ndarray) -> np.ndarray:
-    """``t`` marked read-only, so one array can stand for every step it repeats."""
-    t.flags.writeable = False
-    return t
+def _after_first_step(runs) -> tuple:
+    """The runs of steps 2..N, for a chain whose first step is replaced or skipped."""
+    (t, n), *rest = runs
+    return ((t, n - 1), *rest) if n > 1 else tuple(rest)
 
 
 # -- construction ---------------------------------------------------------
@@ -329,8 +341,8 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
     collapses the environment branch.  Otherwise entangled initial states
     absorb that leg into the environment (bond dimension d*D) and separable
     ones split off the system factor (bond dimension D).  Each stored
-    unitary gives one read-only site array, which a time-independent model's
-    steps 2..N share.
+    unitary gives one run: a time-independent model's N steps (N - 1 after
+    a first step of its own unless the leg is exposed), else one step.
     """
     if not (_is_integer(N) and 1 <= N <= MAX_STEPS):
         raise ValidationError(f"N must be an integer in 1..MAX_STEPS={MAX_STEPS}, got {N!r}")
@@ -339,31 +351,26 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
             f"time-dependent model stores {len(model.unitaries)} unitaries but N={N}"
         )
     d, D = model.d, model.D
-    stored = [_freeze(site_tensor_from_unitary(u, d, D)) for u in model.unitaries[:N]]
-    plain = stored * N if model.time_independent else stored
+    stored = [site_tensor_from_unitary(u, d, D) for u in model.unitaries[:N]]
+    runs = ((stored[0], int(N)),) if model.time_independent else tuple((t, 1) for t in stored)
 
     if expose_initial_leg or model.entangled:
         lead = model.initial_state.reshape(d, D)[np.newaxis, :, np.newaxis, :]
-        exposed = PptMps(sites=tuple(plain), d=d, canonical="right", leading_site=lead)
+        exposed = PptMps(runs=runs, d=d, canonical="right", leading_site=lead)
         return exposed if expose_initial_leg else absorb_initial_leg(exposed)
 
     psi_env = model.initial_schmidt().env_basis[:, 0]
-    sites = list(plain)
-    sites[0] = np.einsum("a,aoib->oib", psi_env, sites[0])[np.newaxis]
-    return PptMps(sites=tuple(sites), d=d, canonical="right")
+    first = np.einsum("a,aoib->oib", psi_env, stored[0])[np.newaxis]
+    return PptMps(runs=((first, 1), *_after_first_step(runs)), d=d, canonical="right")
 
 
 def absorb_initial_leg(mps: PptMps) -> PptMps:
     """Move an exposed initial system leg into the environment: the leading
     site becomes the initial vector of the enlarged d*D environment.  Each
-    distinct site array is enlarged once, so shared sites stay shared."""
-    lifted: dict[int, np.ndarray] = {}
-    for b in mps.sites:
-        if id(b) not in lifted:
-            lifted[id(b)] = _freeze(enlarged_site_tensor(b, mps.d))
-    sites = [lifted[id(b)] for b in mps.sites]
-    sites[0] = np.einsum("a,aoib->oib", mps.leading_site.reshape(-1), sites[0])[np.newaxis]
-    return PptMps(sites=tuple(sites), d=mps.d, canonical="right")
+    run's site is enlarged once, and the first step leaves its run."""
+    runs = [(enlarged_site_tensor(b, mps.d), n) for b, n in mps.runs]
+    first = np.einsum("a,aoib->oib", mps.leading_site.reshape(-1), runs[0][0])[np.newaxis]
+    return PptMps(runs=((first, 1), *_after_first_step(runs)), d=mps.d, canonical="right")
 
 
 def check_isometry(model: OqeModel) -> float:
@@ -404,11 +411,8 @@ def to_right_canonical(mps: PptMps) -> PptMps:
     if nrm < 1e-12:
         raise DegenerateStateError("state has numerically zero norm")
     chain[0] = head / nrm
-    if mps.leading_site is not None:
-        return PptMps(
-            sites=tuple(chain[1:]), d=mps.d, canonical="right", leading_site=chain[0]
-        )
-    return PptMps(sites=tuple(chain), d=mps.d, canonical="right")
+    lead = chain.pop(0) if mps.leading_site is not None else None
+    return PptMps(runs=tuple((t, 1) for t in chain), d=mps.d, canonical="right", leading_site=lead)
 
 
 def memory_size(mps: PptMps) -> int:
@@ -440,19 +444,19 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
     boundary site fixes the recovered initial state to |0>|0>; an exposed
     leg (bond r_0) is read into the initial joint state, whose environment
     components r_0 and up are zero.  Returns the model together with the
-    per-site projection residuals ||sqrt(d) M - isometry||_F.  Each distinct
-    site array is read once, so steps that share an array share one unitary.
+    per-site projection residuals ||sqrt(d) M - isometry||_F.  Each run is
+    read once, so the steps of a run share one unitary and one residual.
     The recovered model matches the hidden one only up to an environment
     basis change.
     """
     if mps.canonical != "right":
         mps = to_right_canonical(mps)
     d = mps.d
-    D_model = max(t.shape[3] for t in mps.sites)
-    read: dict[int, tuple[np.ndarray, float]] = {}  # id -> (unitary, residual)
-    for n, t in enumerate(mps.sites, start=1):
-        if id(t) in read:
-            continue
+    D_model = max(t.shape[3] for t, _ in mps.runs)
+    unitaries: list[np.ndarray] = []
+    residuals: list[float] = []
+    for t, repeat in mps.runs:
+        n = len(unitaries) + 1  # the run's first step
         l, _, _, r = t.shape
         if l > r:
             raise ConversionError(f"site {n}: left bond {l} exceeds right bond {r}", site=n)
@@ -463,9 +467,8 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
                 f"site {n}: reshaped site matrix is rank deficient (s_min={s[-1]:.2e})", site=n
             )
         iso = u @ vh  # the closest isometry
-        read[id(t)] = (_embed_and_complete(iso, d, l, r, D_model), float(np.linalg.norm(w - iso)))
-    unitaries = [read[id(t)][0] for t in mps.sites]
-    residuals = [read[id(t)][1] for t in mps.sites]
+        unitaries += [_embed_and_complete(iso, d, l, r, D_model)] * repeat
+        residuals += [float(np.linalg.norm(w - iso))] * repeat
     psi = np.zeros((d, D_model), dtype=np.complex128)
     if mps.leading_site is None:
         psi[0, 0] = 1.0

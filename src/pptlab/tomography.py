@@ -57,6 +57,7 @@ from .ppt import (
     PROCESS_TENSOR_GUARD,
     SPLIT_TOL,
     PptMps,
+    _after_first_step,
     absorb_initial_leg,
     build_ppt,
     gauge_fidelity,
@@ -131,11 +132,10 @@ class MeasurementOracle:
         mps = build_ppt(hidden_model, n_steps, expose_initial_leg=True)
         u, s, vh = np.linalg.svd(mps.leading_site.reshape(self.d, -1), full_matrices=False)
         r = int(np.count_nonzero(s > SPLIT_TOL * s[0]))  # s[0] > 0: the state is normalised
-        first = np.einsum("ka,aoib->koib", vh[:r], mps.sites[0])
+        first = np.einsum("ka,aoib->koib", vh[:r], mps.runs[0][0])
         head = (u[:, :r] * s[:r])[np.newaxis, :, np.newaxis, :]
-        self._truth = PptMps(
-            sites=(first, *mps.sites[1:]), d=self.d, canonical="right", leading_site=head
-        )
+        runs = ((first, 1), *_after_first_step(mps.runs))
+        self._truth = PptMps(runs=runs, d=self.d, canonical="right", leading_site=head)
         self.reset()
 
     # -- unsealed access (testing/diagnostics only) --
@@ -442,10 +442,8 @@ def disentangle_reconstruct(
         raise DegenerateStateError("reconstructed state has numerically zero norm")
     chain[0] = chain[0] / nrm
 
-    if entangled_initial:
-        mps = PptMps(sites=tuple(chain[1:]), d=d, canonical="right", leading_site=chain[0])
-    else:
-        mps = PptMps(sites=tuple(chain), d=d, canonical="right")
+    lead = chain.pop(0) if entangled_initial else None
+    mps = PptMps(runs=tuple((t, 1) for t in chain), d=d, canonical="right", leading_site=lead)
     model, residuals = mps_to_oqe(mps)
     fidelity = None
     if oracle.unsealed:
@@ -570,7 +568,7 @@ def variational_fit(target: PptMps, seed=0) -> ReconstructionReport:
     loss, u, of, trace = best
     sites = _ansatz_sites(u, d, D, n_steps)
     sites[-1] = np.einsum("aoib,cb->aoic", sites[-1], of)  # the final unitary on the environment
-    mps = PptMps(sites=tuple(sites), d=d, canonical="right")
+    mps = PptMps(runs=tuple((t, 1) for t in sites), d=d, canonical="right")
     model = OqeModel(d, D, [u], np.eye(d * D, dtype=np.complex128)[0])
     note = "ansatz initial state fixed to |0>; recovered unitaries carry an environment gauge"
     converged = loss < FIT_SUCCESS_TOL
@@ -647,7 +645,7 @@ def _warm_start(target: PptMps, d: int, D: int):
     # Initial environment vector in the shared gauge, read off the boundary
     # site's injection L[(o, b), i] = sqrt(d) B_1[0, o, i, b] (zero on the rows
     # b >= its right bond): U^dag L maps i to (i', beta) as delta_{i', i} psi_beta.
-    site1 = target.sites[0]
+    site1 = target.runs[0][0]
     inj = np.zeros((d, D, d), dtype=np.complex128)
     inj[:, : site1.shape[3], :] = np.sqrt(d) * site1[0].transpose(0, 2, 1)
     uv = u_shared.conj().T @ inj.reshape(d * D, d)

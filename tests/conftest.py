@@ -25,6 +25,12 @@ def random_observable(rng, d, n_steps, n_insertions=2):
     )
 
 
+def step_sites(mps: PptMps) -> list:
+    """One site per step: the chain without the leading site."""
+    chain = mps.chain()
+    return chain[1:] if mps.leading_site is not None else chain
+
+
 def dense_norm(mps: PptMps) -> float:
     """Norm of ``mps`` from its dense statevector, independent of every
     sweep; ``to_statevector`` raises ``CapacityError`` above
@@ -57,7 +63,7 @@ def _per_step_ppt_doc(mps, version: int, leaf) -> dict:
         "format_version": version,
         "d": mps.d,
         "canonical": mps.canonical,
-        "sites": [tensor(t) for t in mps.sites],
+        "sites": [tensor(t) for t in step_sites(mps)],
     }
     if mps.leading_site is not None:
         doc["leading_site"] = tensor(mps.leading_site)
@@ -85,10 +91,10 @@ def version_1_model_doc(model) -> dict:
 def perturbed(mps: PptMps, scale: float, rng) -> PptMps:
     """Add Gaussian noise of the given scale to every site tensor."""
     noisy = []
-    for t in mps.sites:
+    for t in step_sites(mps):
         noise = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-        noisy.append(t + scale * noise)
-    return replace(mps, sites=tuple(noisy), canonical="none")
+        noisy.append((t + scale * noise, 1))
+    return replace(mps, runs=tuple(noisy), canonical="none")
 
 
 def dense_transfer_matrix(site) -> np.ndarray:
@@ -361,7 +367,7 @@ def dense_stationary_state(mps_or_model, rho0=None):
     ``(rho_st, 0, degenerate)``.
     """
     if isinstance(mps_or_model, PptMps):
-        site = mps_or_model.sites[-1]
+        site = mps_or_model.runs[-1][0]
         if rho0 is None:
             raise ValidationError("rho0 is required when passing a bare MPS")
     else:

@@ -533,6 +533,17 @@ def _expose_leading_site(shape):
     return mutate
 
 
+def _repeat_leading_site(repeat):
+    """Expose the leading site as ``_expose_leading_site`` does, with a valid
+    shape, and give it a "repeat"."""
+
+    def mutate(ppt_doc):
+        _expose_leading_site([1, 2, 1, 2])(ppt_doc)
+        ppt_doc["leading_site"]["repeat"] = repeat
+
+    return mutate
+
+
 def _set_bytes(edit):
     """Replace site 2's data leaf by the base64 text of ``edit(entries)``."""
 
@@ -590,6 +601,8 @@ class TestMalformedFiles:
             (_copy_site(1, 0), "chain element 0 has left bond 2, expected 1"),
             (_set_key("initial_vector", encode_complex(np.ones(1))), "'initial_vector'"),
             (_expose_leading_site([1, 1, 2, 2]), "leading site physical extents"),
+            (_repeat_leading_site(2), "leading site is step 0 and cannot repeat"),
+            (_repeat_leading_site("x"), "leading site is step 0 and cannot repeat"),
             (_set_repeat(True), "'repeat' must be an integer >= 1"),
             (_set_repeat(1.5), "'repeat' must be an integer >= 1"),
             (_set_repeat("2"), "'repeat' must be an integer >= 1"),
@@ -604,6 +617,7 @@ class TestMalformedFiles:
              "base64_bad_padding", "base64_16k_plus_8_bytes", "base64_short_count",
              "base64_overflowing_entry", "text_d", "true_d", "int_sites", "int_site",
              "first_left_bond_2", "initial_vector", "leading_site_on_input_leg",
+             "repeated_leading_site", "text_repeat_on_leading_site",
              "true_repeat", "float_repeat", "text_repeat", "zero_repeat", "negative_repeat",
              "huge_repeat", "repeat_in_format_2"],
     )

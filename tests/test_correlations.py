@@ -70,10 +70,10 @@ class TestExpectation:
         # right-canonical
         mps = build_ppt(random_separable_model(2, 3, rng), 4)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        sites = list(mps.sites)
+        sites = mps.chain()
         sites[1] = np.einsum("aoib,bc->aoic", sites[1], g)
         sites[2] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[2])
-        twin = PptMps(sites=tuple(sites), d=2, canonical="none")
+        twin = PptMps(runs=tuple((t, 1) for t in sites), d=2, canonical="none")
         obs = MultiTimeObservable([(2, random_hermitian(4, rng))])
         assert abs(expectation(twin, obs) - expectation(mps, obs)) < 1e-12
 

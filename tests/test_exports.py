@@ -47,6 +47,13 @@ def test_theorem1_wrappers_are_gone(name):
     assert not hasattr(memory, name)
 
 
+def test_ppt_is_stored_as_runs():
+    # a PPT holds (site, repeat) runs; chain() is the one per-step view
+    fields = {f.name: f for f in dataclasses.fields(pptlab.PptMps)}
+    assert fields["runs"].init and "sites" not in fields
+    assert "sites" not in inspect.signature(pptlab.PptMps).parameters
+
+
 def test_entangled_is_derived_not_set():
     fields = {f.name: f for f in dataclasses.fields(pptlab.OqeModel)}
     assert "entangled" in fields and not fields["entangled"].init

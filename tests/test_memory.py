@@ -270,8 +270,9 @@ class TestStationaryState:
         site = np.repeat(np.repeat(_X[:, None, None, :] / d, d, axis=1), d, axis=2)
         monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
         # rho -> X rho X: a rotating component, then a map with no eigenvalue 1
-        assert_matches_dense_oracle(PptMps(sites=(site,), d=d), np.diag([1.0, 0.0]), raises=True)
-        assert_matches_dense_oracle(PptMps(sites=(site / 2,), d=d), np.eye(2) / 2, raises=True)
+        rotating, lossy = PptMps(runs=((site, 1),), d=d), PptMps(runs=((site / 2, 1),), d=d)
+        assert_matches_dense_oracle(rotating, np.diag([1.0, 0.0]), raises=True)
+        assert_matches_dense_oracle(lossy, np.eye(2) / 2, raises=True)
 
     @pytest.mark.parametrize("crossover", [64, 1], ids=["dense", "krylov"])
     @pytest.mark.parametrize("p", [1e-10, 1e-5], ids=["inside_gap", "outside_gap"])
@@ -283,7 +284,7 @@ class TestStationaryState:
         for k in range(3):
             site[k, 0, k, (k + 1) % 3] = np.sqrt(1 - p)
             site[k, 1, k, k] = np.sqrt(p)
-        mps = PptMps(sites=(site,), d=3)
+        mps = PptMps(runs=((site, 1),), d=3)
         monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
         assert_matches_dense_oracle(mps, np.eye(3) / 3)
         assert_matches_dense_oracle(mps, np.diag([1.0, 0.0, 0.0]), raises=p < DEGENERACY_GAP)
@@ -325,7 +326,7 @@ class TestStationaryState:
         rho0 = pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
 
         monkeypatch.setattr(memory, "_dense_projection", no_dense_projection)
-        assert_matches_dense_oracle(PptMps(sites=(site,), d=2), rho0)
+        assert_matches_dense_oracle(PptMps(runs=((site, 1),), d=2), rho0)
 
     def test_one_arnoldi_solve_and_no_gmres_iteration_on_a_unital_site(
         self, transfer_calls, monkeypatch
@@ -376,7 +377,7 @@ class TestStationaryState:
         # stationary_state takes and returns density matrices, so it is
         # evolve_env's limit with no transposes.
         site = random_right_canonical_site(rng, 2, 3)
-        mps = PptMps(sites=(site,) * 400, d=2)
+        mps = PptMps(runs=((site, 400),), d=2)
         rho0 = pure_env_density(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         limit = evolve_env(rho0, mps, 400)
         assert np.max(np.abs(limit.imag)) > 0.01
@@ -409,7 +410,7 @@ class TestStationaryState:
         d = 2
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
         site = np.repeat(np.repeat(x[:, None, None, :] / d, d, axis=1), d, axis=2)
-        mps = PptMps(sites=(site,), d=d)
+        mps = PptMps(runs=((site, 1),), d=d)
         with pytest.raises(ConvergenceError) as err:
             stationary_state(mps, np.diag([1.0, 0.0]))
         # |0><0| = (I + Z)/2 keeps its Z/2 part, of Frobenius norm 1/sqrt(2)
@@ -419,7 +420,7 @@ class TestStationaryState:
         assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
         # halving the Kraus operators leaves eigenvalues +-1/4: no fixed point
         with pytest.raises(ConvergenceError):
-            stationary_state(PptMps(sites=(site / 2,), d=d), np.eye(2) / 2)
+            stationary_state(PptMps(runs=((site / 2, 1),), d=d), np.eye(2) / 2)
 
 
 class TestRenyiComplexity:

@@ -269,9 +269,12 @@ class TestOqeModel:
         assert got.value_bits == want.value_bits
 
     def test_rejects_nonunitary(self):
-        us = [random_haar_unitary(4, 0), 1.1 * random_haar_unitary(4, 1)]
-        with pytest.raises(ValidationError, match="unitary 1"):
-            OqeModel(2, 2, us, np.eye(4)[0])
+        good, bad = random_haar_unitary(4, 0), 1.1 * random_haar_unitary(4, 1)
+        for us in ([good, bad], [good, bad, bad], [bad, good, bad]):
+            # a shared copy is checked once, and named by its first step
+            first = next(n for n, u in enumerate(us) if u is bad)
+            with pytest.raises(ValidationError, match=f"unitary {first} deviates"):
+                OqeModel(2, 2, us, np.eye(4)[0])
 
     def test_shared_unitary_copied_once(self):
         u = random_haar_unitary(4, 0)

@@ -95,9 +95,22 @@ class TestBuildPpt:
         model = random_separable_model(2, 2, rng)
         mps = build_ppt(model, ppt_module.MAX_STEPS)
         assert mps.n_steps == ppt_module.MAX_STEPS
-        assert len({id(t) for t in mps.sites}) == 2  # the boundary site and the shared one
+        # the boundary site, then one run of the shared site
+        assert [n for _, n in mps.runs] == [1, ppt_module.MAX_STEPS - 1]
         with pytest.raises(ValidationError, match="MAX_STEPS"):
             build_ppt(model, ppt_module.MAX_STEPS + 1)
+
+    @pytest.mark.parametrize("kind", ["separable", "entangled", "exposed"])
+    def test_horizon_cap_holds_no_per_step_structure(self, rng, kind):
+        # MAX_STEPS steps are at most two runs, two site documents and two
+        # residuals; validate is left out, as its norm sweep walks every step
+        ent = kind == "entangled"
+        model = (random_entangled_model if ent else random_separable_model)(2, 2, rng)
+        mps = build_ppt(model, ppt_module.MAX_STEPS, expose_initial_leg=kind == "exposed")
+        assert mps.n_steps == ppt_module.MAX_STEPS and len(mps.runs) <= 2
+        docs = mps.to_json_dict()["sites"]
+        assert len(docs) <= 2 and sum(doc.get("repeat", 1) for doc in docs) == ppt_module.MAX_STEPS
+        assert len(mps._gram_residuals()) <= 2
 
     def test_time_dependent_needs_enough_unitaries(self, rng):
         model = random_separable_model(2, 2, rng, steps=2)
@@ -159,13 +172,13 @@ class TestRightCanonical:
             )
             sites.append(t)
             left = right
-        return PptMps(sites=tuple(sites), d=d)
+        return PptMps(runs=tuple((t, 1) for t in sites), d=d)
 
     def test_idempotent_on_canonical_input(self, rng):
         mps = build_ppt(random_separable_model(2, 2, rng), 4)
         again = to_right_canonical(mps)
         assert abs(abs(overlap(again, mps)) - 1.0) < 1e-12
-        for a, b in zip(again.sites, mps.sites):
+        for a, b in zip(again.chain(), mps.chain(), strict=True):
             assert a.shape == b.shape
 
     def test_preserves_state(self, rng):
@@ -182,19 +195,19 @@ class TestRightCanonical:
         # product MPS written with inflated bonds collapses back to 1
         base = build_ppt(random_separable_model(2, 1, rng), 3)
         inflated = []
-        for t in base.sites:
+        for t in base.chain():
             big = np.zeros((t.shape[0] * 2, 2, 2, t.shape[3] * 2), dtype=np.complex128)
             big[: t.shape[0], :, :, : t.shape[3]] = t
             inflated.append(big)
         inflated[0] = inflated[0][:1]
-        mps = PptMps(sites=tuple(inflated), d=2)
+        mps = PptMps(runs=tuple((t, 1) for t in inflated), d=2)
         canon = to_right_canonical(mps)
         assert canon.bond_dims == [1, 1, 2]  # final leg keeps its padded size
 
     def test_zero_state_raises(self):
-        sites = (np.zeros((1, 2, 2, 1), dtype=np.complex128),)
+        runs = ((np.zeros((1, 2, 2, 1), dtype=np.complex128), 1),)
         with pytest.raises(DegenerateStateError):
-            to_right_canonical(PptMps(sites=sites, d=2))
+            to_right_canonical(PptMps(runs=runs, d=2))
 
 
 class TestMemorySize:
@@ -258,10 +271,10 @@ class TestMpsToOqe:
         # the process in a gauge that is not right-canonical, claimed as "none"
         mps = build_ppt(random_separable_model(2, 3, rng), 3)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        sites = list(mps.sites)
+        sites = mps.chain()
         sites[0] = np.einsum("aoib,bc->aoic", sites[0], g)
         sites[1] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[1])
-        twin = PptMps(sites=tuple(sites), d=2, canonical="none")
+        twin = PptMps(runs=tuple((t, 1) for t in sites), d=2, canonical="none")
         assert twin.right_canonical_residual() > 1e-3
         recovered, residuals = mps_to_oqe(twin)
         assert max(residuals) < 1e-10
@@ -271,7 +284,7 @@ class TestMpsToOqe:
         sites = [np.zeros((1, 2, 2, 1), dtype=np.complex128) for _ in range(2)]
         sites[0][0, 0, 0, 0] = 1.0
         sites[1][0, 0, 0, 0] = 1.0  # sum_{oi} B B^dag = 1, but rank-1 as a d x d map
-        mps = PptMps(sites=tuple(sites), d=2, canonical="right")
+        mps = PptMps(runs=tuple((t, 1) for t in sites), d=2, canonical="right")
         with pytest.raises(ConversionError) as err:
             mps_to_oqe(mps)
         assert err.value.site is not None
@@ -339,7 +352,7 @@ class TestGaugeInvariance:
 
     def test_left_canonicality_beyond_first_site(self, rng):
         mps = build_ppt(random_separable_model(2, 3, rng), 4)
-        for t in mps.sites[1:]:
+        for t in mps.chain()[1:]:
             g = np.einsum("aoib,aoic->bc", t.conj(), t)
             assert np.max(np.abs(g - np.eye(t.shape[3]))) < 1e-10
 
@@ -378,15 +391,33 @@ class TestSerialization:
             with pytest.raises(ValidationError, match="leading site physical extents"):
                 PptMps.from_json_dict(doc)
 
+    @pytest.mark.parametrize("repeat", [1, 2, "x"])
+    def test_leading_site_cannot_repeat(self, rng, repeat):
+        # the leading site is step 0: a "repeat" there is rejected, not ignored
+        exposed = build_ppt(random_separable_model(2, 3, rng), 2, expose_initial_leg=True)
+        doc = exposed.to_json_dict()
+        doc["leading_site"]["repeat"] = repeat
+        with pytest.raises(ValidationError, match="leading site is step 0 and cannot repeat"):
+            PptMps.from_json_dict(doc)
+
+    def test_a_repeated_site_needs_equal_bonds(self, rng):
+        # a run's second step opens on the run's own right bond
+        doc = build_ppt(random_separable_model(2, 2, rng), 3).to_json_dict()
+        doc["sites"][0]["repeat"] = 2
+        with pytest.raises(ValidationError, match="chain element 1 has left bond 1, expected 2"):
+            PptMps.from_json_dict(doc)
+
     def test_sites_differing_in_a_signed_zero_stay_apart(self, rng):
         # enlarged sites hold exact zeros; negating them keeps every value
         mps = build_ppt(random_entangled_model(2, 2, rng), 4)
-        sites = (*mps.sites[:2], negated_zeros(mps.sites[2]), mps.sites[3])
+        sites = mps.chain()
+        sites[2] = negated_zeros(sites[2])
         assert np.array_equal(sites[1], sites[2]) and sites[1].tobytes() != sites[2].tobytes()
-        doc = replace(mps, sites=sites).to_json_dict()
+        doc = replace(mps, runs=tuple((t, 1) for t in sites)).to_json_dict()
         assert [site.get("repeat", 1) for site in doc["sites"]] == [1, 1, 1, 1]
         back = PptMps.from_json_dict(doc)
-        assert [t.tobytes() for t in back.sites] == [t.tobytes() for t in sites]
+        assert [n for _, n in back.runs] == [1, 1, 1, 1]
+        assert [t.tobytes() for t in back.chain()] == [t.tobytes() for t in sites]
 
     def test_documents_expand_to_at_most_max_steps(self, rng, monkeypatch):
         doc = build_ppt(random_separable_model(2, 2, rng), 4).to_json_dict()
@@ -441,9 +472,8 @@ class TestNormCertificate:
         # head undoes their growth: the norm is 1, but the bound is ~8 l eta
         eta = 2e-11
         mps = build_ppt(random_separable_model(2, 2, rng), 5)
-        shared = mps.sites[1] * (1.0 + eta)
-        head = mps.sites[0] * (1.0 + eta) ** -4
-        mps = replace(mps, sites=(head, *[shared] * 4))
+        (first, _), (site, _) = mps.runs
+        mps = replace(mps, runs=((first * (1.0 + eta) ** -4, 1), (site * (1.0 + eta), 4)))
         assert 3e-11 < mps.right_canonical_residual() < 1e-10
         assert not mps._norm_certified(mps._gram_residuals())
         calls = self._count_sweeps(monkeypatch)
@@ -453,6 +483,7 @@ class TestNormCertificate:
     @pytest.mark.parametrize("canonical", ["right", "none"])
     def test_scaled_head_is_rejected_with_the_swept_deviation(self, rng, canonical):
         mps = build_ppt(random_separable_model(2, 3, rng), 4)
-        mps = replace(mps, sites=(mps.sites[0] * 1.001, *mps.sites[1:]), canonical=canonical)
+        (first, _), *rest = mps.runs
+        mps = replace(mps, runs=((first * 1.001, 1), *rest), canonical=canonical)
         with pytest.raises(ValidationError, match=r"state norm deviates from 1 by 1\.000e-03"):
             mps.validate()

@@ -64,6 +64,7 @@ from conftest import (
     pauli_sampled_estimate_loop,
     random_observable,
     random_right_canonical_site,
+    step_sites,
     version_1_model_doc,
     version_1_ppt_doc,
     version_2_ppt_doc,
@@ -291,24 +292,24 @@ def test_repeated_sites_are_stored_once(spec, expose, n_steps, data):
     """
     model = make_model(dict(spec, N=n_steps))
     built = build_ppt(model, n_steps, expose_initial_leg=expose)
-    for t in built.sites:
-        if sum(s is t for s in built.sites) > 1:
-            assert_read_only(t)
+    if model.time_independent:  # the first step, then one run of the shared site
+        assert len(built.runs) <= 2 - expose
+    for t, _ in built.runs:
+        assert_read_only(t)
     flips = data.draw(st.lists(st.booleans(), min_size=n_steps, max_size=n_steps))
-    mps = dataclasses.replace(
-        built, sites=tuple(negated_zeros(t) if f else t for t, f in zip(built.sites, flips))
-    )
+    sites = [negated_zeros(t) if f else t for t, f in zip(step_sites(built), flips)]
+    mps = dataclasses.replace(built, runs=tuple((t, 1) for t in sites))
     doc = json.loads(mps.to_json())
     assert doc["format_version"] == 3
-    runs = byte_runs(mps.sites)
+    runs = byte_runs(sites)
     assert [s.get("repeat", 1) for s in doc["sites"]] == runs
     assert all(s.get("repeat", 2) > 1 for s in doc["sites"])  # a run of 1 omits the key
 
     back = PptMps.from_json(mps.to_json())
-    assert all(same_bits(s, t) for s, t in zip(mps.chain(), back.chain()))
+    assert all(same_bits(s, t) for s, t in zip(mps.chain(), back.chain(), strict=True))
     assert back.n_steps == n_steps and back.to_json() == mps.to_json()
-    assert len({id(t) for t in back.sites}) == len(runs)
-    for t in back.sites:
+    assert [n for _, n in back.runs] == runs
+    for t, _ in back.runs:
         assert_read_only(t)
 
 
@@ -574,7 +575,7 @@ def test_stationary_state_matches_dense_oracle(d, D, seed, weights, krylov, bare
     rho0 = None
     if bare:
         rng = np.random.default_rng(seed)
-        subject = PptMps(sites=(random_right_canonical_site(rng, d, D),), d=d)
+        subject = PptMps(runs=((random_right_canonical_site(rng, d, D), 1),), d=d)
         rho0 = memory.pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
     elif weights is None or D == 1:
         subject = random_separable_model(d, D, seed)
@@ -588,30 +589,28 @@ def test_stationary_state_matches_dense_oracle(d, D, seed, weights, krylov, bare
     assert np.max(np.abs(rho - ref)) < 1e-10
 
 
-def _replace_array(mps, old, new):
-    """``mps`` with every chain element that is the array ``old`` replaced by
-    ``new``, so a run of shared sites stays one shared array."""
-    sites = tuple(new if t is old else t for t in mps.sites)
-    lead = new if mps.leading_site is old else mps.leading_site
-    return dataclasses.replace(mps, sites=sites, leading_site=lead)
-
-
 def _perturbed(mps, change, rng):
     """``mps`` with its first chain element scaled by 1 + eps ("head"), or
-    with one distinct later array moved by noise that leaves its
-    right-canonicality residual at 0.9 ``CANONICAL_TOL`` ("site")."""
+    with the site of one later run moved by noise that leaves its
+    right-canonicality residual at 0.9 ``CANONICAL_TOL`` ("site").  A built
+    chain without a leading site gives its first step a run of its own."""
     kind, eps = change
-    chain = mps.chain()
+    lead, runs = mps.leading_site, list(mps.runs)
     if kind == "head":
-        return _replace_array(mps, chain[0], chain[0] * (1.0 + eps))
-    if kind == "site" and len(chain) > 1:
-        distinct = list({id(t): t for t in chain[1:]}.values())
-        t = distinct[int(rng.integers(len(distinct)))]
+        if lead is not None:
+            return dataclasses.replace(mps, leading_site=lead * (1.0 + eps))
+        runs[0] = (runs[0][0] * (1.0 + eps), runs[0][1])
+        return dataclasses.replace(mps, runs=tuple(runs))
+    later = range(len(runs)) if lead is not None else range(1, len(runs))
+    if kind == "site" and later:
+        k = later[int(rng.integers(len(later)))]
+        t, n = runs[k]
         z = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
         # the residual is linear in the noise scale to first order
         cross = np.einsum("aoib,coib->ac", t, z.conj())
         slope = np.max(np.abs(cross + cross.conj().T))
-        moved = _replace_array(mps, t, t + 0.9 * CANONICAL_TOL / slope * z)
+        runs[k] = (t + 0.9 * CANONICAL_TOL / slope * z, n)
+        moved = dataclasses.replace(mps, runs=tuple(runs))
         assert 0.5 * CANONICAL_TOL < moved.right_canonical_residual() <= CANONICAL_TOL
         return moved
     return mps

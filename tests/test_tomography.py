@@ -218,7 +218,8 @@ class TestDisentangle:
         for oracle in (reused, holding):
             report = disentangle_reconstruct(oracle, 6, 2)
             assert report.queries == fresh.queries
-            for got, ref in zip(report.recovered_mps.sites, fresh.recovered_mps.sites, strict=True):
+            got_chain, ref_chain = report.recovered_mps.chain(), fresh.recovered_mps.chain()
+            for got, ref in zip(got_chain, ref_chain, strict=True):
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_loose_bound_still_works(self, rng):
