@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import CapacityError, DimensionError, ValidationError
 from .models import OqeModel
-from .ppt import DENSE_STATE_GUARD, PptMps, to_right_canonical
+from .ppt import DENSE_STATE_GUARD, PptMps, _left_sweep, to_right_canonical
 from .tensor_ops import (
     _decode_entries,
     _is_integer,
@@ -26,7 +26,6 @@ from .tensor_ops import (
     encode_complex,
     json_int,
     json_object,
-    transfer_left,
 )
 
 
@@ -119,17 +118,16 @@ def pair_operator(out_op: np.ndarray, in_op: np.ndarray) -> np.ndarray:
 
 
 def expectation(mps: PptMps, obs: MultiTimeObservable) -> complex:
-    """<PPT| (insertions) |PPT> by left-to-right transfer contraction; an MPS
-    that does not claim right-canonical form is right-canonicalised first."""
+    """<PPT| (insertions) |PPT> by one left sweep (``ppt._left_sweep``) up to
+    the last insertion; an MPS that does not claim right-canonical form is
+    right-canonicalised first."""
     if mps.canonical != "right":
         mps = to_right_canonical(mps)
     obs.validate(mps.d, mps.n_steps)
-    ops = dict(obs.insertions)
-    env = np.ones((1, 1), dtype=np.complex128)
     lead = int(mps.leading_site is not None)  # an exposed initial leg is step 0
-    for step, t in enumerate(mps.chain()[: lead + obs.last_step], start=1 - lead):
-        env = transfer_left(env, t, t, ops.get(step))
-    return complex(np.trace(env))
+    chain = mps.chain()[: lead + obs.last_step]
+    ops = {lead + step - 1: op for step, op in obs.insertions}  # step -> chain index
+    return complex(np.trace(_left_sweep(np.ones((1, 1), dtype=np.complex128), chain, chain, ops)))
 
 
 def dense_expectation(model: OqeModel, N: int, obs: MultiTimeObservable) -> complex:

@@ -14,6 +14,7 @@ Renyi order off its spectrum, beside the closed form of Theorem 1.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ from .ppt import (
     CANONICAL_TOL,
     PptMps,
     _gram_residual,
+    _left_envs,
+    _left_sweep,
     enlarged_site_tensor,
     site_tensor_from_unitary,
 )
@@ -98,12 +101,12 @@ def _left_matrix(sites: np.ndarray) -> np.ndarray:
 
 def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
     """The environment density matrix after the first ``n`` steps from the
-    density matrix ``rho0``.
+    density matrix ``rho0``, by one left sweep over their sites.
 
-    ``transfer_left`` carries operators in (bra, ket) order, the transpose
-    of a density matrix, so ``rho0`` is transposed once on the way in and
-    the result once on the way out.  For an MPS the step count is bounded
-    by its length; a time-independent model supports any ``n >= 0``.
+    The sweep carries operators in (bra, ket) order, the transpose of a
+    density matrix, so ``rho0`` is transposed once on the way in and the
+    result once on the way out.  For an MPS the step count is bounded by
+    its length; a time-independent model supports any ``n >= 0``.
     """
     if not _is_integer(n):
         raise ValidationError(f"step count {n!r} is not an integer")
@@ -123,9 +126,7 @@ def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
             raise ValidationError(f"time-dependent model stores only {len(model.unitaries)} steps")
         else:
             sites = [_model_site(model, k) for k in range(1, n + 1)]
-    for site in sites:
-        rho = transfer_left(rho, site, site)
-    return rho.T
+    return _left_sweep(rho, sites, sites).T
 
 
 # -- fidelity ---------------------------------------------------------------
@@ -428,27 +429,25 @@ def stationarity_onset(model: OqeModel, tol: float = 1e-8) -> int:
     """Smallest n with fidelity(rho_n, rho_st) > 1 - tol, for a finite
     ``tol`` in (0, 1).
 
-    The fidelity is symmetric, so sqrt(rho_st) is taken once and every step
-    costs one ``eigvalsh`` of sqrt(rho_st) rho_n sqrt(rho_st).  The loop
-    runs in ``transfer_left``'s (bra, ket) order from rho_0^T toward
-    rho_st^T, for ``rho_st = stationary_state(model)``; the fidelity is
-    unchanged by transposing both of its arguments.
+    The fidelity is symmetric, so sqrt(rho_st) is taken once; each rho_n^T
+    the left sweep yields from rho_0^T (transposing both keeps the fidelity)
+    costs one ``eigvalsh``, for ``rho_st = stationary_state(model)``.  No
+    onset within ``ONSET_MAX_ITER`` steps raises ``ConvergenceError``.
     """
     if not model.time_independent:
         raise ValidationError("stationarity onset requires a time-independent model")
     if not (_is_real(tol) and np.isfinite(tol) and 0.0 < tol < 1.0):
         raise ValidationError(f"tol must be finite and in (0, 1), got {tol!r}")
-    rho = initial_env_density(model).T
     rho_st = stationary_state(model)[0].T
     sqrt_st = _psd_sqrt(rho_st)
     site = _model_site(model, 1)
-    for n in range(ONSET_MAX_ITER + 1):
+    envs = _left_envs(initial_env_density(model).T, itertools.repeat(site), itertools.repeat(site))
+    for n, rho in zip(range(ONSET_MAX_ITER + 1), envs):  # range first: no step past a check
         if _fidelity_from_root(sqrt_st, rho) > 1.0 - tol:
             return n
-        rho = transfer_left(rho, site, site)
     raise ConvergenceError(
         f"environment state did not reach the stationary state in {ONSET_MAX_ITER} steps",
-        residual=infidelity(rho, rho_st),
+        residual=infidelity(next(envs), rho_st),
     )
 
 

@@ -15,6 +15,7 @@ the identity on the absorbed system factor.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -340,9 +341,9 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
     index in front of step 1, bonds stay D-dimensional and measuring it
     collapses the environment branch.  Otherwise entangled initial states
     absorb that leg into the environment (bond dimension d*D) and separable
-    ones split off the system factor (bond dimension D).  Each stored
-    unitary gives one run: a time-independent model's N steps (N - 1 after
-    a first step of its own unless the leg is exposed), else one step.
+    ones split off the system factor (bond dimension D).  Consecutive steps
+    that share a stored unitary object form one run (a time-independent
+    model's N, or N - 1 after a first step of its own unless exposed).
     """
     if not (_is_integer(N) and 1 <= N <= MAX_STEPS):
         raise ValidationError(f"N must be an integer in 1..MAX_STEPS={MAX_STEPS}, got {N!r}")
@@ -351,8 +352,10 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
             f"time-dependent model stores {len(model.unitaries)} unitaries but N={N}"
         )
     d, D = model.d, model.D
-    stored = [site_tensor_from_unitary(u, d, D) for u in model.unitaries[:N]]
-    runs = ((stored[0], int(N)),) if model.time_independent else tuple((t, 1) for t in stored)
+    runs = tuple(  # OqeModel stores a unitary that repeats as one shared object
+        (site_tensor_from_unitary(u, d, D), int(N) if model.time_independent else 1 + len(more))
+        for _, (u, *more) in itertools.groupby(model.unitaries[:N], key=id)
+    )
 
     if expose_initial_leg or model.entangled:
         lead = model.initial_state.reshape(d, D)[np.newaxis, :, np.newaxis, :]
@@ -360,7 +363,7 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
         return exposed if expose_initial_leg else absorb_initial_leg(exposed)
 
     psi_env = model.initial_schmidt().env_basis[:, 0]
-    first = np.einsum("a,aoib->oib", psi_env, stored[0])[np.newaxis]
+    first = np.einsum("a,aoib->oib", psi_env, runs[0][0])[np.newaxis]
     return PptMps(runs=((first, 1), *_after_first_step(runs)), d=d, canonical="right")
 
 
@@ -506,22 +509,35 @@ def ppt_to_process_tensor(mps: PptMps) -> np.ndarray:
     return x @ x.conj().T
 
 
-# -- overlaps and fidelities ----------------------------------------------
+# -- the left sweep and overlaps ------------------------------------------
+
+
+def _left_envs(env: np.ndarray, bras, kets, ops=None):
+    """Yield ``env``, then ``env`` carried by ``transfer_left`` across each next site pair of
+    the per-step iterables ``bras`` and ``kets``, with the insertion ``ops[k]`` in pair k."""
+    yield env
+    for k, (bra, ket) in enumerate(zip(bras, kets)):
+        env = transfer_left(env, bra, ket, ops.get(k) if ops else None)
+        yield env
+
+
+def _left_sweep(env: np.ndarray, bras, kets, ops=None) -> np.ndarray:
+    """The last environment ``_left_envs`` yields: ``env`` carried across every pair."""
+    for env in _left_envs(env, bras, kets, ops):
+        pass
+    return env
 
 
 def overlap_matrix(a: PptMps, b: PptMps) -> np.ndarray:
     """Environment-leg overlap matrix M[p, q] = <a; env p | b; env q>.
 
-    Contracts the physical legs of the two PPTs, leaving both environment
-    legs open.
+    One left sweep contracts the physical legs of the two PPTs, leaving both
+    environment legs open; PPTs that differ in step count, d or an exposed
+    step 0 raise ``DimensionError``.
     """
-    ca, cb = a.chain(), b.chain()
-    if len(ca) != len(cb) or a.d != b.d:
-        raise DimensionError("overlap requires PPTs of equal length and system dimension")
-    env = np.ones((1, 1), dtype=np.complex128)
-    for ta, tb in zip(ca, cb):
-        env = transfer_left(env, ta, tb)
-    return env
+    if (a.n_steps, a.d, a.leading_site is None) != (b.n_steps, b.d, b.leading_site is None):
+        raise DimensionError("overlap requires PPTs of equal steps, d and exposed initial leg")
+    return _left_sweep(np.ones((1, 1), dtype=np.complex128), a.chain(), b.chain())
 
 
 def overlap(a: PptMps, b: PptMps) -> complex:

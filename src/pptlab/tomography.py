@@ -58,6 +58,7 @@ from .ppt import (
     SPLIT_TOL,
     PptMps,
     _after_first_step,
+    _left_envs,
     absorb_initial_leg,
     build_ppt,
     gauge_fidelity,
@@ -72,7 +73,6 @@ from .tensor_ops import (
     closest_isometry,
     fill_unassigned_columns,
     polar_unitary,
-    transfer_left,
     transfer_right,
 )
 
@@ -101,9 +101,9 @@ class MeasurementOracle:
     stateful, like a laboratory: ``apply_gate`` applies one window gate,
     ``reset`` undoes the gates and ``reduced_density`` measures the current
     chain.  The left environments of the sites nothing has touched since
-    they were contracted are kept, so a query extends the environment only
-    up to its window and a sliding-window reconstruction costs time linear
-    in ``n_steps``.
+    they were contracted are kept and a query's left sweep extends them only
+    up to its window, so a repeated query sweeps no site and a sliding-window
+    reconstruction costs time linear in ``n_steps``.
     """
 
     def __init__(
@@ -198,23 +198,17 @@ class MeasurementOracle:
         if self.shots is not None and legs > SAMPLED_QUBIT_GUARD:
             raise CapacityError(f"sampled window {sites} exceeds {SAMPLED_QUBIT_GUARD} qubits")
         self.query_log += 1
-        env = self._left_env(a)
+        unswept = self._chain[len(self._envs) - 1 : a]  # before the window, no kept env yet
+        self._envs[-1:] = _left_envs(self._envs[-1], unswept, unswept)
         block = _contract_sites(self._chain[a : b + 1])  # (l, window, r)
         l, n_phys, r = block.shape
-        # env[l', l] = sum over the left physical legs of conj(X[.., l']) X[.., l]
-        x = (env @ block.reshape(l, -1)).reshape(l, n_phys, r).transpose(1, 0, 2)
+        # _envs[a][l', l] = sum over the left physical legs of conj(X[.., l']) X[.., l]
+        x = (self._envs[a] @ block.reshape(l, -1)).reshape(l, n_phys, r).transpose(1, 0, 2)
         rho = x.reshape(n_phys, -1) @ block.transpose(1, 0, 2).reshape(n_phys, -1).conj().T
         rho = (rho + rho.conj().T) / 2.0
         if self.shots is None:
             return rho
         return _pauli_sampled_estimate(rho, self.shots, self._rng)
-
-    def _left_env(self, n: int) -> np.ndarray:
-        """Left environment of the first ``n`` sites of the current chain."""
-        while len(self._envs) <= n:
-            t = self._chain[len(self._envs) - 1]
-            self._envs.append(transfer_left(self._envs[-1], t, t))
-        return self._envs[n]
 
     def _checked_gate(self, start, gate) -> tuple[int, np.ndarray]:
         """Validate one gate: start site, fit on the chain, unitarity.
@@ -484,14 +478,6 @@ def _ansatz_sites(u, d: int, D: int, n_steps: int) -> list[np.ndarray]:
     return [site[0:1]] + [site] * (n_steps - 1)  # initial environment pinned to |0>
 
 
-def _forward_envs(target_chain, ansatz_sites):
-    """Left environments: envs[n] contracts the first n sites of target and ansatz."""
-    envs = [np.ones((1, 1), dtype=np.complex128)]
-    for tn, an in zip(target_chain, ansatz_sites):
-        envs.append(transfer_left(envs[-1], tn, an))
-    return envs
-
-
 def _backward_envs(target_chain, ansatz_sites, of):
     """Right environments: envs[n] contracts sites n.. of target and ansatz with ``of``."""
     envs = [of]
@@ -597,7 +583,7 @@ def _descend(target, u, d, D, nt2) -> tuple[list[float], np.ndarray, np.ndarray]
 
     def evaluate(u):
         sites = _ansatz_sites(u, d, D, len(chain))
-        fwd = _forward_envs(chain, sites)
+        fwd = list(_left_envs(np.ones((1, 1), dtype=np.complex128), chain, sites))
         of, nuclear = _optimal_final_unitary(fwd[-1])
         return nt2 + 1.0 - 2.0 * nuclear, of, sites, fwd
 

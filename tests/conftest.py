@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pptlab import MultiTimeObservable, OqeModel, PptMps, memory, tomography
+from pptlab import MultiTimeObservable, OqeModel, PptMps, memory, ppt, tomography
 from pptlab.exceptions import ConvergenceError, DimensionError, ValidationError
 from pptlab.memory import DEGENERACY_GAP, initial_env_density, validate_env_density
 from pptlab.models import near_identity_unitary, random_hermitian
@@ -129,7 +129,7 @@ def fit_overlap_and_grad(target: PptMps, u, of, d, D):
     in the shared step unitary, from the fit's own environment sweeps."""
     chain = target.chain()
     sites = tomography._ansatz_sites(u, d, D, len(chain))
-    fwd = tomography._forward_envs(chain, sites)
+    fwd = list(ppt._left_envs(np.ones((1, 1), dtype=np.complex128), chain, sites))
     overlap = complex(np.einsum("pq,pq", fwd[-1], of))
     return overlap, tomography._backward_grad(chain, sites, of, fwd, d, D)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pptlab
-from pptlab import memory
+from pptlab import memory, tomography
 
 
 def test_every_exported_name_resolves():
@@ -63,13 +63,15 @@ def test_entangled_is_derived_not_set():
     "owner, name",
     [(pptlab.OqeModel, "create"), (pptlab.MultiTimeObservable, "create"),
      (pptlab.MeasurementOracle, "initial_system_state"),
-     (pptlab.MeasurementOracle, "conditional"), (pptlab.MeasurementOracle, "condition")],
+     (pptlab.MeasurementOracle, "conditional"), (pptlab.MeasurementOracle, "condition"),
+     (pptlab.MeasurementOracle, "_left_env"), (tomography, "_forward_envs")],
     ids=["model_create", "observable_create", "oracle_initial_system_state",
-         "oracle_conditional", "oracle_condition"],
+         "oracle_conditional", "oracle_condition", "oracle_left_env", "fit_forward_envs"],
 )
 def test_removed_methods_stay_gone(owner, name):
     # the constructors are the one way in; the oracle answers only by
-    # measuring, and nothing post-selects its step 0
+    # measuring, and nothing post-selects its step 0; every left-to-right
+    # chain walk is ppt._left_envs
     assert not hasattr(owner, name)
 
 

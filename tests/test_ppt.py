@@ -6,11 +6,14 @@ import pytest
 from pptlab import (
     ConversionError,
     DegenerateStateError,
+    DimensionError,
+    MeasurementOracle,
     OqeModel,
     PptMps,
     ValidationError,
     build_ppt,
     check_isometry,
+    evolve_env,
     expectation,
     gauge_fidelity,
     memory_size,
@@ -20,9 +23,13 @@ from pptlab import (
     random_entangled_model,
     random_haar_unitary,
     random_separable_model,
+    stationarity_onset,
     to_right_canonical,
+    variational_fit,
 )
 from pptlab import ppt as ppt_module
+from pptlab import tomography
+from pptlab.memory import initial_env_density
 from pptlab.ppt import split_block
 
 from conftest import (
@@ -116,6 +123,109 @@ class TestBuildPpt:
         model = random_separable_model(2, 2, rng, steps=2)
         with pytest.raises(ValidationError):
             build_ppt(model, 3)
+
+    def test_steps_sharing_a_unitary_form_one_run(self):
+        # mps_to_oqe reads a run back as one shared unitary object, which the
+        # model stores once; rebuilding keeps the boundary step and one run
+        N = 10**4
+        mps = build_ppt(random_separable_model(2, 16, 0), N)
+        model = mps_to_oqe(mps)[0]
+        assert len(model.unitaries) == N and len({id(u) for u in model.unitaries}) == 2
+        rebuilt = build_ppt(model, N)
+        assert rebuilt.n_steps == N and len(rebuilt.runs) <= 2
+        assert len(rebuilt.to_json_dict()["sites"]) == 2
+
+
+class TestOverlap:
+    @pytest.mark.parametrize(
+        ("left", "right"),
+        [((2, 3, True), (2, 4, False)), ((2, 3, False), (2, 4, False)),
+         ((2, 3, True), (2, 3, False)), ((2, 3, False), (3, 3, False))],
+        ids=["exposed_step_0_same_length", "steps", "exposed_step_0", "d"],
+    )
+    @pytest.mark.parametrize("fn", [overlap, ppt_module.overlap_matrix, gauge_fidelity])
+    def test_mismatched_ppts_raise_dimension_error(self, rng, fn, left, right):
+        # d, N and expose_initial_leg of each side; the first case has chains
+        # of equal length whose first elements differ in their in leg
+        a, b = (
+            build_ppt(random_separable_model(d, 2, rng), N, expose_initial_leg=expose)
+            for d, N, expose in (left, right)
+        )
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(DimensionError, match="overlap requires"):
+                fn(x, y)
+
+
+class TestLeftSweep:
+    """Every left-to-right walk of a chain is ``ppt._left_envs``: with
+    ``ppt.transfer_left`` counted, each walk counts exactly its steps."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = [0]
+        step = ppt_module.transfer_left
+
+        def counting(*args):
+            calls[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(ppt_module, "transfer_left", counting)
+        return calls
+
+    @pytest.mark.parametrize("expose", [False, True])
+    def test_expectation_stops_at_the_last_insertion(self, rng, steps, expose):
+        mps = build_ppt(random_entangled_model(2, 2, rng), 7, expose_initial_leg=expose)
+        obs = random_observable(rng, 2, 5)
+        expectation(mps, obs)
+        assert steps[0] == int(expose) + obs.last_step
+
+    @pytest.mark.parametrize("expose", [False, True])
+    def test_overlap_walks_the_chain(self, rng, steps, expose):
+        mps = build_ppt(random_separable_model(2, 3, rng), 6, expose_initial_leg=expose)
+        overlap(mps, mps)
+        assert steps[0] == 6 + int(expose)
+
+    @pytest.mark.parametrize("kind", ["mps", "model", "time_dependent"])
+    def test_evolve_env_walks_n_steps(self, rng, steps, kind):
+        model = random_separable_model(2, 2, rng, steps=5 if kind == "time_dependent" else 1)
+        if kind == "mps":  # a chain opens on a left bond of 1
+            evolve_env(np.ones((1, 1)), build_ppt(model, 5), 4)
+        else:
+            evolve_env(initial_env_density(model), model, 4)
+        assert steps[0] == 4
+
+    def test_stationarity_onset_walks_to_its_onset(self, rng, steps):
+        onset = stationarity_onset(random_separable_model(2, 2, rng))
+        assert onset > 0 and steps[0] == onset
+
+    def test_oracle_sweeps_each_site_once_per_gate(self, rng, steps):
+        oracle = MeasurementOracle(random_separable_model(2, 2, rng), 6)
+        oracle.reduced_density((3, 4))
+        assert steps[0] == 3  # steps 0, 1 and 2
+        oracle.reduced_density((3, 4))
+        assert steps[0] == 3
+        oracle.apply_gate(1, random_haar_unitary(4, rng))
+        oracle.reduced_density((4, 5))
+        assert steps[0] == 3 + 3  # steps 1 to 3 again: the gate moved step 1
+        oracle.reset()
+        oracle.reduced_density((2, 2))
+        assert steps[0] == 6 + 2
+
+    def test_one_fit_evaluation_walks_the_chain(self, rng, steps, monkeypatch):
+        # each evaluation ends in one _optimal_final_unitary call; the fit
+        # takes the target's norm first, and the backward sweep counts none.
+        # One shared unitary cannot fit a time-dependent target at once.
+        N = 5
+        seen = []
+        solve = tomography._optimal_final_unitary
+
+        def counting(lmat):
+            seen.append(steps[0])
+            return solve(lmat)
+
+        monkeypatch.setattr(tomography, "_optimal_final_unitary", counting)
+        variational_fit(build_ppt(random_separable_model(2, 2, rng, steps=N), N))
+        assert len(seen) > 1 and seen == [N * (k + 2) for k in range(len(seen))]
 
 
 class TestSplitBlock:

@@ -2,8 +2,8 @@
 maps, exact JSON round trips.
 
 Cases range over d in {2, 3}, D in 1..4, N in 1..5 (up to 6 for the
-run-length site codec and the model read-back, and 8 for the measurement
-oracle), separable or entangled initial states, and time-independent or
+run-length site codec, the model read-back and the step-1 tomography round
+trip, and 8 for the measurement oracle), separable or entangled initial states, and time-independent or
 time-dependent steps.  The near-identity experiment is
 checked bit for bit against its per-step reference over block edges, its
 closed-form unitaries against scipy's ``expm``, and the stationary solve
@@ -398,6 +398,23 @@ def test_sweep_from_step_zero_recovers_the_process(spec):
     for _ in range(5):
         obs = random_observable(rng, d, N, min(N, 2))
         assert abs(expectation(truth, obs) - expectation(rebuilt, obs)) < 1e-8
+
+
+@CASES
+@given(spec=model_specs, data=st.data())
+def test_sweep_from_step_one_recovers_the_process(spec, data):
+    """``disentangle_reconstruct`` from step 1 with the tight bound, D or
+    d D for an entangled model (its absorbed environment), for N from the
+    window size R to 6: f + 1 = N - R + 2 requests, and the recovered PPT
+    has state fidelity above 1 - 1e-8 with the hidden one."""
+    d, D = spec["d"], spec["D"]
+    bound = d * D if spec["entangled"] and D > 1 else D  # make_model's entangled rule
+    R = tomography.window_size(d, bound)
+    N = data.draw(st.integers(R, 6), label="N")
+    model = make_model(dict(spec, N=N))
+    report = disentangle_reconstruct(MeasurementOracle(model, N), N, bound)
+    assert report.queries == N - R + 2
+    assert report.state_fidelity > 1 - 1e-8
 
 
 @CASES
