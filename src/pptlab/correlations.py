@@ -3,9 +3,10 @@
 An observable is a set of (step, operator) insertions; each operator is a
 d^2 x d^2 matrix on the (out, in) index pair of its step, fused row major
 as sigma = o * d + i.  The MPS route carries the environment state from the
-left, sandwiches the operators at insertion steps and stops after the last
-insertion (the remaining sites are right-canonical and contract to the
-identity).  The dense route replays the generating circuit on a full
+left and sandwiches the operators at insertion steps.  On a right-canonical
+MPS it stops after the last insertion (the remaining sites contract to the
+identity); any other MPS is swept to its end and divided by its squared
+norm.  The dense route replays the generating circuit on a full
 statevector and shares no contraction code with the MPS route.
 """
 
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CapacityError, DimensionError, ValidationError
+from .exceptions import CapacityError, DegenerateStateError, DimensionError, ValidationError
 from .models import OqeModel
-from .ppt import DENSE_STATE_GUARD, PptMps, _left_sweep, to_right_canonical
+from .ppt import DENSE_STATE_GUARD, PptMps, _left_sweep, overlap
 from .tensor_ops import (
     _decode_entries,
     _is_integer,
@@ -118,16 +119,21 @@ def pair_operator(out_op: np.ndarray, in_op: np.ndarray) -> np.ndarray:
 
 
 def expectation(mps: PptMps, obs: MultiTimeObservable) -> complex:
-    """<PPT| (insertions) |PPT> by one left sweep (``ppt._left_sweep``) up to
-    the last insertion; an MPS that does not claim right-canonical form is
-    right-canonicalised first."""
-    if mps.canonical != "right":
-        mps = to_right_canonical(mps)
+    """<PPT| (insertions) |PPT> / <PPT|PPT> by one left sweep (``ppt._left_sweep``):
+    up to the last insertion on a right-canonical MPS, whose norm is 1 and whose
+    later steps contract to the identity, else to the end and divided by ``overlap``."""
     obs.validate(mps.d, mps.n_steps)
     lead = int(mps.leading_site is not None)  # an exposed initial leg is step 0
-    chain = mps.chain()[: lead + obs.last_step]
+    right = mps.canonical == "right"
+    chain = mps.chain(lead + obs.last_step if right else None)
     ops = {lead + step - 1: op for step, op in obs.insertions}  # step -> chain index
-    return complex(np.trace(_left_sweep(np.ones((1, 1), dtype=np.complex128), chain, chain, ops)))
+    value = np.trace(_left_sweep(np.ones((1, 1), dtype=np.complex128), chain, chain, ops))
+    if right:
+        return complex(value)
+    norm2 = overlap(mps, mps).real
+    if norm2 < 1e-24:
+        raise DegenerateStateError("state has numerically zero norm")
+    return complex(value / norm2)
 
 
 def dense_expectation(model: OqeModel, N: int, obs: MultiTimeObservable) -> complex:

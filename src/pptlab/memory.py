@@ -104,20 +104,22 @@ def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
     density matrix ``rho0``, by one left sweep over their sites.
 
     The sweep carries operators in (bra, ket) order, the transpose of a
-    density matrix, so ``rho0`` is transposed once on the way in and the
-    result once on the way out.  For an MPS the step count is bounded by
-    its length; a time-independent model supports any ``n >= 0``.
+    density matrix, so ``rho0`` (sized to the first left bond) is transposed
+    once on the way in and the result once on the way out.  An MPS bounds
+    the step count by its length; a time-independent model takes any n >= 0.
     """
     if not _is_integer(n):
         raise ValidationError(f"step count {n!r} is not an integer")
     rho = validate_env_density(rho0).T
     if isinstance(mps_or_model, PptMps):
         sites = mps_or_model.chain()
+        bond = sites[0].shape[0]
         if not 0 <= n <= len(sites):
             raise ValidationError(f"step count {n} outside [0, {len(sites)}]")
         sites = sites[:n]
     else:
         model: OqeModel = mps_or_model
+        bond = model.D * (model.d if model.entangled else 1)
         if n < 0:
             raise ValidationError(f"step count {n} must be non-negative")
         if model.time_independent:
@@ -126,6 +128,8 @@ def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
             raise ValidationError(f"time-dependent model stores only {len(model.unitaries)} steps")
         else:
             sites = [_model_site(model, k) for k in range(1, n + 1)]
+    if rho.shape[0] != bond:
+        raise DimensionError(f"rho0 dimension {rho.shape[0]} does not match the first bond {bond}")
     return _left_sweep(rho, sites, sites).T
 
 

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,12 +64,11 @@ class PptMps:
     initial system state as an extra physical leg in front of step 1 (out
     dimension d, dummy in dimension 1).  The initial state sits inside the
     first chain element, whose left bond is 1, so every sweep starts from
-    the 1 x 1 environment [[1]].
+    the 1 x 1 environment [[1]].  ``canonical`` is measured, not set.
     """
 
     runs: tuple[tuple[np.ndarray, int], ...]
     d: int
-    canonical: str = "none"  # none | right
     leading_site: np.ndarray | None = None
 
     def __post_init__(self):
@@ -96,16 +96,27 @@ class PptMps:
     def env_dim(self) -> int:
         return self.runs[-1][0].shape[3]
 
-    def chain(self) -> list[np.ndarray]:
-        """One element per step, after the leading site when there is one."""
-        chain = [] if self.leading_site is None else [self.leading_site]
-        for t, n in self.runs:
-            chain += [t] * n
-        return chain
+    def chain(self, stop: int | None = None) -> list[np.ndarray]:
+        """One element per step, after the leading site if any; only the first ``stop``."""
+        lead = () if self.leading_site is None else (self.leading_site,)
+        steps = itertools.chain(lead, *(itertools.repeat(t, n) for t, n in self.runs))
+        return list(itertools.islice(steps, stop))
+
+    @cached_property
+    def canonical(self) -> str:
+        """"right" if all chain elements but the first are right-canonical, else "none"."""
+        return "right" if all(r <= CANONICAL_TOL for r, _, _ in self._gram_residuals) else "none"
 
     def validate(self) -> None:
-        if self.canonical not in CANONICAL_FORMS:
-            raise ValidationError(f"unknown canonical form {self.canonical!r}")
+        self._check_shapes()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow's inf or nan fails below
+            if self.canonical == "right" and self._norm_certified():
+                return
+            nrm = self.norm()
+        if not abs(nrm - 1.0) <= CANONICAL_TOL:
+            raise ValidationError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
+
+    def _check_shapes(self) -> None:
         if not self.runs:
             raise ValidationError("PPT stores no sites")
         lead = [] if self.leading_site is None else [(self.leading_site, 1)]
@@ -131,34 +142,21 @@ class PptMps:
             raise ValidationError(
                 f"leading site physical extents {self.leading_site.shape[1:3]} != (d={self.d}, 1)"
             )
-        # Entries read from a file may be large enough to overflow these sums;
-        # the inf or nan they give fails the comparisons below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.canonical == "right":
-                residuals = self._gram_residuals()
-                res = _max_residual(residuals)
-                if not res <= CANONICAL_TOL:
-                    raise ValidationError(
-                        f"right-canonicality residual {res:.3e} exceeds {CANONICAL_TOL}"
-                    )
-                if self._norm_certified(residuals):
-                    return
-            nrm = self.norm()
-        if not abs(nrm - 1.0) <= CANONICAL_TOL:
-            raise ValidationError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
 
     def right_canonical_residual(self) -> float:
         """max_n || sum_{o,i} B B^dag - I ||_max over all chain elements but
         the first, evaluated once per run."""
-        return _max_residual(self._gram_residuals())
+        return _max_residual(self._gram_residuals)
 
+    @cached_property  # measured once per object, on read-only views of its sites
     def _gram_residuals(self) -> list[tuple[float, int, int]]:
         """(||sum_{o,i} B B^dag - I||_max, left bond, repeat) of each run B of
-        the chain elements but the first."""
+        the chain elements but the first; an overflow gives inf or nan."""
         tail = self.runs if self.leading_site is not None else _after_first_step(self.runs)
-        return [(_gram_residual(t), t.shape[0], n) for t, n in tail]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [(_gram_residual(t), t.shape[0], n) for t, n in tail]
 
-    def _norm_certified(self, residuals) -> bool:
+    def _norm_certified(self) -> bool:
         """Whether the first chain element and the ``_gram_residuals`` of a
         right-canonical chain prove |norm - 1| <= ``CANONICAL_TOL``.
 
@@ -172,7 +170,7 @@ class PptMps:
         """
         head = self.leading_site if self.leading_site is not None else self.runs[0][0]
         h = float(np.vdot(head, head).real)
-        bound = h * math.expm1(sum(n * math.log1p(l * r) for r, l, n in residuals))
+        bound = h * math.expm1(sum(n * math.log1p(l * r) for r, l, n in self._gram_residuals))
         return (1.0 - CANONICAL_TOL) ** 2 <= h - bound and h + bound <= (1.0 + CANONICAL_TOL) ** 2
 
     def norm(self) -> float:
@@ -214,7 +212,7 @@ class PptMps:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "PptMps":
-        """Decode and ``validate`` a PPT document (bonds, norm, canonical claim).
+        """Decode and ``validate`` a PPT document (bonds, canonical claim, norm).
 
         Reads format versions 1, 2 and 3.  Each site document becomes one
         run of its version-3 ``repeat`` (a JSON integer >= 1) steps, which
@@ -245,12 +243,14 @@ class PptMps:
             if "repeat" in json_object(doc["leading_site"], "a site"):
                 raise ValidationError("the leading site is step 0 and cannot repeat")
             leading = _tensor_from_doc(doc["leading_site"])
-        mps = PptMps(
-            runs=tuple(runs),
-            d=json_int(doc, "d"),
-            canonical=doc.get("canonical", "none"),
-            leading_site=leading,
-        )
+        claim = doc.get("canonical", "none")
+        if claim not in CANONICAL_FORMS:
+            raise ValidationError(f"unknown canonical form {claim!r}")
+        mps = PptMps(runs=tuple(runs), d=json_int(doc, "d"), leading_site=leading)
+        mps._check_shapes()
+        if claim == "right" and mps.canonical == "none":
+            res = mps.right_canonical_residual()
+            raise ValidationError(f"right-canonicality residual {res:.3e} exceeds {CANONICAL_TOL}")
         mps.validate()
         return mps
 
@@ -298,8 +298,11 @@ def _site_repeat(doc, version: int) -> int:
 
 
 def _gram_residual(t: np.ndarray) -> float:
-    """||sum_{o,i} B B^dag - I||_max of one site B."""
-    return float(np.max(np.abs(np.einsum("aoib,coib->ac", t, t.conj()) - np.eye(t.shape[0]))))
+    """||sum_{o,i} B B^dag - I||_max of one site B, as an (l, d^2 r) matrix."""
+    m = t.reshape(t.shape[0], -1)
+    gram = m @ m.conj().T
+    gram.ravel()[:: t.shape[0] + 1] -= 1  # minus the identity, in place on the diagonal
+    return float(np.abs(gram).max())
 
 
 def _max_residual(residuals) -> float:
@@ -359,12 +362,12 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
 
     if expose_initial_leg or model.entangled:
         lead = model.initial_state.reshape(d, D)[np.newaxis, :, np.newaxis, :]
-        exposed = PptMps(runs=runs, d=d, canonical="right", leading_site=lead)
+        exposed = PptMps(runs=runs, d=d, leading_site=lead)
         return exposed if expose_initial_leg else absorb_initial_leg(exposed)
 
     psi_env = model.initial_schmidt().env_basis[:, 0]
     first = np.einsum("a,aoib->oib", psi_env, runs[0][0])[np.newaxis]
-    return PptMps(runs=((first, 1), *_after_first_step(runs)), d=d, canonical="right")
+    return PptMps(runs=((first, 1), *_after_first_step(runs)), d=d)
 
 
 def absorb_initial_leg(mps: PptMps) -> PptMps:
@@ -373,7 +376,7 @@ def absorb_initial_leg(mps: PptMps) -> PptMps:
     run's site is enlarged once, and the first step leaves its run."""
     runs = [(enlarged_site_tensor(b, mps.d), n) for b, n in mps.runs]
     first = np.einsum("a,aoib->oib", mps.leading_site.reshape(-1), runs[0][0])[np.newaxis]
-    return PptMps(runs=((first, 1), *_after_first_step(runs)), d=mps.d, canonical="right")
+    return PptMps(runs=((first, 1), *_after_first_step(runs)), d=mps.d)
 
 
 def check_isometry(model: OqeModel) -> float:
@@ -409,13 +412,12 @@ def to_right_canonical(mps: PptMps) -> PptMps:
         chain[k] = vh[:keep].reshape(keep, do, di, r)
         carry = u[:, :keep] * s[:keep]
         chain[k - 1] = np.einsum("aoib,bk->aoik", chain[k - 1], carry)
-    head = np.einsum("pa,aoib->poib", np.ones((1, 1), dtype=np.complex128), chain[0])
-    nrm = float(np.linalg.norm(head))
+    nrm = float(np.linalg.norm(chain[0]))
     if nrm < 1e-12:
         raise DegenerateStateError("state has numerically zero norm")
-    chain[0] = head / nrm
+    chain[0] = chain[0] / nrm
     lead = chain.pop(0) if mps.leading_site is not None else None
-    return PptMps(runs=tuple((t, 1) for t in chain), d=mps.d, canonical="right", leading_site=lead)
+    return PptMps(runs=tuple((t, 1) for t in chain), d=mps.d, leading_site=lead)
 
 
 def memory_size(mps: PptMps) -> int:

@@ -135,7 +135,7 @@ class MeasurementOracle:
         first = np.einsum("ka,aoib->koib", vh[:r], mps.runs[0][0])
         head = (u[:, :r] * s[:r])[np.newaxis, :, np.newaxis, :]
         runs = ((first, 1), *_after_first_step(mps.runs))
-        self._truth = PptMps(runs=runs, d=self.d, canonical="right", leading_site=head)
+        self._truth = PptMps(runs=runs, d=self.d, leading_site=head)
         self.reset()
 
     # -- unsealed access (testing/diagnostics only) --
@@ -437,7 +437,7 @@ def disentangle_reconstruct(
     chain[0] = chain[0] / nrm
 
     lead = chain.pop(0) if entangled_initial else None
-    mps = PptMps(runs=tuple((t, 1) for t in chain), d=d, canonical="right", leading_site=lead)
+    mps = PptMps(runs=tuple((t, 1) for t in chain), d=d, leading_site=lead)
     model, residuals = mps_to_oqe(mps)
     fidelity = None
     if oracle.unsealed:
@@ -554,7 +554,7 @@ def variational_fit(target: PptMps, seed=0) -> ReconstructionReport:
     loss, u, of, trace = best
     sites = _ansatz_sites(u, d, D, n_steps)
     sites[-1] = np.einsum("aoib,cb->aoic", sites[-1], of)  # the final unitary on the environment
-    mps = PptMps(runs=tuple((t, 1) for t in sites), d=d, canonical="right")
+    mps = PptMps(runs=tuple((t, 1) for t in sites), d=d)
     model = OqeModel(d, D, [u], np.eye(d * D, dtype=np.complex128)[0])
     note = "ansatz initial state fixed to |0>; recovered unitaries carry an environment gauge"
     converged = loss < FIT_SUCCESS_TOL
@@ -605,8 +605,6 @@ def _descend(target, u, d, D, nt2) -> tuple[list[float], np.ndarray, np.ndarray]
             step = min(step * 1.5, 2.0)
         else:
             step *= 0.5
-    if trace[-1] != loss:
-        trace.append(loss)
     return trace, u, of
 
 

@@ -94,7 +94,7 @@ def perturbed(mps: PptMps, scale: float, rng) -> PptMps:
     for t in step_sites(mps):
         noise = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
         noisy.append((t + scale * noise, 1))
-    return replace(mps, runs=tuple(noisy), canonical="none")
+    return replace(mps, runs=tuple(noisy))
 
 
 def dense_transfer_matrix(site) -> np.ndarray:

@@ -116,8 +116,8 @@ class TestBuildAndCorrelate:
         PptMps.from_json_dict(doc["ppt"])
 
     def test_none_claim_correlates_to_the_same_value(self, tmp_path):
-        # a document that does not claim right-canonical form is
-        # right-canonicalised, not rejected
+        # a document that does not claim right-canonical form is read by
+        # its measured form, not rejected
         rng = np.random.default_rng(0)
         obs = MultiTimeObservable([(1, random_hermitian(4, rng)), (3, random_hermitian(4, rng))])
         obs_path = tmp_path / "obs.json"
@@ -134,6 +134,12 @@ class TestBuildAndCorrelate:
             values.append(complex(*json.loads(read(out))["value"]))
         assert abs(values[0] - values[1]) < 1e-12
         assert abs(values[0]) > 1e-3  # a non-trivial value
+
+    def test_correlate_without_an_observable_prints_the_norm(self, tmp_path, capsys):
+        build_out = tmp_path / "build.json"
+        assert run(["build", "--D", "2", "--N", "3", "--seed", "1", "--out", str(build_out)]) == 0
+        assert run(["correlate", "--ppt", str(build_out)]) == 0
+        assert capsys.readouterr().out == '{"value":[1.0,0.0]}\n'
 
     def test_build_file_size_does_not_grow_with_n(self, tmp_path):
         # steps 2..N repeat one 16 KB site, written once with its run length
@@ -380,6 +386,12 @@ class TestConfigAndErrors:
         assert "--entangled" in captured.err
         assert run(argv + ["--entangled"]) == 0
 
+    def test_config_holding_a_list_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"seed": 1}]))
+        assert run(["--config", str(cfg), "complexity", "--seed", "1"]) == 1
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_flag": 1}))
@@ -456,6 +468,19 @@ class TestPipeline:
         assert run(["predict", "--report", str(fit_out), "--nfuture", "6", "--out", str(pred_out)]) == 0
         mps = PptMps.from_json_dict(json.loads(read(pred_out))["ppt"])
         assert mps.n_steps == 6
+
+    def test_fit_of_a_single_step_converges(self, tmp_path):
+        # one step: the warm start reads its one unitary off the one site
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--D", "2", "--N", "1", "--seed", "3", "--out", str(out)]) == 0
+        assert json.loads(read(out))["converged"] is True
+
+    def test_predict_needs_a_time_independent_recovered_model(self, tmp_path, capsys):
+        # tomograph recovers one unitary per step
+        report = tmp_path / "tomo.json"
+        assert run(["tomograph", "--D", "2", "--N", "3", "--seed", "0", "--out", str(report)]) == 0
+        assert run(["predict", "--report", str(report), "--nfuture", "5"]) == 1
+        assert "requires a time-independent recovered model" in capsys.readouterr().err
 
     def test_reconstruct_entangled(self, tmp_path):
         out = tmp_path / "ent.json"

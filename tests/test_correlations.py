@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pptlab import (
     random_separable_model,
 )
 from pptlab.models import random_hermitian
+from pptlab.ppt import MAX_STEPS
 
 from conftest import random_observable
 
@@ -73,7 +76,8 @@ class TestExpectation:
         sites = mps.chain()
         sites[1] = np.einsum("aoib,bc->aoic", sites[1], g)
         sites[2] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[2])
-        twin = PptMps(runs=tuple((t, 1) for t in sites), d=2, canonical="none")
+        twin = PptMps(runs=tuple((t, 1) for t in sites), d=2)
+        assert twin.canonical == "none"
         obs = MultiTimeObservable([(2, random_hermitian(4, rng))])
         assert abs(expectation(twin, obs) - expectation(mps, obs)) < 1e-12
 
@@ -91,6 +95,56 @@ class TestExpectation:
         v1 = expectation(build_ppt(base, 5), obs)
         v2 = expectation(build_ppt(altered, 5), obs)
         assert abs(v1 - v2) < 1e-12
+
+
+def uniform_gauge_twin(model, N, rng) -> PptMps:
+    """``build_ppt(model, N)`` of a separable time-independent model with a
+    gauge G on every bond after step 1: three runs whose repeated site
+    G^-1 B G is not right-canonical, and the same state."""
+    (first, _), (site, n) = build_ppt(model, N).runs
+    D = site.shape[0]
+    g = np.eye(D) + 0.3 * (rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
+    gi = np.linalg.inv(g)
+    runs = (
+        (np.einsum("aoib,bc->aoic", first, g), 1),
+        (np.einsum("ca,aoib,bd->coid", gi, site, g), n - 1),
+        (np.einsum("ca,aoib->coib", gi, site), 1),
+    )
+    return PptMps(runs=runs, d=model.d)
+
+
+def peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestExpectationMemory:
+    """``expectation`` copies no step: a right-canonical PPT is read up to its
+    last insertion, and any other is swept in place and divided by its norm."""
+
+    def test_non_canonical_ppt_is_swept_without_a_copy(self, rng):
+        N = 10**4
+        model = random_separable_model(2, 4, rng)
+        twin = uniform_gauge_twin(model, N, rng)
+        assert twin.canonical == "none" and len(twin.runs) == 3
+        obs = MultiTimeObservable([(2, random_hermitian(4, rng)), (N, random_hermitian(4, rng))])
+        # a right-canonical copy holds 10^4 sites of 1 KB each
+        assert peak_traced_bytes(lambda: expectation(twin, obs)) < 1_000_000
+        # each side carries about N rounding errors of 1e-16
+        assert abs(expectation(twin, obs) - expectation(build_ppt(model, N), obs)) < 1e-10
+
+    def test_an_early_insertion_reads_only_its_prefix(self, rng):
+        model = random_separable_model(2, 2, rng)
+        mps = build_ppt(model, MAX_STEPS)
+        assert mps.canonical == "right"  # measured once, before the trace
+        obs = MultiTimeObservable([(1, random_hermitian(4, rng))])
+        # the per-step list of MAX_STEPS elements alone takes 8 MB
+        assert peak_traced_bytes(lambda: expectation(mps, obs)) < 100_000
+        assert expectation(mps, obs) == expectation(build_ppt(model, 1), obs)
 
 
 class TestDenseExpectation:

@@ -54,6 +54,18 @@ def test_ppt_is_stored_as_runs():
     assert "sites" not in inspect.signature(pptlab.PptMps).parameters
 
 
+def test_canonical_form_is_measured_not_set():
+    # the form is a property of the sites, so no label can contradict them
+    assert [f.name for f in dataclasses.fields(pptlab.PptMps)] == ["runs", "d", "leading_site"]
+    assert "canonical" not in inspect.signature(pptlab.PptMps).parameters
+    with pytest.raises(TypeError):
+        pptlab.PptMps(runs=(), d=2, canonical="right")
+    mps = pptlab.build_ppt(_MODEL, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mps.canonical = "none"
+    assert mps.canonical == "right"
+
+
 def test_entangled_is_derived_not_set():
     fields = {f.name: f for f in dataclasses.fields(pptlab.OqeModel)}
     assert "entangled" in fields and not fields["entangled"].init

@@ -3,6 +3,7 @@ import pytest
 
 from pptlab import (
     ConvergenceError,
+    DimensionError,
     OqeModel,
     PptMps,
     ValidationError,
@@ -739,3 +740,64 @@ class TestUhlmannFidelity:
     def test_pure_vs_maximally_mixed(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         assert abs(uhlmann_fidelity(a, np.eye(2) / 2) - 0.5) < 1e-12
+
+
+class TestInputChecks:
+    """Every rejection of a bad argument, raised before any work."""
+
+    _ENTRY_POINTS = {
+        "evolve_env": lambda rho: evolve_env(rho, random_separable_model(2, 2, 0), 1),
+        "stationary_state": lambda rho: stationary_state(random_separable_model(2, 2, 0), rho),
+        "renyi_complexity": lambda rho: renyi_complexity(rho, 2.0),
+    }
+
+    @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "rho, message",
+        [(np.ones((2, 3)) / 2, "must be square"),
+         (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+         (np.diag([1.5, -0.5]), "negative eigenvalue"),
+         (np.eye(2), "trace deviates from 1")],
+        ids=["not_square", "not_hermitian", "negative", "trace"],
+    )
+    def test_environment_states_are_checked(self, entry, rho, message):
+        with pytest.raises(ValidationError, match=message):
+            self._ENTRY_POINTS[entry](rho)
+
+    def test_evolve_env_step_count_on_a_model(self):
+        with pytest.raises(ValidationError, match="must be non-negative"):
+            evolve_env(np.eye(2) / 2, random_separable_model(2, 2, 0), -1)
+        with pytest.raises(ValidationError, match="stores only 3 steps"):
+            evolve_env(np.eye(2) / 2, random_separable_model(2, 2, 0, steps=3), 4)
+
+    @pytest.mark.parametrize(
+        "rho0, target, n",
+        [(np.eye(2) / 2, build_ppt(random_separable_model(2, 2, 0), 5), 4),
+         (np.eye(3) / 3, random_separable_model(2, 2, 0), 2),
+         (np.eye(2) / 2, random_entangled_model(2, 2, 0), 2),
+         (np.eye(3) / 3, random_separable_model(2, 2, 0), 0)],
+        ids=["ppt", "model", "entangled_model", "zero_steps"],
+    )
+    def test_evolve_env_checks_rho0_against_the_first_bond(self, rho0, target, n):
+        # a PPT opens on a bond of 1; an entangled model's environment is d*D
+        with pytest.raises(DimensionError, match="does not match the first bond"):
+            evolve_env(rho0, target, n)
+
+    @pytest.mark.parametrize(
+        "target, rho0, error, message",
+        [(build_ppt(random_separable_model(2, 2, 0), 3), None, ValidationError, "rho0 is required"),
+         (random_separable_model(2, 2, 0, steps=2), None, ValidationError, "time-independent"),
+         (PptMps(runs=((np.ones((2, 2, 2)), 1),), d=2), np.eye(2) / 2, DimensionError, "rank 4"),
+         (PptMps(runs=((np.ones((1, 2, 2, 2)), 1),), d=2), np.eye(1), DimensionError,
+          "equal bond dimensions"),
+         (random_separable_model(2, 2, 0), np.eye(3) / 3, DimensionError,
+          "does not match the transfer dimension")],
+        ids=["ppt_without_rho0", "time_dependent", "rank_3_site", "unequal_bonds", "rho0_dim"],
+    )
+    def test_stationary_state_arguments(self, target, rho0, error, message):
+        with pytest.raises(error, match=message):
+            stationary_state(target, rho0)
+
+    def test_stationarity_onset_needs_a_time_independent_model(self):
+        with pytest.raises(ValidationError, match="requires a time-independent model"):
+            stationarity_onset(random_separable_model(2, 2, 0, steps=2))

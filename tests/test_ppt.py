@@ -117,7 +117,7 @@ class TestBuildPpt:
         assert mps.n_steps == ppt_module.MAX_STEPS and len(mps.runs) <= 2
         docs = mps.to_json_dict()["sites"]
         assert len(docs) <= 2 and sum(doc.get("repeat", 1) for doc in docs) == ppt_module.MAX_STEPS
-        assert len(mps._gram_residuals()) <= 2
+        assert len(mps._gram_residuals) <= 2
 
     def test_time_dependent_needs_enough_unitaries(self, rng):
         model = random_separable_model(2, 2, rng, steps=2)
@@ -384,7 +384,7 @@ class TestMpsToOqe:
         sites = mps.chain()
         sites[0] = np.einsum("aoib,bc->aoic", sites[0], g)
         sites[1] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[1])
-        twin = PptMps(runs=tuple((t, 1) for t in sites), d=2, canonical="none")
+        twin = PptMps(runs=tuple((t, 1) for t in sites), d=2)
         assert twin.right_canonical_residual() > 1e-3
         recovered, residuals = mps_to_oqe(twin)
         assert max(residuals) < 1e-10
@@ -394,7 +394,7 @@ class TestMpsToOqe:
         sites = [np.zeros((1, 2, 2, 1), dtype=np.complex128) for _ in range(2)]
         sites[0][0, 0, 0, 0] = 1.0
         sites[1][0, 0, 0, 0] = 1.0  # sum_{oi} B B^dag = 1, but rank-1 as a d x d map
-        mps = PptMps(runs=tuple((t, 1) for t in sites), d=2, canonical="right")
+        mps = PptMps(runs=tuple((t, 1) for t in sites), d=2)
         with pytest.raises(ConversionError) as err:
             mps_to_oqe(mps)
         assert err.value.site is not None
@@ -570,12 +570,39 @@ class TestNormCertificate:
         mps.validate()
         assert calls == [] and mps.canonical == "right"
 
+    @staticmethod
+    def _gauge_twin_doc(rng) -> dict:
+        """A six-step document whose sites are not right-canonical: a gauge
+        G on the bond after step 2 keeps the state and its unit norm."""
+        sites = build_ppt(random_separable_model(2, 3, rng), 6).chain()
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sites[1] = np.einsum("aoib,bc->aoic", sites[1], g)
+        sites[2] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[2])
+        return PptMps(runs=tuple((t, 1) for t in sites), d=2).to_json_dict()
+
     def test_none_claim_is_swept(self, rng, monkeypatch):
+        doc = self._gauge_twin_doc(rng)
+        assert doc["canonical"] == "none"
+        calls = self._count_sweeps(monkeypatch)
+        assert PptMps.from_json_dict(doc).canonical == "none"
+        assert calls == [6]
+
+    def test_none_claim_on_right_canonical_sites_is_certified(self, rng, monkeypatch):
+        # the form is measured: a "none" label does not force the sweep
         doc = build_ppt(random_separable_model(2, 3, rng), 6).to_json_dict()
         doc["canonical"] = "none"
         calls = self._count_sweeps(monkeypatch)
-        PptMps.from_json_dict(doc)
-        assert calls == [6]
+        mps = PptMps.from_json_dict(doc)
+        assert calls == [] and mps.canonical == "right"
+        assert mps.to_json_dict()["canonical"] == "right"
+
+    def test_false_right_claim_is_rejected_without_a_sweep(self, rng, monkeypatch):
+        doc = self._gauge_twin_doc(rng)
+        doc["canonical"] = "right"
+        calls = self._count_sweeps(monkeypatch)
+        with pytest.raises(ValidationError, match=r"right-canonicality residual .* exceeds 1e-10"):
+            PptMps.from_json_dict(doc)
+        assert calls == []
 
     def test_loose_bound_falls_back_to_the_sweep(self, rng, monkeypatch):
         # four steps share a site scaled by 1 + eta (residual ~2 eta) and the
@@ -585,7 +612,7 @@ class TestNormCertificate:
         (first, _), (site, _) = mps.runs
         mps = replace(mps, runs=((first * (1.0 + eta) ** -4, 1), (site * (1.0 + eta), 4)))
         assert 3e-11 < mps.right_canonical_residual() < 1e-10
-        assert not mps._norm_certified(mps._gram_residuals())
+        assert not mps._norm_certified()
         calls = self._count_sweeps(monkeypatch)
         mps.validate()
         assert calls == [5]
@@ -594,6 +621,7 @@ class TestNormCertificate:
     def test_scaled_head_is_rejected_with_the_swept_deviation(self, rng, canonical):
         mps = build_ppt(random_separable_model(2, 3, rng), 4)
         (first, _), *rest = mps.runs
-        mps = replace(mps, runs=((first * 1.001, 1), *rest), canonical=canonical)
+        doc = replace(mps, runs=((first * 1.001, 1), *rest)).to_json_dict()
+        doc["canonical"] = canonical
         with pytest.raises(ValidationError, match=r"state norm deviates from 1 by 1\.000e-03"):
-            mps.validate()
+            PptMps.from_json_dict(doc)
