@@ -203,7 +203,7 @@ def stationary_state(
     spectrum always has (it repeats every base eigenvalue d^2 times).
     """
     if isinstance(mps_or_model, PptMps):
-        site = np.asarray(mps_or_model.runs[-1][0], dtype=np.complex128)
+        site = mps_or_model.runs[-1][0]
         blocks = 1
         if rho0 is None:
             raise ValidationError("rho0 is required when passing a bare MPS")

@@ -59,21 +59,19 @@ class PptMps:
     """MPS form of a purified process tensor.
 
     ``runs`` holds (site, repeat) pairs in step order: one read-only rank-4
-    array for ``repeat`` >= 1 consecutive steps; ``chain()`` expands them
-    to one element per step.  ``leading_site``, when present, exposes the
-    initial system state as an extra physical leg in front of step 1 (out
-    dimension d, dummy in dimension 1).  The initial state sits inside the
-    first chain element, whose left bond is 1, so every sweep starts from
-    the 1 x 1 environment [[1]].  ``canonical`` is measured, not set.
+    complex128 copy per ``repeat`` >= 1 consecutive steps, which ``chain()``
+    expands to one element per step.  A first run of one site with input
+    extent 1 is step 0 (``leading_site``), the exposed initial system leg.
+    The first chain element holds the initial state and opens on a left
+    bond of 1.  ``d``, step 0 and ``canonical`` are measured, not set.
     """
 
     runs: tuple[tuple[np.ndarray, int], ...]
-    d: int
-    leading_site: np.ndarray | None = None
 
     def __post_init__(self):
-        runs = tuple((np.asarray(t).view(), n) for t, n in self.runs)
-        for t, _ in runs:  # read-only views: one array stands for every step of its run
+        runs = tuple((np.array(t, dtype=np.complex128), _checked_repeat(n)) for t, n in self.runs)
+        for t, _ in runs:  # read-only copies: no caller can change a site once it is measured
+            as_complex_array(t)  # rejects non-finite entries
             t.flags.writeable = False
         object.__setattr__(self, "runs", runs)
 
@@ -84,8 +82,19 @@ class PptMps:
     FORMAT_VERSION = 3
 
     @property
+    def leading_site(self) -> np.ndarray | None:
+        """Step 0, the exposed initial system leg (out extent d, in extent 1), if any."""
+        t, n = self.runs[0] if self.runs else (None, 0)
+        return t if n == 1 and t.ndim == 4 and t.shape[2] == 1 else None
+
+    @property
     def n_steps(self) -> int:
-        return sum(n for _, n in self.runs)
+        return sum(n for _, n in self.runs) - (self.leading_site is not None)
+
+    @property
+    def d(self) -> int:
+        """System dimension: the out extent of step N's site."""
+        return self.runs[-1][0].shape[1]
 
     @property
     def bond_dims(self) -> list[int]:
@@ -97,9 +106,8 @@ class PptMps:
         return self.runs[-1][0].shape[3]
 
     def chain(self, stop: int | None = None) -> list[np.ndarray]:
-        """One element per step, after the leading site if any; only the first ``stop``."""
-        lead = () if self.leading_site is None else (self.leading_site,)
-        steps = itertools.chain(lead, *(itertools.repeat(t, n) for t, n in self.runs))
+        """One element per step, step 0 first if exposed; only the first ``stop``."""
+        steps = itertools.chain.from_iterable(itertools.repeat(t, n) for t, n in self.runs)
         return list(itertools.islice(steps, stop))
 
     @cached_property
@@ -116,12 +124,14 @@ class PptMps:
         if not abs(nrm - 1.0) <= CANONICAL_TOL:
             raise ValidationError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
 
-    def _check_shapes(self) -> None:
-        if not self.runs:
+    def _check_shapes(self, d: int | None = None, lead: bool | None = None) -> None:
+        # d and an exposed step 0 are measured, unless given as a document states them
+        lead = self.leading_site is not None if lead is None else lead
+        if sum(n for _, n in self.runs) <= lead:
             raise ValidationError("PPT stores no sites")
-        lead = [] if self.leading_site is None else [(self.leading_site, 1)]
+        d = self.d if d is None else d
         prev, k = 1, 0  # the first chain element opens on a left bond of 1
-        for t, n in (*lead, *self.runs):  # k: chain index of the run's first element
+        for t, n in self.runs:  # k: chain index of the run's first element
             if t.ndim != 4:
                 raise ValidationError(f"chain element {k} is rank {t.ndim}, expected 4")
             if t.shape[0] != prev:
@@ -132,29 +142,24 @@ class PptMps:
                 raise ValidationError(
                     f"chain element {k + 1} has left bond {t.shape[0]}, expected {t.shape[3]}"
                 )
+            step = k + 1 - lead  # 0 for an exposed step 0, whose in extent is 1
+            if t.shape[1:3] != ((d, d) if step else (d, 1)):
+                where = f"site {step}" if step else "leading site"
+                want = f"d={d}" if step else f"(d={d}, 1)"
+                raise ValidationError(f"{where} physical extents {t.shape[1:3]} != {want}")
             prev, k = t.shape[3], k + n
-        step = 1
-        for t, n in self.runs:
-            if t.shape[1] != self.d or t.shape[2] != self.d:
-                raise ValidationError(f"site {step} physical extents {t.shape[1:3]} != d={self.d}")
-            step += n
-        if self.leading_site is not None and self.leading_site.shape[1:3] != (self.d, 1):
-            raise ValidationError(
-                f"leading site physical extents {self.leading_site.shape[1:3]} != (d={self.d}, 1)"
-            )
 
     def right_canonical_residual(self) -> float:
         """max_n || sum_{o,i} B B^dag - I ||_max over all chain elements but
         the first, evaluated once per run."""
         return _max_residual(self._gram_residuals)
 
-    @cached_property  # measured once per object, on read-only views of its sites
+    @cached_property  # measured once per object, on its own read-only sites
     def _gram_residuals(self) -> list[tuple[float, int, int]]:
         """(||sum_{o,i} B B^dag - I||_max, left bond, repeat) of each run B of
         the chain elements but the first; an overflow gives inf or nan."""
-        tail = self.runs if self.leading_site is not None else _after_first_step(self.runs)
         with np.errstate(over="ignore", invalid="ignore"):
-            return [(_gram_residual(t), t.shape[0], n) for t, n in tail]
+            return [(_gram_residual(t), t.shape[0], n) for t, n in _after_first_step(self.runs)]
 
     def _norm_certified(self) -> bool:
         """Whether the first chain element and the ``_gram_residuals`` of a
@@ -168,7 +173,7 @@ class PptMps:
         h = ||chain[0]||_F^2.  False means only that this bound is too loose
         to decide; the ``norm`` sweep then does.
         """
-        head = self.leading_site if self.leading_site is not None else self.runs[0][0]
+        head = self.runs[0][0]
         h = float(np.vdot(head, head).real)
         bound = h * math.expm1(sum(n * math.log1p(l * r) for r, l, n in self._gram_residuals))
         return (1.0 - CANONICAL_TOL) ** 2 <= h - bound and h + bound <= (1.0 + CANONICAL_TOL) ** 2
@@ -177,8 +182,7 @@ class PptMps:
         return float(np.sqrt(np.real(overlap(self, self))))
 
     def dense_size(self) -> int:
-        n_phys = self.n_steps * 2 + (1 if self.leading_site is not None else 0)
-        return self.d**n_phys * self.env_dim
+        return math.prod((t.shape[1] * t.shape[2]) ** n for t, n in self.runs) * self.env_dim
 
     def to_statevector(self) -> np.ndarray:
         """Dense coefficient vector over (o_1, i_1, ..., o_N, i_N, env).
@@ -197,13 +201,14 @@ class PptMps:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        lead = self.leading_site is not None
         doc = {
             "format_version": self.FORMAT_VERSION,
             "d": self.d,
             "canonical": self.canonical,
-            "sites": _site_run_docs(self.runs),
+            "sites": _site_run_docs(self.runs[lead:]),
         }
-        if self.leading_site is not None:
+        if lead:
             doc["leading_site"] = _tensor_doc(self.leading_site)
         return doc
 
@@ -216,9 +221,10 @@ class PptMps:
 
         Reads format versions 1, 2 and 3.  Each site document becomes one
         run of its version-3 ``repeat`` (a JSON integer >= 1) steps, which
-        total at most ``MAX_STEPS``.  No version stores an initial vector,
-        repeats a site before version 3 or repeats the leading site (step
-        0), so a document with such a key is rejected, not read differently.
+        total at most ``MAX_STEPS``, after step 0 if "leading_site" exposes
+        it; "d" >= 2 must fit every site.  A key no version writes (an
+        initial vector, a repeat before version 3 or on the leading site)
+        is rejected, not read differently.
         """
         json_object(doc, "a PPT document")
         version = doc.get("format_version")
@@ -238,16 +244,19 @@ class PptMps:
                 raise ValidationError(f"PPT document holds more than MAX_STEPS={MAX_STEPS} steps")
             runs.append((_tensor_from_doc(site_doc), repeat))
             steps += repeat
-        leading = None
-        if "leading_site" in doc:
+        lead = "leading_site" in doc
+        if lead:
             if "repeat" in json_object(doc["leading_site"], "a site"):
                 raise ValidationError("the leading site is step 0 and cannot repeat")
-            leading = _tensor_from_doc(doc["leading_site"])
+            runs.insert(0, (_tensor_from_doc(doc["leading_site"]), 1))
         claim = doc.get("canonical", "none")
         if claim not in CANONICAL_FORMS:
             raise ValidationError(f"unknown canonical form {claim!r}")
-        mps = PptMps(runs=tuple(runs), d=json_int(doc, "d"), leading_site=leading)
-        mps._check_shapes()
+        d = json_int(doc, "d")
+        if d < 2:
+            raise ValidationError(f"need d >= 2, got d={d}")
+        mps = PptMps(runs=tuple(runs))
+        mps._check_shapes(d, lead)
         if claim == "right" and mps.canonical == "none":
             res = mps.right_canonical_residual()
             raise ValidationError(f"right-canonicality residual {res:.3e} exceeds {CANONICAL_TOL}")
@@ -289,12 +298,15 @@ def _site_repeat(doc, version: int) -> int:
     json_object(doc, "a site")
     if "repeat" not in doc:
         return 1
-    repeat = doc["repeat"]
     if version < 3:
         raise ValidationError(f"format version {version} sites cannot repeat")
-    if type(repeat) is not int or repeat < 1:
-        raise ValidationError(f"'repeat' must be an integer >= 1, got {repeat!r}")
-    return repeat
+    return _checked_repeat(doc["repeat"])
+
+
+def _checked_repeat(n) -> int:
+    if not (_is_integer(n) and n >= 1):
+        raise ValidationError(f"'repeat' must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 def _gram_residual(t: np.ndarray) -> float:
@@ -362,21 +374,22 @@ def build_ppt(model: OqeModel, N: int, expose_initial_leg: bool = False) -> PptM
 
     if expose_initial_leg or model.entangled:
         lead = model.initial_state.reshape(d, D)[np.newaxis, :, np.newaxis, :]
-        exposed = PptMps(runs=runs, d=d, leading_site=lead)
+        exposed = PptMps(runs=((lead, 1), *runs))
         return exposed if expose_initial_leg else absorb_initial_leg(exposed)
 
     psi_env = model.initial_schmidt().env_basis[:, 0]
     first = np.einsum("a,aoib->oib", psi_env, runs[0][0])[np.newaxis]
-    return PptMps(runs=((first, 1), *_after_first_step(runs)), d=d)
+    return PptMps(runs=((first, 1), *_after_first_step(runs)))
 
 
 def absorb_initial_leg(mps: PptMps) -> PptMps:
     """Move an exposed initial system leg into the environment: the leading
-    site becomes the initial vector of the enlarged d*D environment.  Each
-    run's site is enlarged once, and the first step leaves its run."""
-    runs = [(enlarged_site_tensor(b, mps.d), n) for b, n in mps.runs]
-    first = np.einsum("a,aoib->oib", mps.leading_site.reshape(-1), runs[0][0])[np.newaxis]
-    return PptMps(runs=((first, 1), *_after_first_step(runs)), d=mps.d)
+    site (step 0) becomes the initial vector of the enlarged d*D environment.
+    Each later run's site is enlarged once, and step 1 leaves its run."""
+    (lead, _), *steps = mps.runs
+    runs = [(enlarged_site_tensor(b, mps.d), n) for b, n in steps]
+    first = np.einsum("a,aoib->oib", lead.reshape(-1), runs[0][0])[np.newaxis]
+    return PptMps(runs=((first, 1), *_after_first_step(runs)))
 
 
 def check_isometry(model: OqeModel) -> float:
@@ -416,8 +429,7 @@ def to_right_canonical(mps: PptMps) -> PptMps:
     if nrm < 1e-12:
         raise DegenerateStateError("state has numerically zero norm")
     chain[0] = chain[0] / nrm
-    lead = chain.pop(0) if mps.leading_site is not None else None
-    return PptMps(runs=tuple((t, 1) for t in chain), d=mps.d, leading_site=lead)
+    return PptMps(runs=tuple((t, 1) for t in chain))
 
 
 def memory_size(mps: PptMps) -> int:
@@ -456,11 +468,11 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
     """
     if mps.canonical != "right":
         mps = to_right_canonical(mps)
-    d = mps.d
+    d, lead = mps.d, mps.leading_site
     D_model = max(t.shape[3] for t, _ in mps.runs)
     unitaries: list[np.ndarray] = []
     residuals: list[float] = []
-    for t, repeat in mps.runs:
+    for t, repeat in mps.runs[lead is not None :]:
         n = len(unitaries) + 1  # the run's first step
         l, _, _, r = t.shape
         if l > r:
@@ -475,11 +487,10 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
         unitaries += [_embed_and_complete(iso, d, l, r, D_model)] * repeat
         residuals += [float(np.linalg.norm(w - iso))] * repeat
     psi = np.zeros((d, D_model), dtype=np.complex128)
-    if mps.leading_site is None:
+    if lead is None:
         psi[0, 0] = 1.0
     else:
-        lead = mps.leading_site.reshape(d, -1)
-        psi[:, : lead.shape[1]] = lead
+        psi[:, : lead.shape[3]] = lead.reshape(d, -1)
     return OqeModel(d, D_model, unitaries, psi.reshape(-1)), residuals
 
 
@@ -503,8 +514,7 @@ def ppt_to_process_tensor(mps: PptMps) -> np.ndarray:
     Returns a Hermitian, positive semidefinite, unit-trace matrix over the
     physical legs.  Guarded to physical dimension <= 4096.
     """
-    n_phys = mps.n_steps * 2 + (1 if mps.leading_site is not None else 0)
-    phys_dim = mps.d**n_phys
+    phys_dim = mps.dense_size() // mps.env_dim
     if phys_dim > PROCESS_TENSOR_GUARD:
         raise CapacityError(f"process tensor dimension {phys_dim} exceeds guard")
     x = mps.to_statevector().reshape(phys_dim, mps.env_dim)

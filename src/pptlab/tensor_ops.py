@@ -24,7 +24,7 @@ def as_complex_array(data, ndim: int | None = None) -> np.ndarray:
     arr = np.ascontiguousarray(data, dtype=np.complex128)
     if ndim is not None and arr.ndim != ndim:
         raise DimensionError(f"expected a rank-{ndim} tensor, got rank {arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionError("tensor contains non-finite entries")
     return arr
 

@@ -37,6 +37,7 @@ therefore set to its exact maximiser at every evaluation.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -129,13 +130,12 @@ class MeasurementOracle:
         self.unsealed = unsealed
         self._rng = _as_rng(seed)
         # one SVD cuts the step-0 bond to its rank; its right factor moves into step 1
-        mps = build_ppt(hidden_model, n_steps, expose_initial_leg=True)
-        u, s, vh = np.linalg.svd(mps.leading_site.reshape(self.d, -1), full_matrices=False)
+        (lead, _), *steps = build_ppt(hidden_model, n_steps, expose_initial_leg=True).runs
+        u, s, vh = np.linalg.svd(lead.reshape(self.d, -1), full_matrices=False)
         r = int(np.count_nonzero(s > SPLIT_TOL * s[0]))  # s[0] > 0: the state is normalised
-        first = np.einsum("ka,aoib->koib", vh[:r], mps.runs[0][0])
+        first = np.einsum("ka,aoib->koib", vh[:r], steps[0][0])
         head = (u[:, :r] * s[:r])[np.newaxis, :, np.newaxis, :]
-        runs = ((first, 1), *_after_first_step(mps.runs))
-        self._truth = PptMps(runs=runs, d=self.d, leading_site=head)
+        self._truth = PptMps(runs=((head, 1), (first, 1), *_after_first_step(steps)))
         self.reset()
 
     # -- unsealed access (testing/diagnostics only) --
@@ -436,8 +436,7 @@ def disentangle_reconstruct(
         raise DegenerateStateError("reconstructed state has numerically zero norm")
     chain[0] = chain[0] / nrm
 
-    lead = chain.pop(0) if entangled_initial else None
-    mps = PptMps(runs=tuple((t, 1) for t in chain), d=d, leading_site=lead)
+    mps = PptMps(runs=tuple((t, 1) for t in chain))
     model, residuals = mps_to_oqe(mps)
     fidelity = None
     if oracle.unsealed:
@@ -554,7 +553,8 @@ def variational_fit(target: PptMps, seed=0) -> ReconstructionReport:
     loss, u, of, trace = best
     sites = _ansatz_sites(u, d, D, n_steps)
     sites[-1] = np.einsum("aoib,cb->aoic", sites[-1], of)  # the final unitary on the environment
-    mps = PptMps(runs=tuple((t, 1) for t in sites), d=d)
+    groups = itertools.groupby(sites, key=id)  # the shared step's sites are one run
+    mps = PptMps(runs=tuple((t, 1 + len(more)) for _, (t, *more) in groups))
     model = OqeModel(d, D, [u], np.eye(d * D, dtype=np.complex128)[0])
     note = "ansatz initial state fixed to |0>; recovered unitaries carry an environment gauge"
     converged = loss < FIT_SUCCESS_TOL

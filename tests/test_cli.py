@@ -569,6 +569,18 @@ def _repeat_leading_site(repeat):
     return mutate
 
 
+def _one_site_with_d(d):
+    """Replace the document by one step of a single (1, d, d, 1) site, stated as ``d``."""
+
+    def mutate(ppt_doc):
+        site = np.ones((1, d, d, 1), dtype=np.complex128) / d
+        ppt_doc.clear()
+        ppt_doc.update(format_version=3, d=d, sites=[{"shape": list(site.shape),
+                                                      "data": encode_complex(site)}])
+
+    return mutate
+
+
 def _set_bytes(edit):
     """Replace site 2's data leaf by the base64 text of ``edit(entries)``."""
 
@@ -621,6 +633,7 @@ class TestMalformedFiles:
             (_set_bytes(lambda raw: raw[:-16] + HUGE_BYTES), "right-canonicality residual"),
             (_set_key("d", "x"), "'d' must be an integer"),
             (_set_key("d", True), "'d' must be an integer"),
+            (_one_site_with_d(1), "need d >= 2"),
             (_set_key("sites", 5), "'sites' must be a list"),
             (_set_key("sites", [5]), "a site must be an object"),
             (_copy_site(1, 0), "chain element 0 has left bond 2, expected 1"),
@@ -640,7 +653,7 @@ class TestMalformedFiles:
              "false_right_claim", "empty",
              "base64_nan", "base64_inf", "base64_bad_char", "base64_non_ascii",
              "base64_bad_padding", "base64_16k_plus_8_bytes", "base64_short_count",
-             "base64_overflowing_entry", "text_d", "true_d", "int_sites", "int_site",
+             "base64_overflowing_entry", "text_d", "true_d", "d_1", "int_sites", "int_site",
              "first_left_bond_2", "initial_vector", "leading_site_on_input_leg",
              "repeated_leading_site", "text_repeat_on_leading_site",
              "true_repeat", "float_repeat", "text_repeat", "zero_repeat", "negative_repeat",

@@ -76,7 +76,7 @@ class TestExpectation:
         sites = mps.chain()
         sites[1] = np.einsum("aoib,bc->aoic", sites[1], g)
         sites[2] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[2])
-        twin = PptMps(runs=tuple((t, 1) for t in sites), d=2)
+        twin = PptMps(runs=tuple((t, 1) for t in sites))
         assert twin.canonical == "none"
         obs = MultiTimeObservable([(2, random_hermitian(4, rng))])
         assert abs(expectation(twin, obs) - expectation(mps, obs)) < 1e-12
@@ -110,7 +110,7 @@ def uniform_gauge_twin(model, N, rng) -> PptMps:
         (np.einsum("ca,aoib,bd->coid", gi, site, g), n - 1),
         (np.einsum("ca,aoib->coib", gi, site), 1),
     )
-    return PptMps(runs=runs, d=model.d)
+    return PptMps(runs=runs)
 
 
 def peak_traced_bytes(fn) -> int:

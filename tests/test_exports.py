@@ -56,14 +56,29 @@ def test_ppt_is_stored_as_runs():
 
 def test_canonical_form_is_measured_not_set():
     # the form is a property of the sites, so no label can contradict them
-    assert [f.name for f in dataclasses.fields(pptlab.PptMps)] == ["runs", "d", "leading_site"]
+    assert [f.name for f in dataclasses.fields(pptlab.PptMps)] == ["runs"]
     assert "canonical" not in inspect.signature(pptlab.PptMps).parameters
     with pytest.raises(TypeError):
-        pptlab.PptMps(runs=(), d=2, canonical="right")
+        pptlab.PptMps(runs=(), canonical="right")
     mps = pptlab.build_ppt(_MODEL, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         mps.canonical = "none"
     assert mps.canonical == "right"
+
+
+def test_d_and_step_0_are_measured_not_set():
+    # d is the sites' out extent and step 0 a first site with input extent 1
+    exposed = pptlab.build_ppt(_MODEL, 2, expose_initial_leg=True)
+    for label in ({"d": 2}, {"leading_site": exposed.leading_site}):
+        with pytest.raises(TypeError):
+            pptlab.PptMps(runs=exposed.runs, **label)
+    mps = pptlab.PptMps(runs=exposed.runs)
+    assert (mps.d, mps.n_steps, len(mps.chain())) == (_MODEL.d, 2, 3)
+    assert mps.leading_site is mps.runs[0][0] and mps.leading_site.shape[2] == 1
+    for name in ("d", "leading_site", "n_steps"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mps, name, None)
+    assert pptlab.build_ppt(_MODEL, 2).leading_site is None
 
 
 def test_entangled_is_derived_not_set():

@@ -271,7 +271,7 @@ class TestStationaryState:
         site = np.repeat(np.repeat(_X[:, None, None, :] / d, d, axis=1), d, axis=2)
         monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
         # rho -> X rho X: a rotating component, then a map with no eigenvalue 1
-        rotating, lossy = PptMps(runs=((site, 1),), d=d), PptMps(runs=((site / 2, 1),), d=d)
+        rotating, lossy = PptMps(runs=((site, 1),)), PptMps(runs=((site / 2, 1),))
         assert_matches_dense_oracle(rotating, np.diag([1.0, 0.0]), raises=True)
         assert_matches_dense_oracle(lossy, np.eye(2) / 2, raises=True)
 
@@ -285,7 +285,7 @@ class TestStationaryState:
         for k in range(3):
             site[k, 0, k, (k + 1) % 3] = np.sqrt(1 - p)
             site[k, 1, k, k] = np.sqrt(p)
-        mps = PptMps(runs=((site, 1),), d=3)
+        mps = PptMps(runs=((site, 1),))
         monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
         assert_matches_dense_oracle(mps, np.eye(3) / 3)
         assert_matches_dense_oracle(mps, np.diag([1.0, 0.0, 0.0]), raises=p < DEGENERACY_GAP)
@@ -327,7 +327,7 @@ class TestStationaryState:
         rho0 = pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
 
         monkeypatch.setattr(memory, "_dense_projection", no_dense_projection)
-        assert_matches_dense_oracle(PptMps(runs=((site, 1),), d=2), rho0)
+        assert_matches_dense_oracle(PptMps(runs=((site, 1),)), rho0)
 
     def test_one_arnoldi_solve_and_no_gmres_iteration_on_a_unital_site(
         self, transfer_calls, monkeypatch
@@ -378,7 +378,7 @@ class TestStationaryState:
         # stationary_state takes and returns density matrices, so it is
         # evolve_env's limit with no transposes.
         site = random_right_canonical_site(rng, 2, 3)
-        mps = PptMps(runs=((site, 400),), d=2)
+        mps = PptMps(runs=((site, 400),))
         rho0 = pure_env_density(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         limit = evolve_env(rho0, mps, 400)
         assert np.max(np.abs(limit.imag)) > 0.01
@@ -411,7 +411,7 @@ class TestStationaryState:
         d = 2
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
         site = np.repeat(np.repeat(x[:, None, None, :] / d, d, axis=1), d, axis=2)
-        mps = PptMps(runs=((site, 1),), d=d)
+        mps = PptMps(runs=((site, 1),))
         with pytest.raises(ConvergenceError) as err:
             stationary_state(mps, np.diag([1.0, 0.0]))
         # |0><0| = (I + Z)/2 keeps its Z/2 part, of Frobenius norm 1/sqrt(2)
@@ -421,7 +421,7 @@ class TestStationaryState:
         assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
         # halving the Kraus operators leaves eigenvalues +-1/4: no fixed point
         with pytest.raises(ConvergenceError):
-            stationary_state(PptMps(runs=((site / 2, 1),), d=d), np.eye(2) / 2)
+            stationary_state(PptMps(runs=((site / 2, 1),)), np.eye(2) / 2)
 
 
 class TestRenyiComplexity:
@@ -787,8 +787,8 @@ class TestInputChecks:
         "target, rho0, error, message",
         [(build_ppt(random_separable_model(2, 2, 0), 3), None, ValidationError, "rho0 is required"),
          (random_separable_model(2, 2, 0, steps=2), None, ValidationError, "time-independent"),
-         (PptMps(runs=((np.ones((2, 2, 2)), 1),), d=2), np.eye(2) / 2, DimensionError, "rank 4"),
-         (PptMps(runs=((np.ones((1, 2, 2, 2)), 1),), d=2), np.eye(1), DimensionError,
+         (PptMps(runs=((np.ones((2, 2, 2)), 1),)), np.eye(2) / 2, DimensionError, "rank 4"),
+         (PptMps(runs=((np.ones((1, 2, 2, 2)), 1),)), np.eye(1), DimensionError,
           "equal bond dimensions"),
          (random_separable_model(2, 2, 0), np.eye(3) / 3, DimensionError,
           "does not match the transfer dimension")],

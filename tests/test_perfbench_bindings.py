@@ -68,11 +68,14 @@ def test_extra_hooks_read_real_results():
 
 
 @pytest.mark.parametrize(
-    "model, N", [(random_separable_model(2, 3, 1), 4), (random_entangled_model(2, 2, 1), 3)],
-    ids=["separable", "entangled"],
+    "model, N, expose",
+    [(random_separable_model(2, 3, 1), 4, False), (random_entangled_model(2, 2, 1), 3, False),
+     (random_entangled_model(2, 2, 1), 3, True)],
+    ids=["separable", "entangled", "exposed"],
 )
-def test_ppt_document_check_reads_real_documents(model, N):
-    mps = build_ppt(model, N)
+def test_ppt_document_check_reads_real_documents(model, N, expose):
+    # an exposed step 0 is not counted among the N steps
+    mps = build_ppt(model, N, expose_initial_leg=expose)
     doc = mps.to_json_dict()
     workloads._check_ppt_doc(doc, N, mps.env_dim)
     workloads._check_ppt_doc(doc, N, None)

@@ -136,6 +136,38 @@ class TestBuildPpt:
         assert len(rebuilt.to_json_dict()["sites"]) == 2
 
 
+class TestConstruction:
+    """A PPT owns read-only copies of its sites and checks its runs as the reader does."""
+
+    def test_measured_form_does_not_follow_the_callers_arrays(self):
+        built = build_ppt(random_separable_model(2, 2, 0), 3)
+        runs = [(np.array(t), n) for t, n in built.runs]
+        mps = PptMps(runs=tuple(runs))
+        assert mps.canonical == "right" and mps.right_canonical_residual() < 1e-12
+        runs[1][0][...] *= 2  # the caller's own array, after the PPT measured it
+        assert mps.canonical == "right" and mps.right_canonical_residual() < 1e-12
+        assert PptMps(runs=tuple(runs)).canonical == "none"
+        assert all(not t.flags.writeable and t.dtype == np.complex128 for t, _ in mps.runs)
+
+    @pytest.mark.parametrize("repeat", [0, 2.0, True], ids=["zero", "float", "bool"])
+    def test_a_repeat_is_an_integer_of_at_least_one(self, repeat):
+        site = build_ppt(random_separable_model(2, 2, 0), 1).runs[0][0]
+        with pytest.raises(ValidationError, match=f"'repeat' must be an integer >= 1, got {repeat}"):
+            PptMps(runs=((site, repeat),))
+
+    def test_a_numpy_integer_repeat_is_stored_as_int(self):
+        (first, _), (site, _) = build_ppt(random_separable_model(2, 2, 0), 4).runs
+        mps = PptMps(runs=((first, 1), (site, np.int64(3))))
+        assert type(mps.runs[1][1]) is int and mps.n_steps == 4
+
+    def test_a_non_finite_site_is_rejected(self):
+        (first, _), (site, _) = build_ppt(random_separable_model(2, 2, 0), 3).runs
+        site = np.array(site)
+        site[0, 0, 0, 0] = np.nan
+        with pytest.raises(DimensionError, match="tensor contains non-finite entries"):
+            PptMps(runs=((first, 1), (site, 2)))
+
+
 class TestOverlap:
     @pytest.mark.parametrize(
         ("left", "right"),
@@ -282,7 +314,7 @@ class TestRightCanonical:
             )
             sites.append(t)
             left = right
-        return PptMps(runs=tuple((t, 1) for t in sites), d=d)
+        return PptMps(runs=tuple((t, 1) for t in sites))
 
     def test_idempotent_on_canonical_input(self, rng):
         mps = build_ppt(random_separable_model(2, 2, rng), 4)
@@ -310,14 +342,14 @@ class TestRightCanonical:
             big[: t.shape[0], :, :, : t.shape[3]] = t
             inflated.append(big)
         inflated[0] = inflated[0][:1]
-        mps = PptMps(runs=tuple((t, 1) for t in inflated), d=2)
+        mps = PptMps(runs=tuple((t, 1) for t in inflated))
         canon = to_right_canonical(mps)
         assert canon.bond_dims == [1, 1, 2]  # final leg keeps its padded size
 
     def test_zero_state_raises(self):
         runs = ((np.zeros((1, 2, 2, 1), dtype=np.complex128), 1),)
         with pytest.raises(DegenerateStateError):
-            to_right_canonical(PptMps(runs=runs, d=2))
+            to_right_canonical(PptMps(runs=runs))
 
 
 class TestMemorySize:
@@ -384,7 +416,7 @@ class TestMpsToOqe:
         sites = mps.chain()
         sites[0] = np.einsum("aoib,bc->aoic", sites[0], g)
         sites[1] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[1])
-        twin = PptMps(runs=tuple((t, 1) for t in sites), d=2)
+        twin = PptMps(runs=tuple((t, 1) for t in sites))
         assert twin.right_canonical_residual() > 1e-3
         recovered, residuals = mps_to_oqe(twin)
         assert max(residuals) < 1e-10
@@ -394,7 +426,7 @@ class TestMpsToOqe:
         sites = [np.zeros((1, 2, 2, 1), dtype=np.complex128) for _ in range(2)]
         sites[0][0, 0, 0, 0] = 1.0
         sites[1][0, 0, 0, 0] = 1.0  # sum_{oi} B B^dag = 1, but rank-1 as a d x d map
-        mps = PptMps(runs=tuple((t, 1) for t in sites), d=2)
+        mps = PptMps(runs=tuple((t, 1) for t in sites))
         with pytest.raises(ConversionError) as err:
             mps_to_oqe(mps)
         assert err.value.site is not None
@@ -578,7 +610,7 @@ class TestNormCertificate:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         sites[1] = np.einsum("aoib,bc->aoic", sites[1], g)
         sites[2] = np.einsum("cb,boid->coid", np.linalg.inv(g), sites[2])
-        return PptMps(runs=tuple((t, 1) for t in sites), d=2).to_json_dict()
+        return PptMps(runs=tuple((t, 1) for t in sites)).to_json_dict()
 
     def test_none_claim_is_swept(self, rng, monkeypatch):
         doc = self._gauge_twin_doc(rng)

@@ -209,11 +209,15 @@ def test_json_round_trips_are_bit_exact(spec, expose):
     assert all(same_bits(u, v) for u, v in zip(model.unitaries, back.unitaries))
     assert same_bits(model.initial_state, back.initial_state)
 
-    mps = build_ppt(model, spec["N"], expose_initial_leg=expose)
-    text = mps.to_json()
-    again = PptMps.from_json(text)
-    assert all(same_bits(s, t) for s, t in zip(mps.chain(), again.chain()))
-    assert again.to_json() == text
+    # build_ppt, and two producers that put an exposed step 0 first in their runs
+    oracle = MeasurementOracle(model, spec["N"])
+    sweep = disentangle_reconstruct(oracle, spec["N"], spec["D"], entangled_initial=True)
+    built = build_ppt(model, spec["N"], expose_initial_leg=expose)
+    for mps in (built, oracle.true_mps(), sweep.recovered_mps):
+        text = mps.to_json()
+        again = PptMps.from_json(text)
+        assert all(same_bits(s, t) for s, t in zip(mps.chain(), again.chain(), strict=True))
+        assert again.to_json() == text and again.n_steps == spec["N"]
 
     obs = random_observable(np.random.default_rng(spec["seed"]), spec["d"], spec["N"], 1)
     obs_back = MultiTimeObservable.from_json(obs.to_json())
@@ -292,13 +296,13 @@ def test_repeated_sites_are_stored_once(spec, expose, n_steps, data):
     """
     model = make_model(dict(spec, N=n_steps))
     built = build_ppt(model, n_steps, expose_initial_leg=expose)
-    if model.time_independent:  # the first step, then one run of the shared site
-        assert len(built.runs) <= 2 - expose
+    if model.time_independent:  # step 0 or the first step, then one run of the shared site
+        assert len(built.runs) <= 2
     for t, _ in built.runs:
         assert_read_only(t)
     flips = data.draw(st.lists(st.booleans(), min_size=n_steps, max_size=n_steps))
     sites = [negated_zeros(t) if f else t for t, f in zip(step_sites(built), flips)]
-    mps = dataclasses.replace(built, runs=tuple((t, 1) for t in sites))
+    mps = dataclasses.replace(built, runs=built.runs[:expose] + tuple((t, 1) for t in sites))
     doc = json.loads(mps.to_json())
     assert doc["format_version"] == 3
     runs = byte_runs(sites)
@@ -308,7 +312,7 @@ def test_repeated_sites_are_stored_once(spec, expose, n_steps, data):
     back = PptMps.from_json(mps.to_json())
     assert all(same_bits(s, t) for s, t in zip(mps.chain(), back.chain(), strict=True))
     assert back.n_steps == n_steps and back.to_json() == mps.to_json()
-    assert [n for _, n in back.runs] == runs
+    assert [n for _, n in back.runs[expose:]] == runs
     for t, _ in back.runs:
         assert_read_only(t)
 
@@ -592,7 +596,7 @@ def test_stationary_state_matches_dense_oracle(d, D, seed, weights, krylov, bare
     rho0 = None
     if bare:
         rng = np.random.default_rng(seed)
-        subject = PptMps(runs=((random_right_canonical_site(rng, d, D), 1),), d=d)
+        subject = PptMps(runs=((random_right_canonical_site(rng, d, D), 1),))
         rho0 = memory.pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
     elif weights is None or D == 1:
         subject = random_separable_model(d, D, seed)
@@ -610,15 +614,13 @@ def _perturbed(mps, change, rng):
     """``mps`` with its first chain element scaled by 1 + eps ("head"), or
     with the site of one later run moved by noise that leaves its
     right-canonicality residual at 0.9 ``CANONICAL_TOL`` ("site").  A built
-    chain without a leading site gives its first step a run of its own."""
+    chain gives its first element (step 0 or step 1) a run of its own."""
     kind, eps = change
-    lead, runs = mps.leading_site, list(mps.runs)
+    runs = list(mps.runs)
     if kind == "head":
-        if lead is not None:
-            return dataclasses.replace(mps, leading_site=lead * (1.0 + eps))
         runs[0] = (runs[0][0] * (1.0 + eps), runs[0][1])
         return dataclasses.replace(mps, runs=tuple(runs))
-    later = range(len(runs)) if lead is not None else range(1, len(runs))
+    later = range(1, len(runs))
     if kind == "site" and later:
         k = later[int(rng.integers(len(later)))]
         t, n = runs[k]

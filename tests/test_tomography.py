@@ -10,6 +10,7 @@ from pptlab import (
     BoundViolationError,
     CapacityError,
     MeasurementOracle,
+    PptMps,
     UnsupportedPredictionError,
     ValidationError,
     build_ppt,
@@ -531,6 +532,14 @@ class TestVariationalFit:
         for _ in range(5):
             obs = random_observable(rng, 2, 7)
             assert abs(expectation(truth, obs) - expectation(predicted, obs)) < 1e-6
+
+    def test_shared_step_is_one_run(self, rng):
+        # step 1 (pinned to |0>), the shared step, and the last step with the final unitary
+        report = variational_fit(build_ppt(random_separable_model(2, 2, rng), 6), seed=1)
+        mps = report.recovered_mps
+        assert [n for _, n in mps.runs] == [1, 4, 1] and mps.n_steps == 6
+        per_step = PptMps(runs=tuple((t, 1) for t in mps.chain()))
+        assert per_step.to_json() == mps.to_json()
 
     def test_noisy_target_reports_floor(self, rng):
         model = random_separable_model(2, 2, rng)
