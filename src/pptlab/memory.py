@@ -31,7 +31,7 @@ from .ppt import (
     enlarged_site_tensor,
     site_tensor_from_unitary,
 )
-from .tensor_ops import _is_integer, _is_real, transfer_left
+from .tensor_ops import _is_integer, _is_real, as_complex_array, transfer_left
 
 DEGENERACY_GAP = 1e-8
 DENSITY_TOL = 1e-10  # Hermiticity, positivity and trace error allowed in an environment state
@@ -164,17 +164,18 @@ def infidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def stationary_state(
-    mps_or_model, rho0: np.ndarray | None = None
+    model_or_site, rho0: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, bool]:
     """Stationary environment state lim_n Phi^n(rho0) of a time-independent process.
 
     Like ``evolve_env``, this takes and returns density matrices and
     transposes once into ``transfer_left``'s (bra, ket) order and once out,
-    so the result is the limit of ``evolve_env(rho0, mps_or_model, n)``.
-    A model's ``rho0`` defaults to ``initial_env_density(model)``.
+    so the result is the limit of ``evolve_env(rho0, model, n)``.  It takes
+    a time-independent model, whose ``rho0`` defaults to
+    ``initial_env_density(model)``, or a site array (rank 4, equal bonds) and ``rho0``.
 
-    Everything is solved on the base site B with bond D: the array of a
-    bare MPS's last run, or the model's step site.  An entangled model's enlarged site is
+    Everything is solved on the base site B with bond D: the given site, or
+    the model's step site.  An entangled model's enlarged site is
     I_d (x) B, so each D x D block (s, t) of ``rho0`` evolves under the base
     channel on its own, and the limit is the eigenvalue-1 projection P_1 of
     the base left action applied to every block.
@@ -202,19 +203,20 @@ def stationary_state(
     shared within ``DEGENERACY_GAP``, which an entangled model's enlarged
     spectrum always has (it repeats every base eigenvalue d^2 times).
     """
-    if isinstance(mps_or_model, PptMps):
-        site = mps_or_model.runs[-1][0]
-        blocks = 1
-        if rho0 is None:
-            raise ValidationError("rho0 is required when passing a bare MPS")
-    else:
-        model: OqeModel = mps_or_model
+    if isinstance(model_or_site, OqeModel):
+        model = model_or_site
         if not model.time_independent:
             raise ValidationError("stationary analysis requires a time-independent model")
         site = site_tensor_from_unitary(model.unitary_at(1), model.d, model.D)
         blocks = model.d if model.entangled else 1
         if rho0 is None:
             rho0 = initial_env_density(model)
+    elif rho0 is None:
+        raise ValidationError("rho0 is required when passing a site")
+    elif isinstance(model_or_site, np.ndarray):
+        site, blocks = as_complex_array(model_or_site), 1
+    else:
+        raise ValidationError(f"need a model or a site array, got {type(model_or_site).__name__}")
     if site.ndim != 4:
         raise DimensionError(f"site tensor must be rank 4, got rank {site.ndim}")
     D = site.shape[0]

@@ -35,7 +35,7 @@ from .tensor_ops import (
     _cluster_rotation,
     _is_integer,
     as_complex_array,
-    decode_complex,
+    _decode_entries,
     encode_complex,
     fill_unassigned_columns,
     json_int,
@@ -64,6 +64,7 @@ class PptMps:
     extent 1 is step 0 (``leading_site``), the exposed initial system leg.
     The first chain element holds the initial state and opens on a left
     bond of 1.  ``d``, step 0 and ``canonical`` are measured, not set.
+    Construction checks the shapes (``_check_shapes``); ``validate``, the norm.
     """
 
     runs: tuple[tuple[np.ndarray, int], ...]
@@ -73,6 +74,7 @@ class PptMps:
         for t, _ in runs:  # read-only copies: no caller can change a site once it is measured
             as_complex_array(t)  # rejects non-finite entries
             t.flags.writeable = False
+        _check_shapes(runs)
         object.__setattr__(self, "runs", runs)
 
     # Version 3 writes each maximal run of identical consecutive sites once,
@@ -84,8 +86,8 @@ class PptMps:
     @property
     def leading_site(self) -> np.ndarray | None:
         """Step 0, the exposed initial system leg (out extent d, in extent 1), if any."""
-        t, n = self.runs[0] if self.runs else (None, 0)
-        return t if n == 1 and t.ndim == 4 and t.shape[2] == 1 else None
+        t, n = self.runs[0]  # measured as ``_check_shapes`` measures it
+        return t if n == 1 and t.shape[2] == 1 else None
 
     @property
     def n_steps(self) -> int:
@@ -116,38 +118,13 @@ class PptMps:
         return "right" if all(r <= CANONICAL_TOL for r, _, _ in self._gram_residuals) else "none"
 
     def validate(self) -> None:
-        self._check_shapes()
+        """Check the unit norm: certified for a chain that measures right, else swept."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow's inf or nan fails below
             if self.canonical == "right" and self._norm_certified():
                 return
             nrm = self.norm()
         if not abs(nrm - 1.0) <= CANONICAL_TOL:
             raise ValidationError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-
-    def _check_shapes(self, d: int | None = None, lead: bool | None = None) -> None:
-        # d and an exposed step 0 are measured, unless given as a document states them
-        lead = self.leading_site is not None if lead is None else lead
-        if sum(n for _, n in self.runs) <= lead:
-            raise ValidationError("PPT stores no sites")
-        d = self.d if d is None else d
-        prev, k = 1, 0  # the first chain element opens on a left bond of 1
-        for t, n in self.runs:  # k: chain index of the run's first element
-            if t.ndim != 4:
-                raise ValidationError(f"chain element {k} is rank {t.ndim}, expected 4")
-            if t.shape[0] != prev:
-                raise ValidationError(
-                    f"chain element {k} has left bond {t.shape[0]}, expected {prev}"
-                )
-            if n > 1 and t.shape[0] != t.shape[3]:  # the run's next element opens on t's right bond
-                raise ValidationError(
-                    f"chain element {k + 1} has left bond {t.shape[0]}, expected {t.shape[3]}"
-                )
-            step = k + 1 - lead  # 0 for an exposed step 0, whose in extent is 1
-            if t.shape[1:3] != ((d, d) if step else (d, 1)):
-                where = f"site {step}" if step else "leading site"
-                want = f"d={d}" if step else f"(d={d}, 1)"
-                raise ValidationError(f"{where} physical extents {t.shape[1:3]} != {want}")
-            prev, k = t.shape[3], k + n
 
     def right_canonical_residual(self) -> float:
         """max_n || sum_{o,i} B B^dag - I ||_max over all chain elements but
@@ -252,11 +229,8 @@ class PptMps:
         claim = doc.get("canonical", "none")
         if claim not in CANONICAL_FORMS:
             raise ValidationError(f"unknown canonical form {claim!r}")
-        d = json_int(doc, "d")
-        if d < 2:
-            raise ValidationError(f"need d >= 2, got d={d}")
+        _check_shapes(runs, json_int(doc, "d"), lead)  # the document's claims, before measuring
         mps = PptMps(runs=tuple(runs))
-        mps._check_shapes(d, lead)
         if claim == "right" and mps.canonical == "none":
             res = mps.right_canonical_residual()
             raise ValidationError(f"right-canonicality residual {res:.3e} exceeds {CANONICAL_TOL}")
@@ -274,7 +248,40 @@ def _tensor_doc(t: np.ndarray) -> dict:
 
 def _tensor_from_doc(doc: dict) -> np.ndarray:
     json_object(doc, "a site")
-    return decode_complex(doc["data"], doc["shape"])
+    return _decode_entries(doc["data"], doc["shape"])  # copied and checked once, by PptMps
+
+
+def _check_shapes(runs, d: int | None = None, lead: bool | None = None) -> None:
+    """Raise ``ValidationError`` unless ``runs`` chain as a PPT: rank-4 sites with no empty
+    extent, a first left bond of 1, bonds that chain, (d, d) physical legs and (d, 1) at an
+    exposed step 0.  ``d`` >= 2 and step 0 are measured unless given, as a document states them."""
+    k = 0
+    for t, n in runs:  # every rank before d and step 0 are read off the sites
+        if t.ndim != 4:
+            raise ValidationError(f"chain element {k} is rank {t.ndim}, expected 4")
+        if 0 in t.shape:
+            raise ValidationError(f"chain element {k} has an empty extent: shape {t.shape}")
+        k += n
+    lead = k > 0 and runs[0][1] == 1 and runs[0][0].shape[2] == 1 if lead is None else lead
+    if k <= lead:
+        raise ValidationError("PPT stores no sites")
+    d = runs[-1][0].shape[1] if d is None else d
+    if d < 2:
+        raise ValidationError(f"need d >= 2, got d={d}")
+    prev, k = 1, 0  # the first chain element opens on a left bond of 1
+    for t, n in runs:  # k: chain index of the run's first element
+        if t.shape[0] != prev:
+            raise ValidationError(f"chain element {k} has left bond {t.shape[0]}, expected {prev}")
+        if n > 1 and t.shape[0] != t.shape[3]:  # the run's next element opens on t's right bond
+            raise ValidationError(
+                f"chain element {k + 1} has left bond {t.shape[0]}, expected {t.shape[3]}"
+            )
+        step = k + 1 - lead  # 0 for an exposed step 0, whose in extent is 1
+        if t.shape[1:3] != ((d, d) if step else (d, 1)):
+            where = f"site {step}" if step else "leading site"
+            want = f"d={d}" if step else f"(d={d}, 1)"
+            raise ValidationError(f"{where} physical extents {t.shape[1:3]} != {want}")
+        prev, k = t.shape[3], k + n
 
 
 def _site_run_docs(runs) -> list[dict]:

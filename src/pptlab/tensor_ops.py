@@ -48,13 +48,13 @@ def decode_complex(data, shape=None) -> np.ndarray:
     pairs in a list, an entry count that does not fill ``shape``, or a
     non-finite entry raises ``ValidationError``.
     """
-    return as_complex_array(_decode_entries(data, shape))
+    return as_complex_array(_decode_entries(data, shape)).copy()  # writable, unlike a view
 
 
 def _decode_entries(data, shape=None) -> np.ndarray:
-    """``decode_complex`` without its final ``as_complex_array`` check: a
-    native complex128 array of ``shape`` whose entries may be non-finite,
-    for a caller that checks them itself."""
+    """``decode_complex`` without its final check and copy: a native
+    complex128 array of ``shape``, read-only where it views the base64 bytes,
+    whose entries may be non-finite, for a caller that checks them itself."""
     flat = _base64_entries(data) if isinstance(data, str) else _pair_entries(data)
     shape = flat.shape if shape is None else shape
     # type(n) is int: a JSON true is a bool, which isinstance would take for 1
@@ -73,8 +73,8 @@ def _base64_entries(text: str) -> np.ndarray:
         raise ValidationError(
             f"complex data holds {len(raw)} bytes, not a multiple of 16 (complex128)"
         )
-    # astype copies into a native, writable array; frombuffer alone is a read-only view
-    return np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+    # a read-only view of the bytes, copied only where complex128 is not little-endian
+    return np.frombuffer(raw, dtype="<c16").astype(np.complex128, copy=False)
 
 
 def _pair_entries(pairs) -> np.ndarray:

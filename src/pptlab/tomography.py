@@ -621,7 +621,8 @@ def _warm_start(target: PptMps, d: int, D: int):
         raise DimensionError(f"target bond dimension {model.D} exceeds its environment leg {D}")
     if len(model.unitaries) >= 2:
         try:
-            u_shared = polar_unitary(np.mean(np.stack(model.unitaries[1:]), axis=0))
+            bulk = model.unitaries[1:]  # summed in order: np.mean(np.stack(bulk), axis=0) bit for bit
+            u_shared = polar_unitary(sum(bulk[1:], bulk[0]) / len(bulk))
         except SingularityError:  # wildly inconsistent site gauges average to ~0
             u_shared = model.unitaries[1]
     else:

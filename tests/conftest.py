@@ -354,10 +354,11 @@ def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, sample_point
     ]
 
 
-def dense_stationary_state(mps_or_model, rho0=None):
+def dense_stationary_state(model_or_site, rho0=None):
     """``stationary_state`` as one dense projection on the whole effective
     environment: the enlarged (dD)^2 x (dD)^2 left matrix for entangled
-    models, never the base-site blocks or the Krylov solve.
+    models, never the base-site blocks or the Krylov solve.  Takes a
+    time-independent model or a site array with ``rho0``.
 
     Eigendecomposes the left transfer matrix, solves for the eigen-coefficients
     of vec(rho0^T) (the (bra, ket) order of ``transfer_left``) and keeps
@@ -366,17 +367,17 @@ def dense_stationary_state(mps_or_model, rho0=None):
     component on another unit-modulus eigenvalue.  Returns
     ``(rho_st, 0, degenerate)``.
     """
-    if isinstance(mps_or_model, PptMps):
-        site = mps_or_model.runs[-1][0]
-        if rho0 is None:
-            raise ValidationError("rho0 is required when passing a bare MPS")
-    else:
-        model: OqeModel = mps_or_model
+    if isinstance(model_or_site, OqeModel):
+        model = model_or_site
         if not model.time_independent:
             raise ValidationError("stationary analysis requires a time-independent model")
         site = memory._model_site(model, 1)
         if rho0 is None:
             rho0 = initial_env_density(model)
+    else:
+        site = model_or_site
+        if rho0 is None:
+            raise ValidationError("rho0 is required when passing a site")
     dense = dense_transfer_matrix(site)
     if dense.shape[0] != dense.shape[1]:
         raise DimensionError("stationary analysis requires equal bond dimensions")

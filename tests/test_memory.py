@@ -5,7 +5,6 @@ from pptlab import (
     ConvergenceError,
     DimensionError,
     OqeModel,
-    PptMps,
     ValidationError,
     build_ppt,
     evolve_env,
@@ -25,7 +24,7 @@ from pptlab import (
 )
 from pptlab.memory import DEGENERACY_GAP, pure_env_density
 from pptlab.models import random_haar_unitary
-from pptlab.ppt import site_tensor_from_unitary
+from pptlab.ppt import _left_sweep, site_tensor_from_unitary
 from pptlab.tensor_ops import transfer_left, transfer_right
 
 from conftest import (
@@ -52,19 +51,19 @@ STRUCTURED = {
 }
 
 
-def assert_matches_dense_oracle(mps_or_model, rho0=None, raises=False):
+def assert_matches_dense_oracle(model_or_site, rho0=None, raises=False):
     """``stationary_state`` gives the oracle's state and degeneracy flag, or,
     with ``raises``, both raise the same ``ConvergenceError``."""
     if raises:
         with pytest.raises(ConvergenceError) as ref:
-            dense_stationary_state(mps_or_model, rho0)
+            dense_stationary_state(model_or_site, rho0)
         with pytest.raises(ConvergenceError) as got:
-            stationary_state(mps_or_model, rho0)
+            stationary_state(model_or_site, rho0)
         assert str(got.value) == str(ref.value)
         assert abs(got.value.residual - ref.value.residual) < 1e-12
         return
-    rho, _, degenerate = stationary_state(mps_or_model, rho0)
-    ref, _, ref_degenerate = dense_stationary_state(mps_or_model, rho0)
+    rho, _, degenerate = stationary_state(model_or_site, rho0)
+    ref, _, ref_degenerate = dense_stationary_state(model_or_site, rho0)
     assert degenerate == ref_degenerate
     assert np.max(np.abs(rho - ref)) < 1e-10
 
@@ -271,7 +270,7 @@ class TestStationaryState:
         site = np.repeat(np.repeat(_X[:, None, None, :] / d, d, axis=1), d, axis=2)
         monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
         # rho -> X rho X: a rotating component, then a map with no eigenvalue 1
-        rotating, lossy = PptMps(runs=((site, 1),)), PptMps(runs=((site / 2, 1),))
+        rotating, lossy = site, site / 2
         assert_matches_dense_oracle(rotating, np.diag([1.0, 0.0]), raises=True)
         assert_matches_dense_oracle(lossy, np.eye(2) / 2, raises=True)
 
@@ -285,10 +284,9 @@ class TestStationaryState:
         for k in range(3):
             site[k, 0, k, (k + 1) % 3] = np.sqrt(1 - p)
             site[k, 1, k, k] = np.sqrt(p)
-        mps = PptMps(runs=((site, 1),))
         monkeypatch.setattr(memory, "_DENSE_MAX_ENTRIES", crossover)
-        assert_matches_dense_oracle(mps, np.eye(3) / 3)
-        assert_matches_dense_oracle(mps, np.diag([1.0, 0.0, 0.0]), raises=p < DEGENERACY_GAP)
+        assert_matches_dense_oracle(site, np.eye(3) / 3)
+        assert_matches_dense_oracle(site, np.diag([1.0, 0.0, 0.0]), raises=p < DEGENERACY_GAP)
 
     @pytest.mark.parametrize("eta", [0.02, 0.05, 0.3, 1.0, pytest.param(None, id="haar")])
     @pytest.mark.parametrize("D", [9, 12, 16])
@@ -327,7 +325,7 @@ class TestStationaryState:
         rho0 = pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
 
         monkeypatch.setattr(memory, "_dense_projection", no_dense_projection)
-        assert_matches_dense_oracle(PptMps(runs=((site, 1),)), rho0)
+        assert_matches_dense_oracle(site, rho0)
 
     def test_one_arnoldi_solve_and_no_gmres_iteration_on_a_unital_site(
         self, transfer_calls, monkeypatch
@@ -378,11 +376,10 @@ class TestStationaryState:
         # stationary_state takes and returns density matrices, so it is
         # evolve_env's limit with no transposes.
         site = random_right_canonical_site(rng, 2, 3)
-        mps = PptMps(runs=((site, 400),))
         rho0 = pure_env_density(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        limit = evolve_env(rho0, mps, 400)
+        limit = _left_sweep(rho0.T, [site] * 400, [site] * 400).T  # evolve_env's sweep
         assert np.max(np.abs(limit.imag)) > 0.01
-        assert np.max(np.abs(stationary_state(mps, rho0)[0] - limit)) < 1e-10
+        assert np.max(np.abs(stationary_state(site, rho0)[0] - limit)) < 1e-10
         model = random_entangled_model(2, 3, rng, lambdas=np.sqrt([0.9, 0.1]))
         rho_st = stationary_state(model)[0]
         assert np.max(np.abs(rho_st.imag)) > 0.01
@@ -411,17 +408,16 @@ class TestStationaryState:
         d = 2
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
         site = np.repeat(np.repeat(x[:, None, None, :] / d, d, axis=1), d, axis=2)
-        mps = PptMps(runs=((site, 1),))
         with pytest.raises(ConvergenceError) as err:
-            stationary_state(mps, np.diag([1.0, 0.0]))
+            stationary_state(site, np.diag([1.0, 0.0]))
         # |0><0| = (I + Z)/2 keeps its Z/2 part, of Frobenius norm 1/sqrt(2)
         assert abs(err.value.residual - 1 / np.sqrt(2)) < 1e-12
-        rho, steps, degenerate = stationary_state(mps, np.eye(2) / 2)
+        rho, steps, degenerate = stationary_state(site, np.eye(2) / 2)
         assert degenerate and steps == 0
         assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
         # halving the Kraus operators leaves eigenvalues +-1/4: no fixed point
         with pytest.raises(ConvergenceError):
-            stationary_state(PptMps(runs=((site / 2, 1),)), np.eye(2) / 2)
+            stationary_state(site / 2, np.eye(2) / 2)
 
 
 class TestRenyiComplexity:
@@ -787,12 +783,15 @@ class TestInputChecks:
         "target, rho0, error, message",
         [(build_ppt(random_separable_model(2, 2, 0), 3), None, ValidationError, "rho0 is required"),
          (random_separable_model(2, 2, 0, steps=2), None, ValidationError, "time-independent"),
-         (PptMps(runs=((np.ones((2, 2, 2)), 1),)), np.eye(2) / 2, DimensionError, "rank 4"),
-         (PptMps(runs=((np.ones((1, 2, 2, 2)), 1),)), np.eye(1), DimensionError,
+         (np.ones((2, 2, 2)), np.eye(2) / 2, DimensionError, "rank 4"),
+         (np.ones((1, 2, 2, 2)), np.eye(1), DimensionError,
           "equal bond dimensions"),
          (random_separable_model(2, 2, 0), np.eye(3) / 3, DimensionError,
-          "does not match the transfer dimension")],
-        ids=["ppt_without_rho0", "time_dependent", "rank_3_site", "unequal_bonds", "rho0_dim"],
+          "does not match the transfer dimension"),
+         (build_ppt(random_separable_model(2, 3, 0, steps=3), 3), np.eye(3) / 3, ValidationError,
+          "need a model or a site array, got PptMps")],
+        ids=["ppt_without_rho0", "time_dependent", "rank_3_site", "unequal_bonds", "rho0_dim",
+             "ppt"],
     )
     def test_stationary_state_arguments(self, target, rho0, error, message):
         with pytest.raises(error, match=message):

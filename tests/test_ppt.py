@@ -28,7 +28,7 @@ from pptlab import (
     variational_fit,
 )
 from pptlab import ppt as ppt_module
-from pptlab import tomography
+from pptlab import tensor_ops, tomography
 from pptlab.memory import initial_env_density
 from pptlab.ppt import split_block
 
@@ -136,8 +136,36 @@ class TestBuildPpt:
         assert len(rebuilt.to_json_dict()["sites"]) == 2
 
 
+_STEP_SITE = build_ppt(random_separable_model(2, 2, 0), 2).runs[-1][0]  # bonds 2 and 2
+
+
 class TestConstruction:
     """A PPT owns read-only copies of its sites and checks its runs as the reader does."""
+
+    @pytest.mark.parametrize(
+        "runs, message",
+        [((), "PPT stores no sites"),
+         (((np.ones(3), 1),), "chain element 0 is rank 1, expected 4"),
+         (((_STEP_SITE, 5),), "chain element 0 has left bond 2, expected 1"),
+         (((np.ones((1, 2, 2, 0)), 1),), r"chain element 0 has an empty extent: shape \(1, 2, 2, 0\)"),
+         (((np.ones((1, 1, 1, 1)), 1), (np.ones((1, 1, 1, 1)), 2)), "need d >= 2, got d=1")],
+        ids=["no_runs", "rank_1", "opens_on_bond_2", "empty_extent", "d_1"],
+    )
+    def test_a_malformed_chain_is_rejected_at_construction(self, runs, message):
+        with pytest.raises(ValidationError, match=message):
+            PptMps(runs=runs)
+
+    def test_validate_checks_only_the_norm(self, monkeypatch):
+        mps = build_ppt(random_separable_model(2, 2, 0), 3)
+        head = replace(mps, runs=((mps.runs[0][0] * 1.001, 1), *mps.runs[1:]))
+
+        def unreachable(*args):
+            raise AssertionError("validate checked the shapes again")
+
+        monkeypatch.setattr(ppt_module, "_check_shapes", unreachable)
+        mps.validate()
+        with pytest.raises(ValidationError, match="state norm deviates"):
+            head.validate()
 
     def test_measured_form_does_not_follow_the_callers_arrays(self):
         built = build_ppt(random_separable_model(2, 2, 0), 3)
@@ -541,6 +569,21 @@ class TestSerialization:
         doc["leading_site"]["repeat"] = repeat
         with pytest.raises(ValidationError, match="leading site is step 0 and cannot repeat"):
             PptMps.from_json_dict(doc)
+
+    def test_each_site_is_decoded_and_checked_once(self, monkeypatch):
+        doc = build_ppt(random_separable_model(2, 2, 0), 3).to_json_dict()
+        assert [site.get("repeat", 1) for site in doc["sites"]] == [1, 2]
+        checks = []
+        check = tensor_ops.as_complex_array
+
+        def counting(*args, **kwargs):
+            checks.append(args[0].shape)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(tensor_ops, "as_complex_array", counting)
+        monkeypatch.setattr(ppt_module, "as_complex_array", counting)
+        PptMps.from_json_dict(doc)
+        assert checks == [(1, 2, 2, 2), (2, 2, 2, 2)]  # one finiteness check per site
 
     def test_a_repeated_site_needs_equal_bonds(self, rng):
         # a run's second step opens on the run's own right bond

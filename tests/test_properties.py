@@ -8,7 +8,8 @@ time-dependent steps.  The near-identity experiment is
 checked bit for bit against its per-step reference over block edges, its
 closed-form unitaries against scipy's ``expm``, and the stationary solve
 (base-site blocks, Krylov or dense) against the dense projection on the
-whole effective environment.  ``PptMps.validate``'s certified norm check
+whole effective environment.  Construction is fuzzed over (site, repeat)
+lists of sites of rank 1..5.  ``PptMps.validate``'s certified norm check
 decides like the dense norm on short chains and like the sweep on repeated
 runs of up to 10^4 steps.
 """
@@ -317,6 +318,48 @@ def test_repeated_sites_are_stored_once(spec, expose, n_steps, data):
         assert_read_only(t)
 
 
+@st.composite
+def run_lists(draw):
+    """(site, repeat) lists near a PPT's: d in 1..3, bonds in 1..3 from a
+    first left bond of 1, a first run that may be step 0 and repeats in
+    1..3, with some sites of a shape drawn outright (rank 1..5, extents
+    0..3) and entries drawn at random."""
+    d, lead = draw(st.integers(1, 3)), draw(st.booleans())
+    bonds = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = []
+    for k, (left, right) in enumerate(zip([1, *bonds], bonds[:-1])):
+        step_0 = lead and k == 0
+        shape = (left, d, 1 if step_0 else d, right)
+        if draw(st.integers(0, 4)) == 0:
+            shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=5)))
+        repeat = 1 if step_0 else draw(st.integers(1, 3))
+        runs.append((rng.standard_normal(shape) + 1j * rng.standard_normal(shape), repeat))
+    return tuple(runs)
+
+
+@CASES
+@given(runs=run_lists(), normalise=st.booleans())
+def test_construction_admits_only_ppts_its_reader_reads(runs, normalise):
+    """A run list raises ``ValidationError`` at construction, or makes a
+    PPT whose document reads back with the same runs or is rejected only
+    for its norm; ``normalise`` scales the first run to a unit norm."""
+    try:
+        mps = PptMps(runs=runs)
+    except ValidationError:
+        return
+    if normalise:
+        (t, n), *rest = mps.runs
+        mps = dataclasses.replace(mps, runs=((t / mps.norm() ** (1 / n), n), *rest))
+    try:
+        back = PptMps.from_json(mps.to_json())
+    except ValidationError as err:
+        assert "state norm deviates" in str(err)
+        return
+    assert [(t.shape, n) for t, n in back.runs] == [(t.shape, n) for t, n in mps.runs]
+    assert back.to_json() == mps.to_json()
+
+
 @settings(max_examples=25, deadline=None)
 @given(spec=model_specs, expose=st.booleans(), n_insertions=st.integers(0, 3))
 def test_correlate_reads_version_1_and_2_files_alike(spec, expose, n_insertions):
@@ -596,7 +639,7 @@ def test_stationary_state_matches_dense_oracle(d, D, seed, weights, krylov, bare
     rho0 = None
     if bare:
         rng = np.random.default_rng(seed)
-        subject = PptMps(runs=((random_right_canonical_site(rng, d, D), 1),))
+        subject = random_right_canonical_site(rng, d, D)
         rho0 = memory.pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
     elif weights is None or D == 1:
         subject = random_separable_model(d, D, seed)

@@ -487,6 +487,18 @@ class TestVariationalFit:
         trace, _, _ = tomography._descend(target, u0, 2, 2, target.norm() ** 2)
         assert trace[0] < 1e-12
 
+    def test_warm_start_sums_the_steps_without_stacking_them(self):
+        # mps_to_oqe gives 10^4 references to two unitaries; a stack of them
+        # would hold 10^4 copies of a 32 x 32 complex matrix (164 MB)
+        target = build_ppt(random_separable_model(2, 16, 0), 10**4)
+        tracemalloc.start()
+        try:
+            tomography._warm_start(target, 2, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     @pytest.mark.parametrize("entangled", [False, True], ids=["separable", "entangled"])
     def test_overlap_gradient_matches_finite_difference(self, rng, entangled):
         """The overlap is holomorphic in the shared step unitary, so its
