@@ -59,6 +59,7 @@ from .correlations import (
     MultiTimeObservable,
     dense_expectation,
     expectation,
+    expectations,
     pair_operator,
 )
 from .tensor_ops import polar_unitary
@@ -101,6 +102,7 @@ __all__ = [
     "fig_s2_experiment",
     "fig_s2_csv",
     "expectation",
+    "expectations",
     "dense_expectation",
     "pair_operator",
     "polar_unitary",

@@ -3,15 +3,21 @@
 An observable is a set of (step, operator) insertions; each operator is a
 d^2 x d^2 matrix on the (out, in) index pair of its step, fused row major
 as sigma = o * d + i.  The MPS route carries the environment state from the
-left and sandwiches the operators at insertion steps.  On a right-canonical
-MPS it stops after the last insertion (the remaining sites contract to the
-identity); any other MPS is swept to its end and divided by its squared
-norm.  The dense route replays the generating circuit on a full
-statevector and shares no contraction code with the MPS route.
+left and sandwiches the operators at insertion steps.  ``expectations``
+evaluates many observables in one sweep: it carries a stack of
+environments, one per observable, through ``tensor_ops.transfer_left``'s
+batch axis, and inserts at each step the stack of their operators, the
+identity for an observable with no insertion there; ``expectation`` is its
+one-observable case.  On a right-canonical MPS an observable's value is read
+after its last insertion (the remaining sites contract to the identity); any
+other MPS is swept to its end and divided by its squared norm.  The dense
+route replays the generating circuit on a full statevector and shares no
+contraction code with the MPS route.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -19,7 +25,7 @@ import numpy as np
 
 from .exceptions import CapacityError, DegenerateStateError, DimensionError, ValidationError
 from .models import OqeModel
-from .ppt import DENSE_STATE_GUARD, PptMps, _left_sweep, overlap
+from .ppt import DENSE_STATE_GUARD, PptMps, _left_envs, overlap
 from .tensor_ops import (
     _decode_entries,
     _is_integer,
@@ -119,21 +125,59 @@ def pair_operator(out_op: np.ndarray, in_op: np.ndarray) -> np.ndarray:
 
 
 def expectation(mps: PptMps, obs: MultiTimeObservable) -> complex:
-    """<PPT| (insertions) |PPT> / <PPT|PPT> by one left sweep (``ppt._left_sweep``):
-    up to the last insertion on a right-canonical MPS, whose norm is 1 and whose
-    later steps contract to the identity, else to the end and divided by ``overlap``."""
-    obs.validate(mps.d, mps.n_steps)
+    """<PPT| (insertions) |PPT> / <PPT|PPT>: ``expectations`` of the one observable."""
+    return complex(expectations(mps, [obs])[0])
+
+
+def expectations(mps: PptMps, observables) -> np.ndarray:
+    """``expectation`` of every observable of the sequence, by one batched left sweep.
+
+    Every observable is validated before anything is swept.  The sweep carries
+    one environment per observable, stacked (``ppt._left_envs``); a chain step
+    where some observable inserts carries the stack of their operators, with
+    the identity for the others.  Observable k's value is the trace of its
+    environment after its last insertion on a right-canonical MPS, whose norm
+    is 1 and whose later steps contract to the identity, else after the whole
+    chain divided by one shared ``overlap``.  Each value is bit for bit the one
+    a sweep of that observable alone gives.  An empty sequence gives an empty
+    array.
+    """
+    observables = list(observables)
+    for obs in observables:
+        obs.validate(mps.d, mps.n_steps)
+    n = len(observables)
+    if not n:
+        return np.empty(0, dtype=np.complex128)
     lead = int(mps.leading_site is not None)  # an exposed initial leg is step 0
     right = mps.canonical == "right"
-    chain = mps.chain(lead + obs.last_step if right else None)
-    ops = {lead + step - 1: op for step, op in obs.insertions}  # step -> chain index
-    value = np.trace(_left_sweep(np.ones((1, 1), dtype=np.complex128), chain, chain, ops))
-    if right:
-        return complex(value)
-    norm2 = overlap(mps, mps).real
-    if norm2 < 1e-24:
-        raise DegenerateStateError("state has numerically zero norm")
-    return complex(value / norm2)
+    ends = [lead + obs.last_step for obs in observables]  # sweep position of each read
+    chain = mps.chain(max(ends) if right else None)
+    if not right:
+        ends = [len(chain)] * n
+        norm2 = overlap(mps, mps).real
+        if norm2 < 1e-24:
+            raise DegenerateStateError("state has numerically zero norm")
+    if n == 1:  # one observable sweeps one 2-D environment, unstacked
+        start = np.ones((1, 1), dtype=np.complex128)
+        ops = {lead + step - 1: op for step, op in observables[0].insertions}
+    else:
+        start = np.ones((n, 1, 1), dtype=np.complex128)
+        eye = np.eye(mps.d * mps.d, dtype=np.complex128)
+        rows: dict[int, list[np.ndarray]] = {}  # chain index -> one operator per observable
+        for k, obs in enumerate(observables):
+            for step, op in obs.insertions:
+                rows.setdefault(lead + step - 1, [eye] * n)[k] = op
+        ops = {i: np.stack(row) for i, row in rows.items()}
+    envs = _left_envs(start, chain, chain, ops)
+    values = np.empty(n, dtype=np.complex128)
+    at, env = 0, next(envs)
+    for k in sorted(range(n), key=ends.__getitem__):  # read in sweep order
+        for env in itertools.islice(envs, ends[k] - at):
+            pass
+        at = ends[k]
+        value = np.trace(env if n == 1 else env[k])
+        values[k] = value if right else value / norm2
+    return values
 
 
 def dense_expectation(model: OqeModel, N: int, obs: MultiTimeObservable) -> complex:

@@ -106,17 +106,19 @@ def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
     The sweep carries operators in (bra, ket) order, the transpose of a
     density matrix, so ``rho0`` (sized to the first left bond) is transposed
     once on the way in and the result once on the way out.  An MPS bounds
-    the step count by its length; a time-independent model takes any n >= 0.
+    the step count by its length, its steps plus an exposed step 0, and
+    expands only its first n chain elements; a time-independent model takes
+    any n >= 0.
     """
     if not _is_integer(n):
         raise ValidationError(f"step count {n!r} is not an integer")
     rho = validate_env_density(rho0).T
     if isinstance(mps_or_model, PptMps):
-        sites = mps_or_model.chain()
-        bond = sites[0].shape[0]
-        if not 0 <= n <= len(sites):
-            raise ValidationError(f"step count {n} outside [0, {len(sites)}]")
-        sites = sites[:n]
+        length = mps_or_model.n_steps + (mps_or_model.leading_site is not None)
+        if not 0 <= n <= length:
+            raise ValidationError(f"step count {n} outside [0, {length}]")
+        sites = mps_or_model.chain(n)
+        bond = 1  # every chain opens on a left bond of 1, checked at construction
     else:
         model: OqeModel = mps_or_model
         bond = model.D * (model.d if model.entangled else 1)

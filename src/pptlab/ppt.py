@@ -533,7 +533,10 @@ def ppt_to_process_tensor(mps: PptMps) -> np.ndarray:
 
 def _left_envs(env: np.ndarray, bras, kets, ops=None):
     """Yield ``env``, then ``env`` carried by ``transfer_left`` across each next site pair of
-    the per-step iterables ``bras`` and ``kets``, with the insertion ``ops[k]`` in pair k."""
+    the per-step iterables ``bras`` and ``kets``, with the insertion ``ops[k]`` in pair k.
+
+    A stack of environments (..., l, l) is carried as it is, through ``transfer_left``'s
+    batch axis, each ``ops[k]`` then shared by the stack or stacked itself."""
     yield env
     for k, (bra, ket) in enumerate(zip(bras, kets)):
         env = transfer_left(env, bra, ket, ops.get(k) if ops else None)

@@ -127,12 +127,20 @@ def transfer_left(
     over a, c and the fused physical index (o, i).  ``op``, a d^2 x d^2
     matrix on that fused index, is inserted between bra and ket when given.
     Two matrix products (three with ``op``), O(D^3 d^2) for bond D.
+
+    ``env`` may carry leading batch axes, shape (..., l, l), and ``op`` then
+    is one (d^2, d^2) matrix shared by every slice or a stack (..., d^2, d^2)
+    of one per slice.  Each slice of the result is bit for bit the 2-D call
+    on that slice.
     """
     l, do, di, r = ket.shape
-    x = env @ ket.reshape(l, -1)  # (a, (o, i, j))
+    x = env @ ket.reshape(l, -1)  # (..., a, (o, i, j))
     if op is not None:
-        x = op @ x.reshape(env.shape[0], do * di, r)
-    return bra.reshape(-1, bra.shape[3]).conj().T @ x.reshape(-1, r)
+        if op.ndim > 2:  # one operator per slice, shared across the slice's left bond
+            x = op[..., None, :, :] @ x.reshape(env.shape[:-1] + (do * di, r))
+        else:
+            x = op @ x.reshape(-1, do * di, r)
+    return bra.reshape(-1, bra.shape[3]).conj().T @ x.reshape(env.shape[:-2] + (-1, r))
 
 
 def transfer_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:

@@ -493,6 +493,33 @@ class TestPipeline:
         # one sweep from step 0: N - R + 3 = 5 requests (R = 2)
         assert doc["queries"] == 5
 
+    def test_reconstruct_entangled_works_from_a_sealed_oracle(self, tmp_path, monkeypatch):
+        # the document an unsealed oracle and one expectation per check give
+        model = pptlab.random_entangled_model(2, 2, 4)
+        oracle = pptlab.MeasurementOracle(model, 6)
+        form, recovered = pptlab.reconstruct_entangled_initial(oracle, D_bound=2)
+        truth, rebuilt = build_ppt(model, 6), build_ppt(recovered, 6)
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(9):
+            obs = cli._random_observable(rng, 2, 6)
+            worst = max(worst, abs(pptlab.expectation(truth, obs)
+                                   - pptlab.expectation(rebuilt, obs)))
+        expected = cli._json_dumps({
+            "lambdas": [float(x) for x in form.lambdas], "max_expectation_deviation": worst,
+            "model": recovered.to_json_dict(), "queries": oracle.query_log,
+        })
+
+        def sealed(self):
+            raise AssertionError("the command reads the hidden process")
+
+        for name in ("true_model", "true_mps"):
+            monkeypatch.setattr(pptlab.MeasurementOracle, name, sealed)
+        out = tmp_path / "ent.json"
+        argv = ["reconstruct-entangled", "--D", "2", "--N", "6", "--seed", "4", "--checks", "9"]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert read(out) == expected
+
     def test_reconstruct_entangled_single_step(self, tmp_path, capsys):
         # one step holds one insertion, not two
         out = tmp_path / "ent.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pptlab import (
+    DimensionError,
     MultiTimeObservable,
     OqeModel,
     PptMps,
@@ -11,6 +12,7 @@ from pptlab import (
     build_ppt,
     dense_expectation,
     expectation,
+    expectations,
     pair_operator,
     random_entangled_model,
     random_separable_model,
@@ -145,6 +147,37 @@ class TestExpectationMemory:
         # the per-step list of MAX_STEPS elements alone takes 8 MB
         assert peak_traced_bytes(lambda: expectation(mps, obs)) < 100_000
         assert expectation(mps, obs) == expectation(build_ppt(model, 1), obs)
+
+
+class TestExpectations:
+    """``expectations`` validates every observable before it sweeps, and
+    raises what ``expectation`` raises for the same observable."""
+
+    def test_empty_list_gives_an_empty_array(self, rng):
+        for expose in (False, True):
+            mps = build_ppt(random_entangled_model(2, 2, rng), 3, expose_initial_leg=expose)
+            got = expectations(mps, [])
+            assert got.shape == (0,) and got.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(MultiTimeObservable([(4, np.eye(4))]), ValidationError),
+         (MultiTimeObservable([(2, np.eye(9))]), DimensionError)],
+        ids=["step_out_of_range", "wrong_operator_shape"],
+    )
+    def test_a_bad_observable_raises_what_expectation_raises(self, rng, bad, error):
+        mps = build_ppt(random_separable_model(2, 2, rng), 3)
+        with pytest.raises(error) as single:
+            expectation(mps, bad)
+        with pytest.raises(error) as batched:
+            expectations(mps, [random_observable(rng, 2, 3), bad])
+        assert str(batched.value) == str(single.value)
+
+    def test_a_generator_of_observables_is_read_once(self, rng):
+        mps = build_ppt(random_separable_model(2, 2, rng), 4)
+        obs_list = [random_observable(rng, 2, 4) for _ in range(3)]
+        got = expectations(mps, (obs for obs in obs_list))
+        assert got.tolist() == [expectation(mps, obs) for obs in obs_list]
 
 
 class TestDenseExpectation:

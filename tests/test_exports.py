@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 import pptlab
-from pptlab import memory, tomography
+from pptlab import correlations, memory, tomography
 
 
 def test_every_exported_name_resolves():
     assert [name for name in pptlab.__all__ if not hasattr(pptlab, name)] == []
     assert len(set(pptlab.__all__)) == len(pptlab.__all__)
+
+
+@pytest.mark.parametrize("name", ["expectation", "expectations", "dense_expectation"])
+def test_correlation_routes_are_exported(name):
+    # expectations evaluates many observables in one batched sweep
+    assert name in pptlab.__all__
+    assert getattr(pptlab, name) is getattr(correlations, name)
 
 
 @pytest.mark.parametrize("name", ["TransferMatrix", "transfer_matrix", "model_transfer_matrix"])

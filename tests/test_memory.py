@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,26 @@ class TestEvolveEnv:
         assert abs(np.trace(rho3) - 1.0) < 1e-10
         with pytest.raises(ValidationError):
             evolve_env(rho0, mps, 4)
+
+    def test_mps_route_expands_only_the_first_n_steps(self, rng):
+        model = random_separable_model(2, 2, rng)
+        long = build_ppt(model, 10**5)
+        assert len(long.runs) == 2
+        rho0 = np.ones((1, 1), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            got = evolve_env(rho0, long, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the per-step list of 10^5 elements alone takes 800 KB
+        assert peak < 100_000
+        assert got.tobytes() == evolve_env(rho0, build_ppt(model, 1), 1).tobytes()
+        exposed = build_ppt(random_entangled_model(2, 2, rng), 3, expose_initial_leg=True)
+        rho4 = evolve_env(rho0, exposed, 4)  # step 0 and three steps
+        assert abs(np.trace(rho4) - 1.0) < 1e-10
+        with pytest.raises(ValidationError, match=r"step count 5 outside \[0, 4\]"):
+            evolve_env(rho0, exposed, 5)
 
     @pytest.mark.parametrize("n", [1.5, 2.0, True, "2", None])
     def test_rejects_non_integer_step_count(self, rng, n):

@@ -15,6 +15,7 @@ from pptlab import (
     check_isometry,
     evolve_env,
     expectation,
+    expectations,
     gauge_fidelity,
     memory_size,
     mps_to_oqe,
@@ -238,6 +239,21 @@ class TestLeftSweep:
         obs = random_observable(rng, 2, 5)
         expectation(mps, obs)
         assert steps[0] == int(expose) + obs.last_step
+
+    @pytest.mark.parametrize("expose", [False, True])
+    def test_expectations_walk_once_to_the_furthest_insertion(self, rng, steps, expose):
+        mps = build_ppt(random_entangled_model(2, 2, rng), 7, expose_initial_leg=expose)
+        obs_list = [random_observable(rng, 2, n) for n in (3, 5, 2)]
+        expectations(mps, obs_list)
+        assert steps[0] == int(expose) + max(obs.last_step for obs in obs_list)
+
+    def test_expectations_of_a_non_canonical_chain_walk_it_twice(self, rng, steps):
+        # one batched sweep to the end and one overlap for the shared norm
+        (first, _), (site, n) = build_ppt(random_separable_model(2, 2, rng), 6).runs
+        mps = PptMps(runs=((first, 1), (1.25 * site, n)))
+        assert mps.canonical == "none"
+        expectations(mps, [random_observable(rng, 2, 6) for _ in range(4)])
+        assert steps[0] == 2 * 6
 
     @pytest.mark.parametrize("expose", [False, True])
     def test_overlap_walks_the_chain(self, rng, steps, expose):

@@ -3,7 +3,8 @@ maps, exact JSON round trips.
 
 Cases range over d in {2, 3}, D in 1..4, N in 1..5 (up to 6 for the
 run-length site codec, the model read-back and the step-1 tomography round
-trip, and 8 for the measurement oracle), separable or entangled initial states, and time-independent or
+trip, and 8 for the measurement oracle and the batched expectations),
+separable or entangled initial states, and time-independent or
 time-dependent steps.  The near-identity experiment is
 checked bit for bit against its per-step reference over block edges, its
 closed-form unitaries against scipy's ``expm``, and the stationary solve
@@ -43,6 +44,7 @@ from pptlab import (
     dense_expectation,
     disentangle_reconstruct,
     expectation,
+    expectations,
     gauge_fidelity,
     mps_to_oqe,
     near_identity_unitary,
@@ -105,6 +107,33 @@ def test_expectation_matches_dense_oracle(spec, expose):
     obs = random_observable(rng, spec["d"], spec["N"], n_insertions)
     mps = build_ppt(model, spec["N"], expose_initial_leg=expose)
     assert abs(expectation(mps, obs) - dense_expectation(model, spec["N"], obs)) < 1e-10
+
+
+@CASES
+@given(
+    spec=model_specs,
+    N=st.integers(1, 8),
+    expose=st.booleans(),
+    right=st.booleans(),
+    K=st.sampled_from([1, 2, 7]),
+)
+def test_expectations_match_one_sweep_per_observable(spec, N, expose, right, K):
+    """One batched sweep gives, bit for bit, each observable's own sweep: on
+    a right-canonical chain each value is read after its own last insertion,
+    on a chain that measures "none" (its last site scaled) after the whole
+    chain over one shared norm.  The last of several observables inserts
+    nothing, so it reads the identity rows of the others' steps."""
+    spec = dict(spec, N=N)
+    rng = np.random.default_rng(spec["seed"])
+    mps = build_ppt(make_model(spec), N, expose_initial_leg=expose)
+    if not right:
+        *head, (site, n) = mps.runs
+        mps = PptMps(runs=(*head, (1.25 * site, n)))
+    counts = [int(rng.integers(0, min(3, N) + 1)) for _ in range(K - 1)]
+    obs_list = [random_observable(rng, spec["d"], N, c) for c in counts + [0 if K > 1 else 1]]
+    assert mps.canonical == ("right" if right or len(mps.chain()) == 1 else "none")
+    got = expectations(mps, obs_list)
+    assert same_bits(got, np.array([expectation(mps, obs) for obs in obs_list]))
 
 
 @CASES

@@ -13,6 +13,7 @@ from pptlab.tensor_ops import (
     encode_complex,
     fill_unassigned_columns,
     polar_unitary,
+    transfer_left,
 )
 from pptlab.models import random_haar_unitary
 
@@ -83,6 +84,29 @@ class TestComplexCodec:
             for form in (pair_leaf, encode_complex):
                 with pytest.raises(ValidationError, match="non-finite"):
                     decode_complex(form(np.array([1.0, bad])))
+
+
+class TestStackedTransferLeft:
+    """A stack of environments is carried slice by slice, bit for bit as the
+    2-D call on each slice would carry it."""
+
+    @pytest.mark.parametrize("bonds", [(1, 3), (4, 4), (6, 2)])
+    @pytest.mark.parametrize("op_kind", ["none", "shared", "stacked"])
+    def test_each_slice_is_its_2d_call(self, rng, bonds, op_kind):
+        (l, r), d, batch = bonds, 3, (2, 5)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        bra, ket = gaussian(l, d, d, r), gaussian(l, d, d, r)
+        envs = gaussian(*batch, l, l)
+        op = {"none": None, "shared": gaussian(d * d, d * d),
+              "stacked": gaussian(*batch, d * d, d * d)}[op_kind]
+        got = transfer_left(envs, bra, ket, op)
+        assert got.shape == (*batch, r, r)
+        for idx in np.ndindex(*batch):
+            slice_op = op[idx] if op_kind == "stacked" else op
+            assert got[idx].tobytes() == transfer_left(envs[idx], bra, ket, slice_op).tobytes()
 
 
 class TestPolarUnitary:
