@@ -10,7 +10,8 @@ batch axis, and inserts at each step the stack of their operators, the
 identity for an observable with no insertion there; ``expectation`` is its
 one-observable case.  On a right-canonical MPS an observable's value is read
 after its last insertion (the remaining sites contract to the identity); any
-other MPS is swept to its end and divided by its squared norm.  The dense
+other MPS is swept to its end and divided by its squared norm, which one more
+row of the stack, with no insertions, carries in the same sweep.  The dense
 route replays the generating circuit on a full statevector and shares no
 contraction code with the MPS route.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .exceptions import CapacityError, DegenerateStateError, DimensionError, ValidationError
 from .models import OqeModel
-from .ppt import DENSE_STATE_GUARD, PptMps, _left_envs, overlap
+from .ppt import DENSE_STATE_GUARD, PptMps, _left_envs
 from .tensor_ops import (
     _decode_entries,
     _is_integer,
@@ -138,9 +139,10 @@ def expectations(mps: PptMps, observables) -> np.ndarray:
     the identity for the others.  Observable k's value is the trace of its
     environment after its last insertion on a right-canonical MPS, whose norm
     is 1 and whose later steps contract to the identity, else after the whole
-    chain divided by one shared ``overlap``.  Each value is bit for bit the one
-    a sweep of that observable alone gives.  An empty sequence gives an empty
-    array.
+    chain divided by the squared norm, the trace of one more row with no
+    insertions (products with the identity are exact, so it equals
+    ``overlap``'s value).  Each value is bit for bit the one a sweep of that
+    observable alone gives.  An empty sequence gives an empty array.
     """
     observables = list(observables)
     for obs in observables:
@@ -152,32 +154,35 @@ def expectations(mps: PptMps, observables) -> np.ndarray:
     right = mps.canonical == "right"
     ends = [lead + obs.last_step for obs in observables]  # sweep position of each read
     chain = mps.chain(max(ends) if right else None)
-    if not right:
-        ends = [len(chain)] * n
-        norm2 = overlap(mps, mps).real
-        if norm2 < 1e-24:
-            raise DegenerateStateError("state has numerically zero norm")
-    if n == 1:  # one observable sweeps one 2-D environment, unstacked
+    if not right:  # one more row, with no insertions, sweeps the squared norm alongside
+        observables.append(MultiTimeObservable(()))
+        ends = [len(chain)] * (n + 1)
+    rows = len(observables)
+    if rows == 1:  # one observable sweeps one 2-D environment, unstacked
         start = np.ones((1, 1), dtype=np.complex128)
         ops = {lead + step - 1: op for step, op in observables[0].insertions}
     else:
-        start = np.ones((n, 1, 1), dtype=np.complex128)
+        start = np.ones((rows, 1, 1), dtype=np.complex128)
         eye = np.eye(mps.d * mps.d, dtype=np.complex128)
-        rows: dict[int, list[np.ndarray]] = {}  # chain index -> one operator per observable
+        stacks: dict[int, list[np.ndarray]] = {}  # chain index -> one operator per row
         for k, obs in enumerate(observables):
             for step, op in obs.insertions:
-                rows.setdefault(lead + step - 1, [eye] * n)[k] = op
-        ops = {i: np.stack(row) for i, row in rows.items()}
+                stacks.setdefault(lead + step - 1, [eye] * rows)[k] = op
+        ops = {i: np.stack(stack) for i, stack in stacks.items()}
     envs = _left_envs(start, chain, chain, ops)
-    values = np.empty(n, dtype=np.complex128)
+    values = np.empty(rows, dtype=np.complex128)
     at, env = 0, next(envs)
-    for k in sorted(range(n), key=ends.__getitem__):  # read in sweep order
+    for k in sorted(range(rows), key=ends.__getitem__):  # read in sweep order
         for env in itertools.islice(envs, ends[k] - at):
             pass
         at = ends[k]
-        value = np.trace(env if n == 1 else env[k])
-        values[k] = value if right else value / norm2
-    return values
+        values[k] = np.trace(env if rows == 1 else env[k])
+    if right:
+        return values
+    norm2 = values[n].real
+    if norm2 < 1e-24:
+        raise DegenerateStateError("state has numerically zero norm")
+    return values[:n] / norm2
 
 
 def dense_expectation(model: OqeModel, N: int, obs: MultiTimeObservable) -> complex:

@@ -479,10 +479,11 @@ def fig_s2_experiment(
     a fixed one.  Each seed draws from its own ``default_rng(seed)`` and the
     ensemble steps together, one stacked matrix product per step.  Steps run
     in blocks of ``_block_steps`` (at least one): a block draws its unitaries
-    with one ``near_identity_unitary(..., size=k)`` call per seed (one batched
-    ``eigh`` of the drawn Hermitians), builds their left transfer matrices at
-    once, and reads the spectra of the states it recorded with one batched
-    ``eigvalsh``, so transient memory is bounded whatever ``n_max``.  Every
+    with one ``near_identity_unitary(..., size=k)`` call per seed (a few
+    stacked matrix products over the drawn Hermitians), builds their left
+    transfer matrices at once, and reads the spectra of the states it
+    recorded with one batched ``eigvalsh``, so transient memory is bounded
+    whatever ``n_max``.  Every
     number equals per-step drawing and stepping bit for bit.  Records the
     Uhlmann infidelity between rho_n and the maximally mixed state, which
     needs only the spectrum p of rho_n:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,19 +216,68 @@ def near_identity_unitary(dim: int, eta: float, seed, size=None) -> np.ndarray:
 
     H is (G + G^dag)/2 for G with independent standard-normal real and
     imaginary parts, so small eta gives a unitary close to the identity.
-    The exponential is taken in closed form from the eigendecomposition
-    H = V diag(w) V^dag as V diag(exp(i * eta * w)) V^dag, one batched
-    ``eigh`` over every draw (the eigenvector method for normal matrices;
-    Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  ``size`` (None, an integer
-    >= 0 or a tuple of them, numpy style) draws a stack of that many
-    unitaries, shape ``(*size, dim, dim)``; the draws come from the
-    generator's stream in the same order as that many single calls, and
-    each slice equals the single call's result bit for bit.
+    The exponential is taken by scaling and squaring a truncated Taylor
+    series (``_expm_skew``), a few stacked matrix products over every draw
+    at once.  ``size`` (None, an integer >= 0 or a tuple of them, numpy
+    style) draws a stack of that many unitaries, shape
+    ``(*size, dim, dim)``; the draws come from the generator's stream in the
+    same order as that many single calls, and each slice equals the single
+    call's result bit for bit.
     """
     _check_dim(dim)
     _check_eta(eta)
-    w, v = np.linalg.eigh(_hermitians(dim, _as_rng(seed), _batch_shape(size)))
-    return (v * np.exp(1j * eta * w)[..., np.newaxis, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return _expm_skew((1j * eta) * _hermitians(dim, _as_rng(seed), _batch_shape(size)))
+
+
+# Scaling threshold of _expm_skew.  For ||X||_1 <= theta the terms the
+# degree-12 Taylor polynomial drops sum to at most
+#     sum_{k>=13} theta^k / k!  <=  theta^13 / 13! / (1 - theta / 14)
+# (each further term is at most theta/14 times the one before), which is at
+# most the unit roundoff 2^-53 for theta <= 0.3352; e^X is unitary, so that
+# absolute bound is also relative.  Rounded down.
+_TAYLOR_THETA = 0.33
+# Paterson-Stockmeyer blocks of the degree-12 Taylor polynomial: row j holds
+# 1/k! for k = 3j, 3j + 1, 3j + 2, the weights of I, X and X^2 in block j.
+_TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(3 * j + i) for i in range(3)] for j in range(4)])
+
+
+def _expm_skew(x: np.ndarray) -> np.ndarray:
+    """exp(X) of every square slice X of a stack of skew-Hermitian matrices.
+
+    Scaling and squaring with a truncated Taylor series (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009)): each slice is divided by
+    2^s, for the least s >= 0 that brings its 1-norm below
+    ``_TAYLOR_THETA``, its degree-12 Taylor polynomial is evaluated by the
+    Paterson-Stockmeyer scheme (SIAM J. Comput. 2, 60 (1973)), 5 stacked
+    matrix products,
+
+        T(X) = B0 + X^3 (B1 + X^3 (B2 + X^3 (B3 + X^3 / 12!))),
+        Bj = I / (3j)! + X / (3j+1)! + X^2 / (3j+2)!,
+
+    and the result is squared s times.  All arithmetic is per slice, so a
+    slice's result does not depend on the rest of the stack.
+    """
+    shape, n = x.shape, x.shape[-1]
+    x = x.reshape(-1, n, n)
+    # the least s >= 0 with ||X||_1 / 2^s < theta is frexp's exponent, clipped at 0
+    _, s = np.frexp(np.max(np.sum(np.abs(x), axis=-2), axis=-1) / _TAYLOR_THETA)
+    s = np.maximum(s, 0)
+    powers = np.empty((3,) + x.shape, dtype=np.complex128)  # I, X, X^2
+    powers[0] = np.eye(n)
+    np.divide(x, np.exp2(s)[:, np.newaxis, np.newaxis], out=powers[1])  # exact: a power of 2
+    np.matmul(powers[1], powers[1], out=powers[2])
+    cube = powers[1] @ powers[2]
+    # the four blocks at once, as one real product over the (re, im) pairs
+    blocks = (_TAYLOR_BLOCKS @ powers.view(np.float64).reshape(3, -1)).view(np.complex128)
+    b3, b2, b1, b0 = blocks.reshape((4,) + x.shape)[::-1]
+    u = b3 + cube / math.factorial(12)
+    for block in (b2, b1, b0):
+        u = block + cube @ u
+    for r in range(int(s.max(initial=0))):  # slice by slice, each its own s times
+        sel = s > r
+        v = u[sel]
+        u[sel] = v @ v
+    return u.reshape(shape)
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:

@@ -20,7 +20,7 @@ from pptlab import (
     random_separable_model,
     schmidt_decompose,
 )
-from pptlab.models import random_haar_state, random_hermitian
+from pptlab.models import _TAYLOR_THETA, random_haar_state, random_hermitian
 
 
 class TestRandomHaarUnitary:
@@ -75,8 +75,36 @@ class TestNearIdentityUnitary:
             near_identity_unitary(dim, 0.3, batch_rng), near_identity_unitary(dim, 0.3, single_rng)
         )
 
+    def test_batched_draw_is_per_slice_across_scaling_exponents(self):
+        # at eta = 0.12 a dim-4 stack mixes slices the kernel takes unscaled
+        # (s = 0) with slices it squares once or twice
+        eta, k = 0.12, 64
+        batch_rng, single_rng = np.random.default_rng(11), np.random.default_rng(11)
+        probe = np.random.default_rng(11)
+        hs = np.stack([random_hermitian(4, probe) for _ in range(k)])
+        norms = eta * np.max(np.sum(np.abs(hs), axis=-2), axis=-1)
+        s = np.maximum(np.frexp(norms / _TAYLOR_THETA)[1], 0)
+        assert {0, 1, 2} <= set(s.tolist())
+        batch = near_identity_unitary(4, eta, batch_rng, size=k)
+        singles = np.stack([near_identity_unitary(4, eta, single_rng) for _ in range(k)])
+        assert np.array_equal(batch, singles)
+        assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+
+    def test_matches_expm_to_roundoff_at_the_figs2_size(self):
+        # dim 4, eta = 0.01 is every figs2 --D 2 step: 20 seeds x 7 draws
+        # within a unit or two of roundoff
+        import scipy.linalg
+
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            hs = np.stack([random_hermitian(4, rng) for _ in range(7)])
+            u = near_identity_unitary(4, 0.01, seed, size=7)
+            worst = max(worst, np.max(np.abs(u - scipy.linalg.expm(1j * 0.01 * hs))))
+        assert worst < 1e-15
+
     def test_figs2_runs_without_scipy(self):
-        # the exponential is a numpy eigh, so neither the draws nor either
+        # the exponential is numpy matrix products, so neither the draws nor either
         # figs2 mode may load any part of scipy (scipy.linalg costs ~0.35 s)
         src = str(Path(pptlab.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")

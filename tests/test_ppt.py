@@ -247,13 +247,13 @@ class TestLeftSweep:
         expectations(mps, obs_list)
         assert steps[0] == int(expose) + max(obs.last_step for obs in obs_list)
 
-    def test_expectations_of_a_non_canonical_chain_walk_it_twice(self, rng, steps):
-        # one batched sweep to the end and one overlap for the shared norm
+    def test_expectations_of_a_non_canonical_chain_walk_it_once(self, rng, steps):
+        # one batched sweep to the end, the shared norm riding along as one more row
         (first, _), (site, n) = build_ppt(random_separable_model(2, 2, rng), 6).runs
         mps = PptMps(runs=((first, 1), (1.25 * site, n)))
         assert mps.canonical == "none"
         expectations(mps, [random_observable(rng, 2, 6) for _ in range(4)])
-        assert steps[0] == 2 * 6
+        assert steps[0] == 6
 
     @pytest.mark.parametrize("expose", [False, True])
     def test_overlap_walks_the_chain(self, rng, steps, expose):

@@ -7,7 +7,7 @@ trip, and 8 for the measurement oracle and the batched expectations),
 separable or entangled initial states, and time-independent or
 time-dependent steps.  The near-identity experiment is
 checked bit for bit against its per-step reference over block edges, its
-closed-form unitaries against scipy's ``expm``, and the stationary solve
+Taylor-kernel unitaries against scipy's ``expm``, and the stationary solve
 (base-site blocks, Krylov or dense) against the dense projection on the
 whole effective environment.  Construction is fuzzed over (site, repeat)
 lists of sites of rank 1..5.  ``PptMps.validate``'s certified norm check
@@ -640,7 +640,7 @@ def test_fig_s2_blocks_match_per_step_reference(d, D, seeds, time_dependent, n_m
     seed=st.integers(0, 2**32 - 1),
 )
 def test_near_identity_unitary_matches_expm(dim, eta, size, seed):
-    # scipy's Pade expm of the same draws is the oracle for the eigh closed form
+    # scipy's Pade expm of the same draws is the oracle for the Taylor kernel
     u = near_identity_unitary(dim, eta, seed, size=size)
     shape = () if size is None else np.atleast_1d(size)
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ The files that ``correlate`` and ``predict`` read (the two ``build`` outputs,
 a two-insertion observable and the two ``fit`` reports) are written to a
 temporary directory; the printed argv names them by file name only, so the
 lines do not depend on where that directory is.  A run that exits non-zero
-gets ``[exit N]`` appended.  Per seed there are 16 runs:
+gets ``[exit N]`` appended.  Per seed there are 18 runs:
 
 * ``build --D 16 --N 50`` and ``build --D 2 --N 5 --entangled``;
 * ``correlate`` on both files, without and with an observable of
@@ -24,7 +24,9 @@ gets ``[exit N]`` appended.  Per seed there are 16 runs:
 * ``fit --D 2 --N 6`` and ``--D 4 --N 6``, each followed by
   ``predict --nfuture 50`` on its report;
 * ``reconstruct-entangled --D 2 --N 7``;
-* ``complexity --D 16 --alpha 1,2`` and ``--D 4 --entangled --alpha 1,2``.
+* ``complexity --D 16 --alpha 1,2`` and ``--D 4 --entangled --alpha 1,2``;
+* ``figs2 --D 2 --eta 0.01 --nmax 200 --seeds 4 --seed-base <seed>``,
+  with a fixed H and with ``--time-dependent``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _run(argv: list[str], workdir: Path) -> tuple[str, str]:
 
 
 def digests(seed: int, workdir: Path) -> list[str]:
-    """The 16 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
+    """The 18 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
     lines = []
 
     def run(*args: str, keep: str | None = None) -> None:
@@ -88,6 +90,9 @@ def digests(seed: int, workdir: Path) -> list[str]:
     run("reconstruct-entangled", "--D", "2", "--N", "7", "--seed", s)
     run("complexity", "--D", "16", "--alpha", "1,2", "--seed", s)
     run("complexity", "--D", "4", "--entangled", "--alpha", "1,2", "--seed", s)
+    figs2 = ("figs2", "--D", "2", "--eta", "0.01", "--nmax", "200", "--seeds", "4")
+    run(*figs2, "--seed-base", s)
+    run(*figs2, "--seed-base", s, "--time-dependent")
     return lines
 
 
