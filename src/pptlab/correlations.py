@@ -7,11 +7,12 @@ left and sandwiches the operators at insertion steps.  ``expectations``
 evaluates many observables in one sweep: it carries a stack of
 environments, one per observable, through ``tensor_ops.transfer_left``'s
 batch axis, and inserts at each step the stack of their operators, the
-identity for an observable with no insertion there; ``expectation`` is its
-one-observable case.  On a right-canonical MPS an observable's value is read
-after its last insertion (the remaining sites contract to the identity); any
-other MPS is swept to its end and divided by its squared norm, which one more
-row of the stack, with no insertions, carries in the same sweep.  The dense
+identity for an observable with no insertion there; ``expectation`` sweeps
+a stack of one by the same code.  On a right-canonical MPS an observable's
+value is read after its last insertion (the remaining sites contract to the
+identity); any other MPS is swept to its end and divided by its squared
+norm, which one more row of the stack, with no insertions, carries in the
+same sweep.  The dense
 route replays the generating circuit on a full statevector and shares no
 contraction code with the MPS route.
 """
@@ -134,9 +135,10 @@ def expectations(mps: PptMps, observables) -> np.ndarray:
     """``expectation`` of every observable of the sequence, by one batched left sweep.
 
     Every observable is validated before anything is swept.  The sweep carries
-    one environment per observable, stacked (``ppt._left_envs``); a chain step
-    where some observable inserts carries the stack of their operators, with
-    the identity for the others.  Observable k's value is the trace of its
+    one environment per observable, stacked (``ppt._left_envs``), a single
+    observable too; a chain step where some observable inserts carries the
+    stack of their operators, with the identity for the others, all of them
+    written into one array.  Observable k's value is the trace of its
     environment after its last insertion on a right-canonical MPS, whose norm
     is 1 and whose later steps contract to the identity, else after the whole
     chain divided by the squared norm, the trace of one more row with no
@@ -158,25 +160,22 @@ def expectations(mps: PptMps, observables) -> np.ndarray:
         observables.append(MultiTimeObservable(()))
         ends = [len(chain)] * (n + 1)
     rows = len(observables)
-    if rows == 1:  # one observable sweeps one 2-D environment, unstacked
-        start = np.ones((1, 1), dtype=np.complex128)
-        ops = {lead + step - 1: op for step, op in observables[0].insertions}
-    else:
-        start = np.ones((rows, 1, 1), dtype=np.complex128)
-        eye = np.eye(mps.d * mps.d, dtype=np.complex128)
-        stacks: dict[int, list[np.ndarray]] = {}  # chain index -> one operator per row
-        for k, obs in enumerate(observables):
-            for step, op in obs.insertions:
-                stacks.setdefault(lead + step - 1, [eye] * rows)[k] = op
-        ops = {i: np.stack(stack) for i, stack in stacks.items()}
-    envs = _left_envs(start, chain, chain, ops)
+    inserted = sorted({lead + step - 1 for obs in observables for step, _ in obs.insertions})
+    dd = mps.d * mps.d
+    stack = np.zeros((len(inserted), rows, dd, dd), dtype=np.complex128)
+    stack.reshape(len(inserted), rows, dd * dd)[..., :: dd + 1] = 1.0  # the identity, to start
+    ops = dict(zip(inserted, stack))  # chain index -> a view of its rows' operators
+    for k, obs in enumerate(observables):
+        for step, op in obs.insertions:
+            ops[lead + step - 1][k] = op
+    envs = _left_envs(np.ones((rows, 1, 1), dtype=np.complex128), chain, chain, ops)
     values = np.empty(rows, dtype=np.complex128)
     at, env = 0, next(envs)
     for k in sorted(range(rows), key=ends.__getitem__):  # read in sweep order
         for env in itertools.islice(envs, ends[k] - at):
             pass
         at = ends[k]
-        values[k] = np.trace(env if rows == 1 else env[k])
+        values[k] = np.trace(env[k])
     if right:
         return values
     norm2 = values[n].real

@@ -567,9 +567,7 @@ def _left_matrices(rngs, d: int, D: int, eta: float, k: int) -> np.ndarray:
     that seed's next single draw ``u``, bit for bit.
     """
     us = np.stack([near_identity_unitary(d * D, eta, rng, size=k) for rng in rngs], axis=1)
-    # site_tensor_from_unitary per slice: (o, b, i, a) -> (a, o, i, b), over sqrt(d)
-    sites = us.reshape(k, len(rngs), d, D, d, D).transpose(0, 1, 5, 2, 4, 3) / np.sqrt(d)
-    return _left_matrix(sites)
+    return _left_matrix(site_tensor_from_unitary(us, d, D))
 
 
 def _infidelities_to_mixed(rho_vecs: np.ndarray, D: int) -> np.ndarray:

@@ -18,10 +18,10 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .tensor_ops import (
+    _decode_entries,
     _is_integer,
     _is_real,
     as_complex_array,
-    decode_complex,
     encode_complex,
     json_int,
     json_object,
@@ -105,7 +105,7 @@ class OqeModel:
             nrm = np.linalg.norm(self.initial_state)
         if not abs(nrm - 1.0) <= 1e-12:
             raise ValidationError(f"initial state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-        form = schmidt_decompose(self.initial_state, self.d, self.D)
+        form = _schmidt_form(self.initial_state.reshape(self.d, self.D))  # checked above
         parts = (form.lambdas, form.sys_basis, form.env_basis)
         for arr in parts:
             arr.flags.writeable = False
@@ -157,7 +157,7 @@ class OqeModel:
         if not isinstance(doc["unitaries"], list):
             kind = type(doc["unitaries"]).__name__
             raise ValidationError(f"'unitaries' must be a list, got {kind}")
-        us = [decode_complex(u, (dim, dim)) for u in doc["unitaries"]]
+        us = [_decode_entries(u, (dim, dim)) for u in doc["unitaries"]]  # checked by OqeModel
         time_independent = doc.get("time_independent", len(us) == 1)
         if not isinstance(time_independent, bool):
             raise ValidationError(
@@ -168,7 +168,7 @@ class OqeModel:
                 f"'time_independent' is {json.dumps(time_independent)}, but the document "
                 f"stores {len(us)} unitaries (a time-independent model stores exactly one)"
             )
-        psi = decode_complex(doc["initial_state"], (dim,))
+        psi = _decode_entries(doc["initial_state"], (dim,))
         return OqeModel(d, D, us, psi)
 
     @staticmethod
@@ -202,7 +202,7 @@ def random_haar_unitary(dim: int, seed) -> np.ndarray:
     The diagonal of R is phase-fixed so the distribution is exactly Haar and
     the output is deterministic for a given seed.
     """
-    _check_dim(dim)
+    _check_count(dim, "dimension")
     rng = _as_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -224,7 +224,7 @@ def near_identity_unitary(dim: int, eta: float, seed, size=None) -> np.ndarray:
     same order as that many single calls, and each slice equals the single
     call's result bit for bit.
     """
-    _check_dim(dim)
+    _check_count(dim, "dimension")
     _check_eta(eta)
     return _expm_skew((1j * eta) * _hermitians(dim, _as_rng(seed), _batch_shape(size)))
 
@@ -281,7 +281,7 @@ def _expm_skew(x: np.ndarray) -> np.ndarray:
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:
-    _check_dim(dim)
+    _check_count(dim, "dimension")
     return _hermitians(dim, _as_rng(seed), ())
 
 
@@ -314,14 +314,10 @@ def _check_eta(eta: float) -> None:
         raise ValidationError(f"eta must be a finite positive number, got {eta!r}")
 
 
-def _check_dim(dim: int) -> None:
-    if not (_is_integer(dim) and dim >= 1):
-        raise ValidationError(f"dimension must be an integer >= 1, got {dim!r}")
-
-
-def _check_steps(steps: int) -> None:
-    if not (_is_integer(steps) and steps >= 1):
-        raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
+def _check_count(n: int, what: str) -> None:
+    """Raise ``ValidationError`` naming ``what`` unless ``n`` is an integer >= 1."""
+    if not (_is_integer(n) and n >= 1):
+        raise ValidationError(f"{what} must be an integer >= 1, got {n!r}")
 
 
 def _check_dimensions(d: int, D: int) -> None:
@@ -330,7 +326,7 @@ def _check_dimensions(d: int, D: int) -> None:
 
 
 def random_haar_state(dim: int, seed) -> np.ndarray:
-    _check_dim(dim)
+    _check_count(dim, "dimension")
     rng = _as_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -339,7 +335,7 @@ def random_haar_state(dim: int, seed) -> np.ndarray:
 def random_separable_model(d: int, D: int, seed, steps: int = 1) -> OqeModel:
     """Haar model with a product initial state |psi_S> (x) |psi_E>."""
     _check_dimensions(d, D)
-    _check_steps(steps)
+    _check_count(steps, "steps")
     rng = _as_rng(seed)
     us = [random_haar_unitary(d * D, rng) for _ in range(steps)]
     psi = np.kron(random_haar_state(d, rng), random_haar_state(D, rng))
@@ -355,7 +351,7 @@ def random_entangled_model(d: int, D: int, seed, lambdas=None, steps: int = 1) -
     random.
     """
     _check_dimensions(d, D)
-    _check_steps(steps)
+    _check_count(steps, "steps")
     rng = _as_rng(seed)
     r = min(d, D)
     if lambdas is None:
@@ -393,6 +389,10 @@ def schmidt_decompose(state, d: int, D: int) -> SchmidtForm:
         nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-8:
         raise ValidationError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-    mat = psi.reshape(d, D)
+    return _schmidt_form(psi.reshape(d, D))
+
+
+def _schmidt_form(mat: np.ndarray) -> SchmidtForm:
+    """Schmidt form of the joint vector whose (d, D) coefficient matrix is ``mat``."""
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     return SchmidtForm(lambdas=s, sys_basis=u, env_basis=vh.T)

@@ -338,12 +338,21 @@ def _after_first_step(runs) -> tuple:
 
 
 def site_tensor_from_unitary(u: np.ndarray, d: int, D: int) -> np.ndarray:
-    """Site tensor B[a, o, i, b] = <o, b|U|i, a> / sqrt(d)."""
-    u = as_complex_array(u, ndim=2)
-    if u.shape != (d * D, d * D):
+    """Site tensor B[a, o, i, b] = <o, b|U|i, a> / sqrt(d); a stack (..., dD, dD) of
+    unitaries gives the stack (..., D, d, d, D) of their sites, each its own call's."""
+    u = as_complex_array(u)
+    if u.shape[-2:] != (d * D, d * D):
         raise DimensionError(f"unitary shape {u.shape} incompatible with d={d}, D={D}")
-    u4 = u.reshape(d, D, d, D)  # (o, b, i, a)
-    return u4.transpose(3, 0, 2, 1) / np.sqrt(d)
+    n = u.ndim - 2  # leading stack axes
+    u4 = u.reshape(u.shape[:n] + (d, D, d, D))  # (..., o, b, i, a)
+    return u4.transpose(*range(n), n + 3, n, n + 2, n + 1) / np.sqrt(d)
+
+
+def _site_matrix(t: np.ndarray) -> np.ndarray:
+    """The inverse layout of ``site_tensor_from_unitary``, without its scale:
+    M[(o, b), (i, a)] = B[a, o, i, b], shape (d r, d l) for a site (l, d, d, r)."""
+    l, do, di, r = t.shape
+    return t.transpose(1, 3, 2, 0).reshape(do * r, di * l)
 
 
 def enlarged_site_tensor(b: np.ndarray, d: int) -> np.ndarray:
@@ -462,16 +471,16 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
     """Read a (time-dependent) evolution model back off an MPS, which is
     right-canonicalised first unless it claims that form.
 
-    Each site is reshaped into M[(o, b), (i, a)]; sqrt(d) * M is projected
-    onto the closest isometry and completed to a unitary on a common
-    environment of size max(bond dims).  Without an exposed initial leg the
-    boundary site fixes the recovered initial state to |0>|0>; an exposed
-    leg (bond r_0) is read into the initial joint state, whose environment
-    components r_0 and up are zero.  Returns the model together with the
-    per-site projection residuals ||sqrt(d) M - isometry||_F.  Each run is
-    read once, so the steps of a run share one unitary and one residual.
-    The recovered model matches the hidden one only up to an environment
-    basis change.
+    Each site is reshaped into M[(o, b), (i, a)] (``_site_matrix``);
+    sqrt(d) * M is projected onto the closest isometry and completed to a
+    unitary on a common environment of size max(bond dims).  Without an
+    exposed initial leg the boundary site fixes the recovered initial state
+    to |0>|0>; an exposed leg (bond r_0) is read into the initial joint
+    state, whose environment components r_0 and up are zero.  Returns the
+    model together with the per-site projection residuals
+    ||sqrt(d) M - isometry||_F.  Each run is read once, so the steps of a
+    run share one unitary and one residual.  The recovered model matches
+    the hidden one only up to an environment basis change.
     """
     if mps.canonical != "right":
         mps = to_right_canonical(mps)
@@ -484,7 +493,7 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
         l, _, _, r = t.shape
         if l > r:
             raise ConversionError(f"site {n}: left bond {l} exceeds right bond {r}", site=n)
-        w = np.sqrt(d) * t.transpose(1, 3, 2, 0).reshape(d * r, d * l)
+        w = np.sqrt(d) * _site_matrix(t)
         u, s, vh = np.linalg.svd(w, full_matrices=False)
         if s[-1] < 1e-8:
             raise ConversionError(

@@ -130,16 +130,13 @@ def transfer_left(
 
     ``env`` may carry leading batch axes, shape (..., l, l), and ``op`` then
     is one (d^2, d^2) matrix shared by every slice or a stack (..., d^2, d^2)
-    of one per slice.  Each slice of the result is bit for bit the 2-D call
-    on that slice.
+    of one per slice; either broadcasts over each slice's left bond.  Each
+    slice of the result is bit for bit the 2-D call on that slice.
     """
     l, do, di, r = ket.shape
     x = env @ ket.reshape(l, -1)  # (..., a, (o, i, j))
     if op is not None:
-        if op.ndim > 2:  # one operator per slice, shared across the slice's left bond
-            x = op[..., None, :, :] @ x.reshape(env.shape[:-1] + (do * di, r))
-        else:
-            x = op @ x.reshape(-1, do * di, r)
+        x = op[..., None, :, :] @ x.reshape(env.shape[:-1] + (do * di, r))
     return bra.reshape(-1, bra.shape[3]).conj().T @ x.reshape(env.shape[:-2] + (-1, r))
 
 

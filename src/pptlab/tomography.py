@@ -56,10 +56,9 @@ from .models import OqeModel, SchmidtForm, _as_rng, near_identity_unitary, rando
 from .ppt import (
     CLUSTER_TOL,
     PROCESS_TENSOR_GUARD,
-    SPLIT_TOL,
     PptMps,
-    _after_first_step,
     _left_envs,
+    _site_matrix,
     absorb_initial_leg,
     build_ppt,
     gauge_fidelity,
@@ -96,15 +95,15 @@ class MeasurementOracle:
     the re-Hermitised, trace-normalised linear-inversion estimate.
     ``query_log`` counts reduced-density requests.
 
-    The hidden process is held only as its right-canonical ``PptMps``, with
-    the initial system leg exposed as step 0 (chain index n is step n) and
-    the bond from step 0 to step 1 cut to its rank.  The oracle is
-    stateful, like a laboratory: ``apply_gate`` applies one window gate,
-    ``reset`` undoes the gates and ``reduced_density`` measures the current
-    chain.  The left environments of the sites nothing has touched since
-    they were contracted are kept and a query's left sweep extends them only
-    up to its window, so a repeated query sweeps no site and a sliding-window
-    reconstruction costs time linear in ``n_steps``.
+    The hidden process is held only as its right-canonical ``PptMps``, the
+    chain ``build_ppt`` makes with the initial system leg exposed as step 0
+    (chain index n is step n).  The oracle is stateful, like a laboratory:
+    ``apply_gate`` applies one window gate, ``reset`` undoes the gates and
+    ``reduced_density`` measures the current chain.  The left environments
+    of the sites nothing has touched since they were contracted are kept and
+    a query's left sweep extends them only up to its window, so a repeated
+    query sweeps no site and a sliding-window reconstruction costs time
+    linear in ``n_steps``.
     """
 
     def __init__(
@@ -129,19 +128,13 @@ class MeasurementOracle:
         self.query_log = 0
         self.unsealed = unsealed
         self._rng = _as_rng(seed)
-        # one SVD cuts the step-0 bond to its rank; its right factor moves into step 1
-        (lead, _), *steps = build_ppt(hidden_model, n_steps, expose_initial_leg=True).runs
-        u, s, vh = np.linalg.svd(lead.reshape(self.d, -1), full_matrices=False)
-        r = int(np.count_nonzero(s > SPLIT_TOL * s[0]))  # s[0] > 0: the state is normalised
-        first = np.einsum("ka,aoib->koib", vh[:r], steps[0][0])
-        head = (u[:, :r] * s[:r])[np.newaxis, :, np.newaxis, :]
-        self._truth = PptMps(runs=((head, 1), (first, 1), *_after_first_step(steps)))
+        self._truth = build_ppt(hidden_model, n_steps, expose_initial_leg=True)
         self.reset()
 
     # -- unsealed access (testing/diagnostics only) --
 
     def true_mps(self) -> PptMps:
-        """The hidden chain with step 0 exposed, its bond cut to its rank."""
+        """The hidden chain with step 0 exposed, as ``build_ppt`` makes it."""
         if not self.unsealed:
             raise ValidationError("oracle is sealed; the true PPT is not accessible")
         return self._truth
@@ -491,7 +484,7 @@ def _unitary_gradient(left, target_site, right):
     l, d, _, r = target_site.shape
     q, s = left.shape[1], right.shape[1]
     g = (left.T @ target_site.reshape(l, -1).conj()).reshape(-1, r) @ right  # (a, o, i, b)
-    return g.reshape(q, d, d, s).transpose(1, 3, 2, 0).reshape(d * s, d * q) / np.sqrt(d)
+    return _site_matrix(g.reshape(q, d, d, s)) / np.sqrt(d)
 
 
 def _backward_grad(chain, sites, of, fwd, d, D):
@@ -632,7 +625,7 @@ def _warm_start(target: PptMps, d: int, D: int):
     # b >= its right bond): U^dag L maps i to (i', beta) as delta_{i', i} psi_beta.
     site1 = target.runs[0][0]
     inj = np.zeros((d, D, d), dtype=np.complex128)
-    inj[:, : site1.shape[3], :] = np.sqrt(d) * site1[0].transpose(0, 2, 1)
+    inj[:, : site1.shape[3], :] = np.sqrt(d) * _site_matrix(site1).reshape(d, -1, d)
     uv = u_shared.conj().T @ inj.reshape(d * D, d)
     psi = np.trace(uv.reshape(d, D, d), axis1=0, axis2=2)
     nrm = np.linalg.norm(psi)

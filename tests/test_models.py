@@ -20,6 +20,7 @@ from pptlab import (
     random_separable_model,
     schmidt_decompose,
 )
+from pptlab import models, tensor_ops
 from pptlab.models import _TAYLOR_THETA, random_haar_state, random_hermitian
 
 
@@ -352,6 +353,23 @@ class TestOqeModel:
         doc["time_independent"] = claim
         with pytest.raises(ValidationError, match="time_independent"):
             OqeModel.from_json_dict(doc)
+
+    def test_each_array_is_decoded_and_checked_once(self, monkeypatch):
+        # the reader once checked and copied every unitary and the initial
+        # state twice: in decode_complex and again at construction
+        doc = random_entangled_model(2, 2, 0, steps=2).to_json_dict()
+        checks = []
+        check = tensor_ops.as_complex_array
+
+        def counting(*args, **kwargs):
+            checks.append(args[0].shape)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(tensor_ops, "as_complex_array", counting)
+        monkeypatch.setattr(models, "as_complex_array", counting)
+        back = OqeModel.from_json_dict(doc)
+        assert checks == [(4, 4), (4, 4), (4,)]  # one finiteness check per array
+        assert back.to_json_dict() == doc
 
     def test_time_dependent_unitary_lookup(self, rng):
         model = random_separable_model(2, 2, rng, steps=3)

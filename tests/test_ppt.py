@@ -24,6 +24,7 @@ from pptlab import (
     random_entangled_model,
     random_haar_unitary,
     random_separable_model,
+    site_tensor_from_unitary,
     stationarity_onset,
     to_right_canonical,
     variational_fit,
@@ -138,6 +139,27 @@ class TestBuildPpt:
 
 
 _STEP_SITE = build_ppt(random_separable_model(2, 2, 0), 2).runs[-1][0]  # bonds 2 and 2
+
+
+class TestSiteLayout:
+    """B[a, o, i, b] = <o, b|U|i, a> / sqrt(d) has one owner: a stack of
+    unitaries is laid out slice by slice, and ``_site_matrix`` undoes it."""
+
+    @pytest.mark.parametrize("d, D", [(2, 1), (2, 3), (3, 2)])
+    def test_a_stack_is_laid_out_slice_by_slice(self, rng, d, D):
+        us = np.stack([[random_haar_unitary(d * D, rng) for _ in range(3)] for _ in range(2)])
+        sites = site_tensor_from_unitary(us, d, D)
+        assert sites.shape == (2, 3, D, d, d, D)
+        for idx in np.ndindex(2, 3):
+            single = site_tensor_from_unitary(us[idx], d, D)
+            assert sites[idx].tobytes() == single.tobytes()
+            # the inverse layout gives back U / sqrt(d), entry for entry
+            assert ppt_module._site_matrix(single).tobytes() == (us[idx] / np.sqrt(d)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 4, 4, 1)], ids=repr)
+    def test_rejects_what_is_no_stack_of_unitaries_of_the_size(self, shape):
+        with pytest.raises(DimensionError, match="incompatible with d=2, D=2"):
+            site_tensor_from_unitary(np.ones(shape), 2, 2)
 
 
 class TestConstruction:

@@ -108,6 +108,34 @@ class TestStackedTransferLeft:
             slice_op = op[idx] if op_kind == "stacked" else op
             assert got[idx].tobytes() == transfer_left(envs[idx], bra, ket, slice_op).tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bonds", [(1, 3), (4, 4), (6, 2)])
+    @pytest.mark.parametrize("case", ["2d_env_2d_op", "stacked_env_shared_op",
+                                      "stacked_env_stacked_ops"])
+    def test_insertion_is_the_2d_formula(self, rng, d, bonds, case):
+        """Every slice of an insertion is bit for bit the 2-D formula, written
+        out here on its own: the one expression ``transfer_left`` keeps for a
+        2-D and a stacked ``op`` gives the values a separate 2-D branch gave."""
+        l, r = bonds
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def reference(env, op):  # env (l, l), op (d^2, d^2)
+            x = env @ ket.reshape(l, -1)
+            x = op @ x.reshape(-1, d * d, r)
+            return bra.reshape(-1, r).conj().T @ x.reshape(-1, r)
+
+        bra, ket = gaussian(l, d, d, r), gaussian(l, d, d, r)
+        batch = () if case == "2d_env_2d_op" else (2, 3)
+        envs = gaussian(*batch, l, l)
+        op = gaussian(*(batch if case == "stacked_env_stacked_ops" else ()), d * d, d * d)
+        got = transfer_left(envs, bra, ket, op)
+        assert got.shape == (*batch, r, r)
+        for idx in np.ndindex(*batch):  # the one index () for a 2-D env
+            slice_op = op[idx] if op.ndim > 2 else op
+            assert got[idx].tobytes() == reference(envs[idx], slice_op).tobytes()
+
 
 class TestPolarUnitary:
     def test_unitary_fixed_point(self, rng):

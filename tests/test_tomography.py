@@ -166,12 +166,16 @@ class TestInitialLeg:
         assert oracle.query_log == 2
 
     def test_true_mps_exposes_step_zero(self, rng):
-        """``true_mps`` is the hidden chain with step 0 exposed, its bond
-        cut to the Schmidt rank of the initial state."""
+        """``true_mps`` is ``build_ppt``'s chain with step 0 exposed, run for
+        run and bit for bit."""
         model = random_entangled_model(3, 4, rng, lambdas=np.sqrt([0.5, 0.3, 0.2]))
         truth = MeasurementOracle(model, 3).true_mps()
-        assert truth.leading_site.shape == (1, 3, 1, 3)
-        assert gauge_fidelity(truth, build_ppt(model, 3, expose_initial_leg=True)) > 1 - 1e-13
+        built = build_ppt(model, 3, expose_initial_leg=True)
+        assert truth.leading_site.shape == (1, 3, 1, 4)
+        assert [(t.tobytes(), t.shape, n) for t, n in truth.runs] == [
+            (t.tobytes(), t.shape, n) for t, n in built.runs
+        ]
+        assert gauge_fidelity(truth, built) > 1 - 1e-13
 
 
 class _NoAccess:
