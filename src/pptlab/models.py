@@ -223,10 +223,24 @@ def near_identity_unitary(dim: int, eta: float, seed, size=None) -> np.ndarray:
     ``(*size, dim, dim)``; the draws come from the generator's stream in the
     same order as that many single calls, and each slice equals the single
     call's result bit for bit.
+
+    A draw whose exponential needs more than ``_TAYLOR_MAX_SQUARINGS`` = 17
+    squarings, ||eta H||_1 >= 0.33 * 2^17 (eta of a few thousand at dim 4),
+    could come out further than ``UNITARITY_TOL`` from unitary, so the call
+    raises ``ValidationError`` naming eta instead, before any squaring.
     """
     _check_count(dim, "dimension")
     _check_eta(eta)
-    return _expm_skew((1j * eta) * _hermitians(dim, _as_rng(seed), _batch_shape(size)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan from a huge eta fail the bound
+        x = (1j * eta) * _hermitians(dim, _as_rng(seed), _batch_shape(size))
+        scaled = np.max(np.sum(np.abs(x), axis=-2), axis=-1) / _TAYLOR_THETA
+    if not np.all(scaled < 2.0**_TAYLOR_MAX_SQUARINGS):
+        raise ValidationError(
+            f"eta={eta!r} is too large for dimension {dim}: a draw's exponential needs more "
+            f"than {_TAYLOR_MAX_SQUARINGS} squarings, which could leave it further than "
+            f"{UNITARITY_TOL:g} from unitary"
+        )
+    return _expm_skew(x, scaled)
 
 
 # Scaling threshold of _expm_skew.  For ||X||_1 <= theta the terms the
@@ -236,13 +250,22 @@ def near_identity_unitary(dim: int, eta: float, seed, size=None) -> np.ndarray:
 # most the unit roundoff 2^-53 for theta <= 0.3352; e^X is unitary, so that
 # absolute bound is also relative.  Rounded down.
 _TAYLOR_THETA = 0.33
+# Most squarings _expm_skew may take.  If U^dag U = I + E, squaring gives
+# (U^2)^dag U^2 = I + E + U^dag E U + O(u), so each squaring at most doubles
+# the unitarity defect and adds a few units u = 2^-53 of roundoff: after s
+# squarings the largest entry of |U^dag U - I| is c 2^s u.  Over dims 1..16
+# and 5 * 10^4 draws at s = 17 and 18 the measured c stayed below 3; at
+# s = 17, c 2^s u < UNITARITY_TOL = 1e-10 holds for any c < 6.8, while s = 19
+# fails from c = 1.7 on.
+_TAYLOR_MAX_SQUARINGS = 17
 # Paterson-Stockmeyer blocks of the degree-12 Taylor polynomial: row j holds
 # 1/k! for k = 3j, 3j + 1, 3j + 2, the weights of I, X and X^2 in block j.
 _TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(3 * j + i) for i in range(3)] for j in range(4)])
 
 
-def _expm_skew(x: np.ndarray) -> np.ndarray:
-    """exp(X) of every square slice X of a stack of skew-Hermitian matrices.
+def _expm_skew(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """exp(X) of every square slice X of a stack of skew-Hermitian matrices,
+    given ||X||_1 / ``_TAYLOR_THETA`` of every slice (shape ``x.shape[:-2]``).
 
     Scaling and squaring with a truncated Taylor series (Al-Mohy & Higham,
     SIAM J. Matrix Anal. Appl. 31, 970 (2009)): each slice is divided by
@@ -260,7 +283,7 @@ def _expm_skew(x: np.ndarray) -> np.ndarray:
     shape, n = x.shape, x.shape[-1]
     x = x.reshape(-1, n, n)
     # the least s >= 0 with ||X||_1 / 2^s < theta is frexp's exponent, clipped at 0
-    _, s = np.frexp(np.max(np.sum(np.abs(x), axis=-2), axis=-1) / _TAYLOR_THETA)
+    _, s = np.frexp(scaled.reshape(-1))
     s = np.maximum(s, 0)
     powers = np.empty((3,) + x.shape, dtype=np.complex128)  # I, X, X^2
     powers[0] = np.eye(n)

@@ -8,6 +8,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,20 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: eta" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("eta", ["1e20", "1e300"])
+    @pytest.mark.parametrize("fresh", [False, True], ids=["fixed", "fresh"])
+    def test_figs2_eta_too_large_for_unitary_draws_exits_one(self, eta, fresh, capsys):
+        # the draws would need more squarings than keep them unitary; refused
+        # before any squaring, with no numpy overflow warning on the way
+        argv = ["figs2", "--D", "2", "--eta", eta, "--nmax", "3", "--seeds", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + (["--time-dependent"] if fresh else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: eta={float(eta)!r} is too large")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "argv",

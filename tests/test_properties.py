@@ -7,7 +7,10 @@ trip, and 8 for the measurement oracle and the batched expectations),
 separable or entangled initial states, and time-independent or
 time-dependent steps.  The near-identity experiment is
 checked bit for bit against its per-step reference over block edges, its
-Taylor-kernel unitaries against scipy's ``expm``, and the stationary solve
+Taylor-kernel unitaries against scipy's ``expm`` (and for unitarity, or
+refusal, up to eta = 1e8 and dim 16), its left matrices in either layout
+against the one einsum on the sites as given, its CSV against the
+f-string form, and the stationary solve
 (base-site blocks, Krylov or dense) against the dense projection on the
 whole effective environment.  Construction is fuzzed over (site, repeat)
 lists of sites of rank 1..5.  ``PptMps.validate``'s certified norm check
@@ -22,12 +25,13 @@ import itertools
 import json
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -51,7 +55,13 @@ from pptlab import (
     random_entangled_model,
     random_separable_model,
 )
-from pptlab.models import random_haar_unitary, random_hermitian
+from pptlab.models import (
+    _TAYLOR_MAX_SQUARINGS,
+    _TAYLOR_THETA,
+    UNITARITY_TOL,
+    random_haar_unitary,
+    random_hermitian,
+)
 from pptlab.ppt import CANONICAL_TOL, DENSE_STATE_GUARD, overlap_matrix
 from pptlab.tensor_ops import decode_complex, encode_complex, transfer_left, transfer_right
 
@@ -199,6 +209,48 @@ def test_transfer_actions_match_dense_matrices(d, left, right, seed):
     got_r = transfer_right(rho_r.T, site, site).T
     assert np.max(np.abs(got_l - vec_l.reshape(right, right, order="F"))) < 1e-12
     assert np.max(np.abs(got_r - vec_r.reshape(left, left, order="F"))) < 1e-12
+
+
+def given_layout_left_matrix(sites):
+    """The left-matrix formula written out on its own: one einsum over the
+    sites in the layout they come in, which both of ``memory._left_matrix``'s
+    layouts must match byte for byte."""
+    *lead, l, _, _, r = sites.shape
+    dense = np.einsum("...aoib,...coid->...bdac", sites, sites.conj())
+    return dense.reshape(*lead, r * r, l * l)
+
+
+@st.composite
+def left_matrix_cases(draw):
+    """(lead, l, r): a stack of at most ``l r`` sites or of more, split over
+    0, 1 or 2 lead axes, with at most 2^19 output entries."""
+    l, r = draw(st.integers(1, 8), label="l"), draw(st.integers(1, 8), label="r")
+    most = min(2000, 2**19 // (l * r) ** 2)
+    if draw(st.booleans(), label="long") and most > l * r:
+        stack = draw(st.integers(l * r + 1, most), label="stack")
+    else:
+        stack = draw(st.integers(1, min(l * r, most)), label="stack")
+    axes = draw(st.sampled_from([0, 1, 2] if stack == 1 else [1, 2]), label="axes")
+    if axes < 2:
+        return (stack,) * axes, l, r
+    last = draw(st.sampled_from([n for n in range(1, 9) if stack % n == 0]), label="last")
+    return (stack // last, last), l, r
+
+
+@CASES
+@given(d=st.sampled_from([2, 3]), case=left_matrix_cases(), seed=st.integers(0, 2**32 - 1))
+@example(d=2, case=((455, 4), 2, 2), seed=0)  # a figs2 block at D = 2: stack innermost
+@example(d=2, case=((1, 4), 2, 2), seed=0)  # fixed H at D = 2: the given layout
+@example(d=2, case=((2730, 4), 1, 1), seed=0)  # D = 1: the given layout
+@example(d=2, case=((65,), 8, 8), seed=0)  # wide bonds: the given layout
+def test_left_matrix_is_the_given_layout_formula(d, case, seed):
+    # both layouts of the one kernel give the given-layout einsum's bytes
+    lead, l, r = case
+    rng = np.random.default_rng(seed)
+    sites = rng.standard_normal((*lead, l, d, d, r, 2)) @ np.array([1.0, 1.0j])
+    got = memory._left_matrix(sites)
+    assert got.shape == (*lead, r * r, l * l) and got.flags.c_contiguous
+    assert got.tobytes() == given_layout_left_matrix(sites).tobytes()
 
 
 def unit_images(action, n):
@@ -651,6 +703,51 @@ def test_near_identity_unitary_matches_expm(dim, eta, size, seed):
         assert np.max(np.abs(u - scipy.linalg.expm(1j * eta * h))) < 1e-13
         eye = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(dim)
         assert np.max(np.abs(eye)) < 1e-13
+
+
+@CASES
+@given(
+    dim=st.integers(1, 16),
+    log_eta=st.floats(-6.0, 8.0),
+    size=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_identity_unitary_is_unitary_or_refused(dim, log_eta, size, seed):
+    # a draw is refused exactly when it needs more than 17 squarings, which
+    # could leave it further from unitary than OqeModel accepts
+    eta = 10.0**log_eta
+    rng = np.random.default_rng(seed)
+    hs = np.stack([random_hermitian(dim, rng) for _ in range(size)])
+    scaled = eta * np.max(np.sum(np.abs(hs), axis=-2), axis=-1) / _TAYLOR_THETA
+    limit = 2.0**_TAYLOR_MAX_SQUARINGS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            us = near_identity_unitary(dim, eta, seed, size=size)
+        except ValidationError as err:
+            assert str(err).startswith(f"eta={eta!r} ")
+            assert scaled.max() >= limit * (1 - 1e-12)
+            return
+    assert scaled.max() < limit * (1 + 1e-12)
+    for u in us:
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= UNITARITY_TOL
+    if dim % 2 == 0:  # the model's own check, on a time-dependent model of these steps
+        OqeModel(2, dim // 2, tuple(us), np.eye(dim)[0])
+
+
+@CASES
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 10**9), *[st.floats(width=64)] * 4), max_size=40
+    )
+)
+def test_fig_s2_csv_is_the_format_spec_form(rows):
+    # the one %-format per row writes what an f-string's .17g spec writes
+    # for every float: subnormals, +-0, +-inf and nan included
+    want = "n,mean_infidelity,median_infidelity,q25,q75\n" + "".join(
+        f"{n},{a:.17g},{b:.17g},{c:.17g},{e:.17g}\n" for n, a, b, c, e in rows
+    )
+    assert memory.fig_s2_csv(rows) == want
 
 
 @CASES

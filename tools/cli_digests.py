@@ -14,7 +14,7 @@ The files that ``correlate`` and ``predict`` read (the two ``build`` outputs,
 a two-insertion observable and the two ``fit`` reports) are written to a
 temporary directory; the printed argv names them by file name only, so the
 lines do not depend on where that directory is.  A run that exits non-zero
-gets ``[exit N]`` appended.  Per seed there are 18 runs:
+gets ``[exit N]`` appended.  Per seed there are 19 runs:
 
 * ``build --D 16 --N 50`` and ``build --D 2 --N 5 --entangled``;
 * ``correlate`` on both files, without and with an observable of
@@ -26,7 +26,11 @@ gets ``[exit N]`` appended.  Per seed there are 18 runs:
 * ``reconstruct-entangled --D 2 --N 7``;
 * ``complexity --D 16 --alpha 1,2`` and ``--D 4 --entangled --alpha 1,2``;
 * ``figs2 --D 2 --eta 0.01 --nmax 200 --seeds 4 --seed-base <seed>``,
-  with a fixed H and with ``--time-dependent``.
+  with a fixed H and with ``--time-dependent``;
+* ``figs2 --D 2 --eta 0.3 --nmax 50 --seeds 4 --time-dependent
+  --seed-base <seed>``, which covers the Taylor kernel's squaring branch:
+  at seeds 0 to 199 every draw is scaled by 2^-s with s >= 1 and squared
+  back s times.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ def _run(argv: list[str], workdir: Path) -> tuple[str, str]:
 
 
 def digests(seed: int, workdir: Path) -> list[str]:
-    """The 18 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
+    """The 19 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
     lines = []
 
     def run(*args: str, keep: str | None = None) -> None:
@@ -93,6 +97,8 @@ def digests(seed: int, workdir: Path) -> list[str]:
     figs2 = ("figs2", "--D", "2", "--eta", "0.01", "--nmax", "200", "--seeds", "4")
     run(*figs2, "--seed-base", s)
     run(*figs2, "--seed-base", s, "--time-dependent")
+    run("figs2", "--D", "2", "--eta", "0.3", "--nmax", "50", "--seeds", "4", "--time-dependent",
+        "--seed-base", s)
     return lines
 
 
