@@ -503,7 +503,7 @@ def fig_s2_experiment(
     ensemble steps together, one stacked matrix product per step.  Steps run
     in blocks of ``_block_steps`` (at least one): a block draws its unitaries
     with one ``near_identity_unitary(..., size=k)`` call per seed (a few
-    stacked matrix products over the drawn Hermitians), builds their left
+    products over the whole stack of drawn Hermitians), builds their left
     transfer matrices at once, and reads the spectra of the states it
     recorded with one batched ``eigvalsh``, so transient memory is bounded
     whatever ``n_max``.  Every
@@ -586,6 +586,13 @@ def _block_steps(n_seeds: int, d: int, D: int) -> int:
     2 (dD)^2 + D^4 (the sites' copy, its conjugate, the output, and einsum's
     iteration buffers besides) and (dD)^2 + 2 D^4 (the copy, the output and
     its C-order copy).
+
+    Before that, each seed's draw holds the Taylor kernel's temporaries
+    per step (``models._expm_skew``), all freed before the next seed's
+    draw: about a dozen (dD)^2 entries (X, its powers, the four
+    Paterson-Stockmeyer blocks, the Horner products and, at dD <= 4, the
+    result's C-order copy out of the stack-innermost layout) and, at
+    dD <= 4, the (dD)^3 product terms.
     """
     per_step = n_seeds * ((d * D) ** 2 + D**4 + D**2)
     return max(1, _BLOCK_ENTRIES // per_step)

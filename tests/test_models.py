@@ -63,14 +63,16 @@ class TestNearIdentityUnitary:
         with pytest.raises(ValidationError, match="eta"):
             near_identity_unitary(3, eta, 1)
 
-    @pytest.mark.parametrize("dim", [1, 2, 4, 6])
-    @pytest.mark.parametrize("k", [1, 2, 127, 300])
+    # dims on both sides of the kernel's layout rule (innermost up to 4), and
+    # k = 455, the figs2 --D 2 block size
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2, 127, 300, 455])
     def test_batched_draw_preserves_the_stream(self, dim, k):
         batch_rng, single_rng = np.random.default_rng(dim * k), np.random.default_rng(dim * k)
         batch = near_identity_unitary(dim, 0.3, batch_rng, size=k)
         singles = np.stack([near_identity_unitary(dim, 0.3, single_rng) for _ in range(k)])
         assert batch.shape == (k, dim, dim)
-        assert np.array_equal(batch, singles)
+        assert batch.tobytes() == singles.tobytes()  # array_equal takes -0.0 for 0.0
         # both generators are left in the same state
         assert np.array_equal(
             near_identity_unitary(dim, 0.3, batch_rng), near_identity_unitary(dim, 0.3, single_rng)

@@ -8,9 +8,10 @@ separable or entangled initial states, and time-independent or
 time-dependent steps.  The near-identity experiment is
 checked bit for bit against its per-step reference over block edges, its
 Taylor-kernel unitaries against scipy's ``expm`` (and for unitarity, or
-refusal, up to eta = 1e8 and dim 16), its left matrices in either layout
-against the one einsum on the sites as given, its CSV against the
-f-string form, and the stationary solve
+refusal, up to eta = 1e8 and dim 16) and against the kernel with every
+product on the given layout (byte for byte above dim 4), its left matrices
+in either layout against the one einsum on the sites as given, its CSV
+against the f-string form, and the stationary solve
 (base-site blocks, Krylov or dense) against the dense projection on the
 whole effective environment.  Construction is fuzzed over (site, repeat)
 lists of sites of rank 1..5.  ``PptMps.validate``'s certified norm check
@@ -23,6 +24,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -56,6 +58,7 @@ from pptlab import (
     random_separable_model,
 )
 from pptlab.models import (
+    _TAYLOR_BLOCKS,
     _TAYLOR_MAX_SQUARINGS,
     _TAYLOR_THETA,
     UNITARITY_TOL,
@@ -703,6 +706,56 @@ def test_near_identity_unitary_matches_expm(dim, eta, size, seed):
         assert np.max(np.abs(u - scipy.linalg.expm(1j * eta * h))) < 1e-13
         eye = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(dim)
         assert np.max(np.abs(eye)) < 1e-13
+
+
+def _expm_skew_given_layout(x, scaled):
+    """The Taylor kernel with every product a stacked matmul on the given
+    (k, n, n) layout, as ``models._expm_skew`` runs dimensions above 4."""
+    shape, n = x.shape, x.shape[-1]
+    x = x.reshape(-1, n, n)
+    _, s = np.frexp(scaled.reshape(-1))
+    s = np.maximum(s, 0)
+    powers = np.empty((3,) + x.shape, dtype=np.complex128)
+    powers[0] = np.eye(n)
+    np.divide(x, np.exp2(s)[:, np.newaxis, np.newaxis], out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    cube = powers[1] @ powers[2]
+    blocks = (_TAYLOR_BLOCKS @ powers.view(np.float64).reshape(3, -1)).view(np.complex128)
+    b3, b2, b1, b0 = blocks.reshape((4,) + x.shape)[::-1]
+    u = b3 + cube / math.factorial(12)
+    for block in (b2, b1, b0):
+        u = block + cube @ u
+    for r in range(int(s.max(initial=0))):
+        sel = s > r
+        v = u[sel]
+        u[sel] = v @ v
+    return u.reshape(shape), s.reshape(shape[:-2])
+
+
+@CASES
+@given(
+    dim=st.integers(1, 9),
+    eta=st.floats(1e-6, 3.0),
+    size=st.none() | st.integers(1, 8) | st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_identity_unitary_matches_the_given_layout_kernel(dim, eta, size, seed):
+    # above dim 4 the kernel is the given-layout one, byte for byte; up to
+    # dim 4 its stack-innermost products round differently, and each slice's
+    # difference grows like the unitarity defect, doubling per squaring: it
+    # measured at most 2 * 2^s units of roundoff over 8 * 10^4 slices, and
+    # the bound is 4 times that
+    u = near_identity_unitary(dim, eta, seed, size=size)
+    shape = () if size is None else np.atleast_1d(size)
+    rng = np.random.default_rng(seed)
+    draws = [random_hermitian(dim, rng) for _ in range(int(np.prod(shape)))]
+    x = (1j * eta) * np.reshape(draws, (*shape, dim, dim))
+    ref, s = _expm_skew_given_layout(x, np.max(np.sum(np.abs(x), axis=-2), axis=-1) / _TAYLOR_THETA)
+    if dim > 4:
+        assert u.tobytes() == ref.tobytes()
+    else:
+        bound = 8 * np.exp2(s) * np.finfo(float).eps / 2
+        assert np.all(np.max(np.abs(u - ref), axis=(-1, -2)) <= bound)
 
 
 @CASES

@@ -14,7 +14,7 @@ The files that ``correlate`` and ``predict`` read (the two ``build`` outputs,
 a two-insertion observable and the two ``fit`` reports) are written to a
 temporary directory; the printed argv names them by file name only, so the
 lines do not depend on where that directory is.  A run that exits non-zero
-gets ``[exit N]`` appended.  Per seed there are 19 runs:
+gets ``[exit N]`` appended.  Per seed there are 20 runs:
 
 * ``build --D 16 --N 50`` and ``build --D 2 --N 5 --entangled``;
 * ``correlate`` on both files, without and with an observable of
@@ -30,7 +30,10 @@ gets ``[exit N]`` appended.  Per seed there are 19 runs:
 * ``figs2 --D 2 --eta 0.3 --nmax 50 --seeds 4 --time-dependent
   --seed-base <seed>``, which covers the Taylor kernel's squaring branch:
   at seeds 0 to 199 every draw is scaled by 2^-s with s >= 1 and squared
-  back s times.
+  back s times;
+* ``figs2 --D 3 --eta 0.01 --nmax 50 --seeds 4 --time-dependent
+  --seed-base <seed>``, whose dim-6 draws take the kernel's given-layout
+  products, where the D = 2 runs above take the stack-innermost ones.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def _run(argv: list[str], workdir: Path) -> tuple[str, str]:
 
 
 def digests(seed: int, workdir: Path) -> list[str]:
-    """The 19 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
+    """The 20 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
     lines = []
 
     def run(*args: str, keep: str | None = None) -> None:
@@ -97,8 +100,9 @@ def digests(seed: int, workdir: Path) -> list[str]:
     figs2 = ("figs2", "--D", "2", "--eta", "0.01", "--nmax", "200", "--seeds", "4")
     run(*figs2, "--seed-base", s)
     run(*figs2, "--seed-base", s, "--time-dependent")
-    run("figs2", "--D", "2", "--eta", "0.3", "--nmax", "50", "--seeds", "4", "--time-dependent",
-        "--seed-base", s)
+    for D, eta in (("2", "0.3"), ("3", "0.01")):
+        run("figs2", "--D", D, "--eta", eta, "--nmax", "50", "--seeds", "4", "--time-dependent",
+            "--seed-base", s)
     return lines
 
 
