@@ -35,6 +35,7 @@ from .tensor_ops import (
     encode_complex,
     json_int,
     json_object,
+    json_text,
 )
 
 
@@ -92,7 +93,7 @@ class MultiTimeObservable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json_text(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(doc: dict) -> "MultiTimeObservable":

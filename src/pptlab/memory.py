@@ -385,9 +385,10 @@ def _renyi_bits(p: np.ndarray, alpha: float) -> float:
     p = np.clip(p, 0.0, None)
     p = p[p > 1e-15]
     p = p / p.sum()
+    # + 0.0 turns a pure spectrum's -0.0 into 0.0 and keeps every other value's bits
     if abs(alpha - 1.0) < 1e-12:
-        return float(-np.sum(p * np.log2(p)))
-    return float(np.log2(np.sum(p**alpha)) / (1.0 - alpha))
+        return float(-np.sum(p * np.log2(p))) + 0.0
+    return float(np.log2(np.sum(p**alpha)) / (1.0 - alpha)) + 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,7 @@ from .tensor_ops import (
     encode_complex,
     json_int,
     json_object,
+    json_text,
 )
 
 SCHMIDT_TOL = 1e-8  # Schmidt coefficients counted by SchmidtForm.rank
@@ -145,7 +146,7 @@ class OqeModel:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json_text(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(doc: dict) -> "OqeModel":
@@ -165,7 +166,7 @@ class OqeModel:
             )
         if time_independent != (len(us) == 1):
             raise ValidationError(
-                f"'time_independent' is {json.dumps(time_independent)}, but the document "
+                f"'time_independent' is {json_text(time_independent)}, but the document "
                 f"stores {len(us)} unitaries (a time-independent model stores exactly one)"
             )
         psi = _decode_entries(doc["initial_state"], (dim,))
@@ -219,13 +220,13 @@ def near_identity_unitary(dim: int, eta: float, seed, size=None) -> np.ndarray:
     The exponential is taken by scaling and squaring a truncated Taylor
     series (``_expm_skew``), a few products over every draw at once: up to
     dim 4 with the stack innermost (a broadcast multiply and a sum per
-    product), above it as stacked matmuls.  ``size`` (None, an integer >= 0
-    or a tuple of them, numpy style) draws a stack of that many unitaries,
-    shape ``(*size, dim, dim)``; the draws come from the generator's stream
-    in the same order as that many single calls, and each slice equals the
-    single call's result bit for bit.  That is why the layout is read off
-    the dimension alone: the two layouts round differently, so one chosen
-    by the stack size would give a batch other bytes than its single draws.
+    product), above it as stacked matmuls.  ``size`` (None or an integer
+    >= 0) draws a stack of that many unitaries, shape ``(size, dim, dim)``;
+    the draws come from the generator's stream in the same order as that
+    many single calls, and each slice equals the single call's result bit
+    for bit.  That is why the layout is read off the dimension alone: the
+    two layouts round differently, so one chosen by the stack size would
+    give a batch other bytes than its single draws.
 
     A draw whose exponential needs more than ``_TAYLOR_MAX_SQUARINGS`` = 17
     squarings, ||eta H||_1 >= 0.33 * 2^17 (eta of a few thousand at dim 4),
@@ -349,16 +350,12 @@ def random_hermitian(dim: int, seed) -> np.ndarray:
 
 
 def _batch_shape(size) -> tuple:
-    """The stack shape a numpy-style ``size`` names: () for None, (n,) for an
-    integer n >= 0, or a tuple of such integers as it is."""
+    """The stack shape ``size`` names: () for None, (n,) for an integer n >= 0."""
     if size is None:
         return ()
-    shape = size if isinstance(size, tuple) else (size,)
-    if not all(_is_integer(n) and n >= 0 for n in shape):
-        raise ValidationError(
-            f"size must be None, an integer >= 0 or a tuple of them, got {size!r}"
-        )
-    return tuple(int(n) for n in shape)
+    if not (_is_integer(size) and size >= 0):
+        raise ValidationError(f"size must be None or an integer >= 0, got {size!r}")
+    return (int(size),)
 
 
 def _hermitians(dim: int, rng: np.random.Generator, batch: tuple) -> np.ndarray:

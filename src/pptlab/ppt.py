@@ -40,6 +40,7 @@ from .tensor_ops import (
     fill_unassigned_columns,
     json_int,
     json_object,
+    json_text,
     transfer_left,
 )
 
@@ -190,7 +191,7 @@ class PptMps:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json_text(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(doc: dict) -> "PptMps":
@@ -430,7 +431,7 @@ def to_right_canonical(mps: PptMps) -> PptMps:
     each bond) are dropped, so exactly-degenerate bonds shrink.  The state
     is renormalised; a numerically zero norm raises.
     """
-    chain = [t.astype(np.complex128, copy=True) for t in mps.chain()]
+    chain = mps.chain()  # read-only sites, replaced, never written
     for k in range(len(chain) - 1, 0, -1):
         t = chain[k]
         l, do, di, r = t.shape

@@ -1,17 +1,18 @@
 """Dense complex tensor algebra underlying every other module.
 
 All routines operate on plain ``numpy.ndarray`` objects in complex double
-precision and are pure functions of their inputs: input coercion, the JSON
-codec for complex arrays, objects and integer keys, the two transfer
-contractions every MPS sweep is built from, polar and isometric projections
-by SVD, deterministic QR completion of orthonormal columns to a unitary, and
-a fixed basis inside near-degenerate eigenspaces.
+precision and are pure functions of their inputs: input coercion, the one
+JSON text writer and the codec for complex arrays, objects and integer keys,
+the two transfer contractions every MPS sweep is built from, polar and
+isometric projections by SVD, deterministic QR completion of orthonormal
+columns to a unitary, and a fixed basis inside near-degenerate eigenspaces.
 """
 
 from __future__ import annotations
 
 import base64
 import functools
+import json
 import math
 
 import numpy as np
@@ -88,6 +89,17 @@ def _pair_entries(pairs) -> np.ndarray:
             "complex data must be base64 text or a list of numeric [re, im] pairs"
         )
     return arr.astype(np.float64).view(np.complex128).reshape(-1)
+
+
+def json_text(doc) -> str:
+    """The one JSON text form of every document pptlab writes: sorted keys,
+    compact separators, and floats as ``repr`` writes them, so equal
+    documents give equal bytes.  A NaN or infinite number raises
+    ``ValidationError``: JSON has no such value."""
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:  # NaN or infinity: a document is a tree, so no circular reference
+        raise ValidationError("the document holds a number that is not finite") from None
 
 
 def json_object(value, what: str) -> dict:

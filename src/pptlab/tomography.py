@@ -38,7 +38,6 @@ therefore set to its exact maximiser at every evaluation.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +71,7 @@ from .tensor_ops import (
     _is_integer,
     closest_isometry,
     fill_unassigned_columns,
+    json_text,
     polar_unitary,
     transfer_right,
 )
@@ -328,7 +328,7 @@ class ReconstructionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json_text(self.to_json_dict())
 
 
 # -- disentangling tomography --------------------------------------------------

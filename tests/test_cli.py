@@ -28,7 +28,7 @@ from pptlab import (
 )
 from pptlab.models import random_hermitian
 from pptlab.cli import run
-from pptlab.tensor_ops import decode_complex, encode_complex
+from pptlab.tensor_ops import decode_complex, encode_complex, json_text
 
 from conftest import pair_leaf
 
@@ -55,6 +55,14 @@ class TestComplexity:
         for doc in docs:
             assert abs(doc["value_bits"] - np.log2(3)) < 1e-6
 
+    @pytest.mark.parametrize("entangled", [[], ["--entangled"]], ids=["separable", "entangled"])
+    def test_zero_entropy_prints_unsigned(self, capsys, entangled):
+        # at D = 1 the stationary state is pure: -(1 log2 1) and log2(1) / (1 - alpha)
+        # are -0.0, which must print as 0.0
+        assert run(["complexity", "--D", "1", "--alpha", "0.5,1,2", "--seed", "0", *entangled]) == 0
+        out = capsys.readouterr().out
+        assert [doc["value_bits"] for doc in json.loads(out)] == [0.0, 0.0, 0.0]
+        assert "-0.0" not in out
 
     def test_one_stationary_solve_for_every_order(self, tmp_path, monkeypatch):
         calls = []
@@ -328,9 +336,9 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize(
         "config",
         [{"nmax": 2.5}, {"seeds": 2.5}, {"nmax": "ten"}, {"seed_base": -1}, {"eta": None},
-         {"time_dependent": 1}, {"format": "xml"}, {"func": 1}],
+         {"time_dependent": 1}, {"sample_every": 0}, {"func": 1}],
         ids=["float_nmax", "float_seeds", "text_nmax", "negative_seed_base", "null_eta",
-             "int_for_switch", "unknown_choice", "not_a_flag"],
+             "int_for_switch", "zero_sample_every", "not_a_flag"],
     )
     def test_config_values_parse_like_flags(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -356,11 +364,17 @@ class TestConfigAndErrors:
             ["build", "--N", "3", "--seed", "1"],
             ["complexity", "--seed", "1"],
             ["correlate", "--ppt", "build.json"],
+            ["figs2", "--eta", "0.1", "--nmax", "5", "--seeds", "2"],
+            ["tomograph", "--N", "3", "--seed", "1"],
+            ["fit", "--N", "3", "--seed", "1"],
             ["predict", "--report", "report.json", "--nfuture", "3"],
+            ["reconstruct-entangled", "--N", "3", "--seed", "1"],
         ],
-        ids=["build", "complexity", "correlate", "predict"],
+        ids=["build", "complexity", "correlate", "figs2", "tomograph", "fit", "predict",
+             "reconstruct_entangled"],
     )
-    def test_format_is_a_figs2_flag_only(self, tmp_path, capsys, argv):
+    def test_no_subcommand_takes_format(self, tmp_path, capsys, argv):
+        # figs2 writes CSV and every other subcommand JSON: there is no choice to make
         assert run(argv + ["--format", "csv"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments: --format csv" in captured.err
@@ -419,12 +433,12 @@ class TestParserCache:
 
     def test_cached_parser_matches_fresh_parser(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "json", "nmax": 7}))
+        cfg.write_text(json.dumps({"sample_every": 2, "nmax": 7}))
         figs2 = ["figs2", "--eta", "0.1", "--nmax", "5", "--seeds", "2"]
         argvs = [
             ["build", "--D", "2", "--N", "2", "--seed", "1"],
-            figs2,  # csv by default
-            ["--config", str(cfg), *figs2],  # json from the config file
+            figs2,  # every step
+            ["--config", str(cfg), *figs2],  # every second step and the last, from the config
             ["build", "--N", "x", "--seed", "1"],  # argparse error
         ]
 
@@ -442,7 +456,8 @@ class TestParserCache:
         assert cli._build_parser.cache_info().misses == 1
         assert cached == fresh + fresh
         assert [code for code, _, _ in fresh] == [0, 0, 0, 1]
-        assert fresh[1][1].startswith("n,mean_infidelity") and fresh[2][1].startswith("[{")
+        steps = [[int(row.split(",")[0]) for row in out.splitlines()[1:]] for _, out, _ in fresh[1:3]]
+        assert steps == [[0, 1, 2, 3, 4, 5], [0, 2, 4, 6, 7]]
         assert "invalid int value" in fresh[3][2]
 
 
@@ -467,6 +482,19 @@ class TestTomograph:
             assert "exceeds 9 qubits" in captured.err
         assert not out.exists()
 
+    def test_non_finite_report_exits_1(self, tmp_path, capsys, monkeypatch):
+        # JSON has no NaN: the report is refused before a byte is written
+        monkeypatch.setattr(pptlab.tomography, "gauge_fidelity", lambda a, b: float("nan"))
+        out = tmp_path / "t.json"
+        argv = ["tomograph", "--D", "2", "--N", "3", "--seed", "1"]
+        for extra in ([], ["--out", str(out)]):
+            assert run(argv + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "not finite" in captured.err
+        assert not out.exists()
+
     def test_dbound_defaults_to_hidden_environment(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["tomograph", "--D", "2", "--N", "5", "--seed", "3"]
@@ -476,6 +504,17 @@ class TestTomograph:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("command", ["tomograph", "fit"])
+    def test_reports_print_as_every_other_document(self, capsys, command):
+        # compact, key-sorted json_text like build, complexity, correlate, predict
+        model = random_separable_model(2, 2, 3)
+        if command == "tomograph":
+            report = pptlab.disentangle_reconstruct(pptlab.MeasurementOracle(model, 4), 4, 2)
+        else:
+            report = pptlab.variational_fit(build_ppt(model, 4), seed=3)
+        assert run([command, "--D", "2", "--N", "4", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == json_text(report.to_json_dict()) + "\n"
+
     def test_fit_then_predict(self, tmp_path):
         fit_out = tmp_path / "fit.json"
         assert run(["fit", "--d", "2", "--D", "2", "--N", "4", "--seed", "2", "--out", str(fit_out)]) == 0
@@ -520,7 +559,7 @@ class TestPipeline:
             obs = cli._random_observable(rng, 2, 6)
             worst = max(worst, abs(pptlab.expectation(truth, obs)
                                    - pptlab.expectation(rebuilt, obs)))
-        expected = cli._json_dumps({
+        expected = json_text({
             "lambdas": [float(x) for x in form.lambdas], "max_expectation_deviation": worst,
             "model": recovered.to_json_dict(), "queries": oracle.query_log,
         })

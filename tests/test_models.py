@@ -126,13 +126,13 @@ class TestNearIdentityUnitary:
         assert out == "[0, 0] []\n"
 
     def test_size_takes_a_shape(self):
-        batch = near_identity_unitary(2, 0.1, 4, size=(3, 2))
-        assert batch.shape == (3, 2, 2, 2)
-        assert np.array_equal(batch.reshape(6, 2, 2), near_identity_unitary(2, 0.1, 4, size=6))
-        single = near_identity_unitary(2, 0.1, 4)
-        assert np.array_equal(near_identity_unitary(2, 0.1, 4, size=()), single)
+        single = near_identity_unitary(2, 0.1, 4, size=None)
+        assert single.shape == (2, 2)
+        batch = near_identity_unitary(2, 0.1, 4, size=np.int64(6))
+        assert batch.shape == (6, 2, 2) and np.array_equal(batch[0], single)
         assert near_identity_unitary(2, 0.1, 4, size=0).shape == (0, 2, 2)
-        assert near_identity_unitary(2, 0.1, 4, size=(np.int64(2), 0)).shape == (2, 0, 2, 2)
+        with pytest.raises(ValidationError, match="size must be None or an integer"):
+            near_identity_unitary(2, 0.1, 4, size=(3, 2))
 
 
 class TestRandomModelDimensions:

@@ -12,6 +12,7 @@ from pptlab.tensor_ops import (
     decode_complex,
     encode_complex,
     fill_unassigned_columns,
+    json_text,
     polar_unitary,
     transfer_left,
 )
@@ -84,6 +85,18 @@ class TestComplexCodec:
             for form in (pair_leaf, encode_complex):
                 with pytest.raises(ValidationError, match="non-finite"):
                     decode_complex(form(np.array([1.0, bad])))
+
+
+class TestJsonText:
+    def test_sorted_compact_text(self):
+        doc = {"b": [1.0, -0.0, 0.1], "a": {"d": True, "c": None}}
+        assert json_text(doc) == '{"a":{"c":null,"d":true},"b":[1.0,-0.0,0.1]}'
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_numbers_are_refused(self, bad):
+        for doc in (bad, [1.0, bad], {"a": {"b": bad}}):
+            with pytest.raises(ValidationError, match="not finite"):
+                json_text(doc)
 
 
 class TestStackedTransferLeft:

@@ -14,7 +14,7 @@ The files that ``correlate`` and ``predict`` read (the two ``build`` outputs,
 a two-insertion observable and the two ``fit`` reports) are written to a
 temporary directory; the printed argv names them by file name only, so the
 lines do not depend on where that directory is.  A run that exits non-zero
-gets ``[exit N]`` appended.  Per seed there are 20 runs:
+gets ``[exit N]`` appended.  Per seed there are 21 runs:
 
 * ``build --D 16 --N 50`` and ``build --D 2 --N 5 --entangled``;
 * ``correlate`` on both files, without and with an observable of
@@ -25,6 +25,8 @@ gets ``[exit N]`` appended.  Per seed there are 20 runs:
   ``predict --nfuture 50`` on its report;
 * ``reconstruct-entangled --D 2 --N 7``;
 * ``complexity --D 16 --alpha 1,2`` and ``--D 4 --entangled --alpha 1,2``;
+* ``complexity --D 1 --alpha 1,2``, whose pure stationary state has zero
+  entropy at both orders, written as 0.0 and not -0.0;
 * ``figs2 --D 2 --eta 0.01 --nmax 200 --seeds 4 --seed-base <seed>``,
   with a fixed H and with ``--time-dependent``;
 * ``figs2 --D 2 --eta 0.3 --nmax 50 --seeds 4 --time-dependent
@@ -70,7 +72,7 @@ def _run(argv: list[str], workdir: Path) -> tuple[str, str]:
 
 
 def digests(seed: int, workdir: Path) -> list[str]:
-    """The 20 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
+    """The 21 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
     lines = []
 
     def run(*args: str, keep: str | None = None) -> None:
@@ -97,6 +99,7 @@ def digests(seed: int, workdir: Path) -> list[str]:
     run("reconstruct-entangled", "--D", "2", "--N", "7", "--seed", s)
     run("complexity", "--D", "16", "--alpha", "1,2", "--seed", s)
     run("complexity", "--D", "4", "--entangled", "--alpha", "1,2", "--seed", s)
+    run("complexity", "--D", "1", "--alpha", "1,2", "--seed", s)
     figs2 = ("figs2", "--D", "2", "--eta", "0.01", "--nmax", "200", "--seeds", "4")
     run(*figs2, "--seed-base", s)
     run(*figs2, "--seed-base", s, "--time-dependent")
