@@ -8,13 +8,13 @@ evaluates many observables in one sweep: it carries a stack of
 environments, one per observable, through ``tensor_ops.transfer_left``'s
 batch axis, and inserts at each step the stack of their operators, the
 identity for an observable with no insertion there; ``expectation`` sweeps
-a stack of one by the same code.  On a right-canonical MPS an observable's
-value is read after its last insertion (the remaining sites contract to the
-identity); any other MPS is swept to its end and divided by its squared
-norm, which one more row of the stack, with no insertions, carries in the
-same sweep.  The dense
-route replays the generating circuit on a full statevector and shares no
-contraction code with the MPS route.
+a stack of one by the same code.  On an MPS ready to measure (right-canonical
+with a unit first element, as ``ppt.to_right_canonical`` returns it) a value
+is read after its last insertion (the remaining sites contract to the
+identity); any other MPS is swept to its end and divided by its squared norm,
+which one more row of the stack, with no insertions, carries in the same
+sweep.  The dense route replays the generating circuit on a full statevector
+and shares no contraction code with the MPS route.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import CapacityError, DegenerateStateError, DimensionError, ValidationError
 from .models import OqeModel
-from .ppt import DENSE_STATE_GUARD, PptMps, _left_envs
+from .ppt import DENSE_STATE_GUARD, PptMps, _left_envs, _ready_to_measure
 from .tensor_ops import (
     _decode_entries,
     _is_integer,
@@ -140,9 +140,9 @@ def expectations(mps: PptMps, observables) -> np.ndarray:
     observable too; a chain step where some observable inserts carries the
     stack of their operators, with the identity for the others, all of them
     written into one array.  Observable k's value is the trace of its
-    environment after its last insertion on a right-canonical MPS, whose norm
-    is 1 and whose later steps contract to the identity, else after the whole
-    chain divided by the squared norm, the trace of one more row with no
+    environment after its last insertion on an MPS ``_ready_to_measure``, whose
+    norm is 1 and whose later steps contract to the identity, else after the
+    whole chain divided by the squared norm, the trace of one more row with no
     insertions (products with the identity are exact, so it equals
     ``overlap``'s value).  Each value is bit for bit the one a sweep of that
     observable alone gives.  An empty sequence gives an empty array.
@@ -154,7 +154,7 @@ def expectations(mps: PptMps, observables) -> np.ndarray:
     if not n:
         return np.empty(0, dtype=np.complex128)
     lead = int(mps.leading_site is not None)  # an exposed initial leg is step 0
-    right = mps.canonical == "right"
+    right = _ready_to_measure(mps)
     ends = [lead + obs.last_step for obs in observables]  # sweep position of each read
     chain = mps.chain(max(ends) if right else None)
     if not right:  # one more row, with no insertions, sweeps the squared norm alongside

@@ -32,7 +32,7 @@ from .ppt import (
     enlarged_site_tensor,
     site_tensor_from_unitary,
 )
-from .tensor_ops import _is_integer, _is_real, as_complex_array, transfer_left
+from .tensor_ops import _is_integer, _is_integer_type, _is_real, as_complex_array, transfer_left
 
 DEGENERACY_GAP = 1e-8
 DENSITY_TOL = 1e-10  # Hermiticity, positivity and trace error allowed in an environment state
@@ -524,8 +524,9 @@ def fig_s2_experiment(
         raise ValidationError(f"seeds must be a sequence of non-negative integers, got {seeds!r}")
     if len(seeds) == 0:
         raise ValidationError("the seed ensemble is empty")
-    if sample_points is not None and not (
-        isinstance(sample_points, Sequence) and all(_is_integer(n) for n in sample_points)
+    if sample_points is not None and not (  # each distinct element type is checked once
+        isinstance(sample_points, Sequence)
+        and all(_is_integer_type(t) for t in set(map(type, sample_points)))
     ):
         raise ValidationError(
             f"sample points must be a sequence of integers, got {sample_points!r}"

@@ -10,7 +10,8 @@ the step unitary as
 which is right-canonical (and, except at the boundary, left-canonical) by
 unitarity.  For entangled initial states the environment is enlarged to the
 joint system-environment space of dimension d*D and the site tensors act as
-the identity on the absorbed system factor.
+the identity on the absorbed system factor.  Every walk of a chain, in
+either direction, is ``_left_envs``, and every SVD split ``_split_step``.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ DENSE_STATE_GUARD = 2**20  # max entries for dense statevector constructions
 PROCESS_TENSOR_GUARD = 4096  # max physical dimension of the dense Choi state
 SCHMIDT_RANK_TOL = 1e-8  # Schmidt values counted by memory_size
 CANONICAL_TOL = 1e-10  # right-canonicality residual and norm deviation allowed by validate
-TRUNCATION_TOL = 1e-13  # relative singular value dropped by to_right_canonical
-SPLIT_TOL = 1e-12  # relative singular value dropped by split_block
-CLUSTER_TOL = 1e-10  # gap below which kept values share a pinned basis (relative in split_block)
+SPLIT_TOL = 1e-12  # relative singular value dropped by every SVD split (_split_step)
+CLUSTER_TOL = 1e-10  # gap below which kept values share a pinned basis (relative in _split_step)
 MAX_STEPS = 10**6  # max steps build_ppt makes and a PPT document may expand to
 CANONICAL_FORMS = ("none", "right")
 
@@ -59,8 +59,8 @@ CANONICAL_FORMS = ("none", "right")
 class PptMps:
     """MPS form of a purified process tensor.
 
-    ``runs`` holds (site, repeat) pairs in step order: one read-only rank-4
-    complex128 copy per ``repeat`` >= 1 consecutive steps, which ``chain()``
+    ``runs`` holds (site, repeat) pairs in step order: one read-only, C-contiguous
+    rank-4 complex128 copy per ``repeat`` >= 1 consecutive steps, which ``chain()``
     expands to one element per step.  A first run of one site with input
     extent 1 is step 0 (``leading_site``), the exposed initial system leg.
     The first chain element holds the initial state and opens on a left
@@ -71,9 +71,11 @@ class PptMps:
     runs: tuple[tuple[np.ndarray, int], ...]
 
     def __post_init__(self):
-        runs = tuple((np.array(t, dtype=np.complex128), _checked_repeat(n)) for t, n in self.runs)
+        runs = tuple(
+            (np.array(t, dtype=np.complex128, order="C"), _checked_repeat(n)) for t, n in self.runs
+        )
         for t, _ in runs:  # read-only copies: no caller can change a site once it is measured
-            as_complex_array(t)  # rejects non-finite entries
+            as_complex_array(t)  # rejects non-finite entries; a C-contiguous copy is not copied
             t.flags.writeable = False
         _check_shapes(runs)
         object.__setattr__(self, "runs", runs)
@@ -130,7 +132,7 @@ class PptMps:
     def right_canonical_residual(self) -> float:
         """max_n || sum_{o,i} B B^dag - I ||_max over all chain elements but
         the first, evaluated once per run."""
-        return _max_residual(self._gram_residuals)
+        return float(np.max([r for r, _, _ in self._gram_residuals], initial=0.0))  # keeps a nan
 
     @cached_property  # measured once per object, on its own read-only sites
     def _gram_residuals(self) -> list[tuple[float, int, int]]:
@@ -170,11 +172,7 @@ class PptMps:
         """
         if self.dense_size() > DENSE_STATE_GUARD:
             raise CapacityError(f"dense statevector would hold {self.dense_size()} entries")
-        vec = np.ones((1, 1), dtype=np.complex128)
-        for t in self.chain():
-            vec = np.einsum("pa,aoib->poib", vec, t)
-            vec = vec.reshape(-1, t.shape[3])
-        return vec.reshape(-1)
+        return _contract_sites(self.chain()).reshape(-1)
 
     # -- serialization ----------------------------------------------------
 
@@ -325,10 +323,6 @@ def _gram_residual(t: np.ndarray) -> float:
     return float(np.abs(gram).max())
 
 
-def _max_residual(residuals) -> float:
-    return float(np.max([r for r, _, _ in residuals], initial=0.0))  # np.max keeps a nan
-
-
 def _after_first_step(runs) -> tuple:
     """The runs of steps 2..N, for a chain whose first step is replaced or skipped."""
     (t, n), *rest = runs
@@ -425,28 +419,28 @@ def check_isometry(model: OqeModel) -> float:
 
 
 def to_right_canonical(mps: PptMps) -> PptMps:
-    """Right-canonicalise by an SVD sweep from the last chain element.
-
-    Singular values below ``TRUNCATION_TOL`` (relative to the largest on
-    each bond) are dropped, so exactly-degenerate bonds shrink.  The state
-    is renormalised; a numerically zero norm raises.
-    """
+    """``mps`` itself where it is ``_ready_to_measure``, else its renormalised right-canonical
+    form by ``_split_step`` from the last chain element, which depends only on the state,
+    not on a unitary gauge of its inner bonds; a numerically zero norm raises."""
+    if _ready_to_measure(mps):
+        return mps
     chain = mps.chain()  # read-only sites, replaced, never written
     for k in range(len(chain) - 1, 0, -1):
-        t = chain[k]
-        l, do, di, r = t.shape
-        mat = t.reshape(l, do * di * r)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        keep = int(np.count_nonzero(s > TRUNCATION_TOL * (s[0] if s.size else 0.0)))
-        keep = max(keep, 1)
-        chain[k] = vh[:keep].reshape(keep, do, di, r)
-        carry = u[:, :keep] * s[:keep]
-        chain[k - 1] = np.einsum("aoib,bk->aoik", chain[k - 1], carry)
+        carry, rows = _split_step(chain[k].reshape(chain[k].shape[0], -1))
+        chain[k] = rows.reshape(len(rows), *chain[k].shape[1:])
+        chain[k - 1] = np.tensordot(chain[k - 1], carry, axes=1)
     nrm = float(np.linalg.norm(chain[0]))
     if nrm < 1e-12:
         raise DegenerateStateError("state has numerically zero norm")
     chain[0] = chain[0] / nrm
     return PptMps(runs=tuple((t, 1) for t in chain))
+
+
+def _ready_to_measure(mps: PptMps) -> bool:
+    """Whether ``mps`` measures right with a first element of squared norm within
+    ``CANONICAL_TOL`` of 1: its later elements contract to the identity, its norm is 1."""
+    head = mps.runs[0][0]
+    return mps.canonical == "right" and abs(np.vdot(head, head).real - 1.0) <= CANONICAL_TOL
 
 
 def memory_size(mps: PptMps) -> int:
@@ -456,21 +450,19 @@ def memory_size(mps: PptMps) -> int:
     reproduces the same process.  Schmidt values are counted above
     ``SCHMIDT_RANK_TOL``.
     """
-    work = mps if mps.canonical == "right" else to_right_canonical(mps)
     carry = np.ones((1, 1), dtype=np.complex128)
     best = 1
-    for t in work.chain():
-        block = np.einsum("pa,aoib->poib", carry, t)
-        mat = block.reshape(-1, t.shape[3])
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    for t in to_right_canonical(mps).chain():
+        block = np.tensordot(carry, t, axes=1).reshape(-1, t.shape[3])  # ((p, o, i), b)
+        _, s, vh = np.linalg.svd(block, full_matrices=False)
         best = max(best, int(np.count_nonzero(s > SCHMIDT_RANK_TOL)))
         carry = s[:, np.newaxis] * vh  # mixed-canonical carry onto the next bond
     return best
 
 
 def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
-    """Read a (time-dependent) evolution model back off an MPS, which is
-    right-canonicalised first unless it claims that form.
+    """Read a (time-dependent) evolution model back off an MPS, read as
+    ``to_right_canonical`` returns it.
 
     Each site is reshaped into M[(o, b), (i, a)] (``_site_matrix``);
     sqrt(d) * M is projected onto the closest isometry and completed to a
@@ -483,8 +475,7 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
     run share one unitary and one residual.  The recovered model matches
     the hidden one only up to an environment basis change.
     """
-    if mps.canonical != "right":
-        mps = to_right_canonical(mps)
+    mps = to_right_canonical(mps)
     d, lead = mps.d, mps.leading_site
     D_model = max(t.shape[3] for t, _ in mps.runs)
     unitaries: list[np.ndarray] = []
@@ -593,36 +584,49 @@ def gauge_fidelity(a: PptMps, b: PptMps) -> float:
     return float((np.sum(s) / (na * nb)) ** 2)
 
 
+def _contract_sites(sites) -> np.ndarray:
+    """Block (left bond, fused physical index, right bond) of consecutive sites:
+    the inverse of ``split_block``."""
+    block = sites[0]
+    for t in sites[1:]:
+        block = np.tensordot(block, t, axes=1)
+    return block.reshape(block.shape[0], -1, block.shape[-1])
+
+
 def split_block(block: np.ndarray, shapes, max_bond: int | None = None) -> list[np.ndarray]:
     """Split a block (left bond, fused physical index, right bond) into one
-    site tensor per physical shape (out, in) of ``shapes`` by SVDs from the
-    right.
+    site tensor per physical shape (out, in) of ``shapes`` by ``_split_step``
+    from the right, keeping at most ``max_bond`` values on each bond.
 
-    Every site but the first is a row block of an SVD's V^dag and hence
-    right-canonical; the first carries the singular values.  On each bond
-    the singular values above ``SPLIT_TOL`` times the largest are kept, at most
-    ``max_bond`` of them and at least one.  The gauge is pinned, so the
-    sites do not depend on the bases and phases LAPACK picks: where kept
-    values agree within ``CLUSTER_TOL`` of the largest, ``_cluster_rotation``
-    fixes the V^dag rows, and the largest-magnitude entry of each kept row
-    is made real and positive, the conjugate phase moved into U.
+    Every site but the first is a row block of a pinned V^dag and hence
+    right-canonical; the first carries the singular values.
     """
     left, _, bond = block.shape
     sites: list[np.ndarray] = [None] * len(shapes)
     work = block
     for n in range(len(shapes) - 1, 0, -1):
-        u, s, vh = np.linalg.svd(work.reshape(-1, np.prod(shapes[n]) * bond), full_matrices=False)
-        keep = max(int(np.count_nonzero(s > SPLIT_TOL * s[0])), 1)
-        if max_bond is not None:
-            keep = min(keep, max_bond)
-        carry, scale, vh = u[:, :keep], s[:keep], vh[:keep]
-        rot = _cluster_rotation(scale, vh.conj().T, CLUSTER_TOL * s[0])
-        if rot is not None:  # rotating U S, not U, keeps U S V^dag exact
-            carry, scale, vh = (carry * scale) @ rot, 1.0, rot.conj().T @ vh
-        peak = vh[np.arange(keep), np.argmax(np.abs(vh), axis=1)]  # nonzero: rows have unit norm
-        phase = peak / np.abs(peak)
-        sites[n] = (vh * phase.conj()[:, np.newaxis]).reshape(keep, *shapes[n], bond)
-        work = carry * (phase * scale)
-        bond = keep
+        work, rows = _split_step(work.reshape(-1, np.prod(shapes[n]) * bond), max_bond)
+        sites[n] = rows.reshape(len(rows), *shapes[n], bond)
+        bond = len(rows)
     sites[0] = work.reshape(left, *shapes[0], bond)
     return sites
+
+
+def _split_step(mat: np.ndarray, max_bond: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The one SVD split, ``mat`` = carry @ rows with orthonormal rows: the singular
+    values above ``SPLIT_TOL`` times the largest are kept, at most ``max_bond`` and
+    at least one, in a pinned gauge that does not depend on LAPACK's bases and
+    phases: ``_cluster_rotation`` fixes the V^dag rows where kept values agree
+    within ``CLUSTER_TOL`` of the largest, and each row's largest-magnitude entry
+    is made real and positive, the conjugate phase moved into the carry U S."""
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    keep = max(int(np.count_nonzero(s > SPLIT_TOL * s[0])), 1)
+    if max_bond is not None:
+        keep = min(keep, max_bond)
+    carry, scale, vh = u[:, :keep], s[:keep], vh[:keep]
+    rot = _cluster_rotation(scale, vh.conj().T, CLUSTER_TOL * s[0])
+    if rot is not None:  # rotating U S, not U, keeps U S V^dag exact
+        carry, scale, vh = (carry * scale) @ rot, 1.0, rot.conj().T @ vh
+    peak = vh[np.arange(keep), np.argmax(np.abs(vh), axis=1)]  # nonzero: rows have unit norm
+    phase = peak / np.abs(peak)
+    return carry * (phase * scale), vh * phase.conj()[:, np.newaxis]

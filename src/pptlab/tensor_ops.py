@@ -3,7 +3,7 @@
 All routines operate on plain ``numpy.ndarray`` objects in complex double
 precision and are pure functions of their inputs: input coercion, the one
 JSON text writer and the codec for complex arrays, objects and integer keys,
-the two transfer contractions every MPS sweep is built from, polar and
+the one transfer contraction of every MPS sweep and its mirror, polar and
 isometric projections by SVD, deterministic QR completion of orthonormal
 columns to a unitary, and a fixed basis inside near-degenerate eigenspaces.
 """
@@ -122,7 +122,11 @@ def json_int(doc: dict, key: str) -> int:
 def _is_integer(x) -> bool:
     """Whether ``x`` can name a step or site: a Python or numpy integer, but
     not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return _is_integer_type(type(x))
+
+
+def _is_integer_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and t is not bool  # the type of an _is_integer value
 
 
 def _is_real(x) -> bool:
@@ -156,10 +160,10 @@ def transfer_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndar
     """Mirror of ``transfer_left``: carry a right environment across one site pair.
 
     Returns E'[a, c] = sum conj(bra[a, o, i, b]) env[b, j] ket[c, o, i, j]
-    over b, j and the fused physical index (o, i).
+    over b, j and the fused physical index (o, i): ``transfer_left`` of the
+    sites with their bonds swapped.
     """
-    x = ket.reshape(-1, ket.shape[3]) @ env.T  # ((c, o, i), b)
-    return bra.reshape(bra.shape[0], -1).conj() @ x.reshape(ket.shape[0], -1).T
+    return transfer_left(env, bra.transpose(3, 1, 2, 0), ket.transpose(3, 1, 2, 0))
 
 
 def polar_unitary(m: np.ndarray) -> np.ndarray:

@@ -56,6 +56,7 @@ from .ppt import (
     CLUSTER_TOL,
     PROCESS_TENSOR_GUARD,
     PptMps,
+    _contract_sites,
     _left_envs,
     _site_matrix,
     absorb_initial_leg,
@@ -73,7 +74,6 @@ from .tensor_ops import (
     fill_unassigned_columns,
     json_text,
     polar_unitary,
-    transfer_right,
 )
 
 SUPPORT_TOL = 1e-10  # window eigenvalues counted as support by disentangle_reconstruct
@@ -222,14 +222,6 @@ class MeasurementOracle:
         if not np.max(np.abs(gate.conj().T @ gate - np.eye(dim))) <= 1e-10:
             raise ValidationError(f"gate at site {start} is not unitary")
         return int(start), gate
-
-
-def _contract_sites(sites) -> np.ndarray:
-    """Block (left bond, fused physical index, right bond) of consecutive sites."""
-    block = sites[0]
-    for t in sites[1:]:
-        block = np.tensordot(block, t, axes=1)
-    return block.reshape(block.shape[0], -1, block.shape[-1])
 
 
 def _gate_width(chain, start: int, dim: int) -> int:
@@ -471,11 +463,10 @@ def _ansatz_sites(u, d: int, D: int, n_steps: int) -> list[np.ndarray]:
 
 
 def _backward_envs(target_chain, ansatz_sites, of):
-    """Right environments: envs[n] contracts sites n.. of target and ansatz with ``of``."""
-    envs = [of]
-    for tn, an in zip(target_chain[::-1], ansatz_sites[::-1]):
-        envs.append(transfer_right(envs[-1], tn, an))
-    return envs[::-1]
+    """Right environments: envs[n] contracts sites n.. of target and ansatz with ``of``,
+    the left sweep (``_left_envs``) of the two chains mirrored, read back to front."""
+    bras, kets = ([t.transpose(3, 1, 2, 0) for t in c[::-1]] for c in (target_chain, ansatz_sites))
+    return list(_left_envs(of, bras, kets))[::-1]
 
 
 def _unitary_gradient(left, target_site, right):
@@ -522,8 +513,7 @@ def variational_fit(target: PptMps, seed=0) -> ReconstructionReport:
     """
     if target.leading_site is not None:
         raise ValidationError("fit the absorbed form (absorb_initial_leg) of an exposed leg")
-    if target.canonical != "right":
-        target = to_right_canonical(target)
+    target = to_right_canonical(target)
     d, D, n_steps = target.d, target.env_dim, target.n_steps
     rng = _as_rng(seed)
     u0, residuals = _warm_start(target, d, D)

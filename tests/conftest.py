@@ -12,7 +12,7 @@ import pytest
 from pptlab import MultiTimeObservable, OqeModel, PptMps, memory, ppt, tomography
 from pptlab.exceptions import ConvergenceError, DimensionError, ValidationError
 from pptlab.memory import DEGENERACY_GAP, initial_env_density, validate_env_density
-from pptlab.models import near_identity_unitary, random_hermitian
+from pptlab.models import near_identity_unitary, random_haar_unitary, random_hermitian
 from pptlab.ppt import site_tensor_from_unitary
 from pptlab.tensor_ops import encode_complex
 
@@ -95,6 +95,27 @@ def perturbed(mps: PptMps, scale: float, rng) -> PptMps:
         noise = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
         noisy.append((t + scale * noise, 1))
     return replace(mps, runs=tuple(noisy))
+
+
+def bond_gauged(mps: PptMps, gauges) -> PptMps:
+    """The same state with the invertible gauge G_k on the bond after chain
+    element k: that element times G_k, the next one G_k^-1 times it.  Each
+    chain element becomes a run of its own."""
+    chain = mps.chain()
+    for k, g in enumerate(gauges):
+        chain[k] = np.einsum("aoib,bc->aoic", chain[k], g)
+        chain[k + 1] = np.einsum("ca,aoib->coib", np.linalg.inv(g), chain[k + 1])
+    return PptMps(runs=tuple((t, 1) for t in chain))
+
+
+def random_bond_gauges(mps: PptMps, rng, unitary: bool = False) -> list:
+    """One gauge per inner bond of ``mps``: a Haar unitary Q, or Q diag(s) with
+    singular values s uniform in [0.5, 2], invertible and (almost surely) not unitary."""
+    gauges = []
+    for t in mps.chain()[:-1]:
+        q = random_haar_unitary(t.shape[3], rng)
+        gauges.append(q if unitary else q * rng.uniform(0.5, 2.0, t.shape[3]))
+    return gauges
 
 
 def dense_transfer_matrix(site) -> np.ndarray:

@@ -13,6 +13,7 @@ from pptlab import (
     ValidationError,
     build_ppt,
     check_isometry,
+    disentangle_reconstruct,
     evolve_env,
     expectation,
     expectations,
@@ -35,10 +36,12 @@ from pptlab.memory import initial_env_density
 from pptlab.ppt import split_block
 
 from conftest import (
+    bond_gauged,
     dense_ppt_vector,
     embed_environment,
     negated_zeros,
     perturbed,
+    random_bond_gauges,
     random_env_isometry,
     random_observable,
     schmidt_spectra_dense,
@@ -211,6 +214,18 @@ class TestConstruction:
         mps = PptMps(runs=((first, 1), (site, np.int64(3))))
         assert type(mps.runs[1][1]) is int and mps.n_steps == 4
 
+    def test_produced_sites_are_c_contiguous_and_read_only(self, rng):
+        fitted = variational_fit(build_ppt(random_separable_model(2, 2, rng), 3))
+        oracle = MeasurementOracle(random_separable_model(2, 2, rng), 5)
+        outputs = [  # at D = 16, site_tensor_from_unitary returns strided views of the unitary
+            build_ppt(random_separable_model(2, 16, rng), 4),
+            build_ppt(random_entangled_model(2, 2, rng), 4, expose_initial_leg=True),
+            fitted.recovered_mps,
+            disentangle_reconstruct(oracle, 5, 2).recovered_mps,
+        ]
+        for mps in outputs:
+            assert all(t.flags.c_contiguous and not t.flags.writeable for t, _ in mps.runs)
+
     def test_a_non_finite_site_is_rejected(self):
         (first, _), (site, _) = build_ppt(random_separable_model(2, 2, 0), 3).runs
         site = np.array(site)
@@ -311,19 +326,26 @@ class TestLeftSweep:
 
     def test_one_fit_evaluation_walks_the_chain(self, rng, steps, monkeypatch):
         # each evaluation ends in one _optimal_final_unitary call; the fit
-        # takes the target's norm first, and the backward sweep counts none.
+        # takes the target's norm first, and each gradient's backward sweep,
+        # the left sweep of the mirrored chains, walks steps N to 2.
         # One shared unitary cannot fit a time-dependent target at once.
         N = 5
-        seen = []
-        solve = tomography._optimal_final_unitary
+        seen, grads = [], [0]
+        solve, take_grad = tomography._optimal_final_unitary, tomography._backward_grad
 
         def counting(lmat):
-            seen.append(steps[0])
+            seen.append(steps[0] - (N - 1) * grads[0])  # less the backward sweeps
             return solve(lmat)
 
+        def gradient(*args):
+            grads[0] += 1
+            return take_grad(*args)
+
         monkeypatch.setattr(tomography, "_optimal_final_unitary", counting)
+        monkeypatch.setattr(tomography, "_backward_grad", gradient)
         variational_fit(build_ppt(random_separable_model(2, 2, rng, steps=N), N))
         assert len(seen) > 1 and seen == [N * (k + 2) for k in range(len(seen))]
+        assert 1 <= grads[0] < len(seen)
 
 
 class TestSplitBlock:
@@ -416,6 +438,29 @@ class TestRightCanonical:
         runs = ((np.zeros((1, 2, 2, 1), dtype=np.complex128), 1),)
         with pytest.raises(DegenerateStateError):
             to_right_canonical(PptMps(runs=runs))
+
+    @pytest.mark.parametrize("kind", ["separable", "entangled", "exposed"])
+    def test_a_ppt_ready_to_measure_is_returned_as_it_is(self, rng, kind):
+        model = (random_separable_model if kind == "separable" else random_entangled_model)(2, 2, rng)
+        mps = build_ppt(model, 4, expose_initial_leg=kind == "exposed")
+        assert to_right_canonical(mps) is mps
+        # right-canonical sites after a first element of squared norm 4
+        (first, n), *rest = mps.runs
+        scaled = PptMps(runs=((2.0 * first, n), *rest))
+        assert scaled.canonical == "right"
+        canon = to_right_canonical(scaled)
+        assert canon is not scaled and abs(canon.norm() - 1.0) < 1e-12
+        assert abs(abs(overlap(canon, mps)) - 1.0) < 1e-12
+
+    def test_unitary_bond_gauges_canonicalise_alike(self, rng):
+        mps = self.random_mps(rng, 2, 4, 3)
+        assert mps.canonical == "none"
+        a, b = (
+            to_right_canonical(bond_gauged(mps, random_bond_gauges(mps, rng, unitary=True)))
+            for _ in range(2)
+        )
+        for x, y in zip(a.chain(), b.chain(), strict=True):
+            assert x.shape == y.shape and np.max(np.abs(x - y)) < 1e-12
 
 
 class TestMemorySize:

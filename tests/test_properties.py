@@ -16,7 +16,9 @@ against the f-string form, and the stationary solve
 whole effective environment.  Construction is fuzzed over (site, repeat)
 lists of sites of rank 1..5.  ``PptMps.validate``'s certified norm check
 decides like the dense norm on short chains and like the sweep on repeated
-runs of up to 10^4 steps.
+runs of up to 10^4 steps.  Expectations match the dense oracle on the PPT as
+built, with its first element scaled and with invertible bond gauges, and
+``transfer_right`` matches its own two-product formula.
 """
 
 import contextlib
@@ -69,6 +71,7 @@ from pptlab.ppt import CANONICAL_TOL, DENSE_STATE_GUARD, overlap_matrix
 from pptlab.tensor_ops import decode_complex, encode_complex, transfer_left, transfer_right
 
 from conftest import (
+    bond_gauged,
     dense_left_matrix,
     dense_norm,
     dense_reduced_density,
@@ -78,6 +81,7 @@ from conftest import (
     negated_zeros,
     pair_leaf,
     pauli_sampled_estimate_loop,
+    random_bond_gauges,
     random_observable,
     random_right_canonical_site,
     step_sites,
@@ -120,6 +124,30 @@ def test_expectation_matches_dense_oracle(spec, expose):
     obs = random_observable(rng, spec["d"], spec["N"], n_insertions)
     mps = build_ppt(model, spec["N"], expose_initial_leg=expose)
     assert abs(expectation(mps, obs) - dense_expectation(model, spec["N"], obs)) < 1e-10
+
+
+@CASES
+@given(spec=model_specs, expose=st.booleans(), c=st.floats(0.5, 2.0), K=st.integers(1, 3))
+def test_expectations_match_dense_oracle_in_any_gauge(spec, expose, c, K):
+    """The PPT as built, with its first element scaled by c (right-canonical
+    sites, norm c) and with invertible bond gauges (measures "none") all give
+    the dense oracle's values: only a PPT ready to measure is read after its
+    last insertion, any other is divided by its squared norm."""
+    model = make_model(spec)
+    rng = np.random.default_rng(spec["seed"])
+    obs_list = [
+        random_observable(rng, spec["d"], spec["N"], int(rng.integers(0, min(3, spec["N"]) + 1)))
+        for _ in range(K)
+    ]
+    want = np.array([dense_expectation(model, spec["N"], obs) for obs in obs_list])
+    built = build_ppt(model, spec["N"], expose_initial_leg=expose)
+    (first, n), *rest = built.runs
+    scaled = PptMps(runs=((c * first, n), *rest))
+    gauged = bond_gauged(built, random_bond_gauges(built, rng))
+    assert scaled.canonical == "right"
+    assert gauged.canonical == ("none" if len(built.chain()) > 1 else "right")
+    for mps in (built, scaled, gauged):
+        assert np.max(np.abs(expectations(mps, obs_list) - want)) < 1e-10
 
 
 @CASES
@@ -212,6 +240,34 @@ def test_transfer_actions_match_dense_matrices(d, left, right, seed):
     got_r = transfer_right(rho_r.T, site, site).T
     assert np.max(np.abs(got_l - vec_l.reshape(right, right, order="F"))) < 1e-12
     assert np.max(np.abs(got_r - vec_r.reshape(left, left, order="F"))) < 1e-12
+
+
+def two_product_transfer_right(env, bra, ket):
+    """``transfer_right`` as two matrix products of its own, the formula the
+    mirrored ``transfer_left`` call must match."""
+    x = ket.reshape(-1, ket.shape[3]) @ env.T  # ((c, o, i), b)
+    return bra.reshape(bra.shape[0], -1).conj() @ x.reshape(ket.shape[0], -1).T
+
+
+@CASES
+@given(
+    d=st.sampled_from([2, 3]),
+    bonds=st.tuples(*[st.integers(1, 5)] * 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transfer_right_is_the_two_product_formula(d, bonds, seed):
+    # bra (a, o, i, b) and ket (c, o, i, j) may differ in both bonds
+    a, b, c, j = bonds
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    env, bra, ket = gaussian(b, j), gaussian(a, d, d, b), gaussian(c, d, d, j)
+    got = transfer_right(env, bra, ket)
+    want = two_product_transfer_right(env, bra, ket)
+    # within 1e-14 of the largest entry: the two sum the same products in other orders
+    assert got.shape == (a, c) and np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
 
 
 def given_layout_left_matrix(sites):

@@ -11,14 +11,19 @@ checkout's ``tools/`` and run it there.
 
 Every run goes in-process through ``pptlab.cli.run`` with stdout captured.
 The files that ``correlate`` and ``predict`` read (the two ``build`` outputs,
-a two-insertion observable and the two ``fit`` reports) are written to a
-temporary directory; the printed argv names them by file name only, so the
-lines do not depend on where that directory is.  A run that exits non-zero
-gets ``[exit N]`` appended.  Per seed there are 21 runs:
+a gauge-twisted copy of the second, a two-insertion observable and the two
+``fit`` reports) are written to a temporary directory; the printed argv names
+them by file name only, so the lines do not depend on where that directory
+is.  A run that exits non-zero gets ``[exit N]`` appended.  Per seed there
+are 22 runs:
 
 * ``build --D 16 --N 50`` and ``build --D 2 --N 5 --entangled``;
 * ``correlate`` on both files, without and with an observable of
   insertions at steps 1 and 3;
+* ``correlate`` with that observable on the ``--entangled`` output with a
+  fixed invertible gauge on every inner bond (``twisted``): the same state,
+  whose sites are not right-canonical, so it is swept to its end and divided
+  by its squared norm;
 * ``tomograph --D 2 --N 9``, ``--D 2 --N 6 --entangled`` and
   ``--D 2 --N 6 --shots 10000``;
 * ``fit --D 2 --N 6`` and ``--D 4 --N 6``, each followed by
@@ -44,6 +49,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -52,12 +58,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from pptlab import MultiTimeObservable, cli  # noqa: E402
+from pptlab import MultiTimeObservable, PptMps, cli  # noqa: E402
 
 _Z = np.diag([1.0, -1.0])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # Z on the out leg and Z on the in leg at step 1, X on the out leg at step 3
 OBSERVABLE = MultiTimeObservable(((1, np.kron(_Z, _Z)), (3, np.kron(_X, np.eye(2)))))
+
+
+def twisted(mps: PptMps) -> PptMps:
+    """``mps`` with the gauge G = I + (strict upper triangle of 0.5s) on every
+    inner bond: chain element k times G, element k + 1 times G^-1 from the left."""
+    chain = mps.chain()
+    for k in range(len(chain) - 1):
+        n = chain[k].shape[3]
+        g = np.eye(n) + 0.5 * np.triu(np.ones((n, n)), 1)
+        chain[k] = chain[k] @ g
+        chain[k + 1] = np.einsum("ca,aoib->coib", np.linalg.inv(g), chain[k + 1])
+    return PptMps(runs=tuple((t, 1) for t in chain))
 
 
 def _run(argv: list[str], workdir: Path) -> tuple[str, str]:
@@ -72,7 +90,7 @@ def _run(argv: list[str], workdir: Path) -> tuple[str, str]:
 
 
 def digests(seed: int, workdir: Path) -> list[str]:
-    """The 21 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
+    """The 22 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
     lines = []
 
     def run(*args: str, keep: str | None = None) -> None:
@@ -89,6 +107,10 @@ def digests(seed: int, workdir: Path) -> list[str]:
     for name in (f"build-D16-{s}.json", f"build-ent-{s}.json"):
         run("correlate", "--ppt", str(workdir / name))
         run("correlate", "--ppt", str(workdir / name), "--observable", str(observable))
+    ent = PptMps.from_json_dict(json.loads((workdir / f"build-ent-{s}.json").read_text())["ppt"])
+    twist = workdir / f"twisted-ent-{s}.json"
+    twist.write_text(twisted(ent).to_json(), encoding="ascii")
+    run("correlate", "--ppt", str(twist), "--observable", str(observable))
     run("tomograph", "--D", "2", "--N", "9", "--seed", s)
     run("tomograph", "--D", "2", "--N", "6", "--entangled", "--seed", s)
     run("tomograph", "--D", "2", "--N", "6", "--shots", "10000", "--seed", s)
