@@ -185,8 +185,8 @@ def _cmd_reconstruct_entangled(args) -> int:
 def _random_observable(rng, d, n_steps):
     """Random Hermitian insertions at min(2, n_steps) distinct steps."""
     steps = sorted(rng.choice(np.arange(1, n_steps + 1), size=min(2, n_steps), replace=False))
-    ops = [(int(step), models.random_hermitian(d * d, rng)) for step in steps]
-    return correlations.MultiTimeObservable(ops)
+    hermitians = models._hermitians(d * d, rng, (len(steps),))  # random_hermitian's draws, stacked
+    return correlations.MultiTimeObservable([(int(n), h) for n, h in zip(steps, hermitians)])
 
 
 # -- argument plumbing --------------------------------------------------------

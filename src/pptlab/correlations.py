@@ -8,13 +8,15 @@ evaluates many observables in one sweep: it carries a stack of
 environments, one per observable, through ``tensor_ops.transfer_left``'s
 batch axis, and inserts at each step the stack of their operators, the
 identity for an observable with no insertion there; ``expectation`` sweeps
-a stack of one by the same code.  On an MPS ready to measure (right-canonical
-with a unit first element, as ``ppt.to_right_canonical`` returns it) a value
-is read after its last insertion (the remaining sites contract to the
-identity); any other MPS is swept to its end and divided by its squared norm,
-which one more row of the stack, with no insertions, carries in the same
-sweep.  The dense route replays the generating circuit on a full statevector
-and shares no contraction code with the MPS route.
+a stack of one by the same code.  On an MPS that measures right-canonical a
+value is read after its last insertion (the remaining sites contract to the
+identity): as it is where the first element has unit norm (as
+``ppt.to_right_canonical`` returns it), else divided by that element's
+squared norm where the residual bound certifies it as the state's.  Any
+other MPS is swept to its end and divided by its squared norm, which one
+more row of the stack, with no insertions, carries in the same sweep.  The
+dense route replays the generating circuit on a full statevector and
+shares no contraction code with the MPS route.
 """
 
 from __future__ import annotations
@@ -141,11 +143,17 @@ def expectations(mps: PptMps, observables) -> np.ndarray:
     stack of their operators, with the identity for the others, all of them
     written into one array.  Observable k's value is the trace of its
     environment after its last insertion on an MPS ``_ready_to_measure``, whose
-    norm is 1 and whose later steps contract to the identity, else after the
-    whole chain divided by the squared norm, the trace of one more row with no
-    insertions (products with the identity are exact, so it equals
-    ``overlap``'s value).  Each value is bit for bit the one a sweep of that
-    observable alone gives.  An empty sequence gives an empty array.
+    norm is 1 and whose later steps contract to the identity.  On an MPS that
+    measures right with a first element of squared norm h off 1, it is that
+    trace, read after the first element at the earliest, divided by h, where
+    the bound of ``PptMps._norm_certified`` (the squared norm within h (1 +- g),
+    g from the Gram residuals) puts norm^2 / h within (1 +- ``CANONICAL_TOL``)^2
+    (``PptMps._certified_head_norm2``).
+    Otherwise it is the trace after the whole chain divided by the squared
+    norm, the trace of one more row with no insertions (products with the
+    identity are exact, so it equals ``overlap``'s value).  Each value is bit
+    for bit the one a sweep of that observable alone gives.  An empty
+    sequence gives an empty array.
     """
     observables = list(observables)
     for obs in observables:
@@ -154,8 +162,12 @@ def expectations(mps: PptMps, observables) -> np.ndarray:
     if not n:
         return np.empty(0, dtype=np.complex128)
     lead = int(mps.leading_site is not None)  # an exposed initial leg is step 0
-    right = _ready_to_measure(mps)
+    ready = _ready_to_measure(mps)
+    head2 = None if ready else mps._certified_head_norm2()
+    right = ready or head2 is not None  # read each value after its last insertion
     ends = [lead + obs.last_step for obs in observables]  # sweep position of each read
+    if head2 is not None:  # a read divided by the first element's squared norm follows it
+        ends = [max(end, 1) for end in ends]
     chain = mps.chain(max(ends) if right else None)
     if not right:  # one more row, with no insertions, sweeps the squared norm alongside
         observables.append(MultiTimeObservable(()))
@@ -177,9 +189,9 @@ def expectations(mps: PptMps, observables) -> np.ndarray:
             pass
         at = ends[k]
         values[k] = np.trace(env[k])
-    if right:
+    if ready:
         return values
-    norm2 = values[n].real
+    norm2 = values[n].real if head2 is None else head2
     if norm2 < 1e-24:
         raise DegenerateStateError("state has numerically zero norm")
     return values[:n] / norm2

@@ -18,6 +18,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .tensor_ops import (
+    _STACK_CHUNK,
     _decode_entries,
     _is_integer,
     _is_real,
@@ -52,7 +53,7 @@ class SchmidtForm:
         D = self.env_basis.shape[0]
         out = np.zeros(d * D, dtype=np.complex128)
         for s, lam in enumerate(self.lambdas):
-            out += lam * np.kron(self.sys_basis[:, s], self.env_basis[:, s])
+            out += lam * np.multiply.outer(self.sys_basis[:, s], self.env_basis[:, s]).reshape(-1)
         return out
 
 
@@ -66,7 +67,10 @@ class OqeModel:
     read-only complex128 copies of the arrays (one per distinct unitary
     object, shared where the input repeats it), decomposes the initial state
     once (its Schmidt arrays are kept read-only) and derives ``entangled``
-    (Schmidt rank > 1), so every instance is valid and self-consistent.
+    (Schmidt rank > 1), so every instance is valid and self-consistent.  The
+    distinct unitaries are checked by one stacked product U^dag U per 64; an error
+    names the first unitary, in step order, whose copy, shape or unitarity
+    fails.
     """
 
     d: int
@@ -85,17 +89,23 @@ class OqeModel:
         given = tuple(self.unitaries)  # holds every object, so no id is reused
         if not given:
             raise ValidationError("model stores no unitaries")
-        copies: dict[int, np.ndarray] = {}  # one checked read-only copy per distinct object
+        copies: dict[int, np.ndarray] = {}  # one read-only copy per distinct object
+        steps: list[int] = []  # the first step of each, in order
         for n, u in enumerate(given):
             if id(u) in copies:
                 continue
-            copies[id(u)] = u = _read_only(u, ndim=2)
-            if u.shape != (dim, dim):
-                raise ValidationError(f"unitary {n} has shape {u.shape}, expected {(dim, dim)}")
-            with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf/nan
-                dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-            if not dev <= UNITARITY_TOL:
-                raise ValidationError(f"unitary {n} deviates from unitarity by {dev:.3e}")
+            try:
+                copy = _read_only(u, ndim=2)
+                if copy.shape != (dim, dim):
+                    raise ValidationError(
+                        f"unitary {n} has shape {copy.shape}, expected {(dim, dim)}"
+                    )
+            except Exception:  # an earlier unitary's deviation is named first
+                _check_unitarity(list(copies.values()), steps)
+                raise
+            copies[id(u)] = copy
+            steps.append(n)
+        _check_unitarity(list(copies.values()), steps)
         store("unitaries", tuple(copies[id(u)] for u in given))
         store("initial_state", _read_only(self.initial_state).reshape(-1))
         if self.initial_state.shape != (dim,):
@@ -175,6 +185,22 @@ class OqeModel:
     @staticmethod
     def from_json(text: str) -> "OqeModel":
         return OqeModel.from_json_dict(json.loads(text))
+
+
+def _check_unitarity(us: list[np.ndarray], steps: list[int]) -> None:
+    """Raise ``ValidationError`` naming ``steps[k]`` for the first of the square
+    matrices ``us`` whose max |U^dag U - I| entry exceeds ``UNITARITY_TOL``;
+    one stacked product per ``_STACK_CHUNK`` of them, each slice the 2-D
+    product's bytes."""
+    for a in range(0, len(us), _STACK_CHUNK):
+        chunk = us[a : a + _STACK_CHUNK]
+        stack = np.stack(chunk) if len(chunk) > 1 else chunk[0][np.newaxis]
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf/nan
+            gram = stack.conj().swapaxes(1, 2) @ stack
+            dev = np.abs(gram - np.eye(stack.shape[1])).max(axis=(1, 2))
+        for step, dv in zip(steps[a:], dev.tolist()):
+            if not dv <= UNITARITY_TOL:  # a NaN deviation fails as well
+                raise ValidationError(f"unitary {step} deviates from unitarity by {dv:.3e}")
 
 
 # -- random ensembles ----------------------------------------------------
@@ -398,7 +424,7 @@ def random_separable_model(d: int, D: int, seed, steps: int = 1) -> OqeModel:
     _check_count(steps, "steps")
     rng = _as_rng(seed)
     us = [random_haar_unitary(d * D, rng) for _ in range(steps)]
-    psi = np.kron(random_haar_state(d, rng), random_haar_state(D, rng))
+    psi = np.multiply.outer(random_haar_state(d, rng), random_haar_state(D, rng)).reshape(-1)
     return OqeModel(d, D, us, psi)
 
 

@@ -33,7 +33,9 @@ from .exceptions import (
 )
 from .models import OqeModel
 from .tensor_ops import (
+    _STACK_CHUNK,
     _cluster_rotation,
+    _clusters,
     _is_integer,
     as_complex_array,
     _decode_entries,
@@ -153,12 +155,32 @@ class PptMps:
         h = ||chain[0]||_F^2.  False means only that this bound is too loose
         to decide; the ``norm`` sweep then does.
         """
+        return _certifies(self._head_norm2, self._head_norm2 * self._gram_bound)
+
+    def _certified_head_norm2(self) -> float | None:
+        """h = ||chain[0]||_F^2 where the chain measures right and the bound of
+        ``_norm_certified``, norm^2 within h (1 +- g), puts norm^2 / h within
+        [(1 - ``CANONICAL_TOL``)^2, (1 + ``CANONICAL_TOL``)^2]; else None."""
+        if self.canonical == "right" and _certifies(1.0, self._gram_bound):
+            return self._head_norm2
+        return None
+
+    @property
+    def _head_norm2(self) -> float:
         head = self.runs[0][0]
-        h = float(np.vdot(head, head).real)
-        bound = h * math.expm1(sum(n * math.log1p(l * r) for r, l, n in self._gram_residuals))
-        return (1.0 - CANONICAL_TOL) ** 2 <= h - bound and h + bound <= (1.0 + CANONICAL_TOL) ** 2
+        return float(np.vdot(head, head).real)
+
+    @cached_property
+    def _gram_bound(self) -> float:
+        """g = prod_k (1 + delta_k) - 1 of ``_norm_certified``, over the ``_gram_residuals``."""
+        return math.expm1(sum(n * math.log1p(l * r) for r, l, n in self._gram_residuals))
 
     def norm(self) -> float:
+        """The state norm, swept once per object (its sites are read-only)."""
+        return self._swept_norm
+
+    @cached_property
+    def _swept_norm(self) -> float:
         return float(np.sqrt(np.real(overlap(self, self))))
 
     def dense_size(self) -> int:
@@ -323,6 +345,11 @@ def _gram_residual(t: np.ndarray) -> float:
     return float(np.abs(gram).max())
 
 
+def _certifies(h: float, bound: float) -> bool:
+    """Whether every squared norm within ``bound`` of ``h`` is within ``CANONICAL_TOL`` of 1."""
+    return (1.0 - CANONICAL_TOL) ** 2 <= h - bound and h + bound <= (1.0 + CANONICAL_TOL) ** 2
+
+
 def _after_first_step(runs) -> tuple:
     """The runs of steps 2..N, for a chain whose first step is replaced or skipped."""
     (t, n), *rest = runs
@@ -419,12 +446,17 @@ def check_isometry(model: OqeModel) -> float:
 
 
 def to_right_canonical(mps: PptMps) -> PptMps:
-    """``mps`` itself where it is ``_ready_to_measure``, else its renormalised right-canonical
-    form by ``_split_step`` from the last chain element, which depends only on the state,
-    not on a unitary gauge of its inner bonds; a numerically zero norm raises."""
+    """``mps`` itself where it is ``_ready_to_measure``; where it measures right with a
+    first element off unit norm, its runs with that element divided by its norm, in the
+    gauge it came in; else its renormalised right-canonical form by ``_split_step`` from
+    the last chain element, which depends only on the state, not on a unitary gauge of
+    its inner bonds.  A numerically zero norm raises."""
     if _ready_to_measure(mps):
         return mps
-    chain = mps.chain()  # read-only sites, replaced, never written
+    if mps.canonical == "right":  # the later sites already contract to the identity
+        chain, kept = [mps.runs[0][0]], _after_first_step(mps.runs)
+    else:
+        chain, kept = mps.chain(), ()  # read-only sites, replaced, never written
     for k in range(len(chain) - 1, 0, -1):
         carry, rows = _split_step(chain[k].reshape(chain[k].shape[0], -1))
         chain[k] = rows.reshape(len(rows), *chain[k].shape[1:])
@@ -433,14 +465,13 @@ def to_right_canonical(mps: PptMps) -> PptMps:
     if nrm < 1e-12:
         raise DegenerateStateError("state has numerically zero norm")
     chain[0] = chain[0] / nrm
-    return PptMps(runs=tuple((t, 1) for t in chain))
+    return PptMps(runs=(*((t, 1) for t in chain), *kept))
 
 
 def _ready_to_measure(mps: PptMps) -> bool:
     """Whether ``mps`` measures right with a first element of squared norm within
     ``CANONICAL_TOL`` of 1: its later elements contract to the identity, its norm is 1."""
-    head = mps.runs[0][0]
-    return mps.canonical == "right" and abs(np.vdot(head, head).real - 1.0) <= CANONICAL_TOL
+    return mps.canonical == "right" and abs(mps._head_norm2 - 1.0) <= CANONICAL_TOL
 
 
 def memory_size(mps: PptMps) -> int:
@@ -472,34 +503,63 @@ def mps_to_oqe(mps: PptMps) -> tuple[OqeModel, list[float]]:
     state, whose environment components r_0 and up are zero.  Returns the
     model together with the per-site projection residuals
     ||sqrt(d) M - isometry||_F.  Each run is read once, so the steps of a
-    run share one unitary and one residual.  The recovered model matches
-    the hidden one only up to an environment basis change.
+    run share one unitary and one residual, and the runs of one site shape
+    by one stacked SVD per 64 runs (each slice is the 2-D call's bytes).  A run whose
+    left bond exceeds its right or whose matrix is rank deficient raises
+    ``ConversionError`` naming the first such step.  The recovered model
+    matches the hidden one only up to an environment basis change.
     """
     mps = to_right_canonical(mps)
+    unitaries, residuals = _read_unitaries(mps)
     d, lead = mps.d, mps.leading_site
-    D_model = max(t.shape[3] for t, _ in mps.runs)
-    unitaries: list[np.ndarray] = []
-    residuals: list[float] = []
-    for t, repeat in mps.runs[lead is not None :]:
-        n = len(unitaries) + 1  # the run's first step
-        l, _, _, r = t.shape
-        if l > r:
-            raise ConversionError(f"site {n}: left bond {l} exceeds right bond {r}", site=n)
-        w = np.sqrt(d) * _site_matrix(t)
-        u, s, vh = np.linalg.svd(w, full_matrices=False)
-        if s[-1] < 1e-8:
-            raise ConversionError(
-                f"site {n}: reshaped site matrix is rank deficient (s_min={s[-1]:.2e})", site=n
-            )
-        iso = u @ vh  # the closest isometry
-        unitaries += [_embed_and_complete(iso, d, l, r, D_model)] * repeat
-        residuals += [float(np.linalg.norm(w - iso))] * repeat
+    D_model = unitaries[0].shape[0] // d
     psi = np.zeros((d, D_model), dtype=np.complex128)
     if lead is None:
         psi[0, 0] = 1.0
     else:
         psi[:, : lead.shape[3]] = lead.reshape(d, -1)
     return OqeModel(d, D_model, unitaries, psi.reshape(-1)), residuals
+
+
+def _read_unitaries(mps: PptMps) -> tuple[list[np.ndarray], list[float]]:
+    """The step unitaries, on an environment of size max(bond dims), and the residuals of
+    ``mps_to_oqe`` of a PPT ``_ready_to_measure``, without a model to check them."""
+    d, runs = mps.d, mps.runs[mps.leading_site is not None :]
+    D_model = max(t.shape[3] for t, _ in mps.runs)
+    unitaries: list[np.ndarray] = []
+    residuals: list[float] = []
+    for a in range(0, len(runs), _STACK_CHUNK):
+        chunk = runs[a : a + _STACK_CHUNK]
+        for (t, repeat), read in zip(chunk, _stacked_svds(chunk, d)):
+            n = len(unitaries) + 1  # the run's first step
+            l, _, _, r = t.shape
+            if l > r:
+                raise ConversionError(f"site {n}: left bond {l} exceeds right bond {r}", site=n)
+            w, u, s, vh = read
+            if s[-1] < 1e-8:
+                raise ConversionError(
+                    f"site {n}: reshaped site matrix is rank deficient (s_min={s[-1]:.2e})", site=n
+                )
+            iso = u @ vh  # the closest isometry
+            unitaries += [_embed_and_complete(iso, d, l, r, D_model)] * repeat
+            residuals += [float(np.linalg.norm(w - iso))] * repeat
+    return unitaries, residuals
+
+
+def _stacked_svds(runs, d: int) -> list:
+    """(w, u, s, vh) of each run's matrix w = sqrt(d) ``_site_matrix``, by one stacked
+    SVD per site shape (each slice the 2-D call's bytes); None for a run whose left
+    bond exceeds its right."""
+    by_shape: dict[tuple, list[int]] = {}  # site shape -> its runs, in step order
+    for k, (t, _) in enumerate(runs):
+        if t.shape[0] <= t.shape[3]:
+            by_shape.setdefault(t.shape, []).append(k)
+    reads: list = [None] * len(runs)
+    for ks in by_shape.values():
+        w = np.sqrt(d) * np.stack([_site_matrix(runs[k][0]) for k in ks])
+        for k, read in zip(ks, zip(w, *np.linalg.svd(w, full_matrices=False))):
+            reads[k] = read
+    return reads
 
 
 def _embed_and_complete(iso: np.ndarray, d: int, l: int, r: int, D: int) -> np.ndarray:
@@ -588,9 +648,9 @@ def _contract_sites(sites) -> np.ndarray:
     """Block (left bond, fused physical index, right bond) of consecutive sites:
     the inverse of ``split_block``."""
     block = sites[0]
-    for t in sites[1:]:
-        block = np.tensordot(block, t, axes=1)
-    return block.reshape(block.shape[0], -1, block.shape[-1])
+    for t in sites[1:]:  # the 2-D product np.tensordot(block, t, axes=1) makes
+        block = block.reshape(-1, t.shape[0]) @ t.reshape(t.shape[0], -1)
+    return block.reshape(sites[0].shape[0], -1, sites[-1].shape[3])
 
 
 def split_block(block: np.ndarray, shapes, max_bond: int | None = None) -> list[np.ndarray]:
@@ -605,7 +665,8 @@ def split_block(block: np.ndarray, shapes, max_bond: int | None = None) -> list[
     sites: list[np.ndarray] = [None] * len(shapes)
     work = block
     for n in range(len(shapes) - 1, 0, -1):
-        work, rows = _split_step(work.reshape(-1, np.prod(shapes[n]) * bond), max_bond)
+        out, inn = shapes[n]
+        work, rows = _split_step(work.reshape(-1, out * inn * bond), max_bond)
         sites[n] = rows.reshape(len(rows), *shapes[n], bond)
         bond = len(rows)
     sites[0] = work.reshape(left, *shapes[0], bond)
@@ -624,8 +685,9 @@ def _split_step(mat: np.ndarray, max_bond: int | None = None) -> tuple[np.ndarra
     if max_bond is not None:
         keep = min(keep, max_bond)
     carry, scale, vh = u[:, :keep], s[:keep], vh[:keep]
-    rot = _cluster_rotation(scale, vh.conj().T, CLUSTER_TOL * s[0])
-    if rot is not None:  # rotating U S, not U, keeps U S V^dag exact
+    clusters = _clusters(scale, CLUSTER_TOL * s[0])
+    if clusters:  # rotating U S, not U, keeps U S V^dag exact
+        rot = _cluster_rotation(clusters, vh.conj().T)
         carry, scale, vh = (carry * scale) @ rot, 1.0, rot.conj().T @ vh
     peak = vh[np.arange(keep), np.argmax(np.abs(vh), axis=1)]  # nonzero: rows have unit norm
     phase = peak / np.abs(peak)

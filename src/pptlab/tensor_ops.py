@@ -19,6 +19,10 @@ import numpy as np
 
 from .exceptions import DimensionError, SingularityError, ValidationError
 
+# matrices per stacked LAPACK or matmul call: bounds the extra memory of a
+# stack, not its bytes (each slice of a stacked call is the 2-D call's bytes)
+_STACK_CHUNK = 64
+
 
 def as_complex_array(data, ndim: int | None = None) -> np.ndarray:
     """Coerce to a C-contiguous complex128 array, optionally checking rank."""
@@ -202,23 +206,28 @@ def fill_unassigned_columns(full: np.ndarray, assigned: np.ndarray) -> np.ndarra
     full = np.array(full, dtype=np.complex128)
     k = int(np.count_nonzero(assigned))
     if k < full.shape[1]:
-        q = np.linalg.qr(np.hstack([full[:, assigned], np.eye(full.shape[0])]))[0]
+        q = np.linalg.qr(np.concatenate((full[:, assigned], np.eye(full.shape[0])), axis=1))[0]
         full[:, ~assigned] = q[:, k:]
     return full
 
 
-def _cluster_rotation(values: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray | None:
-    """Block-diagonal unitary W that fixes the basis ``vecs @ W``, up to column
-    phases, inside each run of consecutive sorted ``values`` closer than
-    ``tol``: it diagonalises one fixed generic Hermitian compressed to the
-    run's columns.  None when no two values are that close."""
-    close = np.abs(np.diff(values)) < tol
+def _clusters(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """The runs [a, b) of consecutive sorted ``values`` closer than ``tol``, in order;
+    empty when no two values are that close."""
+    close = np.abs(values[1:] - values[:-1]) < tol
     if not close.any():
-        return None
-    h = _generic_hermitian(vecs.shape[0])
-    w = np.eye(len(values), dtype=np.complex128)
+        return []
     edges = np.flatnonzero(np.diff(np.concatenate(([0], close, [0]))))
-    for a, b in zip(edges[::2], edges[1::2] + 1):  # values a..b-1 form one run
+    return list(zip(edges[::2], edges[1::2] + 1))  # values a..b-1 form one run
+
+
+def _cluster_rotation(clusters, vecs: np.ndarray) -> np.ndarray:
+    """Block-diagonal unitary W that fixes the basis ``vecs @ W``, up to column
+    phases, inside each run of ``clusters`` (``_clusters``): it diagonalises one
+    fixed generic Hermitian compressed to the run's columns."""
+    h = _generic_hermitian(vecs.shape[0])
+    w = np.eye(vecs.shape[1], dtype=np.complex128)
+    for a, b in clusters:
         w[a:b, a:b] = np.linalg.eigh(vecs[:, a:b].conj().T @ h @ vecs[:, a:b])[1]
     return w
 

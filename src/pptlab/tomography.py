@@ -58,6 +58,7 @@ from .ppt import (
     PptMps,
     _contract_sites,
     _left_envs,
+    _read_unitaries,
     _site_matrix,
     absorb_initial_leg,
     build_ppt,
@@ -69,6 +70,7 @@ from .ppt import (
 )
 from .tensor_ops import (
     _cluster_rotation,
+    _clusters,
     _is_integer,
     closest_isometry,
     fill_unassigned_columns,
@@ -164,8 +166,8 @@ class MeasurementOracle:
         raises ``ValidationError`` and leaves the state as it was.  Not a
         request: ``query_log`` is unchanged.
         """
-        start, gate = self._checked_gate(start, gate)
-        _apply_gate(self._chain, start, gate)
+        start, width, gate = self._checked_gate(start, gate)
+        _apply_gate(self._chain, start, width, gate)
         del self._envs[start + 1 :]
 
     def reduced_density(self, sites: tuple[int, int]) -> np.ndarray:
@@ -203,17 +205,19 @@ class MeasurementOracle:
             return rho
         return _pauli_sampled_estimate(rho, self.shots, self._rng)
 
-    def _checked_gate(self, start, gate) -> tuple[int, np.ndarray]:
+    def _checked_gate(self, start, gate) -> tuple[int, int, np.ndarray]:
         """Validate one gate: start site, fit on the chain, unitarity.
 
-        Returns a C-ordered copy of the gate, so the result of applying it
-        does not depend on the layout of the caller's array.
+        Returns the start, the number of sites the gate spans (``_gate_width``)
+        and a C-ordered copy of the gate, so the result of applying it does
+        not depend on the layout of the caller's array.
         """
         if not _is_integer(start) or not 0 <= start <= self.n_steps:
             raise ValidationError(f"gate start {start!r} is not a site in [0, {self.n_steps}]")
         gate = np.array(gate, dtype=np.complex128, order="C")
         dim = gate.shape[0] if gate.ndim == 2 and gate.shape[0] == gate.shape[1] else 0
-        if not _gate_width(self._chain, start, dim):
+        width = _gate_width(self._chain, start, dim)
+        if not width:
             raise ValidationError(
                 f"gate of shape {gate.shape} spans no whole run of steps from step {start} "
                 f"to step {self.n_steps} at most (d={self.d})"
@@ -221,7 +225,7 @@ class MeasurementOracle:
         # written so that a NaN deviation (non-finite entries) fails as well
         if not np.max(np.abs(gate.conj().T @ gate - np.eye(dim))) <= 1e-10:
             raise ValidationError(f"gate at site {start} is not unitary")
-        return int(start), gate
+        return int(start), width, gate
 
 
 def _gate_width(chain, start: int, dim: int) -> int:
@@ -236,8 +240,10 @@ def _gate_width(chain, start: int, dim: int) -> int:
     return 0
 
 
-def _apply_gate(chain: list, start: int, gate: np.ndarray, max_bond: int | None = None) -> None:
-    """Apply a window unitary to the sites of ``chain`` from index ``start`` on.
+def _apply_gate(
+    chain: list, start: int, width: int, gate: np.ndarray, max_bond: int | None = None
+) -> None:
+    """Apply a window unitary to the ``width`` sites of ``chain`` from index ``start`` on.
 
     The sites are contracted into one block, the gate multiplies its fused
     physical index, and SVDs from the right split it back into sites of the
@@ -245,10 +251,10 @@ def _apply_gate(chain: list, start: int, gate: np.ndarray, max_bond: int | None 
     relative, at most ``max_bond``).  A unitary keeps a right-canonical
     block right-canonical, so a right-canonical chain stays right-canonical.
     """
-    sites = chain[start : start + _gate_width(chain, start, gate.shape[0])]
+    sites = chain[start : start + width]
     block = gate @ _contract_sites(sites)
     shapes = [t.shape[1:3] for t in sites]
-    chain[start : start + len(sites)] = split_block(block, shapes, max_bond=max_bond)
+    chain[start : start + width] = split_block(block, shapes, max_bond=max_bond)
 
 
 # -- sampled-mode estimator --------------------------------------------------
@@ -383,7 +389,7 @@ def disentangle_reconstruct(
                 f"window {j}: sampled support {n_support} truncated to the bound {limit}"
             )
             n_support = limit
-        if n_support > 1 and np.any(np.abs(np.diff(evals[:n_support])) < CLUSTER_TOL):
+        if _clusters(evals[:n_support], CLUSTER_TOL):
             notes.append(f"window {j}: near-degenerate support spectrum, basis pinned")
         basis = fill_unassigned_columns(vecs, np.arange(vecs.shape[1]) < n_support)
         gate = basis.conj().T
@@ -415,7 +421,7 @@ def disentangle_reconstruct(
     if entangled_initial:
         chain[0] = zero[:, :, :1]  # step 0 has no input leg
     for j, gate in reversed(gates):
-        _apply_gate(chain, j - first, gate.conj().T, max_bond=env_dim)
+        _apply_gate(chain, j - first, R, gate.conj().T, max_bond=env_dim)
     nrm = float(np.linalg.norm(chain[0]))  # below 1 where a sampled state was truncated
     if nrm < 1e-12:
         raise DegenerateStateError("reconstructed state has numerically zero norm")
@@ -439,17 +445,18 @@ def disentangle_reconstruct(
 
 
 def _eigh_descending(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigendecomposition in a pinned gauge: ``_cluster_rotation``
-    fixes the basis where support eigenvalues agree within ``CLUSTER_TOL``,
-    and each eigenvector's largest entry is made real and positive (by
-    ``np.hypot``: ``np.abs`` rounds differently)."""
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    """Descending eigendecomposition of an exactly Hermitian ``rho``, as
+    ``MeasurementOracle.reduced_density`` returns it, in a pinned gauge:
+    ``_cluster_rotation`` fixes the basis where support eigenvalues agree
+    within ``CLUSTER_TOL``, and each eigenvector's largest entry is made real
+    and positive (by ``np.hypot``: ``np.abs`` rounds differently)."""
+    w, v = np.linalg.eigh(rho)
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
     k = int(np.count_nonzero(w > SUPPORT_TOL))
-    rot = _cluster_rotation(w[:k], v[:, :k], CLUSTER_TOL)
-    if rot is not None:
-        v[:, :k] = v[:, :k] @ rot
+    clusters = _clusters(w[:k], CLUSTER_TOL)
+    if clusters:
+        v[:, :k] = v[:, :k] @ _cluster_rotation(clusters, v[:, :k])
     peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     return w, v * (peak.conj() / np.hypot(peak.real, peak.imag))
 
@@ -592,24 +599,26 @@ def _descend(target, u, d, D, nt2) -> tuple[list[float], np.ndarray, np.ndarray]
 
 
 def _warm_start(target: PptMps, d: int, D: int):
-    """Polar warm start from the reshaped target sites, gauge aligned.
+    """Polar warm start from the reshaped sites of a target ready to measure
+    (as ``to_right_canonical`` returns it), gauge aligned.
 
     The shared unitary is the polar mean of the bulk site matrices; the
     initial environment vector implied by the boundary site is rotated onto
     |0>.  Returns the warm-start unitary and the per-site projection
-    residuals of ``mps_to_oqe``.
+    residuals of ``mps_to_oqe``, whose unitaries it reads without a model.
     """
-    model, residuals = mps_to_oqe(target)
-    if model.D != D:
-        raise DimensionError(f"target bond dimension {model.D} exceeds its environment leg {D}")
-    if len(model.unitaries) >= 2:
+    unitaries, residuals = _read_unitaries(target)
+    D_model = unitaries[0].shape[0] // d
+    if D_model != D:
+        raise DimensionError(f"target bond dimension {D_model} exceeds its environment leg {D}")
+    if len(unitaries) >= 2:
         try:
-            bulk = model.unitaries[1:]  # summed in order: np.mean(np.stack(bulk), axis=0) bit for bit
+            bulk = unitaries[1:]  # summed in order: np.mean(np.stack(bulk), axis=0) bit for bit
             u_shared = polar_unitary(sum(bulk[1:], bulk[0]) / len(bulk))
         except SingularityError:  # wildly inconsistent site gauges average to ~0
-            u_shared = model.unitaries[1]
+            u_shared = unitaries[1]
     else:
-        u_shared = model.unitaries[0]
+        u_shared = unitaries[0]
     # Initial environment vector in the shared gauge, read off the boundary
     # site's injection L[(o, b), i] = sqrt(d) B_1[0, o, i, b] (zero on the rows
     # b >= its right bond): U^dag L maps i to (i', beta) as delta_{i', i} psi_beta.
@@ -623,7 +632,7 @@ def _warm_start(target: PptMps, d: int, D: int):
         return u_shared, residuals
     first = np.arange(D) == 0
     w = fill_unassigned_columns(np.outer(psi / nrm, first), first)
-    lifted = np.kron(np.eye(d), w)
+    lifted = np.multiply.outer(np.eye(d), w).transpose(0, 2, 1, 3).reshape(d * D, d * D)  # I (x) w
     return lifted.conj().T @ u_shared @ lifted, residuals
 
 

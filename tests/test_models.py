@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,42 @@ class TestOqeModel:
             first = next(n for n, u in enumerate(us) if u is bad)
             with pytest.raises(ValidationError, match=f"unitary {first} deviates"):
                 OqeModel(2, 2, us, np.eye(4)[0])
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            ("good bad wide", "unitary 1 deviates"),
+            ("good wide bad", "unitary 1 has shape"),
+            ("bad nan", "unitary 0 deviates"),
+            ("good nan bad", "non-finite"),
+            ("good bad text", "unitary 1 deviates"),
+        ],
+    )
+    def test_names_the_first_failing_unitary_in_step_order(self, kinds, message):
+        # the distinct unitaries are checked by one stacked product once they are
+        # copied and their shapes checked; the error names the first failure in step order
+        arrays = {
+            "good": random_haar_unitary(4, 0),
+            "bad": 1.1 * random_haar_unitary(4, 1),
+            "wide": np.eye(6),
+            "nan": np.full((4, 4), np.nan),
+            "text": "not a matrix",
+        }
+        with pytest.raises(ValidationError, match=message):
+            OqeModel(2, 2, [arrays[k] for k in kinds.split()], np.eye(4)[0])
+
+    def test_distinct_unitaries_are_checked_in_bounded_stacks(self):
+        # 600 distinct 32 x 32 unitaries: one stack of all of them, with its
+        # product, would hold 4.5 times their copies at the peak
+        u = random_haar_unitary(32, 0)
+        us = [u.copy() for _ in range(600)]
+        tracemalloc.start()
+        try:
+            OqeModel(2, 16, us, np.eye(32)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(us) * u.nbytes
 
     def test_shared_unitary_copied_once(self):
         u = random_haar_unitary(4, 0)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -284,6 +285,43 @@ class TestLeftSweep:
         expectations(mps, obs_list)
         assert steps[0] == int(expose) + max(obs.last_step for obs in obs_list)
 
+    def test_expectations_of_a_scaled_first_element_stop_at_the_last_insertion(self, rng, steps):
+        # right-canonical sites after a first element off unit norm: read after the
+        # insertion and divided by the first element's squared norm, within 1e-12
+        built = build_ppt(random_separable_model(2, 4, rng), 1000)
+        (first, n), *rest = built.runs
+        scaled = PptMps(runs=((1.001 * first, n), *rest))
+        obs = random_observable(rng, 2, 3)
+        want = expectation(built, obs)
+        steps[0] = 0
+        got = expectation(scaled, obs)
+        assert steps[0] == obs.last_step
+        assert abs(got - want) < 1e-12
+
+    def test_expectations_certify_the_first_element_before_reading_it(self, rng, steps):
+        # sites within CANONICAL_TOL of right-canonical whose residual bound g, over
+        # 10 steps, exceeds what certifies the first element's squared norm: swept
+        model = random_separable_model(2, 4, rng, steps=10)
+        built = build_ppt(model, 10)
+        (first, _), *rest = built.runs
+        loose = [(t * (1 + 5e-12), n) for t, n in rest]  # Gram residual 1e-11 each
+        mps = PptMps(runs=((1.001 * first, 1), *loose))
+        assert mps.canonical == "right" and mps._certified_head_norm2() is None
+        obs = random_observable(rng, 2, 3)
+        want = expectation(bond_gauged(mps, random_bond_gauges(mps, rng)), obs)
+        steps[0] = 0
+        assert abs(expectation(mps, obs) - want) < 1e-12
+        assert steps[0] == 10
+
+    def test_norm_sweeps_once_per_object(self, rng, steps):
+        mps = build_ppt(random_separable_model(2, 2, rng), 6)
+        assert mps.norm() == mps.norm() == overlap(mps, mps).real ** 0.5
+        assert steps[0] == 6 + 6  # one norm sweep and the overlap's
+        gauge_fidelity(mps, mps)
+        assert steps[0] == 12 + 6  # the overlap matrix only
+        PptMps(runs=mps.runs).norm()
+        assert steps[0] == 18 + 6  # a new object sweeps its own
+
     def test_expectations_of_a_non_canonical_chain_walk_it_once(self, rng, steps):
         # one batched sweep to the end, the shared norm riding along as one more row
         (first, _), (site, n) = build_ppt(random_separable_model(2, 2, rng), 6).runs
@@ -452,6 +490,24 @@ class TestRightCanonical:
         assert canon is not scaled and abs(canon.norm() - 1.0) < 1e-12
         assert abs(abs(overlap(canon, mps)) - 1.0) < 1e-12
 
+    def test_a_scaled_first_element_is_divided_and_the_runs_kept(self, rng):
+        built = build_ppt(random_separable_model(2, 4, 0), 1000)
+        (first, n), (site, repeat) = built.runs
+        scaled = PptMps(runs=((1.001 * first, n), (site, repeat)))
+        canon = to_right_canonical(scaled)
+        assert [k for _, k in canon.runs] == [1, 999] and np.array_equal(canon.runs[1][0], site)
+        assert ppt_module._ready_to_measure(canon)
+        # the same reads as the sweep's, here of the state with gauged inner bonds
+        short = PptMps(runs=((1.001 * first, n), (site, 7)))
+        swept = to_right_canonical(bond_gauged(short, random_bond_gauges(short, rng)))
+        kept = to_right_canonical(short)
+        assert len(kept.runs) == 2 and len(swept.runs) == 8
+        assert memory_size(short) == memory_size(swept) == 4
+        (a, res_a), (b, res_b) = mps_to_oqe(kept), mps_to_oqe(swept)
+        assert max(res_a) < 1e-10 and max(res_b) < 1e-10
+        assert gauge_fidelity(build_ppt(a, 8), build_ppt(b, 8)) > 1 - 1e-10
+        assert gauge_fidelity(build_ppt(a, 8), short) > 1 - 1e-10
+
     def test_unitary_bond_gauges_canonicalise_alike(self, rng):
         mps = self.random_mps(rng, 2, 4, 3)
         assert mps.canonical == "none"
@@ -541,6 +597,85 @@ class TestMpsToOqe:
         with pytest.raises(ConversionError) as err:
             mps_to_oqe(mps)
         assert err.value.site is not None
+
+    @pytest.mark.parametrize(
+        "sites, failing, message",
+        [
+            ([("deficient", 2, 4), ("deficient", 4, 4)], 1, "rank deficient"),
+            ([("good", 2, 4), ("wide", 4, 2), ("deficient", 2, 4)], 2, "left bond 4 exceeds"),
+        ],
+    )
+    def test_the_first_failing_step_is_named(self, rng, sites, failing, message):
+        # runs of different shapes are read by different stacked SVDs, and a run
+        # whose left bond exceeds its right is read by none; the error still
+        # names the first failing step in step order
+        lead = np.zeros((1, 2, 1, 2), dtype=np.complex128)
+        lead[0, 0, 0, 0] = 1.0  # step 0, the first chain element, of unit norm
+        runs = [(lead, 1)]
+        for kind, l, r in sites:  # right-canonical (l, 2, 2, r) sites
+            t = np.zeros((l, 2, 2, r), dtype=np.complex128)
+            if kind == "good":  # the rows a < l of a Haar unitary's site: full rank
+                t = site_tensor_from_unitary(random_haar_unitary(2 * r, rng), 2, r)[:l]
+            elif kind == "wide":  # row a is the unit vector at (o, i) = a, b = 0
+                t.reshape(l, 4, r)[np.arange(l), np.arange(l), 0] = 1.0
+            else:  # row a is the unit vector at o = i = 0, b = a: rank l < d l
+                t[np.arange(l), 0, 0, np.arange(l)] = 1.0
+            runs.append((t, 1))
+        mps = PptMps(runs=tuple(runs))
+        assert mps.canonical == "right"
+        with pytest.raises(ConversionError, match=message) as err:
+            mps_to_oqe(mps)
+        assert err.value.site == failing
+
+    def test_runs_are_read_in_bounded_stacks(self):
+        # 600 runs of distinct (16, 2, 2, 16) sites: the model holds their unitaries
+        # twice (read and copied); one stack of every site matrix with its SVD
+        # would hold 5.5 times them at the peak
+        u = random_haar_unitary(32, 0)
+        mps = build_ppt(OqeModel(2, 16, [u.copy() for _ in range(600)], np.eye(32)[0]), 600)
+        assert len(mps.runs) == 600
+        tracemalloc.start()
+        try:
+            mps_to_oqe(mps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 600 * u.nbytes
+
+    @pytest.mark.parametrize("D", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["separable", "entangled", "exposed"])
+    def test_stacked_read_gives_the_per_site_bytes(self, D, kind):
+        # recovered chains of the disentangling reconstruction, step 0 exposed
+        # for an entangled model and for "exposed"
+        model = (random_entangled_model if kind == "entangled" else random_separable_model)(
+            2, D, D
+        )
+        N = 6 if D < 5 else 5
+        report = disentangle_reconstruct(
+            MeasurementOracle(model, N), N, D, entangled_initial=kind != "separable"
+        )
+        for mps in (report.recovered_mps, build_ppt(model, N)):
+            got, residuals = mps_to_oqe(mps)
+            want, want_residuals = per_site_read(mps)
+            assert len(got.unitaries) == len(want) == N
+            assert all(u.tobytes() == w.tobytes() for u, w in zip(got.unitaries, want))
+            assert residuals == want_residuals
+
+
+def per_site_read(mps):
+    """The step unitaries and residuals of ``mps_to_oqe``, one 2-D SVD per run."""
+    mps = to_right_canonical(mps)
+    d, lead = mps.d, mps.leading_site
+    D = max(t.shape[3] for t, _ in mps.runs)
+    unitaries, residuals = [], []
+    for t, repeat in mps.runs[lead is not None :]:
+        l, _, _, r = t.shape
+        w = np.sqrt(d) * ppt_module._site_matrix(t)
+        u, s, vh = np.linalg.svd(w, full_matrices=False)
+        iso = u @ vh
+        unitaries += [ppt_module._embed_and_complete(iso, d, l, r, D)] * repeat
+        residuals += [float(np.linalg.norm(w - iso))] * repeat
+    return unitaries, residuals
 
 
 class TestProcessTensor:

@@ -18,7 +18,8 @@ lists of sites of rank 1..5.  ``PptMps.validate``'s certified norm check
 decides like the dense norm on short chains and like the sweep on repeated
 runs of up to 10^4 steps.  Expectations match the dense oracle on the PPT as
 built, with its first element scaled and with invertible bond gauges, and
-``transfer_right`` matches its own two-product formula.
+``transfer_right`` matches its own two-product formula.  The oracle's
+reduced densities are exactly Hermitian, exact and sampled.
 """
 
 import contextlib
@@ -131,8 +132,9 @@ def test_expectation_matches_dense_oracle(spec, expose):
 def test_expectations_match_dense_oracle_in_any_gauge(spec, expose, c, K):
     """The PPT as built, with its first element scaled by c (right-canonical
     sites, norm c) and with invertible bond gauges (measures "none") all give
-    the dense oracle's values: only a PPT ready to measure is read after its
-    last insertion, any other is divided by its squared norm."""
+    the dense oracle's values: a PPT that measures right is read after its
+    last insertion, the scaled one divided by c^2 (its first element's squared
+    norm), and the gauged one is swept and divided by its squared norm."""
     model = make_model(spec)
     rng = np.random.default_rng(spec["seed"])
     obs_list = [
@@ -633,6 +635,24 @@ def test_batched_pauli_estimate_matches_per_setting_loop(n, shots, seed):
 
 
 ORACLE_STEPS = ["apply", "measure", "repeat", "reset", "invalid", "mutate"]
+
+
+@CASES
+@given(spec=model_specs, sampled=st.booleans(), gated=st.booleans(), data=st.data())
+def test_reduced_densities_are_exactly_hermitian(spec, sampled, gated, data):
+    """``reduced_density`` returns a matrix equal, bit for bit, to its conjugate
+    transpose, exact and sampled, from step 0 or later, before and after a gate:
+    ``tomography._eigh_descending`` reads it without Hermitising it again."""
+    d = 2 if sampled else spec["d"]
+    N = spec["N"]
+    model = make_model(dict(spec, d=d))
+    oracle = MeasurementOracle(model, N, shots=4000 if sampled else None, seed=spec["seed"])
+    if gated:
+        oracle.apply_gate(1, random_haar_unitary(d * d, spec["seed"]))
+    width = data.draw(st.integers(1, min(N, 2)), label="width")
+    a = data.draw(st.integers(0, N - width + 1), label="first step")
+    rho = oracle.reduced_density((a, a + width - 1))
+    assert np.array_equal(rho, rho.conj().T)
 
 
 @CASES

@@ -15,7 +15,7 @@ a gauge-twisted copy of the second, a two-insertion observable and the two
 ``fit`` reports) are written to a temporary directory; the printed argv names
 them by file name only, so the lines do not depend on where that directory
 is.  A run that exits non-zero gets ``[exit N]`` appended.  Per seed there
-are 22 runs:
+are 23 runs:
 
 * ``build --D 16 --N 50`` and ``build --D 2 --N 5 --entangled``;
 * ``correlate`` on both files, without and with an observable of
@@ -26,6 +26,8 @@ are 22 runs:
   by its squared norm;
 * ``tomograph --D 2 --N 9``, ``--D 2 --N 6 --entangled`` and
   ``--D 2 --N 6 --shots 10000``;
+* ``tomograph --D 5 --N 6``, whose windows span R = 3 steps, so its gates
+  contract and split three sites where the D = 2 runs' span two;
 * ``fit --D 2 --N 6`` and ``--D 4 --N 6``, each followed by
   ``predict --nfuture 50`` on its report;
 * ``reconstruct-entangled --D 2 --N 7``;
@@ -90,7 +92,7 @@ def _run(argv: list[str], workdir: Path) -> tuple[str, str]:
 
 
 def digests(seed: int, workdir: Path) -> list[str]:
-    """The 22 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
+    """The 23 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
     lines = []
 
     def run(*args: str, keep: str | None = None) -> None:
@@ -114,6 +116,7 @@ def digests(seed: int, workdir: Path) -> list[str]:
     run("tomograph", "--D", "2", "--N", "9", "--seed", s)
     run("tomograph", "--D", "2", "--N", "6", "--entangled", "--seed", s)
     run("tomograph", "--D", "2", "--N", "6", "--shots", "10000", "--seed", s)
+    run("tomograph", "--D", "5", "--N", "6", "--seed", s)
     for D in ("2", "4"):
         report = f"fit-D{D}-{s}.json"
         run("fit", "--D", D, "--N", "6", "--seed", s, keep=report)
