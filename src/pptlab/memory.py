@@ -206,17 +206,18 @@ def stationary_state(
     the base left action applied to every block.
 
     When D^2 exceeds ``_DENSE_MAX_ENTRIES``, ``_krylov_fixed_point`` works
-    matrix-free on ``transfer_left``: deflating the base action Phi by its
-    left eigenvector, the trace (X -> Phi(X) - (I/D) tr X, Brauer), leaves
-    |lambda_2| as the dominant eigenvalue, and Arnoldi passes at the
-    relative tolerances ``_GAP_ESTIMATE_TOLS`` (loose first) bound it by
-    |theta| (1 + tol) from their Ritz value theta.  Once a bound lies at
-    least ``_GAP_HANDOVER_MARGIN`` below 1, eigenvalue 1 is simple and alone
-    on the unit circle, the fixed point sigma is the GMRES solution of
+    matrix-free on ``transfer_left``, in numpy alone: deflating the base
+    action Phi by its left eigenvector, the trace (X -> Phi(X) - (I/D) tr X,
+    Brauer), leaves |lambda_2| as the dominant eigenvalue, and a restarted
+    Arnoldi process checked at the relative tolerances
+    ``_GAP_ESTIMATE_TOLS`` (loose first) bounds it by |theta| (1 + tol)
+    from its dominant Ritz value theta.  Once a bound lies at least
+    ``_GAP_HANDOVER_MARGIN`` below 1, eigenvalue 1 is simple and alone on
+    the unit circle, the fixed point sigma is the GMRES solution of
     (1 - Phi + (I/D) tr) sigma = I/D, and P_1(X) = sigma tr X, so the limit
     is tr_E rho0 (x) sigma.
     Otherwise (small D, a site that is not trace preserving, no bound below
-    the margin, or no ARPACK or GMRES convergence) the dense
+    the margin, or no Arnoldi or GMRES convergence) the dense
     projection runs: one eigendecomposition L = V diag(lam) V^-1 of the base
     left matrix, one solve for the eigen-coefficients of every block, and
     the sum of c_k v_k over lam_k = 1.
@@ -269,7 +270,7 @@ def stationary_state(
 
 # D^2 above which stationary_state tries the Krylov solve before the dense one
 _DENSE_MAX_ENTRIES = 64
-_GAP_ESTIMATE_TOLS = (0.2, 1e-2)  # ARPACK relative tolerances of the Arnoldi passes, loose first
+_GAP_ESTIMATE_TOLS = (0.2, 1e-2)  # relative residual tolerances of the Arnoldi checks, loose first
 _GAP_HANDOVER_MARGIN = 0.1  # a bound on |lambda_2| this close to 1 cannot decide uniqueness
 
 
@@ -308,61 +309,179 @@ def _krylov_fixed_point(site: np.ndarray) -> np.ndarray | None:
     Phi'(X) = Phi(X) - (I/D) tr X has Phi's spectrum with that eigenvalue 1
     replaced by 0.  Its dominant eigenvalue is therefore |lambda_2|, with no
     need for sigma.  Only whether |lambda_2| <= 1 - ``_GAP_HANDOVER_MARGIN``
-    matters, so Arnoldi (ARPACK ``eigs``, k=1, a ``transfer_left`` matvec)
-    runs at each relative tolerance of ``_GAP_ESTIMATE_TOLS`` in turn, loose
-    first, and stops at the first pass whose Ritz value theta gives
-    |theta| (1 + tol) <= 1 - margin: ARPACK accepts theta once its residual
-    bound is at most tol |theta|.  The loose pass decides a Haar channel,
-    whose bulk crowds near |lambda| = 0.5 (a tight solve there takes
-    thousands of matvecs at D = 64); the 1e-2 pass decides a band channel
-    with |lambda_2| near 0.87.  Then eigenvalue 1 of Phi is simple and alone
-    on the unit circle, 1 - Phi' is invertible, and sigma is the unique
-    solution of (1 - Phi') sigma = I/D, found by GMRES from I/D.  A unital
-    site (every model step site) has sigma = I/D, so GMRES returns its start
-    after one residual matvec.
+    matters, and ``_gap_decides`` bounds it by a restarted Arnoldi process
+    on Phi' (a ``transfer_left`` matvec).  Then eigenvalue 1 of Phi is
+    simple and alone on the unit circle, 1 - Phi' is invertible, and sigma
+    is the unique solution of (1 - Phi') sigma = I/D, found by ``_gmres``
+    from I/D.  A unital site (every model step site) has sigma = I/D, so
+    GMRES returns its start after one residual matvec.
 
     None hands over to the dense projection when the site is not trace
     preserving (right-canonicality residual above ``CANONICAL_TOL``), when
-    no pass bounds |lambda_2| below the margin (a fixed space of dimension
-    above 1, a rotating peripheral eigenvalue, or a cluster near 1 that a
-    loose Ritz value may land inside), or when ARPACK (at most D^2 restarts
-    per pass) or GMRES does not converge.  Every pass starts from one fixed
-    generic vector, never I/D: that is an exact eigenvector of every unital
-    channel (with eigenvalue 0 under Phi') and breaks the Arnoldi process
-    down.
+    the gap is not bounded below the margin, or when GMRES does not
+    converge.  Operators are vectorised in C order, so a vector is a view
+    of its D x D matrix, and both solves share one basis of
+    ``_KRYLOV_BASIS`` + 1 vectors: memory stays O(D^2) at every D, and
+    everything runs in numpy's BLAS.
     """
-    # 0.2-0.3 s import in a fresh process, paid only here
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, gmres
-
     if _gram_residual(site) > CANONICAL_TOL:
         return None
     D = site.shape[0]
     n = D * D
-    diag = np.arange(D) * (D + 1)  # positions of the diagonal in a column-major vec
-    v0 = np.random.default_rng(0).standard_normal((2, n)).T @ np.array([1.0, 1.0j])
-    mixed = np.zeros(n, dtype=np.complex128)
-    mixed[diag] = 1.0 / D
+    diag = slice(None, None, D + 1)  # the diagonal of a vectorised operator
 
     def deflated(v):
-        x = transfer_left(v.reshape(D, D, order="F"), site, site).reshape(-1, order="F")
+        x = transfer_left(v.reshape(D, D), site, site).reshape(-1)
         x[diag] -= v[diag].sum() / D
         return x
 
-    op = LinearOperator((n, n), matvec=deflated, dtype=np.complex128)
-    for tol in _GAP_ESTIMATE_TOLS:
-        try:
-            (theta,) = eigs(op, k=1, v0=v0, tol=tol, maxiter=n, return_eigenvectors=False)
-        except ArpackNoConvergence:
-            return None
-        if abs(theta) * (1.0 + tol) <= 1.0 - _GAP_HANDOVER_MARGIN:
-            break
-    else:
+    m = min(_KRYLOV_BASIS, n)
+    basis = np.empty((m + 1, n), dtype=np.complex128)
+    hess = np.zeros((m + 1, m), dtype=np.complex128)
+    # one fixed generic start (its entries column-major), never I/D: that is
+    # an exact eigenvector of every unital channel (eigenvalue 0 under Phi')
+    # and breaks the Arnoldi process down
+    start = np.random.default_rng(0).standard_normal((2, n)).T @ np.array([1.0, 1.0j])
+    if not _gap_decides(deflated, start.reshape(D, D).T.reshape(-1), basis, hess):
         return None
-    resolvent = LinearOperator((n, n), matvec=lambda v: v - deflated(v), dtype=np.complex128)
-    sigma, info = gmres(resolvent, mixed, x0=mixed, rtol=1e-14, atol=1e-15)
-    if info != 0:
-        return None
-    return sigma.reshape(D, D, order="F")
+    mixed = np.zeros(n, dtype=np.complex128)
+    mixed[diag] = 1.0 / D
+    sigma = _gmres(deflated, mixed, basis, hess)
+    return None if sigma is None else sigma.reshape(D, D)
+
+
+_KRYLOV_BASIS = 20  # Arnoldi vectors between restarts, ARPACK's default for one eigenvalue
+_RESTART_KEEP = 10  # leading Ritz vectors a restart keeps, ARPACK's choice for one eigenvalue
+_BREAKDOWN = 1e-13  # share of a new vector left after orthogonalisation that counts as none
+
+
+def _arnoldi(matvec, basis: np.ndarray, hess: np.ndarray, start: int):
+    """Extend the Krylov decomposition A V_j = V_{j+1} H_j in place, one
+    vector per step from size ``start``, and yield each size j reached.
+
+    ``basis`` holds the orthonormal rows v_0 .. v_j, ``hess`` the
+    (j+1) x j matrix H_j (entries below those written must be zero), and A
+    is ``matvec``.  Each new vector is orthogonalised by classical
+    Gram-Schmidt, two matrix-vector products over the basis, and once more
+    when that took away more than half its squared norm (DGKS).  The
+    extension stops when the basis is full or on breakdown (an invariant
+    subspace: H_j's last row is zero).
+    """
+    for j in range(start, len(basis) - 1):
+        w = matvec(basis[j])
+        kept = basis[: j + 1]
+        h = (w.conj() @ kept.T).conj()
+        w -= h @ kept
+        projected = math.sqrt(np.vdot(h, h).real)
+        beta = math.sqrt(np.vdot(w, w).real)
+        if beta < projected:
+            again = (w.conj() @ kept.T).conj()
+            w -= again @ kept
+            h += again
+            beta = math.sqrt(np.vdot(w, w).real)
+        hess[: j + 1, j] = h
+        if beta <= _BREAKDOWN * projected:
+            yield j + 1
+            return
+        hess[j + 1, j] = beta
+        np.multiply(w, 1.0 / beta, out=basis[j + 1])
+        yield j + 1
+
+
+def _gap_decides(deflated, start: np.ndarray, basis: np.ndarray, hess: np.ndarray) -> bool:
+    """Whether a restarted Arnoldi process on Phi' bounds |lambda_2| at most
+    ``_GAP_HANDOVER_MARGIN`` below 1.  It starts, as ARPACK does, from
+    ``start`` taken once through Phi' into the operator's range.
+
+    ARPACK's acceptance rule: the dominant Ritz value theta, with Ritz
+    vector y of unit norm, is accepted at relative tolerance tol once its
+    residual |h^T y| (h the last row of H) is at most tol |theta|, and then
+    |theta| (1 + tol) bounds |lambda_2|.  Each full basis (or one that broke
+    down, whose Ritz values are exact) is checked at the tolerances of
+    ``_GAP_ESTIMATE_TOLS`` in turn, loose first: an accepted
+    theta with |theta| (1 + tol) <= 1 - margin decides, one that does not
+    moves on to the next tolerance for good, and an accepted theta above
+    the margin at the last one hands over.  The loose tolerance decides a
+    Haar channel, whose bulk crowds near |lambda| = 0.5 (resolving it takes
+    thousands of matvecs at D = 64); the 1e-2 one decides a band channel
+    with |lambda_2| near 0.87, and hands over near-identity channels, whose
+    eigenvalues crowd near 1.
+
+    A basis not yet accepted restarts (Krylov-Schur, Stewart 2001) from an
+    orthonormal basis of its ``_RESTART_KEEP`` leading Ritz vectors, the
+    subspace ARPACK's implicit restart keeps, so a pair lambda_2,
+    conj(lambda_2) of equal moduli is kept whole and does not stall; with
+    ARPACK's start, every check sees ARPACK's Krylov space.  After D^2
+    restarts it hands over.
+    """
+    v = deflated(start)
+    basis[0] = v / np.linalg.norm(v)
+    n = basis.shape[1]
+    tols = iter(_GAP_ESTIMATE_TOLS)
+    tol = next(tols)
+    size = 0
+    for _ in range(n):
+        for m in _arnoldi(deflated, basis, hess, size):
+            pass
+        vals, vecs = np.linalg.eig(hess[:m, :m])
+        order = np.argsort(-np.abs(vals), kind="stable")
+        theta = abs(vals[order[0]])
+        residual = abs(hess[m, :m] @ vecs[:, order[0]])
+        while residual <= tol * theta:
+            if theta * (1.0 + tol) <= 1.0 - _GAP_HANDOVER_MARGIN:
+                return True
+            tol = next(tols, None)
+            if tol is None:
+                return False
+        size = _RESTART_KEEP
+        q = np.linalg.qr(vecs[:, order[:size]])[0]
+        rayleigh = q.conj().T @ hess[:m, :m] @ q
+        spike = hess[m, :m] @ q
+        kept = q.T @ basis[:m]
+        hess[:] = 0.0
+        hess[:size, :size] = rayleigh
+        hess[size, :size] = spike
+        basis[size] = basis[m]
+        basis[:size] = kept
+    return False
+
+
+def _gmres(deflated, b: np.ndarray, basis: np.ndarray, hess: np.ndarray) -> np.ndarray | None:
+    """Solve (1 - Phi') x = b by GMRES (Saad and Schultz 1986) from x = b,
+    restarted at the basis size; None after 10 D^2 restarts.
+
+    The Arnoldi process runs on Phi' itself: it spans the Krylov spaces of
+    1 - Phi', whose Hessenberg matrix is then [I; 0] - H.  Each restart
+    takes one matvec for the true residual, which must reach
+    max(1e-15, 1e-14 |b|), scipy's ``gmres`` target at rtol 1e-14 and atol
+    1e-15.  Within a restart the least-squares residual beta / |z| is
+    tracked through z, the null vector of that Hessenberg matrix's adjoint,
+    and the restart ends at the first step where it reaches the target.
+    """
+    target = max(1e-15, 1e-14 * np.linalg.norm(b))
+    x = b
+    z = np.empty(len(hess), dtype=np.complex128)
+    for _ in range(10 * len(b)):
+        r = b - x + deflated(x)
+        beta = np.linalg.norm(r)
+        if beta <= target:
+            return x
+        hess[:] = 0.0
+        np.multiply(r, 1.0 / beta, out=basis[0])
+        z[0] = 1.0
+        for m in _arnoldi(deflated, basis, hess, 0):
+            col = -hess[: m + 1, m - 1]
+            col[m - 1] += 1.0
+            if col[m] == 0.0:  # breakdown: the least-squares solution is exact
+                break
+            z[m] = -np.vdot(col[:m], z[:m]) / np.conj(col[m])
+            if beta <= target * np.linalg.norm(z[: m + 1]):
+                break
+        rhs = np.zeros(m + 1, dtype=np.complex128)
+        rhs[0] = beta
+        y = np.linalg.lstsq(np.eye(m + 1, m) - hess[: m + 1, :m], rhs, rcond=None)[0]
+        x = x + y @ basis[:m]
+    return None
 
 
 def renyi_complexity(rho: np.ndarray, alpha: float) -> float:

@@ -82,8 +82,8 @@ class TestComplexity:
         assert all(doc["theorem_pass"] and doc["steps"] == 0 for doc in docs)
 
     def test_large_D_builds_no_dense_transfer_matrix(self, monkeypatch, capsys):
-        # D = 16 goes through the Krylov solve; ARPACK keeps state between
-        # calls, so the output is compared across runs and a fresh process.
+        # D = 16 goes through the Krylov solve, whose output must not depend
+        # on earlier calls, so it is compared across runs and a fresh process.
         argv = ["complexity", "--D", "16", "--alpha", "1,2", "--seed", "3"]
         src = str(Path(pptlab.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")

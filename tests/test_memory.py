@@ -352,24 +352,43 @@ class TestStationaryState:
     def test_one_arnoldi_solve_and_no_gmres_iteration_on_a_unital_site(
         self, transfer_calls, monkeypatch
     ):
-        import scipy.sparse.linalg
+        solves = []  # matvecs of each gap decision
+        decide = memory._gap_decides
 
-        solves = []  # matvecs of each eigs call
-        solve = scipy.sparse.linalg.eigs
-
-        def counting_eigs(*args, **kwargs):
+        def counting_decide(*args):
             before = transfer_calls[0]
-            result = solve(*args, **kwargs)
+            result = decide(*args)
             solves.append(transfer_calls[0] - before)
             return result
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting_eigs)
+        monkeypatch.setattr(memory, "_gap_decides", counting_decide)
         rho, _, _ = stationary_state(random_separable_model(2, 16, 0))
         assert np.max(np.abs(rho - np.eye(16) / 16)) < 1e-12
-        # the loose pass decides a Haar channel; GMRES starts at I/D, the fixed
-        # point of a unital site: one residual matvec
+        # the loose tolerance decides a Haar channel; GMRES starts at I/D, the
+        # fixed point of a unital site: one residual matvec
         assert len(solves) == 1
         assert transfer_calls[0] <= solves[0] + 1
+
+    def test_non_unital_gmres_memory_stays_a_few_bases(self, monkeypatch):
+        # GMRES iterates on a non-unital site and reuses the gap decision's
+        # basis of _KRYLOV_BASIS + 1 vectors of D^2 entries, so the solve's
+        # peak stays a small multiple of that basis (an unrestarted basis
+        # would grow with every matvec)
+        D = 32
+        rng = np.random.default_rng(0)
+        site = random_right_canonical_site(rng, 2, D)
+        rho0 = pure_env_density(rng.standard_normal(D) + 1j * rng.standard_normal(D))
+        monkeypatch.setattr(memory, "_dense_projection", no_dense_projection)
+        tracemalloc.start()
+        try:
+            rho = stationary_state(site, rho0)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(rho - np.eye(D) / D)) > 1e-3  # not I/D: GMRES iterated
+        residual = transfer_left(rho.T, site, site).T - rho
+        assert np.max(np.abs(residual)) < 1e-12
+        assert peak < 3 * (memory._KRYLOV_BASIS + 1) * D * D * 16
 
     @pytest.mark.parametrize(
         ("D", "seeds", "budget"), [(16, range(4), 40), (32, range(2), 50)], ids=["D16", "D32"]

@@ -107,9 +107,11 @@ class TestNearIdentityUnitary:
             worst = max(worst, np.max(np.abs(u - scipy.linalg.expm(1j * 0.01 * hs))))
         assert worst < 1e-15
 
-    def test_figs2_runs_without_scipy(self):
-        # the exponential is numpy matrix products, so neither the draws nor either
-        # figs2 mode may load any part of scipy (scipy.linalg costs ~0.35 s)
+    def test_figs2_and_complexity_run_without_scipy(self):
+        # the exponential is numpy matrix products and the matrix-free
+        # stationary solve a numpy Arnoldi process, so neither the draws, nor
+        # either figs2 mode, nor complexity on its Krylov (D = 16) or dense
+        # entangled (D = 4) route may load any part of scipy
         src = str(Path(pptlab.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
@@ -117,14 +119,17 @@ class TestNearIdentityUnitary:
             "import contextlib, io, sys, pptlab.cli\n"
             "pptlab.near_identity_unitary(4, 0.1, 0, size=3)\n"
             "argv = ['figs2', '--D', '2', '--eta', '0.05', '--nmax', '20', '--seeds', '2']\n"
+            "krylov = ['complexity', '--D', '16', '--seed', '0']\n"
+            "dense = ['complexity', '--D', '4', '--entangled', '--seed', '0']\n"
+            "runs = [argv, argv + ['--time-dependent'], krylov, dense]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [pptlab.cli.run(argv), pptlab.cli.run(argv + ['--time-dependent'])]\n"
+            "    codes = [pptlab.cli.run(run) for run in runs]\n"
             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out == "[0, 0] []\n"
+        assert out == "[0, 0, 0, 0] []\n"
 
     def test_size_takes_a_shape(self):
         single = near_identity_unitary(2, 0.1, 4, size=None)
