@@ -224,6 +224,10 @@ def stationary_state(
     A component of ``rho0`` on another unit-modulus eigenvalue never decays,
     so the limit does not exist and ``ConvergenceError`` is raised with that
     component's norm as the residual; so is a map with no eigenvalue 1.
+    ``ConvergenceError`` is also raised, never a NaN state, when the base
+    left matrix has a singular eigenvector matrix, and when the limit is not
+    finite or its trace not positive, so that it normalises to no state (a
+    left matrix that is not diagonalisable can project rho0 onto zero).
     Returns ``(rho_st, steps, degenerate)``; ``steps`` is always 0 (nothing
     is iterated) and ``degenerate`` flags a dominant eigenvalue magnitude
     shared within ``DEGENERACY_GAP``, which an entangled model's enlarged
@@ -265,7 +269,13 @@ def stationary_state(
         rho = limit.reshape(D, D, blocks, blocks).transpose(2, 1, 3, 0).reshape(blocks * D, -1)
     rho = rho.T  # back from (bra, ket) order
     rho = (rho + rho.conj().T) / 2.0
-    return rho / np.trace(rho).real, 0, degenerate or blocks > 1
+    trace = np.trace(rho).real
+    if not (trace > 0 and np.isfinite(rho).all()):
+        raise ConvergenceError(
+            f"the eigenvalue-1 projection of rho0 has trace {float(trace)!r}, so it normalises "
+            "to no state"
+        )
+    return rho / trace, 0, degenerate or blocks > 1
 
 
 # D^2 above which stationary_state tries the Krylov solve before the dense one
@@ -279,10 +289,18 @@ def _dense_projection(site: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, b
     the eigenvalue-1 eigenspace of the left transfer matrix of ``site``.
 
     Returns the projected columns and whether the dominant eigenvalue
-    magnitude is shared within ``DEGENERACY_GAP``.
+    magnitude is shared within ``DEGENERACY_GAP``.  An eigenvector matrix
+    that the solve finds singular raises ``ConvergenceError``: the map is
+    not diagonalisable to working precision.
     """
     vals, vecs = np.linalg.eig(_left_matrix(site))
-    coeffs = np.linalg.solve(vecs, cols)
+    try:
+        coeffs = np.linalg.solve(vecs, cols)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(
+            "transfer map is not diagonalisable to working precision: its eigenvector matrix "
+            "is singular"
+        ) from None
     mags = np.abs(vals)
     degenerate = bool(np.count_nonzero(mags > mags.max() - DEGENERACY_GAP) > 1)
     fixed = np.abs(vals - 1.0) < DEGENERACY_GAP
@@ -711,9 +729,7 @@ def _block_steps(n_seeds: int, d: int, D: int) -> int:
     Before that, each seed's draw holds the Taylor kernel's temporaries
     per step (``models._expm_skew``), all freed before the next seed's
     draw: about a dozen (dD)^2 entries (X, its powers, the four
-    Paterson-Stockmeyer blocks, the Horner products and, at dD <= 4, the
-    result's C-order copy out of the stack-innermost layout) and, at
-    dD <= 4, the (dD)^3 product terms.
+    Paterson-Stockmeyer blocks and the Horner products).
     """
     per_step = n_seeds * ((d * D) ** 2 + D**4 + D**2)
     return max(1, _BLOCK_ENTRIES // per_step)

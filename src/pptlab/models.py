@@ -244,15 +244,12 @@ def near_identity_unitary(dim: int, eta: float, seed, size=None) -> np.ndarray:
     H is (G + G^dag)/2 for G with independent standard-normal real and
     imaginary parts, so small eta gives a unitary close to the identity.
     The exponential is taken by scaling and squaring a truncated Taylor
-    series (``_expm_skew``), a few products over every draw at once: up to
-    dim 4 with the stack innermost (a broadcast multiply and a sum per
-    product), above it as stacked matmuls.  ``size`` (None or an integer
-    >= 0) draws a stack of that many unitaries, shape ``(size, dim, dim)``;
-    the draws come from the generator's stream in the same order as that
-    many single calls, and each slice equals the single call's result bit
-    for bit.  That is why the layout is read off the dimension alone: the
-    two layouts round differently, so one chosen by the stack size would
-    give a batch other bytes than its single draws.
+    series (``_expm_skew``), a few stacked matmuls over every draw at once.
+    ``size`` (None or an integer >= 0) draws a stack of that many
+    unitaries, shape ``(size, dim, dim)``; the draws come from the
+    generator's stream in the same order as that many single calls, and
+    each slice equals the single call's result bit for bit, since every
+    slice takes the same products.
 
     A draw whose exponential needs more than ``_TAYLOR_MAX_SQUARINGS`` = 17
     squarings, ||eta H||_1 >= 0.33 * 2^17 (eta of a few thousand at dim 4),
@@ -291,12 +288,6 @@ _TAYLOR_MAX_SQUARINGS = 17
 # Paterson-Stockmeyer blocks of the degree-12 Taylor polynomial: row j holds
 # 1/k! for k = 3j, 3j + 1, 3j + 2, the weights of I, X and X^2 in block j.
 _TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(3 * j + i) for i in range(3)] for j in range(4)])
-# Largest dimension whose Taylor products _expm_skew runs with the stack
-# innermost.  On 455-draw stacks (one BLAS thread, 2-core x86-64 with
-# AVX-512) that layout measured 5.2x faster than stacked matmul at n = 2,
-# 1.7x at n = 3 and 1.4x at n = 4, but only 1.08x at n = 5, and 0.73x at
-# n = 6 and 0.51x at n = 8.
-_INNERMOST_MAX_DIM = 4
 
 
 def _expm_skew(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
@@ -314,60 +305,34 @@ def _expm_skew(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
 
     and the result is squared s times.
 
-    The layout of the products is read off the dimension n alone.  Up to
-    ``_INNERMOST_MAX_DIM`` = 4 the stack goes innermost, shape (n, n, k), and
-    each product is one broadcast multiply and one sum over the inner index
-    (``_innermost_product``): stacked ``matmul`` would call BLAS once per
-    tiny slice.  Larger slices keep the given layout, (k, n, n), and
-    ``matmul``, which is the faster there.  The two layouts round
-    differently, so a rule that also read the stack size k would give a
-    slice different bytes in a batch than in a single draw.  Within a
-    layout all arithmetic is per slice, so a slice's result does not depend
-    on the rest of the stack.
+    Every product is one stacked ``matmul`` on the given (k, n, n) layout,
+    which runs slice by slice, so a slice's result does not depend on the
+    rest of the stack.
     """
     shape, n = x.shape, x.shape[-1]
     x = x.reshape(-1, n, n)
     # the least s >= 0 with ||X||_1 / 2^s < theta is frexp's exponent, clipped at 0
     _, s = np.frexp(scaled.reshape(-1))
     s = np.maximum(s, 0)
-    innermost = n <= _INNERMOST_MAX_DIM
-    if innermost:  # slices along the last axis
-        x, scale = x.transpose(1, 2, 0), np.exp2(s)
-        terms = np.empty((n, n, n, s.size), dtype=np.complex128)
-        product = functools.partial(_innermost_product, terms=terms)
-    else:
-        scale, product = np.exp2(s)[:, np.newaxis, np.newaxis], np.matmul
     powers = np.empty((3,) + x.shape, dtype=np.complex128)  # I, X, X^2
-    powers[0] = np.eye(n)[:, :, np.newaxis] if innermost else np.eye(n)
-    np.divide(x, scale, out=powers[1])  # exact: a power of 2
-    product(powers[1], powers[1], out=powers[2])
-    cube = product(powers[1], powers[2])
+    powers[0] = np.eye(n)
+    np.divide(x, np.exp2(s)[:, np.newaxis, np.newaxis], out=powers[1])  # exact: a power of 2
+    np.matmul(powers[1], powers[1], out=powers[2])
+    cube = powers[1] @ powers[2]
     # the four blocks at once, as one real product over the (re, im) pairs
     blocks = (_TAYLOR_BLOCKS @ powers.view(np.float64).reshape(3, -1)).view(np.complex128)
     b3, b2, b1, b0 = blocks.reshape((4,) + x.shape)[::-1]
     u = b3 + cube / math.factorial(12)
     for block in (b2, b1, b0):
-        u = block + product(cube, u)
+        u = block + cube @ u
     for r in range(int(s.max(initial=0))):  # slice by slice, each its own s times
         sel = s > r
         if sel.all():  # the whole stack, as always for a single draw
-            u = product(u, u)
+            u = u @ u
         else:
-            sel = (..., sel) if innermost else sel
             v = u[sel]
-            u[sel] = product(v, v)
-    if innermost:
-        u = np.ascontiguousarray(u.transpose(2, 0, 1))
+            u[sel] = v @ v
     return u.reshape(shape)
-
-
-def _innermost_product(a: np.ndarray, b: np.ndarray, terms: np.ndarray, out=None) -> np.ndarray:
-    """Slice-wise a @ b of two (n, n, m) stacks with the stack innermost:
-    the n^3 m terms a[i, j] b[j, l] go into ``terms``, an (n, n, n, k >= m)
-    buffer reused by every product, and are summed over j in order."""
-    terms = terms[..., : a.shape[-1]]
-    np.multiply(a[:, :, np.newaxis], b[np.newaxis], out=terms)
-    return np.add.reduce(terms, axis=1, out=out)
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:

@@ -70,6 +70,19 @@ def assert_matches_dense_oracle(model_or_site, rho0=None, raises=False):
     assert np.max(np.abs(rho - ref)) < 1e-10
 
 
+def shift_damping_site(D, a, transpose):
+    """A site with Kraus operators sqrt(1 - a) I and sqrt(a) K at (o, i) =
+    (0, 0) and (1, 0), for K the shift S (j -> j + 1, plus |D-1><D-1|) or
+    its transpose: not trace preserving, and its left matrix has Jordan
+    blocks, so its eigenvector matrix is singular or nearly so."""
+    shift = np.eye(D, k=-1)
+    shift[D - 1, D - 1] = 1.0
+    site = np.zeros((D, 2, 2, D), dtype=np.complex128)
+    site[:, 0, 0, :] = np.sqrt(1 - a) * np.eye(D)
+    site[:, 1, 0, :] = np.sqrt(a) * (shift.T if transpose else shift)
+    return site
+
+
 def no_dense_projection(*args):
     """Stands in for ``memory._dense_projection`` where the Krylov branch must decide."""
     raise AssertionError("handed over to the dense projection")
@@ -459,6 +472,37 @@ class TestStationaryState:
         # halving the Kraus operators leaves eigenvalues +-1/4: no fixed point
         with pytest.raises(ConvergenceError):
             stationary_state(site / 2, np.eye(2) / 2)
+
+    @pytest.mark.parametrize(
+        ("D", "a", "transpose"),
+        [(8, 0.3, True), (12, 0.3, True), (16, 0.5, True), (24, 0.3, True), (24, 0.3, False)],
+    )
+    def test_undiagonalisable_shift_is_refused(self, D, a, transpose):
+        # the eigenvector solve either finds the matrix singular (D = 24) or
+        # projects rho0 onto zero; either way there is no state to return,
+        # and no NaN or numpy error may escape
+        with pytest.raises(ConvergenceError):
+            stationary_state(shift_damping_site(D, a, transpose), np.eye(D) / D)
+
+    @pytest.mark.parametrize(("D", "a"), [(12, 0.3), (16, 0.5)])
+    def test_undiagonalisable_shift_keeps_its_dense_limit(self, D, a):
+        # the same family with S itself: the eigenvector matrix is as
+        # ill-conditioned, but the projection is right, and the guard must
+        # leave its bytes as the unguarded dense projection writes them
+        site = shift_damping_site(D, a, transpose=False)
+        rho0 = np.eye(D) / D
+        rho = stationary_state(site, rho0)[0]
+        vals, vecs = np.linalg.eig(memory._left_matrix(site))
+        fixed = np.abs(vals - 1.0) < DEGENERACY_GAP
+        limit = (vecs[:, fixed] @ np.linalg.solve(vecs, rho0.reshape(-1, 1))[fixed]).reshape(D, D)
+        limit = (limit + limit.conj().T) / 2.0
+        assert rho.tobytes() == (limit / np.trace(limit).real).tobytes()
+        # and it is the limit of repeated squaring of the left matrix
+        power = memory._left_matrix(site)
+        for _ in range(12):
+            power = power @ power
+        ref = (power @ rho0.reshape(-1)).reshape(D, D)
+        assert np.max(np.abs(rho - ref / np.trace(ref))) < 1e-16
 
 
 class TestRenyiComplexity:

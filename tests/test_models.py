@@ -64,8 +64,7 @@ class TestNearIdentityUnitary:
         with pytest.raises(ValidationError, match="eta"):
             near_identity_unitary(3, eta, 1)
 
-    # dims on both sides of the kernel's layout rule (innermost up to 4), and
-    # k = 455, the figs2 --D 2 block size
+    # dims 1 to 6, and k = 455, the figs2 --D 2 block size
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 127, 300, 455])
     def test_batched_draw_preserves_the_stream(self, dim, k):

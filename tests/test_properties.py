@@ -9,7 +9,7 @@ time-dependent steps.  The near-identity experiment is
 checked bit for bit against its per-step reference over block edges, its
 Taylor-kernel unitaries against scipy's ``expm`` (and for unitarity, or
 refusal, up to eta = 1e8 and dim 16) and against the kernel with every
-product on the given layout (byte for byte above dim 4), its left matrices
+product on the given layout (byte for byte), its left matrices
 in either layout against the one einsum on the sites as given, its CSV
 against the f-string form, and the stationary solve
 (base-site blocks, Krylov or dense) against the dense projection on the
@@ -786,7 +786,7 @@ def test_near_identity_unitary_matches_expm(dim, eta, size, seed):
 
 def _expm_skew_given_layout(x, scaled):
     """The Taylor kernel with every product a stacked matmul on the given
-    (k, n, n) layout, as ``models._expm_skew`` runs dimensions above 4."""
+    (k, n, n) layout, an independent copy of ``models._expm_skew``."""
     shape, n = x.shape, x.shape[-1]
     x = x.reshape(-1, n, n)
     _, s = np.frexp(scaled.reshape(-1))
@@ -805,7 +805,7 @@ def _expm_skew_given_layout(x, scaled):
         sel = s > r
         v = u[sel]
         u[sel] = v @ v
-    return u.reshape(shape), s.reshape(shape[:-2])
+    return u.reshape(shape)
 
 
 @CASES
@@ -816,22 +816,14 @@ def _expm_skew_given_layout(x, scaled):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_near_identity_unitary_matches_the_given_layout_kernel(dim, eta, size, seed):
-    # above dim 4 the kernel is the given-layout one, byte for byte; up to
-    # dim 4 its stack-innermost products round differently, and each slice's
-    # difference grows like the unitarity defect, doubling per squaring: it
-    # measured at most 2 * 2^s units of roundoff over 8 * 10^4 slices, and
-    # the bound is 4 times that
+    # the kernel is the given-layout one at every dim, byte for byte
     u = near_identity_unitary(dim, eta, seed, size=size)
     shape = () if size is None else (size,)
     rng = np.random.default_rng(seed)
     draws = [random_hermitian(dim, rng) for _ in range(int(np.prod(shape)))]
     x = (1j * eta) * np.reshape(draws, (*shape, dim, dim))
-    ref, s = _expm_skew_given_layout(x, np.max(np.sum(np.abs(x), axis=-2), axis=-1) / _TAYLOR_THETA)
-    if dim > 4:
-        assert u.tobytes() == ref.tobytes()
-    else:
-        bound = 8 * np.exp2(s) * np.finfo(float).eps / 2
-        assert np.all(np.max(np.abs(u - ref), axis=(-1, -2)) <= bound)
+    ref = _expm_skew_given_layout(x, np.max(np.sum(np.abs(x), axis=-2), axis=-1) / _TAYLOR_THETA)
+    assert u.tobytes() == ref.tobytes()
 
 
 @CASES

@@ -41,8 +41,8 @@ are 23 runs:
   at seeds 0 to 199 every draw is scaled by 2^-s with s >= 1 and squared
   back s times;
 * ``figs2 --D 3 --eta 0.01 --nmax 50 --seeds 4 --time-dependent
-  --seed-base <seed>``, whose dim-6 draws take the kernel's given-layout
-  products, where the D = 2 runs above take the stack-innermost ones.
+  --seed-base <seed>``, which covers the draws (dim 6) and the left
+  matrices of D = 3 blocks beside the D = 2 runs above.
 """
 
 from __future__ import annotations
