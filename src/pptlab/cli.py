@@ -48,8 +48,8 @@ def int_at_least(low: int):
     return parse
 
 
-non_negative_int = int_at_least(0)  # the seed flags and --shots
-positive_int = int_at_least(1)  # --N, --nfuture, --dbound, --checks, --sample-every
+non_negative_int = int_at_least(0)  # the seed flags, --shots and --nmax
+positive_int = int_at_least(1)  # --N, --nfuture, --dbound, --checks, --seeds, --sample-every
 
 
 def _parse_floats(text) -> list[float]:
@@ -233,8 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figs2", help="near-identity convergence experiment")
     common(p, seed_required=False)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--seeds", type=int, required=True, help="ensemble size")
+    p.add_argument("--nmax", type=non_negative_int, required=True)
+    p.add_argument("--seeds", type=positive_int, required=True, help="ensemble size")
     p.add_argument("--seed-base", dest="seed_base", type=non_negative_int, default=0)
     p.add_argument("--time-dependent", dest="time_dependent", action="store_true")
     p.add_argument("--sample-every", dest="sample_every", type=positive_int, default=1)

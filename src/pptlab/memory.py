@@ -92,34 +92,16 @@ def _left_matrix(sites: np.ndarray) -> np.ndarray:
     """Matrices of the left actions of ``sites`` (shape (..., l, d, d, r)) on
     column-major vectorised operators: shape (..., r^2, l^2), C-contiguous.
 
-    E^dag, the adjoint of E = sum conj(B) (x) B, comes from one einsum; only
-    the small dense projection and the near-identity experiment need it.
-
-    numpy's einsum loops over the axes in the operands' memory order, so the
-    layout picks its inner loop.  As given, a stack's sites lie one after
-    another and the inner loop runs over a bond, only l or r long.  A stack
-    holding more sites than l r, with 1 < l r < ``_STACK_INNERMOST_MAX_BONDS``,
-    is first copied with the stack axes innermost, so the inner loop runs
-    over the whole stack (the figs2 blocks build 4x faster at l = r = 2,
-    1.5x at l = r = 4), and the result is copied back to C order.  Single
-    sites, short stacks, l r = 1 (nothing to gain, the copy costs more) and
-    wide bonds (the D^4-entry output's copy costs more) keep the given
-    layout.  Either way every entry is the same sum over (o, i), accumulated
-    term by term into a zeroed output in the same order, so both layouts
-    give the same bytes.
+    E^dag, the adjoint of E = sum conj(B) (x) B, is the Gram matrix X X^dag
+    of the rows X[(b, a), (o, i)] = B[a, o, i, b], reordered to (b, d, a, c);
+    only the small dense projection and the near-identity experiment need it.
+    A stack takes one stacked matmul, slice by slice, so each slice is the
+    single site's call byte for byte.
     """
-    *lead, l, _, _, r = sites.shape
-    if l * r < math.prod(lead) and 1 < l * r < _STACK_INNERMOST_MAX_BONDS:
-        n = len(lead)
-        inner = (*range(n, n + 4), *range(n))  # (l, d, d, r, ...) in memory
-        sites = np.ascontiguousarray(sites.transpose(inner)).transpose(np.argsort(inner))
-    dense = np.einsum("...aoib,...coid->...bdac", sites, sites.conj())
-    return np.ascontiguousarray(dense.reshape(*lead, r * r, l * l))
-
-
-# l r from which _left_matrix keeps a long stack's given layout: at D = 8 the
-# stack-innermost build measured 1.3x slower for 64 and 256 sites
-_STACK_INNERMOST_MAX_BONDS = 64
+    *lead, l, d, _, r = sites.shape
+    rows = np.moveaxis(sites, -1, -4).reshape(*lead, r * l, d * d)
+    gram = (rows @ rows.conj().swapaxes(-1, -2)).reshape(*lead, r, l, r, l)
+    return gram.swapaxes(-3, -2).reshape(*lead, r * r, l * l)  # a C-order copy unless l or r is 1
 
 
 def evolve_env(rho0: np.ndarray, mps_or_model, n: int) -> np.ndarray:
@@ -719,12 +701,10 @@ def _block_steps(n_seeds: int, d: int, D: int) -> int:
     a D^2 state), never fewer than one.
 
     Building the left matrices briefly holds more, per step and seed.  The
-    draw stack and its sites are each freed as soon as their next layout
-    exists, so the given layout peaks at 2 (dD)^2 + D^4 entries (sites,
-    conjugate, output) and the stack-innermost one at the larger of
-    2 (dD)^2 + D^4 (the sites' copy, its conjugate, the output, and einsum's
-    iteration buffers besides) and (dD)^2 + 2 D^4 (the copy, the output and
-    its C-order copy).
+    draw stack is freed as soon as its sites exist, so the build stays within
+    about 2 (dD)^2 + 2 D^4 entries when D >= d: the sites, their rows and the
+    Gram product, beside the rows' conjugate during the product and the
+    product's reordered copy after it.
 
     Before that, each seed's draw holds the Taylor kernel's temporaries
     per step (``models._expm_skew``), all freed before the next seed's
@@ -742,9 +722,8 @@ def _left_matrices(rngs, d: int, D: int, eta: float, k: int) -> np.ndarray:
     Each slice equals ``_left_matrix(site_tensor_from_unitary(u, d, D))`` of
     that seed's next single draw ``u``, bit for bit.
     """
-    # as temporaries, the draw stack and its sites are each freed as soon as
-    # their next layout exists (the sites from CPython 3.11 on, which moves a
-    # call's arguments into the callee), so neither is held through the einsum
+    # the draw stack is a temporary, freed as soon as its sites exist, so it
+    # is not held through the product
     draws = (near_identity_unitary(d * D, eta, rng, size=k) for rng in rngs)
     return _left_matrix(site_tensor_from_unitary(np.stack(list(draws), axis=1), d, D))
 

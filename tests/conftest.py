@@ -344,8 +344,10 @@ def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, sample_point
     """``fig_s2_experiment`` stepped one step at a time, the reference for its blocks.
 
     Draws one ``near_identity_unitary`` per seed per step (once for fixed H),
-    builds the left matrix of each by ``dense_transfer_matrix``, reads the
-    spectra with one ``eigvalsh`` per sample point and summarises each row
+    builds the left matrix of each draw's site alone by ``memory._left_matrix``
+    (so the comparison checks drawing, blocking and stepping; the formula has
+    its own oracles, ``given_layout_left_matrix`` and ``dense_left_matrix``),
+    reads the spectra with one ``eigvalsh`` per sample point and summarises each row
     with its own ``np.mean``/``np.median``/``np.quantile`` calls.
     """
     points = sorted(set(sample_points)) if sample_points is not None else list(range(n_max + 1))
@@ -360,9 +362,8 @@ def fig_s2_reference(d, D, eta, n_max, seeds, time_dependent=False, sample_point
         for _ in range(done, n):
             if lmats is None or time_dependent:
                 us = [near_identity_unitary(d * D, eta, rng) for rng in rngs]
-                lmats = np.stack(
-                    [dense_transfer_matrix(site_tensor_from_unitary(u, d, D)).conj().T for u in us]
-                )
+                sites = [site_tensor_from_unitary(u, d, D) for u in us]
+                lmats = np.stack([memory._left_matrix(site) for site in sites])
             rho_vecs = lmats @ rho_vecs
         done = n
         rhos = rho_vecs.reshape(-1, D, D).transpose(0, 2, 1)

@@ -317,9 +317,12 @@ class TestConfigAndErrors:
             (["predict", "--report", "report.json"], "nfuture", "-2"),
             (["predict", "--report", "report.json"], "nfuture", "0"),
             (["tomograph", "--seed", "1", "--N", "3"], "shots", "-1"),
+            (["figs2", "--eta", "0.01", "--nmax", "10"], "seeds", "-2"),
+            (["figs2", "--eta", "0.01", "--nmax", "10"], "seeds", "0"),
+            (["figs2", "--eta", "0.01", "--seeds", "2"], "nmax", "-1"),
         ],
         ids=["N_zero", "N_float", "tomograph_N", "fit_N", "reconstruct_N", "nfuture_negative",
-             "nfuture_zero", "shots_negative"],
+             "nfuture_zero", "shots_negative", "seeds_negative", "seeds_zero", "nmax_negative"],
     )
     def test_integer_flags_checked_at_parse_time(self, tmp_path, capsys, argv, flag, value):
         assert run(argv + [f"--{flag}", value]) == 1

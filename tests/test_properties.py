@@ -233,8 +233,9 @@ def test_transfer_actions_match_dense_matrices(d, left, right, seed):
 
     site = gaussian(left, d, d, right)
     dense = dense_transfer_matrix(site)
-    # the library's one left-matrix kernel is the oracle's einsum, bit for bit
-    assert np.array_equal(memory._left_matrix(site), dense.conj().T)
+    # within 1e-14 of the largest entry: the same products summed in another order
+    want = dense.conj().T
+    assert np.max(np.abs(memory._left_matrix(site) - want)) <= 1e-14 * np.abs(want).max()
     rho_l, rho_r = gaussian(left, left), gaussian(right, right)
     vec_l = dense.conj().T @ rho_l.reshape(-1, order="F")
     vec_r = dense @ rho_r.reshape(-1, order="F")
@@ -274,8 +275,8 @@ def test_transfer_right_is_the_two_product_formula(d, bonds, seed):
 
 def given_layout_left_matrix(sites):
     """The left-matrix formula written out on its own: one einsum over the
-    sites in the layout they come in, which both of ``memory._left_matrix``'s
-    layouts must match byte for byte."""
+    sites in the layout they come in, the oracle of ``memory._left_matrix``'s
+    Gram product."""
     *lead, l, _, _, r = sites.shape
     dense = np.einsum("...aoib,...coid->...bdac", sites, sites.conj())
     return dense.reshape(*lead, r * r, l * l)
@@ -300,18 +301,22 @@ def left_matrix_cases(draw):
 
 @CASES
 @given(d=st.sampled_from([2, 3]), case=left_matrix_cases(), seed=st.integers(0, 2**32 - 1))
-@example(d=2, case=((455, 4), 2, 2), seed=0)  # a figs2 block at D = 2: stack innermost
-@example(d=2, case=((1, 4), 2, 2), seed=0)  # fixed H at D = 2: the given layout
-@example(d=2, case=((2730, 4), 1, 1), seed=0)  # D = 1: the given layout
-@example(d=2, case=((65,), 8, 8), seed=0)  # wide bonds: the given layout
-def test_left_matrix_is_the_given_layout_formula(d, case, seed):
-    # both layouts of the one kernel give the given-layout einsum's bytes
+@example(d=2, case=((455, 4), 2, 2), seed=0)  # a figs2 block at D = 2
+@example(d=2, case=((1, 4), 2, 2), seed=0)  # fixed H at D = 2
+@example(d=2, case=((2730, 4), 1, 1), seed=0)  # D = 1
+@example(d=2, case=((65,), 8, 8), seed=0)  # wide bonds
+def test_stacked_left_matrix_is_per_site_and_the_formula(d, case, seed):
+    # every slice of a stack is the single site's call byte for byte, and the
+    # whole stack is the einsum formula up to the order of its sums
     lead, l, r = case
     rng = np.random.default_rng(seed)
     sites = rng.standard_normal((*lead, l, d, d, r, 2)) @ np.array([1.0, 1.0j])
     got = memory._left_matrix(sites)
     assert got.shape == (*lead, r * r, l * l) and got.flags.c_contiguous
-    assert got.tobytes() == given_layout_left_matrix(sites).tobytes()
+    for index in np.ndindex(*lead):
+        assert got[index].tobytes() == memory._left_matrix(sites[index]).tobytes()
+    want = given_layout_left_matrix(sites)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
 
 
 def unit_images(action, n):

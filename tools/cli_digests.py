@@ -15,7 +15,7 @@ a gauge-twisted copy of the second, a two-insertion observable and the two
 ``fit`` reports) are written to a temporary directory; the printed argv names
 them by file name only, so the lines do not depend on where that directory
 is.  A run that exits non-zero gets ``[exit N]`` appended.  Per seed there
-are 23 runs:
+are 24 runs:
 
 * ``build --D 16 --N 50`` and ``build --D 2 --N 5 --entangled``;
 * ``correlate`` on both files, without and with an observable of
@@ -34,6 +34,8 @@ are 23 runs:
 * ``complexity --D 16 --alpha 1,2`` and ``--D 4 --entangled --alpha 1,2``;
 * ``complexity --D 1 --alpha 1,2``, whose pure stationary state has zero
   entropy at both orders, written as 0.0 and not -0.0;
+* ``complexity --D 8 --alpha 1,2``, the widest site whose stationary state
+  the dense projection solves, so its left matrix has l = r = 8;
 * ``figs2 --D 2 --eta 0.01 --nmax 200 --seeds 4 --seed-base <seed>``,
   with a fixed H and with ``--time-dependent``;
 * ``figs2 --D 2 --eta 0.3 --nmax 50 --seeds 4 --time-dependent
@@ -92,7 +94,7 @@ def _run(argv: list[str], workdir: Path) -> tuple[str, str]:
 
 
 def digests(seed: int, workdir: Path) -> list[str]:
-    """The 23 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
+    """The 24 digest lines of the reference set at ``seed``; inputs go to ``workdir``."""
     lines = []
 
     def run(*args: str, keep: str | None = None) -> None:
@@ -125,6 +127,7 @@ def digests(seed: int, workdir: Path) -> list[str]:
     run("complexity", "--D", "16", "--alpha", "1,2", "--seed", s)
     run("complexity", "--D", "4", "--entangled", "--alpha", "1,2", "--seed", s)
     run("complexity", "--D", "1", "--alpha", "1,2", "--seed", s)
+    run("complexity", "--D", "8", "--alpha", "1,2", "--seed", s)
     figs2 = ("figs2", "--D", "2", "--eta", "0.01", "--nmax", "200", "--seeds", "4")
     run(*figs2, "--seed-base", s)
     run(*figs2, "--seed-base", s, "--time-dependent")
